@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 
-	"spin"
 	"spin/internal/bcode"
 	"spin/internal/domain"
 	"spin/internal/lb"
@@ -44,36 +43,18 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
 func run(cmds []string) error {
-	// The debugger and its target sit on a routed topology: workstation and
-	// target kernel on a switch, 100 µs spokes. Two virtual CPUs on the
-	// target, so the sched command has per-CPU queues, steals and
-	// migrations to report.
-	edge := vnet.LinkModel{Latency: 100 * sim.Microsecond}
-	in, err := vnet.NewBuilder(1).
-		MachineCfg("target-kernel", spin.Config{IP: netstack.Addr(10, 0, 0, 2), CPUs: 2}).
-		Machine("workstation", netstack.Addr(10, 0, 0, 1)).
-		Machine("replica-a", netstack.Addr(10, 0, 0, 4)).
-		Machine("replica-b", netstack.Addr(10, 0, 0, 5)).
-		Switch("s0").
-		Link("target-kernel", "s0", edge).
-		Link("workstation", "s0", edge).
-		Link("replica-a", "s0", edge).
-		Link("replica-b", "s0", edge).
-		Build()
+	// The debugger and its target sit on the demo star: workstation and
+	// target kernel on a switch. The target doubles as the topology's DNS
+	// authority, and the debugger is published as "dbg.spin.test" — the
+	// workstation attaches by name, not by a hard-coded address.
+	in, err := vnet.DemoStar("target-kernel", "target-kernel", "dbg",
+		vnet.DemoPeer{Name: "workstation", IP: netstack.Addr(10, 0, 0, 1)},
+		vnet.DemoPeer{Name: "replica-a", IP: netstack.Addr(10, 0, 0, 4)},
+		vnet.DemoPeer{Name: "replica-b", IP: netstack.Addr(10, 0, 0, 5)})
 	if err != nil {
 		return err
 	}
 	target, workstation := in.Machine("target-kernel"), in.Machine("workstation")
-
-	// Network naming: the target doubles as the topology's DNS authority,
-	// and the debugger is published as "dbg.spin.test" — the workstation
-	// attaches by name, not by a hard-coded address.
-	if err := in.EnableDNS("target-kernel"); err != nil {
-		return err
-	}
-	if err := in.AddName("dbg", "target-kernel"); err != nil {
-		return err
-	}
 
 	// Give the target a live workload so the statistics mean something.
 	if _, err := netstack.NewHTTPServer(target.Stack, 80, netstack.InKernelDelivery,
@@ -105,9 +86,9 @@ func run(cmds []string) error {
 		return err
 	}
 
-	// Verified extensions for the "bcode" command: a wire-encoded filter
-	// loaded through the untrusted-user path (bytes in, verifier decides),
-	// an XDP early-drop program, and a steal policy on the scheduler.
+	// Verified extensions for the "bcode" command, beside the star's XDP
+	// program: a wire-encoded filter loaded through the untrusted-user path
+	// (bytes in, verifier decides) and a steal policy on the scheduler.
 	discard := bcode.New(
 		bcode.LdCtx(3, netstack.CtxProto),
 		bcode.JneImm(3, int32(netstack.ProtoUDP), 3),
@@ -122,16 +103,6 @@ func run(cmds []string) error {
 	if _, err := target.LoadFilter("udp9-discard", discard.Encode()); err != nil {
 		return err
 	}
-	if _, err := target.Stack.AttachXDP("ttl-guard", bcode.New(
-		bcode.LdCtx(3, netstack.CtxTTL),
-		bcode.JeqImm(3, 0, 2), // expired TTL: drop before the graph
-		bcode.MovImm(0, 0),
-		bcode.Exit(),
-		bcode.MovImm(0, 1),
-		bcode.Exit(),
-	)); err != nil {
-		return err
-	}
 	if _, err := target.Sched.SetStealPolicy("leave-one", bcode.New(
 		bcode.LdCtx(3, strand.StealCtxDepth),
 		bcode.JgtImm(3, 1, 2), // deep victim queues: allow the steal
@@ -142,24 +113,6 @@ func run(cmds []string) error {
 	)); err != nil {
 		return err
 	}
-	bcodeReport := func() netdbg.BCodeReport {
-		var r netdbg.BCodeReport
-		for _, p := range target.Stack.BCodePrograms() {
-			r.Programs = append(r.Programs, netdbg.BCodeProgInfo{
-				Name: p.Name, Point: p.Point, Insns: p.Insns,
-				Runs: p.Runs, Matched: p.Matched, Quarantined: p.Quarantined,
-			})
-		}
-		if pol := target.Sched.StealPolicyInstalled(); pol != nil {
-			evals, vetoes := pol.Stats()
-			r.Programs = append(r.Programs, netdbg.BCodeProgInfo{
-				Name: pol.Name(), Point: "steal-policy", Insns: pol.Insns(),
-				Runs: evals, Matched: vetoes,
-			})
-		}
-		return r
-	}
-
 	// Kernel-wide tracing feeds the "trace" (dispatch ring) and "histo"
 	// (latency histogram) commands.
 	tracer := target.EnableTracing(256)
@@ -169,7 +122,7 @@ func run(cmds []string) error {
 		MMU:        target.MMU,
 		Topo:       in.Describe,
 		LB:         bal.Report,
-		BCode:      bcodeReport,
+		BCode:      target.Programs,
 		Extra: map[string]func(string) string{
 			"uptime": func(string) string {
 				return fmt.Sprintf("uptime: %v of virtual time", target.Clock.Now().Sub(0))
@@ -197,19 +150,8 @@ func run(cmds []string) error {
 	}); err != nil {
 		return err
 	}
-	// A strand workload on the target: 8 worker strands homed on CPU 0, so
-	// the idle second CPU steals — the sched report shows real switches,
-	// steals and migrations.
-	for i := 0; i < 8; i++ {
-		s := target.Sched.NewStrandOn(fmt.Sprintf("worker-%d", i), 1, 0, func(s *strand.Strand) {
-			for k := 0; k < 16; k++ {
-				s.Exec(5 * sim.Microsecond)
-				s.Yield()
-			}
-		})
-		target.Sched.Start(s)
-	}
-	target.Sched.Run()
+	// The sched report needs real switches, steals and migrations.
+	vnet.RunDemoStrands(target)
 
 	// Start the balancer's health checks only now: the probe timers rearm
 	// forever, so anything that waits for the machine to go fully idle

@@ -19,55 +19,27 @@ import (
 	"os"
 	"strings"
 
-	"spin"
 	"spin/internal/bcode"
-	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/fs"
 	"spin/internal/lb"
 	"spin/internal/netdbg"
 	"spin/internal/netstack"
-	"spin/internal/sim"
-	"spin/internal/strand"
-	"spin/internal/trace"
 	"spin/internal/vnet"
 )
 
 // debugContent layers the kernel's introspection endpoints over the
-// document tree: GET /debug/trace returns the dispatch ring, GET
-// /debug/histo the latency histograms, GET /debug/faults the fault-
-// containment and quarantine state, GET /debug/sched the per-CPU strand
-// scheduling counters — up-to-date kernel information served by the same
-// in-kernel HTTP extension that serves documents (paper §3.2).
+// document tree: each /debug/* page renders up-to-date kernel information,
+// served by the same in-kernel HTTP extension that serves documents (paper
+// §3.2).
 type debugContent struct {
-	docs   netstack.HTTPContent
-	tracer *trace.Tracer
-	disp   *dispatch.Dispatcher
-	sched  *strand.Scheduler
-	lb     func() netdbg.LBReport
-	bcode  func() netdbg.BCodeReport
+	docs  netstack.HTTPContent
+	pages map[string]func() string
 }
 
 func (d debugContent) Get(path string) ([]byte, bool) {
-	switch path {
-	case "/debug/trace":
-		return []byte(d.tracer.Dump()), true
-	case "/debug/histo":
-		return []byte(d.tracer.DumpHisto()), true
-	case "/debug/faults":
-		return []byte(netdbg.FaultReport(d.disp)), true
-	case "/debug/sched":
-		return []byte(d.sched.Report()), true
-	case "/debug/lb":
-		if d.lb == nil {
-			return []byte("error: no load balancer attached\n"), true
-		}
-		return []byte(d.lb().String() + "\n"), true
-	case "/debug/bcode":
-		if d.bcode == nil {
-			return []byte("error: no bcode programs attached\n"), true
-		}
-		return []byte(d.bcode().String() + "\n"), true
+	if page, ok := d.pages[path]; ok {
+		return []byte(page()), true
 	}
 	return d.docs.Get(path)
 }
@@ -82,28 +54,13 @@ func main() {
 }
 
 func run(requests int) error {
-	// A routed star: the web server (two virtual CPUs, so /debug/sched
-	// reports real per-CPU queues, steals and migrations), the browser,
-	// and a nameserver machine publishing "web.spin.test".
-	edge := vnet.LinkModel{Latency: 100 * sim.Microsecond}
-	in, err := vnet.NewBuilder(1).
-		MachineCfg("www-spin", spin.Config{IP: netstack.Addr(10, 0, 0, 2), CPUs: 2}).
-		Machine("browser", netstack.Addr(10, 0, 0, 1)).
-		Machine("ns", netstack.Addr(10, 0, 0, 3)).
-		Machine("www-spin2", netstack.Addr(10, 0, 0, 4)).
-		Switch("s0").
-		Link("www-spin", "s0", edge).
-		Link("browser", "s0", edge).
-		Link("ns", "s0", edge).
-		Link("www-spin2", "s0", edge).
-		Build()
+	// The demo star: the web server, the browser, and a nameserver machine
+	// publishing "web.spin.test".
+	in, err := vnet.DemoStar("www-spin", "ns", "web",
+		vnet.DemoPeer{Name: "browser", IP: netstack.Addr(10, 0, 0, 1)},
+		vnet.DemoPeer{Name: "ns", IP: netstack.Addr(10, 0, 0, 3)},
+		vnet.DemoPeer{Name: "www-spin2", IP: netstack.Addr(10, 0, 0, 4)})
 	if err != nil {
-		return err
-	}
-	if err := in.EnableDNS("ns"); err != nil {
-		return err
-	}
-	if err := in.AddName("web", "www-spin"); err != nil {
 		return err
 	}
 	server, client := in.Machine("www-spin"), in.Machine("browser")
@@ -140,32 +97,20 @@ func run(requests int) error {
 	}
 	cache := fs.NewWebCache(server.FS, 256<<10, 64<<10)
 	tracer := server.EnableTracing(1024)
-	// A verified early-drop program below the server's protocol graph
-	// feeds the /debug/bcode page: drop TTL-expired packets before any
-	// layer sees them.
-	if _, err := server.Stack.AttachXDP("ttl-guard", bcode.New(
-		bcode.LdCtx(3, netstack.CtxTTL),
-		bcode.JeqImm(3, 0, 2),
-		bcode.MovImm(0, 0),
-		bcode.Exit(),
-		bcode.MovImm(0, 1),
-		bcode.Exit(),
-	)); err != nil {
-		return err
-	}
-	bcodeReport := func() netdbg.BCodeReport {
-		var r netdbg.BCodeReport
-		for _, p := range server.Stack.BCodePrograms() {
-			r.Programs = append(r.Programs, netdbg.BCodeProgInfo{
-				Name: p.Name, Point: p.Point, Insns: p.Insns,
-				Runs: p.Runs, Matched: p.Matched, Quarantined: p.Quarantined,
-			})
-		}
-		return r
+	// The debug pages: the dispatch ring, the latency histograms, the
+	// fault-containment and quarantine state, the per-CPU strand scheduling
+	// counters, the balancer (the report spin-dbg's "lb" command renders)
+	// and the loaded verified programs.
+	pages := map[string]func() string{
+		"/debug/trace":  tracer.Dump,
+		"/debug/histo":  tracer.DumpHisto,
+		"/debug/faults": func() string { return netdbg.FaultReport(server.Dispatcher) },
+		"/debug/sched":  server.Sched.Report,
+		"/debug/lb":     func() string { return rd.Report().String() + "\n" },
+		"/debug/bcode":  func() string { return bcode.Report(server.Programs()) + "\n" },
 	}
 	if _, err := netstack.NewHTTPServerOwned("httpd-www-spin", server.Stack, 80, netstack.InKernelDelivery,
-		debugContent{docs: cache, tracer: tracer, disp: server.Dispatcher, sched: server.Sched,
-			lb: rd.Report, bcode: bcodeReport}); err != nil {
+		debugContent{docs: cache, pages: pages}); err != nil {
 		return err
 	}
 	// The replica serves the same tree (its own cache, no debug pages) and
@@ -179,19 +124,9 @@ func run(requests int) error {
 		return err
 	}
 
-	// A strand workload on the server: 8 worker strands homed on CPU 0, so
-	// the idle second CPU steals — /debug/sched shows real switches, steals
-	// and migrations alongside the HTTP traffic.
-	for i := 0; i < 8; i++ {
-		s := server.Sched.NewStrandOn(fmt.Sprintf("worker-%d", i), 1, 0, func(s *strand.Strand) {
-			for k := 0; k < 16; k++ {
-				s.Exec(5 * sim.Microsecond)
-				s.Yield()
-			}
-		})
-		server.Sched.Start(s)
-	}
-	server.Sched.Run()
+	// /debug/sched shows real switches, steals and migrations alongside the
+	// HTTP traffic.
+	vnet.RunDemoStrands(server)
 
 	fmt.Println("spin-httpd: in-kernel HTTP server on", server.Stack.IP)
 	fmt.Printf("%-18s %-6s %10s %8s %s\n", "path", "try", "latency", "status", "cache")
@@ -229,50 +164,33 @@ func run(requests int) error {
 	fmt.Printf("rx queues: %d accepted, %d dropped (backpressure); reassembly: %d pending, %d evicted\n",
 		rxAccepted, rxDropped, pending, evicted)
 
-	// Fetch the kernel's own profile over the wire, like any client would.
-	var histo []byte
-	got := false
-	if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, "/debug/histo",
-		netstack.InKernelDelivery, func(_ string, body []byte) {
-			histo = body
-			got = true
-		}); err != nil {
+	// Fetch the kernel's own debug pages over the wire, like any client
+	// would: the latency profile, the scheduler's per-CPU counters and the
+	// verified-extension report.
+	showPage := func(path, note string) error {
+		var page []byte
+		got := false
+		if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, path,
+			netstack.InKernelDelivery, func(_ string, body []byte) {
+				page = body
+				got = true
+			}); err != nil {
+			return err
+		}
+		if !in.RunUntil(func() bool { return got }, 0) {
+			return fmt.Errorf("%s request never completed", path)
+		}
+		fmt.Printf("\nGET %s%s:\n%s", path, note, page)
+		return nil
+	}
+	if err := showPage("/debug/histo", " (also available: /debug/trace, /debug/faults)"); err != nil {
 		return err
 	}
-	if !in.RunUntil(func() bool { return got }, 0) {
-		return fmt.Errorf("/debug/histo request never completed")
+	for _, path := range []string{"/debug/sched", "/debug/bcode"} {
+		if err := showPage(path, ""); err != nil {
+			return err
+		}
 	}
-	fmt.Printf("\nGET /debug/histo (also available: /debug/trace, /debug/faults):\n%s", histo)
-
-	// And the scheduler's per-CPU counters, the same way.
-	var schedRep []byte
-	got = false
-	if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, "/debug/sched",
-		netstack.InKernelDelivery, func(_ string, body []byte) {
-			schedRep = body
-			got = true
-		}); err != nil {
-		return err
-	}
-	if !in.RunUntil(func() bool { return got }, 0) {
-		return fmt.Errorf("/debug/sched request never completed")
-	}
-	fmt.Printf("\nGET /debug/sched:\n%s", schedRep)
-
-	// The verified-extension report, fetched over the wire like the rest.
-	var bcodeRep []byte
-	got = false
-	if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, "/debug/bcode",
-		netstack.InKernelDelivery, func(_ string, body []byte) {
-			bcodeRep = body
-			got = true
-		}); err != nil {
-		return err
-	}
-	if !in.RunUntil(func() bool { return got }, 0) {
-		return fmt.Errorf("/debug/bcode request never completed")
-	}
-	fmt.Printf("\nGET /debug/bcode:\n%s", bcodeRep)
 
 	// Finally, the same page fetched the way any Go program would: an
 	// unmodified net/http client whose transport dials through the
@@ -339,18 +257,5 @@ func run(requests int) error {
 
 	// The balancer's state is a first-class debug page, same report the
 	// spin-dbg "lb" command renders.
-	var lbPage []byte
-	got = false
-	if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, "/debug/lb",
-		netstack.InKernelDelivery, func(_ string, body []byte) {
-			lbPage = body
-			got = true
-		}); err != nil {
-		return err
-	}
-	if !in.RunUntil(func() bool { return got }, 0) {
-		return fmt.Errorf("/debug/lb request never completed")
-	}
-	fmt.Printf("\nGET /debug/lb:\n%s", lbPage)
-	return nil
+	return showPage("/debug/lb", "")
 }

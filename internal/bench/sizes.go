@@ -113,6 +113,50 @@ func countFile(path string) (int, int64, error) {
 	return lines, fi.Size(), sc.Err()
 }
 
+// NonTestLines reports the repository's non-comment Go source lines, tests
+// and the benchmark/ harness excluded — the figure CI ratchets downward.
+func NonTestLines() (int, error) {
+	root, err := repoRoot()
+	if err != nil {
+		return 0, err
+	}
+	all, _, err := countStats(root, ".")
+	if err != nil {
+		return 0, err
+	}
+	harness, _, err := countStats(root, "benchmark")
+	return all - harness, err
+}
+
+// sizeEntry is one row of a size table: a component, the paper's source
+// lines for it, and the paths that implement it here (nil: no analogue).
+type sizeEntry struct {
+	name  string
+	paper float64
+	paths []string
+}
+
+// sizeRows measures each entry, returning the rows and the measured total.
+func sizeRows(entries []sizeEntry) (rows []Row, total float64, err error) {
+	root, err := repoRoot()
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, e := range entries {
+		measured := []float64{NA, NA}
+		if e.paths != nil {
+			lines, bytes, err := countStats(root, e.paths...)
+			if err != nil {
+				return nil, 0, err
+			}
+			measured = []float64{float64(lines), float64(bytes)}
+			total += float64(lines)
+		}
+		rows = append(rows, Row{Label: e.name, Paper: []float64{e.paper, NA}, Measured: measured})
+	}
+	return rows, total, nil
+}
+
 // RunTable1 reproduces Table 1: size of system components. Components map
 // as: sys = extensibility machinery (safe objects, domains, dispatcher,
 // capabilities); core = VM, scheduling, networking, file system; rt =
@@ -120,42 +164,17 @@ func countFile(path string) (int, int64, error) {
 // The paper's lib (generic Modula-3 data structures) corresponds to the Go
 // standard library and is reported as n/a.
 func RunTable1() (*Table, error) {
-	root, err := repoRoot()
-	if err != nil {
-		return nil, err
-	}
-	components := []struct {
-		name  string
-		paper float64 // paper source lines
-		paths []string
-	}{
+	rows, total, err := sizeRows([]sizeEntry{
 		{"sys (extensibility machinery)", 1646, []string{"internal/safe", "internal/domain", "internal/dispatch", "internal/capability", "spin.go"}},
 		{"core (vm, sched, net, fs, dbg)", 10866, []string{"internal/vm", "internal/strand", "internal/netstack", "internal/fs", "internal/unixsrv", "internal/netdbg", "internal/monitor"}},
 		{"rt (runtime)", 14216, []string{"internal/sim"}},
 		{"lib (generic data structures)", 1234, nil}, // Go stdlib
 		{"sal (hardware layer)", 37690, []string{"internal/sal"}},
+	})
+	if err != nil {
+		return nil, err
 	}
-	var rows []Row
-	var totalPaper, totalLines float64
-	for _, c := range components {
-		if c.paths == nil {
-			rows = append(rows, Row{Label: c.name, Paper: []float64{c.paper, NA}, Measured: []float64{NA, NA}})
-			totalPaper += c.paper
-			continue
-		}
-		lines, bytes, err := countStats(root, c.paths...)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{
-			Label:    c.name,
-			Paper:    []float64{c.paper, NA},
-			Measured: []float64{float64(lines), float64(bytes)},
-		})
-		totalPaper += c.paper
-		totalLines += float64(lines)
-	}
-	rows = append(rows, Row{Label: "total kernel", Paper: []float64{65652, NA}, Measured: []float64{totalLines, NA}})
+	rows = append(rows, Row{Label: "total kernel", Paper: []float64{65652, NA}, Measured: []float64{total, NA}})
 	return &Table{
 		ID:      "table1",
 		Title:   "System component sizes (non-comment source lines; bytes)",
@@ -172,15 +191,7 @@ func RunTable1() (*Table, error) {
 // RunTable7 reproduces Table 7: sizes of the extensions described in the
 // paper, mapped to this implementation's extension files.
 func RunTable7() (*Table, error) {
-	root, err := repoRoot()
-	if err != nil {
-		return nil, err
-	}
-	exts := []struct {
-		name  string
-		paper float64
-		paths []string
-	}{
+	rows, _, err := sizeRows([]sizeEntry{
 		{"IPC / active messages", 127, []string{"internal/netstack/ext_am.go"}},
 		{"CThreads + OSF/1 threads", 524, []string{"internal/strand/cthreads.go"}},
 		{"VM workload (spaces, tasks, COW)", 263, []string{"internal/vm/ext.go"}},
@@ -190,18 +201,9 @@ func RunTable7() (*Table, error) {
 		{"HTTP", 392, []string{"internal/netstack/ext_http.go"}},
 		{"TCP/UDP Forward", 325, []string{"internal/netstack/ext_forward.go"}},
 		{"Video client+server", 399, []string{"internal/netstack/ext_video.go"}},
-	}
-	var rows []Row
-	for _, e := range exts {
-		lines, bytes, err := countStats(root, e.paths...)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{
-			Label:    e.name,
-			Paper:    []float64{e.paper, NA},
-			Measured: []float64{float64(lines), float64(bytes)},
-		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Table{
 		ID:      "table7",

@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"sync"
-
-	"spin/internal/bcode"
-)
+import "spin/internal/bcode"
 
 // Verified-bytecode guards: the dispatcher's guard slot is the paper's
 // original home for "little language" predicates (§2.1), and this adapter
@@ -23,22 +19,24 @@ type CtxBinder func(arg any, ctx *bcode.Context) bool
 // VerifiedGuard verifies prog against spec and compiles it into a Guard.
 // The guard matches when the program's verdict is nonzero. Installing an
 // unverifiable program fails here, before the handler touches the event
-// table — install-time rejection is the whole safety model.
+// table.
 func VerifiedGuard(prog *bcode.Program, spec bcode.Spec, bind CtxBinder) (Guard, error) {
-	if err := bcode.Verify(prog, spec); err != nil {
+	a, err := bcode.Attach("", "guard", prog, spec)
+	if err != nil {
 		return nil, err
 	}
-	run := prog.Compile()
-	return func(arg any) bool {
-		// Pooled: the compiled program is a func value, so a stack-local
-		// Context would escape — one allocation per guard evaluation.
-		ctx := guardCtxPool.Get().(*bcode.Context)
-		defer func() { ctx.Bytes = nil; guardCtxPool.Put(ctx) }()
-		if !bind(arg, ctx) {
-			return false
-		}
-		return run(ctx) != bcode.VerdictPass
-	}, nil
+	return AttachmentGuard(a, bind), nil
 }
 
-var guardCtxPool = sync.Pool{New: func() any { return new(bcode.Context) }}
+// AttachmentGuard is VerifiedGuard for a caller that keeps the attachment
+// (for its counters).
+func AttachmentGuard(a *bcode.Attachment, bind CtxBinder) Guard {
+	return func(arg any) bool {
+		ctx := a.Acquire()
+		if !bind(arg, ctx) {
+			a.Release(ctx)
+			return false
+		}
+		return a.Run(ctx)
+	}
+}

@@ -31,10 +31,10 @@ package dispatch
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
 	"spin/internal/sim"
@@ -172,13 +172,12 @@ type Dispatcher struct {
 	profile *sim.Profile
 	engine  *sim.Engine
 
-	// mu serializes writers (Define/Install/AddGuard/Remove/RemovePrimary).
+	// mu serializes handler-list writers (Install/AddGuard/Remove/RemovePrimary).
 	// The read path never takes it.
 	mu sync.Mutex
-	// events is the copy-on-write event table: Define copies the map,
-	// inserts, and swaps the pointer. eventState values are never removed
-	// or replaced, so a loaded *eventState stays valid forever.
-	events atomic.Pointer[map[string]*eventState]
+	// events is the event table. eventState values are never removed or
+	// replaced, so a loaded *eventState stays valid forever.
+	events cow.Map[string, *eventState]
 
 	// faults counts handler runtime exceptions contained at the dispatch
 	// boundary; lastFault (guarded by faultMu) describes the most recent.
@@ -213,20 +212,16 @@ type Dispatcher struct {
 // New returns a dispatcher charging costs from profile against the engine's
 // clock. Async handlers are scheduled on the engine.
 func New(engine *sim.Engine, profile *sim.Profile) *Dispatcher {
-	d := &Dispatcher{
+	return &Dispatcher{
 		clock:   engine.Clock,
 		profile: profile,
 		engine:  engine,
 	}
-	empty := make(map[string]*eventState)
-	d.events.Store(&empty)
-	return d
 }
 
 // lookup finds an event without locking. Safe from any goroutine.
 func (d *Dispatcher) lookup(name string) (*eventState, bool) {
-	st, ok := (*d.events.Load())[name]
-	return st, ok
+	return d.events.Get(name)
 }
 
 // DefineOptions configures an event at definition time.
@@ -251,12 +246,6 @@ type DefineOptions struct {
 // Define declares an event. The caller is, by definition, the default
 // implementation module for the event. Redefinition fails.
 func (d *Dispatcher) Define(name string, opts DefineOptions) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := *d.events.Load()
-	if _, dup := old[name]; dup {
-		return fmt.Errorf("dispatch: event %q already defined", name)
-	}
 	snap := &eventSnapshot{
 		authorizer: opts.Authorizer,
 		constraint: opts.Constraint,
@@ -278,12 +267,9 @@ func (d *Dispatcher) Define(name string, opts DefineOptions) error {
 		st.nextID++
 	}
 	st.snap.Store(snap)
-	next := make(map[string]*eventState, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if _, dup := d.events.LoadOrStore(name, st); dup {
+		return fmt.Errorf("dispatch: event %q already defined", name)
 	}
-	next[name] = st
-	d.events.Store(&next)
 	return nil
 }
 
@@ -648,15 +634,7 @@ func (d *Dispatcher) Stats(event string) (raises, aborts, faults int64) {
 
 // Events lists the defined event names, sorted. Used by the Figure 5
 // protocol-graph dump.
-func (d *Dispatcher) Events() []string {
-	m := *d.events.Load()
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (d *Dispatcher) Events() []string { return cow.SortedKeys(&d.events) }
 
 // HandlerOwners reports the identities of the handlers installed on event in
 // installation order ("(primary)" for the primary). Used by the Figure 5

@@ -2,8 +2,10 @@ package dispatch
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
+
+	"spin/internal/cow"
 )
 
 // Keyed guard optimization — the paper's stated future work (§5.5:
@@ -19,9 +21,8 @@ import (
 // every installed guard — dispatch cost becomes independent of the number
 // of installed handlers.
 //
-// Like the dispatcher proper, the key index is copy-on-write: raises load
-// the whole map through an atomic pointer and never lock; InstallKeyed and
-// RemoveKeyed rebuild the map under a writer mutex and swap it in.
+// Like the dispatcher's event table, the key index is a cow.Map: raises
+// never lock; InstallKeyed and RemoveKeyed publish a new index.
 
 // KeyFunc extracts the demultiplexing key from an event argument.
 type KeyFunc func(arg any) (key uint64, ok bool)
@@ -34,10 +35,9 @@ type KeyedEvent struct {
 	name  string
 	keyOf KeyFunc
 
-	// mu serializes writers; nextID is guarded by it. The read path loads
-	// byKey without locking; published maps and entry slices are immutable.
-	mu      sync.Mutex
-	byKey   atomic.Pointer[map[uint64][]*keyedEntry]
+	// byKey is the index; published entry slices are immutable. nextID is
+	// only touched inside byKey.Update, so the index's writer lock guards it.
+	byKey   cow.Map[uint64, []*keyedEntry]
 	nextID  int
 	raises  atomic.Int64
 	indexed atomic.Int64
@@ -64,8 +64,6 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 		name:  name,
 		keyOf: keyOf,
 	}
-	empty := make(map[uint64][]*keyedEntry)
-	ke.byKey.Store(&empty)
 	userPrimary := opts.Primary
 	userClosure := opts.PrimaryClosure
 	opts.Primary = func(arg, _ any) any {
@@ -73,7 +71,7 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 		ke.d.clock.Advance(ke.d.profile.GuardEval) // the single key extraction
 		var results []any
 		if key, ok := ke.keyOf(arg); ok {
-			entries := (*ke.byKey.Load())[key]
+			entries, _ := ke.byKey.Get(key)
 			ke.indexed.Add(1)
 			for _, e := range entries {
 				ke.d.clock.Advance(ke.d.profile.HandlerInvoke)
@@ -107,52 +105,39 @@ type KeyedRef struct {
 	id  int
 }
 
-// cloneIndex copies the published key index so a writer can edit it. The
-// entry slices are shared except for the key being edited, which callers
-// must replace wholesale.
-func (ke *KeyedEvent) cloneIndex() map[uint64][]*keyedEntry {
-	old := *ke.byKey.Load()
-	next := make(map[uint64][]*keyedEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	return next
-}
-
 // InstallKeyed registers h for events whose key equals key.
 func (ke *KeyedEvent) InstallKeyed(key uint64, h Handler, closure any) (KeyedRef, error) {
 	if h == nil {
 		return KeyedRef{}, fmt.Errorf("dispatch: nil keyed handler on %q", ke.name)
 	}
-	ke.mu.Lock()
-	defer ke.mu.Unlock()
-	e := &keyedEntry{h: h, closure: closure, id: ke.nextID}
-	ke.nextID++
-	next := ke.cloneIndex()
-	next[key] = append(append([]*keyedEntry(nil), next[key]...), e)
-	ke.byKey.Store(&next)
+	e := &keyedEntry{h: h, closure: closure}
+	ke.byKey.Update(func(next map[uint64][]*keyedEntry) {
+		e.id = ke.nextID
+		ke.nextID++
+		next[key] = append(slices.Clone(next[key]), e)
+	})
 	return KeyedRef{key: key, id: e.id}, nil
 }
 
 // RemoveKeyed uninstalls a keyed handler.
 func (ke *KeyedEvent) RemoveKeyed(ref KeyedRef) error {
-	ke.mu.Lock()
-	defer ke.mu.Unlock()
-	list := (*ke.byKey.Load())[ref.key]
-	for i, e := range list {
-		if e.id == ref.id {
-			next := ke.cloneIndex()
-			trimmed := append(append([]*keyedEntry(nil), list[:i]...), list[i+1:]...)
-			if len(trimmed) == 0 {
-				delete(next, ref.key)
-			} else {
-				next[ref.key] = trimmed
-			}
-			ke.byKey.Store(&next)
-			return nil
+	found := false
+	ke.byKey.Update(func(next map[uint64][]*keyedEntry) {
+		list := next[ref.key]
+		i := slices.IndexFunc(list, func(e *keyedEntry) bool { return e.id == ref.id })
+		if found = i >= 0; !found {
+			return
 		}
+		if len(list) == 1 {
+			delete(next, ref.key)
+		} else {
+			next[ref.key] = slices.Delete(slices.Clone(list), i, i+1)
+		}
+	})
+	if !found {
+		return fmt.Errorf("dispatch: keyed handler %d not installed on %q", ref.id, ke.name)
 	}
-	return fmt.Errorf("dispatch: keyed handler %d not installed on %q", ref.id, ke.name)
+	return nil
 }
 
 // Stats reports raises and index hits. Counters are atomics; totals are
@@ -163,5 +148,5 @@ func (ke *KeyedEvent) Stats() (raises, indexed int64) {
 
 // Keys reports how many distinct keys have handlers.
 func (ke *KeyedEvent) Keys() int {
-	return len(*ke.byKey.Load())
+	return len(ke.byKey.Snapshot())
 }

@@ -159,7 +159,7 @@ func (d *Dispatcher) RemoveOwner(owner domain.Identity) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	removed := 0
-	for _, st := range *d.events.Load() {
+	for _, st := range d.events.Snapshot() {
 		snap := st.snap.Load()
 		var kept []*handlerEntry
 		for _, e := range snap.handlers {

@@ -26,11 +26,11 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/sim"
 )
 
@@ -137,11 +137,10 @@ type Injector struct {
 	seed  uint64
 	clock *sim.Clock
 
-	// mu serializes rule-set writers; sites only load the pointer.
-	mu    sync.Mutex
-	rules atomic.Pointer[map[string][]*armedRule]
-	// stats is the copy-on-write per-site counter table.
-	stats atomic.Pointer[map[string]*siteStats]
+	// rules is the armed plan by site; published rule slices are immutable.
+	rules cow.Map[string, []*armedRule]
+	// stats is the per-site counter table.
+	stats cow.Map[string, *siteStats]
 
 	fired atomic.Int64
 }
@@ -149,56 +148,28 @@ type Injector struct {
 // New returns an injector with no rules armed. seed drives every
 // probabilistic decision; the clock receives KindDelay advances.
 func New(seed uint64, clock *sim.Clock) *Injector {
-	in := &Injector{seed: seed, clock: clock}
-	empty := make(map[string][]*armedRule)
-	in.rules.Store(&empty)
-	emptyStats := make(map[string]*siteStats)
-	in.stats.Store(&emptyStats)
-	return in
+	return &Injector{seed: seed, clock: clock}
 }
 
 // Arm adds rules to the plan. Rules at the same site are evaluated in
 // arming order; the first that fires wins the hit.
 func (in *Injector) Arm(rules ...Rule) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	old := *in.rules.Load()
-	next := make(map[string][]*armedRule, len(old)+len(rules))
-	for k, v := range old {
-		next[k] = append([]*armedRule(nil), v...)
-	}
-	for _, r := range rules {
-		if r.Site == "" || r.Kind == 0 {
-			continue
+	in.rules.Update(func(next map[string][]*armedRule) {
+		for _, r := range rules {
+			if r.Site == "" || r.Kind == 0 {
+				continue
+			}
+			next[r.Site] = append(slices.Clone(next[r.Site]), &armedRule{Rule: r})
 		}
-		next[r.Site] = append(next[r.Site], &armedRule{Rule: r})
-	}
-	in.rules.Store(&next)
+	})
 }
 
 // Disarm removes every rule at site (fired counters are retained).
-func (in *Injector) Disarm(site string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	old := *in.rules.Load()
-	if _, ok := old[site]; !ok {
-		return
-	}
-	next := make(map[string][]*armedRule, len(old))
-	for k, v := range old {
-		if k != site {
-			next[k] = v
-		}
-	}
-	in.rules.Store(&next)
-}
+func (in *Injector) Disarm(site string) { in.rules.Delete(site) }
 
 // DisarmAll removes every rule (counters are retained).
 func (in *Injector) DisarmAll() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	empty := make(map[string][]*armedRule)
-	in.rules.Store(&empty)
+	in.rules.DeleteFunc(func(string, []*armedRule) bool { return true })
 }
 
 // splitmix64 is the standard splitmix64 finalizer: a high-quality 64-bit
@@ -238,11 +209,14 @@ func (in *Injector) Fire(site string) Fault {
 	if in == nil {
 		return Fault{}
 	}
-	rules := (*in.rules.Load())[site]
+	rules, _ := in.rules.Get(site)
 	if len(rules) == 0 {
 		return Fault{}
 	}
-	st := in.siteStats(site)
+	st, ok := in.stats.Get(site)
+	if !ok {
+		st, _ = in.stats.LoadOrStore(site, &siteStats{})
+	}
 	st.hits.Add(1)
 	for _, r := range rules {
 		n := r.hits.Add(1)
@@ -302,27 +276,6 @@ func (in *Injector) apply(site string, r *armedRule, st *siteStats) Fault {
 	return f
 }
 
-// siteStats returns site's counter cell, inserting it copy-on-write if new.
-func (in *Injector) siteStats(site string) *siteStats {
-	if st, ok := (*in.stats.Load())[site]; ok {
-		return st
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	old := *in.stats.Load()
-	if st, ok := old[site]; ok {
-		return st
-	}
-	next := make(map[string]*siteStats, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	st := &siteStats{}
-	next[site] = st
-	in.stats.Store(&next)
-	return st
-}
-
 // Fired reports the total number of faults injected (all sites).
 func (in *Injector) Fired() int64 {
 	if in == nil {
@@ -336,7 +289,7 @@ func (in *Injector) FiredAt(site string) int64 {
 	if in == nil {
 		return 0
 	}
-	if st, ok := (*in.stats.Load())[site]; ok {
+	if st, ok := in.stats.Get(site); ok {
 		return st.fires.Load()
 	}
 	return 0
@@ -347,7 +300,7 @@ func (in *Injector) HitsAt(site string) int64 {
 	if in == nil {
 		return 0
 	}
-	if st, ok := (*in.stats.Load())[site]; ok {
+	if st, ok := in.stats.Get(site); ok {
 		return st.hits.Load()
 	}
 	return 0
@@ -358,13 +311,7 @@ func (in *Injector) Sites() []string {
 	if in == nil {
 		return nil
 	}
-	m := *in.stats.Load()
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return cow.SortedKeys(&in.stats)
 }
 
 // Seed returns the seed the injector replays from.

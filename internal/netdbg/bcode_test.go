@@ -3,15 +3,16 @@ package netdbg
 import (
 	"strings"
 	"testing"
+
+	"spin/internal/bcode"
 )
 
 func TestBCodeReportRenders(t *testing.T) {
-	r := BCodeReport{Programs: []BCodeProgInfo{
-		{Name: "udp7-drop", Point: "xdp", Insns: 9, Runs: 120, Matched: 7},
-		{Name: "hostile", Point: "ip-filter", Insns: 9, Runs: 8, Matched: 0, Quarantined: true},
-		{Name: "no-steal-0", Point: "steal-policy", Insns: 6, Runs: 44, Matched: 12},
-	}}
-	out := r.String()
+	out := bcode.Report([]bcode.Stat{
+		{Name: "udp7-drop", Point: "xdp", Insns: 9, Runs: 120, Hits: 7},
+		{Name: "hostile", Point: "ip-filter", Insns: 9, Runs: 8, Hits: 0, Quarantined: true},
+		{Name: "no-steal-0", Point: "steal-policy", Insns: 6, Runs: 44, Hits: 12},
+	})
 	for _, want := range []string{
 		"3 verified program(s)",
 		"udp7-drop", "xdp", "runs=120", "matched=7",
@@ -22,7 +23,7 @@ func TestBCodeReportRenders(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	if got := (BCodeReport{}).String(); !strings.Contains(got, "no verified programs") {
+	if got := bcode.Report(nil); !strings.Contains(got, "no verified programs") {
 		t.Errorf("empty report = %q", got)
 	}
 }
@@ -30,10 +31,8 @@ func TestBCodeReportRenders(t *testing.T) {
 // The "bcode" wire command serves the report like any other debugger query.
 func TestBCodeQueryOverWire(t *testing.T) {
 	r := newRig(t)
-	r.dbg.target.BCode = func() BCodeReport {
-		return BCodeReport{Programs: []BCodeProgInfo{
-			{Name: "early", Point: "xdp", Insns: 9, Runs: 3, Matched: 1},
-		}}
+	r.dbg.target.BCode = func() []bcode.Stat {
+		return []bcode.Stat{{Name: "early", Point: "xdp", Insns: 9, Runs: 3, Hits: 1}}
 	}
 	reply := r.query(t, "bcode")
 	for _, want := range []string{"1 verified program(s)", "early", "runs=3"} {

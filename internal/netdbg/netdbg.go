@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
+	"spin/internal/bcode"
 	"spin/internal/dispatch"
 	"spin/internal/netstack"
 	"spin/internal/sal"
@@ -37,18 +39,20 @@ type Target struct {
 	// BCode, when set, enables the "bcode" command: the verified bytecode
 	// programs loaded into this kernel (XDP filters, dispatcher guards,
 	// steal policies) with run counters and quarantine state.
-	BCode func() BCodeReport
+	BCode func() []bcode.Stat
 	// Extra registers additional commands: name -> handler(arg) -> reply.
 	Extra map[string]func(arg string) string
 }
 
 // Debugger is the server-side extension.
 type Debugger struct {
-	stack  *netstack.Stack
-	target Target
-	// Queries counts requests served.
-	Queries int64
+	stack   *netstack.Stack
+	target  Target
+	queries atomic.Int64
 }
+
+// Queries counts requests served.
+func (d *Debugger) Queries() int64 { return d.queries.Load() }
 
 // New installs the debugger on stack at port.
 func New(stack *netstack.Stack, port uint16, target Target) (*Debugger, error) {
@@ -57,7 +61,7 @@ func New(stack *netstack.Stack, port uint16, target Target) (*Debugger, error) {
 		d.target.Net = stack
 	}
 	err := stack.UDP().Bind(port, netstack.InKernelDelivery, func(pkt *netstack.Packet) {
-		d.Queries++
+		d.queries.Add(1)
 		reply := d.execute(string(pkt.Payload))
 		_ = stack.UDP().Send(port, pkt.Src, pkt.SrcPort, []byte(reply))
 	})
@@ -246,44 +250,7 @@ func (d *Debugger) bcode() string {
 	if d.target.BCode == nil {
 		return "error: no bcode programs attached"
 	}
-	return d.target.BCode().String()
-}
-
-// BCodeProgInfo is one loaded verified program in a BCodeReport.
-type BCodeProgInfo struct {
-	Name  string
-	Point string // load point: "xdp", "ip-filter", "steal-policy"
-	Insns int
-	Runs  int64
-	// Matched counts verdicts that took the program's action (drops for
-	// filters, vetoes for steal policies).
-	Matched     int64
-	Quarantined bool
-}
-
-// BCodeReport is the verified-extension snapshot shared by the "bcode"
-// wire command and spin-httpd's /debug/bcode endpoint. The kernel fills
-// it from its stack and scheduler; this package only renders it.
-type BCodeReport struct {
-	Programs []BCodeProgInfo
-}
-
-// String renders the report for the wire and the debug endpoint.
-func (r BCodeReport) String() string {
-	if len(r.Programs) == 0 {
-		return "bcode: no verified programs loaded"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "bcode: %d verified program(s)", len(r.Programs))
-	for _, p := range r.Programs {
-		state := "live"
-		if p.Quarantined {
-			state = "QUARANTINED"
-		}
-		fmt.Fprintf(&sb, "\n  %-16s %-12s %3d insns  runs=%-8d matched=%-8d %s",
-			p.Name, p.Point, p.Insns, p.Runs, p.Matched, state)
-	}
-	return sb.String()
+	return bcode.Report(d.target.BCode())
 }
 
 // LBBackend is one backend's health in an LBReport.

@@ -159,8 +159,8 @@ func TestExtraCommandAndUnknown(t *testing.T) {
 	if reply := r.query(t, "bogus"); !strings.Contains(reply, "unknown command") {
 		t.Errorf("unknown = %q", reply)
 	}
-	if r.dbg.Queries < 2 {
-		t.Errorf("queries = %d", r.dbg.Queries)
+	if r.dbg.Queries() < 2 {
+		t.Errorf("queries = %d", r.dbg.Queries())
 	}
 }
 

@@ -39,7 +39,8 @@ func Example() {
 }
 
 // ExampleNewPacketFilter composes predicates into an in-kernel firewall —
-// the guard-based answer to "little language" packet filters.
+// the guard-based answer to "little language" packet filters. The
+// expression is lowered to bytecode, verified, and installed as the guard.
 func ExampleNewPacketFilter() {
 	engA, a, nicA := newHost("a", netstack.Addr(10, 0, 0, 1))
 	engB, b, nicB := newHost("b", netstack.Addr(10, 0, 0, 2))
@@ -51,6 +52,9 @@ func ExampleNewPacketFilter() {
 			netstack.MatchDstPortRange(1, 1023),
 		),
 		netstack.Drop)
+	for _, p := range b.Programs() {
+		fmt.Printf("%s at %s: %d verified instructions\n", p.Name, p.Point, p.Insns)
+	}
 
 	_ = b.UDP().Bind(22, netstack.InKernelDelivery, func(*netstack.Packet) {
 		fmt.Println("privileged port reached")
@@ -61,5 +65,7 @@ func ExampleNewPacketFilter() {
 	_ = a.UDP().Send(5000, b.IP, 22, []byte("x"))
 	_ = a.UDP().Send(5000, b.IP, 8080, []byte("x"))
 	sim.NewCluster(engA, engB).Run(0)
-	// Output: high port reached
+	// Output:
+	// firewall at ip-filter: 9 verified instructions
+	// high port reached
 }

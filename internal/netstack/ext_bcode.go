@@ -1,14 +1,6 @@
 package netstack
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"spin/internal/bcode"
-	"spin/internal/dispatch"
-	"spin/internal/domain"
-)
+import "spin/internal/bcode"
 
 // Verified bytecode in the RX path. Two load points share the packet
 // context ABI below:
@@ -20,13 +12,9 @@ import (
 //     the verifier proved every load in bounds before the program was
 //     admitted.
 //
-//   - NewBCodeFilter installs a program as a dispatcher guard on
-//     EvIPArrived (through dispatch.VerifiedGuard) with an ordinary
-//     handler performing the PacketFilter action. Because the handler is
-//     dispatcher-managed, PR 4's quarantine is the backstop: a
-//     verified-but-misbehaving filter that faults at the "bcode.run"
-//     injection site burns its fault budget and is unlinked like any
-//     other bad extension.
+//   - PacketFilter (ext_filter.go) installs a program as a dispatcher
+//     guard on EvIPArrived with an ordinary, quarantinable handler
+//     performing the filter action.
 
 // Packet context ABI: the words a packet-attached program may LdCtx, plus
 // the payload as the byte region. This layout is load-bearing — programs
@@ -48,12 +36,6 @@ const (
 // PacketSpec is the verification spec for packet-attached programs.
 var PacketSpec = bcode.Spec{Words: PacketCtxWords}
 
-// ctxPool recycles contexts for the per-packet program runs. The compiled
-// program is called through a func value, so a stack-local Context would be
-// forced to escape — one heap allocation per received packet, on a path the
-// smoke gate holds to zero.
-var ctxPool = sync.Pool{New: func() any { return new(bcode.Context) }}
-
 // packetContext fills ctx from pkt.
 func packetContext(ctx *bcode.Context, pkt *Packet) {
 	ctx.W[CtxProto] = uint64(pkt.Proto)
@@ -68,29 +50,17 @@ func packetContext(ctx *bcode.Context, pkt *Packet) {
 }
 
 // XDPFilter is one verified early-drop program attached below the protocol
-// graph.
-type XDPFilter struct {
-	name  string
-	prog  *bcode.Program
-	run   func(*bcode.Context) uint64
-	runs  atomic.Int64
-	drops atomic.Int64
-}
-
-// Name identifies the filter.
-func (x *XDPFilter) Name() string { return x.name }
-
-// Stats reports packets evaluated and packets dropped.
-func (x *XDPFilter) Stats() (runs, drops int64) { return x.runs.Load(), x.drops.Load() }
+// graph: its Stats are packets evaluated and packets dropped.
+type XDPFilter = bcode.Attachment
 
 // AttachXDP verifies prog against the packet ABI, compiles it, and attaches
 // it at the earliest point of the receive path, replacing any previous XDP
 // program. A program that fails verification never attaches.
 func (s *Stack) AttachXDP(name string, prog *bcode.Program) (*XDPFilter, error) {
-	if err := bcode.Verify(prog, PacketSpec); err != nil {
-		return nil, fmt.Errorf("netstack: xdp %s: %w", name, err)
+	x, err := bcode.Attach(name, "xdp", prog, PacketSpec)
+	if err != nil {
+		return nil, err
 	}
-	x := &XDPFilter{name: name, prog: prog, run: prog.Compile()}
 	s.xdp.Store(x)
 	return x, nil
 }
@@ -109,151 +79,28 @@ func (s *Stack) xdpDrop(pkt *Packet) bool {
 		return false
 	}
 	s.clock.Advance(s.profile.GuardEval)
-	x.runs.Add(1)
-	ctx := ctxPool.Get().(*bcode.Context)
+	ctx := x.Acquire()
 	packetContext(ctx, pkt)
-	verdict := x.run(ctx)
-	ctx.Bytes = nil // drop the payload reference before pooling
-	ctxPool.Put(ctx)
-	if verdict == bcode.VerdictPass {
+	if !x.Run(ctx) {
 		return false
 	}
-	x.drops.Add(1)
+	x.Hit()
 	return true
 }
 
-// BCodeFilter is one verified program installed as a dispatcher guard on
-// the IP layer, with a PacketFilter-style action handler behind it.
-type BCodeFilter struct {
-	stack  *Stack
-	name   string
-	action FilterAction
-	prog   *bcode.Program
-	ref    dispatch.HandlerRef
-	owner  domain.Identity
-	runs   atomic.Int64
-	// Matched counts packets the program's verdict accepted.
-	matched atomic.Int64
-	// Consumer receives diverted packets.
-	Consumer func(*Packet)
-}
-
-// NewBCodeFilter verifies prog and installs it at the IP layer of stack:
-// the program becomes the handler's guard via dispatch.VerifiedGuard, the
-// action runs as an ordinary handler. The handler body passes the
-// "bcode.run" fault-injection site, and the dispatcher's quarantine is the
-// backstop if it faults — the chaos suite drives exactly that scenario.
-func NewBCodeFilter(stack *Stack, name string, prog *bcode.Program, action FilterAction) (*BCodeFilter, error) {
-	f := &BCodeFilter{
-		stack:  stack,
-		name:   name,
-		action: action,
-		prog:   prog,
-		owner:  domain.Identity{Name: "bcode:" + name},
-	}
-	guard, err := dispatch.VerifiedGuard(prog, PacketSpec, func(arg any, ctx *bcode.Context) bool {
-		pkt, ok := arg.(*Packet)
-		if !ok {
-			return false
-		}
-		f.runs.Add(1)
-		packetContext(ctx, pkt)
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("netstack: bcode filter %s: %w", name, err)
-	}
-	ref, err := stack.disp.Install(EvIPArrived, func(arg, _ any) any {
-		pkt := arg.(*Packet)
-		// Injection site "bcode.run": a panic rule models a filter whose
-		// action faults at run time; the dispatcher contains it, counts it
-		// against this handler, and quarantines at threshold.
-		stack.disp.InjectorInstalled().Fire("bcode.run")
-		f.matched.Add(1)
-		switch f.action {
-		case Drop:
-			pkt.Claimed = true
-			return true
-		case Divert:
-			pkt.Claimed = true
-			if f.Consumer != nil {
-				f.Consumer(pkt)
-			}
-			return true
-		default:
-			return false
-		}
-	}, dispatch.InstallOptions{Installer: f.owner, Guard: guard})
-	if err != nil {
-		return nil, err
-	}
-	f.ref = ref
-	stack.bcodeMu.Lock()
-	stack.bcodeFilters = append(stack.bcodeFilters, f)
-	stack.bcodeMu.Unlock()
-	return f, nil
-}
-
-// Name identifies the filter.
-func (f *BCodeFilter) Name() string { return f.name }
-
-// Stats reports guard evaluations and action invocations.
-func (f *BCodeFilter) Stats() (runs, matched int64) { return f.runs.Load(), f.matched.Load() }
-
-// Quarantined reports whether the dispatcher has unlinked this filter for
-// exhausting its fault budget.
-func (f *BCodeFilter) Quarantined() bool {
-	for _, rec := range f.stack.disp.Quarantined() {
-		if rec.Owner == f.owner {
-			return true
-		}
-	}
-	return false
-}
-
-// Remove uninstalls the filter (a no-op if quarantine already did).
-func (f *BCodeFilter) Remove() {
-	_ = f.stack.disp.Remove(f.ref)
-	f.stack.bcodeMu.Lock()
-	defer f.stack.bcodeMu.Unlock()
-	for i, g := range f.stack.bcodeFilters {
-		if g == f {
-			f.stack.bcodeFilters = append(f.stack.bcodeFilters[:i], f.stack.bcodeFilters[i+1:]...)
-			return
-		}
-	}
-}
-
-// BCodeProgStat describes one loaded verified program for the debug
-// surfaces (spin-dbg bcode, /debug/bcode).
-type BCodeProgStat struct {
-	Name        string
-	Point       string // "xdp" or "ip-filter"
-	Insns       int
-	Runs        int64
-	Matched     int64
-	Quarantined bool
-}
-
-// BCodePrograms snapshots every verified program loaded into this stack.
-func (s *Stack) BCodePrograms() []BCodeProgStat {
-	var out []BCodeProgStat
+// Programs snapshots every verified program loaded into this stack: the
+// XDP program, then the IP-layer filters in install order.
+func (s *Stack) Programs() []bcode.Stat {
+	var out []bcode.Stat
 	if x := s.xdp.Load(); x != nil {
-		runs, drops := x.Stats()
-		out = append(out, BCodeProgStat{
-			Name: x.name, Point: "xdp", Insns: len(x.prog.Insns),
-			Runs: runs, Matched: drops,
-		})
+		out = append(out, x.Stat())
 	}
-	s.bcodeMu.Lock()
-	filters := append([]*BCodeFilter(nil), s.bcodeFilters...)
-	s.bcodeMu.Unlock()
-	for _, f := range filters {
-		runs, matched := f.Stats()
-		out = append(out, BCodeProgStat{
-			Name: f.name, Point: "ip-filter", Insns: len(f.prog.Insns),
-			Runs: runs, Matched: matched, Quarantined: f.Quarantined(),
-		})
+	s.filterMu.Lock()
+	defer s.filterMu.Unlock()
+	for _, f := range s.filters {
+		st := f.prog.Stat()
+		st.Quarantined = f.Quarantined()
+		out = append(out, st)
 	}
 	return out
 }

@@ -64,6 +64,28 @@ func TestXDPDropAndPass(t *testing.T) {
 	}
 }
 
+// The XDP load point evaluates its attachment without allocating: the
+// context comes from the shared pool and nothing escapes per packet.
+func TestXDPEvalZeroAllocs(t *testing.T) {
+	_, b, _ := pair(t, sal.LanceModel)
+	x, err := b.stack.AttachXDP("udp7-drop", dropUDPToPort(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &Packet{Src: Addr(10, 0, 0, 1), Dst: b.stack.IP, Proto: ProtoUDP,
+		SrcPort: 1, DstPort: 7, Payload: []byte("evil"), TTL: 32}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !b.stack.xdpDrop(pkt) {
+			t.Fatal("matching packet passed")
+		}
+	}); allocs != 0 {
+		t.Errorf("xdpDrop allocates %.1f per packet, want 0", allocs)
+	}
+	if runs, drops := x.Stats(); runs != drops || runs < 1000 {
+		t.Errorf("stats = (%d runs, %d drops)", runs, drops)
+	}
+}
+
 func TestXDPRejectsUnverifiable(t *testing.T) {
 	_, b, _ := pair(t, sal.LanceModel)
 	loop := bcode.New(
@@ -87,7 +109,7 @@ func TestXDPRejectsUnverifiable(t *testing.T) {
 
 func TestBCodeFilterDrop(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
-	f, err := NewBCodeFilter(b.stack, "fw", dropUDPToPort(1500), Drop)
+	f, err := NewProgramFilter(b.stack, "fw", dropUDPToPort(1500), Drop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +152,7 @@ func TestBCodeFilterDivert(t *testing.T) {
 		bcode.MovImm(0, 1),
 		bcode.Exit(),
 	)
-	f, err := NewBCodeFilter(b.stack, "snoop", prog, Divert)
+	f, err := NewProgramFilter(b.stack, "snoop", prog, Divert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +179,10 @@ func TestBCodeFilterRejectsUnverifiable(t *testing.T) {
 		bcode.LdB(0, 3, 0),
 		bcode.Exit(),
 	)
-	if _, err := NewBCodeFilter(b.stack, "bad", bad, Drop); !errors.Is(err, bcode.ErrVerifyType) {
+	if _, err := NewProgramFilter(b.stack, "bad", bad, Drop); !errors.Is(err, bcode.ErrVerifyType) {
 		t.Fatalf("err = %v, want ErrVerifyType", err)
 	}
-	if n := len(b.stack.BCodePrograms()); n != 0 {
+	if n := len(b.stack.Programs()); n != 0 {
 		t.Fatalf("%d programs tracked after rejected install", n)
 	}
 }
@@ -199,20 +221,20 @@ func TestBCodeProgramsSnapshot(t *testing.T) {
 	if _, err := b.stack.AttachXDP("early", dropUDPToPort(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBCodeFilter(b.stack, "late", dropUDPToPort(1500), Drop); err != nil {
+	if _, err := NewProgramFilter(b.stack, "late", dropUDPToPort(1500), Drop); err != nil {
 		t.Fatal(err)
 	}
 	_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 7, []byte("x"))
 	cl.Run(0)
-	progs := b.stack.BCodePrograms()
+	progs := b.stack.Programs()
 	if len(progs) != 2 {
 		t.Fatalf("%d programs, want 2", len(progs))
 	}
-	byName := map[string]BCodeProgStat{}
+	byName := map[string]bcode.Stat{}
 	for _, p := range progs {
 		byName[p.Name] = p
 	}
-	if p := byName["early"]; p.Point != "xdp" || p.Runs != 1 || p.Matched != 1 || p.Insns != 9 {
+	if p := byName["early"]; p.Point != "xdp" || p.Runs != 1 || p.Hits != 1 || p.Insns != 9 {
 		t.Errorf("xdp stat = %+v", p)
 	}
 	if p := byName["late"]; p.Point != "ip-filter" || p.Quarantined {
@@ -231,7 +253,7 @@ func TestBCodeFilterQuarantine(t *testing.T) {
 	inj.Arm(faultinject.Rule{Site: "bcode.run", Kind: faultinject.KindPanic, MaxFires: 8})
 	b.stack.disp.SetInjector(inj)
 
-	f, err := NewBCodeFilter(b.stack, "hostile", dropUDPToPort(53), Drop)
+	f, err := NewProgramFilter(b.stack, "hostile", dropUDPToPort(53), Drop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +276,7 @@ func TestBCodeFilterQuarantine(t *testing.T) {
 	if delivered != 20 {
 		t.Errorf("delivered = %d, want 20 (faults contained, RX never stalls)", delivered)
 	}
-	progs := b.stack.BCodePrograms()
+	progs := b.stack.Programs()
 	if len(progs) != 1 || !progs[0].Quarantined {
 		t.Errorf("program snapshot = %+v, want quarantined entry", progs)
 	}

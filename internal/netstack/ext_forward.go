@@ -1,9 +1,6 @@
 package netstack
 
-import (
-	"spin/internal/dispatch"
-	"spin/internal/domain"
-)
+import "math"
 
 // Forwarder is the protocol-forwarding extension (paper §5.3, Table 6): it
 // installs a node into the protocol stack which redirects all data *and
@@ -11,12 +8,31 @@ import (
 // Because it intercepts at the IP layer — below the transport — TCP
 // end-to-end semantics (connection establishment, termination, window and
 // congestion behaviour) pass through intact, which the paper contrasts with
-// a user-level socket splice.
+// a user-level socket splice. The node is a Divert packet filter: a
+// verified predicate selects the packets, the consumer re-sends them.
 type Forwarder struct {
-	stack *Stack
-	refs  []dispatch.HandlerRef
+	filter *PacketFilter
 	// Forwarded counts redirected packets.
 	Forwarded int64
+}
+
+// newForwarder diverts packets matching pred whose hop budget allows one
+// more hop (the rest are left to the stack) and re-sends a copy with
+// rewrite applied and the TTL decremented.
+func newForwarder(stack *Stack, name string, pred Predicate, rewrite func(fwd *Packet)) (*Forwarder, error) {
+	filter, err := NewPacketFilter(stack, name, And(pred, matchWord(CtxTTL, 2, math.MaxInt32)), Divert)
+	if err != nil {
+		return nil, err
+	}
+	f := &Forwarder{filter: filter}
+	filter.Consumer = func(pkt *Packet) {
+		fwd := pkt.Clone()
+		rewrite(fwd)
+		fwd.TTL = pkt.TTL - 1
+		f.Forwarded++
+		_ = stack.SendIP(fwd)
+	}
+	return f, nil
 }
 
 // NewForwarder redirects packets with destination port `port` and protocol
@@ -24,34 +40,10 @@ type Forwarder struct {
 // Packets from the target back to the original senders flow through the
 // same node in reverse (source-port match).
 func NewForwarder(stack *Stack, proto uint8, port uint16, target IPAddr) (*Forwarder, error) {
-	f := &Forwarder{stack: stack}
-	ident := domain.Identity{Name: "forward-ext"}
-
 	// Inbound: client -> this host -> target.
-	ref1, err := stack.disp.Install(EvIPArrived, func(arg, _ any) any {
-		pkt := arg.(*Packet)
-		if pkt.TTL <= 1 {
-			return false
-		}
-		fwd := pkt.Clone()
-		fwd.Dst = target
-		fwd.TTL = pkt.TTL - 1
-		f.Forwarded++
-		_ = stack.SendIP(fwd)
-		pkt.Claimed = true
-		return true
-	}, dispatch.InstallOptions{
-		Installer: ident,
-		Guard: func(arg any) bool {
-			pkt, ok := arg.(*Packet)
-			return ok && pkt.Proto == proto && pkt.DstPort == port && pkt.Dst == stack.IP
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.refs = append(f.refs, ref1)
-	return f, nil
+	return newForwarder(stack, "forward-ext",
+		And(MatchProto(proto), MatchDstPortRange(port, port), MatchDst(stack.IP)),
+		func(fwd *Packet) { fwd.Dst = target })
 }
 
 // NewReverseForwarder complements NewForwarder on the return path: packets
@@ -60,38 +52,10 @@ func NewForwarder(stack *Stack, proto uint8, port uint16, target IPAddr) (*Forwa
 // rewritten to this host so the client's connection state matches the
 // address it originally dialed.
 func NewReverseForwarder(stack *Stack, proto uint8, port uint16, from, target IPAddr) (*Forwarder, error) {
-	f := &Forwarder{stack: stack}
-	ident := domain.Identity{Name: "forward-ext-rev"}
-	ref, err := stack.disp.Install(EvIPArrived, func(arg, _ any) any {
-		pkt := arg.(*Packet)
-		if pkt.TTL <= 1 {
-			return false
-		}
-		fwd := pkt.Clone()
-		fwd.Src = stack.IP
-		fwd.Dst = target
-		fwd.TTL = pkt.TTL - 1
-		f.Forwarded++
-		_ = stack.SendIP(fwd)
-		pkt.Claimed = true
-		return true
-	}, dispatch.InstallOptions{
-		Installer: ident,
-		Guard: func(arg any) bool {
-			pkt, ok := arg.(*Packet)
-			return ok && pkt.Proto == proto && pkt.SrcPort == port && pkt.Src == from
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.refs = append(f.refs, ref)
-	return f, nil
+	return newForwarder(stack, "forward-ext-rev",
+		And(MatchProto(proto), matchWord(CtxSrcPort, uint64(port), uint64(port)), MatchSrc(from)),
+		func(fwd *Packet) { fwd.Src, fwd.Dst = stack.IP, target })
 }
 
 // Remove uninstalls the forwarder.
-func (f *Forwarder) Remove() {
-	for _, r := range f.refs {
-		_ = f.stack.disp.Remove(r)
-	}
-}
+func (f *Forwarder) Remove() { f.filter.Remove() }

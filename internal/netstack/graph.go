@@ -27,14 +27,14 @@ func (s *Stack) Graph() string {
 		}
 	}
 	// Port tables are handlers too (snapshot loads; safe during traffic).
-	if ports := *s.udp.ports.Load(); len(ports) > 0 {
+	if ports := s.udp.ports.Snapshot(); len(ports) > 0 {
 		fmt.Fprintf(&b, "  UDP ports:")
 		for p := range ports {
 			fmt.Fprintf(&b, " %d", p)
 		}
 		fmt.Fprintln(&b)
 	}
-	if listeners := *s.tcp.listeners.Load(); len(listeners) > 0 {
+	if listeners := s.tcp.listeners.Snapshot(); len(listeners) > 0 {
 		fmt.Fprintf(&b, "  TCP listeners:")
 		for p := range listeners {
 			fmt.Fprintf(&b, " %d", p)

@@ -3,9 +3,11 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
@@ -93,10 +95,10 @@ func (s *Stack) rxctx() rxCtx {
 // and hosts the UDP/TCP port tables.
 //
 // Concurrency model (mirrors the dispatcher's): the per-packet receive path
-// is lock-free. The route table, UDP port table and TCP connection/listener
-// tables are immutable snapshots behind atomic pointers; writers (AddRoute,
-// Bind, Listen, connection setup/teardown) serialize on a mutex, copy, and
-// swap. Counters are atomics, so Stats totals are exact under parallel
+// is lock-free. The route table, UDP port table and TCP listener table are
+// cow.Maps, and the TCP connection table shards the same idea over sorted
+// slices; writers (AddRoute, Bind, Listen, connection setup/teardown) copy
+// and swap. Counters are atomics, so Stats totals are exact under parallel
 // delivery. Fragment reassembly is sharded by fragment key with one small
 // lock per shard. The only part of the stack that must stay on the
 // simulation goroutine is the engine itself (timers, NIC sends): parallel
@@ -110,11 +112,11 @@ type Stack struct {
 	profile *sim.Profile
 	disp    *dispatch.Dispatcher
 
-	// mu serializes stack-table writers (AddRoute, Attach). The receive
-	// path never takes it.
+	// mu serializes Attach/Detach (the queue list and the default NIC
+	// change together). The receive path never takes it.
 	mu sync.Mutex
-	// routes maps destination address -> outbound NIC (copy-on-write).
-	routes atomic.Pointer[map[IPAddr]*sal.NIC]
+	// routes maps destination address -> outbound NIC.
+	routes cow.Map[IPAddr, *sal.NIC]
 	// defaultNIC carries packets with no specific route.
 	defaultNIC atomic.Pointer[sal.NIC]
 
@@ -150,11 +152,11 @@ type Stack struct {
 	rxPanics atomic.Int64
 
 	// xdp is the verified early-drop program evaluated before the
-	// link-layer event fires (see ext_bcode.go); bcodeFilters tracks the
-	// dispatcher-installed bytecode filters for the debug surfaces.
-	xdp          atomic.Pointer[XDPFilter]
-	bcodeMu      sync.Mutex
-	bcodeFilters []*BCodeFilter
+	// link-layer event fires (see ext_bcode.go); filters tracks the
+	// installed IP-layer filters for the debug surfaces.
+	xdp      atomic.Pointer[XDPFilter]
+	filterMu sync.Mutex
+	filters  []*PacketFilter
 }
 
 // NewStack builds a protocol stack on the machine's dispatcher and defines
@@ -169,8 +171,6 @@ func NewStack(host string, ip IPAddr, engine *sim.Engine, profile *sim.Profile, 
 		disp:    disp,
 		reasm:   newReassembly(),
 	}
-	emptyRoutes := make(map[IPAddr]*sal.NIC)
-	s.routes.Store(&emptyRoutes)
 	emptyQueues := []*rxQueue(nil)
 	s.rxqs.Store(&emptyQueues)
 	// The IP module is the default implementation module for
@@ -206,7 +206,7 @@ func NewStack(host string, ip IPAddr, engine *sim.Engine, profile *sim.Profile, 
 			return nil, err
 		}
 	}
-	s.udp = newUDP(s)
+	s.udp = &UDP{stack: s}
 	s.tcp = newTCP(s)
 
 	// ICMP echo: the Ping module's primary handler.
@@ -268,10 +268,7 @@ func (s *Stack) Attach(nic *sal.NIC) {
 		ch:    make(chan *Packet, DefaultRXQueueDepth),
 		batch: make([]*Packet, 0, rxBatch),
 	}
-	old := *s.rxqs.Load()
-	next := make([]*rxQueue, len(old)+1)
-	copy(next, old)
-	next[len(old)] = q
+	next := append(slices.Clone(*s.rxqs.Load()), q)
 	s.rxqs.Store(&next)
 	s.mu.Unlock()
 	nic.OnReceive = func(f sal.NetFrame) bool {
@@ -474,28 +471,13 @@ func (s *Stack) Detach(nic *sal.NIC) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := *s.rxqs.Load()
-	next := make([]*rxQueue, 0, len(old))
-	found := false
-	for _, q := range old {
-		if q.nic == nic {
-			found = true
-			continue
-		}
-		next = append(next, q)
-	}
-	if !found {
+	next := slices.DeleteFunc(slices.Clone(old), func(q *rxQueue) bool { return q.nic == nic })
+	if len(next) == len(old) {
 		return false
 	}
 	nic.OnReceive = nil
 	s.rxqs.Store(&next)
-	oldRoutes := *s.routes.Load()
-	nextRoutes := make(map[IPAddr]*sal.NIC, len(oldRoutes))
-	for k, v := range oldRoutes {
-		if v != nic {
-			nextRoutes[k] = v
-		}
-	}
-	s.routes.Store(&nextRoutes)
+	s.routes.DeleteFunc(func(_ IPAddr, via *sal.NIC) bool { return via == nic })
 	if s.defaultNIC.Load() == nic {
 		if len(next) > 0 {
 			s.defaultNIC.Store(next[0].nic)
@@ -526,22 +508,12 @@ func (s *Stack) ReassemblyStats() (pending int, evicted int64) {
 }
 
 // AddRoute directs packets for dst out through nic.
-func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.routes.Load()
-	next := make(map[IPAddr]*sal.NIC, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[dst] = nic
-	s.routes.Store(&next)
-}
+func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) { s.routes.Set(dst, nic) }
 
 // routeFor resolves the outbound NIC for dst: the specific route if one is
 // installed, else the default NIC. Lock-free.
 func (s *Stack) routeFor(dst IPAddr) *sal.NIC {
-	if nic := (*s.routes.Load())[dst]; nic != nil {
+	if nic, _ := s.routes.Get(dst); nic != nil {
 		return nic
 	}
 	return s.defaultNIC.Load()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/faultinject"
 	"spin/internal/sim"
 )
@@ -262,17 +263,18 @@ type Listener struct {
 // The connection table is sharded (see connShard): the per-segment lookup
 // is a lock-free snapshot load plus binary search, and setup/teardown
 // writers contend only within one shard. The listener table is a single
-// copy-on-write map (listeners change rarely). Individual Conn state
+// cow.Map (listeners change rarely). Individual Conn state
 // machines remain single-threaded — segments for one connection must be
 // delivered from the simulation goroutine, since handling them transmits
 // and arms timers.
 type TCP struct {
 	stack *Stack
 
-	// mu serializes listener-table writers and the ephemeral-port cursor.
-	mu        sync.Mutex
-	listeners atomic.Pointer[map[uint16]*Listener]
-	nextPort  uint16 // guarded by mu
+	listeners cow.Map[uint16, *Listener]
+	// mu guards nextPort, the ephemeral-port cursor, and makes Connect's
+	// probe-then-insert one step.
+	mu       sync.Mutex
+	nextPort uint16
 
 	shards []connShard
 	syn    []synShard
@@ -298,8 +300,6 @@ func newTCP(s *Stack) *TCP {
 	for i := range t.syn {
 		t.syn[i].m = make(map[connKey]synEntry)
 	}
-	emptyListeners := make(map[uint16]*Listener)
-	t.listeners.Store(&emptyListeners)
 	return t
 }
 
@@ -311,14 +311,18 @@ func (t *TCP) synShardFor(key connKey) *synShard {
 	return &t.syn[(key.hash()>>32)&(synShards-1)]
 }
 
-// lookup finds the connection for key: one atomic snapshot load and a
-// binary search, lock- and allocation-free.
-func (t *TCP) lookup(key connKey) *Conn {
-	tp := t.connShardFor(key).tab.Load()
-	if tp == nil {
-		return nil
+// load returns the shard's published snapshot (nil when empty).
+func (sh *connShard) load() []connEntry {
+	if tp := sh.tab.Load(); tp != nil {
+		return *tp
 	}
-	tab := *tp
+	return nil
+}
+
+// search binary-searches a shard snapshot, sorted by key, for key. It
+// returns the position key occupies — or would be inserted at — and
+// whether it is present.
+func search(tab []connEntry, key connKey) (pos int, found bool) {
 	lo, hi := 0, len(tab)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -328,8 +332,15 @@ func (t *TCP) lookup(key connKey) *Conn {
 			hi = mid
 		}
 	}
-	if lo < len(tab) && tab[lo].key == key {
-		return tab[lo].c
+	return lo, lo < len(tab) && tab[lo].key == key
+}
+
+// lookup finds the connection for key: one atomic snapshot load and a
+// binary search, lock- and allocation-free.
+func (t *TCP) lookup(key connKey) *Conn {
+	tab := t.connShardFor(key).load()
+	if pos, found := search(tab, key); found {
+		return tab[pos].c
 	}
 	return nil
 }
@@ -342,21 +353,9 @@ func (t *TCP) insertConn(key connKey, c *Conn) bool {
 	sh := t.connShardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var old []connEntry
-	if tp := sh.tab.Load(); tp != nil {
-		old = *tp
-	}
-	lo, hi := 0, len(old)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if old[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	pos := lo
-	if pos < len(old) && old[pos].key == key {
+	old := sh.load()
+	pos, found := search(old, key)
+	if found {
 		return false
 	}
 	next := make([]connEntry, len(old)+1)
@@ -374,19 +373,9 @@ func (t *TCP) removeConn(key connKey) bool {
 	sh := t.connShardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tp := sh.tab.Load()
-	if tp == nil {
-		return false
-	}
-	old := *tp
-	pos := -1
-	for i := range old {
-		if old[i].key == key {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
+	old := sh.load()
+	pos, found := search(old, key)
+	if !found {
 		return false
 	}
 	next := make([]connEntry, len(old)-1)
@@ -409,37 +398,15 @@ func (t *TCP) ListenOwned(owner string, port uint16, cost DeliveryCost, accept f
 	if cost == nil {
 		cost = InKernelDelivery
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.listeners.Load()
-	if _, dup := old[port]; dup {
+	l := &Listener{port: port, cost: cost, accept: accept, owner: owner}
+	if _, dup := t.listeners.LoadOrStore(port, l); dup {
 		return fmt.Errorf("netstack: TCP port %d in use", port)
 	}
-	next := make(map[uint16]*Listener, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[port] = &Listener{port: port, cost: cost, accept: accept, owner: owner}
-	t.listeners.Store(&next)
 	return nil
 }
 
 // Unlisten stops accepting on port.
-func (t *TCP) Unlisten(port uint16) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.listeners.Load()
-	if _, ok := old[port]; !ok {
-		return
-	}
-	next := make(map[uint16]*Listener, len(old))
-	for k, v := range old {
-		if k != port {
-			next[k] = v
-		}
-	}
-	t.listeners.Store(&next)
-}
+func (t *TCP) Unlisten(port uint16) { t.listeners.Delete(port) }
 
 // UnlistenOwner withdraws every listener registered under owner in one
 // snapshot swap — the TCP module's teardown reclaimer. Established
@@ -450,22 +417,7 @@ func (t *TCP) UnlistenOwner(owner string) int {
 	if owner == "" {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.listeners.Load()
-	next := make(map[uint16]*Listener, len(old))
-	removed := 0
-	for k, v := range old {
-		if v.owner == owner {
-			removed++
-			continue
-		}
-		next[k] = v
-	}
-	if removed > 0 {
-		t.listeners.Store(&next)
-	}
-	return removed
+	return t.listeners.DeleteFunc(func(_ uint16, l *Listener) bool { return l.owner == owner })
 }
 
 // Connect opens a connection to dst:port. The returned Conn is in SYN_SENT;
@@ -795,7 +747,7 @@ func (t *TCP) deliver1(pkt *Packet) {
 	case pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0:
 		// A SYN to a listening port records a compact half-open entry —
 		// no *Conn until the final ACK proves the peer is real.
-		if l := (*t.listeners.Load())[pkt.DstPort]; l != nil {
+		if l, _ := t.listeners.Get(pkt.DstPort); l != nil {
 			t.onSyn(key, pkt)
 			return
 		}
@@ -889,7 +841,7 @@ func (t *TCP) evictSynLocked(sh *synShard) {
 // accept callback is published on the Conn before it enters the connection
 // table, so no concurrent delivery can reach a connection without it.
 func (t *TCP) completeHandshake(key connKey, e synEntry, pkt *Packet) {
-	l := (*t.listeners.Load())[pkt.DstPort]
+	l, _ := t.listeners.Get(pkt.DstPort)
 	if l == nil {
 		// Listener withdrawn between SYN and ACK.
 		t.reset(pkt)
@@ -980,8 +932,8 @@ func (c *Conn) handle(pkt *Packet) {
 		return
 	}
 
-	if pkt.Flags&FlagACK != 0 {
-		c.onAck(pkt.Ack)
+	if pkt.Flags&FlagACK != 0 && !c.onAck(pkt.Ack) {
+		return
 	}
 	if len(pkt.Payload) > 0 {
 		c.onData(pkt)
@@ -991,9 +943,16 @@ func (c *Conn) handle(pkt *Packet) {
 	}
 }
 
-func (c *Conn) onAck(ack uint32) {
+// onAck processes an acknowledgment and reports whether the segment
+// carrying it is acceptable. An ACK for data never sent (RFC 793 §3.9:
+// SEG.ACK > SND.NXT) is answered with an ACK and the whole segment dropped.
+func (c *Conn) onAck(ack uint32) bool {
+	if int32(ack-c.sndNxt) > 0 {
+		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+		return false
+	}
 	if int32(ack-c.sndUna) <= 0 {
-		return // duplicate/old
+		return true // duplicate/old
 	}
 	c.sndUna = ack
 	// Forward progress: the peer is alive, so the retransmission backoff
@@ -1032,10 +991,11 @@ func (c *Conn) onAck(ack uint32) {
 			c.setState(StateFinWait2)
 		case StateLastAck:
 			c.teardown()
-			return
+			return true
 		}
 	}
 	c.pump()
+	return true
 }
 
 func (c *Conn) onData(pkt *Packet) {

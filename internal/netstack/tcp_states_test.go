@@ -92,6 +92,50 @@ func TestTCPRSTMidConnection(t *testing.T) {
 	}
 }
 
+// RFC 793 §3.9: a segment whose ACK covers data never sent (SEG.ACK >
+// SND.NXT) is answered with an ACK and dropped whole — it must not advance
+// SND.UNA, release unacknowledged data, or deliver its payload.
+func TestTCPIgnoresAckBeyondSndNxt(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	client, srv := establish(t, a, b, cl)
+	delivered := 0
+	client.OnData = func(*Conn, []byte) { delivered++ }
+	// Queue data without running the cluster: it sits unacknowledged.
+	if err := client.Send(make([]byte, 3*DefaultMSS)); err != nil {
+		t.Fatal(err)
+	}
+	sndUna, sndNxt, rcvNxt, inflight := client.sndUna, client.sndNxt, client.rcvNxt, len(client.inflight)
+	if inflight == 0 {
+		t.Fatal("no data in flight")
+	}
+	_, sentBefore := a.stack.Stats()
+	forged := &Packet{
+		Src: b.stack.IP, Dst: a.stack.IP, Proto: ProtoTCP,
+		SrcPort: (*srv).localPort, DstPort: (*srv).remotePort,
+		Flags: FlagACK, Seq: rcvNxt, Ack: sndNxt + 1000, Window: rcvWindow,
+		Payload: []byte("smuggled"), TTL: 32,
+	}
+	a.stack.TCP().Deliver(forged)
+	if client.sndUna != sndUna || len(client.inflight) != inflight {
+		t.Errorf("sndUna %d -> %d, inflight %d -> %d: ACK of unsent data accepted",
+			sndUna, client.sndUna, inflight, len(client.inflight))
+	}
+	if client.rcvNxt != rcvNxt || delivered != 0 {
+		t.Errorf("rcvNxt %d -> %d, %d deliveries: unacceptable segment's payload consumed",
+			rcvNxt, client.rcvNxt, delivered)
+	}
+	if _, sent := a.stack.Stats(); sent != sentBefore+1 {
+		t.Errorf("sent %d segments in reply, want exactly one ACK", sent-sentBefore)
+	}
+	// The connection is unharmed: the real ACKs arrive and drain it.
+	if !cl.RunUntil(func() bool { return len(client.inflight) == 0 }, sim.Time(60*sim.Second)) {
+		t.Fatal("transfer never completed after the forged segment")
+	}
+	if client.sndUna != client.sndNxt {
+		t.Errorf("sndUna = %d, sndNxt = %d after drain", client.sndUna, client.sndNxt)
+	}
+}
+
 func TestTCPServerRetransmitsSYNACK(t *testing.T) {
 	// Drop the server's first SYN-ACK: its retransmission timer must
 	// recover the handshake.

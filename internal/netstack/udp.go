@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/sim"
 )
 
@@ -16,17 +17,15 @@ type UDPHandler func(pkt *Packet)
 // endpoints are in-kernel handlers (procedure-call delivery); the baselines
 // wrap handlers in socket-cost shims.
 //
-// The port table is a copy-on-write snapshot behind an atomic pointer:
-// deliver — the per-packet path — is one lock-free load; Bind/Unbind copy
-// the map under a writer mutex and swap. Concurrent Bind/Unbind/deliver is
-// race-free; a delivery in flight sees either the old or the new table.
+// The port table is a cow.Map: deliver — the per-packet path — is one
+// lock-free load, and a delivery in flight during Bind/Unbind sees either
+// the old or the new table.
 type UDP struct {
 	stack *Stack
+	ports cow.Map[uint16, udpBinding]
 
-	// mu serializes writers (Bind, Unbind, EphemeralPort's cursor).
-	mu    sync.Mutex
-	ports atomic.Pointer[map[uint16]udpBinding]
-	// cursor is the next ephemeral-port offset to try, guarded by mu.
+	// mu guards cursor, the next ephemeral-port offset to try.
+	mu     sync.Mutex
 	cursor int
 }
 
@@ -34,13 +33,6 @@ type udpBinding struct {
 	h     UDPHandler
 	cost  DeliveryCost
 	owner string
-}
-
-func newUDP(s *Stack) *UDP {
-	u := &UDP{stack: s}
-	empty := make(map[uint16]udpBinding)
-	u.ports.Store(&empty)
-	return u
 }
 
 // Bind installs handler as the endpoint for port. cost models the delivery
@@ -55,37 +47,14 @@ func (u *UDP) BindOwned(owner string, port uint16, cost DeliveryCost, h UDPHandl
 	if cost == nil {
 		cost = InKernelDelivery
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	old := *u.ports.Load()
-	if _, dup := old[port]; dup {
+	if _, dup := u.ports.LoadOrStore(port, udpBinding{h: h, cost: cost, owner: owner}); dup {
 		return fmt.Errorf("netstack: UDP port %d in use", port)
 	}
-	next := make(map[uint16]udpBinding, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[port] = udpBinding{h: h, cost: cost, owner: owner}
-	u.ports.Store(&next)
 	return nil
 }
 
 // Unbind releases port.
-func (u *UDP) Unbind(port uint16) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	old := *u.ports.Load()
-	if _, ok := old[port]; !ok {
-		return
-	}
-	next := make(map[uint16]udpBinding, len(old))
-	for k, v := range old {
-		if k != port {
-			next[k] = v
-		}
-	}
-	u.ports.Store(&next)
-}
+func (u *UDP) Unbind(port uint16) { u.ports.Delete(port) }
 
 // UnbindOwner releases every port bound under owner in one snapshot swap —
 // the UDP module's teardown reclaimer. Deliveries in flight see either the
@@ -95,22 +64,7 @@ func (u *UDP) UnbindOwner(owner string) int {
 	if owner == "" {
 		return 0
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	old := *u.ports.Load()
-	next := make(map[uint16]udpBinding, len(old))
-	removed := 0
-	for k, v := range old {
-		if v.owner == owner {
-			removed++
-			continue
-		}
-		next[k] = v
-	}
-	if removed > 0 {
-		u.ports.Store(&next)
-	}
-	return removed
+	return u.ports.DeleteFunc(func(_ uint16, b udpBinding) bool { return b.owner == owner })
 }
 
 // Ephemeral ports are allocated from [EphemeralMin, EphemeralMax]; the
@@ -129,7 +83,7 @@ var ErrPortsExhausted = errors.New("netstack: ephemeral UDP ports exhausted")
 func (u *UDP) EphemeralPort() (uint16, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	ports := *u.ports.Load()
+	ports := u.ports.Snapshot()
 	const span = EphemeralMax - EphemeralMin + 1
 	for i := 0; i < span; i++ {
 		p := uint16(EphemeralMin + (u.cursor+i)%span)
@@ -156,7 +110,7 @@ func (u *UDP) Send(srcPort uint16, dst IPAddr, dstPort uint16, payload []byte) e
 // deliver hands a datagram to its bound endpoint (after graph handlers
 // declined to claim it). Lock-free: one atomic load of the port table.
 func (u *UDP) deliver(pkt *Packet) {
-	b, ok := (*u.ports.Load())[pkt.DstPort]
+	b, ok := u.ports.Get(pkt.DstPort)
 	if !ok {
 		return // port unreachable; silently dropped in this model
 	}

@@ -53,13 +53,13 @@ func TestEphemeralPortWrapsInsideRange(t *testing.T) {
 func TestEphemeralPortExhaustion(t *testing.T) {
 	h := newNetHost(t, "exh", Addr(10, 0, 0, 1), sal.LanceModel)
 	u := h.stack.UDP()
-	// Occupy the whole range directly (Bind would copy the table 45536
-	// times); the allocator only reads the snapshot.
-	full := make(map[uint16]udpBinding, EphemeralMax-EphemeralMin+1)
-	for p := EphemeralMin; p <= EphemeralMax; p++ {
-		full[uint16(p)] = udpBinding{}
-	}
-	u.ports.Store(&full)
+	// Occupy the whole range in one publication (Bind would copy the table
+	// 45536 times); the allocator only reads the snapshot.
+	u.ports.Update(func(full map[uint16]udpBinding) {
+		for p := EphemeralMin; p <= EphemeralMax; p++ {
+			full[uint16(p)] = udpBinding{}
+		}
+	})
 	if _, err := u.EphemeralPort(); !errors.Is(err, ErrPortsExhausted) {
 		t.Fatalf("err = %v, want ErrPortsExhausted", err)
 	}

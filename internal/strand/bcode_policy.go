@@ -1,12 +1,6 @@
 package strand
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"spin/internal/bcode"
-)
+import "spin/internal/bcode"
 
 // Verified steal policies: the scheduler's third extension point (after
 // SchedEvent observers and the strand events themselves) accepts the same
@@ -33,32 +27,18 @@ const (
 // StealSpec is the verification spec for steal-policy programs.
 var StealSpec = bcode.Spec{Words: StealCtxWords}
 
-// StealPolicy is one installed policy program.
-type StealPolicy struct {
-	name   string
-	prog   *bcode.Program
-	run    func(*bcode.Context) uint64
-	evals  atomic.Int64
-	vetoes atomic.Int64
-}
-
-// Name identifies the policy.
-func (p *StealPolicy) Name() string { return p.name }
-
-// Insns reports the program length.
-func (p *StealPolicy) Insns() int { return len(p.prog.Insns) }
-
-// Stats reports victim evaluations and vetoes issued.
-func (p *StealPolicy) Stats() (evals, vetoes int64) { return p.evals.Load(), p.vetoes.Load() }
+// StealPolicy is one installed policy program: its Stats are victim
+// evaluations and vetoes issued.
+type StealPolicy = bcode.Attachment
 
 // SetStealPolicy verifies prog against the steal ABI, compiles it, and
 // installs it, replacing any previous policy. Like SetObserver, call it
 // before Run (or between runs).
 func (sched *Scheduler) SetStealPolicy(name string, prog *bcode.Program) (*StealPolicy, error) {
-	if err := bcode.Verify(prog, StealSpec); err != nil {
-		return nil, fmt.Errorf("strand: steal policy %s: %w", name, err)
+	p, err := bcode.Attach(name, "steal-policy", prog, StealSpec)
+	if err != nil {
+		return nil, err
 	}
-	p := &StealPolicy{name: name, prog: prog, run: prog.Compile()}
 	sched.stealPolicy.Store(p)
 	return p, nil
 }
@@ -79,21 +59,14 @@ func (c *CPU) stealVetoed(victim *CPU) bool {
 		return false
 	}
 	c.clock.Advance(c.sched.profile.GuardEval)
-	p.evals.Add(1)
-	// Pooled: the compiled program is a func value, so a stack-local
-	// Context would escape — one allocation per steal probe.
-	ctx := stealCtxPool.Get().(*bcode.Context)
+	ctx := p.Acquire()
 	ctx.W[StealCtxThief] = uint64(c.id)
 	ctx.W[StealCtxVictim] = uint64(victim.id)
 	ctx.W[StealCtxDepth] = uint64(victim.ready.Load().size)
 	ctx.W[StealCtxNow] = uint64(c.clock.Now())
-	verdict := p.run(ctx)
-	stealCtxPool.Put(ctx)
-	if verdict == bcode.VerdictPass {
+	if !p.Run(ctx) {
 		return false
 	}
-	p.vetoes.Add(1)
+	p.Hit()
 	return true
 }
-
-var stealCtxPool = sync.Pool{New: func() any { return new(bcode.Context) }}

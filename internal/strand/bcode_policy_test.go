@@ -116,3 +116,24 @@ func TestStealPolicyRejectsUnverifiable(t *testing.T) {
 		t.Error("rejected policy installed anyway")
 	}
 }
+
+// The steal-policy load point evaluates its attachment without allocating:
+// the context comes from the shared pool and nothing escapes per probe.
+func TestStealPolicyEvalZeroAllocs(t *testing.T) {
+	sched, _ := newMultiSched(t, 2)
+	pol, err := sched.SetStealPolicy("veto-1", vetoVictim(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thief, victim := sched.cpus[0], sched.cpus[1]
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !thief.stealVetoed(victim) {
+			t.Fatal("veto not honoured")
+		}
+	}); allocs != 0 {
+		t.Errorf("stealVetoed allocates %.1f per probe, want 0", allocs)
+	}
+	if evals, vetoes := pol.Stats(); evals != vetoes || evals < 1000 {
+		t.Errorf("stats = (%d evals, %d vetoes)", evals, vetoes)
+	}
+}

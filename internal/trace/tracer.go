@@ -12,17 +12,15 @@
 // load. Enabling or disabling is one atomic pointer swap; raises in flight
 // keep using whichever tracer they loaded. All record/observe paths are
 // lock-free (atomic slot stores in the ring, atomic bucket counters in the
-// histograms, copy-on-write histogram table), so tracing never serializes
+// histograms, cow.Map histogram table), so tracing never serializes
 // the dispatcher's parallel Raise path.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"spin/internal/cow"
 	"spin/internal/sim"
 )
 
@@ -30,11 +28,10 @@ import (
 type Tracer struct {
 	ring *Ring
 
-	// histos is a copy-on-write map name -> *Histogram: Observe on an
-	// existing series is lock-free; mu serializes only the insertion of
-	// new series (rare — the set of event names stabilizes immediately).
-	mu     sync.Mutex
-	histos atomic.Pointer[map[string]*Histogram]
+	// histos maps series name -> *Histogram: Observe on an existing series
+	// is lock-free; only the insertion of a new series copies the table
+	// (rare — the set of event names stabilizes immediately).
+	histos cow.Map[string, *Histogram]
 }
 
 // DefaultRingSize is the default trace ring capacity.
@@ -46,10 +43,7 @@ func New(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	t := &Tracer{ring: NewRing(ringSize)}
-	empty := make(map[string]*Histogram)
-	t.histos.Store(&empty)
-	return t
+	return &Tracer{ring: NewRing(ringSize)}
 }
 
 // Trace publishes one record to the ring and feeds the event's latency
@@ -63,48 +57,18 @@ func (t *Tracer) Trace(rec Record) {
 // Observe records one latency sample for the named series, creating the
 // series on first use.
 func (t *Tracer) Observe(name string, d sim.Duration) {
-	if h, ok := (*t.histos.Load())[name]; ok {
-		h.Observe(d)
-		return
+	h, ok := t.histos.Get(name)
+	if !ok {
+		h, _ = t.histos.LoadOrStore(name, NewHistogram())
 	}
-	t.histogram(name).Observe(d)
-}
-
-// histogram returns the named series, inserting it under the writer lock if
-// new (copy-on-write, so concurrent Observes never see a torn map).
-func (t *Tracer) histogram(name string) *Histogram {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.histos.Load()
-	if h, ok := old[name]; ok {
-		return h
-	}
-	next := make(map[string]*Histogram, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	h := NewHistogram()
-	next[name] = h
-	t.histos.Store(&next)
-	return h
+	h.Observe(d)
 }
 
 // Histogram returns the named latency series, if it has samples.
-func (t *Tracer) Histogram(name string) (*Histogram, bool) {
-	h, ok := (*t.histos.Load())[name]
-	return h, ok
-}
+func (t *Tracer) Histogram(name string) (*Histogram, bool) { return t.histos.Get(name) }
 
 // Series lists the histogram series names, sorted.
-func (t *Tracer) Series() []string {
-	m := *t.histos.Load()
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (t *Tracer) Series() []string { return cow.SortedKeys(&t.histos) }
 
 // Snapshot returns the ring's buffered records, oldest first.
 func (t *Tracer) Snapshot() []Record { return t.ring.Snapshot() }

@@ -3,9 +3,66 @@ package vnet
 import (
 	"fmt"
 
+	"spin"
+	"spin/internal/bcode"
 	"spin/internal/netstack"
 	"spin/internal/sim"
+	"spin/internal/strand"
 )
+
+// DemoPeer is one of the demo star's machines besides the primary.
+type DemoPeer struct {
+	Name string
+	IP   netstack.IPAddr
+}
+
+// DemoStar boots the topology the demo commands (spin-dbg, spin-httpd)
+// share: primary (10.0.0.2, two virtual CPUs) and peers on switch s0 over
+// 100 µs edges, dnsHost publishing primary as <label>.spin.test, and a
+// "ttl-guard" XDP program on primary dropping TTL-expired packets.
+func DemoStar(primary, dnsHost, label string, peers ...DemoPeer) (*Internet, error) {
+	edge := LinkModel{Latency: 100 * sim.Microsecond}
+	b := NewBuilder(1).
+		MachineCfg(primary, spin.Config{IP: netstack.Addr(10, 0, 0, 2), CPUs: 2}).
+		Switch("s0").
+		Link(primary, "s0", edge)
+	for _, p := range peers {
+		b.Machine(p.Name, p.IP).Link(p.Name, "s0", edge)
+	}
+	in, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	if err := in.EnableDNS(dnsHost); err != nil {
+		return nil, err
+	}
+	if err := in.AddName(label, primary); err != nil {
+		return nil, err
+	}
+	_, err = in.Machine(primary).Stack.AttachXDP("ttl-guard", bcode.New(
+		bcode.LdCtx(3, netstack.CtxTTL),
+		bcode.JeqImm(3, 0, 2),
+		bcode.MovImm(0, 0),
+		bcode.Exit(),
+		bcode.MovImm(0, 1),
+		bcode.Exit(),
+	))
+	return in, err
+}
+
+// RunDemoStrands runs the demo commands' strand workload on m: 8 workers
+// homed on CPU 0, so the idle second CPU steals and migrates.
+func RunDemoStrands(m *spin.Machine) {
+	for i := 0; i < 8; i++ {
+		m.Sched.Start(m.Sched.NewStrandOn(fmt.Sprintf("worker-%d", i), 1, 0, func(s *strand.Strand) {
+			for k := 0; k < 16; k++ {
+				s.Exec(5 * sim.Microsecond)
+				s.Yield()
+			}
+		}))
+	}
+	m.Sched.Run()
+}
 
 // Conversation is one cross-machine TCP transfer for the harness: From
 // connects to To on Port and streams Bytes of a deterministic pattern; the

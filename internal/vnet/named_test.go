@@ -217,3 +217,41 @@ func TestDialPartitionedMachineTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The demo star spin-dbg and spin-httpd share: the primary is published
+// under its label at the DNS host, carries the ttl-guard XDP program, and
+// has the second CPU the demo strand workload needs in order to steal.
+func TestDemoStar(t *testing.T) {
+	in, err := DemoStar("primary", "ns", "svc",
+		DemoPeer{Name: "client", IP: netstack.Addr(10, 0, 0, 1)},
+		DemoPeer{Name: "ns", IP: netstack.Addr(10, 0, 0, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := in.Machine("primary")
+	if got := in.Machines(); len(got) != 3 || got[0] != "primary" {
+		t.Fatalf("machines = %v", got)
+	}
+	var addrs []netstack.IPAddr
+	in.Machine("client").Resolver.LookupA("svc.spin.test", func(a []netstack.IPAddr, err error) {
+		if err != nil {
+			t.Errorf("lookup: %v", err)
+		}
+		addrs = a
+	})
+	if !in.RunUntil(func() bool { return addrs != nil }, 0) || addrs[0] != primary.Stack.IP {
+		t.Fatalf("svc.spin.test resolved to %v, want %v", addrs, primary.Stack.IP)
+	}
+	progs := primary.Programs()
+	if len(progs) != 1 || progs[0].Name != "ttl-guard" || progs[0].Point != "xdp" {
+		t.Errorf("primary programs = %+v, want the ttl-guard XDP program", progs)
+	}
+	RunDemoStrands(primary)
+	steals := int64(0)
+	for _, st := range primary.Sched.CPUStats() {
+		steals += st.Steals
+	}
+	if steals == 0 {
+		t.Error("demo strand workload never stole: the sched report would be empty")
+	}
+}

@@ -271,19 +271,30 @@ func (m *Machine) Extensions() int { return m.extCount }
 // matching packets are dropped. This is the untrusted-user path — code
 // arrives as bytes, no Go in sight — so rejections carry the verifier's
 // typed error naming the offending instruction.
-func (m *Machine) LoadFilter(name string, code []byte) (*netstack.BCodeFilter, error) {
+func (m *Machine) LoadFilter(name string, code []byte) (*netstack.PacketFilter, error) {
 	obj, err := safe.ExportProgram(name, code, netstack.PacketSpec)
 	if err != nil {
 		return nil, err
 	}
 	sym, _ := obj.LookupExport("program")
 	prog := sym.Value.Interface().(*bcode.Program)
-	f, err := netstack.NewBCodeFilter(m.Stack, name, prog, netstack.Drop)
+	f, err := netstack.NewProgramFilter(m.Stack, name, prog, netstack.Drop)
 	if err != nil {
 		return nil, err
 	}
 	m.extCount++
 	return f, nil
+}
+
+// Programs snapshots every verified program loaded into the machine — the
+// stack's XDP program and IP filters, then the scheduler's steal policy —
+// for the debug surfaces (spin-dbg bcode, /debug/bcode).
+func (m *Machine) Programs() []bcode.Stat {
+	stats := m.Stack.Programs()
+	if pol := m.Sched.StealPolicyInstalled(); pol != nil {
+		stats = append(stats, pol.Stat())
+	}
+	return stats
 }
 
 // DNSAuthorityName is the nameserver entry a ServeDNS zone is exported
