@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,16 +23,19 @@ import (
 	"spin/internal/vnet"
 )
 
+// tour is the command sequence run when no -c is given.
+var tour = []string{"help", "events", "handlers UDP.PktArrived",
+	"stats TCP.PktArrived", "perf", "trace", "histo", "faults", "sched",
+	"lb", "bcode", "tlb", "mem", "frame 300", "topo", "dns", "uptime"}
+
 func main() {
 	var cmds multiFlag
 	flag.Var(&cmds, "c", "debugger command (repeatable); default: a tour")
 	flag.Parse()
 	if len(cmds) == 0 {
-		cmds = []string{"help", "events", "handlers UDP.PktArrived",
-			"stats TCP.PktArrived", "perf", "trace", "histo", "faults", "sched",
-			"lb", "bcode", "tlb", "mem", "frame 300", "topo", "dns", "uptime"}
+		cmds = tour
 	}
-	if err := run(cmds); err != nil {
+	if err := run(os.Stdout, cmds); err != nil {
 		fmt.Fprintln(os.Stderr, "spin-dbg:", err)
 		os.Exit(1)
 	}
@@ -42,7 +46,7 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
-func run(cmds []string) error {
+func run(out io.Writer, cmds []string) error {
 	// The debugger and its target sit on the demo star: workstation and
 	// target kernel on a switch. The target doubles as the topology's DNS
 	// authority, and the debugger is published as "dbg.spin.test" — the
@@ -209,7 +213,7 @@ func run(cmds []string) error {
 		return fmt.Errorf("resolve dbg.spin.test: %w", resolveErr)
 	}
 
-	fmt.Printf("attached to %s (dbg.spin.test -> %v) over the wire\n\n", target.Name, dbgAddr)
+	fmt.Fprintf(out, "attached to %s (dbg.spin.test -> %v) over the wire\n\n", target.Name, dbgAddr)
 	for _, cmd := range cmds {
 		var reply string
 		got := false
@@ -220,9 +224,9 @@ func run(cmds []string) error {
 		if !in.RunUntil(func() bool { return got }, 0) {
 			return fmt.Errorf("query %q never answered", cmd)
 		}
-		fmt.Printf("(spin-dbg) %s\n", cmd)
+		fmt.Fprintf(out, "(spin-dbg) %s\n", cmd)
 		for _, line := range strings.Split(reply, "\n") {
-			fmt.Printf("    %s\n", line)
+			fmt.Fprintf(out, "    %s\n", line)
 		}
 	}
 	return nil

@@ -47,13 +47,13 @@ func (d debugContent) Get(path string) ([]byte, bool) {
 func main() {
 	requests := flag.Int("n", 6, "requests per document")
 	flag.Parse()
-	if err := run(*requests); err != nil {
+	if err := run(os.Stdout, *requests); err != nil {
 		fmt.Fprintln(os.Stderr, "spin-httpd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(requests int) error {
+func run(out io.Writer, requests int) error {
 	// The demo star: the web server, the browser, and a nameserver machine
 	// publishing "web.spin.test".
 	in, err := vnet.DemoStar("www-spin", "ns", "web",
@@ -80,18 +80,21 @@ func run(requests int) error {
 
 	// Publish documents: small pages (cached, LRU) and a large archive
 	// (no-cache policy, non-caching read path).
-	docs := map[string]int{
-		"/index.html":     2200,
-		"/papers/sosp.ps": 180_000, // large: never cached
-		"/people.html":    3100,
+	docs := []struct {
+		path string
+		size int
+	}{
+		{"/index.html", 2200},
+		{"/papers/sosp.ps", 180_000}, // large: never cached
+		{"/people.html", 3100},
 	}
 	replica := in.Machine("www-spin2")
-	for path, size := range docs {
-		body := []byte(strings.Repeat("x", size))
-		if err := server.FS.Create(path, body); err != nil {
+	for _, doc := range docs {
+		body := []byte(strings.Repeat("x", doc.size))
+		if err := server.FS.Create(doc.path, body); err != nil {
 			return err
 		}
-		if err := replica.FS.Create(path, body); err != nil {
+		if err := replica.FS.Create(doc.path, body); err != nil {
 			return err
 		}
 	}
@@ -128,9 +131,10 @@ func run(requests int) error {
 	// HTTP traffic.
 	vnet.RunDemoStrands(server)
 
-	fmt.Println("spin-httpd: in-kernel HTTP server on", server.Stack.IP)
-	fmt.Printf("%-18s %-6s %10s %8s %s\n", "path", "try", "latency", "status", "cache")
-	for path := range docs {
+	fmt.Fprintln(out, "spin-httpd: in-kernel HTTP server on", server.Stack.IP)
+	fmt.Fprintf(out, "%-18s %-6s %10s %8s %s\n", "path", "try", "latency", "status", "cache")
+	for _, doc := range docs {
+		path := doc.path
 		for i := 0; i < requests; i++ {
 			var status string
 			done := false
@@ -153,34 +157,39 @@ func run(requests int) error {
 			} else if !cache.Cached(path) {
 				state = "no-cache (large)"
 			}
-			fmt.Printf("%-18s %-6d %10s %8s %s\n", path, i+1, latency, strings.Fields(status)[1], state)
+			fmt.Fprintf(out, "%-18s %-6d %10s %8s %s\n", path, i+1, latency, strings.Fields(status)[1], state)
 		}
 	}
 	hits, misses := server.FS.CacheStats()
-	fmt.Printf("\nbuffer cache: %d hits, %d misses; web cache: %d hits, %d misses, %d large bypasses\n",
+	fmt.Fprintf(out, "\nbuffer cache: %d hits, %d misses; web cache: %d hits, %d misses, %d large bypasses\n",
 		hits, misses, cache.Hits, cache.Misses, cache.LargeReads)
 	rxAccepted, rxDropped := server.Stack.RXStats()
 	pending, evicted := server.Stack.ReassemblyStats()
-	fmt.Printf("rx queues: %d accepted, %d dropped (backpressure); reassembly: %d pending, %d evicted\n",
+	fmt.Fprintf(out, "rx queues: %d accepted, %d dropped (backpressure); reassembly: %d pending, %d evicted\n",
 		rxAccepted, rxDropped, pending, evicted)
 
 	// Fetch the kernel's own debug pages over the wire, like any client
 	// would: the latency profile, the scheduler's per-CPU counters and the
 	// verified-extension report.
+	// Pages go through the topology's driver: once net/http has run, its
+	// transport goroutines may still be closing connections, and the
+	// driver is what serializes them with this goroutine.
 	showPage := func(path, note string) error {
 		var page []byte
 		got := false
-		if err := netstack.HTTPGet(client.Stack, server.Stack.IP, 80, path,
-			netstack.InKernelDelivery, func(_ string, body []byte) {
-				page = body
-				got = true
-			}); err != nil {
+		var err error
+		in.Driver().Run(func() {
+			err = netstack.HTTPGet(client.Stack, server.Stack.IP, 80, path,
+				netstack.InKernelDelivery, func(_ string, body []byte) {
+					page = body
+					got = true
+				})
+		})
+		if err != nil {
 			return err
 		}
-		if !in.RunUntil(func() bool { return got }, 0) {
-			return fmt.Errorf("%s request never completed", path)
-		}
-		fmt.Printf("\nGET %s%s:\n%s", path, note, page)
+		in.Driver().WaitUntil(func() bool { return got })
+		fmt.Fprintf(out, "\nGET %s%s:\n%s", path, note, page)
 		return nil
 	}
 	if err := showPage("/debug/histo", " (also available: /debug/trace, /debug/faults)"); err != nil {
@@ -214,7 +223,7 @@ func run(requests int) error {
 		return err
 	}
 	rst := client.Resolver.Stats()
-	fmt.Printf("\nnet/http GET http://web.spin.test/index.html: %s, %d bytes (DNS: %d query, %d sent)\n",
+	fmt.Fprintf(out, "\nnet/http GET http://web.spin.test/index.html: %s, %d bytes (DNS: %d query, %d sent)\n",
 		resp.Status, len(body), rst.Lookups, rst.Sent)
 
 	// Failover: the same net/http client, now dialing through the
@@ -235,7 +244,7 @@ func run(requests int) error {
 		resp.Body.Close()
 		return err
 	}
-	fmt.Printf("\nload-balanced fetches across [www-spin www-spin2]:\n")
+	fmt.Fprintf(out, "\nload-balanced fetches across [www-spin www-spin2]:\n")
 	for i := 0; i < 4; i++ {
 		if err := fetch(); err != nil {
 			return fmt.Errorf("balanced fetch %d: %w", i, err)
@@ -245,17 +254,21 @@ func run(requests int) error {
 	in.Driver().Run(func() {
 		killed = replica.DestroyDomain(domain.Identity{Name: "httpd-www-spin2"})
 	})
-	fmt.Printf("  crash-killed www-spin2's server domain: reclaimed %v\n", killed.Reclaimed)
+	fmt.Fprintf(out, "  crash-killed www-spin2's server domain: reclaimed %v\n", killed.Reclaimed)
 	for i := 0; i < 4; i++ {
 		if err := fetch(); err != nil {
 			return fmt.Errorf("post-kill fetch %d: %w", i, err)
 		}
 	}
 	requestsN, attempts, retries, failovers := rd.Stats()
-	fmt.Printf("  8/8 ok: requests=%d attempts=%d retries=%d failovers=%d ejections=%d\n",
+	fmt.Fprintf(out, "  8/8 ok: requests=%d attempts=%d retries=%d failovers=%d ejections=%d\n",
 		requestsN, attempts, retries, failovers, bal.Ejections())
 
 	// The balancer's state is a first-class debug page, same report the
-	// spin-dbg "lb" command renders.
+	// spin-dbg "lb" command renders. net/http's goroutines interleave
+	// freely, so how far virtual time ran past the ejection differs run to
+	// run; settle every pending timer first so the page shows one state
+	// (the breaker's open timeout elapsed: half-open, awaiting a probe).
+	in.Driver().Drain()
 	return showPage("/debug/lb", "")
 }

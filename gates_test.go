@@ -1,0 +1,221 @@
+package spin_test
+
+// Gates: the invariants CI enforces on the networking hot paths. Virtual
+// time is deterministic, so those rows assert equality — a deliberate
+// cost-model or protocol change edits the constant in the same diff. Host
+// speed appears only as a same-run ratio or an allocation count; wall-clock
+// cost against the parent commit is the benchmark's job (BENCHMARK.json).
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"spin/internal/bcode"
+	"spin/internal/dispatch"
+	"spin/internal/netstack"
+	"spin/internal/sim"
+	"spin/internal/vnet"
+)
+
+// namedStar builds the 3-machine named-service star the naming gates run
+// on: client, nameserver and web server around one switch with 200µs edges.
+func namedStar(t *testing.T) *vnet.Internet {
+	t.Helper()
+	edge := vnet.LinkModel{Latency: 200 * sim.Microsecond}
+	in, err := vnet.NewBuilder(1).
+		Machine("web", 0).
+		Machine("client", 0).
+		Machine("ns", 0).
+		Switch("s0").
+		Link("web", "s0", edge).
+		Link("client", "s0", edge).
+		Link("ns", "s0", edge).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.EnableDNS("ns"); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// resolveLatency is an uncached hostname resolution across the star: query
+// out, authoritative answer back.
+func resolveLatency(t *testing.T) sim.Duration {
+	in := namedStar(t)
+	client := in.Machine("client")
+	done := false
+	start := client.Clock.Now()
+	client.Resolver.LookupA("web.spin.test", func(_ []netstack.IPAddr, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		done = true
+	})
+	if !in.RunUntil(func() bool { return done }, 0) {
+		t.Fatal("resolve hung")
+	}
+	return client.Clock.Now().Sub(start)
+}
+
+// dialLatency is a socket-layer dial to a listening peer: SYN out, SYN|ACK
+// back, Dial returns on the client's transition to ESTABLISHED.
+func dialLatency(t *testing.T) sim.Duration {
+	in := namedStar(t)
+	if err := in.Machine("web").Stack.TCP().Listen(80, nil, func(*netstack.Conn) {}); err != nil {
+		t.Fatal(err)
+	}
+	dialer, err := in.Dialer("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := in.Machine("client")
+	start := client.Clock.Now()
+	c, err := dialer.Dial("tcp", netstack.SockAddr{IP: in.IP("web"), Port: 80}.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	virt := client.Clock.Now().Sub(start)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	in.Driver().Drain() // let the FIN exchange retire the conn
+	return virt
+}
+
+// An extra round trip or a spurious retransmit moves these by ~40%; one
+// extra ProtoLayer charge by ~2%. Either is a real protocol change.
+func TestVirtualTimeGates(t *testing.T) {
+	gates := []struct {
+		name    string
+		measure func(*testing.T) sim.Duration
+		want    sim.Duration
+	}{
+		{"DNS resolve over the named star", resolveLatency, 930240},
+		{"dial to ESTABLISHED over the named star", dialLatency, 949248},
+	}
+	for _, g := range gates {
+		if got := g.measure(t); got != g.want {
+			t.Errorf("%s: %d virtual ns, want exactly %d", g.name, got, g.want)
+		}
+	}
+}
+
+// benchStack is a lone stack that packets are driven straight into.
+func benchStack(t *testing.T) *netstack.Stack {
+	t.Helper()
+	eng := sim.NewEngine()
+	prof := &sim.SPINProfile
+	st, err := netstack.NewStack("gate", netstack.Addr(10, 0, 0, 1), eng, prof, dispatch.New(eng, prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// Steady-state segment delivery on one established connection — shard
+// lookup, state machine, pooled ACK — runs at zero heap allocations per
+// packet. One allocation per packet is the whole regression, so no slack.
+func TestTCPSteadyRXAllocFree(t *testing.T) {
+	st := benchStack(t)
+	tcp := st.TCP()
+	consumed := 0
+	if err := tcp.Listen(80, nil, func(c *netstack.Conn) {
+		c.OnData = func(_ *netstack.Conn, d []byte) { consumed += len(d) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netstack.Packet{
+		Src: netstack.Addr(10, 0, 0, 2), SrcPort: 4000,
+		Dst: st.IP, DstPort: 80, Proto: netstack.ProtoTCP,
+	}
+	pkt.Flags, pkt.Seq, pkt.Window = netstack.FlagSYN, 10, 32*1024
+	tcp.Deliver(pkt)
+	pkt.Flags, pkt.Seq, pkt.Ack = netstack.FlagACK, 11, 1001
+	tcp.Deliver(pkt)
+	if tcp.Conns() != 1 {
+		t.Fatal("handshake failed")
+	}
+	pkt.Payload = make([]byte, 32)
+	pkt.Seq = 11
+	const runs = 10000
+	allocs := testing.AllocsPerRun(runs, func() {
+		tcp.Deliver(pkt)
+		pkt.Seq += uint32(len(pkt.Payload))
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state TCP RX allocates %.2f per packet, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the counted runs.
+	if want := (runs + 1) * len(pkt.Payload); consumed != want {
+		t.Errorf("consumed %d bytes, want %d: segments were not delivered in order", consumed, want)
+	}
+}
+
+// passAllFilter is the canonical packet filter (UDP to one port is dropped,
+// everything else passes) aimed at a port no test packet uses: the full
+// program runs on every packet and drops none.
+func passAllFilter() *bcode.Program {
+	return bcode.New(
+		bcode.LdCtx(3, netstack.CtxProto),
+		bcode.JneImm(3, int32(netstack.ProtoUDP), 3),
+		bcode.LdCtx(4, netstack.CtxDstPort),
+		bcode.JneImm(4, 7, 1),
+		bcode.Ja(2),
+		bcode.MovImm(0, 0),
+		bcode.Exit(),
+		bcode.MovImm(0, 1),
+		bcode.Exit(),
+	)
+}
+
+// An attached XDP program may at most double the per-packet cost of the
+// synchronous receive path (link, IP, transport, UDP delivery). Both sides
+// are timed in this process, interleaved, and the minimum each way is
+// compared: host speed cancels, so the gate needs no recorded baseline.
+// Fifty short timings, not five long ones: under -race on a loaded 2-core
+// host a ~1ms window usually escapes preemption where a ~10ms one does not
+// (measured spread of the ratio 1.37-1.67 against 1.27-1.93).
+func TestXDPOverheadAtMostTwiceBareRX(t *testing.T) {
+	const packets, rounds = 2000, 50
+	bare, xdp := benchStack(t), benchStack(t)
+	if _, err := xdp.AttachXDP("pass-all", passAllFilter()); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for _, st := range []*netstack.Stack{bare, xdp} {
+		if err := st.UDP().Bind(9, netstack.InKernelDelivery, func(*netstack.Packet) { delivered++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkt := &netstack.Packet{
+		Src: netstack.Addr(10, 0, 0, 2), SrcPort: 4000,
+		Dst: bare.IP, DstPort: 9, Proto: netstack.ProtoUDP,
+		TTL: 64, Payload: make([]byte, 32),
+	}
+	timeRX := func(st *netstack.Stack) time.Duration {
+		start := time.Now()
+		for i := 0; i < packets; i++ {
+			st.ReceiveOne(pkt)
+		}
+		return time.Since(start)
+	}
+	bestBare, bestXDP := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		bestBare = min(bestBare, timeRX(bare))
+		bestXDP = min(bestXDP, timeRX(xdp))
+	}
+	if want := 2 * rounds * packets; delivered != want {
+		t.Fatalf("delivered %d packets, want %d", delivered, want)
+	}
+	if runs, drops := xdp.XDP().Stats(); runs != rounds*packets || drops != 0 {
+		t.Fatalf("xdp runs=%d drops=%d, want runs=%d drops=0", runs, drops, rounds*packets)
+	}
+	ratio := float64(bestXDP) / float64(bestBare)
+	t.Logf("rx with xdp %v, bare %v per %d packets: %.2fx", bestXDP, bestBare, packets, ratio)
+	if ratio > 2 {
+		t.Errorf("RX with an XDP program costs %.2fx bare RX, want <= 2x", ratio)
+	}
+}

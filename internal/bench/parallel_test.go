@@ -29,6 +29,38 @@ func TestParallelStrandsSpeedup(t *testing.T) {
 	t.Logf("1 CPU %v, 4 CPUs %v: %.2fx, %d steals", one.Makespan, four.Makespan, speedup, four.Steals)
 }
 
+// The strand numbers other PRs compare against, pinned exactly: virtual
+// time is deterministic, so a deliberate scheduler or cost-model change
+// edits the constant in the same diff. (TestParallelStrandsSpeedup holds
+// the >= 2x bar; these rows hold the values.)
+func TestStrandVirtualTimeGates(t *testing.T) {
+	table3 := mustRun(t, "table3")
+	const spinKernel = 4 // column: SPIN kernel threads
+	one, err := MeasureParallelStrands(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := MeasureParallelStrands(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := []struct {
+		name      string
+		got, want float64
+	}{
+		{"Table 3 SPIN kernel Fork-Join µs", measured(t, table3, "Fork-Join", spinKernel), 23.21},
+		{"Table 3 SPIN kernel Ping-Pong µs", measured(t, table3, "Ping-Pong", spinKernel), 21.199},
+		{"64-strand batch makespan on 1 CPU µs", one.Makespan.Micros(), 16677.12},
+		{"64-strand batch makespan on 4 CPUs µs", four.Makespan.Micros(), 2202.66},
+		{"64-strand batch steals on 4 CPUs", float64(four.Steals), 200},
+	}
+	for _, g := range gates {
+		if g.got != g.want {
+			t.Errorf("%s = %v, want exactly %v", g.name, g.got, g.want)
+		}
+	}
+}
+
 func TestParallelTableShape(t *testing.T) {
 	tbl, err := RunParallelStrands()
 	if err != nil {

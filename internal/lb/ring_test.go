@@ -126,18 +126,3 @@ func TestRingPickAllocFree(t *testing.T) {
 		t.Errorf("Pick+Sequence allocate %.1f/op, want 0", allocs)
 	}
 }
-
-// BenchmarkLBPick gates the selection hot path: allocation-free, a few
-// dozen ns. bench_smoke.sh records lb-pick-ns and fails CI on regression.
-func BenchmarkLBPick(b *testing.B) {
-	r := NewRing(9, 0)
-	r.SetMembers(ringMembers(10))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink string
-	for i := 0; i < b.N; i++ {
-		sink = r.Pick(mix64(uint64(i)))
-	}
-	_ = sink
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "lb-pick-ns")
-}

@@ -91,6 +91,40 @@ func TestICMPPing(t *testing.T) {
 	}
 }
 
+// Each Ping's reply handler is gone once it claims its echo, so sequential
+// pings see the same handler walk and therefore the same virtual RTT.
+func TestPingRemovesItsHandler(t *testing.T) {
+	a, _, cl := pair(t, sal.LanceModel)
+	before := len(a.disp.HandlerOwners(EvICMPArrived))
+	var rtts []sim.Duration
+	for seq := uint16(1); seq <= 5; seq++ {
+		if err := a.stack.Ping(Addr(10, 0, 0, 2), seq, 16, func(d sim.Duration) { rtts = append(rtts, d) }); err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(0)
+	}
+	if got := len(a.disp.HandlerOwners(EvICMPArrived)); got != before {
+		t.Errorf("%d handlers on %s after 5 pings, want %d", got, EvICMPArrived, before)
+	}
+	if len(rtts) != 5 {
+		t.Fatalf("%d replies, want 5", len(rtts))
+	}
+	for i, rtt := range rtts {
+		if rtt != rtts[0] {
+			t.Errorf("ping %d rtt = %v, want %v (rtts %v)", i+1, rtt, rtts[0], rtts)
+		}
+	}
+	// A request that cannot leave (NIC never connected) must not strand its
+	// handler either.
+	lone := newNetHost(t, "lone", Addr(10, 0, 0, 3), sal.LanceModel)
+	if err := lone.stack.Ping(Addr(10, 0, 0, 2), 1, 16, nil); err == nil {
+		t.Fatal("ping over an unconnected NIC succeeded")
+	}
+	if got := len(lone.disp.HandlerOwners(EvICMPArrived)); got != before {
+		t.Errorf("%d handlers after a failed ping, want %d", got, before)
+	}
+}
+
 func TestUDPEcho(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	if err := b.stack.UDP().Echo(7, InKernelDelivery); err != nil {

@@ -688,29 +688,36 @@ func (s *Stack) SendIP(pkt *Packet) error {
 }
 
 // Ping sends an ICMP echo request; reply invokes cb with the round-trip
-// observed at this stack's clock.
+// observed at this stack's clock. The reply handler lives only until it
+// claims its echo (or the request fails to leave), so pings do not
+// lengthen the walk for later ICMP arrivals.
 func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Duration)) error {
 	start := s.clock.Now()
+	var ref dispatch.HandlerRef
 	ref, err := s.disp.Install(EvICMPArrived, func(arg, _ any) any {
 		pkt := arg.(*Packet)
-		if pkt.ICMPType == 0 && pkt.ICMPSeq == seq {
-			if cb != nil {
-				cb(s.clock.Now().Sub(start))
-			}
-			return true
+		if pkt.ICMPType != 0 || pkt.ICMPSeq != seq {
+			return false
 		}
-		return false
+		_ = s.disp.Remove(ref) // fails only if a teardown already removed it
+		if cb != nil {
+			cb(s.clock.Now().Sub(start))
+		}
+		return true
 	}, dispatch.InstallOptions{Installer: domain.Identity{Name: "proto:1:ping-client"}})
 	if err != nil {
 		return err
 	}
-	_ = ref
 	req := AllocPacket()
 	req.Src, req.Dst, req.Proto = s.IP, dst, ProtoICMP
 	req.ICMPType, req.ICMPSeq = 8, seq
 	req.AllocPayload(payload)
 	req.TTL = 32
-	return s.SendIP(req)
+	if err := s.SendIP(req); err != nil {
+		_ = s.disp.Remove(ref)
+		return err
+	}
+	return nil
 }
 
 // Stats reports packets received and sent at the IP layer. Counters are

@@ -84,53 +84,3 @@ func (c *Cluster) RunUntil(pred func() bool, deadline Time) bool {
 	}
 	return true
 }
-
-// NextEventTime reports the time of the engine's earliest live event.
-func (e *Engine) NextEventTime() (Time, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].cancel {
-			// Lazily discard cancelled heads.
-			popCancelled(e)
-			continue
-		}
-		return e.queue[0].At, true
-	}
-	return 0, false
-}
-
-func popCancelled(e *Engine) {
-	// Only called when the queue head is cancelled: a manual heap pop
-	// (container/heap's Pop without the interface indirection) that marks
-	// the discarded event as off-heap.
-	ev := e.queue[0]
-	n := len(e.queue)
-	e.queue.Swap(0, n-1)
-	e.queue[n-1] = nil
-	e.queue = e.queue[:n-1]
-	ev.index = -1
-	if n > 1 {
-		siftDown(e.queue, 0)
-	}
-}
-
-// siftDown restores the heap property from index i downward. It mirrors
-// container/heap's down(); we keep a local copy so NextEventTime can discard
-// cancelled heads without allocating.
-func siftDown(h eventHeap, i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && h.Less(right, left) {
-			smallest = right
-		}
-		if !h.Less(smallest, i) {
-			return
-		}
-		h.Swap(i, smallest)
-		i = smallest
-	}
-}

@@ -7,7 +7,6 @@ type Event struct {
 	At     Time
 	Do     func()
 	seq    int64 // tie-break: FIFO among same-time events
-	index  int   // heap index; -1 once popped or cancelled
 	cancel bool
 }
 
@@ -26,22 +25,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -107,30 +97,46 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run steps until the queue drains or the clock passes deadline (0 means no
-// deadline). It returns the number of events executed.
+// NextEventTime reports the time of the engine's earliest live event,
+// discarding cancelled heads on the way.
+func (e *Engine) NextEventTime() (Time, bool) {
+	for len(e.queue) > 0 {
+		if !e.queue[0].cancel {
+			return e.queue[0].At, true
+		}
+		heap.Pop(&e.queue)
+	}
+	return 0, false
+}
+
+// Run steps until the queue drains or the next live event lies past
+// deadline (0 means no deadline), in which case the clock stops at deadline.
+// It returns the number of events executed.
 func (e *Engine) Run(deadline Time) int {
 	n := 0
-	for len(e.queue) > 0 {
-		if deadline != 0 && e.queue[0].At > deadline {
+	for {
+		at, ok := e.NextEventTime()
+		if !ok {
+			return n
+		}
+		if deadline != 0 && at > deadline {
 			e.Clock.AdvanceTo(deadline)
 			return n
 		}
-		if e.Step() {
-			n++
-		}
+		e.Step()
+		n++
 	}
-	return n
 }
 
 // RunUntil steps until pred() is true, the queue drains, or the clock passes
 // deadline. It reports whether pred became true.
 func (e *Engine) RunUntil(pred func() bool, deadline Time) bool {
 	for !pred() {
-		if len(e.queue) == 0 {
+		at, ok := e.NextEventTime()
+		if !ok {
 			return pred()
 		}
-		if deadline != 0 && e.queue[0].At > deadline {
+		if deadline != 0 && at > deadline {
 			e.Clock.AdvanceTo(deadline)
 			return pred()
 		}

@@ -150,6 +150,26 @@ func TestEngineDeadline(t *testing.T) {
 	}
 }
 
+// A cancelled head must not let Run or RunUntil execute a live event that
+// lies past the deadline (every TCP connection leaves cancelled retransmit
+// timers at the head of its engine's queue).
+func TestEngineDeadlineBehindCancelledHead(t *testing.T) {
+	runs := map[string]func(*Engine){
+		"Run":      func(e *Engine) { e.Run(10) },
+		"RunUntil": func(e *Engine) { e.RunUntil(func() bool { return false }, 10) },
+	}
+	for name, run := range runs {
+		e := NewEngine()
+		ran := false
+		e.At(5, func() {}).Cancel()
+		e.At(20, func() { ran = true })
+		run(e)
+		if ran || e.Now() != 10 || e.Pending() != 1 {
+			t.Errorf("%s(10): ran=%v now=%v pending=%d, want false, 10, 1", name, ran, e.Now(), e.Pending())
+		}
+	}
+}
+
 func TestEngineAfterAndCascade(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
