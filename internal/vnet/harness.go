@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"bytes"
 	"fmt"
 
 	"spin"
@@ -95,6 +96,45 @@ type ConvResult struct {
 // duplicated-into-stream bytes are caught.
 func pattern(idx, off int) byte { return byte(idx*31 + off*7 + 11) }
 
+// payload is two periods of one conversation's pattern (its period in off
+// is 256), so the 256 bytes from any stream offset are one window of it and
+// both sides work a run at a time instead of a byte at a time.
+type payload [512]byte
+
+func newPayload(idx int) *payload {
+	p := new(payload)
+	for off := range p {
+		p[off] = pattern(idx, off)
+	}
+	return p
+}
+
+// fill writes the stream's bytes from offset off into dst.
+func (p *payload) fill(dst []byte, off int) {
+	for len(dst) > 0 {
+		n := copy(dst, p[off&255:][:256])
+		dst, off = dst[n:], off+n
+	}
+}
+
+// receive checks b, the next bytes of the stream, against the pattern —
+// every byte, whatever sizes the stream arrives split into — and reports
+// whether this delivery completed a payload of total bytes.
+func (r *ConvResult) receive(p *payload, b []byte, total int) bool {
+	for len(b) > 0 {
+		n := min(len(b), 256)
+		if !bytes.Equal(b[:n], p[r.Received&255:][:n]) {
+			r.Corrupt = true
+		}
+		b, r.Received = b[n:], r.Received+n
+	}
+	if r.Received < total || r.Complete {
+		return false
+	}
+	r.Complete = true
+	return true
+}
+
 // RunConversations drives convs over the topology until every transfer
 // completes or the earliest pending event passes deadline (0 = drain).
 // Conversations with Port 0 get distinct ports from 4000 up. The returned
@@ -118,17 +158,10 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		if server == nil || client == nil {
 			return nil, fmt.Errorf("vnet: conversation %d: unknown machine %q or %q", i, c.From, c.To)
 		}
-		idx, total := i, c.Bytes
+		pat, total := newPayload(i), c.Bytes
 		err := server.Stack.TCP().Listen(c.Port, netstack.InKernelDelivery, func(conn *netstack.Conn) {
 			conn.OnData = func(_ *netstack.Conn, b []byte) {
-				for _, by := range b {
-					if by != pattern(idx, r.Received) {
-						r.Corrupt = true
-					}
-					r.Received++
-				}
-				if r.Received >= total && !r.Complete {
-					r.Complete = true
+				if r.receive(pat, b, total) {
 					done++
 				}
 			}
@@ -142,18 +175,11 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		}
 		chunk := c.Chunk
 		conn.OnConnect = func(cn *netstack.Conn) {
-			buf := make([]byte, 0, chunk)
-			for off := 0; off < total; {
-				n := chunk
-				if off+n > total {
-					n = total - off
-				}
-				buf = buf[:0]
-				for j := 0; j < n; j++ {
-					buf = append(buf, pattern(idx, off+j))
-				}
+			buf := make([]byte, chunk)
+			for off := 0; off < total; off += len(buf) {
+				buf = buf[:min(chunk, total-off)]
+				pat.fill(buf, off)
 				_ = cn.Send(buf)
-				off += n
 			}
 		}
 		rr := r

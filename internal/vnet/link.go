@@ -172,12 +172,20 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// hashBytes folds a byte slice into 64 bits (FNV-1a).
+// hashBytes folds a byte slice into 64 bits: FNV-1a's xor-and-multiply over
+// little-endian words, then over the tail's bytes, starting from the length
+// so that a trailing zero counts. Each step is a bijection of h, so two
+// slices of one length that differ in one word always hash differently; the
+// shift brings a word's high bytes, which the multiply alone only carries
+// upward, back into the low half.
 func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+	h := 14695981039346656037 ^ uint64(len(b))
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * 1099511628211
+		h ^= h >> 32
+	}
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+		h = (h ^ uint64(c)) * 1099511628211
 	}
 	return h
 }
@@ -286,7 +294,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 // endpoint's interrupt (or switch forwarding step) at the arrival time.
 func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 	wire := h.encode(f)
-	h.digest = mix64(h.digest ^ hashBytes(wire) ^ uint64(arrival))
+	h.fold(wire, arrival)
 	h.stats.Delivered++
 	if h.link.cap != nil {
 		h.link.cap.Record(arrival, wire)
@@ -298,6 +306,12 @@ func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 		})
 	}
 	h.to.DeliverAt(arrival, f)
+}
+
+// fold chains one delivered frame, its wire bytes and arrival time, into the
+// direction's digest.
+func (h *half) fold(wire []byte, arrival sim.Time) {
+	h.digest = mix64(h.digest ^ hashBytes(wire) ^ uint64(arrival))
 }
 
 // cloneFrame deep-copies a frame for duplicate delivery: the two arrivals
