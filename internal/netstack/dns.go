@@ -111,7 +111,9 @@ func canonicalDNSName(name string) (string, error) {
 	if len(name)+2 > maxDNSName {
 		return "", fmt.Errorf("%w: name %q too long", ErrBadDNSMessage, name)
 	}
-	for _, label := range strings.Split(name, ".") {
+	for rest, more := name, true; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
 		if len(label) == 0 || len(label) > 63 {
 			return "", fmt.Errorf("%w: bad label in %q", ErrBadDNSMessage, name)
 		}
@@ -121,11 +123,11 @@ func canonicalDNSName(name string) (string, error) {
 
 // appendDNSName appends name in wire label form (no compression).
 func appendDNSName(dst []byte, name string) []byte {
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			dst = append(dst, byte(len(label)))
-			dst = append(dst, label...)
-		}
+	for rest, more := name, name != ""; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
+		dst = append(dst, byte(len(label)))
+		dst = append(dst, label...)
 	}
 	return append(dst, 0)
 }
@@ -704,6 +706,7 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 		return
 	}
 	lk := &dnsLookup{r: r, name: cn, cb: cb}
+	lk.timeout.Do = lk.onTimeout
 	lk.attempt()
 }
 
@@ -718,7 +721,7 @@ type dnsLookup struct {
 	done     bool
 	id       uint16
 	cancelTx func()
-	timeout  *sim.Event
+	timeout  sim.Event // owner-held, one per lookup, re-armed per attempt
 }
 
 func (lk *dnsLookup) attempt() {
@@ -758,7 +761,7 @@ func (lk *dnsLookup) attempt() {
 	// seed.
 	base := r.cfg.Timeout << (lk.tries - 1)
 	jitter := sim.Duration(r.rand.Uint64() % uint64(base/8+1))
-	lk.timeout = r.stack.engine.After(base+jitter, lk.onTimeout)
+	r.stack.engine.Arm(&lk.timeout, base+jitter)
 }
 
 func (lk *dnsLookup) onReply(reply []byte, err error) {
@@ -818,7 +821,6 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 }
 
 func (lk *dnsLookup) onTimeout() {
-	lk.timeout = nil
 	if lk.done {
 		return
 	}
@@ -842,10 +844,7 @@ func (lk *dnsLookup) finish(addrs []IPAddr, err error) {
 		return
 	}
 	lk.done = true
-	if lk.timeout != nil {
-		lk.timeout.Cancel()
-		lk.timeout = nil
-	}
+	lk.timeout.Disarm()
 	if lk.cancelTx != nil {
 		lk.cancelTx()
 		lk.cancelTx = nil

@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"spin/internal/sal"
@@ -38,6 +39,51 @@ func TestDNSMessageRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(wire, round) {
 			t.Errorf("round trip not canonical:\n  %x\n  %x", wire, round)
+		}
+	}
+}
+
+// Names on their way into a message: which are refused, and the labels the
+// accepted ones are written as.
+func TestEncodeDNSNameLabels(t *testing.T) {
+	l63 := strings.Repeat("a", 63)
+	cases := []struct {
+		name   string
+		labels []string // nil: refused
+	}{
+		{"web.spin.test", []string{"web", "spin", "test"}},
+		{"Web.SPIN.test.", []string{"web", "spin", "test"}},
+		{"host", []string{"host"}},
+		{"", []string{}},
+		{".", []string{}},
+		{l63 + ".test", []string{l63, "test"}},
+		{l63 + "a.test", nil},
+		{"a..b", nil},
+		{".a", nil},
+		{"a..", nil},
+		{"..", nil},
+		{strings.Repeat(l63+".", 3) + strings.Repeat("b", 61), []string{l63, l63, l63, strings.Repeat("b", 61)}},
+		{strings.Repeat(l63+".", 3) + strings.Repeat("b", 62), nil},
+	}
+	for _, tc := range cases {
+		wire, err := EncodeDNSMessage(&DNSMessage{ID: 1, Questions: []DNSQuestion{{Name: tc.name, Type: DNSTypeA}}})
+		if tc.labels == nil {
+			if !errors.Is(err, ErrBadDNSMessage) {
+				t.Errorf("%q: err = %v, want ErrBadDNSMessage", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.name, err)
+			continue
+		}
+		want := []byte{}
+		for _, l := range tc.labels {
+			want = append(append(want, byte(len(l))), l...)
+		}
+		want = append(want, 0, 0, DNSTypeA, 0, 1)
+		if got := wire[12:]; !bytes.Equal(got, want) {
+			t.Errorf("%q: question is %x, want %x", tc.name, got, want)
 		}
 	}
 }
@@ -411,6 +457,55 @@ func TestResolverTimeoutPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// servfailOnce answers the first query with SERVFAIL a little later and
+// never answers another.
+type servfailOnce struct {
+	eng     *sim.Engine
+	queries int
+}
+
+func (f *servfailOnce) Query(server IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
+	if f.queries++; f.queries > 1 {
+		return func() {}, nil
+	}
+	q, err := ParseDNSMessage(msg)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := EncodeDNSMessage(&DNSMessage{ID: q.ID, Response: true, RCode: 2, Questions: q.Questions})
+	if err != nil {
+		return nil, err
+	}
+	f.eng.After(10*sim.Millisecond, func() { done(wire, nil) })
+	return func() {}, nil
+}
+
+// A lookup has one timeout, re-armed by each attempt. A retry begun by a
+// reply (SERVFAIL) must withdraw the timeout of the attempt it replaces:
+// left armed, it fires in the middle of the next attempt, cancels that
+// attempt's query and burns a second one, and the lookup gives up after a
+// third of the time its backoff allows.
+func TestResolverRetryOnReplyRearmsItsTimeout(t *testing.T) {
+	const timeout = 100 * sim.Millisecond
+	h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
+	ft := &servfailOnce{eng: h.eng}
+	r := NewResolver(h.stack, ResolverConfig{
+		Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft,
+		Timeout: timeout, Attempts: 3, Seed: 42,
+	})
+	var gerr error
+	r.LookupA("web.spin.test", func(_ []IPAddr, e error) { gerr = e })
+	h.eng.Run(0)
+	if !errors.Is(gerr, ErrDNSTimeout) || ft.queries != 3 {
+		t.Fatalf("err = %v after %d queries, want ErrDNSTimeout after 3", gerr, ft.queries)
+	}
+	// 10ms to the SERVFAIL, then the second and third attempts' full
+	// timeouts (200ms and 400ms, plus jitter).
+	if elapsed := h.eng.Now(); elapsed < sim.Time(10*sim.Millisecond+6*timeout) {
+		t.Errorf("gave up after %v, want at least %v", elapsed, 10*sim.Millisecond+6*timeout)
 	}
 }
 

@@ -1,8 +1,9 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"unicode"
 )
 
 // HTTPContent supplies document bodies to the in-kernel HTTP server. The
@@ -49,10 +50,10 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 		var reqBuf []byte
 		c.OnData = func(c *Conn, data []byte) {
 			reqBuf = append(reqBuf, data...)
-			if !strings.Contains(string(reqBuf), "\r\n\r\n") {
+			if !bytes.Contains(reqBuf, []byte("\r\n\r\n")) {
 				return // request incomplete
 			}
-			h.serve(c, string(reqBuf))
+			h.serve(c, reqBuf)
 			reqBuf = nil
 		}
 	})
@@ -65,7 +66,7 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 // serve parses one request and sends the response on the connection. When
 // tracing is enabled the whole serve — parse, content lookup, response
 // send — is one sample in the "net.http.serve" latency series.
-func (h *HTTPServer) serve(c *Conn, req string) {
+func (h *HTTPServer) serve(c *Conn, req []byte) {
 	if tr := h.stack.disp.Tracer(); tr != nil {
 		start := h.stack.clock.Now()
 		defer func() {
@@ -75,16 +76,26 @@ func (h *HTTPServer) serve(c *Conn, req string) {
 	h.serve1(c, req)
 }
 
-func (h *HTTPServer) serve1(c *Conn, req string) {
-	line, _, _ := strings.Cut(req, "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) < 2 || fields[0] != "GET" {
+// firstField returns the first whitespace-separated word of s and what
+// follows it: strings.Fields, one word at a time.
+func firstField(s []byte) (word, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, nil
+}
+
+func (h *HTTPServer) serve1(c *Conn, req []byte) {
+	line, _, _ := bytes.Cut(req, []byte("\r\n"))
+	method, line := firstField(line)
+	path, _ := firstField(line)
+	if len(path) == 0 || string(method) != "GET" {
 		_ = c.Send([]byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
 		c.Close()
 		return
 	}
-	path := fields[1]
-	body, ok := h.content.Get(path)
+	body, ok := h.content.Get(string(path))
 	if !ok {
 		h.NotFound++
 		_ = c.Send([]byte("HTTP/1.0 404 Not Found\r\n\r\n"))
@@ -92,8 +103,8 @@ func (h *HTTPServer) serve1(c *Conn, req string) {
 		return
 	}
 	h.Requests++
-	head := fmt.Sprintf("HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
-	_ = c.Send(append([]byte(head), body...))
+	resp := fmt.Appendf(make([]byte, 0, 48+len(body)), "HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
+	_ = c.Send(append(resp, body...))
 	c.Close()
 }
 
@@ -122,13 +133,13 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 		if done == nil {
 			return
 		}
-		headers, body, found := strings.Cut(string(resp), "\r\n\r\n")
-		status, _, _ := strings.Cut(headers, "\r\n")
+		// body is the rest of resp, which nothing else holds any more.
+		headers, body, found := bytes.Cut(resp, []byte("\r\n\r\n"))
+		status, _, _ := bytes.Cut(headers, []byte("\r\n"))
 		if !found {
-			done(status, nil)
-			return
+			body = nil
 		}
-		done(status, []byte(body))
+		done(string(status), body)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -402,6 +403,101 @@ func TestHTTP404(t *testing.T) {
 	}
 	if srv.NotFound != 1 {
 		t.Errorf("notfound = %d", srv.NotFound)
+	}
+}
+
+// Raw requests, well and badly formed, against the server: what comes back
+// on the wire (nothing while the request has no blank line).
+func TestHTTPServerRequestParsing(t *testing.T) {
+	cases := []struct {
+		name, req, want string
+	}{
+		{"well formed", "GET /index.html HTTP/1.0\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"with headers", "GET /index.html HTTP/1.0\r\nHost: web\r\nAccept: */*\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"missing version", "GET /index.html\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"tabs and runs of spaces", "  GET \t /index.html   HTTP/1.0\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"bare LF after the request line", "GET /index.html HTTP/1.0\nHost: web\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"oversized header", "GET /index.html HTTP/1.0\r\nX-Pad: " + strings.Repeat("a", 8000) + "\r\n\r\n", "HTTP/1.0 200 OK"},
+		{"unknown path", "GET /nope HTTP/1.0\r\n\r\n", "HTTP/1.0 404 Not Found"},
+		{"empty request line", "\r\n\r\n", "HTTP/1.0 400 Bad Request"},
+		{"method only", "GET\r\n\r\n", "HTTP/1.0 400 Bad Request"},
+		{"other method", "POST /index.html HTTP/1.0\r\n\r\n", "HTTP/1.0 400 Bad Request"},
+		{"lower-case method", "get /index.html HTTP/1.0\r\n\r\n", "HTTP/1.0 400 Bad Request"},
+		{"path on the second line", "GET\r\n/index.html HTTP/1.0\r\n\r\n", "HTTP/1.0 400 Bad Request"},
+		{"no CRLF", "GET /index.html HTTP/1.0", ""},
+		{"bare LF only", "GET /index.html HTTP/1.0\n\n", ""},
+		{"one CRLF", "GET /index.html HTTP/1.0\r\n", ""},
+	}
+	for _, tc := range cases {
+		a, b, cl := pair(t, sal.LanceModel)
+		if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/index.html": []byte("<h1>SPIN</h1>")}); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp []byte
+		conn.OnConnect = func(c *Conn) { _ = c.Send([]byte(tc.req)) }
+		conn.OnData = func(_ *Conn, d []byte) { resp = append(resp, d...) }
+		cl.Run(sim.Time(5 * sim.Second))
+		status, _, _ := strings.Cut(string(resp), "\r\n")
+		if status != tc.want {
+			t.Errorf("%s: answered %q, want %q", tc.name, status, tc.want)
+		}
+		if tc.want == "HTTP/1.0 200 OK" && !strings.HasSuffix(string(resp), "\r\n\r\n<h1>SPIN</h1>") {
+			t.Errorf("%s: response %q does not end in the document", tc.name, resp)
+		}
+	}
+}
+
+// Raw responses, well and badly formed, from a server that writes them and
+// closes: the status line and body HTTPGet reports.
+func TestHTTPGetResponseParsing(t *testing.T) {
+	cases := []struct {
+		name, resp, status string
+		body               []byte
+	}{
+		{"well formed", "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nhi", "HTTP/1.0 200 OK", []byte("hi")},
+		{"no headers", "HTTP/1.0 404 Not Found\r\n\r\n", "HTTP/1.0 404 Not Found", []byte{}},
+		{"blank line inside the body", "HTTP/1.0 200 OK\r\n\r\na\r\n\r\nb", "HTTP/1.0 200 OK", []byte("a\r\n\r\nb")},
+		{"oversized header", "HTTP/1.0 200 OK\r\nX-Pad: " + strings.Repeat("a", 8000) + "\r\n\r\nhi", "HTTP/1.0 200 OK", []byte("hi")},
+		{"no blank line", "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n", "HTTP/1.0 200 OK", nil},
+		{"no CRLF", "HTTP/1.0 200 OK", "HTTP/1.0 200 OK", nil},
+		{"bare LF", "HTTP/1.0 200 OK\n\nhi", "HTTP/1.0 200 OK\n\nhi", nil},
+		{"empty status line", "\r\n\r\nhi", "", []byte("hi")},
+		{"nothing", "", "", nil},
+	}
+	for _, tc := range cases {
+		a, b, cl := pair(t, sal.LanceModel)
+		err := b.stack.TCP().Listen(80, nil, func(c *Conn) {
+			c.OnData = func(c *Conn, _ []byte) {
+				if tc.resp != "" {
+					_ = c.Send([]byte(tc.resp))
+				}
+				c.Close()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := 0
+		var status string
+		var body []byte
+		err = HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/", nil, func(s string, b []byte) {
+			called++
+			status, body = s, b
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(sim.Time(5 * sim.Second))
+		if called != 1 {
+			t.Errorf("%s: done called %d times", tc.name, called)
+		}
+		if status != tc.status || !bytes.Equal(body, tc.body) || (body == nil) != (tc.body == nil) {
+			t.Errorf("%s: got %q, %q; want %q, %q", tc.name, status, body, tc.status, tc.body)
+		}
 	}
 }
 

@@ -136,17 +136,16 @@ func (a SockAddr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 // sockDeadline is one direction's deadline: a virtual-time event that
 // marks the direction expired when it fires.
 type sockDeadline struct {
-	ev      *sim.Event
+	ev      sim.Event // owner-held, bound on first use
 	expired bool
 }
+
+func (dl *sockDeadline) expire() { dl.expired = true }
 
 // set arms the deadline d from now; zero clears it. Caller holds the
 // driver lock.
 func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
-	if dl.ev != nil {
-		dl.ev.Cancel()
-		dl.ev = nil
-	}
+	dl.ev.Disarm()
 	dl.expired = false
 	if !armed {
 		return
@@ -155,9 +154,10 @@ func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
 		dl.expired = true
 		return
 	}
-	dl.ev = engine.After(d, func() {
-		dl.expired = true
-	})
+	if dl.ev.Do == nil {
+		dl.ev.Do = dl.expire
+	}
+	engine.Arm(&dl.ev, d)
 }
 
 // SockConn adapts one *Conn to net.Conn. Reads block (stepping the

@@ -3,6 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -298,7 +299,7 @@ func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 		if !s.workersOn.Load() {
 			// Protocol processing runs in a separately scheduled kernel
 			// thread outside the interrupt handler (paper §5.3).
-			s.engine.After(0, func() { s.drainRX(q, 1) })
+			s.engine.Post(s.clock.Now(), drainPosted, s, q, 1)
 		}
 		return true
 	default:
@@ -309,6 +310,8 @@ func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 		return false
 	}
 }
+
+func drainPosted(stack, q any, max int) { stack.(*Stack).drainRX(q.(*rxQueue), max) }
 
 // drainRX dequeues up to max packets in batches of rxBatch and pushes each
 // up the graph, charging the protocol-thread context switch per packet. The
@@ -510,6 +513,12 @@ func (s *Stack) ReassemblyStats() (pending int, evicted int64) {
 // AddRoute directs packets for dst out through nic.
 func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) { s.routes.Set(dst, nic) }
 
+// AddRoutes installs a whole table of routes in one publish; AddRoute
+// copies the table once per route.
+func (s *Stack) AddRoutes(routes map[IPAddr]*sal.NIC) {
+	s.routes.Update(func(next map[IPAddr]*sal.NIC) { maps.Copy(next, routes) })
+}
+
 // routeFor resolves the outbound NIC for dst: the specific route if one is
 // installed, else the default NIC. Lock-free.
 func (s *Stack) routeFor(dst IPAddr) *sal.NIC {
@@ -635,6 +644,13 @@ func (s *Stack) forward(pkt *Packet) {
 	_ = s.SendIP(pkt.Retain())
 }
 
+func loopbackPosted(stack, pkt any, _ int) {
+	s, p := stack.(*Stack), pkt.(*Packet)
+	s.clock.Advance(s.profile.ContextSwitch)
+	s.safeReceive(s.rxctx(), EvEtherArrived, p)
+	p.Release()
+}
+
 // ErrNoRoute reports a destination with no attached NIC.
 var ErrNoRoute = errors.New("netstack: no route to host")
 
@@ -660,11 +676,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 		s.clock.Advance(2 * s.profile.ProtoLayer)
 		s.clock.Advance(sim.Duration(len(pkt.Payload)) * ChecksumPerByte)
 		s.sent.Add(1)
-		s.engine.After(0, func() {
-			s.clock.Advance(s.profile.ContextSwitch)
-			s.safeReceive(s.rxctx(), EvEtherArrived, pkt)
-			pkt.Release()
-		})
+		s.engine.Post(s.clock.Now(), loopbackPosted, s, pkt, 0)
 		return nil
 	}
 	nic := s.routeFor(pkt.Dst)

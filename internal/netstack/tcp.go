@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -171,23 +172,31 @@ type Conn struct {
 	zeroWndProbes atomic.Int64
 	connErr       atomic.Pointer[error]
 
-	mss int
-
 	// Send side.
 	sndUna, sndNxt uint32
-	sendBuf        []byte // not yet segmented
-	inflight       []segment
-	cwnd           int // congestion window, segments
-	ssthresh       int // slow-start threshold, segments
-	sndWnd         int // peer's advertised window, bytes
-	retxEv         *sim.Event
+	// sendBuf holds every byte Send queued that the peer has not
+	// acknowledged: the first sent of them are the inflight segments'
+	// data, back to back, and the rest wait for window. Segments are cut
+	// from it and retransmitted from it; nothing is copied per segment.
+	sendBuf  bytes.Buffer
+	sent     int
+	inflight []segment
+	cwnd     int // congestion window, segments
+	ssthresh int // slow-start threshold, segments
+	sndWnd   int // peer's advertised window, bytes
+	// retx is the retransmit timer, an owner-held event (sim.Engine.Arm)
+	// bound to onRetxTimeout the first time it is armed.
+	retx sim.Event
 	// retxAttempts counts consecutive unacknowledged retransmissions of
 	// the oldest outstanding data (or SYN); any forward ACK progress
 	// resets it. It selects the backoff and enforces the MaxRetx cap.
 	retxAttempts int
 
-	// Receive side.
-	rcvNxt uint32
+	// Receive side, and which ends have closed (sharing rcvNxt's word:
+	// a million idle connections make every word of a Conn count).
+	rcvNxt     uint32
+	peerClosed bool
+	closed     bool
 
 	delivery DeliveryCost
 
@@ -203,15 +212,25 @@ type Conn struct {
 	// connection table, so a concurrent delivery can never observe the
 	// connection without it.
 	acceptCb func(*Conn)
-
-	peerClosed bool
-	closed     bool
 }
 
+// segment is one unacknowledged segment: n bytes of sendBuf, or a FIN.
 type segment struct {
-	seq  uint32
-	data []byte
-	fin  bool
+	seq uint32
+	n   int
+	fin bool
+}
+
+// unsent is the queued data not yet segmented.
+func (c *Conn) unsent() []byte { return c.sendBuf.Bytes()[c.sent:] }
+
+// sendData cuts the next n unsent bytes into a segment and sends it.
+func (c *Conn) sendData(n int) {
+	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, c.unsent()[:n]))
+	c.inflight = append(c.inflight, segment{seq: c.sndNxt, n: n})
+	c.sent += n
+	c.sndNxt += uint32(n)
+	c.armRetx()
 }
 
 // State reports the connection state. Safe to call from any goroutine.
@@ -462,7 +481,7 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	c := &Conn{
 		tcp:    t,
 		remote: dst, localPort: local, remotePort: port,
-		mss: DefaultMSS, cwnd: 1, ssthresh: 16, sndWnd: rcvWindow,
+		cwnd: 1, ssthresh: 16, sndWnd: rcvWindow,
 		delivery: cost,
 		sndUna:   100, sndNxt: 100,
 	}
@@ -483,7 +502,7 @@ func (c *Conn) Send(payload []byte) error {
 	if c.closed || st != StateEstablished && st != StateCloseWait {
 		if !c.closed && st == StateSynSent {
 			// Queue until established.
-			c.sendBuf = append(c.sendBuf, payload...)
+			c.sendBuf.Write(payload)
 			return nil
 		}
 		if c.closed || st == StateClosed {
@@ -491,7 +510,7 @@ func (c *Conn) Send(payload []byte) error {
 		}
 		return errors.New("netstack: send on non-established connection")
 	}
-	c.sendBuf = append(c.sendBuf, payload...)
+	c.sendBuf.Write(payload)
 	c.pump()
 	return nil
 }
@@ -512,10 +531,10 @@ func (c *Conn) Close() error {
 		c.setState(StateLastAck)
 	default:
 		var err error
-		if c.State() == StateSynSent && len(c.sendBuf) > 0 {
+		if c.State() == StateSynSent && len(c.unsent()) > 0 {
 			err = fmt.Errorf("%w: %d queued bytes discarded before handshake completed",
-				ErrClosed, len(c.sendBuf))
-			c.sendBuf = nil
+				ErrClosed, len(c.unsent()))
+			c.sendBuf.Reset()
 			c.setErr(err)
 		}
 		c.teardown() // cancels any armed retransmit timer
@@ -529,7 +548,7 @@ func (c *Conn) queueFIN() {
 	// FIN rides after any queued data; represent as zero-data fin
 	// segment appended once the buffer drains.
 	c.pump()
-	if len(c.sendBuf) == 0 {
+	if len(c.unsent()) == 0 {
 		c.sendFIN()
 	}
 	// Otherwise pump() sends it once data drains (checked in onAck).
@@ -550,7 +569,7 @@ func (c *Conn) pump() {
 		st != StateFinWait1 && st != StateLastAck {
 		return
 	}
-	for len(c.sendBuf) > 0 {
+	for len(c.unsent()) > 0 {
 		if c.sndWnd == 0 {
 			// Peer advertised a zero window: pause, and let the
 			// retransmission timer send persist probes (the peer owes us
@@ -559,16 +578,16 @@ func (c *Conn) pump() {
 			return
 		}
 		inFlightBytes := int(c.sndNxt - c.sndUna)
-		windowBytes := c.cwnd * c.mss
+		windowBytes := c.cwnd * DefaultMSS
 		if windowBytes > c.sndWnd {
 			windowBytes = c.sndWnd
 		}
 		if inFlightBytes >= windowBytes {
 			return // window full; ACKs will re-pump
 		}
-		n := c.mss
-		if n > len(c.sendBuf) {
-			n = len(c.sendBuf)
+		n := DefaultMSS
+		if n > len(c.unsent()) {
+			n = len(c.unsent())
 		}
 		if n > windowBytes-inFlightBytes {
 			n = windowBytes - inFlightBytes
@@ -576,14 +595,9 @@ func (c *Conn) pump() {
 		if n <= 0 {
 			return
 		}
-		data := append([]byte(nil), c.sendBuf[:n]...)
-		c.sendBuf = c.sendBuf[n:]
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, data))
-		c.inflight = append(c.inflight, segment{seq: c.sndNxt, data: data})
-		c.sndNxt += uint32(n)
-		c.armRetx()
+		c.sendData(n)
 	}
-	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && len(c.sendBuf) == 0 && !c.finInflight() {
+	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && len(c.unsent()) == 0 && !c.finInflight() {
 		c.sendFIN()
 	}
 }
@@ -632,18 +646,16 @@ func (c *Conn) rto() sim.Duration {
 }
 
 func (c *Conn) armRetx() {
-	if c.retxEv != nil && !c.retxEv.Cancelled() {
+	if c.retx.Armed() {
 		return
 	}
-	c.retxEv = c.tcp.stack.engine.After(c.rto(), c.onRetxTimeout)
+	if c.retx.Do == nil {
+		c.retx.Do = c.onRetxTimeout
+	}
+	c.tcp.stack.engine.Arm(&c.retx, c.rto())
 }
 
-func (c *Conn) cancelRetx() {
-	if c.retxEv != nil {
-		c.retxEv.Cancel()
-		c.retxEv = nil
-	}
-}
+func (c *Conn) cancelRetx() { c.retx.Disarm() }
 
 // lossBackoff is the response to a retransmission timeout: multiplicative
 // decrease, back to slow start.
@@ -671,7 +683,6 @@ func (c *Conn) retxExhausted() bool {
 }
 
 func (c *Conn) onRetxTimeout() {
-	c.retxEv = nil
 	switch {
 	case c.State() == StateSynSent:
 		if c.retxExhausted() {
@@ -692,21 +703,16 @@ func (c *Conn) onRetxTimeout() {
 		if s.fin {
 			flags |= FlagFIN
 		}
-		c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, s.data))
+		c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.sendBuf.Bytes()[:s.n]))
 		c.armRetx()
-	case c.sndWnd == 0 && len(c.sendBuf) > 0 && c.State() != StateClosed:
+	case c.sndWnd == 0 && len(c.unsent()) > 0 && c.State() != StateClosed:
 		// Zero-window persist (RFC 1122 §4.2.2.17): the peer advertised
 		// window 0 and will send nothing further on its own; probe with a
 		// single byte to elicit an ACK carrying the reopened window.
 		// Probes are deliberately uncapped — the peer is alive and ACKing,
 		// just full — so they never trip the MaxRetx teardown.
 		c.zeroWndProbes.Add(1)
-		data := append([]byte(nil), c.sendBuf[:1]...)
-		c.sendBuf = c.sendBuf[1:]
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, data))
-		c.inflight = append(c.inflight, segment{seq: c.sndNxt, data: data})
-		c.sndNxt++
-		c.armRetx()
+		c.sendData(1)
 	}
 }
 
@@ -850,7 +856,7 @@ func (t *TCP) completeHandshake(key connKey, e synEntry, pkt *Packet) {
 	c := &Conn{
 		tcp:    t,
 		remote: pkt.Src, localPort: pkt.DstPort, remotePort: pkt.SrcPort,
-		mss: DefaultMSS, cwnd: 1, ssthresh: 16,
+		cwnd: 1, ssthresh: 16,
 		sndWnd:   e.wnd,
 		delivery: l.cost,
 		sndUna:   e.iss + 1, sndNxt: e.iss + 1,
@@ -960,9 +966,9 @@ func (c *Conn) onAck(ack uint32) bool {
 	c.retxAttempts = 0
 	// Drop fully acknowledged segments.
 	keep := c.inflight[:0]
-	finAcked := false
+	finAcked, acked := false, 0
 	for _, s := range c.inflight {
-		end := s.seq + uint32(len(s.data))
+		end := s.seq + uint32(s.n)
 		if s.fin {
 			end = s.seq + 1
 		}
@@ -970,6 +976,7 @@ func (c *Conn) onAck(ack uint32) bool {
 			if s.fin {
 				finAcked = true
 			}
+			acked += s.n
 			// Congestion window growth per ACKed segment: slow
 			// start below ssthresh, then linear.
 			if c.cwnd < c.ssthresh {
@@ -982,6 +989,8 @@ func (c *Conn) onAck(ack uint32) bool {
 		keep = append(keep, s)
 	}
 	c.inflight = keep
+	c.sent -= acked
+	c.sendBuf.Next(acked)
 	if len(c.inflight) == 0 {
 		c.cancelRetx()
 	}
@@ -1032,10 +1041,14 @@ func (c *Conn) onFIN(pkt *Packet) {
 }
 
 func (c *Conn) startTimeWait() {
-	c.tcp.stack.engine.After(timeWaitDelay, func() {
-		c.teardown()
-	})
+	// Nobody cancels TIME_WAIT (teardown of a closed connection does
+	// nothing), so it rides in a recycled event, not one more timer in
+	// every Conn.
+	s := c.tcp.stack
+	s.engine.Post(s.clock.Now().Add(timeWaitDelay), teardownPosted, c, nil, 0)
 }
+
+func teardownPosted(c, _ any, _ int) { c.(*Conn).teardown() }
 
 // teardown removes the connection from its shard.
 func (c *Conn) teardown() {

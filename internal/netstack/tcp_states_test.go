@@ -198,8 +198,29 @@ func TestTCPWindowLimitsInFlight(t *testing.T) {
 		t.Errorf("in-flight %d exceeds advertised window %d", inFlight, 2*DefaultMSS)
 	}
 	cl.Run(sim.Time(60 * sim.Second))
-	if len(client.sendBuf) != 0 || len(client.inflight) != 0 {
+	if len(client.unsent()) != 0 || len(client.inflight) != 0 {
 		t.Error("transfer did not complete after window opened via ACKs")
+	}
+}
+
+// Every data segment arms the retransmit timer and every ACK that empties
+// the window disarms it, so the timer is the connection's own event: arming,
+// disarming and arming again allocate nothing (2 objects an arm before).
+func TestRetxTimerAllocFree(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	client, _ := establish(t, a, b, cl)
+	allocs := testing.AllocsPerRun(1000, func() {
+		client.armRetx()
+		client.cancelRetx()
+		client.armRetx()
+		client.cancelRetx()
+	})
+	if allocs != 0 {
+		t.Errorf("arm, disarm, arm, disarm allocates %v, want 0", allocs)
+	}
+	cl.Run(0)
+	if client.Retransmits() != 0 {
+		t.Errorf("a disarmed timer fired: %d retransmits", client.Retransmits())
 	}
 }
 

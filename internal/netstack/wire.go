@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire codec: the byte-level frame format for a Packet. The simulation
@@ -77,8 +78,10 @@ func AppendPacket(dst []byte, pkt *Packet) []byte {
 	thdr := transportHeaderLen(pkt.Proto)
 	total := IPHeader + thdr + len(pkt.Payload)
 	off := len(dst)
-	dst = append(dst, make([]byte, EtherHeader+total)...)
+	// Not append(dst, make(...)...): a -race build allocates the make.
+	dst = slices.Grow(dst, EtherHeader+total)[:off+EtherHeader+total]
 	b := dst[off:]
+	clear(b)
 
 	// Ethernet: MACs are not modelled (zero), ethertype IPv4.
 	binary.BigEndian.PutUint16(b[12:14], etherTypeIPv4)

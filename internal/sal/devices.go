@@ -172,13 +172,21 @@ func (ic *InterruptController) Register(vec InterruptVector, h func(payload any)
 
 // RaiseAt schedules an interrupt for absolute time t.
 func (ic *InterruptController) RaiseAt(t sim.Time, vec InterruptVector, payload any) {
-	ic.engine.At(t, func() {
-		ic.count[vec]++
-		ic.engine.Clock.Advance(ic.profile.InterruptEntry)
-		if h, ok := ic.handlers[vec]; ok {
-			h(payload)
-		}
-	})
+	ic.engine.Post(t, raisePosted, ic, payload, int(vec))
+}
+
+func raisePosted(ic, payload any, vec int) {
+	c := ic.(*InterruptController)
+	c.enter(InterruptVector(vec))
+	if h, ok := c.handlers[InterruptVector(vec)]; ok {
+		h(payload)
+	}
+}
+
+// enter counts one interrupt on vec and charges the interrupt-entry cost.
+func (ic *InterruptController) enter(vec InterruptVector) {
+	ic.count[vec]++
+	ic.engine.Clock.Advance(ic.profile.InterruptEntry)
 }
 
 // Raise schedules an interrupt for the current time.

@@ -204,24 +204,13 @@ func (n *NIC) RXDropped() int64 { return n.rxDropped.Load() }
 // NewNIC creates an interface of the given model on the machine described
 // by engine/ic, delivering receive interrupts on vector.
 func NewNIC(model NICModel, engine *sim.Engine, ic *InterruptController, vector InterruptVector) *NIC {
-	n := &NIC{
+	return &NIC{
 		Model:  model,
 		engine: engine,
 		clock:  engine.Clock,
 		ic:     ic,
 		vector: vector,
 	}
-	ic.Register(vector, func(payload any) {
-		f := payload.(NetFrame)
-		n.clock.Advance(n.Model.DriverRecvCost)
-		n.clock.Advance(n.Model.hostMoveCost(f.Size))
-		n.received.Add(1)
-		n.bytesReceived.Add(int64(f.Size))
-		if n.OnReceive != nil && !n.OnReceive(f) {
-			n.rxDropped.Add(1)
-		}
-	})
-	return n
 }
 
 // AttachWire installs w as the NIC's outbound transport, replacing any
@@ -235,7 +224,23 @@ func (n *NIC) Wire() Wire { return n.wire }
 // DeliverAt schedules f's receive interrupt on this NIC at absolute virtual
 // time t — the receive-side entry point wires and switch nodes use.
 func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
-	n.ic.RaiseAt(t, n.vector, f)
+	n.engine.Post(t, receivePosted, n, f.Payload, f.Size)
+}
+
+// receivePosted is the NIC's receive interrupt. The frame's two words ride
+// in the posted event as they are (boxing a NetFrame for the controller's
+// handler table would allocate once a frame), so the NIC enters the
+// interrupt on its vector itself.
+func receivePosted(nic, payload any, size int) {
+	n := nic.(*NIC)
+	n.ic.enter(n.vector)
+	n.clock.Advance(n.Model.DriverRecvCost)
+	n.clock.Advance(n.Model.hostMoveCost(size))
+	n.received.Add(1)
+	n.bytesReceived.Add(int64(size))
+	if n.OnReceive != nil && !n.OnReceive(NetFrame{Size: size, Payload: payload}) {
+		n.rxDropped.Add(1)
+	}
 }
 
 // ptpWire is the point-to-point wire Connect installs: fixed hardware

@@ -42,7 +42,7 @@ func (c *Cluster) Add(e *Engine) {
 		e.cluster.remove(e)
 	}
 	e.cluster = c
-	e.head = Event{seq: int64(len(c.engines)), slot: -1}
+	e.head = Event{seq: int64(len(c.engines))}
 	c.engines = append(c.engines, e)
 	if len(e.queue) > 0 {
 		e.head.At = e.queue[0].At
@@ -53,8 +53,8 @@ func (c *Cluster) Add(e *Engine) {
 // remove forgets e; the engines registered after it move up one place,
 // which leaves their order in ready as it was.
 func (c *Cluster) remove(e *Engine) {
-	if e.head.slot >= 0 {
-		c.ready.remove(int(e.head.slot))
+	if e.head.pos != 0 {
+		c.ready.remove(int(e.head.pos) - 1)
 	}
 	i := int(e.head.seq)
 	c.engines = append(c.engines[:i], c.engines[i+1:]...)

@@ -352,3 +352,121 @@ func TestCancelReleasesClosure(t *testing.T) {
 	}
 	runtime.KeepAlive(events)
 }
+
+// A Post event must let go of its operands as it fires: the engine keeps
+// the event itself for reuse, and a payload left in it would stay reachable
+// until that event's next Post.
+func TestPostReleasesOperands(t *testing.T) {
+	const posts, each = 10_000, 4 << 10
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	e := NewEngine()
+	before := heapAlloc()
+	ran := 0
+	for i := 0; i < posts; i++ {
+		e.Post(Time(i), func(count, payload any, n int) { *count.(*int) += n }, &ran, new([each]byte), 1)
+	}
+	if queued := heapAlloc(); queued < before+posts*each {
+		t.Fatalf("queued posts hold %d bytes, want at least %d", queued-before, posts*each)
+	}
+	e.Run(0)
+	after := heapAlloc()
+	if ran != posts || len(e.free) != posts {
+		t.Fatalf("%d handlers ran and %d events are free; want %d of each", ran, len(e.free), posts)
+	}
+	// What may remain is the recycled events (96 B and a 16 B bound method
+	// each), the free list and the queue's backing array, not the 4 KiB each
+	// one carried.
+	if limit := before + posts*192; after > limit {
+		t.Errorf("fired posts still hold %d bytes, want under %d", after-before, limit-before)
+	}
+	runtime.KeepAlive(e)
+}
+
+// Post allocates nothing once the free list covers the queue's depth, and
+// neither does arming, disarming and re-arming an owner-held event.
+func TestPostAndArmAllocFree(t *testing.T) {
+	e := NewEngine()
+	var hops int
+	var hop func(engine, count any, left int)
+	hop = func(engine, count any, left int) {
+		*count.(*int)++
+		if left > 0 {
+			engine.(*Engine).Post(engine.(*Engine).Now()+1, hop, engine, count, left-1)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		e.Post(e.Now(), hop, e, &hops, 3)
+		e.Post(e.Now(), hop, e, &hops, 3)
+		e.Run(0)
+	}); n != 0 {
+		t.Errorf("Post: %v allocations a run, want 0", n)
+	}
+	if hops != 101*8 {
+		t.Errorf("%d hops ran, want %d", hops, 101*8)
+	}
+	var timer Event
+	fired := 0
+	timer.Do = func() { fired++ }
+	if n := testing.AllocsPerRun(100, func() {
+		e.Arm(&timer, 5)
+		timer.Disarm()
+		e.Arm(&timer, 7)
+		e.Arm(&timer, 3)
+		e.Run(0)
+	}); n != 0 {
+		t.Errorf("Arm: %v allocations a run, want 0", n)
+	}
+	if fired != 101 {
+		t.Errorf("timer fired %d times, want %d", fired, 101)
+	}
+}
+
+// Cancel is for events At returned and drops the callback; Disarm is for
+// owner-held events and keeps it, so the next Arm fires it. Either way the
+// stopped event stays queued, and Pending and NextEventTime read as if it
+// were gone.
+func TestDisarmKeepsCallbackCancelDropsIt(t *testing.T) {
+	e := NewEngine()
+	at := e.At(10, func() {})
+	at.Cancel()
+	if at.Do != nil || !at.Cancelled() {
+		t.Errorf("cancelled At event: Do kept = %v, Cancelled = %v", at.Do != nil, at.Cancelled())
+	}
+	var timer Event
+	fired := 0
+	timer.Do = func() { fired++ }
+	if timer.Armed() {
+		t.Error("an event never armed reads armed")
+	}
+	e.Arm(&timer, 20)
+	live := e.At(30, func() {})
+	if !timer.Armed() || e.Pending() != 2 {
+		t.Fatalf("armed = %v, pending = %d; want true, 2", timer.Armed(), e.Pending())
+	}
+	timer.Disarm()
+	if timer.Do == nil || timer.Armed() || !timer.Cancelled() {
+		t.Errorf("disarmed timer: Do kept = %v, Armed = %v, Cancelled = %v", timer.Do != nil, timer.Armed(), timer.Cancelled())
+	}
+	if len(e.queue) != 3 || e.Pending() != 1 {
+		t.Errorf("%d queued, %d pending; want 3, 1", len(e.queue), e.Pending())
+	}
+	if next, ok := e.NextEventTime(); !ok || next != live.At {
+		t.Errorf("NextEventTime = %v, %v; want %v", next, ok, live.At)
+	}
+	// NextEventTime discarded the two stopped heads; arming again must cope
+	// with an event that is no longer queued, and one that still is.
+	e.Arm(&timer, 40)
+	e.Arm(&timer, 5)
+	if len(e.queue) != 2 || e.Pending() != 2 {
+		t.Errorf("%d queued, %d pending after re-arming; want 2, 2", len(e.queue), e.Pending())
+	}
+	e.Run(0)
+	if fired != 1 || e.Now() != 30 || timer.Armed() {
+		t.Errorf("fired %d times, clock %v, armed %v; want 1, 30, false", fired, e.Now(), timer.Armed())
+	}
+}

@@ -35,8 +35,19 @@ type universe struct {
 	index   map[*Engine]int
 	cluster *Cluster // nil: stepped by referenceNext
 	trace   []ran
-	events  []*Event // every event scheduled, run or not
+	events  []*Event // every event At returned, run or not
+	timers  []*timer // every owner-held event, two an engine
 	budget  int      // events still to be scheduled
+	posting bool     // a Post handler is running
+	seen    map[string]int
+}
+
+// timer is an owner-held event, always armed on the same engine.
+type timer struct {
+	ev    Event
+	on    *Engine
+	seq   int64 // the seq its latest Arm drew
+	fired bool
 }
 
 // liveHead is e's earliest uncancelled event, found without disturbing the
@@ -53,7 +64,7 @@ func liveHead(e *Engine) *Event {
 }
 
 func newUniverse(seed uint64, indexed bool) *universe {
-	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, budget: 400}
+	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, budget: 400, seen: map[string]int{}}
 	if indexed {
 		u.cluster = NewCluster()
 	}
@@ -68,6 +79,14 @@ func (u *universe) addEngine() {
 	e := NewEngine()
 	u.index[e] = len(u.engines)
 	u.engines = append(u.engines, e)
+	for i := 0; i < 2; i++ {
+		tm := &timer{on: e}
+		tm.ev.Do = func() {
+			tm.fired = true
+			u.ran(e, tm.seq)
+		}
+		u.timers = append(u.timers, tm)
+	}
 	for n := u.rng.Intn(3); n > 0; n-- {
 		u.schedule(e, Time(u.rng.Intn(20)))
 	}
@@ -78,48 +97,95 @@ func (u *universe) addEngine() {
 
 func (u *universe) pick() *Engine { return u.engines[u.rng.Intn(len(u.engines))] }
 
-// schedule queues one event on e whose body records itself and then makes
-// more work: events on its own and other engines placed before, at and
-// after the target's current head, and cancellations of heads and
-// non-heads.
+// schedule queues one event on e, from whichever engine's handler is
+// running, in one of the three forms: a closure by At, a recycled event by
+// Post, or one of e's two owner-held events by Arm, whatever state that one
+// is in. seen counts the cases the oracle is there for.
 func (u *universe) schedule(e *Engine, at Time) {
 	if u.budget == 0 {
 		return
 	}
 	u.budget--
-	var ev *Event
-	ev = e.At(at, func() {
-		u.trace = append(u.trace, ran{u.index[e], ev.seq})
-		for n := u.rng.Intn(4); n > 0; n-- {
-			to := e
-			if u.rng.Intn(3) > 0 {
-				to = u.pick()
-			}
-			// Sender-local time plus a delay, as a wire delivery would
-			// be, or placed around the target's head to force ties and
-			// overtakes.
-			t := e.Now() + Time(u.rng.Intn(8))
-			if head := liveHead(to); head != nil && u.rng.Intn(2) == 0 {
-				t = head.At + Time(u.rng.Intn(3)) - 1
-			}
-			u.schedule(to, t)
+	seq := e.seq // the one the scheduling below draws
+	if u.cluster != nil && e.head.pos != 0 && at < e.head.At {
+		u.seen["earlier than the cluster's marker"]++
+	}
+	switch u.rng.Intn(3) {
+	case 0:
+		u.events = append(u.events, e.At(at, func() { u.ran(e, seq) }))
+	case 1:
+		if u.posting {
+			u.seen["post from inside a post handler"]++
 		}
-		if u.rng.Intn(4) == 0 {
-			u.cancelOne()
+		e.Post(at, ranPosted, u, e, int(seq))
+	case 2:
+		tm := u.timers[2*u.index[e]+u.rng.Intn(2)]
+		switch {
+		case tm.ev.Armed():
+			u.seen["arm while armed"]++
+		case tm.ev.pos != 0:
+			u.seen["arm while disarmed and still queued"]++
+		case tm.fired:
+			u.seen["arm after firing"]++
 		}
-	})
-	u.events = append(u.events, ev)
+		tm.seq = seq
+		e.Arm(&tm.ev, Duration(at-e.Now()))
+	}
 }
 
-// cancelOne cancels an engine's head, or any event at all (most of those
-// still queued are not heads; cancelling one that already ran is a no-op).
-func (u *universe) cancelOne() {
-	if u.rng.Intn(2) == 0 {
-		if head := liveHead(u.pick()); head != nil {
-			head.Cancel()
+func ranPosted(u, e any, seq int) {
+	u.(*universe).posting = true
+	u.(*universe).ran(e.(*Engine), int64(seq))
+	u.(*universe).posting = false
+}
+
+// ran is the body of every event: it records itself and then makes more
+// work: events on its own and other engines placed before, at and after
+// the target's current head, and cancellations of heads and non-heads.
+func (u *universe) ran(e *Engine, seq int64) {
+	u.trace = append(u.trace, ran{u.index[e], seq})
+	for n := u.rng.Intn(4); n > 0; n-- {
+		to := e
+		if u.rng.Intn(3) > 0 {
+			to = u.pick()
 		}
-	} else if len(u.events) > 0 {
-		u.events[u.rng.Intn(len(u.events))].Cancel()
+		// Sender-local time plus a delay, as a wire delivery would
+		// be, or placed around the target's head to force ties and
+		// overtakes.
+		t := e.Now() + Time(u.rng.Intn(8))
+		if head := liveHead(to); head != nil && u.rng.Intn(2) == 0 {
+			t = head.At + Time(u.rng.Intn(3)) - 1
+		}
+		u.schedule(to, t)
+	}
+	if u.rng.Intn(4) == 0 {
+		u.cancelOne()
+	}
+}
+
+// cancelOne stops an engine's head, or any At event or owner-held event at
+// all (most of those still queued are not heads; stopping one that already
+// ran is a no-op). A Post event is nobody's to cancel.
+func (u *universe) cancelOne() {
+	switch u.rng.Intn(3) {
+	case 0:
+		head := liveHead(u.pick())
+		for _, ev := range u.events {
+			if ev == head {
+				head.Cancel()
+			}
+		}
+		for _, tm := range u.timers {
+			if &tm.ev == head {
+				head.Disarm()
+			}
+		}
+	case 1:
+		if len(u.events) > 0 {
+			u.events[u.rng.Intn(len(u.events))].Cancel()
+		}
+	case 2:
+		u.timers[u.rng.Intn(len(u.timers))].ev.Disarm()
 	}
 }
 
@@ -168,11 +234,11 @@ func (u *universe) step() int {
 }
 
 // TestClusterMatchesReferenceScan is the scheduler's oracle: over many
-// seeded random schedules the indexed cluster must choose, step for step,
-// the engine the linear scan chooses, and both must execute the same
-// (engine, seq) sequence.
+// seeded random schedules, drawn from all three scheduling forms, the
+// indexed cluster must choose, step for step, the engine the linear scan
+// chooses, and both must execute the same (engine, seq) sequence.
 func TestClusterMatchesReferenceScan(t *testing.T) {
-	steps := 0
+	steps, seen := 0, map[string]int{}
 	for seed := uint64(1); seed <= 1500; seed++ {
 		ref, got := newUniverse(seed, false), newUniverse(seed, true)
 		for {
@@ -201,8 +267,17 @@ func TestClusterMatchesReferenceScan(t *testing.T) {
 				t.Fatalf("seed %d: engine %d clock %v by the scan, %v by the cluster", seed, i, e.Now(), got.engines[i].Now())
 			}
 		}
+		for k, n := range got.seen {
+			seen[k] += n
+		}
 	}
 	if steps < 100_000 {
 		t.Fatalf("only %d cluster steps compared; the schedules ran dry", steps)
+	}
+	for _, k := range []string{"earlier than the cluster's marker", "post from inside a post handler",
+		"arm while armed", "arm while disarmed and still queued", "arm after firing"} {
+		if seen[k] < 1000 {
+			t.Errorf("%s: drawn %d times, want at least 1000", k, seen[k])
+		}
 	}
 }

@@ -1,21 +1,34 @@
 package sim
 
-// Event is a scheduled simulation callback.
+// Event is a scheduled simulation callback. Engine.At returns one to hold
+// and maybe Cancel. The zero Event with Do set is an owner-held timer: it
+// lives in the struct that owns it, Engine.Arm schedules it any number of
+// times and Disarm stops it, and nothing is allocated on the way.
 type Event struct {
 	At     Time
 	Do     func()
 	seq    int64 // tie-break: FIFO among same-time events
 	cancel bool
-	slot   int32 // index in the eventQueue holding it, -1 once removed
+	pos    int32 // 1 + index in the eventQueue holding it, 0 when in none
 }
 
 // Cancel marks the event so it will be skipped when its time arrives, and
 // drops Do so that whatever the callback captured is collectable now rather
-// than when the queue reaches the event.
+// than when the queue reaches the event. It is for events At returned; an
+// owner-held event is stopped with Disarm.
 func (e *Event) Cancel() { e.cancel, e.Do = true, nil }
 
-// Cancelled reports whether Cancel was called.
+// Cancelled reports whether Cancel or Disarm was called since the event
+// was last scheduled.
 func (e *Event) Cancelled() bool { return e.cancel }
+
+// Disarm stops an owner-held event from firing and keeps its callback for
+// the next Arm. The queue entry stays until Arm withdraws it or the queue
+// reaches it.
+func (e *Event) Disarm() { e.cancel = true }
+
+// Armed reports whether the event is queued and will fire.
+func (e *Event) Armed() bool { return e.pos != 0 && !e.cancel }
 
 // before is the queue order: time, then seq.
 func (e *Event) before(o *Event) bool {
@@ -26,8 +39,8 @@ func (e *Event) before(o *Event) bool {
 }
 
 // eventQueue is a binary min-heap of events in before order, each event
-// recording its slot. An Engine keeps its scheduled events in one; a Cluster
-// keeps one head marker per engine in another.
+// recording its position. An Engine keeps its scheduled events in one; a
+// Cluster keeps one head marker per engine in another.
 type eventQueue []*Event
 
 func (q *eventQueue) push(ev *Event) {
@@ -35,7 +48,7 @@ func (q *eventQueue) push(ev *Event) {
 	q.up(len(*q) - 1)
 }
 
-// remove takes the event in slot i out of the queue; remove(0) is pop.
+// remove takes the event at index i out of the queue; remove(0) is pop.
 func (q *eventQueue) remove(i int) *Event {
 	h := *q
 	n := len(h) - 1
@@ -45,15 +58,15 @@ func (q *eventQueue) remove(i int) *Event {
 	if i < n {
 		h[i] = last
 		q.down(i)
-		if int(last.slot) == i {
+		if int(last.pos) == i+1 {
 			q.up(i)
 		}
 	}
-	ev.slot = -1
+	ev.pos = 0
 	return ev
 }
 
-// up restores heap order after the key of the event in slot i decreased.
+// up restores heap order after the key of the event at index i decreased.
 func (q eventQueue) up(i int) {
 	ev := q[i]
 	for i > 0 {
@@ -62,14 +75,14 @@ func (q eventQueue) up(i int) {
 			break
 		}
 		q[i] = q[p]
-		q[i].slot = int32(i)
+		q[i].pos = int32(i) + 1
 		i = p
 	}
 	q[i] = ev
-	ev.slot = int32(i)
+	ev.pos = int32(i) + 1
 }
 
-// down restores heap order after the key of the event in slot i increased.
+// down restores heap order after the key of the event at index i increased.
 func (q eventQueue) down(i int) {
 	ev := q[i]
 	for {
@@ -84,20 +97,29 @@ func (q eventQueue) down(i int) {
 			break
 		}
 		q[i] = q[c]
-		q[i].slot = int32(i)
+		q[i].pos = int32(i) + 1
 		i = c
 	}
 	q[i] = ev
-	ev.slot = int32(i)
+	ev.pos = int32(i) + 1
 }
 
 // Engine couples a Clock with a time-ordered event queue. It is the heart of
 // the discrete-event simulation: device interrupts, wire deliveries, timer
 // expirations and preemption ticks are all Events.
+//
+// There are three ways to schedule. At takes any closure and returns the
+// event, for what is rare or may be cancelled by someone else. Post carries
+// a static function and its operands in an event the engine recycles, for
+// the per-packet hand-off nobody cancels. Arm schedules an Event embedded
+// in the struct that owns it, for a timer its owner sets again and again.
+// All three draw one seq from the same counter, so which one a site uses
+// does not change the order events run in.
 type Engine struct {
 	Clock *Clock
 	queue eventQueue
 	seq   int64
+	free  []*posted // fired Post events, for reuse; at most the peak queue depth
 
 	// cluster is the Cluster the engine was last added to, if any, and head
 	// is what stands for the engine in that cluster's ready queue: head.At
@@ -115,28 +137,82 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.Clock.Now() }
 
-// At schedules fn to run at absolute virtual time t. If t is in the past it
-// runs at the current time (next Step).
-func (e *Engine) At(t Time, fn func()) *Event {
+// schedule queues ev, which is in no queue, to fire at t, or now if t is in
+// the past.
+func (e *Engine) schedule(ev *Event, t Time) {
 	if t < e.Clock.Now() {
 		t = e.Clock.Now()
 	}
-	ev := &Event{At: t, Do: fn, seq: e.seq}
+	ev.At, ev.seq, ev.cancel = t, e.seq, false
 	e.seq++
 	e.queue.push(ev)
 	// Only an earlier head can break head.At's lower bound, so this is the
 	// one place an engine has to tell its cluster anything; pops only raise
 	// the head, and Cluster.next catches up with those at the root.
 	if c := e.cluster; c != nil {
-		if e.head.slot < 0 {
+		if e.head.pos == 0 {
 			e.head.At = t
 			c.ready.push(&e.head)
 		} else if t < e.head.At {
 			e.head.At = t
-			c.ready.up(int(e.head.slot))
+			c.ready.up(int(e.head.pos) - 1)
 		}
 	}
+}
+
+// At schedules fn to run at absolute virtual time t. If t is in the past it
+// runs at the current time (next Step).
+func (e *Engine) At(t Time, fn func()) *Event {
+	ev := &Event{Do: fn}
+	e.schedule(ev, t)
 	return ev
+}
+
+// posted is the event behind Post. The caller never sees it, so it can be
+// neither cancelled nor held past its firing, which is what makes it safe
+// to use again.
+type posted struct {
+	Event         // Do is bound to fire once, when the posted is made
+	engine        *Engine
+	fn            func(recv, payload any, n int)
+	recv, payload any
+	n             int
+}
+
+// Post schedules fn(recv, payload, n) to run at t, like At, in an event
+// taken from the engine's free list. With fn a function value that captures
+// nothing and pointers in recv and payload, a Post allocates nothing once
+// the list has grown to the queue's depth.
+func (e *Engine) Post(t Time, fn func(recv, payload any, n int), recv, payload any, n int) {
+	var p *posted
+	if last := len(e.free) - 1; last >= 0 {
+		p, e.free = e.free[last], e.free[:last]
+	} else {
+		p = &posted{engine: e}
+		p.Do = p.fire
+	}
+	p.fn, p.recv, p.payload, p.n = fn, recv, payload, n
+	e.schedule(&p.Event, t)
+}
+
+// fire hands the event back before it calls fn, operands cleared, so that
+// fn may Post again and be given the same one, and the event holds on to
+// nothing while it waits.
+func (p *posted) fire() {
+	fn, recv, payload, n := p.fn, p.recv, p.payload, p.n
+	p.fn, p.recv, p.payload = nil, nil, nil
+	p.engine.free = append(p.engine.free, p)
+	fn(recv, payload, n)
+}
+
+// Arm schedules the owner-held event ev to fire d after the current time,
+// like After, and withdraws it first if it is still queued, armed or
+// disarmed. An event is always armed on the same engine.
+func (e *Engine) Arm(ev *Event, d Duration) {
+	if ev.pos != 0 {
+		e.queue.remove(int(ev.pos) - 1)
+	}
+	e.schedule(ev, e.Clock.Now().Add(d))
 }
 
 // After schedules fn to run d after the current time.

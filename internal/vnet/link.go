@@ -254,15 +254,18 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	}
 	// Netem hooks: inspect / alter / delay / drop.
 	if len(l.hooks) > 0 {
-		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &f, Depart: departed, ExtraDelay: extra}
+		// Hooks mutate a copy, so that f escapes to the heap on a hooked
+		// link only.
+		hooked := f
+		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &hooked, Depart: departed, ExtraDelay: extra}
 		for _, hook := range l.hooks {
 			if hook(&ev) == Drop {
 				h.stats.HookDropped++
-				h.drop(f, departed, "hook-drop")
+				h.drop(hooked, departed, "hook-drop")
 				return
 			}
 		}
-		extra = ev.ExtraDelay
+		f, extra = hooked, ev.ExtraDelay
 	}
 	// Link-bandwidth serialization (bottleneck links).
 	start := departed

@@ -73,7 +73,11 @@ func (p *Port) Name() string { return p.name }
 // DeliverAt schedules the frame's forwarding step on the switch's engine —
 // the endpoint contract links deliver into.
 func (p *Port) DeliverAt(t sim.Time, f sal.NetFrame) {
-	p.sw.engine.At(t, func() { p.sw.forward(f) })
+	p.sw.engine.Post(t, forwardPosted, p.sw, f.Payload, f.Size)
+}
+
+func forwardPosted(sw, payload any, size int) {
+	sw.(*Switch).forward(sal.NetFrame{Size: size, Payload: payload})
 }
 
 // forward runs one frame through the switch at its arrival event: charge

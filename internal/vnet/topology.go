@@ -218,8 +218,13 @@ func (b *Builder) Build() (*Internet, error) {
 // computeRoutes runs one BFS per destination machine over the node graph
 // and programs, at every other node, the attachment its shortest path
 // leaves through: host stacks get AddRoute, switches get route-table
-// entries. Declaration order makes tie-breaks deterministic.
+// entries. Declaration order makes tie-breaks deterministic. A host's routes
+// are collected and installed together, one table publish per machine.
 func (b *Builder) computeRoutes(in *Internet, adj map[string][]*attachment) {
+	hostRoutes := make(map[string]map[netstack.IPAddr]*sal.NIC, len(in.machines))
+	for _, name := range in.machineOrder {
+		hostRoutes[name] = make(map[netstack.IPAddr]*sal.NIC, len(in.machines)-1)
+	}
 	for _, dstName := range in.machineOrder {
 		dstIP := in.machines[dstName].Stack.IP
 		// BFS from the destination; the edge by which a node is first
@@ -243,13 +248,16 @@ func (b *Builder) computeRoutes(in *Internet, adj map[string][]*attachment) {
 				if back == nil {
 					continue
 				}
-				if m := in.machines[v]; m != nil {
-					m.Stack.AddRoute(dstIP, back.nic)
+				if routes := hostRoutes[v]; routes != nil {
+					routes[dstIP] = back.nic
 				} else if sw := in.switches[v]; sw != nil {
 					sw.routes[dstIP] = back.port
 				}
 			}
 		}
+	}
+	for _, name := range in.machineOrder {
+		in.machines[name].Stack.AddRoutes(hostRoutes[name])
 	}
 }
 
