@@ -8,6 +8,7 @@ package spin_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -315,4 +316,162 @@ func TestXDPOverheadAtMostTwiceBareRX(t *testing.T) {
 	if ratio > 2 {
 		t.Errorf("RX with an XDP program costs %.2fx bare RX, want <= 2x", ratio)
 	}
+}
+
+// arrival is one OnData call at a receiver: how much of the stream it now
+// holds, and when.
+type arrival struct {
+	upto int
+	at   sim.Time
+}
+
+// flow is one bulk transfer's outcome.
+type flow struct {
+	arrivals    []arrival
+	established sim.Time // the sender's clock when its SYN was answered
+	retransmits int64
+}
+
+// done is when the receiver held the whole stream.
+func (f flow) done() sim.Time { return f.arrivals[len(f.arrivals)-1].at }
+
+// reached is when the receiver first held the stream's first n bytes.
+func (f flow) reached(n int) sim.Time {
+	for _, a := range f.arrivals {
+		if a.upto >= n {
+			return a.at
+		}
+	}
+	return 0
+}
+
+// runFlows streams size bytes from l<i> to r<i> for each of n pairs of a
+// dumbbell at once, every byte checked against its offset on arrival, until
+// all have arrived whole.
+func runFlows(t *testing.T, in *vnet.Internet, n, size int) []flow {
+	t.Helper()
+	flows := make([]flow, n)
+	complete := 0
+	for i := range flows {
+		f := &flows[i]
+		left, right := in.Machine("l"+strconv.Itoa(i)), in.Machine("r"+strconv.Itoa(i))
+		got := 0
+		err := right.Stack.TCP().Listen(80, netstack.InKernelDelivery, func(c *netstack.Conn) {
+			c.OnData = func(_ *netstack.Conn, b []byte) {
+				for k, v := range b {
+					if v != byte((got+k)*7+i) {
+						t.Fatalf("flow %d: byte %d arrived as %#x", i, got+k, v)
+					}
+				}
+				got += len(b)
+				f.arrivals = append(f.arrivals, arrival{got, right.Clock.Now()})
+				if got == size {
+					complete++
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := left.Stack.TCP().Connect(right.Stack.IP, 80, netstack.InKernelDelivery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.OnConnect = func(c *netstack.Conn) {
+			f.established = left.Clock.Now()
+			stream := make([]byte, size)
+			for k := range stream {
+				stream[k] = byte(k*7 + i)
+			}
+			if err := c.Send(stream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer func() { f.retransmits = conn.Retransmits() }()
+	}
+	if !in.RunUntil(func() bool { return complete == n }, sim.Time(10*60*sim.Second)) {
+		t.Fatalf("%d of %d flows complete", complete, n)
+	}
+	return flows
+}
+
+// benchDumbbell is the bulk benchmark's topology: 100 µs edges around a
+// 2 ms bottleneck that loses and reorders as given.
+func benchDumbbell(t *testing.T, pairs int, bottleneck vnet.LinkModel) *vnet.Internet {
+	t.Helper()
+	bottleneck.Latency = 2 * sim.Millisecond
+	in, err := vnet.Dumbbell(pairs, pairs, vnet.LinkModel{Latency: 100 * sim.Microsecond}, bottleneck, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// What loss costs a stream, in virtual time and so exactly. The bounds are
+// the protocol's promises; the pinned figures say when anything moved.
+func TestLossRecoveryGates(t *testing.T) {
+	// One data frame in the middle of a transfer is dropped on the
+	// bottleneck. Its bytes reach the application one round trip and three
+	// duplicate ACKs later than they would have, not a timeout later.
+	t.Run("a single loss costs a round trip", func(t *testing.T) {
+		const size, victim = 512 << 10, 150
+		var hole int // stream offset just past the dropped frame's first byte
+		run := func(drop bool) flow {
+			in, frames := benchDumbbell(t, 1, vnet.LinkModel{}), 0
+			in.Link("bottleneck").AddHook(func(ev *vnet.FrameEvent) vnet.Verdict {
+				pkt, _ := ev.Frame.Payload.(*netstack.Packet)
+				if pkt == nil || len(pkt.Payload) == 0 || ev.Dir != "sl->sr" {
+					return vnet.Pass
+				}
+				if frames++; frames != victim {
+					return vnet.Pass
+				}
+				hole = int(pkt.Seq-101) + 1 // a client's first data byte is sequence number 101
+				if drop {
+					return vnet.Drop
+				}
+				return vnet.Pass
+			})
+			return runFlows(t, in, 1, size)[0]
+		}
+		clean, lossy := run(false), run(true)
+		if clean.retransmits != 0 || lossy.retransmits != 1 {
+			t.Fatalf("%d retransmissions without the drop and %d with it, want 0 and 1", clean.retransmits, lossy.retransmits)
+		}
+		rtt := sim.Duration(clean.established)
+		recovery := lossy.reached(hole).Sub(clean.reached(hole))
+		if recovery > rtt+sim.Millisecond {
+			t.Errorf("the dropped bytes arrived %v late with a round trip of %v, want at most a round trip and 1 ms", recovery, rtt)
+		}
+		if rtt != 4553248 || recovery != 4794828 {
+			t.Errorf("round trip %d ns, recovery %d ns: the pinned figures moved", rtt, recovery)
+		}
+	})
+
+	t.Run("a clean link retransmits nothing", func(t *testing.T) {
+		f := runFlows(t, benchDumbbell(t, 1, vnet.LinkModel{}), 1, 8<<20)[0]
+		if f.retransmits != 0 {
+			t.Errorf("%d retransmissions in 8 MiB over a loss-free dumbbell", f.retransmits)
+		}
+	})
+
+	// The benchmark's two link models, two flows each way of looking.
+	t.Run("loss costs less than 10x and is shared", func(t *testing.T) {
+		const size = 2 << 20
+		last := func(fs []flow) sim.Time { return max(fs[0].done(), fs[1].done()) }
+		clean := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{}), 2, size)
+		lossy := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{
+			Loss: 0.01, Reorder: 0.02, ReorderDelay: 300 * sim.Microsecond,
+		}), 2, size)
+		if ratio := float64(last(lossy)) / float64(last(clean)); ratio > 10 {
+			t.Errorf("1%% loss and 2%% reorder take %.1fx the clean link's time, want at most 10x", ratio)
+		}
+		a, b := lossy[0].done(), lossy[1].done()
+		if ratio := float64(max(a, b)) / float64(min(a, b)); ratio > 1.5 {
+			t.Errorf("competing flows finished at %v and %v, %.2fx apart, want at most 1.5x", sim.Duration(a), sim.Duration(b), ratio)
+		}
+		if last(clean) != 318090184 || a != 843881728 || b != 877249160 {
+			t.Errorf("clean %d ns, lossy flows %d and %d ns: the pinned figures moved", last(clean), a, b)
+		}
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,15 +46,27 @@ const DefaultMSS = 1460
 // rcvWindow is the fixed receive window advertised (bytes).
 const rcvWindow = 32 * 1024
 
-// retxTimeout is the base retransmission timeout; each unacknowledged
-// retransmission doubles it (exponential backoff) up to retxBackoffCap
+// retxTimeout is the retransmission timeout before the first round-trip
+// sample and its floor after (RFC 6298 with a 200 ms minimum). Each
+// unacknowledged retransmission doubles the timeout, up to retxBackoffCap
 // doublings.
 const retxTimeout = 200 * sim.Millisecond
 
-// retxBackoffCap bounds the exponential backoff at retxTimeout << cap
-// (6.4 s), so a long outage retries at a steady cadence instead of hours
-// apart.
+// retxBackoffCap bounds the exponential backoff at sixteen times the
+// timeout (6.4 s at the floor), so a long outage retries at a steady
+// cadence instead of hours apart.
 const retxBackoffCap = 5
+
+// maxRTT caps a round-trip sample, which keeps the estimator's microsecond
+// arithmetic inside 32 bits.
+const maxRTT = 60 * sim.Second
+
+// maxCwnd caps the congestion window, in segments. The advertised window
+// (rcvWindow, 22 segments) binds long before it does.
+const maxCwnd = 128
+
+// dupAckThreshold is the number of duplicate ACKs taken as a loss (RFC 5681).
+const dupAckThreshold = 3
 
 // DefaultMaxRetx is the default retransmission cap: after this many
 // unacknowledged retransmissions of the same data (or SYN) the connection
@@ -156,7 +170,9 @@ type synShard struct {
 	m  map[connKey]synEntry
 }
 
-// Conn is one TCP connection endpoint.
+// Conn is one TCP connection endpoint. A million idle ones make every word
+// count: counters and windows are as narrow as their values, and fields are
+// ordered so that none is padded.
 type Conn struct {
 	tcp        *TCP
 	remote     IPAddr
@@ -167,10 +183,10 @@ type Conn struct {
 	// atomics: the state machine mutates them from the simulation
 	// goroutine while observers (tests, debuggers, the socket adapters'
 	// torture monitors) read them from anywhere.
-	state         atomic.Int32
-	retransmits   atomic.Int64
-	zeroWndProbes atomic.Int64
 	connErr       atomic.Pointer[error]
+	state         atomic.Int32
+	retransmits   atomic.Int32
+	zeroWndProbes atomic.Int32
 
 	// Send side.
 	sndUna, sndNxt uint32
@@ -178,25 +194,50 @@ type Conn struct {
 	// acknowledged: the first sent of them are the inflight segments'
 	// data, back to back, and the rest wait for window. Segments are cut
 	// from it and retransmitted from it; nothing is copied per segment.
+	sent     uint32
 	sendBuf  bytes.Buffer
-	sent     int
 	inflight []segment
-	cwnd     int // congestion window, segments
-	ssthresh int // slow-start threshold, segments
-	sndWnd   int // peer's advertised window, bytes
-	// retx is the retransmit timer, an owner-held event (sim.Engine.Arm)
-	// bound to onRetxTimeout the first time it is armed.
-	retx sim.Event
+	sndWnd   uint32 // peer's advertised window, bytes
+	// sndWL1 and sndWL2 are the sequence and acknowledgment numbers of the
+	// segment sndWnd was last taken from (RFC 793 §3.9): an older segment,
+	// arriving late, does not bring its window back.
+	sndWL1, sndWL2 uint32
+	// srtt and rttvar are the smoothed round-trip time and its variation
+	// (RFC 6298), in microseconds; srtt is 0 until the first sample.
+	srtt, rttvar uint32
+	// recover is SND.NXT as it was when the current (or last) loss was
+	// noticed. An ACK short of it is partial: it uncovers the next hole.
+	// Duplicate ACKs at or below it are echoes of our own retransmissions
+	// and start nothing (RFC 6582).
+	recover  uint32
+	cwnd     uint16 // congestion window, segments
+	ssthresh uint16 // slow-start threshold, segments
+	caAcked  uint16 // segments acknowledged since cwnd last grew, above ssthresh
+	dupAcks  uint8
+	phase    sendPhase
 	// retxAttempts counts consecutive unacknowledged retransmissions of
-	// the oldest outstanding data (or SYN); any forward ACK progress
-	// resets it. It selects the backoff and enforces the MaxRetx cap.
-	retxAttempts int
+	// the oldest outstanding data (or SYN) and enforces the MaxRetx cap;
+	// any forward ACK progress resets it. backoff is how many times the
+	// timeout is doubled, and only a clean round-trip sample resets that
+	// (Karn): an ACK that may answer a retransmission says the path works,
+	// not how long it is.
+	retxAttempts uint8
+	backoff      uint8
 
-	// Receive side, and which ends have closed (sharing rcvNxt's word:
-	// a million idle connections make every word of a Conn count).
-	rcvNxt     uint32
+	// Which ends have closed, then the receive side.
 	peerClosed bool
 	closed     bool
+	rcvNxt     uint32
+	// ooo holds what arrived ahead of rcvNxt. Nil until something does.
+	ooo *oooQueue
+
+	// retx is the retransmit timer, an owner-held event (sim.Engine.Arm)
+	// bound to onRetxTimer the first time it is armed, and retxAt the time
+	// it is to expire. The event may be queued for earlier: an ACK that
+	// restarts the timer moves retxAt and leaves the heap alone, and the
+	// event, firing early, re-arms itself for the remainder.
+	retx   sim.Event
+	retxAt sim.Time
 
 	delivery DeliveryCost
 
@@ -214,11 +255,40 @@ type Conn struct {
 	acceptCb func(*Conn)
 }
 
+// sendPhase is where the sender stands with respect to loss.
+type sendPhase uint8
+
+const (
+	// phaseOpen: nothing is known lost. An ACK of new data grows cwnd (by a
+	// segment below ssthresh, by a segment per window above it); the third
+	// duplicate ACK starts recovery.
+	phaseOpen sendPhase = iota
+	// phaseRecovery: fast recovery (RFC 5681 §3.2). The head was resent on
+	// the third duplicate ACK; each further duplicate inflates cwnd by the
+	// segment that left the network; a partial ACK resends the next hole;
+	// an ACK of recover deflates cwnd to ssthresh and reopens.
+	phaseRecovery
+	// phaseLoss: the retransmission timer resent the head and cwnd
+	// restarted from one segment. A partial ACK resends the next hole here
+	// too; an ACK of recover reopens.
+	phaseLoss
+)
+
 // segment is one unacknowledged segment: n bytes of sendBuf, or a FIN.
 type segment struct {
-	seq uint32
-	n   int
-	fin bool
+	at     sim.Time // when it was first sent
+	seq    uint32
+	n      uint16
+	fin    bool
+	rexmit bool // sent more than once: its ACK times nothing (Karn)
+}
+
+// end is the sequence number after the segment's last.
+func (s segment) end() uint32 {
+	if s.fin {
+		return s.seq + 1
+	}
+	return s.seq + uint32(s.n)
 }
 
 // unsent is the queued data not yet segmented.
@@ -226,9 +296,9 @@ func (c *Conn) unsent() []byte { return c.sendBuf.Bytes()[c.sent:] }
 
 // sendData cuts the next n unsent bytes into a segment and sends it.
 func (c *Conn) sendData(n int) {
+	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, n: uint16(n)})
 	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, c.unsent()[:n]))
-	c.inflight = append(c.inflight, segment{seq: c.sndNxt, n: n})
-	c.sent += n
+	c.sent += uint32(n)
 	c.sndNxt += uint32(n)
 	c.armRetx()
 }
@@ -246,11 +316,11 @@ func (c *Conn) LocalPort() uint16 { return c.localPort }
 
 // Retransmits reports how many segments were retransmitted. Safe to call
 // from any goroutine.
-func (c *Conn) Retransmits() int64 { return c.retransmits.Load() }
+func (c *Conn) Retransmits() int64 { return int64(c.retransmits.Load()) }
 
 // ZeroWindowProbes reports how many persist probes were sent against a
 // peer's zero-window advertisement. Safe to call from any goroutine.
-func (c *Conn) ZeroWindowProbes() int64 { return c.zeroWndProbes.Load() }
+func (c *Conn) ZeroWindowProbes() int64 { return int64(c.zeroWndProbes.Load()) }
 
 // Err reports why the connection failed: ErrTimedOut after retransmission
 // exhaustion, ErrClosed (wrapped) when a close discarded queued data, nil
@@ -483,7 +553,7 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 		remote: dst, localPort: local, remotePort: port,
 		cwnd: 1, ssthresh: 16, sndWnd: rcvWindow,
 		delivery: cost,
-		sndUna:   100, sndNxt: 100,
+		sndUna:   100, sndNxt: 100, recover: 100,
 	}
 	c.setState(StateSynSent)
 	t.insertConn(key, c)
@@ -555,8 +625,8 @@ func (c *Conn) queueFIN() {
 }
 
 func (c *Conn) sendFIN() {
+	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, fin: true})
 	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil))
-	c.inflight = append(c.inflight, segment{seq: c.sndNxt, fin: true})
 	c.sndNxt++
 	c.armRetx()
 }
@@ -578,10 +648,7 @@ func (c *Conn) pump() {
 			return
 		}
 		inFlightBytes := int(c.sndNxt - c.sndUna)
-		windowBytes := c.cwnd * DefaultMSS
-		if windowBytes > c.sndWnd {
-			windowBytes = c.sndWnd
-		}
+		windowBytes := min(int(c.cwnd)*DefaultMSS, int(c.sndWnd))
 		if inFlightBytes >= windowBytes {
 			return // window full; ACKs will re-pump
 		}
@@ -602,13 +669,10 @@ func (c *Conn) pump() {
 	}
 }
 
+// finInflight reports whether the FIN, always the last segment, is out.
 func (c *Conn) finInflight() bool {
-	for _, s := range c.inflight {
-		if s.fin {
-			return true
-		}
-	}
-	return false
+	n := len(c.inflight)
+	return n > 0 && c.inflight[n-1].fin
 }
 
 // seg allocates a pooled segment carrying this connection's receive window;
@@ -634,77 +698,112 @@ func (c *Conn) sendSeg(p *Packet) {
 	_ = c.tcp.stack.SendIP(p)
 }
 
-// rto is the current retransmission timeout: the base doubled per
-// consecutive unacknowledged retransmission, capped at retxBackoffCap
-// doublings.
+// rto is the current retransmission timeout (RFC 6298): SRTT + 4 RTTVAR,
+// never below retxTimeout, doubled per backoff.
 func (c *Conn) rto() sim.Duration {
-	shift := c.retxAttempts
-	if shift > retxBackoffCap {
-		shift = retxBackoffCap
-	}
-	return retxTimeout << shift
+	d := sim.Duration(int64(c.srtt)+4*int64(c.rttvar)) * sim.Microsecond
+	return max(d, retxTimeout) << c.backoff
 }
 
+// sampleRTT folds one round-trip measurement into the estimator. A clean
+// sample also ends any backoff.
+func (c *Conn) sampleRTT(r sim.Duration) {
+	us := uint32(max(min(r, maxRTT)/sim.Microsecond, 1))
+	if c.srtt == 0 {
+		c.srtt, c.rttvar = us, us/2
+	} else {
+		dev := max(c.srtt, us) - min(c.srtt, us)
+		c.rttvar = (3*c.rttvar + dev) / 4
+		c.srtt = (7*c.srtt + us) / 8
+	}
+	c.backoff = 0
+}
+
+// armRetx starts the retransmission timer unless it is running.
 func (c *Conn) armRetx() {
-	if c.retx.Armed() {
+	if !c.retx.Armed() {
+		c.restartRetx()
+	}
+}
+
+// restartRetx sets the timer to expire one RTO from now. A queued event
+// due no later than that stays where it is and onRetxTimer re-arms it for
+// the difference, so restarting on every ACK of new data costs no heap
+// operation.
+func (c *Conn) restartRetx() {
+	s, d := c.tcp.stack, c.rto()
+	c.retxAt = s.clock.Now().Add(d)
+	if c.retx.Armed() && c.retx.At <= c.retxAt {
 		return
 	}
 	if c.retx.Do == nil {
-		c.retx.Do = c.onRetxTimeout
+		c.retx.Do = c.onRetxTimer
 	}
-	c.tcp.stack.engine.Arm(&c.retx, c.rto())
+	s.engine.Arm(&c.retx, d)
 }
 
 func (c *Conn) cancelRetx() { c.retx.Disarm() }
 
-// lossBackoff is the response to a retransmission timeout: multiplicative
-// decrease, back to slow start.
-func (c *Conn) lossBackoff() {
-	c.ssthresh = c.cwnd / 2
-	if c.ssthresh < 1 {
-		c.ssthresh = 1
-	}
-	c.cwnd = 1
-	c.retransmits.Add(1)
-}
-
 // retxExhausted enforces the retransmission cap: past tcp.maxRetx
 // consecutive unacknowledged retransmissions the connection fails with
 // ErrTimedOut — teardown fires OnClose and removes it from the shard
-// table. Reports true when the caller must stop retransmitting.
+// table. Reports true when the caller must stop retransmitting. Otherwise
+// it counts the attempt and doubles the timeout.
 func (c *Conn) retxExhausted() bool {
-	if c.retxAttempts < c.tcp.maxRetx {
-		return false
+	if int(c.retxAttempts) >= c.tcp.maxRetx {
+		c.tcp.timedOut.Add(1)
+		c.setErr(ErrTimedOut)
+		c.teardown()
+		return true
 	}
-	c.tcp.timedOut.Add(1)
-	c.setErr(ErrTimedOut)
-	c.teardown()
-	return true
+	c.retxAttempts++
+	c.backoff = min(c.backoff+1, retxBackoffCap)
+	return false
 }
 
-func (c *Conn) onRetxTimeout() {
+// resendHead retransmits the oldest unacknowledged segment, the hole the
+// peer's cumulative ACK stops at.
+func (c *Conn) resendHead() {
+	s := &c.inflight[0]
+	s.rexmit = true
+	flags := FlagACK
+	if s.fin {
+		flags |= FlagFIN
+	}
+	c.retransmits.Add(1)
+	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.sendBuf.Bytes()[:s.n]))
+}
+
+// onRetxTimer is the retransmit event firing: early, if ACKs have moved the
+// deadline since it was queued, or as the retransmission timeout.
+func (c *Conn) onRetxTimer() {
+	s := c.tcp.stack
+	if now := s.clock.Now(); now < c.retxAt {
+		s.engine.Arm(&c.retx, c.retxAt.Sub(now))
+		return
+	}
 	switch {
 	case c.State() == StateSynSent:
 		if c.retxExhausted() {
 			return
 		}
-		c.retxAttempts++
-		c.lossBackoff()
+		c.retransmits.Add(1)
 		c.sendSeg(c.seg(FlagSYN, c.sndUna, 0, nil))
-		c.armRetx()
+		c.restartRetx()
 	case len(c.inflight) > 0:
 		if c.retxExhausted() {
 			return
 		}
-		c.retxAttempts++
-		c.lossBackoff()
-		s := c.inflight[0]
-		flags := FlagACK
-		if s.fin {
-			flags |= FlagFIN
+		// RFC 5681 §3.1: half the flight on the first timeout of this
+		// segment, held on the ones after; then slow start from one
+		// segment, resending holes as partial ACKs uncover them.
+		if c.retxAttempts == 1 {
+			c.ssthresh = uint16(max(len(c.inflight)/2, 2))
 		}
-		c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.sendBuf.Bytes()[:s.n]))
-		c.armRetx()
+		c.cwnd, c.caAcked, c.dupAcks = 1, 0, 0
+		c.phase, c.recover = phaseLoss, c.sndNxt
+		c.resendHead()
+		c.restartRetx()
 	case c.sndWnd == 0 && len(c.unsent()) > 0 && c.State() != StateClosed:
 		// Zero-window persist (RFC 1122 §4.2.2.17): the peer advertised
 		// window 0 and will send nothing further on its own; probe with a
@@ -857,9 +956,9 @@ func (t *TCP) completeHandshake(key connKey, e synEntry, pkt *Packet) {
 		tcp:    t,
 		remote: pkt.Src, localPort: pkt.DstPort, remotePort: pkt.SrcPort,
 		cwnd: 1, ssthresh: 16,
-		sndWnd:   e.wnd,
+		sndWnd: uint32(e.wnd), sndWL1: e.rcvNxt - 1, sndWL2: e.iss + 1,
 		delivery: l.cost,
-		sndUna:   e.iss + 1, sndNxt: e.iss + 1,
+		sndUna:   e.iss + 1, sndNxt: e.iss + 1, recover: e.iss,
 		rcvNxt:   e.rcvNxt,
 		acceptCb: l.accept,
 	}
@@ -914,31 +1013,21 @@ func (t *TCP) reset(pkt *Packet) {
 // handle runs the per-connection state machine for one segment.
 func (c *Conn) handle(pkt *Packet) {
 	c.delivery(c.tcp.stack.clock, pkt)
-	if pkt.Flags&FlagRST != 0 {
-		c.teardown()
+	if c.State() == StateSynSent {
+		c.handleSynSent(pkt)
 		return
 	}
-	// The advertised window is taken at face value — including zero. A
-	// zero window pauses pump(), and the persist probe in onRetxTimeout
-	// keeps testing for it to reopen.
-	c.sndWnd = pkt.Window
-	if c.State() == StateSynSent {
-		if pkt.Flags&(FlagSYN|FlagACK) == FlagSYN|FlagACK && pkt.Ack == c.sndNxt {
-			c.sndUna = pkt.Ack
-			c.rcvNxt = pkt.Seq + 1
-			c.setState(StateEstablished)
-			c.retxAttempts = 0
-			c.cancelRetx()
-			c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
-			if c.OnConnect != nil {
-				c.OnConnect(c)
-			}
-			c.pump()
+	if pkt.Flags&FlagRST != 0 {
+		// RFC 5961 §3.2: a RST is believed at exactly RCV.NXT, challenged
+		// with an ACK elsewhere in the window, and dropped outside it.
+		if d := pkt.Seq - c.rcvNxt; d == 0 {
+			c.teardown()
+		} else if d < rcvWindow {
+			c.sendAck()
 		}
 		return
 	}
-
-	if pkt.Flags&FlagACK != 0 && !c.onAck(pkt.Ack) {
+	if pkt.Flags&FlagACK != 0 && !c.onAck(pkt) {
 		return
 	}
 	if len(pkt.Payload) > 0 {
@@ -949,50 +1038,106 @@ func (c *Conn) handle(pkt *Packet) {
 	}
 }
 
+// handleSynSent takes the answer to our SYN: the SYN-ACK, or a RST, which
+// counts only if it acknowledges the SYN (RFC 793 §3.9).
+func (c *Conn) handleSynSent(pkt *Packet) {
+	if pkt.Flags&FlagACK == 0 || pkt.Ack != c.sndNxt {
+		return
+	}
+	if pkt.Flags&FlagRST != 0 {
+		c.teardown()
+		return
+	}
+	if pkt.Flags&FlagSYN == 0 {
+		return
+	}
+	c.sndUna = pkt.Ack
+	c.rcvNxt = pkt.Seq + 1
+	// The advertised window is taken at face value — including zero. A
+	// zero window pauses pump(), and the persist probe in onRetxTimer
+	// keeps testing for it to reopen.
+	c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, pkt.Ack
+	c.setState(StateEstablished)
+	c.retxAttempts = 0
+	c.cancelRetx()
+	c.sendAck()
+	if c.OnConnect != nil {
+		c.OnConnect(c)
+	}
+	c.pump()
+}
+
+// sendAck sends a bare ACK of everything received in order so far.
+func (c *Conn) sendAck() { c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil)) }
+
 // onAck processes an acknowledgment and reports whether the segment
 // carrying it is acceptable. An ACK for data never sent (RFC 793 §3.9:
 // SEG.ACK > SND.NXT) is answered with an ACK and the whole segment dropped.
-func (c *Conn) onAck(ack uint32) bool {
+func (c *Conn) onAck(pkt *Packet) bool {
+	ack := pkt.Ack
 	if int32(ack-c.sndNxt) > 0 {
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+		c.sendAck()
 		return false
 	}
-	if int32(ack-c.sndUna) <= 0 {
-		return true // duplicate/old
+	if int32(ack-c.sndUna) < 0 {
+		return true // older than what we know, its window included
 	}
+	// RFC 5681 §2: a duplicate ACK repeats SND.UNA while data is
+	// outstanding and carries nothing else, no data, SYN, FIN or new window.
+	dup := ack == c.sndUna && len(c.inflight) > 0 && len(pkt.Payload) == 0 && pkt.Flags&(FlagSYN|FlagFIN) == 0
+	if d := int32(pkt.Seq - c.sndWL1); d > 0 || d == 0 && int32(ack-c.sndWL2) >= 0 {
+		dup = dup && uint32(pkt.Window) == c.sndWnd
+		c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, ack
+	}
+	if ack == c.sndUna {
+		if dup {
+			c.onDupAck()
+		}
+		return true
+	}
+
+	// Forward progress: the peer is alive, so the retransmission cap
+	// restarts from scratch for whatever is still outstanding.
 	c.sndUna = ack
-	// Forward progress: the peer is alive, so the retransmission backoff
-	// and cap restart from scratch for whatever is still outstanding.
-	c.retxAttempts = 0
-	// Drop fully acknowledged segments.
-	keep := c.inflight[:0]
-	finAcked, acked := false, 0
-	for _, s := range c.inflight {
-		end := s.seq + uint32(s.n)
-		if s.fin {
-			end = s.seq + 1
-		}
-		if int32(end-ack) <= 0 {
-			if s.fin {
-				finAcked = true
-			}
-			acked += s.n
-			// Congestion window growth per ACKed segment: slow
-			// start below ssthresh, then linear.
-			if c.cwnd < c.ssthresh {
-				c.cwnd++
-			} else if c.cwnd < 128 {
-				c.cwnd++ // coarse linear growth per window-full
-			}
-			continue
-		}
-		keep = append(keep, s)
+	c.retxAttempts, c.dupAcks = 0, 0
+	// Drop fully acknowledged segments. The newest of them times the
+	// round trip, unless any was sent twice (Karn).
+	n, acked, finAcked, clean := 0, 0, false, true
+	for ; n < len(c.inflight) && int32(c.inflight[n].end()-ack) <= 0; n++ {
+		s := c.inflight[n]
+		acked += int(s.n)
+		finAcked = finAcked || s.fin
+		clean = clean && !s.rexmit
 	}
-	c.inflight = keep
-	c.sent -= acked
+	if n > 0 && clean {
+		c.sampleRTT(c.tcp.stack.clock.Now().Sub(c.inflight[n-1].at))
+	}
+	c.inflight = c.inflight[:copy(c.inflight, c.inflight[n:])]
+	c.sent -= uint32(acked)
 	c.sendBuf.Next(acked)
 	if len(c.inflight) == 0 {
 		c.cancelRetx()
+	} else {
+		c.restartRetx()
+	}
+	// Fast recovery deflates the window it inflated: to ssthresh when it
+	// ends, else by what was acknowledged less the segment about to go out.
+	// An ACK short of recover is partial (never so in phaseOpen, where
+	// recover is behind SND.UNA): it uncovers the next hole, which is
+	// resent at once (RFC 6582 §3.2; the same after a timeout).
+	full := int32(ack-c.recover) >= 0
+	switch {
+	case c.phase != phaseRecovery:
+		c.grow(n)
+	case full:
+		c.cwnd, c.caAcked = c.ssthresh, 0
+	default:
+		c.cwnd = uint16(max(int(c.cwnd)-n, 0) + 1)
+	}
+	if full {
+		c.phase = phaseOpen
+	} else {
+		c.resendHead()
 	}
 	if finAcked {
 		switch c.State() {
@@ -1007,36 +1152,209 @@ func (c *Conn) onAck(ack uint32) bool {
 	return true
 }
 
-func (c *Conn) onData(pkt *Packet) {
-	if pkt.Seq != c.rcvNxt {
-		// Out of order: re-ACK what we have; sender retransmits.
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
-		return
+// grow opens the congestion window for n newly acknowledged segments: a
+// segment for each below ssthresh (slow start), a segment for each
+// window's worth of them above it (congestion avoidance, RFC 5681 §3.1).
+func (c *Conn) grow(n int) {
+	for ; n > 0; n-- {
+		if c.cwnd < c.ssthresh {
+			c.cwnd++
+		} else if c.caAcked++; c.caAcked >= c.cwnd {
+			c.caAcked = 0
+			c.cwnd = min(c.cwnd+1, maxCwnd)
+		}
 	}
-	c.rcvNxt += uint32(len(pkt.Payload))
-	if c.OnData != nil {
-		c.OnData(c, pkt.Payload)
-	}
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
 }
 
+// onDupAck counts a duplicate ACK. The third starts fast retransmit and
+// fast recovery (RFC 5681 §3.2) unless it only echoes an earlier recovery's
+// retransmissions (RFC 6582 §3.2, step 2); inside recovery each one means a
+// segment has left the network and lets one more in.
+func (c *Conn) onDupAck() {
+	switch c.phase {
+	case phaseRecovery:
+		c.cwnd = min(c.cwnd+1, maxCwnd)
+		c.pump()
+	case phaseOpen:
+		// (A count that wraps round to three again finds SND.UNA where it
+		// was, and the same answer.)
+		if c.dupAcks++; c.dupAcks == dupAckThreshold && int32(c.sndUna-c.recover) > 0 {
+			c.ssthresh = uint16(max(len(c.inflight)/2, 2))
+			c.cwnd = c.ssthresh + dupAckThreshold
+			c.phase, c.recover = phaseRecovery, c.sndNxt
+			c.resendHead()
+		}
+	}
+}
+
+// onData takes a segment's payload. The in-order case, with nothing queued
+// ahead of it, is the whole steady state.
+func (c *Conn) onData(pkt *Packet) {
+	if pkt.Seq != c.rcvNxt || c.ooo != nil {
+		c.onDataOutOfOrder(pkt.Seq, pkt.Payload)
+		return
+	}
+	c.deliver(pkt.Payload)
+	c.sendAck()
+}
+
+// onDataOutOfOrder is onData in general: the payload may start before
+// RCV.NXT (the part already delivered is trimmed), at it (delivered, and
+// whatever it joins up with in the queue behind it), or after it (queued).
+// Every case is answered at once with an ACK of RCV.NXT: a duplicate if
+// the segment left a hole, which is what the sender's fast retransmit
+// counts, and one covering everything when the hole has filled.
+func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
+	if old := int32(c.rcvNxt - seq); old > 0 {
+		seq, p = c.rcvNxt, p[min(int(old), len(p)):]
+	}
+	switch {
+	case len(p) == 0:
+	case seq == c.rcvNxt:
+		c.deliver(p)
+		c.drainOOO()
+	default:
+		c.queueOOO(seq, p)
+	}
+	c.sendAck()
+	if q := c.ooo; q != nil && q.fin && q.finSeq == c.rcvNxt {
+		c.takeFIN()
+	}
+}
+
+// deliver hands the next in-order bytes to the application.
+func (c *Conn) deliver(p []byte) {
+	c.rcvNxt += uint32(len(p))
+	if c.OnData != nil {
+		c.OnData(c, p)
+	}
+}
+
+// oooQueue is the receive side's out-of-order queue: the bytes that
+// arrived ahead of RCV.NXT, kept so that the segment that fills the hole
+// releases them all and the sender resends only what was lost. It is bounded
+// by the advertised window twice over. The bytes live in one ring of
+// rcvWindow bytes, the byte with sequence number s at buf[s%rcvWindow], so a
+// segment reaching past RCV.NXT+rcvWindow has nowhere to go and is dropped;
+// and at most maxOOORuns separate runs are tracked, so a peer dribbling
+// one-byte segments with gaps cannot grow the bookkeeping (a segment that
+// would start one run more is dropped too). Both are within what the
+// sender was told: it retransmits.
+type oooQueue struct {
+	buf []byte
+	// runs are the queued byte ranges, ascending, disjoint and not
+	// touching.
+	runs []seqRange
+	// fin records a FIN that arrived ahead of a hole, at finSeq.
+	fin    bool
+	finSeq uint32
+}
+
+type seqRange struct{ start, end uint32 }
+
+const maxOOORuns = 32
+
+// The ring is indexed with a mask, so rcvWindow must be a power of two
+// (anything else makes this constant negative, which does not convert).
+const _ = uint(-(rcvWindow & (rcvWindow - 1)))
+
+// queue returns the connection's out-of-order queue, made on first use.
+func (c *Conn) queue() *oooQueue {
+	if c.ooo == nil {
+		c.ooo = &oooQueue{buf: make([]byte, rcvWindow), runs: make([]seqRange, 0, maxOOORuns)}
+	}
+	return c.ooo
+}
+
+// queueOOO keeps p, which starts at seq, ahead of RCV.NXT.
+func (c *Conn) queueOOO(seq uint32, p []byte) {
+	end := seq + uint32(len(p))
+	if end-c.rcvNxt > rcvWindow {
+		return
+	}
+	q := c.queue()
+	// The runs from i up to j overlap or touch [seq, end): they merge.
+	i := 0
+	for i < len(q.runs) && int32(q.runs[i].end-seq) < 0 {
+		i++
+	}
+	j := i
+	for j < len(q.runs) && int32(q.runs[j].start-end) <= 0 {
+		j++
+	}
+	if i == j {
+		if len(q.runs) == maxOOORuns {
+			return
+		}
+		q.runs = slices.Insert(q.runs, i, seqRange{seq, end})
+	} else {
+		r := &q.runs[i]
+		if int32(seq-r.start) < 0 {
+			r.start = seq
+		}
+		if r.end = q.runs[j-1].end; int32(end-r.end) > 0 {
+			r.end = end
+		}
+		q.runs = slices.Delete(q.runs, i+1, j)
+	}
+	at := seq & (rcvWindow - 1)
+	copy(q.buf, p[copy(q.buf[at:], p):])
+}
+
+// drainOOO delivers every queued run RCV.NXT has reached.
+func (c *Conn) drainOOO() {
+	q := c.ooo
+	for q != nil && q == c.ooo && len(q.runs) > 0 && int32(q.runs[0].start-c.rcvNxt) <= 0 {
+		r := q.runs[0]
+		q.runs = slices.Delete(q.runs, 0, 1)
+		if n := int32(r.end - c.rcvNxt); n > 0 {
+			at := c.rcvNxt & (rcvWindow - 1)
+			first := q.buf[at:min(at+uint32(n), rcvWindow)]
+			c.deliver(first)
+			if rest := int(n) - len(first); rest > 0 {
+				c.deliver(q.buf[:rest])
+			}
+		}
+	}
+}
+
+// onFIN handles the FIN flag of a segment whose payload has been taken. A
+// FIN is processed in sequence like any other octet (RFC 793 §3.9): one
+// ahead of a hole waits in the queue, and one already taken, resent
+// because our ACK was lost, is acknowledged again.
 func (c *Conn) onFIN(pkt *Packet) {
-	c.rcvNxt = pkt.Seq + uint32(len(pkt.Payload)) + 1
+	seq := pkt.Seq + uint32(len(pkt.Payload))
+	switch d := int32(seq - c.rcvNxt); {
+	case d == 0:
+		c.takeFIN()
+		return
+	case d > 0 && d < rcvWindow:
+		q := c.queue()
+		q.fin, q.finSeq = true, seq
+	}
+	if len(pkt.Payload) == 0 {
+		c.sendAck() // the payload's ACK said the same
+	}
+}
+
+// takeFIN consumes the peer's FIN at RCV.NXT.
+func (c *Conn) takeFIN() {
+	c.rcvNxt++
 	c.peerClosed = true
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+	if c.ooo != nil {
+		c.ooo.fin = false
+	}
+	c.sendAck()
 	switch c.State() {
 	case StateEstablished:
 		c.setState(StateCloseWait)
-	case StateFinWait1:
-		// Simultaneous close; treat as FIN_WAIT_2 -> TIME_WAIT.
+		if c.OnClose != nil {
+			c.OnClose(c)
+		}
+	case StateFinWait1, StateFinWait2:
+		// FIN_WAIT_1 here is a simultaneous close, taken as FIN_WAIT_2's.
 		c.setState(StateTimeWait)
 		c.startTimeWait()
-	case StateFinWait2:
-		c.setState(StateTimeWait)
-		c.startTimeWait()
-	}
-	if c.OnClose != nil && c.State() == StateCloseWait {
-		c.OnClose(c)
 	}
 }
 
@@ -1056,6 +1374,7 @@ func (c *Conn) teardown() {
 		return
 	}
 	c.cancelRetx()
+	c.ooo = nil
 	prev := c.State()
 	c.setState(StateClosed)
 	c.tcp.removeConn(tcpKey(c.remote, c.remotePort, c.localPort))
@@ -1070,7 +1389,7 @@ func (t *TCP) SetMaxRetx(n int) {
 	if n <= 0 {
 		n = DefaultMaxRetx
 	}
-	t.maxRetx = n
+	t.maxRetx = min(n, math.MaxUint8) // Conn.retxAttempts is a byte
 }
 
 // Conns reports the number of live connections: the sum of the per-shard
@@ -1081,6 +1400,24 @@ func (t *TCP) Conns() int {
 		n += t.shards[i].n.Load()
 	}
 	return int(n)
+}
+
+// Unsettled counts the live connections holding out-of-order data and those
+// with the retransmit timer running. On a topology run until nothing is
+// left to happen, either is a leak. It reads every connection, so it is for
+// tests and debuggers, on the simulation goroutine.
+func (t *TCP) Unsettled() (queued, armed int) {
+	for i := range t.shards {
+		for _, e := range t.shards[i].load() {
+			if q := e.c.ooo; q != nil && (len(q.runs) > 0 || q.fin) {
+				queued++
+			}
+			if e.c.retx.Armed() {
+				armed++
+			}
+		}
+	}
+	return queued, armed
 }
 
 // TCPStats is a point-in-time summary of the TCP module.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spin/internal/dispatch"
 	"spin/internal/domain"
@@ -332,5 +333,18 @@ func TestWireCodecPooledParity(t *testing.T) {
 
 	if _, err := ParsePacketPooled(plain[:10]); err == nil {
 		t.Fatal("short frame must not parse")
+	}
+}
+
+// A million idle connections pay for every byte of Conn, and Go rounds the
+// allocation up to a size class (240, then 256). Loss recovery's state came
+// out of fields that were wider than their values; what only a connection
+// in trouble needs sits behind the one ooo pointer.
+func TestConnSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(Conn{}); got != 240 {
+		t.Errorf("Conn is %d bytes, pinned at 240 (budget 256, the next size class)", got)
+	}
+	if got := unsafe.Sizeof(segment{}); got != 16 {
+		t.Errorf("an inflight record is %d bytes, pinned at 16", got)
 	}
 }

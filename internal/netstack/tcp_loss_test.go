@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"testing"
 
 	"spin/internal/sal"
@@ -144,5 +145,65 @@ func TestUDPIsLossyByDesign(t *testing.T) {
 	}
 	if a.nic.Dropped()+sink.Packets() != n {
 		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", a.nic.Dropped(), sink.Packets(), n)
+	}
+}
+
+// dropWire drops the frames its filter picks and passes the rest on.
+type dropWire struct {
+	sal.Wire
+	drop func(*Packet) bool
+}
+
+func (w *dropWire) Transmit(f sal.NetFrame, departed sim.Time) {
+	if p, ok := f.Payload.(*Packet); ok && w.drop(p) {
+		sal.ReleaseFrame(f)
+		return
+	}
+	w.Wire.Transmit(f, departed)
+}
+
+// A FIN that arrives ahead of a lost data segment must wait for it: every
+// HTTP response sends its FIN right behind its last segment, so on a lossy
+// link this is the common case. The receiver used to take the FIN's
+// sequence number as RCV.NXT and report a clean close with the data
+// missing, and the sender, its FIN acknowledged past the hole, dropped the
+// bytes as delivered.
+func TestFinOvertakesLostData(t *testing.T) {
+	a, _, cl, client, server := establishedPair(t)
+	var got []byte
+	peerClosed := false
+	server.OnData = func(_ *Conn, d []byte) { got = append(got, d...) }
+	server.OnClose = func(*Conn) { peerClosed = true }
+	dropped := 0
+	a.nic.AttachWire(&dropWire{Wire: a.nic.Wire(), drop: func(p *Packet) bool {
+		if len(p.Payload) > 0 && dropped == 0 {
+			dropped++
+			return true
+		}
+		return false
+	}})
+	payload := bytes.Repeat([]byte("spin"), 250)
+	if err := client.Send(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(sim.Time(60 * sim.Second))
+	if dropped != 1 {
+		t.Fatalf("dropped %d data segments, want the one", dropped)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Errorf("receiver got %d of %d bytes (peer close reported: %v, sender retransmits: %d, sender state %v)",
+			len(got), len(payload), peerClosed, client.Retransmits(), client.State())
+	}
+	if !peerClosed {
+		t.Error("receiver never saw the close")
+	}
+	if client.Retransmits() == 0 {
+		t.Error("sender never retransmitted the lost segment")
+	}
+	if client.State() != StateFinWait2 || server.State() != StateCloseWait {
+		t.Errorf("client %v, server %v, want FIN_WAIT_2 and CLOSE_WAIT", client.State(), server.State())
 	}
 }

@@ -76,11 +76,13 @@ func TestTCPRSTMidConnection(t *testing.T) {
 	client, srv := establish(t, a, b, cl)
 	closed := false
 	client.OnClose = func(*Conn) { closed = true }
-	// Forge a RST from the server side (e.g. its process died).
+	// Forge a RST from the server side (e.g. its process died), at the
+	// sequence number its next segment would carry. One anywhere else is
+	// not believed: TestTCPScript's rfc5961 rows.
 	rp, lp := (*srv).localPort, (*srv).remotePort
 	rst := &Packet{
 		Src: b.stack.IP, Dst: a.stack.IP, Proto: ProtoTCP,
-		SrcPort: rp, DstPort: lp, Flags: FlagRST, TTL: 32,
+		SrcPort: rp, DstPort: lp, Flags: FlagRST, Seq: (*srv).sndNxt, TTL: 32,
 	}
 	_ = b.stack.SendIP(rst)
 	cl.Run(sim.Time(60 * sim.Second))

@@ -51,11 +51,20 @@ func newPhysAddrService(sys *System) *PhysAddrService {
 		total:    sys.Phys.NumFrames(),
 	}
 	// Seed free lists; low frames are reserved for the kernel image
-	// (first 2 MB), as on real hardware.
+	// (first 2 MB), as on real hardware. Colours go round the frames, so
+	// each list is cut from one slab with room for its share and no more:
+	// one allocation a machine, not one per list growth, and a list that
+	// does outgrow its share moves out by itself.
 	reserved := (2 << 20) / sal.PageSize
-	for f := reserved; f < sys.Phys.NumFrames(); f++ {
+	share := max(svc.total-reserved, 0)/sal.NumColors + 1
+	slab := make([]uint64, share*sal.NumColors)
+	for f := reserved; f < svc.total; f++ {
 		fr, _ := sys.Phys.Frame(uint64(f))
-		svc.free[fr.Color] = append(svc.free[fr.Color], uint64(f))
+		list, ok := svc.free[fr.Color]
+		if !ok {
+			list = slab[fr.Color*share:][:0:share]
+		}
+		svc.free[fr.Color] = append(list, uint64(f))
 	}
 	return svc
 }

@@ -230,14 +230,16 @@ type MatrixConfig struct {
 }
 
 // Deadline is the virtual-time budget for one matrix cell: generous enough
-// for lossy, partitioned transfers (retransmission timeout is 200ms
-// virtual), tight enough that a wedged transfer fails fast.
+// for lossy, partitioned transfers (the retransmission timeout starts at
+// 200ms virtual and doubles), tight enough that a wedged transfer fails
+// fast.
 const matrixDeadline = sim.Time(120 * sim.Second)
 
-// RunMatrixCell builds the cell's topology, drives its conversations, and
-// returns the results plus the run's fingerprint. Every transfer must
-// complete with zero corruption; the first violation is the returned error.
-func RunMatrixCell(cfg MatrixConfig) ([]ConvResult, uint64, error) {
+// RunMatrixCell builds the cell's topology and drives its conversations.
+// Every transfer must complete with zero corruption; the first violation is
+// the returned error. The topology comes back as the conversations left it,
+// for its fingerprint, its links' counters and its stacks.
+func RunMatrixCell(cfg MatrixConfig) (*Internet, []ConvResult, error) {
 	spoke := LinkModel{
 		Latency:      200 * sim.Microsecond,
 		Loss:         cfg.Loss,
@@ -246,13 +248,13 @@ func RunMatrixCell(cfg MatrixConfig) ([]ConvResult, uint64, error) {
 	}
 	in, err := Star(cfg.Machines, spoke, cfg.Seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if cfg.Partition {
 		// Cut host 0's spoke 1ms in — early enough that no transfer over
 		// it has finished — and heal it at 600ms; TCP must ride it out.
 		if err := in.FlapLink("h0~s0", sim.Time(1*sim.Millisecond), sim.Time(600*sim.Millisecond)); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
 	convs := make([]Conversation, cfg.Conversations)
@@ -265,18 +267,18 @@ func RunMatrixCell(cfg MatrixConfig) ([]ConvResult, uint64, error) {
 	}
 	results, err := RunConversations(in, convs, matrixDeadline)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	for _, r := range results {
 		if !r.Complete {
-			return results, 0, fmt.Errorf("vnet: %s: %s->%s:%d incomplete (%d/%d bytes)",
+			return in, results, fmt.Errorf("vnet: %s: %s->%s:%d incomplete (%d/%d bytes)",
 				cfg.Name, r.From, r.To, r.Port, r.Received, cfg.Bytes)
 		}
 		if r.Corrupt {
-			return results, 0, fmt.Errorf("vnet: %s: %s->%s:%d corrupted", cfg.Name, r.From, r.To, r.Port)
+			return in, results, fmt.Errorf("vnet: %s: %s->%s:%d corrupted", cfg.Name, r.From, r.To, r.Port)
 		}
 	}
-	return results, in.Fingerprint(), nil
+	return in, results, nil
 }
 
 // DefaultMatrix is the harness's standard sweep: loss × reorder ×

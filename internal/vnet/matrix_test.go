@@ -19,13 +19,14 @@ func TestConversationMatrix(t *testing.T) {
 	for _, cfg := range matrix {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			results, fp, err := RunMatrixCell(cfg)
+			in, results, err := RunMatrixCell(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(results) != cfg.Conversations {
 				t.Fatalf("got %d results, want %d", len(results), cfg.Conversations)
 			}
+			var retx int64
 			for _, r := range results {
 				if !r.Complete {
 					t.Errorf("%s->%s:%d incomplete (%d bytes)", r.From, r.To, r.Port, r.Received)
@@ -33,22 +34,38 @@ func TestConversationMatrix(t *testing.T) {
 				if r.Corrupt {
 					t.Errorf("%s->%s:%d corrupted", r.From, r.To, r.Port)
 				}
+				retx += r.Retransmits
 			}
 			// Lossy and partitioned cells must actually have hurt.
-			if cfg.Loss > 0 || cfg.Partition {
-				var retx int64
-				for _, r := range results {
-					retx += r.Retransmits
-				}
-				if retx == 0 {
-					t.Error("adverse cell saw zero retransmissions — faults not exercised")
-				}
+			if (cfg.Loss > 0 || cfg.Partition) && retx == 0 {
+				t.Error("adverse cell saw zero retransmissions — faults not exercised")
+			}
+			// And no more than they had to: at most two retransmissions
+			// for each frame a link lost or delayed (measured: never more
+			// than one), none on a clean cell. Go-back-N by timeout broke
+			// this in three cells on transfers this short.
+			var faults int64
+			for _, name := range in.Links() {
+				ab, ba := in.Link(name).Stats()
+				faults += ab.Lost + ab.Down + ab.Reordered + ba.Lost + ba.Down + ba.Reordered
+			}
+			if retx > 2*faults {
+				t.Errorf("%d retransmissions for %d frames lost, cut off or reordered, want at most 2 each", retx, faults)
 			}
 			// Replay: the same cell reruns to the same fingerprint.
-			if _, fp2, err := RunMatrixCell(cfg); err != nil {
+			if in2, _, err := RunMatrixCell(cfg); err != nil {
 				t.Fatalf("replay: %v", err)
-			} else if fp2 != fp {
+			} else if fp, fp2 := in.Fingerprint(), in2.Fingerprint(); fp2 != fp {
 				t.Errorf("replay fingerprint %#x != first run %#x", fp2, fp)
+			}
+			// Run to quiescence, no connection is left holding data it
+			// could not deliver or a timer for data nobody owes it.
+			in.Run(0)
+			for _, name := range in.Machines() {
+				if queued, armed := in.Machine(name).Stack.TCP().Unsettled(); queued != 0 || armed != 0 {
+					t.Errorf("%s at rest: %d connections with out-of-order data queued, %d with the retransmit timer running",
+						name, queued, armed)
+				}
 			}
 		})
 	}
@@ -64,7 +81,7 @@ func TestTopologySmoke32(t *testing.T) {
 		Loss: 0.01, Reorder: 0.05,
 		Conversations: 8, Bytes: 8 << 10, Seed: 3232,
 	}
-	results, fp, err := RunMatrixCell(cfg)
+	in, results, err := RunMatrixCell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +90,11 @@ func TestTopologySmoke32(t *testing.T) {
 			t.Fatalf("smoke transfer failed: %+v", r)
 		}
 	}
-	_, fp2, err := RunMatrixCell(cfg)
+	in2, _, err := RunMatrixCell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != fp2 {
+	if fp, fp2 := in.Fingerprint(), in2.Fingerprint(); fp != fp2 {
 		t.Fatalf("smoke digest mismatch: %#x vs %#x", fp, fp2)
 	}
 }
@@ -88,15 +105,15 @@ func TestMatrixCellsDistinct(t *testing.T) {
 	a := MatrixConfig{Name: "a", Machines: 4, Conversations: 2, Bytes: 4 << 10, Seed: 1}
 	b := a
 	b.Name, b.Loss, b.Seed = "b", 0.05, 1
-	_, fpA, err := RunMatrixCell(a)
+	inA, _, err := RunMatrixCell(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fpB, err := RunMatrixCell(b)
+	inB, _, err := RunMatrixCell(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fpA == fpB {
+	if fpA, fpB := inA.Fingerprint(), inB.Fingerprint(); fpA == fpB {
 		t.Errorf("clean and lossy cells share fingerprint %#x", fpA)
 	}
 }
