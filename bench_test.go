@@ -115,10 +115,10 @@ func BenchmarkParallelRX4(b *testing.B) { benchmarkParallelRX(b, 4) }
 
 // BenchmarkMillionConns holds 2^20 concurrent established connections in
 // one stack — the C10M scaling claim — and reports per-connection setup
-// cost and heap. Setup cost must stay O(1) in table size: an insert copies
-// one ~16-entry shard, never the table (compare netstack.tcp.conn_setup_ns
-// in BENCHMARK.json, the same sweep at 1/16 the size; residual growth is GC
-// mark work over the live heap, not table copying).
+// cost and heap. Setup cost must stay O(1) in table size: an insert is one
+// write to one of 64 maps (compare netstack.tcp.conn_setup_ns in
+// BENCHMARK.json, the same sweep at 1/16 the size; residual growth is GC
+// mark work over the live heap and the maps doubling).
 func BenchmarkMillionConns(b *testing.B) {
 	var last bench.ConnScaleResult
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,7 @@ import (
 // production scale — one kernel holding ~10⁶ concurrent TCP connections.
 // This experiment measures the property that makes it possible: with the
 // sharded connection table, per-connection setup cost is O(1) in table
-// size (an insert copies one shard, never the whole table), and the
+// size (an insert is one write to one shard's map), and the
 // syncookie-style half-open path allocates nothing per SYN. The paper has
 // no corresponding column (its Alpha had 64 MB of RAM), so paper cells are
 // n/a; the measured curve is the artifact.

@@ -93,28 +93,17 @@ const timeWaitDelay = 500 * sim.Millisecond
 // replayable.
 const serverISS = 1000
 
-// Connection-table sharding. The table is split into a fixed power-of-two
-// number of shards by a hash of the 4-tuple key; each shard is an
-// independently swapped copy-on-write snapshot, so connection setup or
-// teardown copies one shard — a few hundred entries at a million
-// connections — never the whole table.
-// 2^16 shards keep a shard to ~16 entries at a million connections, so the
-// COW copy an insert pays stays a few hundred bytes at any scale. The
-// empty table costs ~1.5 MB per stack — the C10M trade.
+// TCP demultiplexing table bounds. Connections and half-open entries (SYN
+// received, final ACK pending) share tcpShards shards, chosen by a hash of
+// the 4-tuple key. A SYN costs one compact entry in a bounded table,
+// syncookie-style — never a *Conn — so a SYN flood is capped at MaxHalfOpen
+// entries of a few dozen bytes each.
 const (
-	tcpShards    = 1 << 16
-	tcpShardMask = tcpShards - 1
-)
-
-// Half-open (SYN received, final ACK pending) table bounds. A SYN costs one
-// compact entry in a bounded table, syncookie-style — never a *Conn — so a
-// SYN flood is capped at MaxHalfOpen entries of a few dozen bytes each.
-const (
-	synShards = 64
+	tcpShards = 64
 	// MaxHalfOpen bounds the half-open table across all shards; beyond it
 	// the oldest entries are evicted (counted in TCPStats.HalfOpenEvicted).
 	MaxHalfOpen         = 4096
-	maxHalfOpenPerShard = MaxHalfOpen / synShards
+	maxHalfOpenPerShard = MaxHalfOpen / tcpShards
 	// synTTL evicts half-open entries whose final ACK never arrived.
 	synTTL = 5 * sim.Second
 )
@@ -140,20 +129,20 @@ func (k connKey) hash() uint64 {
 	return h
 }
 
-// connShard is one slice of the connection table: a copy-on-write sorted
-// slice behind an atomic pointer. Lookup is a lock-free load plus binary
-// search (zero allocations); insert/remove copy the slice under the shard
-// mutex and swap. The per-shard counter keeps Conns() exact without
-// touching the snapshots.
-type connShard struct {
-	mu  sync.Mutex
-	tab atomic.Pointer[[]connEntry]
-	n   atomic.Int64
-}
-
-type connEntry struct {
-	key connKey
-	c   *Conn
+// tcpShard is one slice of the demultiplexing table: the connections and
+// the half-open entries whose keys hash to it, under one lock, so a final
+// ACK consumes its half-open entry and publishes the connection in a single
+// critical section. Both maps are made on first insert and grow with what
+// they hold; an idle module is tcpShards empty shards.
+//
+// Lock order is TCP.mu, then a shard's mu, never the reverse, and never two
+// shards at once. Nothing that can call back into the module runs under a
+// shard lock — accept callbacks, OnConnect, Conn.handle, SendIP, reset —
+// because an accept callback may dial out, which takes both.
+type tcpShard struct {
+	mu    sync.Mutex
+	conns map[connKey]*Conn
+	syn   map[connKey]synEntry
 }
 
 // synEntry is the compact half-open record for a SYN awaiting its final
@@ -163,11 +152,6 @@ type synEntry struct {
 	iss    uint32   // our initial send sequence for the SYN-ACK
 	wnd    int      // peer's advertised window from the SYN
 	at     sim.Time // arrival, for TTL/oldest eviction
-}
-
-type synShard struct {
-	mu sync.Mutex
-	m  map[connKey]synEntry
 }
 
 // Conn is one TCP connection endpoint. A million idle ones make every word
@@ -349,24 +333,22 @@ type Listener struct {
 // TCP engine as a kernel-asserted extension; here the engine is implemented
 // natively, which only strengthens the reproduction.
 //
-// The connection table is sharded (see connShard): the per-segment lookup
-// is a lock-free snapshot load plus binary search, and setup/teardown
-// writers contend only within one shard. The listener table is a single
-// cow.Map (listeners change rarely). Individual Conn state
-// machines remain single-threaded — segments for one connection must be
-// delivered from the simulation goroutine, since handling them transmits
-// and arms timers.
+// Connections and half-open entries are demultiplexed through one sharded
+// table (see tcpShard): the per-segment lookup is an uncontended lock plus a
+// map read, and setup/teardown writers contend only within one shard. The
+// listener table is a single cow.Map (listeners change rarely). Individual
+// Conn state machines remain single-threaded — segments for one connection
+// must be delivered from the simulation goroutine, since handling them
+// transmits and arms timers.
 type TCP struct {
 	stack *Stack
 
 	listeners cow.Map[uint16, *Listener]
-	// mu guards nextPort, the ephemeral-port cursor, and makes Connect's
-	// probe-then-insert one step.
+	// mu guards nextPort, the ephemeral-port cursor.
 	mu       sync.Mutex
 	nextPort uint16
 
-	shards []connShard
-	syn    []synShard
+	shards [tcpShards]tcpShard
 
 	// maxRetx is the per-connection retransmission cap (DefaultMaxRetx
 	// unless overridden with SetMaxRetx before connections exist).
@@ -379,99 +361,29 @@ type TCP struct {
 }
 
 func newTCP(s *Stack) *TCP {
-	t := &TCP{
-		stack:    s,
-		nextPort: 30000,
-		shards:   make([]connShard, tcpShards),
-		syn:      make([]synShard, synShards),
-		maxRetx:  DefaultMaxRetx,
+	return &TCP{stack: s, nextPort: 30000, maxRetx: DefaultMaxRetx}
+}
+
+func (t *TCP) shardFor(key connKey) *tcpShard {
+	return &t.shards[key.hash()&(tcpShards-1)]
+}
+
+// putLocked publishes key -> c. Callers hold sh.mu and have seen key absent.
+func (sh *tcpShard) putLocked(key connKey, c *Conn) {
+	if sh.conns == nil {
+		sh.conns = make(map[connKey]*Conn)
 	}
-	for i := range t.syn {
-		t.syn[i].m = make(map[connKey]synEntry)
-	}
-	return t
+	sh.conns[key] = c
 }
 
-func (t *TCP) connShardFor(key connKey) *connShard {
-	return &t.shards[key.hash()&tcpShardMask]
-}
-
-func (t *TCP) synShardFor(key connKey) *synShard {
-	return &t.syn[(key.hash()>>32)&(synShards-1)]
-}
-
-// load returns the shard's published snapshot (nil when empty).
-func (sh *connShard) load() []connEntry {
-	if tp := sh.tab.Load(); tp != nil {
-		return *tp
-	}
-	return nil
-}
-
-// search binary-searches a shard snapshot, sorted by key, for key. It
-// returns the position key occupies — or would be inserted at — and
-// whether it is present.
-func search(tab []connEntry, key connKey) (pos int, found bool) {
-	lo, hi := 0, len(tab)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tab[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(tab) && tab[lo].key == key
-}
-
-// lookup finds the connection for key: one atomic snapshot load and a
-// binary search, lock- and allocation-free.
-func (t *TCP) lookup(key connKey) *Conn {
-	tab := t.connShardFor(key).load()
-	if pos, found := search(tab, key); found {
-		return tab[pos].c
-	}
-	return nil
-}
-
-// insertConn publishes key -> c in its shard's sorted snapshot. The copy
-// touches one shard only, so setup cost is O(table/shards), not O(table).
-// It reports false — without modifying the table — if key is already
-// present (a concurrent materialization of the same connection won).
-func (t *TCP) insertConn(key connKey, c *Conn) bool {
-	sh := t.connShardFor(key)
+// insert publishes key -> c unless key is taken, and reports whether it did.
+func (sh *tcpShard) insert(key connKey, c *Conn) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old := sh.load()
-	pos, found := search(old, key)
-	if found {
+	if _, taken := sh.conns[key]; taken {
 		return false
 	}
-	next := make([]connEntry, len(old)+1)
-	copy(next, old[:pos])
-	next[pos] = connEntry{key: key, c: c}
-	copy(next[pos+1:], old[pos:])
-	sh.tab.Store(&next)
-	sh.n.Add(1)
-	return true
-}
-
-// removeConn withdraws key from its shard's snapshot, reporting whether it
-// was present.
-func (t *TCP) removeConn(key connKey) bool {
-	sh := t.connShardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.load()
-	pos, found := search(old, key)
-	if !found {
-		return false
-	}
-	next := make([]connEntry, len(old)-1)
-	copy(next, old[:pos])
-	copy(next[pos:], old[pos+1:])
-	sh.tab.Store(&next)
-	sh.n.Add(-1)
+	sh.putLocked(key, c)
 	return true
 }
 
@@ -531,33 +443,28 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	// count is not capped by the port range. The scan is bounded: with
 	// fewer than 2^16 connections to this exact remote endpoint it
 	// terminates in a few probes.
-	var key connKey
-	local, found := t.nextPort, false
-	for i := 0; i < 1<<16; i++ {
-		t.nextPort++
-		if t.nextPort < 30000 {
-			t.nextPort = 30000 // wrapped uint16: stay out of the low range
-		}
-		key = tcpKey(dst, port, t.nextPort)
-		if t.lookup(key) == nil {
-			local, found = t.nextPort, true
-			break
-		}
-	}
-	if !found {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("netstack: no free local port for %v:%d: %w", dst, port, ErrPortsExhausted)
-	}
 	c := &Conn{
 		tcp:    t,
-		remote: dst, localPort: local, remotePort: port,
+		remote: dst, remotePort: port,
 		cwnd: 1, ssthresh: 16, sndWnd: rcvWindow,
 		delivery: cost,
 		sndUna:   100, sndNxt: 100, recover: 100,
 	}
 	c.setState(StateSynSent)
-	t.insertConn(key, c)
+	found := false
+	for i := 0; i < 1<<16 && !found; i++ {
+		t.nextPort++
+		if t.nextPort < 30000 {
+			t.nextPort = 30000 // wrapped uint16: stay out of the low range
+		}
+		c.localPort = t.nextPort
+		key := tcpKey(dst, port, c.localPort)
+		found = t.shardFor(key).insert(key, c)
+	}
 	t.mu.Unlock()
+	if !found {
+		return nil, fmt.Errorf("netstack: no free local port for %v:%d: %w", dst, port, ErrPortsExhausted)
+	}
 	if dialFault.Kind != faultinject.KindDrop {
 		c.sendSeg(c.seg(FlagSYN, c.sndNxt, 0, nil))
 	}
@@ -844,56 +751,77 @@ func (t *TCP) deliver(ctx rxCtx, pkt *Packet) {
 
 func (t *TCP) deliver1(pkt *Packet) {
 	key := tcpKey(pkt.Src, pkt.SrcPort, pkt.DstPort)
-	if c := t.lookup(key); c != nil {
-		c.handle(pkt)
-		return
+	sh := t.shardFor(key)
+	var e synEntry
+	var synack, accepted bool
+	sh.mu.Lock()
+	c := sh.conns[key]
+	if c == nil {
+		l, _ := t.listeners.Get(pkt.DstPort)
+		switch {
+		case pkt.Flags&(FlagSYN|FlagACK) == FlagSYN:
+			// A SYN to a listening port records a compact half-open entry —
+			// no *Conn until the final ACK proves the peer is real.
+			if l != nil {
+				e, synack = t.recordSynLocked(sh, key, pkt), true
+			}
+		case pkt.Flags&FlagACK != 0:
+			// The final ACK consumes its half-open entry whatever it says. A
+			// wrong acknowledgment number (the peer is confused or hostile)
+			// or a listener withdrawn since the SYN leaves no connection,
+			// and the segment is reset below.
+			if half, ok := sh.syn[key]; ok {
+				delete(sh.syn, key)
+				if l != nil && pkt.Ack == half.iss+1 {
+					c, accepted = t.newServerConn(l, half, pkt), true
+					sh.putLocked(key, c)
+				}
+			}
+		}
+	}
+	sh.mu.Unlock()
+
+	if accepted {
+		t.accepted.Add(1)
+		if c.acceptCb != nil {
+			c.acceptCb(c)
+		}
+		if c.OnConnect != nil {
+			c.OnConnect(c)
+		}
 	}
 	switch {
-	case pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0:
-		// A SYN to a listening port records a compact half-open entry —
-		// no *Conn until the final ACK proves the peer is real.
-		if l, _ := t.listeners.Get(pkt.DstPort); l != nil {
-			t.onSyn(key, pkt)
-			return
-		}
-	case pkt.Flags&FlagACK != 0:
-		if e, ok := t.takeSyn(key); ok {
-			if pkt.Ack == e.iss+1 {
-				t.completeHandshake(key, e, pkt)
-				return
-			}
-			// Wrong ACK for the half-open entry: the entry is consumed
-			// (the peer is confused or hostile) and the segment falls
-			// through to a reset.
-		} else if c := t.lookup(key); c != nil {
-			// Lost a materialization race: a concurrent delivery of the
-			// same final ACK established the connection between our two
-			// lookups.
-			c.handle(pkt)
-			return
-		}
-	}
-	if pkt.Flags&FlagRST == 0 {
+	case c != nil:
+		// The final ACK too: it may carry data or a FIN.
+		c.handle(pkt)
+	case synack:
+		t.sendSynAck(pkt, e)
+	case pkt.Flags&FlagRST == 0:
 		t.reset(pkt)
 	}
 }
 
-// onSyn records (or refreshes) the half-open entry for a SYN and answers
-// with a SYN-ACK. A duplicate SYN — ours was lost, or the client
-// retransmitted — resends the SYN-ACK with the original ISS.
-func (t *TCP) onSyn(key connKey, pkt *Packet) {
-	sh := t.synShardFor(key)
-	sh.mu.Lock()
-	e, dup := sh.m[key]
-	if !dup {
-		if len(sh.m) >= maxHalfOpenPerShard {
-			t.evictSynLocked(sh)
-		}
-		e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: pkt.Window, at: t.stack.clock.Now()}
-		sh.m[key] = e
+// recordSynLocked records the half-open entry for a SYN, or finds the one a
+// duplicate SYN — our SYN-ACK was lost, or the client retransmitted — already
+// has, so that the SYN-ACK goes out again with the original ISS. Callers
+// hold sh.mu.
+func (t *TCP) recordSynLocked(sh *tcpShard, key connKey, pkt *Packet) synEntry {
+	e, dup := sh.syn[key]
+	if dup {
+		return e
 	}
-	sh.mu.Unlock()
+	if sh.syn == nil {
+		sh.syn = make(map[connKey]synEntry)
+	} else if len(sh.syn) >= maxHalfOpenPerShard {
+		t.evictSynLocked(sh)
+	}
+	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: pkt.Window, at: t.stack.clock.Now()}
+	sh.syn[key] = e
+	return e
+}
 
+// sendSynAck answers the SYN pkt from its half-open entry.
+func (t *TCP) sendSynAck(pkt *Packet, e synEntry) {
 	synack := AllocPacket()
 	synack.Src, synack.Dst, synack.Proto = t.stack.IP, pkt.Src, ProtoTCP
 	synack.SrcPort, synack.DstPort = pkt.DstPort, pkt.SrcPort
@@ -902,56 +830,38 @@ func (t *TCP) onSyn(key connKey, pkt *Packet) {
 	_ = t.stack.SendIP(synack)
 }
 
-// takeSyn removes and returns the half-open entry for key, if present.
-func (t *TCP) takeSyn(key connKey) (synEntry, bool) {
-	sh := t.synShardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if ok {
-		delete(sh.m, key)
-	}
-	return e, ok
-}
-
 // evictSynLocked makes room in a full half-open shard: entries past synTTL
 // go first, then the oldest. Callers hold sh.mu.
-func (t *TCP) evictSynLocked(sh *synShard) {
+func (t *TCP) evictSynLocked(sh *tcpShard) {
 	now := t.stack.clock.Now()
-	for k, e := range sh.m {
+	for k, e := range sh.syn {
 		if now.Sub(e.at) > synTTL {
-			delete(sh.m, k)
+			delete(sh.syn, k)
 			t.halfOpenEvicted.Add(1)
 		}
 	}
-	if len(sh.m) < maxHalfOpenPerShard {
+	if len(sh.syn) < maxHalfOpenPerShard {
 		return
 	}
 	var oldestKey connKey
 	var oldestAt sim.Time
 	first := true
-	for k, e := range sh.m {
+	for k, e := range sh.syn {
 		if first || e.at < oldestAt {
 			oldestKey, oldestAt, first = k, e.at, false
 		}
 	}
 	if !first {
-		delete(sh.m, oldestKey)
+		delete(sh.syn, oldestKey)
 		t.halfOpenEvicted.Add(1)
 	}
 }
 
-// completeHandshake materializes the connection for a half-open entry whose
-// final ACK arrived — the first point a server-side *Conn exists. The
-// accept callback is published on the Conn before it enters the connection
-// table, so no concurrent delivery can reach a connection without it.
-func (t *TCP) completeHandshake(key connKey, e synEntry, pkt *Packet) {
-	l, _ := t.listeners.Get(pkt.DstPort)
-	if l == nil {
-		// Listener withdrawn between SYN and ACK.
-		t.reset(pkt)
-		return
-	}
+// newServerConn builds the connection for a half-open entry whose final ACK
+// arrived — the first point a server-side *Conn exists. The accept callback
+// is on the Conn before it enters the table, so no delivery can reach a
+// connection without it.
+func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 	c := &Conn{
 		tcp:    t,
 		remote: pkt.Src, localPort: pkt.DstPort, remotePort: pkt.SrcPort,
@@ -963,23 +873,7 @@ func (t *TCP) completeHandshake(key connKey, e synEntry, pkt *Packet) {
 		acceptCb: l.accept,
 	}
 	c.setState(StateEstablished)
-	if !t.insertConn(key, c) {
-		// A concurrent delivery of the same final ACK materialized the
-		// connection first; hand the segment to the winner.
-		if w := t.lookup(key); w != nil {
-			w.handle(pkt)
-		}
-		return
-	}
-	t.accepted.Add(1)
-	if c.acceptCb != nil {
-		c.acceptCb(c)
-	}
-	if c.OnConnect != nil {
-		c.OnConnect(c)
-	}
-	// The ACK may carry data or FIN; run it through the normal machine.
-	c.handle(pkt)
+	return c
 }
 
 // reset sends RST for an unexpected segment, in the two RFC 793 forms: a
@@ -1377,7 +1271,11 @@ func (c *Conn) teardown() {
 	c.ooo = nil
 	prev := c.State()
 	c.setState(StateClosed)
-	c.tcp.removeConn(tcpKey(c.remote, c.remotePort, c.localPort))
+	key := tcpKey(c.remote, c.remotePort, c.localPort)
+	sh := c.tcp.shardFor(key)
+	sh.mu.Lock()
+	delete(sh.conns, key)
+	sh.mu.Unlock()
 	if c.OnClose != nil && prev != StateCloseWait {
 		c.OnClose(c)
 	}
@@ -1392,37 +1290,34 @@ func (t *TCP) SetMaxRetx(n int) {
 	t.maxRetx = min(n, math.MaxUint8) // Conn.retxAttempts is a byte
 }
 
-// Conns reports the number of live connections: the sum of the per-shard
-// counters, exact under concurrent setup/teardown.
-func (t *TCP) Conns() int {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].n.Load()
-	}
-	return int(n)
-}
+// Conns reports the number of live connections, exact under concurrent
+// setup/teardown.
+func (t *TCP) Conns() int { return t.Stats().Conns }
 
 // Unsettled counts the live connections holding out-of-order data and those
 // with the retransmit timer running. On a topology run until nothing is
-// left to happen, either is a leak. It reads every connection, so it is for
-// tests and debuggers, on the simulation goroutine.
+// left to happen, either is a leak. It reads every connection's state, so it
+// is for tests and debuggers, on the simulation goroutine.
 func (t *TCP) Unsettled() (queued, armed int) {
 	for i := range t.shards {
-		for _, e := range t.shards[i].load() {
-			if q := e.c.ooo; q != nil && (len(q.runs) > 0 || q.fin) {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for _, c := range sh.conns {
+			if q := c.ooo; q != nil && (len(q.runs) > 0 || q.fin) {
 				queued++
 			}
-			if e.c.retx.Armed() {
+			if c.retx.Armed() {
 				armed++
 			}
 		}
+		sh.mu.Unlock()
 	}
 	return queued, armed
 }
 
 // TCPStats is a point-in-time summary of the TCP module.
 type TCPStats struct {
-	Conns           int   // connections in the shard table
+	Conns           int   // live connections, from SYN_SENT or the final ACK to teardown
 	HalfOpen        int   // half-open entries awaiting their final ACK
 	HalfOpenEvicted int64 // half-open entries dropped by the bounded table
 	Accepted        int64 // server-side connections materialized by a final ACK
@@ -1433,16 +1328,16 @@ type TCPStats struct {
 // Stats snapshots the module counters.
 func (t *TCP) Stats() TCPStats {
 	st := TCPStats{
-		Conns:           t.Conns(),
 		HalfOpenEvicted: t.halfOpenEvicted.Load(),
 		Accepted:        t.accepted.Load(),
 		Resets:          t.resets.Load(),
 		TimedOut:        t.timedOut.Load(),
 	}
-	for i := range t.syn {
-		sh := &t.syn[i]
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.Lock()
-		st.HalfOpen += len(sh.m)
+		st.Conns += len(sh.conns)
+		st.HalfOpen += len(sh.syn)
 		sh.mu.Unlock()
 	}
 	return st

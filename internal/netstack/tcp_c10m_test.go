@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -218,6 +219,90 @@ func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	}
 }
 
+// TestTCPTableWalkersUnderParallelSetup: Stats and Unsettled walk the shard
+// maps while other goroutines insert into them, which the runtime kills a
+// process for unless the walkers hold the shard lock. Run with -race.
+func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
+	eng := sim.NewEngine()
+	d := dispatch.New(eng, &sim.SPINProfile)
+	st, err := NewStack("walk", Addr(10, 0, 0, 1), eng, &sim.SPINProfile, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := st.TCP()
+	if err := tcp.Listen(80, nil, func(*Conn) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, each = 4, 500
+	var setup sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		setup.Add(1)
+		go func(w int) {
+			defer setup.Done()
+			pkt := &Packet{Dst: st.IP, DstPort: 80, Proto: ProtoTCP, Window: rcvWindow}
+			for i := 0; i < each; i++ {
+				pkt.Src, pkt.SrcPort = Addr(10, 1, byte(w), byte(i)), uint16(2000+i)
+				pkt.Flags, pkt.Seq, pkt.Ack = FlagSYN, 10, 0
+				tcp.Deliver(pkt)
+				pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
+				tcp.Deliver(pkt)
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tcp.Stats()
+				tcp.Unsettled()
+			}
+		}
+	}()
+	setup.Wait()
+	close(stop)
+	<-walked
+	if st := tcp.Stats(); st.Conns != workers*each || st.HalfOpen != 0 {
+		t.Fatalf("%d connections and %d half-open entries, want %d and 0", st.Conns, st.HalfOpen, workers*each)
+	}
+	if queued, armed := tcp.Unsettled(); queued != 0 || armed != 0 {
+		t.Fatalf("Unsettled = %d, %d on idle connections", queued, armed)
+	}
+}
+
+// TestTCPConnectSkipsTakenPort: the ephemeral-port cursor coming round to a
+// 4-tuple still in use must step past it, not replace the connection there.
+func TestTCPConnectSkipsTakenPort(t *testing.T) {
+	a, b, _ := pair(t, sal.LanceModel)
+	tcp := a.stack.TCP()
+	first, err := tcp.Connect(b.stack.IP, 80, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp.nextPort = first.LocalPort() - 1 // the cursor has wrapped
+	second, err := tcp.Connect(b.stack.IP, 80, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.LocalPort() != first.LocalPort()+1 || tcp.Conns() != 2 {
+		t.Fatalf("ports %d then %d, %d connections; want consecutive ports and 2", first.LocalPort(), second.LocalPort(), tcp.Conns())
+	}
+	// The same local port is free towards another remote endpoint.
+	tcp.nextPort = first.LocalPort() - 1
+	third, err := tcp.Connect(b.stack.IP, 81, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.LocalPort() != first.LocalPort() {
+		t.Fatalf("port %d to another remote port, want %d again", third.LocalPort(), first.LocalPort())
+	}
+}
+
 // TestTCPDuplicateFinalACK: retransmitted final ACKs (half-open entry
 // already consumed) must reach the established connection, not trigger a
 // reset.
@@ -346,5 +431,28 @@ func TestConnSizeBudget(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(segment{}); got != 16 {
 		t.Errorf("an inflight record is %d bytes, pinned at 16", got)
+	}
+}
+
+// A fleet pays a stack's fixed cost once per host, so a table sized for the
+// most connections any host might hold is paid hundreds of times by hosts
+// that hold a few dozen. What a new stack allocates is pinned here.
+func TestIdleStackFootprint(t *testing.T) {
+	const stacks, budget = 64, 16 << 10
+	eng := sim.NewEngine()
+	var disps [stacks]*dispatch.Dispatcher
+	for i := range disps {
+		disps[i] = dispatch.New(eng, &sim.SPINProfile)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, d := range disps {
+		if _, err := NewStack("idle", Addr(10, 0, 0, byte(i)), eng, &sim.SPINProfile, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / stacks; per > budget {
+		t.Errorf("NewStack allocates %d bytes, budget %d", per, budget)
 	}
 }

@@ -563,4 +563,50 @@ func TestTCPScript(t *testing.T) {
 			{at: 3 * ms, write: 2, out: []seg{data(2*S, S), data(3*S, 2000-S)}},
 		})
 	})
+
+	// The handshake table: a SYN costs a half-open entry, the final ACK
+	// consumes it whatever it says, and only a correct one to a port still
+	// listened on leaves a connection behind.
+	listenRig := func(t *testing.T) *scriptRig {
+		r := newScriptRig(t, false)
+		if err := r.st.TCP().Listen(80, nil, r.adopt); err != nil {
+			t.Fatal(err)
+		}
+		r.run([]step{{in: in(seg{flags: FlagSYN, seq: -1}), out: []seg{{flags: FlagSYN | FlagACK, seq: -1, ack: 0}},
+			check: wantTable(0, 1)}})
+		return r
+	}
+	t.Run("handshake/wrong-final-ack-consumes-the-entry", func(t *testing.T) {
+		r := listenRig(t)
+		r.run([]step{
+			{at: 1 * ms, in: in(ack(7)), note: "acknowledges what was never sent: reset with seq = its ack",
+				out: []seg{rst(7)}, check: wantTable(0, 0)},
+			{at: 2 * ms, in: in(ack(0)), note: "the right ACK, too late", out: []seg{rst(0)}, check: wantTable(0, 0)},
+		})
+		if st := r.st.TCP().Stats(); r.conn != nil || st.Accepted != 0 || st.Resets != 2 {
+			t.Errorf("conn %v, accepted %d, resets %d; want none, 0, 2", r.conn, st.Accepted, st.Resets)
+		}
+	})
+	t.Run("handshake/listener-withdrawn-before-final-ack", func(t *testing.T) {
+		r := listenRig(t)
+		r.st.TCP().Unlisten(80)
+		r.run([]step{{at: 1 * ms, in: in(ack(0)), out: []seg{rst(0)}, check: wantTable(0, 0)}})
+		if r.conn != nil {
+			t.Errorf("accepted %v on a port nobody listens on", r.conn)
+		}
+	})
+	t.Run("handshake/retransmitted-syn-reaches-the-conn", func(t *testing.T) {
+		serverRig(t).run([]step{{at: 1 * ms, in: in(seg{flags: FlagSYN, seq: -1}), note: "the connection ignores it; no second handshake starts",
+			check: both(wantState(StateEstablished), wantTable(1, 0))}})
+	})
+}
+
+// wantTable checks what the demultiplexing table holds.
+func wantTable(conns, halfOpen int) func(*testing.T, *scriptRig) {
+	return func(t *testing.T, r *scriptRig) {
+		t.Helper()
+		if st := r.st.TCP().Stats(); st.Conns != conns || st.HalfOpen != halfOpen {
+			t.Errorf("table holds %d connections and %d half-open entries, want %d and %d", st.Conns, st.HalfOpen, conns, halfOpen)
+		}
+	}
 }
