@@ -2,7 +2,7 @@ package netstack
 
 import (
 	"bytes"
-	"fmt"
+	"strconv"
 	"unicode"
 )
 
@@ -103,9 +103,24 @@ func (h *HTTPServer) serve1(c *Conn, req []byte) {
 		return
 	}
 	h.Requests++
-	resp := fmt.Appendf(make([]byte, 0, 48+len(body)), "HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
-	_ = c.Send(append(resp, body...))
+	var buf [64]byte
+	header := append(buf[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	header = strconv.AppendInt(header, int64(len(body)), 10)
+	_ = c.Send(append(header, "\r\n\r\n"...), body)
 	c.Close()
+}
+
+// responseSize reads the length of the response whose first bytes are b
+// from its Content-Length, once the header is complete, or returns 0. It
+// sizes a buffer, so a peer's header can make it at most a MiB.
+func responseSize(b []byte) int {
+	header, _, complete := bytes.Cut(b, []byte("\r\n\r\n"))
+	_, v, _ := bytes.Cut(header, []byte("Content-Length: "))
+	v, _, _ = bytes.Cut(v, []byte("\r\n"))
+	if n, err := strconv.Atoi(string(v)); complete && err == nil && n >= 0 {
+		return min(len(header)+4+n, 1<<20)
+	}
+	return 0
 }
 
 // HTTPGet performs one HTTP transaction from this stack to server:port,
@@ -122,6 +137,9 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 		_ = c.Send([]byte("GET " + path + " HTTP/1.0\r\n\r\n"))
 	}
 	conn.OnData = func(c *Conn, data []byte) {
+		if resp == nil {
+			resp = make([]byte, 0, max(len(data), responseSize(data)))
+		}
 		resp = append(resp, data...)
 	}
 	conn.OnClose = func(c *Conn) {

@@ -392,6 +392,52 @@ func TestHTTPServerAndClient(t *testing.T) {
 	}
 }
 
+// A torn-down connection's drained send buffer is written into by the
+// module's next connection, so a server answering request after request
+// allocates its response buffer once.
+func TestSendBufferReused(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	page := bytes.Repeat([]byte("spin"), 1000)
+	if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/": page}); err != nil {
+		t.Fatal(err)
+	}
+	var storage *byte
+	for i := 0; i < 3; i++ {
+		var body []byte
+		if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/", nil, func(_ string, got []byte) { body = got }); err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(0) // through TIME_WAIT: both ends torn down
+		if !bytes.Equal(body, page) {
+			t.Fatalf("request %d: %d of %d bytes", i, len(body), len(page))
+		}
+		if cap(body) != len(body) {
+			t.Errorf("request %d: response buffer has %d bytes to spare: Content-Length did not size it", i, cap(body)-len(body))
+		}
+		spare := b.stack.TCP().spareSendBufs
+		if len(spare) != 1 || cap(spare[0]) < len(page) {
+			t.Fatalf("request %d: server keeps %d spare send buffers, want 1 that held the response", i, len(spare))
+		}
+		if i == 0 {
+			storage = &spare[0][:1][0]
+		} else if &spare[0][:1][0] != storage {
+			t.Errorf("request %d wrote its response into new storage", i)
+		}
+	}
+	// Data discarded by a close before the handshake leaves storage behind
+	// too, and the dead connection keeps no hold on it.
+	conn, err := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Send(page)
+	_ = conn.Close()
+	if conn.sendBuf.Cap() != 0 || len(a.stack.TCP().spareSendBufs) != 1 {
+		t.Errorf("aborted connection holds %d bytes of storage; client keeps %d spares",
+			conn.sendBuf.Cap(), len(a.stack.TCP().spareSendBufs))
+	}
+}
+
 func TestHTTP404(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	srv, _ := NewHTTPServer(b.stack, 80, nil, ContentMap{})
@@ -467,6 +513,9 @@ func TestHTTPGetResponseParsing(t *testing.T) {
 		{"bare LF", "HTTP/1.0 200 OK\n\nhi", "HTTP/1.0 200 OK\n\nhi", nil},
 		{"empty status line", "\r\n\r\nhi", "", []byte("hi")},
 		{"nothing", "", "", nil},
+		{"Content-Length past the body", "HTTP/1.0 200 OK\r\nContent-Length: 99999999999\r\n\r\nhi", "HTTP/1.0 200 OK", []byte("hi")},
+		{"Content-Length short of the body", "HTTP/1.0 200 OK\r\nContent-Length: 1\r\n\r\nhi", "HTTP/1.0 200 OK", []byte("hi")},
+		{"Content-Length not a number", "HTTP/1.0 200 OK\r\nContent-Length: -2\r\n\r\nhi", "HTTP/1.0 200 OK", []byte("hi")},
 	}
 	for _, tc := range cases {
 		a, b, cl := pair(t, sal.LanceModel)

@@ -519,6 +519,10 @@ func (s *Stack) AddRoutes(routes map[IPAddr]*sal.NIC) {
 	s.routes.Update(func(next map[IPAddr]*sal.NIC) { maps.Copy(next, routes) })
 }
 
+// Routes reports how many destination-specific routes are installed; every
+// other destination goes out through the default NIC.
+func (s *Stack) Routes() int { return len(s.routes.Snapshot()) }
+
 // routeFor resolves the outbound NIC for dst: the specific route if one is
 // installed, else the default NIC. Lock-free.
 func (s *Stack) routeFor(dst IPAddr) *sal.NIC {

@@ -344,9 +344,12 @@ type TCP struct {
 	stack *Stack
 
 	listeners cow.Map[uint16, *Listener]
-	// mu guards nextPort, the ephemeral-port cursor.
-	mu       sync.Mutex
-	nextPort uint16
+	// mu guards nextPort, the ephemeral-port cursor, and spareSendBufs,
+	// send-buffer storage that torn-down connections left empty for the
+	// next ones to write into.
+	mu            sync.Mutex
+	nextPort      uint16
+	spareSendBufs [][]byte
 
 	shards [tcpShards]tcpShard
 
@@ -359,6 +362,14 @@ type TCP struct {
 	halfOpenEvicted atomic.Int64
 	timedOut        atomic.Int64
 }
+
+// A TCP module keeps at most maxSpareSendBufs spare send buffers, enough for
+// a server's concurrent responses, and none larger than maxSpareSendBuf,
+// so never a bulk flow's.
+const (
+	maxSpareSendBufs = 64
+	maxSpareSendBuf  = 2 * rcvWindow
+)
 
 func newTCP(s *Stack) *TCP {
 	return &TCP{stack: s, nextPort: 30000, maxRetx: DefaultMaxRetx}
@@ -473,13 +484,13 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	return c, nil
 }
 
-// Send queues payload for transmission.
-func (c *Conn) Send(payload []byte) error {
+// Send queues payloads for transmission, back to back, as one write.
+func (c *Conn) Send(payloads ...[]byte) error {
 	st := c.State()
 	if c.closed || st != StateEstablished && st != StateCloseWait {
 		if !c.closed && st == StateSynSent {
 			// Queue until established.
-			c.sendBuf.Write(payload)
+			c.write(payloads)
 			return nil
 		}
 		if c.closed || st == StateClosed {
@@ -487,9 +498,25 @@ func (c *Conn) Send(payload []byte) error {
 		}
 		return errors.New("netstack: send on non-established connection")
 	}
-	c.sendBuf.Write(payload)
+	c.write(payloads)
 	c.pump()
 	return nil
+}
+
+// write appends payloads to the send buffer. A connection's first write
+// takes the storage a torn-down one left its module, if there is some.
+func (c *Conn) write(payloads [][]byte) {
+	if t := c.tcp; c.sendBuf.Cap() == 0 {
+		t.mu.Lock()
+		if n := len(t.spareSendBufs); n > 0 {
+			c.sendBuf = *bytes.NewBuffer(t.spareSendBufs[n-1])
+			t.spareSendBufs = t.spareSendBufs[:n-1]
+		}
+		t.mu.Unlock()
+	}
+	for _, p := range payloads {
+		c.sendBuf.Write(p)
+	}
 }
 
 // Close begins an orderly shutdown. A close before the handshake completed
@@ -1269,6 +1296,17 @@ func (c *Conn) teardown() {
 	}
 	c.cancelRetx()
 	c.ooo = nil
+	// Drained send-buffer storage goes to the next connection. Packets copy
+	// what they carry, so nothing else holds it.
+	if t, n := c.tcp, c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf {
+		t.mu.Lock()
+		if len(t.spareSendBufs) < maxSpareSendBufs {
+			c.sendBuf.Reset()
+			t.spareSendBufs = append(t.spareSendBufs, c.sendBuf.Bytes())
+			c.sendBuf = bytes.Buffer{}
+		}
+		t.mu.Unlock()
+	}
 	prev := c.State()
 	c.setState(StateClosed)
 	key := tcpKey(c.remote, c.remotePort, c.localPort)

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -25,8 +26,8 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 		}
 		a, b, cl := pair(t, sal.LanceModel)
 		if lossRate > 0 {
-			a.nic.InjectLoss(lossRate, seed|1)
-			b.nic.InjectLoss(lossRate, seed|2)
+			a.nic.InjectLoss(lossRate, seed*2+1)
+			b.nic.InjectLoss(lossRate, seed*2+2)
 		}
 		// Build the payloads: client sends chunks; server echoes each
 		// chunk back doubled.
@@ -65,7 +66,14 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 		cl.RunUntil(done, sim.Time(30*60*sim.Second))
 		return bytes.Equal(serverGot, sent) && bytes.Equal(clientGot, sent)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+	// Once drawn, and failed: per-NIC seeds seed|1 and seed|2 are one seed
+	// when seed's two low bits are set, so both ends dropped in lockstep
+	// and the client's SYN used up its retransmissions.
+	if !check([]uint16{0x2720, 0xb5bb, 0x7834, 0x1566, 0x0bbf, 0xf1fb, 0xbfff, 0x5932, 0x512f, 0xc20a, 0x21b5, 0x7ad2},
+		0xdc, 0x5fe6312b7dc6fa7f) {
+		t.Error("12% loss, seed 0x5fe6312b7dc6fa7f: streams differ")
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

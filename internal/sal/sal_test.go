@@ -156,11 +156,46 @@ func TestPhysMemDirtyBits(t *testing.T) {
 		t.Errorf("after read touch: %+v", fr)
 	}
 	_ = pm.Touch(3, true)
-	if !fr.Dirty {
+	if fr, _ = pm.Frame(3); !fr.Dirty {
 		t.Error("write touch did not set dirty")
 	}
 	if err := pm.Touch(1<<40, false); err == nil {
 		t.Error("out-of-range touch accepted")
+	}
+}
+
+// Physical memory records nothing until a frame's state is first set, and
+// every change goes through a method.
+func TestPhysMemStateOnFirstWrite(t *testing.T) {
+	pm := NewPhysMem(64 << 20)
+	_ = pm.ClearReferenced(5)
+	_ = pm.Release(5)
+	if pm.state != nil {
+		t.Fatal("clearing bits of untouched frames made a record")
+	}
+	if err := pm.Claim(5); err != nil || pm.state == nil {
+		t.Fatalf("Claim: err %v, state made %v", err, pm.state != nil)
+	}
+	_ = pm.Touch(5, true)
+	if fr, _ := pm.Frame(5); !fr.InUse || !fr.Dirty || !fr.Referenced || fr.Color != 5 {
+		t.Errorf("claimed and written frame: %+v", fr)
+	}
+	_ = pm.ClearReferenced(5)
+	if fr, _ := pm.Frame(5); fr.Referenced || !fr.Dirty {
+		t.Errorf("after ClearReferenced: %+v", fr)
+	}
+	_ = pm.Claim(5)
+	if fr, _ := pm.Frame(5); !fr.InUse || fr.Dirty || fr.Referenced {
+		t.Errorf("a claimed frame is clean and unreferenced: %+v", fr)
+	}
+	_ = pm.Release(5)
+	if fr, _ := pm.Frame(5); fr.InUse {
+		t.Errorf("after Release: %+v", fr)
+	}
+	for _, err := range []error{pm.Claim(1 << 20), pm.Release(1 << 20), pm.ClearReferenced(1 << 20)} {
+		if err == nil {
+			t.Error("out-of-range frame accepted")
+		}
 	}
 }
 

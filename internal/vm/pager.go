@@ -139,10 +139,9 @@ func (pg *Pager) evictOne() bool {
 			pg.clockOrder = append(pg.clockOrder[:pg.clockHand], pg.clockOrder[pg.clockHand+1:]...)
 			continue
 		}
-		fr, err := pg.sys.Phys.Frame(p.frames[0])
-		if err == nil && fr.Referenced {
+		if fr, err := pg.sys.Phys.Frame(p.frames[0]); err == nil && fr.Referenced {
 			// Second chance: clear and advance.
-			fr.Referenced = false
+			_ = pg.sys.Phys.ClearReferenced(p.frames[0])
 			pg.clockHand++
 			continue
 		}

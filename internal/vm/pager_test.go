@@ -97,9 +97,7 @@ func TestPagerSecondChancePrefersUnreferenced(t *testing.T) {
 	touch(t, sys, ctx, region, 2)
 	// Clear all referenced bits, then re-reference pages 0 and 2 only.
 	for i := 0; i < 3; i++ {
-		p := pg.resident[i]
-		fr, _ := sys.Phys.Frame(p.frames[0])
-		fr.Referenced = false
+		_ = sys.Phys.ClearReferenced(pg.resident[i].frames[0])
 	}
 	touch(t, sys, ctx, region, 0)
 	touch(t, sys, ctx, region, 2)

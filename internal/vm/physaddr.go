@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"fmt"
+	"slices"
+
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -35,36 +38,38 @@ func (p *PhysAddr) Pages() int { return len(p.frames) }
 func (p *PhysAddr) Size() int64 { return int64(len(p.frames)) * sal.PageSize }
 
 // PhysAddrService controls the use and allocation of physical pages.
+//
+// It writes nothing down per frame. A color's free frames, in the order
+// they are handed out, are those its cursor has yet to reach, lowest first,
+// then those given back, oldest first. A frame is free exactly when it is
+// not InUse.
 type PhysAddrService struct {
 	sys      *System
-	free     map[int][]uint64 // per-color free lists
 	liveCaps map[*PhysAddr]bool
 	total    int
 	inUse    int
+	// next is each color's cursor: no frame of the color at or beyond it
+	// has been handed out, except those in ahead.
+	next [sal.NumColors]uint64
+	// returned is each color's queue of frames given back.
+	returned [sal.NumColors][]uint64
+	// ahead holds the frames contiguous runs took from beyond their color's
+	// cursor; the cursor skips them when it gets there. Nil until then.
+	ahead map[uint64]struct{}
 }
+
+// reservedFrames are the kernel image (first 2 MB), never handed out, as on
+// real hardware.
+const reservedFrames = (2 << 20) / sal.PageSize
 
 func newPhysAddrService(sys *System) *PhysAddrService {
 	svc := &PhysAddrService{
 		sys:      sys,
-		free:     make(map[int][]uint64),
 		liveCaps: make(map[*PhysAddr]bool),
 		total:    sys.Phys.NumFrames(),
 	}
-	// Seed free lists; low frames are reserved for the kernel image
-	// (first 2 MB), as on real hardware. Colours go round the frames, so
-	// each list is cut from one slab with room for its share and no more:
-	// one allocation a machine, not one per list growth, and a list that
-	// does outgrow its share moves out by itself.
-	reserved := (2 << 20) / sal.PageSize
-	share := max(svc.total-reserved, 0)/sal.NumColors + 1
-	slab := make([]uint64, share*sal.NumColors)
-	for f := reserved; f < svc.total; f++ {
-		fr, _ := sys.Phys.Frame(uint64(f))
-		list, ok := svc.free[fr.Color]
-		if !ok {
-			list = slab[fr.Color*share:][:0:share]
-		}
-		svc.free[fr.Color] = append(list, uint64(f))
+	for c := range svc.next {
+		svc.next[c] = reservedFrames + uint64(c-reservedFrames%sal.NumColors+sal.NumColors)%sal.NumColors
 	}
 	return svc
 }
@@ -74,6 +79,9 @@ func newPhysAddrService(sys *System) *PhysAddrService {
 // call plus per-frame bookkeeping.
 func (svc *PhysAddrService) Allocate(size int64, attrib Attrib) (*PhysAddr, error) {
 	svc.sys.Clock.Advance(svc.sys.Profile.CrossDomainCall)
+	if attrib.Color < -1 || attrib.Color >= sal.NumColors {
+		return nil, fmt.Errorf("%w: color %d outside [-1, %d)", ErrBadAttrib, attrib.Color, sal.NumColors)
+	}
 	pages := int((size + sal.PageSize - 1) / sal.PageSize)
 	if pages == 0 {
 		pages = 1
@@ -84,10 +92,7 @@ func (svc *PhysAddrService) Allocate(size int64, attrib Attrib) (*PhysAddr, erro
 	}
 	svc.sys.Clock.Advance(sim.Duration(pages) * 200)
 	for _, f := range frames {
-		fr, _ := svc.sys.Phys.Frame(f)
-		fr.InUse = true
-		fr.Dirty = false
-		fr.Referenced = false
+		_ = svc.sys.Phys.Claim(f)
 	}
 	cap := &PhysAddr{frames: frames, owner: svc}
 	svc.liveCaps[cap] = true
@@ -95,86 +100,99 @@ func (svc *PhysAddrService) Allocate(size int64, attrib Attrib) (*PhysAddr, erro
 	return cap, nil
 }
 
+// take picks pages free frames: the lowest contiguous run, or color by
+// color from the lowest color (just the one asked for, if any).
 func (svc *PhysAddrService) take(pages int, attrib Attrib) ([]uint64, error) {
 	if attrib.Contiguous {
 		return svc.takeContiguous(pages)
 	}
-	frames := make([]uint64, 0, pages)
+	lo, hi, free := 0, sal.NumColors, svc.FreePages()
 	if attrib.Color >= 0 {
-		list := svc.free[attrib.Color]
-		if len(list) < pages {
-			return nil, ErrNoMemory
-		}
-		frames = append(frames, list[:pages]...)
-		svc.free[attrib.Color] = list[pages:]
-		return frames, nil
+		lo, hi, free = attrib.Color, attrib.Color+1, svc.freeOf(attrib.Color)
 	}
-	for color := 0; color < sal.NumColors && len(frames) < pages; color++ {
-		list := svc.free[color]
-		for len(list) > 0 && len(frames) < pages {
-			frames = append(frames, list[0])
-			list = list[1:]
-		}
-		svc.free[color] = list
-	}
-	if len(frames) < pages {
-		svc.putBack(frames)
+	if free < pages {
 		return nil, ErrNoMemory
+	}
+	frames := make([]uint64, 0, pages)
+	for c := lo; c < hi; c++ {
+		for len(frames) < pages {
+			f, ok := svc.takeColor(c)
+			if !ok {
+				break
+			}
+			frames = append(frames, f)
+		}
 	}
 	return frames, nil
 }
 
-// takeContiguous scans free frames for a physically contiguous run.
-func (svc *PhysAddrService) takeContiguous(pages int) ([]uint64, error) {
-	avail := make(map[uint64]bool)
-	for _, list := range svc.free {
-		for _, f := range list {
-			avail[f] = true
+// takeColor hands out color c's next free frame.
+func (svc *PhysAddrService) takeColor(c int) (uint64, bool) {
+	for f := svc.next[c]; f < uint64(svc.total); f = svc.next[c] {
+		svc.next[c] = f + sal.NumColors
+		if _, skip := svc.ahead[f]; !skip {
+			return f, true
+		}
+		delete(svc.ahead, f)
+	}
+	if q := svc.returned[c]; len(q) > 0 {
+		svc.returned[c] = q[1:]
+		return q[0], true
+	}
+	return 0, false
+}
+
+// freeOf counts color c's free frames. Every frame in ahead lies beyond its
+// color's cursor and is either in use or queued as returned, so it is
+// counted once too often.
+func (svc *PhysAddrService) freeOf(c int) int {
+	n := len(svc.returned[c])
+	if f := svc.next[c]; f < uint64(svc.total) {
+		n += int((uint64(svc.total)-1-f)/sal.NumColors) + 1
+	}
+	for f := range svc.ahead {
+		if f%sal.NumColors == uint64(c) {
+			n--
 		}
 	}
-	for start := range avail {
-		run := true
-		for i := 1; i < pages; i++ {
-			if !avail[start+uint64(i)] {
-				run = false
-				break
-			}
+	return n
+}
+
+// takeContiguous takes the lowest run of pages free frames.
+func (svc *PhysAddrService) takeContiguous(pages int) ([]uint64, error) {
+	run := 0
+	for f := uint64(reservedFrames); f < uint64(svc.total); f++ {
+		if fr, _ := svc.sys.Phys.Frame(f); fr.InUse {
+			run = 0
+			continue
 		}
-		if !run {
+		if run++; run < pages {
 			continue
 		}
 		frames := make([]uint64, pages)
 		for i := range frames {
-			frames[i] = start + uint64(i)
+			frames[i] = f + 1 - uint64(pages-i)
+			svc.unqueue(frames[i])
 		}
-		svc.removeFromFree(frames)
 		return frames, nil
 	}
 	return nil, ErrNoMemory
 }
 
-func (svc *PhysAddrService) removeFromFree(frames []uint64) {
-	victim := make(map[uint64]bool, len(frames))
-	for _, f := range frames {
-		victim[f] = true
-	}
-	for color, list := range svc.free {
-		out := list[:0]
-		for _, f := range list {
-			if !victim[f] {
-				out = append(out, f)
-			}
+// unqueue takes free frame f out of its color's order: out of the returned
+// queue, or, if the cursor has yet to reach it, by having the cursor skip it.
+func (svc *PhysAddrService) unqueue(f uint64) {
+	c := f % sal.NumColors
+	if _, skipped := svc.ahead[f]; !skipped && f >= svc.next[c] {
+		if svc.ahead == nil {
+			svc.ahead = make(map[uint64]struct{})
 		}
-		svc.free[color] = out
+		svc.ahead[f] = struct{}{}
+		return
 	}
-}
-
-func (svc *PhysAddrService) putBack(frames []uint64) {
-	for _, f := range frames {
-		fr, _ := svc.sys.Phys.Frame(f)
-		fr.InUse = false
-		svc.free[fr.Color] = append(svc.free[fr.Color], f)
-	}
+	q := svc.returned[c]
+	i := slices.Index(q, f)
+	svc.returned[c] = slices.Delete(q, i, i+1)
 }
 
 // Deallocate returns the capability's memory. The translation service first
@@ -186,7 +204,10 @@ func (svc *PhysAddrService) Deallocate(p *PhysAddr) error {
 		return badCap("PhysAddr.T")
 	}
 	svc.sys.TransSvc.invalidateFrames(p.frames)
-	svc.putBack(p.frames)
+	for _, f := range p.frames {
+		_ = svc.sys.Phys.Release(f)
+		svc.returned[f%sal.NumColors] = append(svc.returned[f%sal.NumColors], f)
+	}
 	svc.inUse -= len(p.frames)
 	delete(svc.liveCaps, p)
 	p.dead = true
@@ -236,11 +257,7 @@ func (svc *PhysAddrService) IsDirty(p *PhysAddr) (bool, error) {
 
 // FreePages reports the number of free frames.
 func (svc *PhysAddrService) FreePages() int {
-	n := 0
-	for _, list := range svc.free {
-		n += len(list)
-	}
-	return n
+	return max(svc.total-reservedFrames, 0) - svc.inUse
 }
 
 // InUsePages reports the number of allocated frames.

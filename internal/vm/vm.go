@@ -150,6 +150,7 @@ var (
 	ErrNoMemory      = errors.New("vm: out of physical memory")
 	ErrBadCapability = errors.New("vm: invalid or stale capability")
 	ErrNoSpace       = errors.New("vm: virtual address space exhausted")
+	ErrBadAttrib     = errors.New("vm: allocation attribute out of range")
 )
 
 func badCap(what string) error { return fmt.Errorf("%w: %s", ErrBadCapability, what) }

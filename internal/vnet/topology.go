@@ -130,12 +130,13 @@ func (b *Builder) LinkNamed(name, a, bn string, m LinkModel) *Builder {
 }
 
 // attachment is one node's end of one link: the NIC (machine side) or port
-// (switch side) facing the link, plus the outbound half.
+// (switch side) facing the link, the node at the far end, and the far end's
+// own attachment.
 type attachment struct {
-	neighbor string
-	nic      *sal.NIC
-	port     *Port
-	out      *half
+	nic  *sal.NIC
+	port *Port
+	peer int
+	back *attachment
 }
 
 // Build constructs the Internet: boots machines, wires links, computes BFS
@@ -156,6 +157,9 @@ func (b *Builder) Build() (*Internet, error) {
 		switches: make(map[string]*Switch, len(b.switches)),
 		links:    make(map[string]*Link, len(b.links)),
 	}
+	// Nodes are numbered machines first, then switches, each in
+	// declaration order.
+	index := make(map[string]int, len(b.nodes))
 	for i, ms := range b.machines {
 		cfg := ms.cfg
 		if cfg.IP == 0 {
@@ -168,42 +172,43 @@ func (b *Builder) Build() (*Internet, error) {
 		}
 		in.machines[ms.name] = m
 		in.machineOrder = append(in.machineOrder, ms.name)
+		index[ms.name] = i
 	}
 	for _, name := range b.switches {
 		in.switches[name] = newSwitch(name)
 		in.switchOrder = append(in.switchOrder, name)
+		index[name] = len(index)
 	}
 
 	// Wire links: each end gets a NIC (machine) or port (switch); each
 	// direction's half transmits to the far end's endpoint.
-	adj := make(map[string][]*attachment, len(b.nodes))
+	adj := make([][]*attachment, len(index))
 	endAt := func(node, far string, out *half) (*attachment, endpoint) {
-		at := &attachment{neighbor: far, out: out}
+		at := &attachment{peer: index[far]}
+		adj[index[node]] = append(adj[index[node]], at)
 		if m := in.machines[node]; m != nil {
 			at.nic = m.AddNIC(b.nicModel)
 			at.nic.AttachWire(out)
-			adj[node] = append(adj[node], at)
 			return at, at.nic
 		}
-		sw := in.switches[node]
-		at.port = sw.addPort(far)
+		at.port = in.switches[node].addPort(far)
 		at.port.out = out
-		adj[node] = append(adj[node], at)
 		return at, at.port
 	}
 	for _, ls := range b.links {
 		l := newLink(ls.name, ls.model, b.seed)
 		l.ab.dir = ls.a + "->" + ls.b
 		l.ba.dir = ls.b + "->" + ls.a
-		_, epA := endAt(ls.a, ls.b, l.ab)
-		_, epB := endAt(ls.b, ls.a, l.ba)
+		atA, epA := endAt(ls.a, ls.b, l.ab)
+		atB, epB := endAt(ls.b, ls.a, l.ba)
+		atA.back, atB.back = atB, atA
 		l.ab.to = epB
 		l.ba.to = epA
 		in.links[ls.name] = l
 		in.linkOrder = append(in.linkOrder, ls.name)
 	}
 
-	b.computeRoutes(in, adj)
+	computeRoutes(in, adj)
 
 	for _, name := range in.machineOrder {
 		in.cluster.Add(in.machines[name].Engine)
@@ -217,59 +222,48 @@ func (b *Builder) Build() (*Internet, error) {
 
 // computeRoutes runs one BFS per destination machine over the node graph
 // and programs, at every other node, the attachment its shortest path
-// leaves through: host stacks get AddRoute, switches get route-table
-// entries. Declaration order makes tie-breaks deterministic. A host's routes
-// are collected and installed together, one table publish per machine.
-func (b *Builder) computeRoutes(in *Internet, adj map[string][]*attachment) {
-	hostRoutes := make(map[string]map[netstack.IPAddr]*sal.NIC, len(in.machines))
-	for _, name := range in.machineOrder {
-		hostRoutes[name] = make(map[netstack.IPAddr]*sal.NIC, len(in.machines)-1)
-	}
-	for _, dstName := range in.machineOrder {
+// leaves through: switches get route-table entries, and a host gets a route
+// only where that attachment is not its first NIC, which is its stack's
+// default route, so a single-NIC host holds no route table. Declaration
+// order makes tie-breaks deterministic. A host's routes are collected and
+// installed together, one table publish per machine.
+func computeRoutes(in *Internet, adj [][]*attachment) {
+	hostRoutes := make([]map[netstack.IPAddr]*sal.NIC, len(in.machineOrder))
+	// seen[v] is one more than the last destination whose BFS reached v.
+	seen := make([]int, len(adj))
+	queue := make([]int, 0, len(adj))
+	for dst, dstName := range in.machineOrder {
 		dstIP := in.machines[dstName].Stack.IP
-		// BFS from the destination; the edge by which a node is first
-		// discovered is the first hop of its shortest path back.
-		visited := map[string]bool{dstName: true}
-		queue := []string{dstName}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, at := range adj[u] {
-				v := at.neighbor
-				if visited[v] {
+		seen[dst] = dst + 1
+		queue = append(queue[:0], dst)
+		// The edge by which a node is first discovered is the first hop of
+		// its shortest path back, and its own end of that edge is where
+		// the path leaves it.
+		for i := 0; i < len(queue); i++ {
+			for _, at := range adj[queue[i]] {
+				v := at.peer
+				if seen[v] == dst+1 {
 					continue
 				}
-				visited[v] = true
+				seen[v] = dst + 1
 				queue = append(queue, v)
-				// v reaches dst via its own side of this edge: the
-				// attachment on v whose outbound half is the reverse
-				// direction of at.out's link.
-				back := reverseAttachment(adj[v], at)
-				if back == nil {
-					continue
-				}
-				if routes := hostRoutes[v]; routes != nil {
-					routes[dstIP] = back.nic
-				} else if sw := in.switches[v]; sw != nil {
-					sw.routes[dstIP] = back.port
+				switch back := at.back; {
+				case back.port != nil:
+					back.port.sw.routes[dstIP] = back.port
+				case back != adj[v][0]:
+					if hostRoutes[v] == nil {
+						hostRoutes[v] = make(map[netstack.IPAddr]*sal.NIC)
+					}
+					hostRoutes[v][dstIP] = back.nic
 				}
 			}
 		}
 	}
-	for _, name := range in.machineOrder {
-		in.machines[name].Stack.AddRoutes(hostRoutes[name])
-	}
-}
-
-// reverseAttachment finds, among v's attachments, the end of the same link
-// as at (the halves of one link point at each other's link).
-func reverseAttachment(atts []*attachment, at *attachment) *attachment {
-	for _, cand := range atts {
-		if cand.out.link == at.out.link {
-			return cand
+	for i, routes := range hostRoutes {
+		if routes != nil {
+			in.machines[in.machineOrder[i]].Stack.AddRoutes(routes)
 		}
 	}
-	return nil
 }
 
 // Star builds n hosts ("h0".."h{n-1}") around one switch ("s0"), every

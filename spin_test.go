@@ -2,6 +2,7 @@ package spin
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -201,5 +202,26 @@ func TestLoadVendorDriver(t *testing.T) {
 	}
 	if obj := d.Objects()[0]; obj.Signer != safe.KernelAssertion {
 		t.Errorf("signer = %v", obj.Signer)
+	}
+}
+
+// A fleet boots one machine per host, so what a machine allocates before it
+// does anything is paid hundreds of times. Physical memory costs what has
+// been touched, so nothing here grows with MemoryBytes; the stack's own
+// share is pinned by netstack's TestIdleStackFootprint.
+func TestIdleMachineFootprint(t *testing.T) {
+	const machines, budget = 64, 48 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range machines {
+		if _, err := NewMachine("idle", Config{IP: netstack.Addr(10, 0, 1, byte(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / machines; per > budget {
+		t.Errorf("NewMachine allocates %d bytes, budget %d", per, budget)
+	} else {
+		t.Logf("NewMachine allocates %d bytes", per)
 	}
 }
