@@ -96,7 +96,7 @@ func TestVirtualTimeGates(t *testing.T) {
 		want    sim.Duration
 	}{
 		{"DNS resolve over the named star", resolveLatency, 930240},
-		{"dial to ESTABLISHED over the named star", dialLatency, 949248},
+		{"dial to ESTABLISHED over the named star", dialLatency, 949312},
 	}
 	for _, g := range gates {
 		if got := g.measure(t); got != g.want {
@@ -443,7 +443,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if recovery > rtt+sim.Millisecond {
 			t.Errorf("the dropped bytes arrived %v late with a round trip of %v, want at most a round trip and 1 ms", recovery, rtt)
 		}
-		if rtt != 4553248 || recovery != 4794828 {
+		if rtt != 4553312 || recovery != 4794924 {
 			t.Errorf("round trip %d ns, recovery %d ns: the pinned figures moved", rtt, recovery)
 		}
 	})
@@ -455,23 +455,72 @@ func TestLossRecoveryGates(t *testing.T) {
 		}
 	})
 
+	// The last data frame of a transfer is dropped: nothing sent after it
+	// can be SACKed, so no ACK says it is missing. A probe two round trips
+	// after it went out resends it.
+	t.Run("a tail loss costs a probe, not a timeout", func(t *testing.T) {
+		const size = 64 << 10
+		run := func(drop bool) (flow, netstack.TCPStats) {
+			in, dropped := benchDumbbell(t, 1, vnet.LinkModel{}), false
+			in.Link("bottleneck").AddHook(func(ev *vnet.FrameEvent) vnet.Verdict {
+				pkt, _ := ev.Frame.Payload.(*netstack.Packet)
+				if !drop || dropped || pkt == nil || ev.Dir != "sl->sr" || int(pkt.Seq-101)+len(pkt.Payload) != size {
+					return vnet.Pass
+				}
+				dropped = true
+				return vnet.Drop
+			})
+			f := runFlows(t, in, 1, size)[0]
+			return f, in.Machine("l0").Stack.TCP().Stats()
+		}
+		clean, _ := run(false)
+		lossy, st := run(true)
+		rtt := sim.Duration(clean.established)
+		if late := lossy.done().Sub(clean.done()); late > 3*rtt {
+			t.Errorf("the last frame's bytes arrived %v late with a round trip of %v, want within 3 round trips", late, rtt)
+		}
+		if st.TLPProbes != 1 || st.RTOs != 0 || lossy.retransmits != 1 {
+			t.Errorf("%d probes, %d timeouts, %d retransmissions; want 1, 0 and 1", st.TLPProbes, st.RTOs, lossy.retransmits)
+		}
+		if late := lossy.done().Sub(clean.done()); late != 9536744 {
+			t.Errorf("tail recovered %d ns late: the pinned figure moved", late)
+		}
+	})
+
 	// The benchmark's two link models, two flows each way of looking.
-	t.Run("loss costs less than 10x and is shared", func(t *testing.T) {
-		const size = 2 << 20
-		last := func(fs []flow) sim.Time { return max(fs[0].done(), fs[1].done()) }
-		clean := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{}), 2, size)
+	const size = 2 << 20
+	last := func(fs []flow) sim.Time { return max(fs[0].done(), fs[1].done()) }
+	clean := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{}), 2, size)
+	t.Run("loss costs less than 2.5x and is shared", func(t *testing.T) {
 		lossy := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{
 			Loss: 0.01, Reorder: 0.02, ReorderDelay: 300 * sim.Microsecond,
 		}), 2, size)
-		if ratio := float64(last(lossy)) / float64(last(clean)); ratio > 10 {
-			t.Errorf("1%% loss and 2%% reorder take %.1fx the clean link's time, want at most 10x", ratio)
+		if ratio := float64(last(lossy)) / float64(last(clean)); ratio > 2.5 {
+			t.Errorf("1%% loss and 2%% reorder take %.2fx the clean link's time, want at most 2.5x", ratio)
 		}
 		a, b := lossy[0].done(), lossy[1].done()
 		if ratio := float64(max(a, b)) / float64(min(a, b)); ratio > 1.5 {
 			t.Errorf("competing flows finished at %v and %v, %.2fx apart, want at most 1.5x", sim.Duration(a), sim.Duration(b), ratio)
 		}
-		if last(clean) != 318090184 || a != 843881728 || b != 877249160 {
+		if last(clean) != 318090248 || a != 548046796 || b != 754933940 {
 			t.Errorf("clean %d ns, lossy flows %d and %d ns: the pinned figures moved", last(clean), a, b)
+		}
+	})
+
+	// A frame held back 300 µs is overtaken by the dozen behind it. Until
+	// a D-SACK shows RACK that this path reorders, that looks like a loss:
+	// one spurious recovery per flow is allowed, and then none.
+	t.Run("reordering alone costs nothing", func(t *testing.T) {
+		reordered := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{
+			Reorder: 0.02, ReorderDelay: 300 * sim.Microsecond,
+		}), 2, size)
+		for i, f := range reordered {
+			if f.retransmits > 2 {
+				t.Errorf("flow %d retransmitted %d segments over a link that loses nothing, want at most 2", i, f.retransmits)
+			}
+		}
+		if ratio := float64(last(reordered)) / float64(last(clean)); ratio > 1.05 {
+			t.Errorf("2%% reorder takes %.3fx the clean link's time, want at most 1.05x", ratio)
 		}
 	})
 }

@@ -220,13 +220,16 @@ func (d *Debugger) mem() string {
 	return fmt.Sprintf("mem: %d/%d frames in use", inUse, total)
 }
 
-// net summarizes the transport state of the target's stack.
+// net summarizes the transport state of the target's stack, and why its
+// segments were retransmitted.
 func (d *Debugger) net() string {
 	st := d.target.Net
 	rx, tx := st.Stats()
 	ts := st.TCP().Stats()
-	return fmt.Sprintf("net %s (%v): rx=%d tx=%d tcp-conns=%d half-open=%d evicted=%d resets=%d",
-		st.Host, st.IP, rx, tx, ts.Conns, ts.HalfOpen, ts.HalfOpenEvicted, ts.Resets)
+	return fmt.Sprintf("net %s (%v): rx=%d tx=%d tcp-conns=%d half-open=%d evicted=%d resets=%d timed-out=%d"+
+		" fast-recoveries=%d rack-lost=%d tlp-probes=%d rtos=%d dsacks=%d",
+		st.Host, st.IP, rx, tx, ts.Conns, ts.HalfOpen, ts.HalfOpenEvicted, ts.Resets, ts.TimedOut,
+		ts.FastRecoveries, ts.RACKMarkedLost, ts.TLPProbes, ts.RTOs, ts.DSACKsReceived)
 }
 
 // topo reports the surrounding network topology.

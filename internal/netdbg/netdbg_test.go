@@ -171,7 +171,9 @@ func TestNetCommand(t *testing.T) {
 	if !strings.Contains(reply, "10.0.0.2") || !strings.Contains(reply, "tcp-conns=0") {
 		t.Errorf("net = %q", reply)
 	}
-	if !strings.Contains(reply, "rx=") {
-		t.Errorf("net missing counters: %q", reply)
+	for _, counter := range []string{"rx=", "timed-out=0", "fast-recoveries=0", "rack-lost=0", "tlp-probes=0", "rtos=0", "dsacks=0"} {
+		if !strings.Contains(reply, counter) {
+			t.Errorf("net missing %s: %q", counter, reply)
+		}
 	}
 }

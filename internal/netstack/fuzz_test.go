@@ -15,6 +15,9 @@ func FuzzParsePacket(f *testing.F) {
 	for _, pkt := range wireSamplePackets() {
 		f.Add(EncodePacket(pkt))
 	}
+	for _, tc := range wireOptionFrames() {
+		f.Add(tcpFrame(tc.opts, "xyz"))
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, EtherHeader+IPHeader))
 	f.Fuzz(func(t *testing.T, data []byte) {

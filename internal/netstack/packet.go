@@ -77,6 +77,14 @@ const (
 	ICMPHeader  = 8
 )
 
+// MaxSACKBlocks is how many SACK blocks one segment carries: four fill the
+// 40 option bytes a TCP header has room for (RFC 2018 §3).
+const MaxSACKBlocks = 4
+
+// SACKBlock is one contiguous range of sequence space the receiver holds,
+// [Start, End).
+type SACKBlock struct{ Start, End uint32 }
+
 // Packet is one packet traversing the graph. It carries all layers' fields
 // at once (the simulation passes the object by reference; only sizes affect
 // timing).
@@ -91,6 +99,11 @@ type Packet struct {
 	Seq, Ack uint32
 	Flags    TCPFlags
 	Window   int
+	// TCP options (RFC 2018): SACKPermitted is offered on a SYN or SYN|ACK;
+	// the first NumSACK entries of SACK are the blocks an ACK reports.
+	SACKPermitted bool
+	NumSACK       uint8
+	SACK          [MaxSACKBlocks]SACKBlock
 
 	// ICMP.
 	ICMPType uint8 // 8 echo request, 0 echo reply
@@ -232,9 +245,26 @@ func (p *Packet) WireSize() int {
 	case ProtoUDP:
 		n += UDPHeader
 	case ProtoTCP:
-		n += TCPHeader
+		n += TCPHeader + p.tcpOptionsLen()
 	case ProtoICMP:
 		n += ICMPHeader
+	}
+	return n
+}
+
+// SACKBlocks returns the SACK blocks the segment carries.
+func (p *Packet) SACKBlocks() []SACKBlock { return p.SACK[:min(int(p.NumSACK), MaxSACKBlocks)] }
+
+// tcpOptionsLen is the option bytes the TCP header carries, each option
+// padded with NOPs to a 4-byte boundary: SACK-permitted in 4, SACK in 4
+// plus 8 a block.
+func (p *Packet) tcpOptionsLen() int {
+	n := 0
+	if p.SACKPermitted {
+		n += 4
+	}
+	if k := len(p.SACKBlocks()); k > 0 {
+		n += 4 + 8*k
 	}
 	return n
 }

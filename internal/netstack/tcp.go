@@ -65,7 +65,10 @@ const maxRTT = 60 * sim.Second
 // (rcvWindow, 22 segments) binds long before it does.
 const maxCwnd = 128
 
-// dupAckThreshold is the number of duplicate ACKs taken as a loss (RFC 5681).
+// dupAckThreshold is the number of duplicate ACKs taken as a loss from a
+// peer without SACK (RFC 5681), and the number of SACKed segments past a
+// hole that make RACK give up its reordering window before it has seen
+// reordering (RFC 8985 §6.2).
 const dupAckThreshold = 3
 
 // DefaultMaxRetx is the default retransmission cap: after this many
@@ -150,7 +153,8 @@ type tcpShard struct {
 type synEntry struct {
 	rcvNxt uint32   // peer ISS + 1
 	iss    uint32   // our initial send sequence for the SYN-ACK
-	wnd    int      // peer's advertised window from the SYN
+	wnd    uint16   // peer's advertised window from the SYN
+	sackOK bool     // the SYN offered SACK, so the SYN-ACK does too
 	at     sim.Time // arrival, for TTL/oldest eviction
 }
 
@@ -190,13 +194,12 @@ type Conn struct {
 	// (RFC 6298), in microseconds; srtt is 0 until the first sample.
 	srtt, rttvar uint32
 	// recover is SND.NXT as it was when the current (or last) loss was
-	// noticed. An ACK short of it is partial: it uncovers the next hole.
-	// Duplicate ACKs at or below it are echoes of our own retransmissions
-	// and start nothing (RFC 6582).
+	// noticed. An ACK short of it is partial. A loss found at or below it
+	// belongs to a window already halved for and halves nothing (RFC 6582).
 	recover  uint32
 	cwnd     uint16 // congestion window, segments
 	ssthresh uint16 // slow-start threshold, segments
-	caAcked  uint16 // segments acknowledged since cwnd last grew, above ssthresh
+	caAcked  uint8  // segments acknowledged since cwnd last grew, above ssthresh (< cwnd ≤ maxCwnd)
 	dupAcks  uint8
 	phase    sendPhase
 	// retxAttempts counts consecutive unacknowledged retransmissions of
@@ -208,18 +211,25 @@ type Conn struct {
 	retxAttempts uint8
 	backoff      uint8
 
-	// Which ends have closed, then the receive side.
-	peerClosed bool
-	closed     bool
-	rcvNxt     uint32
-	// ooo holds what arrived ahead of rcvNxt. Nil until something does.
-	ooo *oooQueue
+	closed bool
+	// sackOK is set when both SYNs carried SACK-permitted (RFC 2018): the
+	// receive side reports its queue in SACK blocks, and the send side
+	// finds losses with RACK-TLP instead of counting duplicate ACKs.
+	sackOK bool
+	// timer is what the retx event does when it expires.
+	timer  timerKind
+	rcvNxt uint32
+	// loss holds what only a connection that met loss or reordering needs.
+	// Nil until it does.
+	loss *lossState
 
 	// retx is the retransmit timer, an owner-held event (sim.Engine.Arm)
 	// bound to onRetxTimer the first time it is armed, and retxAt the time
 	// it is to expire. The event may be queued for earlier: an ACK that
 	// restarts the timer moves retxAt and leaves the heap alone, and the
-	// event, firing early, re-arms itself for the remainder.
+	// event, firing early, re-arms itself for the remainder. The one event
+	// serves as the retransmission timeout, RACK's reordering timer and the
+	// tail-loss probe timer; timer says which.
 	retx   sim.Event
 	retxAt sim.Time
 
@@ -244,36 +254,56 @@ type sendPhase uint8
 
 const (
 	// phaseOpen: nothing is known lost. An ACK of new data grows cwnd (by a
-	// segment below ssthresh, by a segment per window above it); the third
-	// duplicate ACK starts recovery.
+	// segment below ssthresh, by a segment per window above it). A segment
+	// found lost (see tcp_rack.go) starts recovery.
 	phaseOpen sendPhase = iota
-	// phaseRecovery: fast recovery (RFC 5681 §3.2). The head was resent on
-	// the third duplicate ACK; each further duplicate inflates cwnd by the
-	// segment that left the network; a partial ACK resends the next hole;
-	// an ACK of recover deflates cwnd to ssthresh and reopens.
+	// phaseRecovery: fast recovery (RFC 5681 §3.2, RFC 6675). cwnd holds
+	// at ssthresh and the segments found lost are resent as the pipe leaves
+	// room; an ACK of recover reopens.
 	phaseRecovery
-	// phaseLoss: the retransmission timer resent the head and cwnd
-	// restarted from one segment. A partial ACK resends the next hole here
-	// too; an ACK of recover reopens.
+	// phaseLoss: the retransmission timer marked what was outstanding
+	// lost, resent the head and restarted cwnd from one segment; the rest
+	// are resent as slow start opens the window. An ACK of recover reopens.
 	phaseLoss
+)
+
+// timerKind is what the retransmit event does when it expires.
+type timerKind uint8
+
+const (
+	timerRTO timerKind = iota // the retransmission timeout (RFC 6298)
+	timerREO                  // RACK's reordering window closes (RFC 8985 §6.3)
+	timerPTO                  // the tail-loss probe timeout (RFC 8985 §7)
 )
 
 // segment is one unacknowledged segment: n bytes of sendBuf, or a FIN.
 type segment struct {
-	at     sim.Time // when it was first sent
-	seq    uint32
-	n      uint16
-	fin    bool
-	rexmit bool // sent more than once: its ACK times nothing (Karn)
+	at   sim.Time // when it was last sent
+	seq  uint32
+	n    uint16
+	bits segBits
 }
+
+// segBits are a segment's flags.
+type segBits uint8
+
+const (
+	segFIN    segBits = 1 << iota
+	segRexmit         // sent more than once: its ACK times nothing (Karn)
+	segSacked         // the peer holds it (a SACK block covered it)
+	segLost           // presumed lost and not resent since
+)
 
 // end is the sequence number after the segment's last.
 func (s segment) end() uint32 {
-	if s.fin {
+	if s.bits&segFIN != 0 {
 		return s.seq + 1
 	}
 	return s.seq + uint32(s.n)
 }
+
+// len is the sequence space the segment occupies.
+func (s segment) len() uint32 { return s.end() - s.seq }
 
 // unsent is the queued data not yet segmented.
 func (c *Conn) unsent() []byte { return c.sendBuf.Bytes()[c.sent:] }
@@ -361,6 +391,8 @@ type TCP struct {
 	resets          atomic.Int64
 	halfOpenEvicted atomic.Int64
 	timedOut        atomic.Int64
+
+	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived atomic.Int64
 }
 
 // A TCP module keeps at most maxSpareSendBufs spare send buffers, enough for
@@ -477,11 +509,18 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 		return nil, fmt.Errorf("netstack: no free local port for %v:%d: %w", dst, port, ErrPortsExhausted)
 	}
 	if dialFault.Kind != faultinject.KindDrop {
-		c.sendSeg(c.seg(FlagSYN, c.sndNxt, 0, nil))
+		c.sendSYN()
 	}
 	c.sndNxt++
 	c.armRetx()
 	return c, nil
+}
+
+// sendSYN sends (or resends) the connection's SYN, which always offers SACK.
+func (c *Conn) sendSYN() {
+	p := c.seg(FlagSYN, c.sndUna, 0, nil)
+	p.SACKPermitted = true
+	c.sendSeg(p)
 }
 
 // Send queues payloads for transmission, back to back, as one write.
@@ -544,33 +583,24 @@ func (c *Conn) Close() error {
 		c.teardown() // cancels any armed retransmit timer
 		return err
 	}
-	c.queueFIN()
+	// The FIN rides behind any queued data: pump sends it once the buffer
+	// has drained, now or from a later ACK.
+	c.pump()
 	return nil
 }
 
-func (c *Conn) queueFIN() {
-	// FIN rides after any queued data; represent as zero-data fin
-	// segment appended once the buffer drains.
-	c.pump()
-	if len(c.unsent()) == 0 {
-		c.sendFIN()
-	}
-	// Otherwise pump() sends it once data drains (checked in onAck).
-}
-
 func (c *Conn) sendFIN() {
-	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, fin: true})
+	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, bits: segFIN})
 	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil))
 	c.sndNxt++
 	c.armRetx()
 }
 
-// pump sends as much buffered data as the congestion and peer windows
-// allow.
+// pump resends what is marked lost, then sends as much buffered data as the
+// congestion and peer windows allow.
 func (c *Conn) pump() {
-	st := c.State()
-	if st != StateEstablished && st != StateCloseWait &&
-		st != StateFinWait1 && st != StateLastAck {
+	c.resendLost()
+	if !c.sending() {
 		return
 	}
 	for len(c.unsent()) > 0 {
@@ -581,20 +611,9 @@ func (c *Conn) pump() {
 			c.armRetx()
 			return
 		}
-		inFlightBytes := int(c.sndNxt - c.sndUna)
-		windowBytes := min(int(c.cwnd)*DefaultMSS, int(c.sndWnd))
-		if inFlightBytes >= windowBytes {
-			return // window full; ACKs will re-pump
-		}
-		n := DefaultMSS
-		if n > len(c.unsent()) {
-			n = len(c.unsent())
-		}
-		if n > windowBytes-inFlightBytes {
-			n = windowBytes - inFlightBytes
-		}
+		n := min(DefaultMSS, len(c.unsent()), c.peerRoom(), int(c.cwnd)*DefaultMSS-c.pipe())
 		if n <= 0 {
-			return
+			return // a window is full; ACKs will re-pump
 		}
 		c.sendData(n)
 	}
@@ -603,17 +622,41 @@ func (c *Conn) pump() {
 	}
 }
 
+// sending reports whether the state lets new data out.
+func (c *Conn) sending() bool {
+	st := c.State()
+	return st == StateEstablished || st == StateCloseWait || st == StateFinWait1 || st == StateLastAck
+}
+
+// peerRoom is what the peer's advertised window has left.
+func (c *Conn) peerRoom() int { return int(c.sndWnd) - int(c.sndNxt-c.sndUna) }
+
+// pipe is the sequence space in the network (RFC 6675): sent and not
+// acknowledged, less what the peer has SACKed and what is presumed lost.
+// With nothing marked it is everything outstanding.
+func (c *Conn) pipe() int {
+	n := int(c.sndNxt - c.sndUna)
+	if x := c.loss; x != nil {
+		n -= int(x.sacked + x.lost)
+	}
+	return n
+}
+
 // finInflight reports whether the FIN, always the last segment, is out.
 func (c *Conn) finInflight() bool {
 	n := len(c.inflight)
-	return n > 0 && c.inflight[n-1].fin
+	return n > 0 && c.inflight[n-1].bits&segFIN != 0
 }
 
-// seg allocates a pooled segment carrying this connection's receive window;
-// payload (if any) is copied into the packet's own buffer.
+// seg allocates a pooled segment carrying this connection's receive window,
+// and, on an ACK to a peer that permits it, SACK blocks for what is queued
+// out of order; payload (if any) is copied into the packet's own buffer.
 func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload []byte) *Packet {
 	p := AllocPacket()
 	p.Flags, p.Seq, p.Ack, p.Window = flags, seq, ack, rcvWindow
+	if x := c.loss; x != nil && c.sackOK && flags&FlagACK != 0 {
+		x.fillSACK(p)
+	}
 	if len(payload) > 0 {
 		p.SetPayload(payload)
 	}
@@ -650,30 +693,50 @@ func (c *Conn) sampleRTT(r sim.Duration) {
 		c.rttvar = (3*c.rttvar + dev) / 4
 		c.srtt = (7*c.srtt + us) / 8
 	}
+	if x := c.loss; x != nil && (x.rack.minRTT == 0 || r < x.rack.minRTT) {
+		x.rack.minRTT = r
+	}
 	c.backoff = 0
 }
 
-// armRetx starts the retransmission timer unless it is running.
+// armRetx starts the retransmission timer unless it is running, and
+// restarts the probe timer, which runs from the newest transmission.
 func (c *Conn) armRetx() {
-	if !c.retx.Armed() {
+	if !c.retx.Armed() || c.probeAllowed() {
 		c.restartRetx()
 	}
 }
 
-// restartRetx sets the timer to expire one RTO from now. A queued event
-// due no later than that stays where it is and onRetxTimer re-arms it for
-// the difference, so restarting on every ACK of new data costs no heap
-// operation.
+// restartRetx sets the timer to expire one RTO from now or, where a
+// tail-loss probe is allowed, one probe timeout (RFC 8985 §7.2): two SRTTs,
+// plus a delayed ACK's worth with one segment out, and no later than the
+// RTO.
 func (c *Conn) restartRetx() {
-	s, d := c.tcp.stack, c.rto()
-	c.retxAt = s.clock.Now().Add(d)
-	if c.retx.Armed() && c.retx.At <= c.retxAt {
+	d, kind := c.rto(), timerRTO
+	if c.probeAllowed() {
+		pto := 2 * sim.Duration(c.srtt) * sim.Microsecond
+		if len(c.inflight) == 1 {
+			pto += retxTimeout
+		}
+		d, kind = min(d, pto), timerPTO
+	}
+	c.armAt(kind, c.tcp.stack.clock.Now().Add(d))
+}
+
+// armAt sets the timer to expire at at as kind. A queued event due no later
+// than that stays where it is and onRetxTimer re-arms it for the
+// difference, so restarting on every ACK of new data costs no heap
+// operation.
+func (c *Conn) armAt(kind timerKind, at sim.Time) {
+	c.timer, c.retxAt = kind, at
+	if c.retx.Armed() && c.retx.At <= at {
 		return
 	}
 	if c.retx.Do == nil {
 		c.retx.Do = c.onRetxTimer
 	}
-	s.engine.Arm(&c.retx, d)
+	s := c.tcp.stack
+	s.engine.Arm(&c.retx, at.Sub(s.clock.Now()))
 }
 
 func (c *Conn) cancelRetx() { c.retx.Disarm() }
@@ -695,21 +758,8 @@ func (c *Conn) retxExhausted() bool {
 	return false
 }
 
-// resendHead retransmits the oldest unacknowledged segment, the hole the
-// peer's cumulative ACK stops at.
-func (c *Conn) resendHead() {
-	s := &c.inflight[0]
-	s.rexmit = true
-	flags := FlagACK
-	if s.fin {
-		flags |= FlagFIN
-	}
-	c.retransmits.Add(1)
-	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.sendBuf.Bytes()[:s.n]))
-}
-
 // onRetxTimer is the retransmit event firing: early, if ACKs have moved the
-// deadline since it was queued, or as the retransmission timeout.
+// deadline since it was queued, or as the timer it was armed as.
 func (c *Conn) onRetxTimer() {
 	s := c.tcp.stack
 	if now := s.clock.Now(); now < c.retxAt {
@@ -721,22 +771,33 @@ func (c *Conn) onRetxTimer() {
 		if c.retxExhausted() {
 			return
 		}
+		c.tcp.rtos.Add(1)
 		c.retransmits.Add(1)
-		c.sendSeg(c.seg(FlagSYN, c.sndUna, 0, nil))
+		c.sendSYN()
 		c.restartRetx()
+	case len(c.inflight) > 0 && c.timer == timerPTO:
+		c.probe()
+	case len(c.inflight) > 0 && c.timer == timerREO:
+		c.rackDetect()
+		c.pump()
+		if !c.retx.Armed() {
+			c.restartRetx()
+		}
 	case len(c.inflight) > 0:
 		if c.retxExhausted() {
 			return
 		}
+		c.tcp.rtos.Add(1)
 		// RFC 5681 §3.1: half the flight on the first timeout of this
 		// segment, held on the ones after; then slow start from one
-		// segment, resending holes as partial ACKs uncover them.
+		// segment through what is marked lost.
 		if c.retxAttempts == 1 {
 			c.ssthresh = uint16(max(len(c.inflight)/2, 2))
 		}
 		c.cwnd, c.caAcked, c.dupAcks = 1, 0, 0
 		c.phase, c.recover = phaseLoss, c.sndNxt
-		c.resendHead()
+		c.markLostOnTimeout()
+		c.pump()
 		c.restartRetx()
 	case c.sndWnd == 0 && len(c.unsent()) > 0 && c.State() != StateClosed:
 		// Zero-window persist (RFC 1122 §4.2.2.17): the peer advertised
@@ -842,7 +903,7 @@ func (t *TCP) recordSynLocked(sh *tcpShard, key connKey, pkt *Packet) synEntry {
 	} else if len(sh.syn) >= maxHalfOpenPerShard {
 		t.evictSynLocked(sh)
 	}
-	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: pkt.Window, at: t.stack.clock.Now()}
+	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: clampU16(pkt.Window), sackOK: pkt.SACKPermitted, at: t.stack.clock.Now()}
 	sh.syn[key] = e
 	return e
 }
@@ -853,6 +914,7 @@ func (t *TCP) sendSynAck(pkt *Packet, e synEntry) {
 	synack.Src, synack.Dst, synack.Proto = t.stack.IP, pkt.Src, ProtoTCP
 	synack.SrcPort, synack.DstPort = pkt.DstPort, pkt.SrcPort
 	synack.Flags, synack.Seq, synack.Ack, synack.Window = FlagSYN|FlagACK, e.iss, e.rcvNxt, rcvWindow
+	synack.SACKPermitted = e.sackOK
 	synack.TTL = 32
 	_ = t.stack.SendIP(synack)
 }
@@ -897,6 +959,7 @@ func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 		delivery: l.cost,
 		sndUna:   e.iss + 1, sndNxt: e.iss + 1, recover: e.iss,
 		rcvNxt:   e.rcvNxt,
+		sackOK:   e.sackOK,
 		acceptCb: l.accept,
 	}
 	c.setState(StateEstablished)
@@ -978,6 +1041,7 @@ func (c *Conn) handleSynSent(pkt *Packet) {
 	// zero window pauses pump(), and the persist probe in onRetxTimer
 	// keeps testing for it to reopen.
 	c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, pkt.Ack
+	c.sackOK = pkt.SACKPermitted
 	c.setState(StateEstablished)
 	c.retxAttempts = 0
 	c.cancelRetx()
@@ -1011,7 +1075,12 @@ func (c *Conn) onAck(pkt *Packet) bool {
 		c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, ack
 	}
 	if ack == c.sndUna {
-		if dup {
+		c.takeSACK(pkt)
+		switch {
+		case c.sackOK && c.loss != nil:
+			c.rackDetect()
+			c.pump()
+		case dup && !c.sackOK:
 			c.onDupAck()
 		}
 		return true
@@ -1021,44 +1090,36 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	// restarts from scratch for whatever is still outstanding.
 	c.sndUna = ack
 	c.retxAttempts, c.dupAcks = 0, 0
-	// Drop fully acknowledged segments. The newest of them times the
-	// round trip, unless any was sent twice (Karn).
-	n, acked, finAcked, clean := 0, 0, false, true
-	for ; n < len(c.inflight) && int32(c.inflight[n].end()-ack) <= 0; n++ {
-		s := c.inflight[n]
-		acked += int(s.n)
-		finAcked = finAcked || s.fin
-		clean = clean && !s.rexmit
-	}
-	if n > 0 && clean {
-		c.sampleRTT(c.tcp.stack.clock.Now().Sub(c.inflight[n-1].at))
-	}
-	c.inflight = c.inflight[:copy(c.inflight, c.inflight[n:])]
-	c.sent -= uint32(acked)
-	c.sendBuf.Next(acked)
+	n, finAcked := c.takeCumAck(ack)
+	c.takeSACK(pkt)
+	// The probe timer runs from the newest transmission, which an ACK of
+	// older data does not move; every other timer restarts.
 	if len(c.inflight) == 0 {
 		c.cancelRetx()
-	} else {
+	} else if c.timer != timerPTO || !c.retx.Armed() || !c.probeAllowed() {
 		c.restartRetx()
 	}
-	// Fast recovery deflates the window it inflated: to ssthresh when it
-	// ends, else by what was acknowledged less the segment about to go out.
+	c.endProbe(ack)
 	// An ACK short of recover is partial (never so in phaseOpen, where
-	// recover is behind SND.UNA): it uncovers the next hole, which is
-	// resent at once (RFC 6582 §3.2; the same after a timeout).
+	// recover is behind SND.UNA). Without SACK it deflates the window that
+	// duplicate ACKs inflated, by what was acknowledged less the segment
+	// about to go out, and marks the hole it uncovers lost (RFC 6582 §3.2;
+	// the same after a timeout); with SACK, RACK finds the holes. An ACK of
+	// recover ends recovery at ssthresh.
 	full := int32(ack-c.recover) >= 0
 	switch {
 	case c.phase != phaseRecovery:
 		c.grow(n)
 	case full:
 		c.cwnd, c.caAcked = c.ssthresh, 0
-	default:
+	case !c.sackOK:
 		c.cwnd = uint16(max(int(c.cwnd)-n, 0) + 1)
 	}
-	if full {
-		c.phase = phaseOpen
-	} else {
-		c.resendHead()
+	switch {
+	case full:
+		c.endRecovery()
+	case !c.sackOK:
+		c.markLost(0)
 	}
 	if finAcked {
 		switch c.State() {
@@ -1069,8 +1130,37 @@ func (c *Conn) onAck(pkt *Packet) bool {
 			return true
 		}
 	}
+	c.rackDetect()
 	c.pump()
 	return true
+}
+
+// takeCumAck drops the segments ack covers, and reports how many and
+// whether the FIN was among them. The newest of them times the round trip,
+// unless any was sent twice (Karn) or is timed already by the SACK that
+// reported it.
+func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
+	now := c.tcp.stack.clock.Now()
+	acked, clean, timed := 0, true, -1
+	for ; n < len(c.inflight) && int32(c.inflight[n].end()-ack) <= 0; n++ {
+		s := c.inflight[n]
+		acked += int(s.n)
+		finAcked = finAcked || s.bits&segFIN != 0
+		clean = clean && s.bits&segRexmit == 0
+		if s.bits&segSacked == 0 {
+			timed = n
+		}
+		if c.loss != nil {
+			c.delivered(s, now)
+		}
+	}
+	if timed >= 0 && clean {
+		c.sampleRTT(now.Sub(c.inflight[timed].at))
+	}
+	c.inflight = c.inflight[:copy(c.inflight, c.inflight[n:])]
+	c.sent -= uint32(acked)
+	c.sendBuf.Next(acked)
+	return n, finAcked
 }
 
 // grow opens the congestion window for n newly acknowledged segments: a
@@ -1080,17 +1170,19 @@ func (c *Conn) grow(n int) {
 	for ; n > 0; n-- {
 		if c.cwnd < c.ssthresh {
 			c.cwnd++
-		} else if c.caAcked++; c.caAcked >= c.cwnd {
+		} else if c.caAcked++; uint16(c.caAcked) >= c.cwnd {
 			c.caAcked = 0
 			c.cwnd = min(c.cwnd+1, maxCwnd)
 		}
 	}
 }
 
-// onDupAck counts a duplicate ACK. The third starts fast retransmit and
-// fast recovery (RFC 5681 §3.2) unless it only echoes an earlier recovery's
-// retransmissions (RFC 6582 §3.2, step 2); inside recovery each one means a
-// segment has left the network and lets one more in.
+// onDupAck counts a duplicate ACK from a peer without SACK, which says
+// only that one more segment left the network. The third marks the head
+// lost and starts recovery (RFC 5681 §3.2) unless it only echoes an earlier
+// recovery's retransmissions (RFC 6582 §3.2, step 2); inside recovery each
+// one inflates cwnd by the segment that left, which stands in for the pipe
+// a SACK scoreboard would have shrunk.
 func (c *Conn) onDupAck() {
 	switch c.phase {
 	case phaseRecovery:
@@ -1100,10 +1192,9 @@ func (c *Conn) onDupAck() {
 		// (A count that wraps round to three again finds SND.UNA where it
 		// was, and the same answer.)
 		if c.dupAcks++; c.dupAcks == dupAckThreshold && int32(c.sndUna-c.recover) > 0 {
-			c.ssthresh = uint16(max(len(c.inflight)/2, 2))
-			c.cwnd = c.ssthresh + dupAckThreshold
-			c.phase, c.recover = phaseRecovery, c.sndNxt
-			c.resendHead()
+			c.startRecovery()
+			c.markLost(0)
+			c.pump()
 		}
 	}
 }
@@ -1111,7 +1202,7 @@ func (c *Conn) onDupAck() {
 // onData takes a segment's payload. The in-order case, with nothing queued
 // ahead of it, is the whole steady state.
 func (c *Conn) onData(pkt *Packet) {
-	if pkt.Seq != c.rcvNxt || c.ooo != nil {
+	if x := c.loss; pkt.Seq != c.rcvNxt || x != nil && (len(x.runs) > 0 || x.fin) {
 		c.onDataOutOfOrder(pkt.Seq, pkt.Payload)
 		return
 	}
@@ -1120,14 +1211,17 @@ func (c *Conn) onData(pkt *Packet) {
 }
 
 // onDataOutOfOrder is onData in general: the payload may start before
-// RCV.NXT (the part already delivered is trimmed), at it (delivered, and
-// whatever it joins up with in the queue behind it), or after it (queued).
-// Every case is answered at once with an ACK of RCV.NXT: a duplicate if
-// the segment left a hole, which is what the sender's fast retransmit
-// counts, and one covering everything when the hole has filled.
+// RCV.NXT (the part already delivered is trimmed, and reported as a
+// duplicate), at it (delivered, and whatever it joins up with in the queue
+// behind it), or after it (queued). Every case is answered at once with an
+// ACK of RCV.NXT: a duplicate if the segment left a hole, carrying the
+// queue's SACK blocks, and one covering everything when the hole has
+// filled.
 func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
 	if old := int32(c.rcvNxt - seq); old > 0 {
-		seq, p = c.rcvNxt, p[min(int(old), len(p)):]
+		dup := min(int(old), len(p))
+		c.reportDuplicate(seq, seq+uint32(dup))
+		seq, p = c.rcvNxt, p[dup:]
 	}
 	switch {
 	case len(p) == 0:
@@ -1138,8 +1232,17 @@ func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
 		c.queueOOO(seq, p)
 	}
 	c.sendAck()
-	if q := c.ooo; q != nil && q.fin && q.finSeq == c.rcvNxt {
+	if x := c.loss; x != nil && x.fin && x.finSeq == c.rcvNxt {
 		c.takeFIN()
+	}
+}
+
+// reportDuplicate has the next ACK open with a D-SACK block for [start,
+// end), sequence space that arrived twice (RFC 2883), if the peer reads
+// SACK blocks.
+func (c *Conn) reportDuplicate(start, end uint32) {
+	if c.sackOK && start != end {
+		c.lossState().dsack = seqRange{start, end}
 	}
 }
 
@@ -1151,24 +1254,42 @@ func (c *Conn) deliver(p []byte) {
 	}
 }
 
-// oooQueue is the receive side's out-of-order queue: the bytes that
-// arrived ahead of RCV.NXT, kept so that the segment that fills the hole
-// releases them all and the sender resends only what was lost. It is bounded
-// by the advertised window twice over. The bytes live in one ring of
-// rcvWindow bytes, the byte with sequence number s at buf[s%rcvWindow], so a
-// segment reaching past RCV.NXT+rcvWindow has nowhere to go and is dropped;
-// and at most maxOOORuns separate runs are tracked, so a peer dribbling
-// one-byte segments with gaps cannot grow the bookkeeping (a segment that
-// would start one run more is dropped too). Both are within what the
-// sender was told: it retransmits.
-type oooQueue struct {
-	buf []byte
+// lossState is what only a connection that met loss or reordering needs,
+// made the first time it does: on the receive side the out-of-order queue
+// and the D-SACK to report, on the send side the SACK scoreboard's totals
+// and the RACK-TLP state (tcp_rack.go).
+//
+// The out-of-order queue holds the bytes that arrived ahead of RCV.NXT, kept
+// so that the segment that fills the hole releases them all and the sender
+// resends only what was lost. It is bounded by the advertised window twice
+// over. The bytes live in one ring of rcvWindow bytes, the byte with
+// sequence number s at buf[s%rcvWindow], so a segment reaching past
+// RCV.NXT+rcvWindow has nowhere to go and is dropped; and at most
+// maxOOORuns separate runs are tracked, so a peer dribbling one-byte
+// segments with gaps cannot grow the bookkeeping (a segment that would
+// start one run more is dropped too). Both are within what the sender was
+// told: it retransmits.
+type lossState struct {
+	buf []byte // the ring, made on the first byte queued
 	// runs are the queued byte ranges, ascending, disjoint and not
 	// touching.
 	runs []seqRange
 	// fin records a FIN that arrived ahead of a hole, at finSeq.
 	fin    bool
 	finSeq uint32
+	// newest is where the segment queued last starts: the run holding it
+	// is the first SACK block (RFC 2018 §4).
+	newest uint32
+	// dsack is a duplicate the next ACK reports first (RFC 2883); empty
+	// when start == end.
+	dsack seqRange
+
+	// The sender's scoreboard: the sequence space of the inflight segments
+	// marked sacked and lost, and how many are sacked.
+	sacked, lost uint32
+	sackedSegs   uint16
+
+	rack rackState
 }
 
 type seqRange struct{ start, end uint32 }
@@ -1179,12 +1300,14 @@ const maxOOORuns = 32
 // (anything else makes this constant negative, which does not convert).
 const _ = uint(-(rcvWindow & (rcvWindow - 1)))
 
-// queue returns the connection's out-of-order queue, made on first use.
-func (c *Conn) queue() *oooQueue {
-	if c.ooo == nil {
-		c.ooo = &oooQueue{buf: make([]byte, rcvWindow), runs: make([]seqRange, 0, maxOOORuns)}
+// lossState returns the connection's loss state, made on first use. RACK
+// starts out counting what is acknowledged as delivered.
+func (c *Conn) lossState() *lossState {
+	if c.loss == nil {
+		c.loss = &lossState{rack: rackState{fack: c.sndUna, end: c.sndUna, reoMult: 1,
+			minRTT: sim.Duration(c.srtt) * sim.Microsecond}}
 	}
-	return c.ooo
+	return c.loss
 }
 
 // queueOOO keeps p, which starts at seq, ahead of RCV.NXT.
@@ -1193,7 +1316,10 @@ func (c *Conn) queueOOO(seq uint32, p []byte) {
 	if end-c.rcvNxt > rcvWindow {
 		return
 	}
-	q := c.queue()
+	q := c.lossState()
+	if q.buf == nil {
+		q.buf, q.runs = make([]byte, rcvWindow), make([]seqRange, 0, maxOOORuns)
+	}
 	// The runs from i up to j overlap or touch [seq, end): they merge.
 	i := 0
 	for i < len(q.runs) && int32(q.runs[i].end-seq) < 0 {
@@ -1210,6 +1336,9 @@ func (c *Conn) queueOOO(seq uint32, p []byte) {
 		q.runs = slices.Insert(q.runs, i, seqRange{seq, end})
 	} else {
 		r := &q.runs[i]
+		if j == i+1 && int32(seq-r.start) >= 0 && int32(end-r.end) <= 0 {
+			c.reportDuplicate(seq, end)
+		}
 		if int32(seq-r.start) < 0 {
 			r.start = seq
 		}
@@ -1218,16 +1347,25 @@ func (c *Conn) queueOOO(seq uint32, p []byte) {
 		}
 		q.runs = slices.Delete(q.runs, i+1, j)
 	}
+	q.newest = seq
 	at := seq & (rcvWindow - 1)
 	copy(q.buf, p[copy(q.buf[at:], p):])
 }
 
-// drainOOO delivers every queued run RCV.NXT has reached.
+// drainOOO delivers every queued run RCV.NXT has reached. A run that
+// RCV.NXT has passed arrived twice, in part: that part is reported.
 func (c *Conn) drainOOO() {
-	q := c.ooo
-	for q != nil && q == c.ooo && len(q.runs) > 0 && int32(q.runs[0].start-c.rcvNxt) <= 0 {
+	q := c.loss
+	for q != nil && q == c.loss && len(q.runs) > 0 && int32(q.runs[0].start-c.rcvNxt) <= 0 {
 		r := q.runs[0]
 		q.runs = slices.Delete(q.runs, 0, 1)
+		if int32(r.start-c.rcvNxt) < 0 {
+			end := r.end
+			if int32(end-c.rcvNxt) > 0 {
+				end = c.rcvNxt
+			}
+			c.reportDuplicate(r.start, end)
+		}
 		if n := int32(r.end - c.rcvNxt); n > 0 {
 			at := c.rcvNxt & (rcvWindow - 1)
 			first := q.buf[at:min(at+uint32(n), rcvWindow)]
@@ -1235,6 +1373,45 @@ func (c *Conn) drainOOO() {
 			if rest := int(n) - len(first); rest > 0 {
 				c.deliver(q.buf[:rest])
 			}
+		}
+	}
+}
+
+// fillSACK writes the SACK blocks an ACK carries (RFC 2018 §4): a pending
+// D-SACK first (RFC 2883), reported once; then the run holding the newest
+// segment; then the rest from the highest down, which in a stream are the
+// ones that grew most recently. A FIN queued ahead of a hole counts as the
+// sequence number it occupies.
+func (q *lossState) fillSACK(p *Packet) {
+	add := func(start, end uint32) {
+		if p.NumSACK < MaxSACKBlocks {
+			p.SACK[p.NumSACK] = SACKBlock{start, end}
+			p.NumSACK++
+		}
+	}
+	block := func(r seqRange) {
+		if q.fin && q.finSeq == r.end {
+			r.end++
+		}
+		add(r.start, r.end)
+	}
+	if q.dsack.start != q.dsack.end {
+		add(q.dsack.start, q.dsack.end)
+		q.dsack = seqRange{}
+	}
+	first := -1
+	for i, r := range q.runs {
+		if int32(q.newest-r.start) >= 0 && int32(q.newest-r.end) < 0 {
+			first = i
+			block(r)
+		}
+	}
+	if last := len(q.runs) - 1; q.fin && (last < 0 || q.runs[last].end != q.finSeq) {
+		add(q.finSeq, q.finSeq+1)
+	}
+	for i := len(q.runs) - 1; i >= 0; i-- {
+		if i != first {
+			block(q.runs[i])
 		}
 	}
 }
@@ -1250,7 +1427,7 @@ func (c *Conn) onFIN(pkt *Packet) {
 		c.takeFIN()
 		return
 	case d > 0 && d < rcvWindow:
-		q := c.queue()
+		q := c.lossState()
 		q.fin, q.finSeq = true, seq
 	}
 	if len(pkt.Payload) == 0 {
@@ -1261,9 +1438,8 @@ func (c *Conn) onFIN(pkt *Packet) {
 // takeFIN consumes the peer's FIN at RCV.NXT.
 func (c *Conn) takeFIN() {
 	c.rcvNxt++
-	c.peerClosed = true
-	if c.ooo != nil {
-		c.ooo.fin = false
+	if c.loss != nil {
+		c.loss.fin = false
 	}
 	c.sendAck()
 	switch c.State() {
@@ -1295,7 +1471,7 @@ func (c *Conn) teardown() {
 		return
 	}
 	c.cancelRetx()
-	c.ooo = nil
+	c.loss = nil
 	// Drained send-buffer storage goes to the next connection. Packets copy
 	// what they carry, so nothing else holds it.
 	if t, n := c.tcp, c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf {
@@ -1341,7 +1517,7 @@ func (t *TCP) Unsettled() (queued, armed int) {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, c := range sh.conns {
-			if q := c.ooo; q != nil && (len(q.runs) > 0 || q.fin) {
+			if q := c.loss; q != nil && (len(q.runs) > 0 || q.fin) {
 				queued++
 			}
 			if c.retx.Armed() {
@@ -1361,6 +1537,13 @@ type TCPStats struct {
 	Accepted        int64 // server-side connections materialized by a final ACK
 	Resets          int64 // RSTs sent for unexpected segments
 	TimedOut        int64 // connections torn down by the retransmission cap
+
+	// Why segments were retransmitted.
+	FastRecoveries int64 // recoveries entered on a loss RACK or duplicate ACKs found
+	RACKMarkedLost int64 // segments RACK found lost: something sent after them arrived
+	TLPProbes      int64 // tail-loss probes sent
+	RTOs           int64 // retransmission timeouts (SYN included)
+	DSACKsReceived int64 // D-SACK blocks: the peer got a segment twice
 }
 
 // Stats snapshots the module counters.
@@ -1370,6 +1553,11 @@ func (t *TCP) Stats() TCPStats {
 		Accepted:        t.accepted.Load(),
 		Resets:          t.resets.Load(),
 		TimedOut:        t.timedOut.Load(),
+		FastRecoveries:  t.fastRecoveries.Load(),
+		RACKMarkedLost:  t.rackMarkedLost.Load(),
+		TLPProbes:       t.tlpProbes.Load(),
+		RTOs:            t.rtos.Load(),
+		DSACKsReceived:  t.dsacksReceived.Load(),
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]

@@ -42,14 +42,40 @@ type seg struct {
 	seq, ack int // relative; ack is ignored without FlagACK
 	n        int // payload bytes
 	win      int // injected segments only; 0 advertises rcvWindow
+	// sackOK is the SACK-permitted option. Every SYN the endpoint sends
+	// offers it, which the recorder checks itself, so a script writes that
+	// SYN without it.
+	sackOK bool
+	// sack are the SACK blocks, relative like ack; the first empty one ends
+	// the list.
+	sack [MaxSACKBlocks]blk
 }
 
+// blk is a SACK block in script notation, [start, end).
+type blk struct{ start, end int }
+
 func (s seg) String() string {
-	return fmt.Sprintf("%v seq %d ack %d len %d", s.flags, s.seq, s.ack, s.n)
+	str := fmt.Sprintf("%v seq %d ack %d len %d", s.flags, s.seq, s.ack, s.n)
+	if s.sackOK {
+		str += " sackOK"
+	}
+	for _, b := range s.sack {
+		if b != (blk{}) {
+			str += fmt.Sprintf(" sack %d-%d", b.start, b.end)
+		}
+	}
+	return str
 }
 
 func data(seq, n int) seg { return seg{flags: FlagACK, seq: seq, n: n} }
 func ack(n int) seg       { return seg{flags: FlagACK, ack: n} }
+
+// sack is an ACK of n carrying blocks, each given as start and end.
+func sack(n int, blocks ...blk) seg {
+	s := ack(n)
+	copy(s.sack[:], blocks)
+	return s
+}
 
 // step is one line of a script: at virtual time at, do one thing (or, with
 // none set, let the timers due at exactly that instant fire) and expect
@@ -71,6 +97,7 @@ type emission struct {
 	at sim.Time
 	seg
 	corrupt bool
+	noOffer bool // a SYN without SACK-permitted
 }
 
 // scriptRig is the endpoint under test and the recorder around it.
@@ -119,6 +146,13 @@ func (r *scriptRig) Transmit(f sal.NetFrame, _ sim.Time) {
 	}}
 	if p.Flags&FlagACK != 0 {
 		e.ack = int(int32(p.Ack - (scriptPeerISS + 1)))
+	}
+	e.sackOK = p.SACKPermitted
+	if p.Flags == FlagSYN {
+		e.sackOK, e.noOffer = false, !p.SACKPermitted
+	}
+	for i, b := range p.SACKBlocks() {
+		e.sack[i] = blk{int(int32(b.Start - (scriptPeerISS + 1))), int(int32(b.End - (scriptPeerISS + 1)))}
 	}
 	for i, b := range p.Payload {
 		if b != streamByte(e.seq+i) {
@@ -173,11 +207,17 @@ func dialRig(t *testing.T) *scriptRig {
 }
 
 // clientRig is an endpoint that dialled and completed the handshake at
-// time 0: the sender of the sender-side tables.
-func clientRig(t *testing.T) *scriptRig {
+// time 0: the sender of the sender-side tables. Its peer does not offer
+// SACK.
+func clientRig(t *testing.T) *scriptRig { return dialedRig(t, false) }
+
+// sackClientRig is clientRig with a peer whose SYN|ACK permits SACK.
+func sackClientRig(t *testing.T) *scriptRig { return dialedRig(t, true) }
+
+func dialedRig(t *testing.T, sackOK bool) *scriptRig {
 	t.Helper()
 	r := dialRig(t)
-	r.run([]step{{in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0}), out: []seg{ack(0)}}})
+	r.run([]step{{in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, sackOK: sackOK}), out: []seg{ack(0)}}})
 	if r.conn.State() != StateEstablished {
 		t.Fatalf("handshake left the client in %v", r.conn.State())
 	}
@@ -185,15 +225,21 @@ func clientRig(t *testing.T) *scriptRig {
 }
 
 // serverRig is an endpoint that accepted a connection at time 0: the
-// receiver of the receiver-side tables.
-func serverRig(t *testing.T) *scriptRig {
+// receiver of the receiver-side tables. Its peer does not offer SACK, so
+// neither does it.
+func serverRig(t *testing.T) *scriptRig { return acceptedRig(t, false) }
+
+// sackServerRig is serverRig with a peer whose SYN permits SACK.
+func sackServerRig(t *testing.T) *scriptRig { return acceptedRig(t, true) }
+
+func acceptedRig(t *testing.T, sackOK bool) *scriptRig {
 	t.Helper()
 	r := newScriptRig(t, false)
 	if err := r.st.TCP().Listen(80, nil, r.adopt); err != nil {
 		t.Fatal(err)
 	}
 	r.run([]step{
-		{in: in(seg{flags: FlagSYN, seq: -1}), out: []seg{{flags: FlagSYN | FlagACK, seq: -1, ack: 0}}},
+		{in: in(seg{flags: FlagSYN, seq: -1, sackOK: sackOK}), out: []seg{{flags: FlagSYN | FlagACK, seq: -1, ack: 0, sackOK: sackOK}}},
 		{in: in(ack(0))},
 	})
 	if r.conn == nil || r.conn.State() != StateEstablished {
@@ -226,6 +272,13 @@ func (r *scriptRig) inject(s seg) {
 	if s.win != 0 {
 		p.Window = s.win
 	}
+	p.SACKPermitted = s.sackOK
+	for _, b := range s.sack {
+		if b != (blk{}) {
+			p.SACK[p.NumSACK] = SACKBlock{uint32(b.start) + r.dutISS() + 1, uint32(b.end) + r.dutISS() + 1}
+			p.NumSACK++
+		}
+	}
 	r.st.TCP().Deliver(p)
 }
 
@@ -249,7 +302,7 @@ func (r *scriptRig) expect(at sim.Time, what string, want []seg) {
 	r.emitted = nil
 	ok := len(got) == len(want)
 	for i := 0; ok && i < len(got); i++ {
-		ok = got[i].seg == want[i] && got[i].at == at && !got[i].corrupt
+		ok = got[i].seg == want[i] && got[i].at == at && !got[i].corrupt && !got[i].noOffer
 	}
 	if ok {
 		return
@@ -259,6 +312,9 @@ func (r *scriptRig) expect(at sim.Time, what string, want []seg) {
 		note := ""
 		if e.corrupt {
 			note = " (payload is not the stream's bytes at that offset)"
+		}
+		if e.noOffer {
+			note = " (a SYN that does not offer SACK)"
 		}
 		r.t.Errorf("    %v at %v%s", e.seg, sim.Duration(e.at), note)
 	}
@@ -430,6 +486,16 @@ func TestTCPScript(t *testing.T) {
 		}
 	})
 
+	// RFC 793 §3.5: CLOSE sends one FIN, behind the data queued before it.
+	t.Run("rfc793-3.5/close-sends-one-fin", func(t *testing.T) {
+		clientRig(t).run([]step{
+			{at: 1 * ms, write: 1, out: []seg{data(0, S)}},
+			{at: 1*ms + sum(S), close: true, out: []seg{{flags: FlagFIN | FlagACK, seq: S}}},
+			{at: 5 * ms, in: in(ack(S + 1)), check: wantState(StateFinWait2)},
+			{at: 1000 * ms, note: "nothing left to resend"},
+		})
+	})
+
 	// RFC 6298. The floor and the initial value are both 200 ms here.
 	t.Run("rfc6298-5/backoff-doubles", func(t *testing.T) {
 		t1 := 1*ms + sum(S) + 200*ms
@@ -599,6 +665,164 @@ func TestTCPScript(t *testing.T) {
 		serverRig(t).run([]step{{at: 1 * ms, in: in(seg{flags: FlagSYN, seq: -1}), note: "the connection ignores it; no second handshake starts",
 			check: both(wantState(StateEstablished), wantTable(1, 0))}})
 	})
+
+	// RFC 2018 §2: SACK is used only if both SYNs carried SACK-permitted.
+	// The endpoint offers it on every SYN (the recorder checks), answers a
+	// SYN that did not with a SYN|ACK that does not (serverRig), and never
+	// sends such a peer a block.
+	t.Run("rfc2018/negotiation", func(t *testing.T) {
+		holes := []step{
+			{at: 1 * ms, in: in(data(S, S)), out: []seg{ack(0)}},
+			{at: 1*ms + 100*us, in: in(data(3*S, S)), out: []seg{ack(0)}},
+			{at: 1*ms + 200*us, in: in(data(0, S)), out: []seg{ack(2 * S)}},
+		}
+		serverRig(t).run(holes)
+		clientRig(t).run(holes)
+	})
+	// RFC 2018 §4: the first block is the run holding the segment that
+	// triggered the ACK; as many others follow as fit, at most four in all.
+	t.Run("rfc2018/block-order", func(t *testing.T) {
+		b := func(from, to int) blk { return blk{from * S, to * S} }
+		sackServerRig(t).run([]step{
+			{at: 1 * ms, in: in(data(S, S)), out: []seg{sack(0, b(1, 2))}},
+			{at: 1*ms + 100*us, in: in(data(3*S, S)), out: []seg{sack(0, b(3, 4), b(1, 2))}},
+			{at: 1*ms + 200*us, in: in(data(5*S, S)), out: []seg{sack(0, b(5, 6), b(3, 4), b(1, 2))}},
+			{at: 1*ms + 300*us, in: in(data(7*S, S)), out: []seg{sack(0, b(7, 8), b(5, 6), b(3, 4), b(1, 2))}},
+			{at: 1*ms + 400*us, in: in(data(9*S, S)), note: "a fifth run: the oldest block is left out",
+				out: []seg{sack(0, b(9, 10), b(7, 8), b(5, 6), b(3, 4))}},
+			{at: 1*ms + 500*us, in: in(data(2*S, S)), note: "joins two runs, which go first",
+				out: []seg{sack(0, b(1, 4), b(9, 10), b(7, 8), b(5, 6))}},
+			{at: 1*ms + 600*us, in: in(data(0, S)), note: "fills the hole: the rest, newest first",
+				out: []seg{sack(4*S, b(9, 10), b(7, 8), b(5, 6))}, check: wantReceived(4 * S)},
+		})
+	})
+	// RFC 2883 §4: a duplicate segment is reported once, in the first
+	// block, with the run that holds it (if any) behind it.
+	t.Run("rfc2883/dsack-for-duplicate", func(t *testing.T) {
+		sackServerRig(t).run([]step{
+			{at: 1 * ms, in: in(data(0, S)), out: []seg{ack(S)}},
+			{at: 2 * ms, in: in(data(0, S)), note: "below RCV.NXT", out: []seg{sack(S, blk{0, S})}},
+			{at: 3 * ms, in: in(data(2*S, S)), note: "the D-SACK is not repeated", out: []seg{sack(S, blk{2 * S, 3 * S})}},
+			{at: 4 * ms, in: in(data(2*S, S)), note: "inside a queued run",
+				out: []seg{sack(S, blk{2 * S, 3 * S}, blk{2 * S, 3 * S})}},
+			{at: 5 * ms, in: in(data(S, 2*S)), note: "half new, half queued: delivered, and the queued half reported",
+				out: []seg{sack(3*S, blk{2 * S, 3 * S})}, check: wantReceived(3 * S)},
+		})
+	})
+
+	// RFC 8985 on the sender. Each row first times one round trip of 4 ms,
+	// so min_RTT is 4 ms and the reordering window a quarter of it.
+	rackRig := func(t *testing.T) *scriptRig {
+		r := sackClientRig(t).window(8, 64)
+		r.run([]step{
+			{at: 1 * ms, write: 1, out: []seg{data(0, S)}},
+			{at: 5 * ms, in: in(ack(S))},
+			{at: 6 * ms, write: 4, out: []seg{data(S, S), data(2*S, S), data(3*S, S), data(4*S, S)}},
+			{at: 10 * ms, in: in(sack(S, blk{2 * S, 3 * S})), note: "the second overtakes the first"},
+			{at: 10*ms + 100*us, in: in(ack(3 * S)), note: "the first fills the hole: reordering is seen"},
+			{at: 10*ms + 200*us, in: in(ack(5 * S))},
+			{at: 11 * ms, write: 5, out: []seg{data(5*S, S), data(6*S, S), data(7*S, S), data(8*S, S), data(9*S, S)}},
+			{at: 15 * ms, in: in(sack(5*S, blk{6 * S, 7 * S})), note: "the first of five is missing"},
+			{at: 15*ms + 100*us, in: in(sack(5*S, blk{6 * S, 8 * S}))},
+			{at: 15*ms + 200*us, in: in(sack(5*S, blk{6 * S, 9 * S})), note: "a third duplicate ACK: no fast retransmit"},
+			{at: 15*ms + 300*us, in: in(sack(5*S, blk{6 * S, 10 * S}))},
+		})
+		return r
+	}
+	// The hole's deadline: its send at 11 ms plus RACK.rtt, the newest
+	// delivered segment's round trip (15.3 ms less its send, four checksums
+	// after 11 ms), plus the 1 ms window.
+	holeLost := 16*ms + 300*us - 4*sum(S)
+	t.Run("rfc8985/reorder-within-window-no-retransmit", func(t *testing.T) {
+		rackRig(t).run([]step{
+			{at: 15*ms + 500*us, in: in(ack(10 * S)), note: "the missing segment was only late"},
+			{at: 1000 * ms, note: "idle"},
+		})
+	})
+	t.Run("rfc8985/loss-marked-after-reo-wnd", func(t *testing.T) {
+		r := rackRig(t)
+		r.run([]step{
+			{at: holeLost, note: "RACK marks it lost and recovery resends it", out: []seg{data(5*S, S)}},
+			{at: 20 * ms, in: in(ack(10 * S))},
+			{at: 1000 * ms, note: "idle"},
+		})
+		wantCauses(t, r, TCPStats{FastRecoveries: 1, RACKMarkedLost: 1})
+	})
+	t.Run("rfc8985/lost-retransmission-without-rto", func(t *testing.T) {
+		r := rackRig(t)
+		r.run([]step{
+			{at: holeLost, out: []seg{data(5*S, S)}},
+			{at: 17 * ms, write: 2, note: "pipe leaves room for one", out: []seg{data(10*S, S)}},
+			{at: 21 * ms, in: in(sack(5*S, blk{6 * S, 11 * S})), note: "the segment sent after the retransmission arrives",
+				out: []seg{data(11*S, S)}},
+			{at: holeLost + 5*ms, note: "so the retransmission is lost too: resent a round trip and a window after it",
+				out: []seg{data(5*S, S)}},
+			{at: 26 * ms, in: in(ack(12 * S))},
+			{at: 1000 * ms, note: "idle"},
+		})
+		wantCauses(t, r, TCPStats{FastRecoveries: 1, RACKMarkedLost: 2})
+	})
+
+	// RFC 8985 §7: a probe timeout of two SRTTs (here 8 ms) sends new data
+	// if the window lets it, else the last segment again.
+	probeRig := func(t *testing.T) *scriptRig {
+		r := sackClientRig(t).window(1, 1)
+		r.run([]step{
+			{at: 1 * ms, write: 1, out: []seg{data(0, S)}},
+			{at: 5 * ms, in: in(ack(S)), check: wantCwnd(2)},
+		})
+		return r
+	}
+	pto := 6*ms + 2*sum(S) + 8*ms
+	t.Run("rfc8985/tlp-probes-new-data", func(t *testing.T) {
+		r := probeRig(t)
+		r.run([]step{
+			{at: 6 * ms, write: 3, out: []seg{data(S, S), data(2*S, S)}},
+			{at: pto, note: "cwnd is full, the peer's window is not", out: []seg{data(3*S, S)}},
+			{at: 18 * ms, in: in(ack(4 * S))},
+			{at: 1000 * ms, note: "idle"},
+		})
+		wantCauses(t, r, TCPStats{TLPProbes: 1})
+	})
+	t.Run("rfc8985/tlp-probes-last-segment", func(t *testing.T) {
+		r := probeRig(t)
+		r.run([]step{
+			{at: 6 * ms, write: 2, out: []seg{data(S, S), data(2*S, S)}},
+			{at: pto, out: []seg{data(2*S, S)}},
+			{at: 18 * ms, in: in(ack(3 * S))},
+			{at: 1000 * ms, note: "idle"},
+		})
+		wantCauses(t, r, TCPStats{TLPProbes: 1})
+	})
+	// RFC 8985 §7.2: with one segment in flight the probe waits out a
+	// delayed ACK too. A 300 ms path, timed as in rfc6298-2 above, makes the
+	// RTO (SRTT + 4 RTTVAR, 900 ms) later than 2 SRTT + 200 ms.
+	t.Run("rfc8985/one-segment-flight-pto-includes-200ms", func(t *testing.T) {
+		r := dialRig(t)
+		r.run([]step{
+			{at: 200 * ms, out: []seg{{flags: FlagSYN, seq: -1}}},
+			{at: 300 * ms, in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, sackOK: true}), out: []seg{ack(0)}},
+			{at: 300 * ms, write: 1, out: []seg{data(0, S)}},
+			{at: 600 * ms, in: in(ack(S))},
+			{at: 600 * ms, write: 1, out: []seg{data(S, S)}},
+			{at: 600*ms + sum(S) + 600*ms, note: "two SRTTs: not yet"},
+			{at: 600*ms + sum(S) + 800*ms, out: []seg{data(S, S)}},
+			{at: 1500 * ms, in: in(ack(2 * S))},
+			{at: 5000 * ms, note: "idle"},
+		})
+		wantCauses(t, r, TCPStats{TLPProbes: 1, RTOs: 1})
+	})
+}
+
+// wantCauses checks the module's retransmission-cause counters.
+func wantCauses(t *testing.T, r *scriptRig, want TCPStats) {
+	t.Helper()
+	st := r.st.TCP().Stats()
+	got := TCPStats{FastRecoveries: st.FastRecoveries, RACKMarkedLost: st.RACKMarkedLost,
+		TLPProbes: st.TLPProbes, RTOs: st.RTOs, DSACKsReceived: st.DSACKsReceived}
+	if got != want {
+		t.Errorf("retransmission causes %+v, want %+v", got, want)
+	}
 }
 
 // wantTable checks what the demultiplexing table holds.

@@ -20,9 +20,10 @@ import (
 //	ether(14): dst MAC, src MAC, ethertype 0x0800
 //	ip(20):    version, total length(2), frag id(4), frag offset(2),
 //	           flags, TTL, protocol, src(4), dst(4)
-//	transport: UDP(8) ports/length; TCP(20) ports/seq/ack/flags/window;
-//	           ICMP(8) type/seq — matching the header size constants the
-//	           cost model charges for.
+//	transport: UDP(8) ports/length; TCP(20) ports/seq/ack/data offset/
+//	           flags/window, then its options (SACK-permitted, SACK
+//	           blocks); ICMP(8) type/seq — matching the header sizes the
+//	           cost model charges for (Packet.WireSize).
 
 // etherTypeIPv4 marks IP payloads in the ethernet header.
 const etherTypeIPv4 = 0x0800
@@ -36,6 +37,7 @@ var (
 	ErrBadEtherType  = errors.New("netstack: not an IPv4 frame")
 	ErrBadIPVersion  = errors.New("netstack: bad IP version")
 	ErrBadLength     = errors.New("netstack: IP total length inconsistent")
+	ErrBadOption     = errors.New("netstack: malformed TCP option")
 )
 
 // transportHeaderLen returns the transport header size for proto (0 for
@@ -76,6 +78,9 @@ func EncodePacket(pkt *Packet) []byte {
 // dst with enough capacity costs nothing).
 func AppendPacket(dst []byte, pkt *Packet) []byte {
 	thdr := transportHeaderLen(pkt.Proto)
+	if pkt.Proto == ProtoTCP {
+		thdr += pkt.tcpOptionsLen()
+	}
 	total := IPHeader + thdr + len(pkt.Payload)
 	off := len(dst)
 	// Not append(dst, make(...)...): a -race build allocates the make.
@@ -114,9 +119,10 @@ func AppendPacket(dst []byte, pkt *Packet) []byte {
 		binary.BigEndian.PutUint16(t[2:4], pkt.DstPort)
 		binary.BigEndian.PutUint32(t[4:8], pkt.Seq)
 		binary.BigEndian.PutUint32(t[8:12], pkt.Ack)
-		t[12] = 5 << 4 // data offset: 5 words, no options
+		t[12] = byte(thdr/4) << 4 // data offset, in words
 		t[13] = byte(pkt.Flags)
 		binary.BigEndian.PutUint16(t[14:16], clampU16(pkt.Window))
+		appendTCPOptions(t[TCPHeader:thdr], pkt)
 	case ProtoICMP:
 		t[0] = pkt.ICMPType
 		binary.BigEndian.PutUint16(t[4:6], pkt.ICMPSeq)
@@ -193,11 +199,14 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 		pkt.DstPort = binary.BigEndian.Uint16(t[2:4])
 		pkt.Seq = binary.BigEndian.Uint32(t[4:8])
 		pkt.Ack = binary.BigEndian.Uint32(t[8:12])
-		if off := int(t[12] >> 4); off != 5 {
-			return fmt.Errorf("%w: tcp data offset %d words (options unsupported)", ErrBadLength, off)
+		if thdr = int(t[12]>>4) * 4; thdr < TCPHeader || thdr > total-IPHeader {
+			return fmt.Errorf("%w: tcp data offset %d bytes, segment %d", ErrBadLength, thdr, total-IPHeader)
 		}
 		pkt.Flags = TCPFlags(t[13])
 		pkt.Window = int(binary.BigEndian.Uint16(t[14:16]))
+		if err := parseTCPOptions(pkt, t[TCPHeader:thdr]); err != nil {
+			return err
+		}
 	case ProtoICMP:
 		pkt.ICMPType = t[0]
 		pkt.ICMPSeq = binary.BigEndian.Uint16(t[4:6])
@@ -206,6 +215,82 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 		pkt.SetPayload(t[thdr : total-IPHeader])
 	} else {
 		pkt.Payload = t[thdr : total-IPHeader]
+	}
+	return nil
+}
+
+// TCP option kinds (RFC 793, RFC 2018).
+const (
+	optEOL           = 0
+	optNOP           = 1
+	optMSS           = 2
+	optSACKPermitted = 4
+	optSACK          = 5
+)
+
+// appendTCPOptions writes pkt's options into b, which is exactly
+// pkt.tcpOptionsLen() bytes: each option behind two NOPs, so that it ends on
+// a word boundary.
+func appendTCPOptions(b []byte, pkt *Packet) {
+	if pkt.SACKPermitted {
+		copy(b, []byte{optNOP, optNOP, optSACKPermitted, 2})
+		b = b[4:]
+	}
+	blocks := pkt.SACKBlocks()
+	if len(blocks) == 0 {
+		return
+	}
+	copy(b, []byte{optNOP, optNOP, optSACK, byte(2 + 8*len(blocks))})
+	for i, blk := range blocks {
+		binary.BigEndian.PutUint32(b[4+8*i:], blk.Start)
+		binary.BigEndian.PutUint32(b[8+8*i:], blk.End)
+	}
+}
+
+// parseTCPOptions decodes the option bytes between the fixed header and the
+// data offset. EOL ends the list and NOP pads it; MSS is read past (the
+// stack's segment size is fixed) and so is any kind it does not know, by its
+// length. A length below 2, an option running past the data offset, a
+// malformed SACK-permitted or a SACK option with other than one to four
+// blocks in all is rejected.
+func parseTCPOptions(pkt *Packet, b []byte) error {
+	for i := 0; i < len(b); {
+		kind := b[i]
+		if kind == optEOL {
+			return nil
+		}
+		if kind == optNOP {
+			i++
+			continue
+		}
+		if i+1 >= len(b) {
+			return fmt.Errorf("%w: kind %d has no length byte", ErrBadOption, kind)
+		}
+		n := int(b[i+1])
+		switch {
+		case n < 2:
+			return fmt.Errorf("%w: kind %d length %d", ErrBadOption, kind, n)
+		case i+n > len(b):
+			return fmt.Errorf("%w: kind %d length %d runs past the data offset", ErrBadOption, kind, n)
+		}
+		switch kind {
+		case optSACKPermitted:
+			if n != 2 {
+				return fmt.Errorf("%w: SACK-permitted length %d", ErrBadOption, n)
+			}
+			pkt.SACKPermitted = true
+		case optSACK:
+			k := (n - 2) / 8
+			if (n-2)%8 != 0 || k == 0 || int(pkt.NumSACK)+k > MaxSACKBlocks {
+				return fmt.Errorf("%w: SACK length %d with %d blocks before it", ErrBadOption, n, pkt.NumSACK)
+			}
+			for j := range k {
+				at := i + 2 + 8*j
+				pkt.SACK[pkt.NumSACK] = SACKBlock{binary.BigEndian.Uint32(b[at:]), binary.BigEndian.Uint32(b[at+4:])}
+				pkt.NumSACK++
+			}
+		}
+		i += n
 	}
 	return nil
 }

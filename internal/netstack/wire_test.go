@@ -2,7 +2,9 @@ package netstack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -18,6 +20,61 @@ func wireSamplePackets() []*Packet {
 		{Src: Addr(10, 0, 0, 3), Dst: Addr(10, 0, 0, 4), Proto: ProtoUDP,
 			SrcPort: 9, DstPort: 9, TTL: 1, FragID: 42, FragOffset: 1480,
 			MoreFrags: true, Payload: bytes.Repeat([]byte{0xab}, 512)},
+		{Src: Addr(10, 0, 0, 1), Dst: Addr(10, 0, 0, 2), Proto: ProtoTCP,
+			SrcPort: 30001, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 32 * 1024, TTL: 32,
+			SACKPermitted: true},
+		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+			SrcPort: 80, DstPort: 30001, Seq: 1001, Ack: 101, Flags: FlagACK, Window: 32 * 1024, TTL: 32,
+			NumSACK: 1, SACK: [MaxSACKBlocks]SACKBlock{{2561, 4021}}},
+		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+			SrcPort: 80, DstPort: 30001, Seq: 1001, Ack: 101, Flags: FlagACK, Window: 32 * 1024, TTL: 32,
+			NumSACK: 4, SACK: [MaxSACKBlocks]SACKBlock{{9000, 9100}, {1, 2}, {0xfffffff0, 8}, {500, 700}},
+			Payload: []byte("data rides behind four blocks")},
+		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+			SrcPort: 80, DstPort: 30001, Seq: 1000, Ack: 101, Flags: FlagSYN | FlagACK, Window: 32 * 1024, TTL: 32,
+			SACKPermitted: true, NumSACK: 4, SACK: [MaxSACKBlocks]SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}},
+	}
+}
+
+// tcpFrame is a TCP frame whose header carries opts verbatim, the data
+// offset counting them (opts must be a whole number of words).
+func tcpFrame(opts []byte, payload string) []byte {
+	b := EncodePacket(&Packet{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+		SrcPort: 80, DstPort: 30001, Seq: 7, Ack: 9, Flags: FlagACK, Window: 1000, TTL: 32,
+		Payload: []byte(payload)})
+	at := EtherHeader + IPHeader + TCPHeader
+	b = append(b[:at:at], append(opts, b[at:]...)...)
+	binary.BigEndian.PutUint16(b[EtherHeader+1:], uint16(len(b)-EtherHeader))
+	b[EtherHeader+IPHeader+12] = byte((TCPHeader+len(opts))/4) << 4
+	return b
+}
+
+// wireOptionFrames are option lists another stack may send, each with the
+// fields it must parse to: what the encoder never writes, it must still read.
+func wireOptionFrames() []struct {
+	name string
+	opts []byte
+	want Packet
+} {
+	sack := func(blocks ...SACKBlock) (p Packet) {
+		p.NumSACK = uint8(copy(p.SACK[:], blocks))
+		return p
+	}
+	return []struct {
+		name string
+		opts []byte
+		want Packet
+	}{
+		{"mss-then-sack-permitted-then-eol", []byte{optMSS, 4, 0x05, 0xb4, optSACKPermitted, 2, optEOL, optEOL},
+			Packet{SACKPermitted: true}},
+		{"nop-padding-around-sack", []byte{optNOP, optNOP, optSACK, 10, 0, 0, 0, 10, 0, 0, 0, 20, optNOP, optNOP, optNOP, optNOP},
+			sack(SACKBlock{10, 20})},
+		{"unknown-kind-skipped-by-length", []byte{30, 6, 0xde, 0xad, 0xbe, 0xef, optSACKPermitted, 2},
+			Packet{SACKPermitted: true}},
+		{"eol-hides-what-follows", []byte{optEOL, 0xff, 0xff, 0xff},
+			Packet{}},
+		{"two-sack-options-add-up", []byte{optSACK, 10, 0, 0, 0, 1, 0, 0, 0, 2, optSACK, 10, 0, 0, 0, 3, 0, 0, 0, 4},
+			sack(SACKBlock{1, 2}, SACKBlock{3, 4})},
 	}
 }
 
@@ -28,7 +85,26 @@ func samePacket(a, b *Packet) bool {
 		a.Seq == b.Seq && a.Ack == b.Ack && a.Flags == b.Flags &&
 		a.Window == b.Window && a.ICMPType == b.ICMPType && a.ICMPSeq == b.ICMPSeq &&
 		a.TTL == b.TTL && a.FragID == b.FragID && a.FragOffset == b.FragOffset &&
-		a.MoreFrags == b.MoreFrags && bytes.Equal(a.Payload, b.Payload)
+		a.MoreFrags == b.MoreFrags && bytes.Equal(a.Payload, b.Payload) &&
+		a.SACKPermitted == b.SACKPermitted && slices.Equal(a.SACKBlocks(), b.SACKBlocks())
+}
+
+func TestWireParsesForeignOptions(t *testing.T) {
+	for _, tc := range wireOptionFrames() {
+		got, err := ParsePacket(tcpFrame(tc.opts, "xyz"))
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got.SACKPermitted != tc.want.SACKPermitted || !slices.Equal(got.SACKBlocks(), tc.want.SACKBlocks()) ||
+			string(got.Payload) != "xyz" || got.Seq != 7 || got.Window != 1000 {
+			t.Errorf("%s: parsed %+v", tc.name, got)
+		}
+		round, err := ParsePacket(EncodePacket(got))
+		if err != nil || !samePacket(got, round) {
+			t.Errorf("%s: round trip %v\n  first %+v\n  round %+v", tc.name, err, got, round)
+		}
+	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -79,12 +155,35 @@ func TestParsePacketRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// TCP options (data offset > 5) are unsupported and must be rejected,
-	// not mis-sliced.
-	tcp := EncodePacket(wireSamplePackets()[1])
-	tcp[EtherHeader+IPHeader+12] = 8 << 4
-	if _, err := ParsePacket(tcp); !errors.Is(err, ErrBadLength) {
-		t.Errorf("tcp options: err = %v, want ErrBadLength", err)
+	// A TCP header is sliced by its data offset and its options by their
+	// lengths; none may reach past what holds it.
+	offset := func(words byte) func([]byte) []byte {
+		return func(b []byte) []byte { b[EtherHeader+IPHeader+12] = words << 4; return b }
+	}
+	sackOf := func(blocks int) []byte {
+		return append([]byte{optNOP, optNOP, optSACK, byte(2 + 8*blocks)}, make([]byte, 8*blocks)...)
+	}
+	tcpCases := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"data-offset-4", offset(4)(tcpFrame(nil, "hi")), ErrBadLength},
+		{"data-offset-past-total", offset(8)(tcpFrame(nil, "hi")), ErrBadLength},
+		{"option-length-0", tcpFrame([]byte{30, 0, optNOP, optNOP}, ""), ErrBadOption},
+		{"option-length-1", tcpFrame([]byte{30, 1, optNOP, optNOP}, ""), ErrBadOption},
+		{"option-without-length", tcpFrame([]byte{optNOP, optNOP, optNOP, optSACKPermitted}, ""), ErrBadOption},
+		{"option-overruns-data-offset", tcpFrame([]byte{30, 8, 0, 0}, "payload bytes are not options"), ErrBadOption},
+		{"sack-permitted-length-3", tcpFrame([]byte{optSACKPermitted, 3, 0, optNOP}, ""), ErrBadOption},
+		{"sack-length-not-whole-blocks", tcpFrame([]byte{optNOP, optNOP, optSACK, 6, 0, 0, 0, 0}, ""), ErrBadOption},
+		// Forty option bytes hold four blocks, so a fifth always overruns.
+		{"fifth-sack-block", tcpFrame(sackOf(5)[:40], ""), ErrBadOption},
+		{"fifth-sack-block-in-a-second-option", tcpFrame(append(sackOf(4)[2:], optSACK, 10, 0, 0, 0, 0), ""), ErrBadOption},
+	}
+	for _, tc := range tcpCases {
+		if _, err := ParsePacket(tc.frame); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

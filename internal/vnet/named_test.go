@@ -1,9 +1,12 @@
 package vnet
 
 import (
+	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"testing"
 
 	"spin/internal/netstack"
@@ -39,21 +42,33 @@ func namedStar(seed uint64) (*Internet, error) {
 
 // fetchByName runs the acceptance scenario: an unmodified net/http client
 // resolves web.spin.test through the topology's DNS and fetches the page.
+// net/http closes the connection from a goroutine of its own once the body
+// is read; fetchByName returns only after that Close, so whatever runs the
+// simulation next finds the FIN already sent, at the same virtual time in
+// every replay.
 func fetchByName(in *Internet) (string, error) {
 	dialer, err := in.Dialer("client")
 	if err != nil {
 		return "", err
 	}
+	closed := make(chan struct{})
 	httpc := &http.Client{Transport: &http.Transport{
-		DialContext:       dialer.DialContext,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return &signalClose{Conn: c, closed: closed}, nil
+		},
 		DisableKeepAlives: true,
 	}}
 	resp, err := httpc.Get("http://web.spin.test/")
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	<-closed
 	if err != nil {
 		return "", err
 	}
@@ -61,6 +76,19 @@ func fetchByName(in *Internet) (string, error) {
 		return "", errors.New("status " + resp.Status)
 	}
 	return string(body), nil
+}
+
+// signalClose closes its channel once the connection has been closed.
+type signalClose struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *signalClose) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { close(c.closed) })
+	return err
 }
 
 // End-to-end named service: resolve + dial + HTTP over the 3-machine star,
