@@ -3,52 +3,36 @@ package bcode
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // Attachment is one verified program hung on a load point — the XDP slot,
 // a dispatcher guard, the scheduler's steal-policy slot. Whatever the hook,
-// a loaded program is the same object: verified and compiled once at
-// Attach, run against a pooled Context, counted and reported the same way.
+// a loaded program is the same object: verified once at Attach, run by the
+// interpreter against a Context the load point declares on its own stack,
+// counted and reported the same way.
 type Attachment struct {
 	name, point string
 	prog        *Program
-	entry       func(*Context) uint64
 	runs, hits  atomic.Int64
 }
 
-// Attach verifies prog against the load point's spec and compiles it.
-// Install-time rejection is the whole safety model.
+// Attach verifies prog against the load point's spec. Install-time
+// rejection is the whole safety model.
 func Attach(name, point string, prog *Program, spec Spec) (*Attachment, error) {
 	if err := Verify(prog, spec); err != nil {
 		return nil, fmt.Errorf("bcode: %s %s: %w", point, name, err)
 	}
-	return &Attachment{name: name, point: point, prog: prog, entry: prog.Compile()}, nil
+	return &Attachment{name: name, point: point, prog: prog}, nil
 }
 
-// ctxPool recycles contexts across every load point. The compiled program
-// is called through a func value, so a stack-local Context would escape:
-// one allocation per evaluation, on paths the gates hold to zero.
-var ctxPool = sync.Pool{New: func() any { return new(Context) }}
-
-// Acquire returns a recycled context for the caller to fill — every word
-// the spec exposes — and pass to Run.
-func (a *Attachment) Acquire() *Context { return ctxPool.Get().(*Context) }
-
-// Release recycles a context that will not be run.
-func (a *Attachment) Release(ctx *Context) {
-	ctx.Bytes = nil // drop the payload reference before pooling
-	ctxPool.Put(ctx)
-}
-
-// Run evaluates the program against ctx, counts the run, recycles ctx and
-// reports whether the verdict was nonzero (match / drop / veto).
+// Run evaluates the program against ctx, counts the run and reports whether
+// the verdict was nonzero (match / drop / veto). Run is a direct method
+// call that keeps no reference to ctx, so a load point's Context stays on
+// its stack.
 func (a *Attachment) Run(ctx *Context) bool {
 	a.runs.Add(1)
-	verdict := a.entry(ctx)
-	a.Release(ctx)
-	return verdict != VerdictPass
+	return a.prog.Run(ctx) != VerdictPass
 }
 
 // Hit counts one verdict the load point acted on (a drop, a veto).

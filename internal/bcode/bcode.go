@@ -5,7 +5,7 @@
 // extensions are trusted Go closures, so that claim was unreproduced until
 // now. This package follows the shape of the modern descendants (eBPF, Rex):
 // a small fixed-register bytecode whose programs are checked once at install
-// time and then executed at native speed with no runtime supervision.
+// time and then run by one interpreter that re-checks what it executes.
 //
 // The ISA is deliberately tiny:
 //
@@ -33,8 +33,11 @@
 // forward-only branches (termination: each instruction executes at most
 // once), a maximum program size, and a type lattice distinguishing
 // packet-pointer registers from scalars so a scalar can never be
-// dereferenced. Run (interp.go) is the reference interpreter; Compile
-// (compile.go) lowers a verified program to a Go closure for the hot path.
+// dereferenced. Run (interp.go) is the one execution engine: a defensive
+// interpreter that checks register numbers, context-word indices, jump
+// targets and opcodes again as it runs, so the trusted code is Verify plus
+// an interpreter that never relies on it. Every load point calls Run as a
+// method on a Context declared on its own stack.
 package bcode
 
 import (
@@ -127,7 +130,7 @@ type Insn struct {
 }
 
 // Program is a decoded bytecode program. A Program is inert data until it
-// passes Verify; only then may it be interpreted or compiled.
+// passes Verify; only then may a load point run it.
 type Program struct {
 	Insns []Insn
 }

@@ -30,7 +30,6 @@ func TestExampleFilterVerifiesAndRuns(t *testing.T) {
 	if err := Verify(p, testSpec()); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	run := p.Compile()
 	cases := []struct {
 		proto, port uint64
 		payload     []byte
@@ -47,11 +46,8 @@ func TestExampleFilterVerifiesAndRuns(t *testing.T) {
 		ctx.W[0] = c.proto
 		ctx.W[4] = c.port
 		ctx.Bytes = c.payload
-		if got := run(&ctx); got != c.want {
-			t.Errorf("case %d: compiled verdict %d, want %d", i, got, c.want)
-		}
 		if got := p.Run(&ctx); got != c.want {
-			t.Errorf("case %d: interpreted verdict %d, want %d", i, got, c.want)
+			t.Errorf("case %d: verdict %d, want %d", i, got, c.want)
 		}
 	}
 }
@@ -143,11 +139,7 @@ func TestInterpreterDefinedEdgeCases(t *testing.T) {
 			}
 			ctx := c.ctx
 			if got := c.prog.Run(&ctx); got != c.want {
-				t.Errorf("interpreted: got %d, want %d", got, c.want)
-			}
-			ctx = c.ctx
-			if got := c.prog.Compile()(&ctx); got != c.want {
-				t.Errorf("compiled: got %d, want %d", got, c.want)
+				t.Errorf("got %d, want %d", got, c.want)
 			}
 		})
 	}
@@ -155,30 +147,11 @@ func TestInterpreterDefinedEdgeCases(t *testing.T) {
 
 func TestRunStepsBudget(t *testing.T) {
 	p := New(MovImm(0, 1), Exit())
-	if _, _, _, err := p.RunSteps(&Context{}, 1); err == nil {
+	if _, _, err := p.RunSteps(&Context{}, 1); err == nil {
 		t.Fatal("budget 1 on a 2-step program did not error")
 	}
-	v, _, steps, err := p.RunSteps(&Context{}, len(p.Insns))
+	v, steps, err := p.RunSteps(&Context{}, len(p.Insns))
 	if err != nil || v != 1 || steps != 2 {
 		t.Fatalf("got v=%d steps=%d err=%v, want v=1 steps=2 err=nil", v, steps, err)
-	}
-}
-
-func TestCompiledAllocFree(t *testing.T) {
-	p := portFilter()
-	if err := Verify(p, testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	run := p.Compile()
-	var ctx Context
-	ctx.W[0], ctx.W[4] = 6, 80
-	ctx.Bytes = []byte("GET /index.html")
-	allocs := testing.AllocsPerRun(1000, func() {
-		if run(&ctx) != VerdictDrop {
-			t.Fatal("wrong verdict")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled filter allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Runtime errors from the reference interpreter. A verified program can
-// produce none of these; they exist so the interpreter is safe to run on
-// arbitrary (fuzzed, unverified) programs under a step budget.
+// Runtime errors from the interpreter. A verified program can produce none
+// of these; they exist so the interpreter is safe to run on arbitrary
+// (fuzzed, unverified) programs under a step budget.
 var (
 	// ErrBudget reports a program that exceeded its step budget.
 	ErrBudget = errors.New("bcode: step budget exhausted")
@@ -16,24 +16,30 @@ var (
 	ErrRuntime = errors.New("bcode: runtime fault")
 )
 
-// Run interprets p against ctx and returns the verdict (r0 at Exit).
-// p must have passed Verify; on a verified program Run cannot fail, so
-// the error path is dropped for convenience at the load points that keep
-// the reference interpreter in service (debug builds, differential tests).
+// Run interprets p against ctx and returns the verdict (r0 at Exit). It is
+// what every load point runs. p must have passed Verify; on a verified
+// program Run cannot fail, and on any other it returns 0 where RunSteps
+// would report the fault.
 func (p *Program) Run(ctx *Context) uint64 {
-	v, _, _, _ := p.RunSteps(ctx, len(p.Insns))
+	v, _, _ := p.RunSteps(ctx, len(p.Insns))
 	return v
 }
 
-// RunSteps is the defensive reference interpreter: it executes at most
-// budget instructions and checks every structural property (register
-// numbers, jump ranges, opcodes) at runtime, so it is safe on programs
-// that have NOT been verified — the fuzz watchdog runs accepted programs
-// through it and asserts no error and steps <= len(p.Insns).
+// Compile returns Run as a func value, for callers that hold a program as
+// a function. A Context passed through the value escapes to the heap, so
+// the load points call Run directly instead.
+func (p *Program) Compile() func(*Context) uint64 { return p.Run }
+
+// RunSteps is the defensive interpreter: it executes at most budget
+// instructions and checks every structural property (register numbers,
+// context-word indices, jump ranges, opcodes) at runtime, so it is safe on
+// programs that have NOT been verified. Verify and RunSteps together are
+// the trusted code; the small-scope and fuzz tests run every accepted
+// program through it and assert no error and steps <= len(p.Insns).
 //
-// It returns the verdict, the final register file, the number of
-// instructions executed, and any runtime fault.
-func (p *Program) RunSteps(ctx *Context, budget int) (uint64, [NumRegs]uint64, int, error) {
+// It returns the verdict, the number of instructions executed, and any
+// runtime fault.
+func (p *Program) RunSteps(ctx *Context, budget int) (uint64, int, error) {
 	var r [NumRegs]uint64
 	n := len(p.Insns)
 	bytes := ctx.Bytes
@@ -41,12 +47,12 @@ func (p *Program) RunSteps(ctx *Context, budget int) (uint64, [NumRegs]uint64, i
 	steps := 0
 	for pc := 0; pc < n; {
 		if steps >= budget {
-			return 0, r, steps, fmt.Errorf("%w after %d steps", ErrBudget, steps)
+			return 0, steps, fmt.Errorf("%w after %d steps", ErrBudget, steps)
 		}
 		steps++
 		in := p.Insns[pc]
 		if in.Dst >= NumRegs || in.Src >= NumRegs {
-			return 0, r, steps, fmt.Errorf("%w: pc %d: register out of range", ErrRuntime, pc)
+			return 0, steps, fmt.Errorf("%w: pc %d: register out of range", ErrRuntime, pc)
 		}
 		imm := uint64(int64(in.Imm)) // sign-extended
 		switch in.Op {
@@ -110,7 +116,7 @@ func (p *Program) RunSteps(ctx *Context, budget int) (uint64, [NumRegs]uint64, i
 			r[in.Dst] = -r[in.Dst]
 		case OpLdCtx:
 			if in.Imm < 0 || int(in.Imm) >= MaxCtxWords {
-				return 0, r, steps, fmt.Errorf("%w: pc %d: context word %d out of range", ErrRuntime, pc, in.Imm)
+				return 0, steps, fmt.Errorf("%w: pc %d: context word %d out of range", ErrRuntime, pc, in.Imm)
 			}
 			r[in.Dst] = ctx.W[in.Imm]
 		case OpLdB:
@@ -122,14 +128,14 @@ func (p *Program) RunSteps(ctx *Context, budget int) (uint64, [NumRegs]uint64, i
 		case OpJa:
 			pc = pc + 1 + int(in.Off)
 			if pc < 0 || pc > n {
-				return 0, r, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
+				return 0, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
 			}
 			continue
 		case OpJeqImm, OpJneImm, OpJgtImm, OpJgeImm, OpJltImm, OpJleImm, OpJsetImm:
 			if condImm(in.Op, r[in.Dst], imm) {
 				pc = pc + 1 + int(in.Off)
 				if pc < 0 || pc > n {
-					return 0, r, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
+					return 0, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
 				}
 				continue
 			}
@@ -137,18 +143,18 @@ func (p *Program) RunSteps(ctx *Context, budget int) (uint64, [NumRegs]uint64, i
 			if condImm(in.Op&^0x70|0x30, r[in.Dst], r[in.Src]) {
 				pc = pc + 1 + int(in.Off)
 				if pc < 0 || pc > n {
-					return 0, r, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
+					return 0, steps, fmt.Errorf("%w: jump out of range", ErrRuntime)
 				}
 				continue
 			}
 		case OpExit:
-			return r[0], r, steps, nil
+			return r[0], steps, nil
 		default:
-			return 0, r, steps, fmt.Errorf("%w: pc %d: unknown opcode %#02x", ErrRuntime, pc, in.Op)
+			return 0, steps, fmt.Errorf("%w: pc %d: unknown opcode %#02x", ErrRuntime, pc, in.Op)
 		}
 		pc++
 	}
-	return 0, r, steps, fmt.Errorf("%w: control fell off the end", ErrRuntime)
+	return 0, steps, fmt.Errorf("%w: control fell off the end", ErrRuntime)
 }
 
 // condImm evaluates one comparison opcode (imm-form numbering) against two

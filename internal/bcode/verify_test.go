@@ -200,7 +200,7 @@ func TestVerifyTruncatedEncoding(t *testing.T) {
 func TestVerifyAcceptsUnreachableGarbage(t *testing.T) {
 	p := New(
 		MovImm(0, 0),
-		Ja(1),         // over the garbage
+		Ja(1),          // over the garbage
 		Insn{Op: 0xee}, // unreachable
 		Exit(),
 	)

@@ -651,9 +651,6 @@ func (r *Resolver) FlushCache() {
 	r.neg = make(map[string]dnsNegEntry)
 }
 
-// FlushAll is FlushCache under the name the withdrawal plumbing uses.
-func (r *Resolver) FlushAll() { r.FlushCache() }
-
 // Flush drops any cached answer (positive or negative) for one name, so
 // the next lookup goes back to the authority — the hook a zone withdrawal
 // uses to bound staleness at the negative TTL instead of the record's

@@ -636,11 +636,11 @@ func TestResolverFlushName(t *testing.T) {
 	if st.CacheHits != 1 {
 		t.Errorf("CacheHits = %d, want 1 (api only)", st.CacheHits)
 	}
-	// FlushAll empties both caches: every name re-queries the authority.
-	r.FlushAll()
+	// FlushCache empties both caches: every name re-queries the authority.
+	r.FlushCache()
 	lookup("api.spin.test")
 	lookup("web.spin.test")
 	if st = r.Stats(); st.Sent != 5 {
-		t.Errorf("Sent = %d after FlushAll, want 5", st.Sent)
+		t.Errorf("Sent = %d after FlushCache, want 5", st.Sent)
 	}
 }

@@ -5,7 +5,7 @@ import "spin/internal/bcode"
 // Verified bytecode in the RX path. Two load points share the packet
 // context ABI below:
 //
-//   - AttachXDP hangs one compiled program below the protocol graph, at
+//   - AttachXDP hangs one verified program below the protocol graph, at
 //     the very top of receive1 — the XDP position. Its verdict is binary
 //     (nonzero = drop before the link-layer event fires), its cost is one
 //     atomic load when absent, and it cannot reach kernel memory at all:
@@ -18,8 +18,8 @@ import "spin/internal/bcode"
 
 // Packet context ABI: the words a packet-attached program may LdCtx, plus
 // the payload as the byte region. This layout is load-bearing — programs
-// are compiled against it — so treat it as a wire format: extend by
-// appending, never reorder.
+// are verified and written against it — so treat it as a wire format:
+// extend by appending, never reorder.
 const (
 	CtxProto   = 0 // IP protocol number
 	CtxSrc     = 1 // source address
@@ -53,9 +53,9 @@ func packetContext(ctx *bcode.Context, pkt *Packet) {
 // graph: its Stats are packets evaluated and packets dropped.
 type XDPFilter = bcode.Attachment
 
-// AttachXDP verifies prog against the packet ABI, compiles it, and attaches
-// it at the earliest point of the receive path, replacing any previous XDP
-// program. A program that fails verification never attaches.
+// AttachXDP verifies prog against the packet ABI and attaches it at the
+// earliest point of the receive path, replacing any previous XDP program.
+// A program that fails verification never attaches.
 func (s *Stack) AttachXDP(name string, prog *bcode.Program) (*XDPFilter, error) {
 	x, err := bcode.Attach(name, "xdp", prog, PacketSpec)
 	if err != nil {
@@ -72,16 +72,17 @@ func (s *Stack) DetachXDP() { s.xdp.Store(nil) }
 func (s *Stack) XDP() *XDPFilter { return s.xdp.Load() }
 
 // xdpDrop evaluates the attached program (if any) against pkt, charging one
-// guard evaluation, and reports whether the packet is to be dropped.
+// guard evaluation, and reports whether the packet is to be dropped. The
+// context lives on this frame: Run is a direct call that keeps no reference.
 func (s *Stack) xdpDrop(pkt *Packet) bool {
 	x := s.xdp.Load()
 	if x == nil {
 		return false
 	}
 	s.clock.Advance(s.profile.GuardEval)
-	ctx := x.Acquire()
-	packetContext(ctx, pkt)
-	if !x.Run(ctx) {
+	var ctx bcode.Context
+	packetContext(&ctx, pkt)
+	if !x.Run(&ctx) {
 		return false
 	}
 	x.Hit()

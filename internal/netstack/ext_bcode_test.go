@@ -65,7 +65,7 @@ func TestXDPDropAndPass(t *testing.T) {
 }
 
 // The XDP load point evaluates its attachment without allocating: the
-// context comes from the shared pool and nothing escapes per packet.
+// context is declared on xdpDrop's stack and Run keeps no reference to it.
 func TestXDPEvalZeroAllocs(t *testing.T) {
 	_, b, _ := pair(t, sal.LanceModel)
 	x, err := b.stack.AttachXDP("udp7-drop", dropUDPToPort(7))
@@ -83,6 +83,57 @@ func TestXDPEvalZeroAllocs(t *testing.T) {
 	}
 	if runs, drops := x.Stats(); runs != drops || runs < 1000 {
 		t.Errorf("stats = (%d runs, %d drops)", runs, drops)
+	}
+}
+
+// A PacketFilter's guard builds its context on its own stack, so
+// evaluating it allocates nothing, whether the program matches or not.
+func TestPacketFilterGuardAllocFree(t *testing.T) {
+	_, b, _ := pair(t, sal.LanceModel)
+	f, err := NewProgramFilter(b.stack, "udp7-observe", dropUDPToPort(7), Observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := &Packet{Src: Addr(10, 0, 0, 1), Dst: b.stack.IP, Proto: ProtoUDP,
+		SrcPort: 1, DstPort: 7, Payload: []byte("evil"), TTL: 32}
+	miss := *match
+	miss.DstPort = 9
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !f.guard(match) || f.guard(&miss) {
+			t.Fatal("wrong verdict")
+		}
+	}); allocs != 0 {
+		t.Errorf("a PacketFilter guard evaluation allocates %.1f per pair, want 0", allocs)
+	}
+	if runs, _ := f.Stats(); runs < 2000 {
+		t.Errorf("%d guard evaluations counted, want >= 2000", runs)
+	}
+}
+
+// Every evaluation starts from a zeroed context: a dispatcher guard whose
+// binder fills only W[0] reads 0 from W[1], even right after the XDP
+// program ran with the packet's source address there.
+func TestVerifiedGuardReadsNoStaleWords(t *testing.T) {
+	_, b, _ := pair(t, sal.LanceModel)
+	if _, err := b.stack.AttachXDP("pass-all", bcode.New(bcode.MovImm(0, 0), bcode.Exit())); err != nil {
+		t.Fatal(err)
+	}
+	guard, err := dispatch.VerifiedGuard(bcode.New(bcode.LdCtx(0, 1), bcode.Exit()), bcode.Spec{Words: 2},
+		func(arg any, ctx *bcode.Context) bool {
+			ctx.W[0] = uint64(arg.(int))
+			return true
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &Packet{Src: Addr(10, 0, 0, 1), Dst: b.stack.IP, Proto: ProtoUDP, DstPort: 9, TTL: 32}
+	for i := 0; i < 100; i++ {
+		if b.stack.xdpDrop(pkt) {
+			t.Fatal("pass-all program dropped")
+		}
+		if guard(i) {
+			t.Fatalf("evaluation %d: guard read a nonzero W[1] its binder never wrote", i)
+		}
 	}
 }
 

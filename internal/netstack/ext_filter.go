@@ -17,7 +17,7 @@ import (
 // its action is an ordinary handler running at native speed. Here the
 // little language is real: predicates are expressions that lower to bcode
 // over the packet ABI, so an in-tree filter passes the same verifier, runs
-// on the same compiled engine and sits behind the same quarantine backstop
+// on the same interpreter and sits behind the same quarantine backstop
 // as a program loaded from untrusted wire bytes. There is no trusted-Go
 // predicate path.
 
@@ -258,13 +258,6 @@ func NewProgramFilter(stack *Stack, name string, prog *bcode.Program, action Fil
 		stack: stack, action: action, prog: att,
 		owner: domain.Identity{Name: "filter:" + name},
 	}
-	guard := dispatch.AttachmentGuard(att, func(arg any, ctx *bcode.Context) bool {
-		pkt, ok := arg.(*Packet)
-		if ok {
-			packetContext(ctx, pkt)
-		}
-		return ok
-	})
 	f.ref, err = stack.disp.Install(EvIPArrived, func(arg, _ any) any {
 		pkt := arg.(*Packet)
 		stack.disp.InjectorInstalled().Fire("bcode.run")
@@ -277,7 +270,7 @@ func NewProgramFilter(stack *Stack, name string, prog *bcode.Program, action Fil
 			f.Consumer(pkt)
 		}
 		return true
-	}, dispatch.InstallOptions{Installer: f.owner, Guard: guard})
+	}, dispatch.InstallOptions{Installer: f.owner, Guard: f.guard})
 	if err != nil {
 		return nil, err
 	}
@@ -285,6 +278,18 @@ func NewProgramFilter(stack *Stack, name string, prog *bcode.Program, action Fil
 	stack.filters = append(stack.filters, f)
 	stack.filterMu.Unlock()
 	return f, nil
+}
+
+// guard is the filter's dispatcher guard. Its context lives on this frame:
+// nothing hands it to a func value, so nothing makes it escape.
+func (f *PacketFilter) guard(arg any) bool {
+	pkt, ok := arg.(*Packet)
+	if !ok {
+		return false
+	}
+	var ctx bcode.Context
+	packetContext(&ctx, pkt)
+	return f.prog.Run(&ctx)
 }
 
 // Stats reports guard evaluations and actions completed.

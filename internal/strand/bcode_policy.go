@@ -31,8 +31,8 @@ var StealSpec = bcode.Spec{Words: StealCtxWords}
 // evaluations and vetoes issued.
 type StealPolicy = bcode.Attachment
 
-// SetStealPolicy verifies prog against the steal ABI, compiles it, and
-// installs it, replacing any previous policy. Like SetObserver, call it
+// SetStealPolicy verifies prog against the steal ABI and installs it,
+// replacing any previous policy. Like SetObserver, call it
 // before Run (or between runs).
 func (sched *Scheduler) SetStealPolicy(name string, prog *bcode.Program) (*StealPolicy, error) {
 	p, err := bcode.Attach(name, "steal-policy", prog, StealSpec)
@@ -52,19 +52,20 @@ func (sched *Scheduler) StealPolicyInstalled() *StealPolicy {
 }
 
 // stealVetoed consults the policy (if any) about thief stealing from
-// victim, charging one guard evaluation on the thief.
+// victim, charging one guard evaluation on the thief. The context lives on
+// this frame.
 func (c *CPU) stealVetoed(victim *CPU) bool {
 	p := c.sched.stealPolicy.Load()
 	if p == nil {
 		return false
 	}
 	c.clock.Advance(c.sched.profile.GuardEval)
-	ctx := p.Acquire()
+	var ctx bcode.Context
 	ctx.W[StealCtxThief] = uint64(c.id)
 	ctx.W[StealCtxVictim] = uint64(victim.id)
 	ctx.W[StealCtxDepth] = uint64(victim.ready.Load().size)
 	ctx.W[StealCtxNow] = uint64(c.clock.Now())
-	if !p.Run(ctx) {
+	if !p.Run(&ctx) {
 		return false
 	}
 	p.Hit()
