@@ -21,6 +21,7 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -113,7 +114,7 @@ func chaosDispatch(t *testing.T, seed uint64, sum *chaosSummary) {
 		t.Fatalf("quarantine log = %+v, want exactly the extension handler", q)
 	}
 	sum.QuarantineAtFaults = q[0].Faults
-	if want := m.Dispatcher.QuarantinePolicyInEffect().FaultThreshold; q[0].Faults != want {
+	if want := int64(metrics.Value(m.Dispatcher, "dispatch_quarantine_fault_threshold")); q[0].Faults != want {
 		t.Errorf("quarantined at %d faults, want configured threshold %d", q[0].Faults, want)
 	}
 	if q[0].Owner.Name != "chaos-ext" {
@@ -207,14 +208,14 @@ func chaosNetstack(t *testing.T, seed uint64, sum *chaosSummary) {
 	if sum.ReasmFired != 9 {
 		t.Errorf("net.ip.reassemble fired %d, want the full 9", sum.ReasmFired)
 	}
-	if pending, _ := m.Stack.ReassemblyStats(); pending == 0 {
+	if metrics.Value(m.Stack, "net_reassembly_pending") == 0 {
 		t.Error("9 one-sided fragment losses left no partial buffer (expected at least one)")
 	}
 	// Crash-only cleanup: age the partials past the TTL, then let fresh
 	// traffic sweep them. 30 consecutive FragIDs visit every shard.
 	m.Clock.Advance(netstack.ReasmTTL + sim.Millisecond)
 	sendFrags(1000)
-	pending, evicted := m.Stack.ReassemblyStats()
+	pending, evicted := int(metrics.Value(m.Stack, "net_reassembly_pending")), int64(metrics.Value(m.Stack, "net_reassembly_evicted"))
 	sum.ReasmPending, sum.ReasmEvicted = pending, evicted
 	if pending != 0 {
 		t.Errorf("%d reassembly buffers still pending after TTL sweep, want 0", pending)
@@ -389,12 +390,13 @@ func chaosStolenStrands(t *testing.T, seed uint64, sum *chaosSummary) {
 		t.Error("no injected panic landed on a stolen strand — the chaos never exercised death mid-migration")
 	}
 	busy := 0
-	for _, st := range m.Sched.CPUStats() {
-		if st.Switches > 0 {
+	for cpu := 0; cpu < m.Sched.NumCPUs(); cpu++ {
+		l := fmt.Sprintf("{cpu=\"%d\"}", cpu)
+		if metrics.Value(m.Sched, "strand_switches"+l) > 0 {
 			busy++
 		}
-		if st.Ready != 0 {
-			t.Errorf("cpu%d still queues %d strands after chaos", st.ID, st.Ready)
+		if ready := metrics.Value(m.Sched, "strand_ready"+l); ready != 0 {
+			t.Errorf("cpu%d still queues %v strands after chaos", cpu, ready)
 		}
 	}
 	if busy < 2 {

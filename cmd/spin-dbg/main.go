@@ -15,7 +15,7 @@ import (
 	"spin/internal/bcode"
 	"spin/internal/domain"
 	"spin/internal/lb"
-	"spin/internal/monitor"
+	"spin/internal/metrics"
 	"spin/internal/netdbg"
 	"spin/internal/netstack"
 	"spin/internal/sim"
@@ -23,10 +23,12 @@ import (
 	"spin/internal/vnet"
 )
 
-// tour is the command sequence run when no -c is given.
+// tour is the command sequence run when no -c is given. A reply is one
+// datagram, so the tour reads the metrics a prefix at a time.
 var tour = []string{"help", "events", "handlers UDP.PktArrived",
-	"stats TCP.PktArrived", "perf", "trace", "histo", "faults", "sched",
-	"lb", "bcode", "tlb", "mem", "frame 300", "topo", "dns", "uptime"}
+	"metrics dispatch_raises", "metrics net_", "metrics trace_latency_ns_count", "trace",
+	"faults", "metrics strand_", "metrics lb_", "metrics bcode_", "metrics sal_",
+	"frame 300", "topo", "metrics dns_", "resolve dbg.spin.test"}
 
 func main() {
 	var cmds multiFlag
@@ -60,22 +62,15 @@ func run(out io.Writer, cmds []string) error {
 	}
 	target, workstation := in.Machine("target-kernel"), in.Machine("workstation")
 
-	// Give the target a live workload so the statistics mean something.
+	// Give the target a live workload so the counters mean something.
 	if _, err := netstack.NewHTTPServer(target.Stack, 80, netstack.InKernelDelivery,
 		netstack.ContentMap{"/": []byte("up")}); err != nil {
 		return err
 	}
-	// A passive monitoring extension feeds the debugger's "perf" command.
-	mon := monitor.New(target.Dispatcher, target.Clock, domain.Identity{Name: "perfmon"})
-	for _, ev := range []string{netstack.EvTCPArrived, netstack.EvIPArrived, netstack.EvEtherArrived} {
-		if err := mon.Watch(ev); err != nil {
-			return err
-		}
-	}
 	// Two backend replicas behind a health-checked balancer on the target:
-	// the "lb" command reports ring membership, per-backend breakers, probe
-	// counts. One replica is then crash-killed so the report shows a real
-	// ejection (and the "dns" view its withdrawn name).
+	// its metrics show ring membership, per-backend breakers, probe counts.
+	// One replica is then crash-killed so they show a real ejection (and
+	// the DNS server a withdrawn name).
 	for _, name := range []string{"replica-a", "replica-b"} {
 		if _, err := netstack.NewHTTPServerOwned("httpd-"+name, in.Machine(name).Stack, 80,
 			netstack.InKernelDelivery, netstack.ContentMap{"/": []byte("up")}); err != nil {
@@ -90,7 +85,7 @@ func run(out io.Writer, cmds []string) error {
 		return err
 	}
 
-	// Verified extensions for the "bcode" command, beside the star's XDP
+	// Verified extensions for the bcode_ metrics, beside the star's XDP
 	// program: a wire-encoded filter loaded through the untrusted-user path
 	// (bytes in, verifier decides) and a steal policy on the scheduler.
 	discard := bcode.New(
@@ -117,29 +112,16 @@ func run(out io.Writer, cmds []string) error {
 	)); err != nil {
 		return err
 	}
-	// Kernel-wide tracing feeds the "trace" (dispatch ring) and "histo"
-	// (latency histogram) commands.
+	// Kernel-wide tracing feeds the "trace" command (the dispatch ring) and
+	// the trace_latency_ns histograms.
 	tracer := target.EnableTracing(256)
 	if _, err := netdbg.New(target.Stack, netdbg.DefaultPort, netdbg.Target{
 		Dispatcher: target.Dispatcher,
 		Phys:       target.Phys,
-		MMU:        target.MMU,
+		Metrics:    []metrics.Source{target, bal},
 		Topo:       in.Describe,
-		LB:         bal.Report,
-		BCode:      target.Programs,
 		Extra: map[string]func(string) string{
-			"uptime": func(string) string {
-				return fmt.Sprintf("uptime: %v of virtual time", target.Clock.Now().Sub(0))
-			},
-			"perf":  func(string) string { return mon.Report() },
 			"trace": func(string) string { return tracer.Dump() },
-			"histo": func(string) string { return tracer.DumpHisto() },
-			"sched": func(string) string { return target.Sched.Report() },
-			"dns": func(string) string {
-				st := target.DNS.Stats()
-				return fmt.Sprintf("authoritative zone %v\nqueries %d answered %d nxdomain %d nodata %d malformed %d",
-					target.Zone.Names(), st.Queries, st.Answered, st.NXDomain, st.NoData, st.Malformed)
-			},
 			"resolve": func(arg string) string {
 				name := strings.TrimSpace(arg)
 				if name == "" {
@@ -154,27 +136,24 @@ func run(out io.Writer, cmds []string) error {
 	}); err != nil {
 		return err
 	}
-	// The sched report needs real switches, steals and migrations.
+	// The strand_ metrics need real switches, steals and migrations.
 	vnet.RunDemoStrands(target)
 
 	// Start the balancer's health checks only now: the probe timers rearm
 	// forever, so anything that waits for the machine to go fully idle
 	// (Sched.Run above, Driver.Drain) must come first. Two probe rounds
 	// establish both replicas healthy, then replica-b is crash-killed so
-	// the lb report shows a real ejection and the dns view its withdrawn
-	// name.
+	// the lb_ metrics show a real ejection and the zone its withdrawn name.
 	bal.StartHealth()
-	probed := func(min int64) func() bool {
-		return func() bool {
-			for _, be := range bal.Report().Backends {
-				if be.Probes < min {
-					return false
-				}
+	probed := func() bool {
+		for _, name := range []string{"replica-a", "replica-b"} {
+			if metrics.Value(bal, fmt.Sprintf("lb_backend_probes{backend=%q}", name)) < 2 {
+				return false
 			}
-			return true
 		}
+		return true
 	}
-	if !in.RunUntil(probed(2), sim.Time(10*sim.Second)) {
+	if !in.RunUntil(probed, sim.Time(10*sim.Second)) {
 		return fmt.Errorf("health probes never ran")
 	}
 	in.Machine("replica-b").DestroyDomain(domain.Identity{Name: "httpd-replica-b"})

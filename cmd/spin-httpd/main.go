@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -19,27 +20,37 @@ import (
 	"os"
 	"strings"
 
-	"spin/internal/bcode"
 	"spin/internal/domain"
 	"spin/internal/fs"
 	"spin/internal/lb"
+	"spin/internal/metrics"
 	"spin/internal/netdbg"
 	"spin/internal/netstack"
 	"spin/internal/vnet"
 )
 
 // debugContent layers the kernel's introspection endpoints over the
-// document tree: each /debug/* page renders up-to-date kernel information,
-// served by the same in-kernel HTTP extension that serves documents (paper
-// §3.2).
+// document tree, served by the same in-kernel HTTP extension that serves
+// documents (paper §3.2): /debug/metrics renders every counter of the
+// attached sources in the Prometheus text format (?prefix= narrows it),
+// and the log pages render what is not a number.
 type debugContent struct {
-	docs  netstack.HTTPContent
-	pages map[string]func() string
+	docs    netstack.HTTPContent
+	metrics []metrics.Source
+	logs    map[string]func() string
 }
 
 func (d debugContent) Get(path string) ([]byte, bool) {
-	if page, ok := d.pages[path]; ok {
-		return []byte(page()), true
+	if path == "/debug/metrics" {
+		path += "?prefix="
+	}
+	if prefix, ok := strings.CutPrefix(path, "/debug/metrics?prefix="); ok {
+		var page bytes.Buffer
+		_ = metrics.Write(&page, prefix, d.metrics...) // a bytes.Buffer never fails
+		return page.Bytes(), true
+	}
+	if log, ok := d.logs[path]; ok {
+		return []byte(log()), true
 	}
 	return d.docs.Get(path)
 }
@@ -68,7 +79,7 @@ func run(out io.Writer, requests int) error {
 	// A client-side balancer on the browser spreads requests across both
 	// replicas (dialed by name), with passive outlier detection: dial
 	// failures trip the dead replica's breaker, no active probes needed.
-	// Its report doubles as the /debug/lb page on the primary.
+	// Its metrics join the primary's /debug/metrics page.
 	bal, err := in.Balancer("browser", lb.Config{}, "www-spin", "www-spin2")
 	if err != nil {
 		return err
@@ -100,20 +111,13 @@ func run(out io.Writer, requests int) error {
 	}
 	cache := fs.NewWebCache(server.FS, 256<<10, 64<<10)
 	tracer := server.EnableTracing(1024)
-	// The debug pages: the dispatch ring, the latency histograms, the
-	// fault-containment and quarantine state, the per-CPU strand scheduling
-	// counters, the balancer (the report spin-dbg's "lb" command renders)
-	// and the loaded verified programs.
-	pages := map[string]func() string{
+	// The debug pages: the server machine's counters and the balancer's
+	// and dialer's, plus the dispatch ring and the fault log.
+	pages := debugContent{docs: cache, metrics: []metrics.Source{server, bal, rd}, logs: map[string]func() string{
 		"/debug/trace":  tracer.Dump,
-		"/debug/histo":  tracer.DumpHisto,
-		"/debug/faults": func() string { return netdbg.FaultReport(server.Dispatcher) },
-		"/debug/sched":  server.Sched.Report,
-		"/debug/lb":     func() string { return rd.Report().String() + "\n" },
-		"/debug/bcode":  func() string { return bcode.Report(server.Programs()) + "\n" },
-	}
-	if _, err := netstack.NewHTTPServerOwned("httpd-www-spin", server.Stack, 80, netstack.InKernelDelivery,
-		debugContent{docs: cache, pages: pages}); err != nil {
+		"/debug/faults": func() string { return netdbg.FaultReport(server.Dispatcher) + "\n" },
+	}}
+	if _, err := netstack.NewHTTPServerOwned("httpd-www-spin", server.Stack, 80, netstack.InKernelDelivery, pages); err != nil {
 		return err
 	}
 	// The replica serves the same tree (its own cache, no debug pages) and
@@ -127,8 +131,8 @@ func run(out io.Writer, requests int) error {
 		return err
 	}
 
-	// /debug/sched shows real switches, steals and migrations alongside the
-	// HTTP traffic.
+	// The strand_ metrics show real switches, steals and migrations
+	// alongside the HTTP traffic.
 	vnet.RunDemoStrands(server)
 
 	fmt.Fprintln(out, "spin-httpd: in-kernel HTTP server on", server.Stack.IP)
@@ -163,14 +167,10 @@ func run(out io.Writer, requests int) error {
 	hits, misses := server.FS.CacheStats()
 	fmt.Fprintf(out, "\nbuffer cache: %d hits, %d misses; web cache: %d hits, %d misses, %d large bypasses\n",
 		hits, misses, cache.Hits, cache.Misses, cache.LargeReads)
-	rxAccepted, rxDropped := server.Stack.RXStats()
-	pending, evicted := server.Stack.ReassemblyStats()
-	fmt.Fprintf(out, "rx queues: %d accepted, %d dropped (backpressure); reassembly: %d pending, %d evicted\n",
-		rxAccepted, rxDropped, pending, evicted)
 
-	// Fetch the kernel's own debug pages over the wire, like any client
-	// would: the latency profile, the scheduler's per-CPU counters and the
-	// verified-extension report.
+	// Fetch the kernel's own metrics page over the wire, like any client
+	// would, a prefix at a time: the stack, the scheduler's per-CPU
+	// counters and the verified programs.
 	// Pages go through the topology's driver: once net/http has run, its
 	// transport goroutines may still be closing connections, and the
 	// driver is what serializes them with this goroutine.
@@ -192,11 +192,11 @@ func run(out io.Writer, requests int) error {
 		fmt.Fprintf(out, "\nGET %s%s:\n%s", path, note, page)
 		return nil
 	}
-	if err := showPage("/debug/histo", " (also available: /debug/trace, /debug/faults)"); err != nil {
+	if err := showPage("/debug/metrics?prefix=net_", " (also available: /debug/metrics, /debug/trace, /debug/faults)"); err != nil {
 		return err
 	}
-	for _, path := range []string{"/debug/sched", "/debug/bcode"} {
-		if err := showPage(path, ""); err != nil {
+	for _, prefix := range []string{"strand_", "bcode_"} {
+		if err := showPage("/debug/metrics?prefix="+prefix, ""); err != nil {
 			return err
 		}
 	}
@@ -222,9 +222,9 @@ func run(out io.Writer, requests int) error {
 	if err != nil {
 		return err
 	}
-	rst := client.Resolver.Stats()
-	fmt.Fprintf(out, "\nnet/http GET http://web.spin.test/index.html: %s, %d bytes (DNS: %d query, %d sent)\n",
-		resp.Status, len(body), rst.Lookups, rst.Sent)
+	fmt.Fprintf(out, "\nnet/http GET http://web.spin.test/index.html: %s, %d bytes (DNS: %v query, %v sent)\n",
+		resp.Status, len(body), metrics.Value(client.Resolver, "dns_resolver_lookups"),
+		metrics.Value(client.Resolver, "dns_resolver_sent"))
 
 	// Failover: the same net/http client, now dialing through the
 	// resilient dialer — the ring spreads requests across both replicas.
@@ -264,11 +264,11 @@ func run(out io.Writer, requests int) error {
 	fmt.Fprintf(out, "  8/8 ok: requests=%d attempts=%d retries=%d failovers=%d ejections=%d\n",
 		requestsN, attempts, retries, failovers, bal.Ejections())
 
-	// The balancer's state is a first-class debug page, same report the
-	// spin-dbg "lb" command renders. net/http's goroutines interleave
-	// freely, so how far virtual time ran past the ejection differs run to
-	// run; settle every pending timer first so the page shows one state
-	// (the breaker's open timeout elapsed: half-open, awaiting a probe).
+	// The balancer's and dialer's metrics, the lb_ samples spin-dbg's
+	// "metrics lb_" shows too. net/http's goroutines interleave freely, so
+	// how far virtual time ran past the ejection differs run to run; settle
+	// every pending timer first so the page shows one state (the breaker's
+	// open timeout elapsed: half-open, awaiting a probe).
 	in.Driver().Drain()
-	return showPage("/debug/lb", "")
+	return showPage("/debug/metrics?prefix=lb_", "")
 }

@@ -14,6 +14,7 @@ import (
 
 	"spin/internal/bcode"
 	"spin/internal/dispatch"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -460,7 +461,7 @@ func TestLossRecoveryGates(t *testing.T) {
 	// after it went out resends it.
 	t.Run("a tail loss costs a probe, not a timeout", func(t *testing.T) {
 		const size = 64 << 10
-		run := func(drop bool) (flow, netstack.TCPStats) {
+		run := func(drop bool) (flow, *netstack.TCP) {
 			in, dropped := benchDumbbell(t, 1, vnet.LinkModel{}), false
 			in.Link("bottleneck").AddHook(func(ev *vnet.FrameEvent) vnet.Verdict {
 				pkt, _ := ev.Frame.Payload.(*netstack.Packet)
@@ -471,16 +472,17 @@ func TestLossRecoveryGates(t *testing.T) {
 				return vnet.Drop
 			})
 			f := runFlows(t, in, 1, size)[0]
-			return f, in.Machine("l0").Stack.TCP().Stats()
+			return f, in.Machine("l0").Stack.TCP()
 		}
 		clean, _ := run(false)
-		lossy, st := run(true)
+		lossy, tcp := run(true)
 		rtt := sim.Duration(clean.established)
 		if late := lossy.done().Sub(clean.done()); late > 3*rtt {
 			t.Errorf("the last frame's bytes arrived %v late with a round trip of %v, want within 3 round trips", late, rtt)
 		}
-		if st.TLPProbes != 1 || st.RTOs != 0 || lossy.retransmits != 1 {
-			t.Errorf("%d probes, %d timeouts, %d retransmissions; want 1, 0 and 1", st.TLPProbes, st.RTOs, lossy.retransmits)
+		probes, rtos := metrics.Value(tcp, "net_tcp_tlp_probes"), metrics.Value(tcp, "net_tcp_rtos")
+		if probes != 1 || rtos != 0 || lossy.retransmits != 1 {
+			t.Errorf("%v probes, %v timeouts, %d retransmissions; want 1, 0 and 1", probes, rtos, lossy.retransmits)
 		}
 		if late := lossy.done().Sub(clean.done()); late != 9536744 {
 			t.Errorf("tail recovered %d ns late: the pinned figure moved", late)

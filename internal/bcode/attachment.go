@@ -2,15 +2,16 @@ package bcode
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
+
+	"spin/internal/metrics"
 )
 
 // Attachment is one verified program hung on a load point — the XDP slot,
 // a dispatcher guard, the scheduler's steal-policy slot. Whatever the hook,
 // a loaded program is the same object: verified once at Attach, run by the
 // interpreter against a Context the load point declares on its own stack,
-// counted and reported the same way.
+// counted and observed the same way.
 type Attachment struct {
 	name, point string
 	prog        *Program
@@ -44,36 +45,15 @@ func (a *Attachment) Name() string { return a.name }
 // Stats reports evaluations and verdicts acted on.
 func (a *Attachment) Stats() (runs, hits int64) { return a.runs.Load(), a.hits.Load() }
 
-// Stat describes one loaded program for the debug surfaces (spin-dbg
-// bcode, /debug/bcode).
-type Stat struct {
-	Name        string
-	Point       string // load point: "xdp", "ip-filter", "steal-policy"
-	Insns       int
-	Runs, Hits  int64
-	Quarantined bool // set by load points the dispatcher can unlink
+// Labels is the attachment's label set on the metrics surface.
+func (a *Attachment) Labels() string {
+	return fmt.Sprintf("{program=%q,point=%q}", a.name, a.point)
 }
 
-// Stat snapshots the attachment.
-func (a *Attachment) Stat() Stat {
-	runs, hits := a.Stats()
-	return Stat{Name: a.name, Point: a.point, Insns: len(a.prog.Insns), Runs: runs, Hits: hits}
-}
-
-// Report renders stats for the wire and the debug endpoint.
-func Report(stats []Stat) string {
-	if len(stats) == 0 {
-		return "bcode: no verified programs loaded"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "bcode: %d verified program(s)", len(stats))
-	for _, p := range stats {
-		state := "live"
-		if p.Quarantined {
-			state = "QUARANTINED"
-		}
-		fmt.Fprintf(&sb, "\n  %-16s %-12s %3d insns  runs=%-8d matched=%-8d %s",
-			p.Name, p.Point, p.Insns, p.Runs, p.Hits, state)
-	}
-	return sb.String()
+// Metrics emits the program's size, evaluations and verdicts acted on.
+func (a *Attachment) Metrics(emit metrics.Emit) {
+	l := a.Labels()
+	emit("bcode_insns"+l, float64(len(a.prog.Insns)))
+	emit("bcode_runs"+l, float64(a.runs.Load()))
+	emit("bcode_hits"+l, float64(a.hits.Load()))
 }

@@ -25,8 +25,6 @@ type ConnScaleResult struct {
 	Conns          int
 	SetupNsPerConn float64 // wall ns per established connection (SYN + ACK)
 	BytesPerConn   float64 // heap growth per connection at steady state
-	HalfOpen       int
-	Evicted        int64
 }
 
 // MeasureConnScaling drives n server-side handshakes (one SYN, one final
@@ -69,7 +67,6 @@ func MeasureConnScaling(n int) (ConnScaleResult, error) {
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
-	stats := tcp.Stats()
 	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	if heap < 0 {
 		heap = 0
@@ -78,8 +75,6 @@ func MeasureConnScaling(n int) (ConnScaleResult, error) {
 		Conns:          n,
 		SetupNsPerConn: float64(elapsed.Nanoseconds()) / float64(n),
 		BytesPerConn:   heap / float64(n),
-		HalfOpen:       stats.HalfOpen,
-		Evicted:        stats.HalfOpenEvicted,
 	}, nil
 }
 

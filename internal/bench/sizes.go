@@ -166,7 +166,7 @@ func sizeRows(entries []sizeEntry) (rows []Row, total float64, err error) {
 func RunTable1() (*Table, error) {
 	rows, total, err := sizeRows([]sizeEntry{
 		{"sys (extensibility machinery)", 1646, []string{"internal/safe", "internal/domain", "internal/dispatch", "internal/capability", "spin.go"}},
-		{"core (vm, sched, net, fs, dbg)", 10866, []string{"internal/vm", "internal/strand", "internal/netstack", "internal/fs", "internal/unixsrv", "internal/netdbg", "internal/monitor"}},
+		{"core (vm, sched, net, fs, dbg)", 10866, []string{"internal/vm", "internal/strand", "internal/netstack", "internal/fs", "internal/unixsrv", "internal/netdbg", "internal/metrics"}},
 		{"rt (runtime)", 14216, []string{"internal/sim"}},
 		{"lib (generic data structures)", 1234, nil}, // Go stdlib
 		{"sal (hardware layer)", 37690, []string{"internal/sal"}},

@@ -37,6 +37,7 @@ import (
 	"spin/internal/cow"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 	"spin/internal/trace"
 )
@@ -623,13 +624,34 @@ func (d *Dispatcher) HandlerCount(event string) int {
 	return 0
 }
 
-// Stats reports raise, abort and contained-fault counts for event.
-// Counters are atomics; totals are exact even under parallel raises.
-func (d *Dispatcher) Stats(event string) (raises, aborts, faults int64) {
-	if st, ok := d.lookup(event); ok {
-		return st.raises.Load(), st.aborts.Load(), st.faults.Load()
+// Metrics emits, for every defined event, its raises, aborts, contained
+// faults and quarantined handlers; the contained-fault total and the
+// quarantine policy; and, while they are set, the tracer's latency
+// histograms and the injector's per-site counters. Counters are atomics,
+// so it is safe from any goroutine, even under parallel raises.
+func (d *Dispatcher) Metrics(emit metrics.Emit) {
+	quarantined := map[string]int{}
+	d.qmu.Lock()
+	for _, r := range d.quarantined {
+		quarantined[r.Event]++
 	}
-	return 0, 0, 0
+	d.qmu.Unlock()
+	for name, st := range d.events.Snapshot() {
+		l := fmt.Sprintf("{event=%q}", name)
+		emit("dispatch_raises"+l, float64(st.raises.Load()))
+		emit("dispatch_aborts"+l, float64(st.aborts.Load()))
+		emit("dispatch_faults"+l, float64(st.faults.Load()))
+		emit("dispatch_quarantined"+l, float64(quarantined[name]))
+	}
+	emit("dispatch_faults_total", float64(d.faults.Load()))
+	emit("dispatch_quarantine_fault_threshold", float64(d.qFaultThreshold.Load()))
+	emit("dispatch_quarantine_overrun_budget", float64(d.qOverrunBudget.Load()))
+	if t := d.tracer.Load(); t != nil {
+		t.Metrics(emit)
+	}
+	if in := d.injector.Load(); in != nil {
+		in.Metrics(emit)
+	}
 }
 
 // Events lists the defined event names, sorted. Used by the Figure 5

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"spin/internal/domain"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -278,7 +279,7 @@ func TestTimeBoundAbortsSlowHandler(t *testing.T) {
 	if got != "fast" {
 		t.Errorf("Raise = %v; slow handler's result should be discarded", got)
 	}
-	_, aborts, _ := d.Stats("E")
+	_, aborts, _ := eventStats(d, "E")
 	if aborts != 1 {
 		t.Errorf("aborts = %d, want 1", aborts)
 	}
@@ -322,7 +323,7 @@ func TestStatsAndIntrospection(t *testing.T) {
 		InstallOptions{Installer: domain.Identity{Name: "ext1"}})
 	d.Raise("A", nil)
 	d.Raise("A", nil)
-	raises, _, _ := d.Stats("A")
+	raises, _, _ := eventStats(d, "A")
 	if raises != 2 {
 		t.Errorf("raises = %d", raises)
 	}
@@ -447,4 +448,12 @@ func TestPanickingPrimaryOnFastPath(t *testing.T) {
 	if faults != 1 {
 		t.Errorf("faults = %d", faults)
 	}
+}
+
+// eventStats reads an event's raise, abort and contained-fault counters
+// from the metrics surface.
+func eventStats(d *Dispatcher, event string) (raises, aborts, faults int64) {
+	l := fmt.Sprintf("{event=%q}", event)
+	return int64(metrics.Value(d, "dispatch_raises"+l)), int64(metrics.Value(d, "dispatch_aborts"+l)),
+		int64(metrics.Value(d, "dispatch_faults"+l))
 }

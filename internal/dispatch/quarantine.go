@@ -45,14 +45,6 @@ func (d *Dispatcher) SetQuarantinePolicy(p QuarantinePolicy) {
 	d.qOverrunBudget.Store(p.OverrunBudget)
 }
 
-// QuarantinePolicyInEffect reports the active policy.
-func (d *Dispatcher) QuarantinePolicyInEffect() QuarantinePolicy {
-	return QuarantinePolicy{
-		FaultThreshold: d.qFaultThreshold.Load(),
-		OverrunBudget:  d.qOverrunBudget.Load(),
-	}
-}
-
 // QuarantineRecord describes one handler unlinked by the quarantine policy.
 type QuarantineRecord struct {
 	// Event the handler was installed on.
@@ -135,19 +127,6 @@ func (d *Dispatcher) Quarantined() []QuarantineRecord {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
 	return append([]QuarantineRecord(nil), d.quarantined...)
-}
-
-// QuarantinedOn reports how many handlers have been quarantined off event.
-func (d *Dispatcher) QuarantinedOn(event string) int {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
-	n := 0
-	for _, r := range d.quarantined {
-		if r.Event == event {
-			n++
-		}
-	}
-	return n
 }
 
 // RemoveOwner uninstalls every non-primary handler installed by owner,

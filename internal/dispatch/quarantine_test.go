@@ -7,6 +7,7 @@ import (
 
 	"spin/internal/domain"
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 	"spin/internal/trace"
 )
@@ -30,7 +31,7 @@ func TestQuarantineAtFaultThreshold(t *testing.T) {
 	}
 	// Faults 1..3 contained; at 3 the handler is unlinked, raises 4..6 run
 	// the primary alone (fast path again).
-	if _, _, faults := d.Stats("E"); faults != 3 {
+	if _, _, faults := eventStats(d, "E"); faults != 3 {
 		t.Fatalf("event faults = %d, want 3", faults)
 	}
 	if n := d.HandlerCount("E"); n != 1 {
@@ -52,8 +53,8 @@ func TestQuarantineAtFaultThreshold(t *testing.T) {
 	if len(notified) != 1 || notified[0].Owner.Name != "bad-ext" {
 		t.Fatalf("notifications = %+v", notified)
 	}
-	if d.QuarantinedOn("E") != 1 {
-		t.Fatalf("QuarantinedOn = %d", d.QuarantinedOn("E"))
+	if n := metrics.Value(d, `dispatch_quarantined{event="E"}`); n != 1 {
+		t.Fatalf("dispatch_quarantined = %v", n)
 	}
 }
 
@@ -112,7 +113,7 @@ func TestPrimaryNeverQuarantined(t *testing.T) {
 	if n := d.HandlerCount("E"); n != 1 {
 		t.Fatalf("primary was quarantined (HandlerCount=%d)", n)
 	}
-	if _, _, faults := d.Stats("E"); faults != 10 {
+	if _, _, faults := eventStats(d, "E"); faults != 10 {
 		t.Fatalf("faults = %d, want 10 (still contained and counted)", faults)
 	}
 }
@@ -276,8 +277,9 @@ func TestInjectedDispatchFaults(t *testing.T) {
 func TestQuarantinePolicyInEffectAndRecordString(t *testing.T) {
 	d, _ := newTestDispatcher()
 	d.SetQuarantinePolicy(QuarantinePolicy{FaultThreshold: 5, OverrunBudget: 9})
-	if p := d.QuarantinePolicyInEffect(); p.FaultThreshold != 5 || p.OverrunBudget != 9 {
-		t.Errorf("policy read back = %+v", p)
+	if thr, budget := metrics.Value(d, "dispatch_quarantine_fault_threshold"),
+		metrics.Value(d, "dispatch_quarantine_overrun_budget"); thr != 5 || budget != 9 {
+		t.Errorf("policy read back = %v, %v", thr, budget)
 	}
 	r := QuarantineRecord{
 		Event: "E", Owner: domain.Identity{Name: "bad"},

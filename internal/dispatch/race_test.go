@@ -26,7 +26,7 @@ func TestTimeBoundEnforcedOnFastPath(t *testing.T) {
 	if got := d.Raise("E", nil); got != nil {
 		t.Errorf("Raise = %v; over-bound fast-path result must be discarded", got)
 	}
-	raises, aborts, _ := d.Stats("E")
+	raises, aborts, _ := eventStats(d, "E")
 	if raises != 1 || aborts != 1 {
 		t.Errorf("stats = %d raises, %d aborts; want 1, 1", raises, aborts)
 	}
@@ -38,7 +38,7 @@ func TestTimeBoundEnforcedOnFastPath(t *testing.T) {
 	if got := d.Raise("F", nil); got != "fast" {
 		t.Errorf("Raise = %v, want fast", got)
 	}
-	if _, aborts, _ := d.Stats("F"); aborts != 0 {
+	if _, aborts, _ := eventStats(d, "F"); aborts != 0 {
 		t.Errorf("fast handler aborted: %d", aborts)
 	}
 }
@@ -143,7 +143,7 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 	}()
 	wg.Wait()
 	for _, ev := range names {
-		raises, _, _ := d.Stats(ev)
+		raises, _, _ := eventStats(d, ev)
 		if raises == 0 {
 			t.Errorf("event %s saw no raises", ev)
 		}
@@ -229,10 +229,10 @@ func TestCountersExactUnderParallelRaises(t *testing.T) {
 	}
 	wg.Wait()
 	const total = goroutines * perG
-	if raises, aborts, _ := d.Stats("Counted"); raises != total || aborts != 0 {
+	if raises, aborts, _ := eventStats(d, "Counted"); raises != total || aborts != 0 {
 		t.Errorf("Counted stats = %d, %d; want %d, 0", raises, aborts, total)
 	}
-	if raises, aborts, _ := d.Stats("Slow"); raises != total || aborts != total {
+	if raises, aborts, _ := eventStats(d, "Slow"); raises != total || aborts != total {
 		t.Errorf("Slow stats = %d, %d; want %d, %d", raises, aborts, total, total)
 	}
 	faults, last := d.ExtensionFaults()

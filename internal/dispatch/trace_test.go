@@ -131,7 +131,7 @@ func TestRaiseTracedConcurrentToggle(t *testing.T) {
 		d.SetTracer(tr)
 	}()
 	wg.Wait()
-	raises, _, _ := d.Stats("Traced.Toggle")
+	raises, _, _ := eventStats(d, "Traced.Toggle")
 	if raises != raisers*perG {
 		t.Errorf("raises = %d, want %d", raises, raisers*perG)
 	}

@@ -27,10 +27,10 @@ package faultinject
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"spin/internal/cow"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -322,15 +322,13 @@ func (in *Injector) Seed() uint64 {
 	return in.seed
 }
 
-// Report renders per-site hit/fire counts — the harness's post-run summary.
-func (in *Injector) Report() string {
-	if in == nil {
-		return "faultinject: disabled\n"
+// Metrics emits how often each site consulted the injector and how often
+// a fault fired there, the total fired, and the seed the run replays from.
+func (in *Injector) Metrics(emit metrics.Emit) {
+	emit(fmt.Sprintf("faultinject_seed{seed=\"%d\"}", in.seed), 1)
+	emit("faultinject_fired_total", float64(in.fired.Load()))
+	for site, st := range in.stats.Snapshot() {
+		emit(fmt.Sprintf("faultinject_hits{site=%q}", site), float64(st.hits.Load()))
+		emit(fmt.Sprintf("faultinject_fires{site=%q}", site), float64(st.fires.Load()))
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "faultinject: seed %d, %d faults injected\n", in.seed, in.Fired())
-	for _, s := range in.Sites() {
-		fmt.Fprintf(&sb, "  %-24s hits=%-8d fired=%d\n", s, in.HitsAt(s), in.FiredAt(s))
-	}
-	return sb.String()
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -19,9 +20,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if in.Sites() != nil {
 		t.Fatal("nil injector reported sites")
-	}
-	if in.Report() == "" {
-		t.Fatal("nil injector should still render a report")
 	}
 }
 
@@ -233,12 +231,18 @@ func TestMaxFiresExactUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestReportAndStrings(t *testing.T) {
+func TestMetricsAndStrings(t *testing.T) {
 	in := New(1, nil)
 	in.Arm(Rule{Site: "s", Kind: KindDrop})
 	in.Fire("s")
-	if r := in.Report(); r == "" {
-		t.Fatal("empty report")
+	var page strings.Builder
+	if err := metrics.Write(&page, "", in); err != nil {
+		t.Fatal(err)
+	}
+	want := "faultinject_fired_total 1\nfaultinject_fires{site=\"s\"} 1\n" +
+		"faultinject_hits{site=\"s\"} 1\nfaultinject_seed{seed=\"1\"} 1\n"
+	if page.String() != want {
+		t.Fatalf("metrics =\n%s\nwant\n%s", page.String(), want)
 	}
 	for _, k := range []Kind{KindPanic, KindDelay, KindError, KindDrop, Kind(9)} {
 		if k.String() == "" {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"spin/internal/netdbg"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -317,32 +317,23 @@ func (b *Balancer) probe(be *backend) {
 	})
 }
 
-// Report snapshots the balancer for the netdbg "lb" command and
-// spin-httpd's /debug/lb. Safe from engine context; counters are atomics.
-func (b *Balancer) Report() netdbg.LBReport {
-	r := netdbg.LBReport{
-		Members:   b.ring.Members(),
-		Ejections: b.ejections.Load(),
-	}
+// Metrics emits the ring's size, the ejection total and, per backend, its
+// breaker state (as a label, with the host it dials) and its pick,
+// success, failure, probe and ejection counters. Counters and breaker
+// states are atomics; the backend set is fixed once AddBackend calls end.
+func (b *Balancer) Metrics(emit metrics.Emit) {
+	emit("lb_ring_members", float64(len(b.ring.Members())))
+	emit("lb_backends", float64(len(b.order)))
+	emit("lb_ejections", float64(b.ejections.Load()))
 	for _, name := range b.order {
 		be := b.backends[name]
-		r.Backends = append(r.Backends, netdbg.LBBackend{
-			Name:          name,
-			Host:          be.host,
-			State:         be.breaker.State().String(),
-			Picks:         be.picks.Load(),
-			Successes:     be.successes.Load(),
-			Failures:      be.failures.Load(),
-			Probes:        be.probes.Load(),
-			ProbeFailures: be.probeFailures.Load(),
-			Ejections:     be.breaker.Ejections(),
-		})
+		l := fmt.Sprintf("{backend=%q}", name)
+		emit(fmt.Sprintf("lb_backend_breaker{backend=%q,host=%q,state=%q}", name, be.host, be.breaker.State()), 1)
+		emit("lb_backend_picks"+l, float64(be.picks.Load()))
+		emit("lb_backend_successes"+l, float64(be.successes.Load()))
+		emit("lb_backend_failures"+l, float64(be.failures.Load()))
+		emit("lb_backend_probes"+l, float64(be.probes.Load()))
+		emit("lb_backend_probe_failures"+l, float64(be.probeFailures.Load()))
+		emit("lb_backend_ejections"+l, float64(be.breaker.Ejections()))
 	}
-	return r
-}
-
-// String renders a one-line summary (debug logging).
-func (b *Balancer) String() string {
-	return fmt.Sprintf("lb: %d/%d backends in ring, %d ejections",
-		len(b.ring.Members()), len(b.order), b.ejections.Load())
 }

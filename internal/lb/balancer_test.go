@@ -1,10 +1,12 @@
 package lb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"spin/internal/dispatch"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -78,16 +80,16 @@ func TestBalancerHealthLoopback(t *testing.T) {
 	bal.StartHealth()
 	bal.StartHealth() // idempotent
 	eng.Run(sim.Time(2 * sim.Second))
-	rep := bal.Report()
-	for _, be := range rep.Backends {
-		if be.Probes < 4 {
-			t.Fatalf("%s: %d probes in 2s, want >= 4", be.Name, be.Probes)
+	for _, name := range bal.order {
+		l := fmt.Sprintf("{backend=%q}", name)
+		if n := metrics.Value(bal, "lb_backend_probes"+l); n < 4 {
+			t.Fatalf("%s: %v probes in 2s, want >= 4", name, n)
 		}
-		if be.ProbeFailures != 0 {
-			t.Fatalf("%s: %d probe failures against a live listener", be.Name, be.ProbeFailures)
+		if n := metrics.Value(bal, "lb_backend_probe_failures"+l); n != 0 {
+			t.Fatalf("%s: %v probe failures against a live listener", name, n)
 		}
-		if be.State != "closed" {
-			t.Fatalf("%s: state %s, want closed", be.Name, be.State)
+		if st := bal.backends[name].breaker.State(); st != BreakerClosed {
+			t.Fatalf("%s: state %s, want closed", name, st)
 		}
 	}
 	if bal.Ejections() != 0 {
@@ -124,8 +126,8 @@ func TestBalancerHealthLoopback(t *testing.T) {
 	if bal.LastRejoinAt() == 0 {
 		t.Fatal("LastRejoinAt unset after recovery")
 	}
-	if !strings.Contains(bal.String(), "2/2 backends") {
-		t.Fatalf("String = %q", bal.String())
+	if n := metrics.Value(bal, "lb_ring_members"); n != 2 {
+		t.Fatalf("lb_ring_members = %v", n)
 	}
 
 	// StopHealth cancels probe and breaker timers: the queue must drain.
@@ -175,18 +177,16 @@ func TestBalancerPassiveOutlier(t *testing.T) {
 		t.Fatal("Successes of unknown member should be 0")
 	}
 
-	rep := bal.Report()
-	if len(rep.Backends) != 3 || rep.Ejections != 2 {
-		t.Fatalf("report: %+v", rep)
+	var page strings.Builder
+	if err := metrics.Write(&page, "lb_", bal); err != nil {
+		t.Fatal(err)
 	}
-	states := map[string]string{}
-	for _, be := range rep.Backends {
-		states[be.Name] = be.State
-	}
-	if states["a"] != "open" || states["b"] != "open" || states["c"] != "closed" {
-		t.Fatalf("states = %v", states)
-	}
-	if !strings.Contains(rep.String(), "ejections=2") {
-		t.Fatalf("report render: %q", rep.String())
+	for _, want := range []string{"lb_backends 3\n", "lb_ejections 2\n", "lb_ring_members 1\n",
+		`lb_backend_breaker{backend="a",host="a.spin.test",state="open"} 1`,
+		`lb_backend_breaker{backend="b",host="b.spin.test",state="open"} 1`,
+		`lb_backend_breaker{backend="c",host="c.spin.test",state="closed"} 1`} {
+		if !strings.Contains(page.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, page.String())
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"spin/internal/netdbg"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -225,21 +225,17 @@ func (rd *ResilientDialer) sleep(d sim.Duration) {
 	rd.s.Driver().WaitUntil(func() bool { return fired })
 }
 
-// BudgetTokens reads the current retry-token balance (any goroutine).
-func (rd *ResilientDialer) BudgetTokens() float64 { return rd.budget() }
-
-// Report extends the balancer's report with the dialer's request and
-// budget counters — the full picture the lb debug surfaces render.
-func (rd *ResilientDialer) Report() netdbg.LBReport {
-	r := rd.bal.Report()
-	r.Requests = rd.requests.Load()
-	r.Attempts = rd.attempts.Load()
-	r.Retries = rd.retries.Load()
-	r.Failovers = rd.failovers.Load()
-	r.BudgetSpent = rd.budgetSpent.Load()
-	r.BudgetDenied = rd.budgetDenied.Load()
-	r.BudgetTokens = rd.budget()
-	return r
+// Metrics emits the dialer's request, attempt, retry and failover counts
+// and its retry budget: tokens held, spent and denied. Safe from any
+// goroutine.
+func (rd *ResilientDialer) Metrics(emit metrics.Emit) {
+	emit("lb_client_requests", float64(rd.requests.Load()))
+	emit("lb_client_attempts", float64(rd.attempts.Load()))
+	emit("lb_client_retries", float64(rd.retries.Load()))
+	emit("lb_client_failovers", float64(rd.failovers.Load()))
+	emit("lb_client_budget_tokens", rd.budget())
+	emit("lb_client_budget_spent", float64(rd.budgetSpent.Load()))
+	emit("lb_client_budget_denied", float64(rd.budgetDenied.Load()))
 }
 
 func minf(a, b float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -95,16 +96,16 @@ func TestResilientDialerFailover(t *testing.T) {
 	if !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("dials never reached ErrNoBackends: %v", err)
 	}
-	rep := rd.Report()
-	if rep.Retries < 2 || rep.Failovers < 1 || rep.BudgetSpent < 2 {
-		t.Fatalf("retries=%d failovers=%d spent=%d, want retry+failover activity",
-			rep.Retries, rep.Failovers, rep.BudgetSpent)
+	v := func(name string) float64 { return metrics.Value(rd, name) }
+	if v("lb_client_retries") < 2 || v("lb_client_failovers") < 1 || v("lb_client_budget_spent") < 2 {
+		t.Fatalf("retries=%v failovers=%v spent=%v, want retry+failover activity",
+			v("lb_client_retries"), v("lb_client_failovers"), v("lb_client_budget_spent"))
 	}
-	if rep.Ejections < 2 {
-		t.Fatalf("ejections = %d, want both backends ejected", rep.Ejections)
+	if n := bal.Ejections(); n < 2 {
+		t.Fatalf("ejections = %d, want both backends ejected", n)
 	}
-	if rd.BudgetTokens() >= 5 {
-		t.Fatalf("budget = %.2f, want tokens spent from the starting 5", rd.BudgetTokens())
+	if v("lb_client_budget_tokens") >= 5 {
+		t.Fatalf("budget = %.2f, want tokens spent from the starting 5", v("lb_client_budget_tokens"))
 	}
 }
 
@@ -128,9 +129,9 @@ func TestResilientDialerBudget(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	rep := rd.Report()
-	if rep.BudgetDenied != 1 || rep.Attempts != 1 || rep.Retries != 0 {
-		t.Fatalf("denied=%d attempts=%d retries=%d, want one denied retry after one attempt",
-			rep.BudgetDenied, rep.Attempts, rep.Retries)
+	v := func(name string) float64 { return metrics.Value(rd, name) }
+	if v("lb_client_budget_denied") != 1 || v("lb_client_attempts") != 1 || v("lb_client_retries") != 0 {
+		t.Fatalf("denied=%v attempts=%v retries=%v, want one denied retry after one attempt",
+			v("lb_client_budget_denied"), v("lb_client_attempts"), v("lb_client_retries"))
 	}
 }

@@ -5,49 +5,54 @@ import (
 	"testing"
 
 	"spin/internal/bcode"
+	"spin/internal/metrics"
+	"spin/internal/netstack"
 )
 
+// passAll is the smallest verified packet program: it never drops.
+var passAll = bcode.New(bcode.MovImm(0, 0), bcode.Exit())
+
+// A loaded program renders as its size, runs and verdicts acted on,
+// labelled with its name and load point.
 func TestBCodeReportRenders(t *testing.T) {
-	out := bcode.Report([]bcode.Stat{
-		{Name: "udp7-drop", Point: "xdp", Insns: 9, Runs: 120, Hits: 7},
-		{Name: "hostile", Point: "ip-filter", Insns: 9, Runs: 8, Hits: 0, Quarantined: true},
-		{Name: "no-steal-0", Point: "steal-policy", Insns: 6, Runs: 44, Hits: 12},
-	})
-	for _, want := range []string{
-		"3 verified program(s)",
-		"udp7-drop", "xdp", "runs=120", "matched=7",
-		"hostile", "QUARANTINED",
-		"no-steal-0", "steal-policy", "live",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
+	x, err := bcode.Attach("udp7-drop", "xdp", passAll, netstack.PacketSpec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := bcode.Report(nil); !strings.Contains(got, "no verified programs") {
-		t.Errorf("empty report = %q", got)
+	var ctx bcode.Context
+	x.Run(&ctx)
+	x.Hit()
+	var page strings.Builder
+	if err := metrics.Write(&page, "", x); err != nil {
+		t.Fatal(err)
+	}
+	want := `bcode_hits{program="udp7-drop",point="xdp"} 1
+bcode_insns{program="udp7-drop",point="xdp"} 2
+bcode_runs{program="udp7-drop",point="xdp"} 1
+`
+	if page.String() != want {
+		t.Errorf("page =\n%s\nwant\n%s", page.String(), want)
 	}
 }
 
-// The "bcode" wire command serves the report like any other debugger query.
+// The programs loaded into the target kernel are on the wire through the
+// metrics command, like every other counter.
 func TestBCodeQueryOverWire(t *testing.T) {
 	r := newRig(t)
-	r.dbg.target.BCode = func() []bcode.Stat {
-		return []bcode.Stat{{Name: "early", Point: "xdp", Insns: 9, Runs: 3, Hits: 1}}
+	if _, err := r.server.AttachXDP("early", passAll); err != nil {
+		t.Fatal(err)
 	}
-	reply := r.query(t, "bcode")
-	for _, want := range []string{"1 verified program(s)", "early", "runs=3"} {
+	reply := r.query(t, "metrics bcode_")
+	for _, want := range []string{`bcode_insns{program="early",point="xdp"} 2`, `bcode_runs{program="early",point="xdp"} 1`} {
 		if !strings.Contains(reply, want) {
-			t.Errorf("bcode reply missing %q:\n%s", want, reply)
+			t.Errorf("metrics bcode_ missing %q:\n%s", want, reply)
 		}
-	}
-	if help := r.query(t, "help"); !strings.Contains(help, "bcode") {
-		t.Errorf("help does not list bcode: %s", help)
 	}
 }
 
 func TestBCodeQueryNoSource(t *testing.T) {
 	d := &Debugger{}
-	if reply := d.execute("bcode"); !strings.Contains(reply, "error") {
-		t.Errorf("bcode without a source = %q, want error", reply)
+	if reply := d.execute("metrics bcode_"); !strings.Contains(reply, "error") {
+		t.Errorf("metrics without a source = %q, want error", reply)
 	}
 }

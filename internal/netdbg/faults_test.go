@@ -8,8 +8,9 @@ import (
 	"spin/internal/domain"
 )
 
-// The "faults" command reports fault containment over the wire: contained
-// totals, per-event counts, the active quarantine policy and its log.
+// The "faults" command reports fault containment's log over the wire: the
+// last contained fault and the quarantine records; "metrics dispatch_" has
+// the contained totals, per-event counts and the active policy.
 func TestFaultsQueryReportsQuarantine(t *testing.T) {
 	r := newRig(t)
 	r.disp.SetQuarantinePolicy(dispatch.QuarantinePolicy{FaultThreshold: 2})
@@ -26,12 +27,18 @@ func TestFaultsQueryReportsQuarantine(t *testing.T) {
 		r.disp.Raise("Dbg.E", nil)
 	}
 	reply := r.query(t, "faults")
-	for _, want := range []string{
-		"2 contained", "Dbg.E: faults=2 quarantined=1",
-		"1 handler(s) unlinked", "fault threshold 2", "bad-ext",
-	} {
+	for _, want := range []string{"last fault: ", "bad ext", "quarantined: ", `handler by "bad-ext" quarantined`} {
 		if !strings.Contains(reply, want) {
 			t.Errorf("faults reply missing %q:\n%s", want, reply)
+		}
+	}
+	reply = r.query(t, "metrics dispatch_")
+	for _, want := range []string{
+		"dispatch_faults_total 2\n", `dispatch_faults{event="Dbg.E"} 2`, `dispatch_quarantined{event="Dbg.E"} 1`,
+		"dispatch_quarantine_fault_threshold 2\n",
+	} {
+		if !strings.Contains(reply, want) {
+			t.Errorf("metrics dispatch_ missing %q:\n%s", want, reply)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package netdbg
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"spin/internal/dispatch"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -45,19 +47,7 @@ func newRig(t *testing.T) *rig {
 	dbg, err := New(sStack, DefaultPort, Target{
 		Dispatcher: sDisp,
 		Phys:       phys,
-		MMU:        mmu,
-		LB: func() LBReport {
-			return LBReport{
-				Members:   []string{"replica-a"},
-				Ejections: 1,
-				Requests:  8,
-				Retries:   2,
-				Backends: []LBBackend{
-					{Name: "replica-a", Host: "replica-a.spin.test", State: "closed", Picks: 5, Successes: 5},
-					{Name: "replica-b", Host: "replica-b.spin.test", State: "open", Failures: 3, Ejections: 1},
-				},
-			}
-		},
+		Metrics:    []metrics.Source{sDisp, sStack, mmu, phys},
 		Extra: map[string]func(string) string{
 			"uptime": func(string) string { return "uptime: " + sEng.Now().Sub(0).String() },
 		},
@@ -91,7 +81,7 @@ func (r *rig) query(t *testing.T, cmd string) string {
 func TestHelp(t *testing.T) {
 	r := newRig(t)
 	reply := r.query(t, "help")
-	for _, want := range []string{"events", "frame", "tlb", "uptime"} {
+	for _, want := range []string{"events", "frame", "metrics [prefix]", "uptime"} {
 		if !strings.Contains(reply, want) {
 			t.Errorf("help missing %q: %s", want, reply)
 		}
@@ -118,9 +108,9 @@ func TestStatsReflectTraffic(t *testing.T) {
 	r := newRig(t)
 	// The queries themselves raise UDP.PktArrived on the target.
 	r.query(t, "help")
-	reply := r.query(t, "stats UDP.PktArrived")
-	if !strings.Contains(reply, "raises=") {
-		t.Errorf("stats = %q", reply)
+	reply := r.query(t, "metrics dispatch_raises")
+	if !strings.Contains(reply, `dispatch_raises{event="UDP.PktArrived"} 2`) {
+		t.Errorf("metrics dispatch_raises = %q", reply)
 	}
 }
 
@@ -134,8 +124,9 @@ func TestFrameAndMem(t *testing.T) {
 	if reply = r.query(t, "frame zzz"); !strings.Contains(reply, "error") {
 		t.Errorf("bad frame arg = %q", reply)
 	}
-	if reply = r.query(t, "mem"); !strings.Contains(reply, "frames in use") {
-		t.Errorf("mem = %q", reply)
+	_ = r.phys.Claim(4)
+	if reply = r.query(t, "metrics sal_phys"); reply != "sal_phys_frames 1024\nsal_phys_frames_in_use 1\n" {
+		t.Errorf("metrics sal_phys = %q", reply)
 	}
 }
 
@@ -145,9 +136,9 @@ func TestTLBCommand(t *testing.T) {
 	_ = r.mmu.Install(ctx, 1, sal.PTE{Frame: 1, Prot: sal.ProtRead})
 	r.mmu.Translate(ctx, 1, sal.ProtRead)
 	r.mmu.Translate(ctx, 1, sal.ProtRead)
-	reply := r.query(t, "tlb")
-	if !strings.Contains(reply, "hits=1") || !strings.Contains(reply, "misses=1") {
-		t.Errorf("tlb = %q", reply)
+	reply := r.query(t, "metrics sal_tlb")
+	if reply != "sal_tlb_hits 1\nsal_tlb_misses 1\n" {
+		t.Errorf("metrics sal_tlb = %q", reply)
 	}
 }
 
@@ -167,13 +158,31 @@ func TestExtraCommandAndUnknown(t *testing.T) {
 func TestNetCommand(t *testing.T) {
 	r := newRig(t)
 	r.query(t, "help") // generate some traffic first
-	reply := r.query(t, "net")
-	if !strings.Contains(reply, "10.0.0.2") || !strings.Contains(reply, "tcp-conns=0") {
-		t.Errorf("net = %q", reply)
-	}
-	for _, counter := range []string{"rx=", "timed-out=0", "fast-recoveries=0", "rack-lost=0", "tlp-probes=0", "rtos=0", "dsacks=0"} {
-		if !strings.Contains(reply, counter) {
-			t.Errorf("net missing %s: %q", counter, reply)
+	reply := r.query(t, "metrics net_")
+	for _, sample := range []string{"net_rx_packets 2\n", "net_tx_packets 1\n", "net_tcp_conns 0\n",
+		"net_tcp_timed_out 0\n", "net_tcp_fast_recoveries 0\n", "net_tcp_rack_marked_lost 0\n",
+		"net_tcp_tlp_probes 0\n", "net_tcp_rtos 0\n", "net_tcp_dsacks_received 0\n"} {
+		if !strings.Contains(reply, sample) {
+			t.Errorf("metrics net_ missing %q:\n%s", sample, reply)
 		}
+	}
+	if strings.Contains(reply, "dispatch_") {
+		t.Errorf("metrics net_ leaked other prefixes:\n%s", reply)
+	}
+}
+
+// A query whose request cannot leave (no route) releases its reply port.
+func TestQueryUnbindsReplyPortOnSendFailure(t *testing.T) {
+	eng := sim.NewEngine()
+	stack, err := netstack.NewStack("isolated", netstack.Addr(10, 0, 0, 9), eng, &sim.SPINProfile,
+		dispatch.New(eng, &sim.SPINProfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Query(stack, netstack.Addr(10, 0, 0, 2), DefaultPort, "help", nil); !errors.Is(err, netstack.ErrNoRoute) {
+		t.Fatalf("Query = %v, want ErrNoRoute", err)
+	}
+	if err := stack.UDP().Bind(netstack.EphemeralMin, netstack.InKernelDelivery, func(*netstack.Packet) {}); err != nil {
+		t.Fatalf("reply port still bound after the failed query: %v", err)
 	}
 }

@@ -3,6 +3,8 @@ package netdbg
 import (
 	"strings"
 	"testing"
+
+	"spin/internal/lb"
 )
 
 // TestTopoUnattached: without a Topo source the command degrades to an
@@ -14,26 +16,23 @@ func TestTopoUnattached(t *testing.T) {
 	}
 }
 
-// TestLBCommand: the "lb" command renders the attached balancer snapshot —
-// ring membership, client counters, per-backend breaker lines — and
-// degrades to an error without one.
+// TestLBCommand: a balancer attached as a metrics source answers the
+// "metrics lb_" query with its ring size and per-backend breaker lines.
 func TestLBCommand(t *testing.T) {
 	r := newRig(t)
-	got := r.query(t, "lb")
+	bal := lb.NewBalancer(r.server, nil, lb.Config{})
+	bal.AddBackend("replica-a", "")
+	bal.AddBackend("replica-b", "")
+	bal.Eject("replica-b")
+	r.dbg.target.Metrics = append(r.dbg.target.Metrics, bal)
+	got := r.query(t, "metrics lb_")
 	for _, want := range []string{
-		"ring 1/2 backends [replica-a], ejections=1",
-		"requests=8", "retries=2",
-		"replica-a", "closed", "replica-b", "open",
+		"lb_backends 2\n", "lb_ring_members 1\n", "lb_ejections 1\n",
+		`lb_backend_breaker{backend="replica-a",host="replica-a",state="closed"} 1`,
+		`lb_backend_breaker{backend="replica-b",host="replica-b",state="open"} 1`,
 	} {
 		if !strings.Contains(got, want) {
-			t.Errorf("lb reply missing %q:\n%s", want, got)
+			t.Errorf("metrics lb_ missing %q:\n%s", want, got)
 		}
-	}
-	bare := &Debugger{}
-	if got := bare.lb(); !strings.Contains(got, "error: no load balancer attached") {
-		t.Errorf("lb without balancer: %q", got)
-	}
-	if !strings.Contains(r.query(t, "help"), "lb") {
-		t.Error("help does not list lb")
 	}
 }

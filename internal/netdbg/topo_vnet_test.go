@@ -1,6 +1,5 @@
-// External test package: vnet (via internal/lb) depends on netdbg for the
-// shared LBReport, so tests that build topologies must sit outside the
-// package to keep the test binary's import graph acyclic.
+// External test package: the debugger driven over a vnet topology, the way
+// a client of both packages would.
 package netdbg_test
 
 import (

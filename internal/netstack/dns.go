@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -408,22 +410,16 @@ func (z *Zone) Names() []string {
 // symbol a zone exports through the domain nameserver.
 type ZoneLookup func(name string) (addrs []IPAddr, ttl sim.Duration, ok bool)
 
-// DNSServerStats counts one server's traffic.
-type DNSServerStats struct {
-	Queries   int64 // well-formed queries received
-	Answered  int64 // replies carrying A records
-	NXDomain  int64 // names not in the zone
-	NoData    int64 // names present but without records of the asked type
-	Malformed int64 // datagrams the codec (or shape check) rejected
-}
-
 // DNSServer answers A queries on UDP port 53 from a ZoneLookup authority.
 type DNSServer struct {
 	stack  *Stack
 	lookup ZoneLookup
 
-	mu    sync.Mutex
-	stats DNSServerStats
+	queries   atomic.Int64 // well-formed queries received
+	answered  atomic.Int64 // replies carrying A records
+	nxdomain  atomic.Int64 // names not in the zone
+	nodata    atomic.Int64 // names present but without records of the asked type
+	malformed atomic.Int64 // datagrams the codec (or shape check) rejected
 }
 
 // NewDNSServer binds the server to UDP port 53 with the given delivery
@@ -449,11 +445,13 @@ func NewDNSServerOwned(owner string, stack *Stack, cost DeliveryCost, lookup Zon
 // Close releases the server's port.
 func (s *DNSServer) Close() { s.stack.UDP().Unbind(DNSPort) }
 
-// Stats snapshots the server counters.
-func (s *DNSServer) Stats() DNSServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+// Metrics emits the server's query counters. Safe from any goroutine.
+func (s *DNSServer) Metrics(emit metrics.Emit) {
+	emit("dns_server_queries", float64(s.queries.Load()))
+	emit("dns_server_answered", float64(s.answered.Load()))
+	emit("dns_server_nxdomain", float64(s.nxdomain.Load()))
+	emit("dns_server_nodata", float64(s.nodata.Load()))
+	emit("dns_server_malformed", float64(s.malformed.Load()))
 }
 
 // serve answers one query datagram. Malformed or non-query traffic is
@@ -462,9 +460,7 @@ func (s *DNSServer) Stats() DNSServerStats {
 func (s *DNSServer) serve(pkt *Packet) {
 	q, err := ParseDNSMessage(pkt.Payload)
 	if err != nil || q.Response || len(q.Questions) != 1 {
-		s.mu.Lock()
-		s.stats.Malformed++
-		s.mu.Unlock()
+		s.malformed.Add(1)
 		return
 	}
 	question := q.Questions[0]
@@ -473,16 +469,15 @@ func (s *DNSServer) serve(pkt *Packet) {
 		Questions: []DNSQuestion{question},
 	}
 	addrs, ttl, exists := s.lookup(question.Name)
-	s.mu.Lock()
-	s.stats.Queries++
+	s.queries.Add(1)
 	switch {
 	case !exists:
 		reply.RCode = DNSRCodeNXDomain
-		s.stats.NXDomain++
+		s.nxdomain.Add(1)
 	case question.Type != DNSTypeA || len(addrs) == 0:
 		// The name exists but has nothing of the asked type: NODATA — an
 		// empty NOERROR answer (we only store A records).
-		s.stats.NoData++
+		s.nodata.Add(1)
 	default:
 		ttlSec := uint32((ttl + sim.Second - 1) / sim.Second)
 		if ttlSec == 0 {
@@ -494,9 +489,8 @@ func (s *DNSServer) serve(pkt *Packet) {
 				Data: []byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)},
 			})
 		}
-		s.stats.Answered++
+		s.answered.Add(1)
 	}
-	s.mu.Unlock()
 	wire, err := EncodeDNSMessage(reply)
 	if err != nil {
 		return
@@ -581,8 +575,8 @@ type ResolverConfig struct {
 	Cost DeliveryCost
 }
 
-// ResolverStats counts one resolver's work.
-type ResolverStats struct {
+// resolverStats counts one resolver's work.
+type resolverStats struct {
 	Lookups      int64 // LookupA calls
 	CacheHits    int64 // answered from the positive cache
 	NegativeHits int64 // answered from the negative cache
@@ -603,7 +597,7 @@ type Resolver struct {
 
 	pos   map[string]dnsPosEntry
 	neg   map[string]dnsNegEntry
-	stats ResolverStats
+	stats resolverStats
 }
 
 type dnsPosEntry struct {
@@ -642,8 +636,17 @@ func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
 	}
 }
 
-// Stats snapshots the resolver counters.
-func (r *Resolver) Stats() ResolverStats { return r.stats }
+// Metrics emits the resolver's counters. They are plain fields, so it runs
+// on the simulation goroutine, like every Resolver method.
+func (r *Resolver) Metrics(emit metrics.Emit) {
+	emit("dns_resolver_lookups", float64(r.stats.Lookups))
+	emit("dns_resolver_cache_hits", float64(r.stats.CacheHits))
+	emit("dns_resolver_negative_hits", float64(r.stats.NegativeHits))
+	emit("dns_resolver_sent", float64(r.stats.Sent))
+	emit("dns_resolver_retries", float64(r.stats.Retries))
+	emit("dns_resolver_timeouts", float64(r.stats.Timeouts))
+	emit("dns_resolver_failures", float64(r.stats.Failures))
+}
 
 // FlushCache drops both caches (benchmarks measure uncached resolves).
 func (r *Resolver) FlushCache() {

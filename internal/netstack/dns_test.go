@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"spin/internal/metrics"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -266,9 +267,13 @@ func TestDNSServerAnswers(t *testing.T) {
 	if raw := rawQuery(t, a, cl, []byte{1, 2, 3}); raw != nil {
 		t.Errorf("malformed datagram got a reply: %x", raw)
 	}
-	st := srv.Stats()
-	if st.Queries != 4 || st.Answered != 1 || st.NXDomain != 1 || st.NoData != 2 || st.Malformed != 1 {
-		t.Errorf("server stats = %+v", st)
+	var page strings.Builder
+	if err := metrics.Write(&page, "dns_server_", srv); err != nil {
+		t.Fatal(err)
+	}
+	if want := "dns_server_answered 1\ndns_server_malformed 1\ndns_server_nodata 2\n" +
+		"dns_server_nxdomain 1\ndns_server_queries 4\n"; page.String() != want {
+		t.Errorf("server metrics =\n%s\nwant\n%s", page.String(), want)
 	}
 }
 
@@ -295,7 +300,7 @@ func TestResolverLookupAndCache(t *testing.T) {
 	if !done {
 		t.Fatal("cache hit was not synchronous")
 	}
-	st := r.Stats()
+	st := r.stats
 	if st.Lookups != 2 || st.Sent != 1 || st.CacheHits != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -306,7 +311,7 @@ func TestResolverLookupAndCache(t *testing.T) {
 		r.LookupA("web.spin.test", func([]IPAddr, error) {})
 	})
 	cl.Run(0)
-	if st := r.Stats(); st.Sent != 2 {
+	if st := r.stats; st.Sent != 2 {
 		t.Errorf("post-TTL Sent = %d, want 2", st.Sent)
 	}
 }
@@ -344,7 +349,7 @@ func TestResolverNegativeCache(t *testing.T) {
 			if !errors.Is(second, ErrNameNotFound) {
 				t.Fatalf("second lookup err = %v", second)
 			}
-			if st := r.Stats(); st.Sent != 1 || st.NegativeHits != 1 || st.Failures != 1 {
+			if st := r.stats; st.Sent != 1 || st.NegativeHits != 1 || st.Failures != 1 {
 				t.Errorf("stats = %+v", st)
 			}
 			// Past the negative TTL the resolver asks again.
@@ -352,7 +357,7 @@ func TestResolverNegativeCache(t *testing.T) {
 				r.LookupA(tc.qname, func([]IPAddr, error) {})
 			})
 			cl.Run(0)
-			if st := r.Stats(); st.Sent != 2 {
+			if st := r.stats; st.Sent != 2 {
 				t.Errorf("post-TTL Sent = %d, want 2", st.Sent)
 			}
 		})
@@ -439,7 +444,7 @@ func TestResolverTimeoutPath(t *testing.T) {
 			if elapsed < tc.minElapsed || elapsed > tc.maxElapsed {
 				t.Errorf("elapsed %v outside [%v, %v]", elapsed, tc.minElapsed, tc.maxElapsed)
 			}
-			st := r.Stats()
+			st := r.stats
 			if st.Sent != tc.wantSent || st.Retries != tc.wantRetries {
 				t.Errorf("stats = %+v, want Sent=%d Retries=%d", st, tc.wantSent, tc.wantRetries)
 			}
@@ -588,12 +593,12 @@ func TestResolverFlushCache(t *testing.T) {
 	}
 	lookup()
 	lookup() // served from cache
-	if st := r.Stats(); st.Sent != 1 || st.CacheHits != 1 {
+	if st := r.stats; st.Sent != 1 || st.CacheHits != 1 {
 		t.Fatalf("stats before flush = %+v", st)
 	}
 	r.FlushCache()
 	lookup()
-	if st := r.Stats(); st.Sent != 2 {
+	if st := r.stats; st.Sent != 2 {
 		t.Fatalf("flush did not force a network lookup: %+v", st)
 	}
 }
@@ -629,7 +634,7 @@ func TestResolverFlushName(t *testing.T) {
 	}
 	lookup("api.spin.test") // still cached
 	lookup("web.spin.test") // must go back to the network
-	st := r.Stats()
+	st := r.stats
 	if st.Sent != 3 {
 		t.Errorf("Sent = %d, want 3 (web twice, api once)", st.Sent)
 	}
@@ -640,7 +645,7 @@ func TestResolverFlushName(t *testing.T) {
 	r.FlushCache()
 	lookup("api.spin.test")
 	lookup("web.spin.test")
-	if st = r.Stats(); st.Sent != 5 {
+	if st = r.stats; st.Sent != 5 {
 		t.Errorf("Sent = %d after FlushCache, want 5", st.Sent)
 	}
 }

@@ -2,8 +2,10 @@ package netstack_test
 
 import (
 	"fmt"
+	"os"
 
 	"spin/internal/dispatch"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -52,9 +54,7 @@ func ExampleNewPacketFilter() {
 			netstack.MatchDstPortRange(1, 1023),
 		),
 		netstack.Drop)
-	for _, p := range b.Programs() {
-		fmt.Printf("%s at %s: %d verified instructions\n", p.Name, p.Point, p.Insns)
-	}
+	_ = metrics.Write(os.Stdout, "bcode_insns", b)
 
 	_ = b.UDP().Bind(22, netstack.InKernelDelivery, func(*netstack.Packet) {
 		fmt.Println("privileged port reached")
@@ -66,6 +66,6 @@ func ExampleNewPacketFilter() {
 	_ = a.UDP().Send(5000, b.IP, 8080, []byte("x"))
 	sim.NewCluster(engA, engB).Run(0)
 	// Output:
-	// firewall at ip-filter: 9 verified instructions
+	// bcode_insns{program="firewall",point="ip-filter"} 9
 	// high port reached
 }

@@ -88,20 +88,3 @@ func (s *Stack) xdpDrop(pkt *Packet) bool {
 	x.Hit()
 	return true
 }
-
-// Programs snapshots every verified program loaded into this stack: the
-// XDP program, then the IP-layer filters in install order.
-func (s *Stack) Programs() []bcode.Stat {
-	var out []bcode.Stat
-	if x := s.xdp.Load(); x != nil {
-		out = append(out, x.Stat())
-	}
-	s.filterMu.Lock()
-	defer s.filterMu.Unlock()
-	for _, f := range s.filters {
-		st := f.prog.Stat()
-		st.Quarantined = f.Quarantined()
-		out = append(out, st)
-	}
-	return out
-}

@@ -233,8 +233,8 @@ func TestBCodeFilterRejectsUnverifiable(t *testing.T) {
 	if _, err := NewProgramFilter(b.stack, "bad", bad, Drop); !errors.Is(err, bcode.ErrVerifyType) {
 		t.Fatalf("err = %v, want ErrVerifyType", err)
 	}
-	if n := len(b.stack.Programs()); n != 0 {
-		t.Fatalf("%d programs tracked after rejected install", n)
+	if got := page(t, "bcode_", b.stack); got != "" {
+		t.Fatalf("programs tracked after rejected install:\n%s", got)
 	}
 }
 
@@ -277,19 +277,16 @@ func TestBCodeProgramsSnapshot(t *testing.T) {
 	}
 	_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 7, []byte("x"))
 	cl.Run(0)
-	progs := b.stack.Programs()
-	if len(progs) != 2 {
-		t.Fatalf("%d programs, want 2", len(progs))
-	}
-	byName := map[string]bcode.Stat{}
-	for _, p := range progs {
-		byName[p.Name] = p
-	}
-	if p := byName["early"]; p.Point != "xdp" || p.Runs != 1 || p.Hits != 1 || p.Insns != 9 {
-		t.Errorf("xdp stat = %+v", p)
-	}
-	if p := byName["late"]; p.Point != "ip-filter" || p.Quarantined {
-		t.Errorf("filter stat = %+v", p)
+	want := `bcode_hits{program="early",point="xdp"} 1
+bcode_hits{program="late",point="ip-filter"} 0
+bcode_insns{program="early",point="xdp"} 9
+bcode_insns{program="late",point="ip-filter"} 9
+bcode_quarantined{program="late",point="ip-filter"} 0
+bcode_runs{program="early",point="xdp"} 1
+bcode_runs{program="late",point="ip-filter"} 0
+`
+	if got := page(t, "bcode_", b.stack); got != want {
+		t.Errorf("programs =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -327,8 +324,7 @@ func TestBCodeFilterQuarantine(t *testing.T) {
 	if delivered != 20 {
 		t.Errorf("delivered = %d, want 20 (faults contained, RX never stalls)", delivered)
 	}
-	progs := b.stack.Programs()
-	if len(progs) != 1 || !progs[0].Quarantined {
-		t.Errorf("program snapshot = %+v, want quarantined entry", progs)
+	if q := counter(b.stack, `bcode_quarantined{program="hostile",point="ip-filter"}`); q != 1 {
+		t.Errorf("bcode_quarantined = %d, want 1", q)
 	}
 }

@@ -160,8 +160,8 @@ func TestPredicateTooLargeRejectedAtInstall(t *testing.T) {
 	if _, err := NewPacketFilter(b.stack, "huge", Or(ports...), Drop); !errors.Is(err, bcode.ErrVerifyTooLarge) {
 		t.Fatalf("err = %v, want ErrVerifyTooLarge", err)
 	}
-	if n := len(b.stack.Programs()); n != 0 {
-		t.Fatalf("%d programs tracked after rejected install", n)
+	if got := page(t, "bcode_", b.stack); got != "" {
+		t.Fatalf("programs tracked after rejected install:\n%s", got)
 	}
 }
 

@@ -41,10 +41,10 @@ func TestForwardingRoutesTransitTraffic(t *testing.T) {
 		t.Fatal("no ping reply across the router")
 	}
 	// Request and reply both transit the router.
-	if got := r.stack.Forwarded(); got != 2 {
+	if got := counter(r.stack, "net_forwarded"); got != 2 {
 		t.Errorf("router forwarded %d packets, want 2", got)
 	}
-	if got := r.stack.TTLExpired(); got != 0 {
+	if got := counter(r.stack, "net_ttl_expired"); got != 0 {
 		t.Errorf("router expired %d TTLs, want 0", got)
 	}
 	// A direct pair ping must be cheaper than the two-hop path.
@@ -79,7 +79,7 @@ func TestForwardingTTLExpiry(t *testing.T) {
 	if got != 1 {
 		t.Errorf("b received %d datagrams, want 1 (TTL=1 must die in transit)", got)
 	}
-	if exp := r.stack.TTLExpired(); exp != 1 {
+	if exp := counter(r.stack, "net_ttl_expired"); exp != 1 {
 		t.Errorf("router expired %d TTLs, want 1", exp)
 	}
 }
@@ -96,7 +96,7 @@ func TestForwardingDisabledDropsTransit(t *testing.T) {
 	if delivered {
 		t.Error("transit datagram delivered with forwarding off")
 	}
-	if got := r.stack.Forwarded(); got != 0 {
+	if got := counter(r.stack, "net_forwarded"); got != 0 {
 		t.Errorf("router forwarded %d with forwarding off", got)
 	}
 }

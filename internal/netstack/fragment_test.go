@@ -312,7 +312,7 @@ func TestReassemblyCapEvictsOldest(t *testing.T) {
 
 // End-to-end leak bound: after fragment loss leaves partial datagrams
 // pending, a virtual-time TTL sweep returns Pending to 0 and counts the
-// evictions in ReassemblyStats.
+// evictions in net_reassembly_evicted.
 func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	a.nic.InjectLoss(0.4, 13)
@@ -322,7 +322,7 @@ func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 		_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, make([]byte, 4000))
 	}
 	cl.Run(0)
-	pending, _ := b.stack.ReassemblyStats()
+	pending := counter(b.stack, "net_reassembly_pending")
 	if pending == 0 {
 		t.Fatal("fragment loss left nothing pending; loss seed no longer bites")
 	}
@@ -331,11 +331,11 @@ func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 		b.stack.reasm.sweep(b.stack.clock.Now())
 	})
 	cl.Run(0)
-	after, evicted := b.stack.ReassemblyStats()
+	after, evicted := counter(b.stack, "net_reassembly_pending"), counter(b.stack, "net_reassembly_evicted")
 	if after != 0 {
 		t.Errorf("pending = %d after TTL sweep, want 0", after)
 	}
-	if evicted != int64(pending) {
+	if evicted != pending {
 		t.Errorf("evicted = %d, want %d", evicted, pending)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"spin/internal/dispatch"
 	"spin/internal/domain"
+	"spin/internal/metrics"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -760,5 +761,36 @@ func TestLoopbackSelfDelivery(t *testing.T) {
 	eng.Run(0)
 	if !established {
 		t.Fatal("loopback TCP connect never established")
+	}
+}
+
+// counter reads one sample from src's metrics surface.
+func counter(src metrics.Source, name string) int64 { return int64(metrics.Value(src, name)) }
+
+// page renders src's samples under prefix.
+func page(t *testing.T, prefix string, src metrics.Source) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := metrics.Write(&sb, prefix, src); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// tcpStats is the TCP module's metrics, read back for assertions.
+type tcpStats struct {
+	Conns, HalfOpen                                                 int
+	HalfOpenEvicted, Accepted, Resets, TimedOut                     int64
+	FastRecoveries, RACKMarkedLost, TLPProbes, RTOs, DSACKsReceived int64
+}
+
+func tcpStatsOf(t *TCP) tcpStats {
+	m := map[string]int64{}
+	t.Metrics(func(name string, v float64) { m[strings.TrimPrefix(name, "net_tcp_")] = int64(v) })
+	return tcpStats{
+		Conns: int(m["conns"]), HalfOpen: int(m["half_open"]), HalfOpenEvicted: m["half_open_evicted"],
+		Accepted: m["accepted"], Resets: m["resets"], TimedOut: m["timed_out"],
+		FastRecoveries: m["fast_recoveries"], RACKMarkedLost: m["rack_marked_lost"],
+		TLPProbes: m["tlp_probes"], RTOs: m["rtos"], DSACKsReceived: m["dsacks_received"],
 	}
 }

@@ -136,7 +136,7 @@ func TestConcurrentBindRaiseReassembleTorture(t *testing.T) {
 	s.StopRXWorkers()
 	drainAll(s)
 
-	acc, dropped := s.RXStats()
+	acc, dropped := counter(s, "net_rx_queue_accepted"), counter(s, "net_rx_queue_dropped")
 	if acc != accepted.Load() {
 		t.Errorf("queue accepted = %d, injectors saw %d", acc, accepted.Load())
 	}
@@ -151,7 +151,7 @@ func TestConcurrentBindRaiseReassembleTorture(t *testing.T) {
 	if got := sink.Packets(); got != sinkWant {
 		t.Errorf("sink delivered %d datagrams, want exactly %d", got, sinkWant)
 	}
-	if pending, _ := s.ReassemblyStats(); pending > reasmShards*maxPendingPerShard {
+	if pending := counter(s, "net_reassembly_pending"); pending > reasmShards*maxPendingPerShard {
 		t.Errorf("reassembly pending %d exceeds cap %d", pending, reasmShards*maxPendingPerShard)
 	}
 	if s.TCP().Conns() != 0 {
@@ -159,8 +159,8 @@ func TestConcurrentBindRaiseReassembleTorture(t *testing.T) {
 	}
 }
 
-// Counter exactness (satellite of the COW refactor): Stack.Stats, RXStats and
-// SinkStats totals are exact when deliveries arrive from parallel workers —
+// Counter exactness (satellite of the COW refactor): Stack.Stats, the RX
+// queue counters and SinkStats totals are exact when deliveries arrive from parallel workers —
 // atomics must not drop counts.
 func TestStatsExactUnderParallelDelivery(t *testing.T) {
 	const nics = 2
@@ -210,9 +210,9 @@ func TestStatsExactUnderParallelDelivery(t *testing.T) {
 	if received != total {
 		t.Errorf("Stats received = %d, want exactly %d", received, total)
 	}
-	acc, dropped := s.RXStats()
+	acc, dropped := counter(s, "net_rx_queue_accepted"), counter(s, "net_rx_queue_dropped")
 	if acc != total {
-		t.Errorf("RXStats accepted = %d, want %d", acc, total)
+		t.Errorf("net_rx_queue_accepted = %d, want %d", acc, total)
 	}
 	if acc+dropped != attempts.Load() {
 		t.Errorf("accepted %d + dropped %d != attempts %d", acc, dropped, attempts.Load())
@@ -263,7 +263,7 @@ func TestConcurrentBindUnbindWithDeliveries(t *testing.T) {
 	// Delivery count depends on interleaving; the invariants are no race, no
 	// panic, and exact packet accounting.
 	received, _ := s.Stats()
-	acc, dropped := s.RXStats()
+	acc, dropped := counter(s, "net_rx_queue_accepted"), counter(s, "net_rx_queue_dropped")
 	if received != acc || acc+dropped != attempts.Load() {
 		t.Errorf("received=%d accepted=%d dropped=%d attempts=%d", received, acc, dropped, attempts.Load())
 	}
@@ -298,7 +298,7 @@ func TestRXQueueBackpressureDrops(t *testing.T) {
 	if ok != DefaultRXQueueDepth || rejected != over {
 		t.Fatalf("accepted %d rejected %d, want %d and %d", ok, rejected, DefaultRXQueueDepth, over)
 	}
-	if _, dropped := s.RXStats(); dropped != over {
+	if dropped := counter(s, "net_rx_queue_dropped"); dropped != over {
 		t.Errorf("rx.dropped = %d, want %d", dropped, over)
 	}
 	found := 0

@@ -206,7 +206,7 @@ func TestSockDialTimedOut(t *testing.T) {
 	if got := a.stack.TCP().Conns(); got != 0 {
 		t.Errorf("timed-out dial left %d connections", got)
 	}
-	if st := a.stack.TCP().Stats(); st.TimedOut != 1 {
+	if st := tcpStatsOf(a.stack.TCP()); st.TimedOut != 1 {
 		t.Errorf("TimedOut stat = %d, want 1", st.TimedOut)
 	}
 }
@@ -312,7 +312,7 @@ func TestSockDialByName(t *testing.T) {
 	if got := c.RemoteAddr().String(); got != "10.0.0.2:7" {
 		t.Errorf("RemoteAddr = %q", got)
 	}
-	if st := res.Stats(); st.Lookups != 1 || st.Sent != 1 {
+	if st := res.stats; st.Lookups != 1 || st.Sent != 1 {
 		t.Errorf("resolver stats = %+v", st)
 	}
 }

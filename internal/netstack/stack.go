@@ -12,6 +12,7 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/sal"
 	"spin/internal/sim"
 	"spin/internal/trace"
@@ -99,7 +100,7 @@ func (s *Stack) rxctx() rxCtx {
 // is lock-free. The route table, UDP port table and TCP listener table are
 // cow.Maps, and the TCP connection table shards the same idea over sorted
 // slices; writers (AddRoute, Bind, Listen, connection setup/teardown) copy
-// and swap. Counters are atomics, so Stats totals are exact under parallel
+// and swap. Counters are atomics, so totals are exact under parallel
 // delivery. Fragment reassembly is sharded by fragment key with one small
 // lock per shard. The only part of the stack that must stay on the
 // simulation goroutine is the engine itself (timers, NIC sends): parallel
@@ -154,7 +155,7 @@ type Stack struct {
 
 	// xdp is the verified early-drop program evaluated before the
 	// link-layer event fires (see ext_bcode.go); filters tracks the
-	// installed IP-layer filters for the debug surfaces.
+	// installed IP-layer filters for the metrics surface.
 	xdp      atomic.Pointer[XDPFilter]
 	filterMu sync.Mutex
 	filters  []*PacketFilter
@@ -491,24 +492,8 @@ func (s *Stack) Detach(nic *sal.NIC) bool {
 	return true
 }
 
-// RXStats sums the per-NIC receive-queue counters: packets accepted into a
-// queue and packets dropped at a full queue.
-func (s *Stack) RXStats() (accepted, dropped int64) {
-	for _, q := range *s.rxqs.Load() {
-		accepted += q.accepted.Load()
-		dropped += q.dropped.Load()
-	}
-	return accepted, dropped
-}
-
 // RXPanics reports handler panics contained by the receive path's guard.
 func (s *Stack) RXPanics() int64 { return s.rxPanics.Load() }
-
-// ReassemblyStats reports datagrams awaiting fragments and partial buffers
-// evicted by the TTL sweep or the pending cap.
-func (s *Stack) ReassemblyStats() (pending int, evicted int64) {
-	return s.reasm.Pending(), s.reasm.Evicted()
-}
 
 // AddRoute directs packets for dst out through nic.
 func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) { s.routes.Set(dst, nic) }
@@ -625,13 +610,6 @@ func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
 // default — an end host silently drops transit traffic.
 func (s *Stack) EnableForwarding(on bool) { s.forwarding.Store(on) }
 
-// Forwarded reports transit packets this stack routed onward.
-func (s *Stack) Forwarded() int64 { return s.forwarded.Load() }
-
-// TTLExpired reports transit packets dropped because their TTL reached
-// zero — the loop guard firing.
-func (s *Stack) TTLExpired() int64 { return s.ttlExpired.Load() }
-
 // forward re-sends one transit packet along the route table. The RX path
 // only borrows the packet (the batch drain releases it after delivery), so
 // the TX path gets its own reference.
@@ -739,3 +717,39 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Durati
 // Stats reports packets received and sent at the IP layer. Counters are
 // atomics; totals are exact under parallel delivery.
 func (s *Stack) Stats() (received, sent int64) { return s.received.Load(), s.sent.Load() }
+
+// Metrics emits the stack's packet counters (IP-layer rx/tx, the RX queues,
+// reassembly, forwarding, contained RX panics), the TCP module's, and every
+// verified program loaded into the stack. Counters are atomics, so it is
+// safe from any goroutine, even under parallel delivery.
+func (s *Stack) Metrics(emit metrics.Emit) {
+	emit("net_rx_packets", float64(s.received.Load()))
+	emit("net_tx_packets", float64(s.sent.Load()))
+	var accepted, dropped int64
+	for _, q := range *s.rxqs.Load() {
+		accepted += q.accepted.Load()
+		dropped += q.dropped.Load()
+	}
+	emit("net_rx_queue_accepted", float64(accepted))
+	emit("net_rx_queue_dropped", float64(dropped))
+	emit("net_reassembly_pending", float64(s.reasm.Pending()))
+	emit("net_reassembly_evicted", float64(s.reasm.Evicted()))
+	emit("net_forwarded", float64(s.forwarded.Load()))
+	emit("net_ttl_expired", float64(s.ttlExpired.Load()))
+	emit("net_rx_panics", float64(s.rxPanics.Load()))
+	s.tcp.Metrics(emit)
+	if x := s.xdp.Load(); x != nil {
+		x.Metrics(emit)
+	}
+	s.filterMu.Lock()
+	filters := slices.Clone(s.filters)
+	s.filterMu.Unlock()
+	for _, f := range filters {
+		f.prog.Metrics(emit)
+		quarantined := 0.0
+		if f.Quarantined() {
+			quarantined = 1
+		}
+		emit("bcode_quarantined"+f.prog.Labels(), quarantined)
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"spin/internal/cow"
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -104,7 +105,7 @@ const serverISS = 1000
 const (
 	tcpShards = 64
 	// MaxHalfOpen bounds the half-open table across all shards; beyond it
-	// the oldest entries are evicted (counted in TCPStats.HalfOpenEvicted).
+	// the oldest entries are evicted (counted in net_tcp_half_open_evicted).
 	MaxHalfOpen         = 4096
 	maxHalfOpenPerShard = MaxHalfOpen / tcpShards
 	// synTTL evicts half-open entries whose final ACK never arrived.
@@ -1506,7 +1507,10 @@ func (t *TCP) SetMaxRetx(n int) {
 
 // Conns reports the number of live connections, exact under concurrent
 // setup/teardown.
-func (t *TCP) Conns() int { return t.Stats().Conns }
+func (t *TCP) Conns() int {
+	conns, _ := t.tables()
+	return conns
+}
 
 // Unsettled counts the live connections holding out-of-order data and those
 // with the retransmit timer running. On a topology run until nothing is
@@ -1529,42 +1533,31 @@ func (t *TCP) Unsettled() (queued, armed int) {
 	return queued, armed
 }
 
-// TCPStats is a point-in-time summary of the TCP module.
-type TCPStats struct {
-	Conns           int   // live connections, from SYN_SENT or the final ACK to teardown
-	HalfOpen        int   // half-open entries awaiting their final ACK
-	HalfOpenEvicted int64 // half-open entries dropped by the bounded table
-	Accepted        int64 // server-side connections materialized by a final ACK
-	Resets          int64 // RSTs sent for unexpected segments
-	TimedOut        int64 // connections torn down by the retransmission cap
-
-	// Why segments were retransmitted.
-	FastRecoveries int64 // recoveries entered on a loss RACK or duplicate ACKs found
-	RACKMarkedLost int64 // segments RACK found lost: something sent after them arrived
-	TLPProbes      int64 // tail-loss probes sent
-	RTOs           int64 // retransmission timeouts (SYN included)
-	DSACKsReceived int64 // D-SACK blocks: the peer got a segment twice
-}
-
-// Stats snapshots the module counters.
-func (t *TCP) Stats() TCPStats {
-	st := TCPStats{
-		HalfOpenEvicted: t.halfOpenEvicted.Load(),
-		Accepted:        t.accepted.Load(),
-		Resets:          t.resets.Load(),
-		TimedOut:        t.timedOut.Load(),
-		FastRecoveries:  t.fastRecoveries.Load(),
-		RACKMarkedLost:  t.rackMarkedLost.Load(),
-		TLPProbes:       t.tlpProbes.Load(),
-		RTOs:            t.rtos.Load(),
-		DSACKsReceived:  t.dsacksReceived.Load(),
-	}
+// tables counts live connections and half-open entries across the shards.
+func (t *TCP) tables() (conns, halfOpen int) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		st.Conns += len(sh.conns)
-		st.HalfOpen += len(sh.syn)
+		conns += len(sh.conns)
+		halfOpen += len(sh.syn)
 		sh.mu.Unlock()
 	}
-	return st
+	return conns, halfOpen
+}
+
+// Metrics emits the module's table sizes and counters, including why
+// segments were retransmitted. Safe from any goroutine.
+func (t *TCP) Metrics(emit metrics.Emit) {
+	conns, halfOpen := t.tables()
+	emit("net_tcp_conns", float64(conns))                                // from SYN_SENT or the final ACK to teardown
+	emit("net_tcp_half_open", float64(halfOpen))                         // awaiting their final ACK
+	emit("net_tcp_half_open_evicted", float64(t.halfOpenEvicted.Load())) // dropped by the bounded table
+	emit("net_tcp_accepted", float64(t.accepted.Load()))                 // materialized by a final ACK
+	emit("net_tcp_resets", float64(t.resets.Load()))                     // RSTs sent for unexpected segments
+	emit("net_tcp_timed_out", float64(t.timedOut.Load()))                // torn down by the retransmission cap
+	emit("net_tcp_fast_recoveries", float64(t.fastRecoveries.Load()))    // entered on a loss RACK or duplicate ACKs found
+	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost.Load()))   // something sent after them arrived
+	emit("net_tcp_tlp_probes", float64(t.tlpProbes.Load()))              // tail-loss probes sent
+	emit("net_tcp_rtos", float64(t.rtos.Load()))                         // retransmission timeouts, SYN included
+	emit("net_tcp_dsacks_received", float64(t.dsacksReceived.Load()))    // the peer got a segment twice
 }

@@ -76,7 +76,7 @@ func TestTCPResetForms(t *testing.T) {
 				t.Errorf("RST = flags %v seq %d ack %d, want flags %v seq %d ack %d",
 					got.Flags, got.Seq, got.Ack, tc.wantFlags, tc.wantSeq, tc.wantAck)
 			}
-			if st := b.stack.TCP().Stats(); st.Resets != 1 {
+			if st := tcpStatsOf(b.stack.TCP()); st.Resets != 1 {
 				t.Errorf("Resets = %d, want 1", st.Resets)
 			}
 		})
@@ -138,7 +138,7 @@ func TestTCPSynFloodBounded(t *testing.T) {
 		b.stack.TCP().Deliver(syn)
 	}
 
-	st := b.stack.TCP().Stats()
+	st := tcpStatsOf(b.stack.TCP())
 	if st.HalfOpen > MaxHalfOpen {
 		t.Errorf("HalfOpen = %d, exceeds bound %d", st.HalfOpen, MaxHalfOpen)
 	}
@@ -206,7 +206,7 @@ func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	if got := tcp.Conns(); got != workers*each {
 		t.Fatalf("Conns = %d after parallel setup, want %d", got, workers*each)
 	}
-	if st := tcp.Stats(); st.Accepted != workers*each {
+	if st := tcpStatsOf(tcp); st.Accepted != workers*each {
 		t.Fatalf("Accepted = %d, want %d", st.Accepted, workers*each)
 	}
 	for w := 0; w < workers; w++ {
@@ -259,7 +259,7 @@ func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tcp.Stats()
+				tcpStatsOf(tcp)
 				tcp.Unsettled()
 			}
 		}
@@ -267,7 +267,7 @@ func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
 	setup.Wait()
 	close(stop)
 	<-walked
-	if st := tcp.Stats(); st.Conns != workers*each || st.HalfOpen != 0 {
+	if st := tcpStatsOf(tcp); st.Conns != workers*each || st.HalfOpen != 0 {
 		t.Fatalf("%d connections and %d half-open entries, want %d and 0", st.Conns, st.HalfOpen, workers*each)
 	}
 	if queued, armed := tcp.Unsettled(); queued != 0 || armed != 0 {
@@ -323,7 +323,7 @@ func TestTCPDuplicateFinalACK(t *testing.T) {
 	pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
 	tcp.Deliver(pkt)
 	tcp.Deliver(pkt) // duplicate
-	stt := tcp.Stats()
+	stt := tcpStatsOf(tcp)
 	if stt.Conns != 1 || stt.Accepted != 1 || stt.Resets != 0 {
 		t.Fatalf("conns=%d accepted=%d resets=%d, want 1/1/0", stt.Conns, stt.Accepted, stt.Resets)
 	}

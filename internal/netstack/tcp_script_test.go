@@ -649,7 +649,7 @@ func TestTCPScript(t *testing.T) {
 				out: []seg{rst(7)}, check: wantTable(0, 0)},
 			{at: 2 * ms, in: in(ack(0)), note: "the right ACK, too late", out: []seg{rst(0)}, check: wantTable(0, 0)},
 		})
-		if st := r.st.TCP().Stats(); r.conn != nil || st.Accepted != 0 || st.Resets != 2 {
+		if st := tcpStatsOf(r.st.TCP()); r.conn != nil || st.Accepted != 0 || st.Resets != 2 {
 			t.Errorf("conn %v, accepted %d, resets %d; want none, 0, 2", r.conn, st.Accepted, st.Resets)
 		}
 	})
@@ -746,7 +746,7 @@ func TestTCPScript(t *testing.T) {
 			{at: 20 * ms, in: in(ack(10 * S))},
 			{at: 1000 * ms, note: "idle"},
 		})
-		wantCauses(t, r, TCPStats{FastRecoveries: 1, RACKMarkedLost: 1})
+		wantCauses(t, r, tcpStats{FastRecoveries: 1, RACKMarkedLost: 1})
 	})
 	t.Run("rfc8985/lost-retransmission-without-rto", func(t *testing.T) {
 		r := rackRig(t)
@@ -760,7 +760,7 @@ func TestTCPScript(t *testing.T) {
 			{at: 26 * ms, in: in(ack(12 * S))},
 			{at: 1000 * ms, note: "idle"},
 		})
-		wantCauses(t, r, TCPStats{FastRecoveries: 1, RACKMarkedLost: 2})
+		wantCauses(t, r, tcpStats{FastRecoveries: 1, RACKMarkedLost: 2})
 	})
 
 	// RFC 8985 §7: a probe timeout of two SRTTs (here 8 ms) sends new data
@@ -782,7 +782,7 @@ func TestTCPScript(t *testing.T) {
 			{at: 18 * ms, in: in(ack(4 * S))},
 			{at: 1000 * ms, note: "idle"},
 		})
-		wantCauses(t, r, TCPStats{TLPProbes: 1})
+		wantCauses(t, r, tcpStats{TLPProbes: 1})
 	})
 	t.Run("rfc8985/tlp-probes-last-segment", func(t *testing.T) {
 		r := probeRig(t)
@@ -792,7 +792,7 @@ func TestTCPScript(t *testing.T) {
 			{at: 18 * ms, in: in(ack(3 * S))},
 			{at: 1000 * ms, note: "idle"},
 		})
-		wantCauses(t, r, TCPStats{TLPProbes: 1})
+		wantCauses(t, r, tcpStats{TLPProbes: 1})
 	})
 	// RFC 8985 §7.2: with one segment in flight the probe waits out a
 	// delayed ACK too. A 300 ms path, timed as in rfc6298-2 above, makes the
@@ -810,15 +810,15 @@ func TestTCPScript(t *testing.T) {
 			{at: 1500 * ms, in: in(ack(2 * S))},
 			{at: 5000 * ms, note: "idle"},
 		})
-		wantCauses(t, r, TCPStats{TLPProbes: 1, RTOs: 1})
+		wantCauses(t, r, tcpStats{TLPProbes: 1, RTOs: 1})
 	})
 }
 
 // wantCauses checks the module's retransmission-cause counters.
-func wantCauses(t *testing.T, r *scriptRig, want TCPStats) {
+func wantCauses(t *testing.T, r *scriptRig, want tcpStats) {
 	t.Helper()
-	st := r.st.TCP().Stats()
-	got := TCPStats{FastRecoveries: st.FastRecoveries, RACKMarkedLost: st.RACKMarkedLost,
+	st := tcpStatsOf(r.st.TCP())
+	got := tcpStats{FastRecoveries: st.FastRecoveries, RACKMarkedLost: st.RACKMarkedLost,
 		TLPProbes: st.TLPProbes, RTOs: st.RTOs, DSACKsReceived: st.DSACKsReceived}
 	if got != want {
 		t.Errorf("retransmission causes %+v, want %+v", got, want)
@@ -829,7 +829,7 @@ func wantCauses(t *testing.T, r *scriptRig, want TCPStats) {
 func wantTable(conns, halfOpen int) func(*testing.T, *scriptRig) {
 	return func(t *testing.T, r *scriptRig) {
 		t.Helper()
-		if st := r.st.TCP().Stats(); st.Conns != conns || st.HalfOpen != halfOpen {
+		if st := tcpStatsOf(r.st.TCP()); st.Conns != conns || st.HalfOpen != halfOpen {
 			t.Errorf("table holds %d connections and %d half-open entries, want %d and %d", st.Conns, st.HalfOpen, conns, halfOpen)
 		}
 	}

@@ -87,7 +87,7 @@ func TestRetxCapEstablishedData(t *testing.T) {
 	if got := a.stack.TCP().Conns(); got != 0 {
 		t.Errorf("sender Conns = %d", got)
 	}
-	if st := a.stack.TCP().Stats(); st.TimedOut != 1 {
+	if st := tcpStatsOf(a.stack.TCP()); st.TimedOut != 1 {
 		t.Errorf("TimedOut = %d", st.TimedOut)
 	}
 }

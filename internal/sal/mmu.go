@@ -14,6 +14,7 @@ package sal
 import (
 	"fmt"
 
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -299,8 +300,11 @@ func (m *MMU) flushContext(ctx uint64) {
 	m.tlb = out
 }
 
-// TLBStats reports hit/miss counts.
-func (m *MMU) TLBStats() (hits, misses int64) { return m.tlbHits, m.tlbMiss }
-
-// Faults reports the number of faults classified.
-func (m *MMU) Faults() int64 { return m.faultCnt }
+// Metrics emits the TLB's hits and misses and the faults classified. They
+// are plain fields, so it runs on the simulation goroutine, like every MMU
+// method.
+func (m *MMU) Metrics(emit metrics.Emit) {
+	emit("sal_tlb_hits", float64(m.tlbHits))
+	emit("sal_tlb_misses", float64(m.tlbMiss))
+	emit("sal_mmu_faults", float64(m.faultCnt))
+}

@@ -1,6 +1,10 @@
 package sal
 
-import "fmt"
+import (
+	"fmt"
+
+	"spin/internal/metrics"
+)
 
 // Frame is a snapshot of the hardware-visible state of one physical page
 // frame. Changes go through PhysMem's methods, never through a Frame.
@@ -100,3 +104,17 @@ func (pm *PhysMem) Claim(f uint64) error {
 
 // Release marks frame f free again.
 func (pm *PhysMem) Release(f uint64) error { return pm.update(f, 0, frameInUse) }
+
+// Metrics emits the frame count and how many frames the physical allocator
+// has handed out. The state bytes are plain, so it runs on the simulation
+// goroutine.
+func (pm *PhysMem) Metrics(emit metrics.Emit) {
+	inUse := 0
+	for _, bits := range pm.state {
+		if bits&frameInUse != 0 {
+			inUse++
+		}
+	}
+	emit("sal_phys_frames", float64(pm.frames))
+	emit("sal_phys_frames_in_use", float64(inUse))
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func TestMMUTLBHitAfterFill(t *testing.T) {
 	_ = m.Install(ctx, 1, PTE{Frame: 10, Prot: ProtRead})
 	m.Translate(ctx, 1, ProtRead) // miss, fills TLB
 	m.Translate(ctx, 1, ProtRead) // hit
-	hits, misses := m.TLBStats()
+	hits, misses := tlbStats(m)
 	if hits != 1 || misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 1,1", hits, misses)
 	}
@@ -93,9 +94,9 @@ func TestMMUTLBEviction(t *testing.T) {
 		m.Translate(ctx, i, ProtRead)
 	}
 	// Entry 0 must have been evicted (FIFO): next access misses.
-	_, missesBefore := m.TLBStats()
+	_, missesBefore := tlbStats(m)
 	m.Translate(ctx, 0, ProtRead)
-	_, missesAfter := m.TLBStats()
+	_, missesAfter := tlbStats(m)
 	if missesAfter != missesBefore+1 {
 		t.Error("expected TLB miss after eviction")
 	}
@@ -535,8 +536,8 @@ func TestMarkAllocatedToggle(t *testing.T) {
 	if err := m.MarkAllocated(999, 1, true); err == nil {
 		t.Error("bad context accepted")
 	}
-	if m.Faults() < 2 {
-		t.Errorf("fault counter = %d", m.Faults())
+	if n := metrics.Value(m, "sal_mmu_faults"); n < 2 {
+		t.Errorf("fault counter = %v", n)
 	}
 }
 
@@ -550,10 +551,15 @@ func TestDestroyContextFlushesItsTLBOnly(t *testing.T) {
 	m.Translate(b, 1, ProtRead)
 	_ = m.DestroyContext(a)
 	// b's entry survives: next access is a hit.
-	hitsBefore, _ := m.TLBStats()
+	hitsBefore, _ := tlbStats(m)
 	m.Translate(b, 1, ProtRead)
-	hitsAfter, _ := m.TLBStats()
+	hitsAfter, _ := tlbStats(m)
 	if hitsAfter != hitsBefore+1 {
 		t.Error("destroying context a flushed context b's TLB entry")
 	}
+}
+
+// tlbStats reads the TLB counters from the MMU's metrics.
+func tlbStats(m *MMU) (hits, misses int64) {
+	return int64(metrics.Value(m, "sal_tlb_hits")), int64(metrics.Value(m, "sal_tlb_misses"))
 }

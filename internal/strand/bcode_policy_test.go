@@ -44,7 +44,7 @@ func runPolicyBatch(t *testing.T, prog *bcode.Program) (map[int]int64, *StealPol
 	}
 	sched.Run()
 	steals := map[int]int64{}
-	for _, st := range sched.CPUStats() {
+	for _, st := range cpuStats(sched) {
 		steals[st.ID] = st.Steals
 	}
 	return steals, pol, sched

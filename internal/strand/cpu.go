@@ -2,10 +2,10 @@ package strand
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"spin/internal/metrics"
 	"spin/internal/sim"
 	"spin/internal/trace"
 )
@@ -297,34 +297,6 @@ func (e SchedEvent) String() string {
 	return fmt.Sprintf("%s %s cpu%d<-%d @%v", e.Kind, e.Strand, e.CPU, e.From, e.At)
 }
 
-// CPUStat is one CPU's scheduling counters.
-type CPUStat struct {
-	ID         int
-	Switches   int64
-	Steals     int64
-	Migrations int64
-	// Ready is the instantaneous run-queue depth.
-	Ready int
-	// Clock is the CPU's virtual time.
-	Clock sim.Time
-}
-
-// CPUStats reports per-CPU counters, lock-free.
-func (sched *Scheduler) CPUStats() []CPUStat {
-	out := make([]CPUStat, len(sched.cpus))
-	for i, c := range sched.cpus {
-		out[i] = CPUStat{
-			ID:         c.id,
-			Switches:   c.switches.Load(),
-			Steals:     c.steals.Load(),
-			Migrations: c.migrations.Load(),
-			Ready:      c.ready.Load().size,
-			Clock:      c.clock.Now(),
-		}
-	}
-	return out
-}
-
 // NumCPUs reports how many virtual processors the scheduler multiplexes.
 func (sched *Scheduler) NumCPUs() int { return len(sched.cpus) }
 
@@ -346,15 +318,20 @@ func (sched *Scheduler) Migrations() int64 {
 	return n
 }
 
-// Report renders the scheduler's per-CPU statistics — the "sched" view
-// spin-dbg and spin-httpd's /debug/sched expose.
-func (sched *Scheduler) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sched: %d CPU(s), %d switches, %d steals, %d migrations, %d contained faults\n",
-		sched.NumCPUs(), sched.Switches(), sched.Steals(), sched.Migrations(), sched.StrandFaults())
-	for _, st := range sched.CPUStats() {
-		fmt.Fprintf(&sb, "  cpu%d: clock=%v switches=%d steals=%d migrations=%d ready=%d\n",
-			st.ID, st.Clock, st.Switches, st.Steals, st.Migrations, st.Ready)
+// Metrics emits each CPU's switches, steals, migrations, run-queue depth
+// and virtual time under a cpu label, the contained strand faults, and the
+// installed steal policy. Counters are atomics: safe from any goroutine.
+func (sched *Scheduler) Metrics(emit metrics.Emit) {
+	for _, c := range sched.cpus {
+		l := fmt.Sprintf("{cpu=\"%d\"}", c.id)
+		emit("strand_switches"+l, float64(c.switches.Load()))
+		emit("strand_steals"+l, float64(c.steals.Load()))
+		emit("strand_migrations"+l, float64(c.migrations.Load()))
+		emit("strand_ready"+l, float64(c.ready.Load().size))
+		emit("strand_clock_ns"+l, float64(c.clock.Now()))
 	}
-	return sb.String()
+	emit("strand_faults", float64(sched.strandFaults.Load()))
+	if p := sched.stealPolicy.Load(); p != nil {
+		p.Metrics(emit)
+	}
 }

@@ -1,9 +1,12 @@
 package strand
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"spin/internal/dispatch"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 	"spin/internal/trace"
 )
@@ -76,11 +79,11 @@ func TestNoStealsOnSingleCPU(t *testing.T) {
 	}
 }
 
-func TestPerCPUStatsAddUp(t *testing.T) {
+func TestPerCPUCountersAddUp(t *testing.T) {
 	_, sched := runBatch(t, 4, 32)
-	stats := sched.CPUStats()
+	stats := cpuStats(sched)
 	if len(stats) != 4 {
-		t.Fatalf("CPUStats returned %d entries, want 4", len(stats))
+		t.Fatalf("cpuStats returned %d entries, want 4", len(stats))
 	}
 	var switches, steals, migrations int64
 	busy := 0
@@ -150,7 +153,7 @@ func TestSetAffinityMovesQueuedStrand(t *testing.T) {
 	if s.CPU() != 1 {
 		t.Fatalf("after SetAffinity strand homed on cpu%d, want 1", s.CPU())
 	}
-	if got := sched.CPUStats()[0].Ready; got != 0 {
+	if got := cpuStats(sched)[0].Ready; got != 0 {
 		t.Fatalf("cpu0 still queues %d strands after re-homing", got)
 	}
 	if got := sched.Migrations(); got != 1 {
@@ -288,21 +291,34 @@ func TestClusterScheduler(t *testing.T) {
 	}
 }
 
-func TestReportRendersPerCPU(t *testing.T) {
+func TestMetricsRenderPerCPU(t *testing.T) {
 	_, sched := runBatch(t, 2, 8)
-	rep := sched.Report()
-	for _, want := range []string{"2 CPU(s)", "cpu0:", "cpu1:", "steals"} {
-		if !contains(rep, want) {
-			t.Errorf("Report() missing %q:\n%s", want, rep)
+	var page strings.Builder
+	if err := metrics.Write(&page, "strand_", sched); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`strand_steals{cpu="0"}`, `strand_steals{cpu="1"}`,
+		`strand_ready{cpu="1"} 0`, `strand_clock_ns{cpu="0"}`, "strand_faults 0"} {
+		if !strings.Contains(page.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, page.String())
 		}
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+// cpuStat is one CPU's scheduling metrics, read back for assertions.
+type cpuStat struct {
+	ID                           int
+	Switches, Steals, Migrations int64
+	Ready                        int
+}
+
+func cpuStats(sched *Scheduler) []cpuStat {
+	out := make([]cpuStat, sched.NumCPUs())
+	for i := range out {
+		l := fmt.Sprintf("{cpu=\"%d\"}", i)
+		v := func(name string) int64 { return int64(metrics.Value(sched, name+l)) }
+		out[i] = cpuStat{ID: i, Switches: v("strand_switches"), Steals: v("strand_steals"),
+			Migrations: v("strand_migrations"), Ready: int(v("strand_ready"))}
 	}
-	return false
+	return out
 }

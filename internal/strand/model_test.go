@@ -135,7 +135,7 @@ func runSchedulerModel(t *testing.T, cpus int, seed uint64) {
 				i, counts[i], iters)
 		}
 	}
-	for _, st := range sched.CPUStats() {
+	for _, st := range cpuStats(sched) {
 		if st.Ready != 0 {
 			t.Errorf("cpu%d still queues %d strands after the model run", st.ID, st.Ready)
 		}
@@ -171,7 +171,7 @@ func TestSwitchesRaceFree(t *testing.T) {
 			default:
 			}
 			total := sched.Switches() + sched.Steals() + sched.Migrations()
-			for _, st := range sched.CPUStats() {
+			for _, st := range cpuStats(sched) {
 				total += st.Switches + int64(st.Ready)
 			}
 			if total < 0 {

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 
 	"spin/internal/sim"
@@ -92,54 +90,4 @@ func (h *Histogram) Snapshot() []Bucket {
 		}
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the buckets, returning
-// the upper bound of the bucket containing the quantile sample.
-func (h *Histogram) Quantile(q float64) sim.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histoBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return sim.Duration(1)<<i - 1
-		}
-	}
-	return h.Max()
-}
-
-// String renders the histogram as an ASCII bar chart, one line per
-// non-empty bucket.
-func (h *Histogram) String() string {
-	snap := h.Snapshot()
-	if len(snap) == 0 {
-		return "  (no samples)\n"
-	}
-	var peak int64
-	for _, b := range snap {
-		if b.Count > peak {
-			peak = b.Count
-		}
-	}
-	var sb strings.Builder
-	for _, b := range snap {
-		bar := int(40 * b.Count / peak)
-		if bar == 0 {
-			bar = 1
-		}
-		fmt.Fprintf(&sb, "  %10v %-40s %d\n", b.Low, strings.Repeat("#", bar), b.Count)
-	}
-	fmt.Fprintf(&sb, "  n=%d mean=%v p50=%v p99=%v max=%v\n",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
-	return sb.String()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestRingTortureConcurrentPutSnapshot(t *testing.T) {
 					}
 				}
 				_ = tr.Dump()
-				_ = tr.DumpHisto()
+				tr.Metrics(func(string, float64) {})
 			}
 		}()
 	}
@@ -73,13 +74,14 @@ func TestRingTortureConcurrentPutSnapshot(t *testing.T) {
 	if got := tr.Ring().Published(); got != writers*perW {
 		t.Errorf("published = %d, want %d", got, writers*perW)
 	}
-	var histoTotal int64
-	for _, name := range tr.Series() {
-		h, _ := tr.Histogram(name)
-		histoTotal += h.Count()
-	}
+	var histoTotal float64
+	tr.Metrics(func(name string, v float64) {
+		if strings.HasPrefix(name, "trace_latency_ns_count") {
+			histoTotal += v
+		}
+	})
 	if histoTotal != writers*perW {
-		t.Errorf("histogram samples = %d, want %d", histoTotal, writers*perW)
+		t.Errorf("histogram samples = %v, want %d", histoTotal, writers*perW)
 	}
 }
 
@@ -100,7 +102,7 @@ func TestTracerConcurrentNewSeries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(tr.Series()); got != 8*200+1 {
+	if got := strings.Count(page(t, tr, "trace_latency_ns_count"), "\n"); got != 8*200+1 {
 		t.Errorf("series count = %d, want %d", got, 8*200+1)
 	}
 	h, _ := tr.Histogram("shared")

@@ -1,8 +1,8 @@
 // Package trace is the kernel-wide event tracing and latency profiling
 // subsystem — the other half of the paper's §3.2 monitoring style
 // ("extensions passively monitor system activity, and provide up-to-date
-// performance information to applications"). Where internal/monitor counts
-// raises, trace records where virtual time goes: a fixed-size lock-free
+// performance information to applications"). Where the metrics surface
+// counts, trace records where virtual time goes: a fixed-size lock-free
 // ring buffer of per-dispatch records, plus per-event and per-handler
 // latency histograms in log₂ buckets that the dispatcher, netstack packet
 // path, strand scheduler and VM pager feed.
@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"spin/internal/cow"
+	"spin/internal/metrics"
 	"spin/internal/sim"
 )
 
@@ -67,9 +68,6 @@ func (t *Tracer) Observe(name string, d sim.Duration) {
 // Histogram returns the named latency series, if it has samples.
 func (t *Tracer) Histogram(name string) (*Histogram, bool) { return t.histos.Get(name) }
 
-// Series lists the histogram series names, sorted.
-func (t *Tracer) Series() []string { return cow.SortedKeys(&t.histos) }
-
 // Snapshot returns the ring's buffered records, oldest first.
 func (t *Tracer) Snapshot() []Record { return t.ring.Snapshot() }
 
@@ -90,18 +88,22 @@ func (t *Tracer) Dump() string {
 	return sb.String()
 }
 
-// DumpHisto renders every latency series: count, mean, p50/p99, max, and
-// the log₂ bucket bars.
-func (t *Tracer) DumpHisto() string {
-	var sb strings.Builder
-	names := t.Series()
-	fmt.Fprintf(&sb, "latency histograms: %d series\n", len(names))
-	for _, name := range names {
-		h, _ := t.Histogram(name)
-		if h.Count() == 0 {
-			continue
+// Metrics emits every latency series as a Prometheus histogram in virtual
+// nanoseconds: the cumulative count at each non-empty log₂ bucket's upper
+// bound, then the series' sum, count and largest sample.
+func (t *Tracer) Metrics(emit metrics.Emit) {
+	for name, h := range t.histos.Snapshot() {
+		l := fmt.Sprintf("{series=%q", name)
+		var cum int64
+		for i := range h.buckets {
+			if n := h.buckets[i].Load(); n > 0 {
+				cum += n
+				emit(fmt.Sprintf("trace_latency_ns_bucket%s,le=\"%d\"}", l, BucketLow(i+1)-1), float64(cum))
+			}
 		}
-		fmt.Fprintf(&sb, "%s\n%s", name, h.String())
+		emit("trace_latency_ns_bucket"+l+`,le="+Inf"}`, float64(cum))
+		emit("trace_latency_ns_count"+l+"}", float64(cum))
+		emit("trace_latency_ns_sum"+l+"}", float64(h.sum.Load()))
+		emit("trace_latency_ns_max"+l+"}", float64(h.Max()))
 	}
-	return sb.String()
 }

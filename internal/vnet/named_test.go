@@ -6,9 +6,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -106,11 +108,12 @@ func TestNamedServiceHTTP(t *testing.T) {
 		t.Fatalf("body = %q", body)
 	}
 	// The client really resolved: one DNS query hit the ns machine.
-	if st := in.Machine("ns").DNS.Stats(); st.Queries != 1 || st.Answered != 1 {
-		t.Errorf("ns DNS stats = %+v, want 1 answered query", st)
+	ns, client := in.Machine("ns"), in.Machine("client")
+	if q, a := metrics.Value(ns, "dns_server_queries"), metrics.Value(ns, "dns_server_answered"); q != 1 || a != 1 {
+		t.Errorf("ns DNS served %v queries and answered %v, want 1 answered query", q, a)
 	}
-	if st := in.Machine("client").Resolver.Stats(); st.Lookups != 1 || st.Sent != 1 {
-		t.Errorf("client resolver stats = %+v", st)
+	if l, sent := metrics.Value(client, "dns_resolver_lookups"), metrics.Value(client, "dns_resolver_sent"); l != 1 || sent != 1 {
+		t.Errorf("client resolver: %v lookups, %v sent; want 1 and 1", l, sent)
 	}
 	// Everything drains: no connections left on either end.
 	in.Driver().Drain()
@@ -270,16 +273,21 @@ func TestDemoStar(t *testing.T) {
 	if !in.RunUntil(func() bool { return addrs != nil }, 0) || addrs[0] != primary.Stack.IP {
 		t.Fatalf("svc.spin.test resolved to %v, want %v", addrs, primary.Stack.IP)
 	}
-	progs := primary.Programs()
-	if len(progs) != 1 || progs[0].Name != "ttl-guard" || progs[0].Point != "xdp" {
-		t.Errorf("primary programs = %+v, want the ttl-guard XDP program", progs)
+	if got := page(t, "bcode_insns", primary); got != "bcode_insns{program=\"ttl-guard\",point=\"xdp\"} 6\n" {
+		t.Errorf("primary programs = %q, want the ttl-guard XDP program", got)
 	}
 	RunDemoStrands(primary)
-	steals := int64(0)
-	for _, st := range primary.Sched.CPUStats() {
-		steals += st.Steals
+	if primary.Sched.Steals() == 0 {
+		t.Error("demo strand workload never stole: the strand_steals metrics would be empty")
 	}
-	if steals == 0 {
-		t.Error("demo strand workload never stole: the sched report would be empty")
+}
+
+// page renders src's samples under prefix.
+func page(t *testing.T, prefix string, src metrics.Source) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := metrics.Write(&sb, prefix, src); err != nil {
+		t.Fatal(err)
 	}
+	return sb.String()
 }

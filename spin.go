@@ -26,6 +26,7 @@ import (
 	"spin/internal/domain"
 	"spin/internal/faultinject"
 	"spin/internal/fs"
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/safe"
 	"spin/internal/sal"
@@ -286,15 +287,25 @@ func (m *Machine) LoadFilter(name string, code []byte) (*netstack.PacketFilter, 
 	return f, nil
 }
 
-// Programs snapshots every verified program loaded into the machine — the
-// stack's XDP program and IP filters, then the scheduler's steal policy —
-// for the debug surfaces (spin-dbg bcode, /debug/bcode).
-func (m *Machine) Programs() []bcode.Stat {
-	stats := m.Stack.Programs()
-	if pol := m.Sched.StealPolicyInstalled(); pol != nil {
-		stats = append(stats, pol.Stat())
+// Metrics emits every counter the machine's subsystems keep: the
+// dispatcher's (with the tracer's and injector's while they are set), the
+// stack's and its programs', the scheduler's and its steal policy's, the
+// MMU's and physical memory's, and the DNS server's and resolver's when the
+// machine has them. The MMU, physical memory and the resolver keep plain
+// fields, so a read that must not race their writers runs on the
+// simulation goroutine.
+func (m *Machine) Metrics(emit metrics.Emit) {
+	m.Dispatcher.Metrics(emit)
+	m.Stack.Metrics(emit)
+	m.Sched.Metrics(emit)
+	m.MMU.Metrics(emit)
+	m.Phys.Metrics(emit)
+	if m.DNS != nil {
+		m.DNS.Metrics(emit)
 	}
-	return stats
+	if m.Resolver != nil {
+		m.Resolver.Metrics(emit)
+	}
 }
 
 // DNSAuthorityName is the nameserver entry a ServeDNS zone is exported
@@ -398,8 +409,8 @@ func (m *Machine) RegisterSyscall(name string, ident domain.Identity, h func(arg
 // profiling: every dispatch is recorded in a lock-free ring of ringSize
 // records (trace.DefaultRingSize if <= 0) and fed into per-event,
 // per-handler and per-subsystem latency histograms. The returned tracer's
-// Dump/DumpHisto render the reports; spin-dbg's trace/histo commands and
-// spin-httpd's /debug endpoints expose them remotely. Enabling is one
+// Dump renders the ring (spin-dbg's trace command, spin-httpd's
+// /debug/trace) and the histograms join the machine's Metrics. Enabling is one
 // atomic pointer swap; until then the machine pays one predictable-nil
 // load per raise.
 func (m *Machine) EnableTracing(ringSize int) *trace.Tracer {

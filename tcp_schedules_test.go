@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"spin/internal/metrics"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 	"spin/internal/vnet"
@@ -51,19 +52,19 @@ func TestTCPSingleFaultSchedules(t *testing.T) {
 					return vnet.Drop
 				case frames == f.frame:
 					ev.ExtraDelay += holdBack
-				case f.frame > 0 && frames > f.frame && sender.Stats().RTOs == 0:
+				case f.frame > 0 && frames > f.frame && metrics.Value(sender, "net_tcp_rtos") == 0:
 					laterDelivered = true
 				}
 				return vnet.Pass
 			})
 			runFlows(t, in, 1, segments*netstack.DefaultMSS)
 			in.Run(0)
-			want := int64(0)
+			want := 0.0
 			if f.drop && !laterDelivered {
 				want = 1
 			}
-			if rtos := sender.Stats().RTOs; rtos != want {
-				t.Errorf("%d retransmission timeouts, want %d (a later segment delivered before any: %v)", rtos, want, laterDelivered)
+			if rtos := metrics.Value(sender, "net_tcp_rtos"); rtos != want {
+				t.Errorf("%v retransmission timeouts, want %v (a later segment delivered before any: %v)", rtos, want, laterDelivered)
 			}
 			for _, m := range []string{"l0", "r0"} {
 				if queued, armed := in.Machine(m).Stack.TCP().Unsettled(); queued != 0 || armed != 0 {
