@@ -1,21 +1,17 @@
 package spin_test
 
 // The benchmarks with no counterpart in benchmark/ or cmd/spin-bench:
-// contended dispatch across GOMAXPROCS goroutines, RX-worker scaling, and
-// the 2^20-connection table. Everything else is measured by
-// `go run ./benchmark` (per-layer probes, parent against change) and
-// `spin-bench` (the paper's tables), and enforced by gates_test.go.
+// contended dispatch across GOMAXPROCS goroutines and the 2^20-connection
+// table. Everything else is measured by `go run ./benchmark` (per-layer
+// probes, parent against change) and `spin-bench` (the paper's tables), and
+// enforced by gates_test.go.
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"spin/internal/bench"
 	"spin/internal/dispatch"
-	"spin/internal/netstack"
-	"spin/internal/sal"
 	"spin/internal/sim"
 )
 
@@ -51,67 +47,6 @@ func benchmarkDispatchRaiseParallel(b *testing.B, nEvents int) {
 func BenchmarkDispatchRaiseParallel1(b *testing.B)  { benchmarkDispatchRaiseParallel(b, 1) }
 func BenchmarkDispatchRaiseParallel8(b *testing.B)  { benchmarkDispatchRaiseParallel(b, 8) }
 func BenchmarkDispatchRaiseParallel64(b *testing.B) { benchmarkDispatchRaiseParallel(b, 64) }
-
-// benchmarkParallelRX measures aggregate receive throughput with nics
-// simulated NICs, each drained by its own RX worker goroutine: producers
-// inject UDP datagrams round-robin across the per-NIC bounded queues
-// (retrying through backpressure) and the run ends once the in-kernel sink
-// has consumed every datagram. The receive path is lock-free (COW port and
-// route tables, sharded reassembly, atomic counters), so with GOMAXPROCS >=
-// nics aggregate throughput should scale with the worker count; on a single
-// CPU the variants measure the bounded-queue overhead instead.
-func benchmarkParallelRX(b *testing.B, nics int) {
-	eng := sim.NewEngine()
-	prof := &sim.SPINProfile
-	d := dispatch.New(eng, prof)
-	ic := sal.NewInterruptController(eng, prof)
-	st, err := netstack.NewStack("bench", netstack.Addr(10, 0, 0, 1), eng, prof, d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < nics; i++ {
-		// Inject-only NICs: never connected, never interrupt-driven.
-		st.Attach(sal.NewNIC(sal.LanceModel, eng, ic, sal.VecNIC0))
-	}
-	sink, err := st.UDP().Sink(9, netstack.InKernelDelivery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st.StartRXWorkers()
-	defer st.StopRXWorkers()
-
-	var producer atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		n := int(producer.Add(1)-1) % nics
-		// The receive path never writes to a plain UDP packet, so one
-		// packet per producer rides every injection.
-		pkt := &netstack.Packet{
-			Src: netstack.Addr(10, 0, 0, 2), Dst: netstack.Addr(10, 0, 0, 1),
-			Proto: netstack.ProtoUDP, SrcPort: 1, DstPort: 9,
-			Payload: make([]byte, 32), TTL: 32,
-		}
-		for pb.Next() {
-			for !st.InjectRX(n, pkt) {
-				runtime.Gosched()
-			}
-		}
-	})
-	// Throughput includes the drain: the run isn't over until the sink has
-	// consumed everything injected.
-	for sink.Packets() < int64(b.N) {
-		runtime.Gosched()
-	}
-	b.StopTimer()
-	if got := sink.Packets(); got != int64(b.N) {
-		b.Fatalf("sink = %d packets, want %d", got, b.N)
-	}
-}
-
-func BenchmarkParallelRX1(b *testing.B) { benchmarkParallelRX(b, 1) }
-func BenchmarkParallelRX2(b *testing.B) { benchmarkParallelRX(b, 2) }
-func BenchmarkParallelRX4(b *testing.B) { benchmarkParallelRX(b, 4) }
 
 // BenchmarkMillionConns holds 2^20 concurrent established connections in
 // one stack — the C10M scaling claim — and reports per-connection setup

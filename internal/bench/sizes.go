@@ -158,14 +158,14 @@ func sizeRows(entries []sizeEntry) (rows []Row, total float64, err error) {
 }
 
 // RunTable1 reproduces Table 1: size of system components. Components map
-// as: sys = extensibility machinery (safe objects, domains, dispatcher,
-// capabilities); core = VM, scheduling, networking, file system; rt =
-// runtime substrate (virtual clock, DES, heap model); sal = hardware layer.
+// as: sys = extensibility machinery (safe objects, domains, dispatcher);
+// core = VM, scheduling, networking, file system; rt = runtime substrate
+// (virtual clock, DES, heap model); sal = hardware layer.
 // The paper's lib (generic Modula-3 data structures) corresponds to the Go
 // standard library and is reported as n/a.
 func RunTable1() (*Table, error) {
 	rows, total, err := sizeRows([]sizeEntry{
-		{"sys (extensibility machinery)", 1646, []string{"internal/safe", "internal/domain", "internal/dispatch", "internal/capability", "spin.go"}},
+		{"sys (extensibility machinery)", 1646, []string{"internal/safe", "internal/domain", "internal/dispatch", "spin.go"}},
 		{"core (vm, sched, net, fs, dbg)", 10866, []string{"internal/vm", "internal/strand", "internal/netstack", "internal/fs", "internal/unixsrv", "internal/netdbg", "internal/metrics"}},
 		{"rt (runtime)", 14216, []string{"internal/sim"}},
 		{"lib (generic data structures)", 1234, nil}, // Go stdlib

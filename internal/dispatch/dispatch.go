@@ -75,7 +75,7 @@ type InstallAuthorizer func(installer domain.Identity) (Guard, error)
 
 // Constraint expresses the default implementation module's trust in
 // handlers for one event (paper §3.2: synchronous/asynchronous, bounded
-// time, ordering).
+// time). Handlers always run in installation order.
 type Constraint struct {
 	// Async runs non-primary handlers in a separate kernel thread from
 	// the raiser, isolating the raiser from handler latency. Results of
@@ -84,10 +84,6 @@ type Constraint struct {
 	// TimeBound, when non-zero, aborts (discards the result of and
 	// counts) any handler that consumes more virtual time than the bound.
 	TimeBound sim.Duration
-	// Ordered preserves installation order among handlers. When false the
-	// dispatcher may run them in undefined order (we still use install
-	// order, but clients must not rely on it).
-	Ordered bool
 }
 
 // ErrInstallDenied is returned when the default implementation module

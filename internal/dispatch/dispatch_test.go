@@ -363,7 +363,7 @@ func TestNilHandlerRejected(t *testing.T) {
 func TestGuardSelectionProperty(t *testing.T) {
 	if err := quick.Check(func(mask uint16) bool {
 		d, _ := newTestDispatcher()
-		_ = d.Define("E", DefineOptions{Constraint: Constraint{Ordered: true}})
+		_ = d.Define("E", DefineOptions{})
 		var ran []int
 		for i := 0; i < 16; i++ {
 			i := i

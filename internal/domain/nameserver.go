@@ -126,8 +126,8 @@ func (ns *Nameserver) LinkAgainst(name string, importer Identity, target *T) err
 }
 
 // AddReclaimer registers a teardown hook under a diagnostic name (by
-// convention the subsystem's trace origin: "dispatch", "capability",
-// "net.udp", ...). Destroy calls every reclaimer with the departing
+// convention the subsystem's trace origin: "dispatch", "net.udp",
+// "net.tcp"). Destroy calls every reclaimer with the departing
 // principal's identity; the hook withdraws whatever resources that principal
 // holds in its subsystem and returns how many it reclaimed. Registration
 // order is preserved — teardown runs hooks in the order subsystems booted.

@@ -14,28 +14,22 @@ type Config struct {
 	// Seed drives vnode placement, probe jitter and request keys; fixed
 	// seed, fixed routing.
 	Seed uint64
-	// Vnodes per member (default DefaultVnodes).
-	Vnodes int
 	// Breaker tunes every backend's circuit breaker.
 	Breaker BreakerConfig
-	// HealthInterval spaces active probes per backend (default 250ms
-	// virtual; jittered by up to 1/8 so a fleet's probes don't
-	// self-synchronize).
-	HealthInterval sim.Duration
-	// HealthTimeout bounds one probe's connect (default 100ms virtual).
-	HealthTimeout sim.Duration
 	// Port is the backend service port dialed by probes and the
 	// ResilientDialer (default 80).
 	Port uint16
 }
 
+// healthInterval spaces active probes per backend, jittered by up to 1/8 so
+// a fleet's probes don't self-synchronize; healthTimeout bounds one probe's
+// connect.
+const (
+	healthInterval = 250 * sim.Millisecond
+	healthTimeout  = 100 * sim.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 250 * sim.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 100 * sim.Millisecond
-	}
 	if c.Port == 0 {
 		c.Port = 80
 	}
@@ -98,7 +92,7 @@ func NewBalancer(stack *netstack.Stack, resolver *netstack.Resolver, cfg Config)
 		clock:    stack.Clock(),
 		cfg:      cfg,
 		rand:     sim.NewRand(cfg.Seed ^ 0x1ba1a9ce4),
-		ring:     NewRing(cfg.Seed, cfg.Vnodes),
+		ring:     NewRing(cfg.Seed, DefaultVnodes),
 		backends: make(map[string]*backend),
 	}
 	return b
@@ -239,7 +233,7 @@ func (b *Balancer) StartHealth() {
 		be := b.backends[name]
 		// Stagger the first round so N backends aren't probed at one
 		// instant.
-		first := b.cfg.HealthInterval * sim.Duration(i+1) / sim.Duration(len(b.order)+1)
+		first := healthInterval * sim.Duration(i+1) / sim.Duration(len(b.order)+1)
 		be.probeTimer = b.engine.After(first+b.jitter(), func() { b.probe(be) })
 	}
 }
@@ -258,9 +252,9 @@ func (b *Balancer) StopHealth() {
 	}
 }
 
-// jitter returns up to HealthInterval/8 of seeded jitter.
+// jitter returns up to healthInterval/8 of seeded jitter.
 func (b *Balancer) jitter() sim.Duration {
-	return sim.Duration(b.rand.Uint64() % uint64(b.cfg.HealthInterval/8+1))
+	return sim.Duration(b.rand.Uint64() % uint64(healthInterval/8+1))
 }
 
 // probe runs one active health check against be and reschedules.
@@ -283,7 +277,7 @@ func (b *Balancer) probe(be *backend) {
 			be.breaker.Fail()
 		}
 		if b.healthOn {
-			be.probeTimer = b.engine.After(b.cfg.HealthInterval+b.jitter(), func() { b.probe(be) })
+			be.probeTimer = b.engine.After(healthInterval+b.jitter(), func() { b.probe(be) })
 		}
 	}
 	b.resolver.LookupA(be.host, func(addrs []netstack.IPAddr, err error) {
@@ -299,7 +293,7 @@ func (b *Balancer) probe(be *backend) {
 			finish(false)
 			return
 		}
-		timeout := b.engine.After(b.cfg.HealthTimeout, func() {
+		timeout := b.engine.After(healthTimeout, func() {
 			if !done {
 				finish(false)
 				_ = conn.Close()

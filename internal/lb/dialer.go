@@ -25,10 +25,6 @@ type RetryPolicy struct {
 	BaseBackoff sim.Duration
 	// MaxBackoff caps the exponential backoff (default 500ms virtual).
 	MaxBackoff sim.Duration
-	// BudgetRatio is the fraction of a retry token each request earns
-	// (default 0.1: at most one retry per ten requests in steady state, so
-	// retries cannot amplify an outage into a storm).
-	BudgetRatio float64
 	// BudgetCap bounds accumulated tokens (default 10).
 	BudgetCap float64
 }
@@ -46,14 +42,16 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 500 * sim.Millisecond
 	}
-	if p.BudgetRatio <= 0 {
-		p.BudgetRatio = 0.1
-	}
 	if p.BudgetCap <= 0 {
 		p.BudgetCap = 10
 	}
 	return p
 }
+
+// budgetRatio is the fraction of a retry token each request earns: at most
+// one retry per ten requests in steady state, so retries cannot amplify an
+// outage into a storm.
+const budgetRatio = 0.1
 
 // maxFailoverCandidates bounds the per-dial candidate walk.
 const maxFailoverCandidates = 16
@@ -148,7 +146,7 @@ func (rd *ResilientDialer) DialContext(ctx context.Context, network, address str
 		n          int
 	)
 	rd.s.Driver().Run(func() {
-		rd.setBudget(minf(rd.budget()+rd.policy.BudgetRatio, rd.policy.BudgetCap))
+		rd.setBudget(minf(rd.budget()+budgetRatio, rd.policy.BudgetCap))
 		rd.reqSeq++
 		key = mix64(rd.rand.Uint64() ^ rd.reqSeq)
 		n = rd.bal.Sequence(key, candidates[:])

@@ -549,6 +549,10 @@ func (t *dnsOverUDP) Query(server IPAddr, msg []byte, done func([]byte, error)) 
 	return cancel, nil
 }
 
+// positiveTTLCap clamps how long answers may be cached, regardless of the
+// record TTL.
+const positiveTTLCap = 3600 * sim.Second
+
 // ResolverConfig tunes a Resolver. The zero value resolves against no
 // servers (every lookup fails), so Servers is the one required field.
 type ResolverConfig struct {
@@ -562,9 +566,6 @@ type ResolverConfig struct {
 	// Attempts is the total number of queries sent before giving up
 	// (default 3).
 	Attempts int
-	// PositiveTTLCap clamps how long answers may be cached (default 1h
-	// virtual) regardless of the record TTL.
-	PositiveTTLCap sim.Duration
 	// NegativeTTL is how long NXDOMAIN/NODATA results are cached
 	// (default 5s virtual).
 	NegativeTTL sim.Duration
@@ -617,9 +618,6 @@ func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
 	}
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 3
-	}
-	if cfg.PositiveTTLCap <= 0 {
-		cfg.PositiveTTLCap = sim.Duration(sim.Second) * 3600
 	}
 	if cfg.NegativeTTL <= 0 {
 		cfg.NegativeTTL = 5 * sim.Second
@@ -795,7 +793,7 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 		return
 	}
 	var addrs []IPAddr
-	minTTL := r.cfg.PositiveTTLCap
+	minTTL := positiveTTLCap
 	for _, rr := range m.Answers {
 		if rr.Type != DNSTypeA || len(rr.Data) != 4 || rr.Name != lk.name {
 			continue

@@ -2,10 +2,7 @@ package netstack
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"spin/internal/bcode"
 	"spin/internal/sal"
@@ -162,58 +159,6 @@ func TestPredicateTooLargeRejectedAtInstall(t *testing.T) {
 	}
 	if got := page(t, "bcode_", b.stack); got != "" {
 		t.Fatalf("programs tracked after rejected install:\n%s", got)
-	}
-}
-
-// Regression (PacketFilter.Matched was a plain int64 incremented from RX
-// worker goroutines): a filter driven from parallel workers counts every
-// evaluation and every match exactly, race-free.
-func TestFilterCountsExactUnderParallelDelivery(t *testing.T) {
-	const nics = 2
-	h := parallelHost(t, nics)
-	s := h.stack
-	filt, err := NewPacketFilter(s, "watch", And(MatchProto(ProtoUDP), MatchDstPortRange(9, 9)), Observe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := s.UDP().Sink(9, InKernelDelivery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.StartRXWorkers()
-	defer s.StopRXWorkers()
-
-	const goroutines, per = 4, 2000
-	var attempts atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Odd producers send to a port the filter does not match.
-			pkt := &Packet{Src: Addr(10, 0, 0, 2), Dst: s.IP, Proto: ProtoUDP,
-				SrcPort: uint16(g + 1), DstPort: uint16(9 + g%2), Payload: make([]byte, 8), TTL: 32}
-			for i := 0; i < per; i++ {
-				inject(s, (g+i)%nics, pkt, &attempts)
-			}
-		}()
-	}
-	wg.Wait()
-	const total = int64(goroutines * per)
-	deadline := time.Now().Add(30 * time.Second)
-	for received, _ := s.Stats(); received < total; received, _ = s.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d of %d datagrams before deadline", received, total)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.StopRXWorkers()
-	if runs, matched := filt.Stats(); runs != total || matched != total/2 {
-		t.Errorf("stats = (%d runs, %d matched), want (%d, %d)", runs, matched, total, total/2)
-	}
-	if got := sink.Packets(); got != total/2 {
-		t.Errorf("observe filter interfered: sink got %d, want %d", got, total/2)
 	}
 }
 

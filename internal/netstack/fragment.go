@@ -42,8 +42,8 @@ const (
 )
 
 // reassembly buffers partially arrived datagrams, keyed by (src, id) and
-// sharded by key hash so concurrent fragment streams on different shards
-// never contend on one lock.
+// sharded by key hash; each shard holds at most maxPendingPerShard partials
+// under its own lock.
 type reassembly struct {
 	shards  [reasmShards]reasmShard
 	evicted atomic.Int64
@@ -181,8 +181,7 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 // FuzzFragmentReassembly, a negative offset previously panicked the copy
 // below and an oversized offset let one datagram allocate without bound.
 //
-// Concurrent streams proceed in parallel across shards; within a shard the
-// lock covers one fragment's bookkeeping.
+// Within a shard the lock covers one fragment's bookkeeping.
 func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duration) {
 	if pkt.FragOffset < 0 || pkt.FragOffset > MaxDatagram ||
 		pkt.FragOffset+len(pkt.Payload) > MaxDatagram {

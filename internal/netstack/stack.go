@@ -53,59 +53,33 @@ type DeliveryCost func(clock *sim.Clock, p *Packet)
 // beyond the dispatch already charged.
 func InKernelDelivery(*sim.Clock, *Packet) {}
 
-// RX queue sizing: each attached NIC gets a bounded receive queue; a full
-// queue drops the frame (counted, traced) rather than buffering without
-// bound. rxBatch is how many packets a parallel RX worker dequeues per
-// wakeup.
-const (
-	DefaultRXQueueDepth = 1024
-	rxBatch             = 64
-)
+// DefaultRXQueueDepth bounds each attached NIC's receive queue: a full queue
+// drops the frame (counted, traced) rather than buffering without bound.
+const DefaultRXQueueDepth = 1024
 
 // rxQueue is one NIC's bounded receive queue. The driver upcall enqueues in
-// interrupt context; protocol processing dequeues — either one engine-
-// scheduled step per packet (the deterministic simulation path) or a
-// dedicated worker goroutine draining batches (the parallel path).
+// interrupt context by posting the packet's own engine step, which runs its
+// protocol processing (rxPosted); depth counts the steps posted and not yet
+// run. Only the simulation goroutine touches depth.
 type rxQueue struct {
+	stack     *Stack
 	nic       *sal.NIC
 	linkEvent string
-	ch        chan *Packet
+	depth     int
 	accepted  atomic.Int64
 	dropped   atomic.Int64
-	// batch is the drain's scratch buffer (capacity rxBatch), owned by
-	// whichever single goroutine is draining this queue — the engine in
-	// simulation mode, the queue's worker in parallel mode.
-	batch []*Packet
-}
-
-// rxCtx is the receive context shared by every packet of one drained batch:
-// the dispatcher's tracer and fault-injector pointers are loaded once per
-// batch instead of once per packet, amortizing the snapshot loads across
-// the batch.
-type rxCtx struct {
-	tr  *trace.Tracer
-	inj *faultinject.Injector
-}
-
-// rxctx snapshots the current receive context.
-func (s *Stack) rxctx() rxCtx {
-	return rxCtx{tr: s.disp.Tracer(), inj: s.disp.InjectorInstalled()}
 }
 
 // Stack is one machine's protocol stack. It attaches NIC drivers at the
 // bottom, defines the protocol-graph events on the machine's dispatcher,
 // and hosts the UDP/TCP port tables.
 //
-// Concurrency model (mirrors the dispatcher's): the per-packet receive path
-// is lock-free. The route table, UDP port table and TCP listener table are
-// cow.Maps, and the TCP connection table shards the same idea over sorted
-// slices; writers (AddRoute, Bind, Listen, connection setup/teardown) copy
-// and swap. Counters are atomics, so totals are exact under parallel
-// delivery. Fragment reassembly is sharded by fragment key with one small
-// lock per shard. The only part of the stack that must stay on the
-// simulation goroutine is the engine itself (timers, NIC sends): parallel
-// RX workers may push packets up the graph concurrently as long as the
-// installed handlers do not transmit or arm timers.
+// Concurrency model: packets are received, sent and timed on the simulation
+// goroutine (whichever goroutine steps the engine; the socket adapters'
+// Driver lets one at a time), one engine step per received packet. Other
+// goroutines may read Metrics, whose counters are atomics, and raise events
+// on the dispatcher. The route, UDP port and TCP listener tables are
+// cow.Maps, so a reader never sees a torn table.
 type Stack struct {
 	Host    string
 	IP      IPAddr
@@ -125,11 +99,6 @@ type Stack struct {
 	// rxqs is the copy-on-write list of per-NIC receive queues, in Attach
 	// order.
 	rxqs atomic.Pointer[[]*rxQueue]
-	// workersOn is set while StartRXWorkers' goroutines drain the queues
-	// (the engine-scheduled drain steps are suppressed).
-	workersOn  atomic.Bool
-	workerStop chan struct{}
-	workerWg   sync.WaitGroup
 
 	udp *UDP
 	tcp *TCP
@@ -149,7 +118,7 @@ type Stack struct {
 	forwarded  atomic.Int64
 	ttlExpired atomic.Int64
 	// rxPanics counts handler panics contained in the receive path: a
-	// faulty protocol handler costs its packet, never the RX worker or the
+	// faulty protocol handler costs its packet, never the drain or the
 	// kernel (paper §4.3 applied to the data path).
 	rxPanics atomic.Int64
 
@@ -265,11 +234,7 @@ func (s *Stack) Attach(nic *sal.NIC) {
 	if nic.Model.CellSize > 0 {
 		linkEvent = EvATMArrived
 	}
-	q := &rxQueue{
-		nic: nic, linkEvent: linkEvent,
-		ch:    make(chan *Packet, DefaultRXQueueDepth),
-		batch: make([]*Packet, 0, rxBatch),
-	}
+	q := &rxQueue{stack: s, nic: nic, linkEvent: linkEvent}
 	next := append(slices.Clone(*s.rxqs.Load()), q)
 	s.rxqs.Store(&next)
 	s.mu.Unlock()
@@ -288,172 +253,75 @@ func (s *Stack) Attach(nic *sal.NIC) {
 	}
 }
 
-// enqueueRX places one packet on a NIC's receive queue. In simulation mode
-// it also schedules the matching drain step (so per-packet virtual timing is
-// identical to a directly scheduled receive); in worker mode the queue's
-// worker goroutine picks the packet up. A full queue drops the packet and
-// counts it.
+// enqueueRX places one packet on a NIC's receive queue by posting its drain
+// step, so per-packet virtual timing is identical to a directly scheduled
+// receive. A full queue drops the packet and counts it.
 func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
-	select {
-	case q.ch <- pkt:
-		q.accepted.Add(1)
-		if !s.workersOn.Load() {
-			// Protocol processing runs in a separately scheduled kernel
-			// thread outside the interrupt handler (paper §5.3).
-			s.engine.Post(s.clock.Now(), drainPosted, s, q, 1)
-		}
-		return true
-	default:
+	if q.depth == DefaultRXQueueDepth {
 		q.dropped.Add(1)
 		if tr := s.disp.Tracer(); tr != nil {
 			tr.Trace(trace.Record{Event: "net.rx.dropped", Origin: "net", Start: s.clock.Now()})
 		}
 		return false
 	}
+	q.depth++
+	q.accepted.Add(1)
+	// Protocol processing runs in a separately scheduled kernel thread
+	// outside the interrupt handler (paper §5.3).
+	s.engine.Post(s.clock.Now(), rxPosted, q, pkt, 0)
+	return true
 }
 
-func drainPosted(stack, q any, max int) { stack.(*Stack).drainRX(q.(*rxQueue), max) }
-
-// drainRX dequeues up to max packets in batches of rxBatch and pushes each
-// up the graph, charging the protocol-thread context switch per packet. The
-// receive context (tracer, injector) is loaded once per batch. It returns
-// how many packets ran. Single-drainer per queue: it uses q.batch.
-func (s *Stack) drainRX(q *rxQueue, max int) int {
-	total := 0
-	for total < max {
-		lim := max - total
-		if lim > rxBatch {
-			lim = rxBatch
-		}
-		b := q.batch[:0]
-	fill:
-		for len(b) < lim {
-			select {
-			case pkt := <-q.ch:
-				b = append(b, pkt)
-			default:
-				break fill
-			}
-		}
-		if len(b) == 0 {
-			return total
-		}
-		s.receiveBatch(q.linkEvent, b)
-		total += len(b)
-		if len(b) < lim {
-			return total // queue drained
-		}
-	}
-	return total
+// rxPosted is one queued packet's drain step.
+func rxPosted(queue, pkt any, _ int) {
+	q := queue.(*rxQueue)
+	q.depth--
+	q.stack.receivePosted(q.linkEvent, pkt.(*Packet))
 }
 
-// receiveBatch runs one dequeued batch up the graph under a shared receive
-// context, releasing each packet after its synchronous delivery (handlers
-// that keep payload bytes have copied them by then).
-func (s *Stack) receiveBatch(linkEvent string, pkts []*Packet) {
-	ctx := s.rxctx()
-	for i, pkt := range pkts {
-		s.clock.Advance(s.profile.ContextSwitch)
-		s.safeReceive(ctx, linkEvent, pkt)
-		pkt.Release()
-		pkts[i] = nil
-	}
+// receivePosted runs one packet up the graph in the protocol thread,
+// charging its context switch, and releases the packet after its synchronous
+// delivery (handlers that keep payload bytes have copied them by then).
+func (s *Stack) receivePosted(linkEvent string, pkt *Packet) {
+	s.clock.Advance(s.profile.ContextSwitch)
+	s.safeReceive(linkEvent, pkt)
+	pkt.Release()
 }
 
 // safeReceive pushes one packet up the graph behind a panic guard: a handler
 // panic that escapes the dispatcher's containment (or an injected one from
 // the "net.rx" site) is recovered here, counted, and traced — the packet is
-// lost, the RX worker (or the engine's drain step) keeps draining.
-func (s *Stack) safeReceive(ctx rxCtx, linkEvent string, pkt *Packet) {
+// lost, the drain keeps going.
+func (s *Stack) safeReceive(linkEvent string, pkt *Packet) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.rxPanics.Add(1)
-			if ctx.tr != nil {
-				ctx.tr.Trace(trace.Record{
+			if tr := s.disp.Tracer(); tr != nil {
+				tr.Trace(trace.Record{
 					Event: "net.rx.panic", Origin: "net",
 					Start: s.clock.Now(), Outcome: trace.OutcomeFaulted,
 				})
 			}
 		}
 	}()
-	s.receive(ctx, linkEvent, pkt)
+	s.receive(linkEvent, pkt)
 }
 
 // ReceiveOne pushes a single packet up the graph synchronously, bypassing
 // the NIC queues — the direct entry the RX benchmarks use to measure the
 // per-packet path (with and without an XDP program attached) without queue
-// noise.
+// noise. Call it from the simulation goroutine.
 func (s *Stack) ReceiveOne(pkt *Packet) {
-	s.safeReceive(s.rxctx(), EvEtherArrived, pkt)
-}
-
-// StartRXWorkers switches the stack to parallel receive: one goroutine per
-// attached NIC drains that NIC's queue in batches of up to rxBatch,
-// replacing the engine-scheduled per-packet drains. The receive path itself
-// is lock-free (COW tables, sharded reassembly, atomic counters), so
-// workers push packets up the graph fully in parallel.
-//
-// Restriction: handlers reached from a worker must not transmit or arm
-// timers — the simulation engine's queue is single-threaded. Pure consumers
-// (Sink, bound UDP handlers, filters) are safe. Tests and benchmarks inject
-// packets with InjectRX; NIC interrupt delivery stays on the engine. Attach
-// every NIC before starting workers: queues attached later are not drained
-// until workers are restarted.
-func (s *Stack) StartRXWorkers() {
-	if s.workersOn.Swap(true) {
-		return // already running
-	}
-	s.workerStop = make(chan struct{})
-	stop := s.workerStop
-	for _, q := range *s.rxqs.Load() {
-		q := q
-		s.workerWg.Add(1)
-		go func() {
-			defer s.workerWg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case pkt := <-q.ch:
-					// Batch: gather what else accumulated before
-					// processing, so per-batch work (context snapshot,
-					// trace loads) amortizes.
-					b := append(q.batch[:0], pkt)
-				fill:
-					for len(b) < rxBatch {
-						select {
-						case p := <-q.ch:
-							b = append(b, p)
-						default:
-							break fill
-						}
-					}
-					s.receiveBatch(q.linkEvent, b)
-				}
-			}
-		}()
-	}
-}
-
-// StopRXWorkers stops the parallel RX workers and waits for them to exit.
-// Packets still queued are left in place (the next drain — engine or worker
-// — picks them up).
-func (s *Stack) StopRXWorkers() {
-	if !s.workersOn.Load() {
-		return
-	}
-	close(s.workerStop)
-	s.workerWg.Wait()
-	s.workersOn.Store(false)
+	s.safeReceive(EvEtherArrived, pkt)
 }
 
 // InjectRX enqueues pkt directly on the nicIndex'th attached NIC's receive
-// queue, bypassing the wire — the entry point for parallel RX tests and
-// benchmarks (safe from any goroutine once StartRXWorkers is running). It
-// reports false if the queue was full and the packet was not enqueued; on
-// false the caller keeps its reference (it may retry), on true the stack
-// takes ownership of pooled packets (non-pooled ones are unaffected —
-// Release is a no-op — so tests may re-inject the same literal).
+// queue, bypassing the wire — the entry point for chaos and backpressure
+// tests. Call it from the simulation goroutine. It reports false if the
+// queue was full and the packet was not enqueued; on false the caller keeps
+// its reference (it may retry), on true the stack takes ownership of pooled
+// packets (non-pooled ones are unaffected — Release is a no-op — so tests
+// may re-inject the same literal).
 func (s *Stack) InjectRX(nicIndex int, pkt *Packet) bool {
 	qs := *s.rxqs.Load()
 	if nicIndex < 0 || nicIndex >= len(qs) {
@@ -463,11 +331,10 @@ func (s *Stack) InjectRX(nicIndex int, pkt *Packet) bool {
 }
 
 // Detach disconnects a NIC from the stack: the driver upcall is unhooked,
-// the NIC's receive queue is unlinked (undrained packets are discarded with
-// the queue), routes through the NIC are withdrawn, and the default route is
-// promoted to the next attached NIC (or cleared). A worker goroutine still
-// parked on the detached queue idles harmlessly until StopRXWorkers. It
-// reports whether the NIC was attached.
+// the NIC's receive queue is unlinked, routes through the NIC are withdrawn,
+// and the default route is promoted to the next attached NIC (or cleared).
+// Packets already queued still ride their posted drain steps up the graph;
+// nothing arrives after. It reports whether the NIC was attached.
 func (s *Stack) Detach(nic *sal.NIC) bool {
 	if nic == nil {
 		return false
@@ -519,22 +386,22 @@ func (s *Stack) routeFor(dst IPAddr) *sal.NIC {
 
 // receive pushes one packet up the graph, timing the whole inbound path
 // when tracing is enabled (the tracer pointer is the dispatcher's single
-// enable/disable switch, loaded once per batch into ctx, so the disabled
-// cost is one nil check per packet).
-func (s *Stack) receive(ctx rxCtx, linkEvent string, pkt *Packet) {
-	if ctx.tr == nil {
-		s.receive1(ctx, linkEvent, pkt)
+// enable/disable switch, so the disabled cost is one nil check per packet).
+func (s *Stack) receive(linkEvent string, pkt *Packet) {
+	tr := s.disp.Tracer()
+	if tr == nil {
+		s.receive1(linkEvent, pkt)
 		return
 	}
 	start := s.clock.Now()
-	s.receive1(ctx, linkEvent, pkt)
-	ctx.tr.Observe("net.rx", s.clock.Now().Sub(start))
+	s.receive1(linkEvent, pkt)
+	tr.Observe("net.rx", s.clock.Now().Sub(start))
 }
 
-func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
+func (s *Stack) receive1(linkEvent string, pkt *Packet) {
 	// Injection site "net.rx": drop/error discards the packet before the
 	// graph sees it; a panic rule exercises the safeReceive guard.
-	if f := ctx.inj.Fire("net.rx"); f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
+	if f := s.disp.InjectorInstalled().Fire("net.rx"); f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
 		return
 	}
 	// XDP position: the attached verified program (if any) sees the packet
@@ -567,7 +434,7 @@ func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
 		// Injection site "net.ip.reassemble": losing a fragment leaves a
 		// partial buffer for the TTL sweep to evict — the leak the
 		// reassembler must absorb.
-		if f := ctx.inj.Fire("net.ip.reassemble"); f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
+		if f := s.disp.InjectorInstalled().Fire("net.ip.reassemble"); f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
 			return
 		}
 		s.clock.Advance(s.profile.ProtoLayer / 2)
@@ -575,13 +442,13 @@ func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
 		if whole == nil {
 			return // awaiting more fragments
 		}
-		if ctx.tr != nil {
+		if tr := s.disp.Tracer(); tr != nil {
 			// Reassembly latency: first fragment arrival to completion.
-			ctx.tr.Observe("net.ip.reassemble", waited)
+			tr.Observe("net.ip.reassemble", waited)
 		}
 		// The reassembled datagram is a fresh pooled packet; released
 		// here after its synchronous delivery (the fragment that
-		// completed it is released by the batch drain as usual).
+		// completed it is released by its drain step as usual).
 		defer whole.Release()
 		pkt = whole
 	}
@@ -598,7 +465,7 @@ func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
 		}
 	case ProtoTCP:
 		if claimed, _ := s.disp.Raise(EvTCPArrived, pkt).(bool); !claimed {
-			s.tcp.deliver(ctx, pkt)
+			s.tcp.deliver(pkt)
 		}
 	}
 }
@@ -611,7 +478,7 @@ func (s *Stack) receive1(ctx rxCtx, linkEvent string, pkt *Packet) {
 func (s *Stack) EnableForwarding(on bool) { s.forwarding.Store(on) }
 
 // forward re-sends one transit packet along the route table. The RX path
-// only borrows the packet (the batch drain releases it after delivery), so
+// only borrows the packet (its drain step releases it after delivery), so
 // the TX path gets its own reference.
 func (s *Stack) forward(pkt *Packet) {
 	pkt.TTL--
@@ -627,10 +494,7 @@ func (s *Stack) forward(pkt *Packet) {
 }
 
 func loopbackPosted(stack, pkt any, _ int) {
-	s, p := stack.(*Stack), pkt.(*Packet)
-	s.clock.Advance(s.profile.ContextSwitch)
-	s.safeReceive(s.rxctx(), EvEtherArrived, p)
-	p.Release()
+	stack.(*Stack).receivePosted(EvEtherArrived, pkt.(*Packet))
 }
 
 // ErrNoRoute reports a destination with no attached NIC.
@@ -715,13 +579,13 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Durati
 }
 
 // Stats reports packets received and sent at the IP layer. Counters are
-// atomics; totals are exact under parallel delivery.
+// atomics, so it is safe from any goroutine.
 func (s *Stack) Stats() (received, sent int64) { return s.received.Load(), s.sent.Load() }
 
 // Metrics emits the stack's packet counters (IP-layer rx/tx, the RX queues,
 // reassembly, forwarding, contained RX panics), the TCP module's, and every
 // verified program loaded into the stack. Counters are atomics, so it is
-// safe from any goroutine, even under parallel delivery.
+// safe from any goroutine.
 func (s *Stack) Metrics(emit metrics.Emit) {
 	emit("net_rx_packets", float64(s.received.Load()))
 	emit("net_tx_packets", float64(s.sent.Load()))

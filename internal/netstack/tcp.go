@@ -811,28 +811,24 @@ func (c *Conn) onRetxTimer() {
 	}
 }
 
-// rxCtx carries the per-batch receive context (see stack.go); deliver
-// threads it down so the tracer and injector snapshot loads amortize across
-// a drained batch.
-
 // Deliver hands one TCP segment directly to the module, as if it had
 // arrived addressed to this stack with lower layers already charged — the
 // direct-drive entry point for tests and benchmarks (the C10M scaling
 // experiment pushes a million handshakes through it without a wire). The
 // packet is borrowed: Deliver does not release it.
-func (t *TCP) Deliver(pkt *Packet) { t.deliver(t.stack.rxctx(), pkt) }
+func (t *TCP) Deliver(pkt *Packet) { t.deliver(pkt) }
 
 // deliver routes one inbound TCP segment, feeding the per-segment latency
 // series when tracing is enabled.
-func (t *TCP) deliver(ctx rxCtx, pkt *Packet) {
-	f := ctx.inj.Fire("net.tcp.deliver")
+func (t *TCP) deliver(pkt *Packet) {
+	f := t.stack.disp.InjectorInstalled().Fire("net.tcp.deliver")
 	if f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
 		return // injected segment loss; retransmission recovers
 	}
-	if ctx.tr != nil {
+	if tr := t.stack.disp.Tracer(); tr != nil {
 		start := t.stack.clock.Now()
 		defer func() {
-			ctx.tr.Observe("net.tcp.deliver", t.stack.clock.Now().Sub(start))
+			tr.Observe("net.tcp.deliver", t.stack.clock.Now().Sub(start))
 		}()
 	}
 	t.deliver1(pkt)

@@ -66,8 +66,19 @@ func TestDetachNIC(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivery before detach = %d", got)
 	}
+	// A packet queued before the detach still rides its posted drain step
+	// up the graph, once.
+	queued := &Packet{Src: Addr(10, 0, 0, 1), Dst: Addr(10, 0, 0, 2), Proto: ProtoUDP,
+		SrcPort: 1, DstPort: 9, Payload: []byte("q"), TTL: 32}
+	if !b.stack.InjectRX(0, queued) {
+		t.Fatal("InjectRX refused a packet on an empty queue")
+	}
 	if !b.stack.Detach(b.nic) {
 		t.Fatal("Detach reported NIC not attached")
+	}
+	cl.Run(0)
+	if got != 2 {
+		t.Fatalf("deliveries of the packet queued before detach = %d, want 1", got-1)
 	}
 	if b.stack.Detach(b.nic) {
 		t.Error("second Detach found the NIC still attached")
@@ -79,8 +90,8 @@ func TestDetachNIC(t *testing.T) {
 	// crash and the receiver count must not move.
 	_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, []byte("x"))
 	cl.Run(0)
-	if got != 1 {
-		t.Errorf("delivery after detach = %d, want still 1", got)
+	if got != 2 {
+		t.Errorf("delivery after detach = %d, want still 2", got)
 	}
 	if b.stack.InjectRX(0, &Packet{Dst: Addr(10, 0, 0, 2)}) {
 		t.Error("InjectRX on a detached queue index succeeded")

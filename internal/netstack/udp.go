@@ -140,8 +140,8 @@ func (u *UDP) Sink(port uint16, cost DeliveryCost) (*SinkStats, error) {
 	return st, err
 }
 
-// SinkStats counts sink deliveries. Counters are atomics, so counts are
-// exact when deliveries arrive from parallel RX workers.
+// SinkStats counts sink deliveries. Counters are atomics, so they may be
+// read from any goroutine.
 type SinkStats struct {
 	packets atomic.Int64
 	bytes   atomic.Int64

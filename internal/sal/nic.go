@@ -157,7 +157,7 @@ type Wire interface {
 //
 // Counters are atomics: they are mutated in interrupt context (the
 // simulation goroutine) while Stats/Dropped/RXDropped may be read from
-// other goroutines (tests, debug endpoints, parallel RX workers).
+// other goroutines (tests, debug endpoints, metrics readers).
 type NIC struct {
 	Model  NICModel
 	engine *sim.Engine

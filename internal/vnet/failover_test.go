@@ -224,7 +224,7 @@ func TestFailoverSLOExperiment(t *testing.T) {
 	if reqs != requests {
 		t.Errorf("requests = %d, want %d", reqs, requests)
 	}
-	maxRetries := int64(5 + 0.1*requests) // BudgetCap/2 to start + BudgetRatio per request
+	maxRetries := int64(5 + 0.1*requests) // BudgetCap/2 to start + 0.1 a request
 	if retries > maxRetries {
 		t.Errorf("retries = %d, exceeds earned budget %d", retries, maxRetries)
 	}

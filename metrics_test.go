@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spin"
@@ -134,9 +133,10 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsConcurrentRead renders a machine's metrics from another
-// goroutine while RX workers deliver injected packets and raises run in
-// parallel. Under -race every read must be synchronized with the writers,
-// and the counts read afterwards are exact.
+// goroutine while raises run in parallel and one goroutine, the simulation's,
+// injects packets and steps the engine that delivers them. Under -race every
+// read must be synchronized with the writers, and the counts read afterwards
+// are exact.
 func TestMetricsConcurrentRead(t *testing.T) {
 	m, err := spin.NewMachine("observed", spin.Config{IP: netstack.Addr(10, 0, 0, 1), CPUs: 2})
 	if err != nil {
@@ -157,8 +157,6 @@ func TestMetricsConcurrentRead(t *testing.T) {
 	if err := m.Dispatcher.Define("Observed.Event", dispatch.DefineOptions{Primary: func(_, _ any) any { return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	m.Stack.StartRXWorkers()
-
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)
@@ -177,19 +175,9 @@ func TestMetricsConcurrentRead(t *testing.T) {
 		}
 	}()
 	const writers, per = 2, 2000
-	var attempts atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			pkt := &netstack.Packet{Src: netstack.Addr(10, 0, 0, 2), Dst: m.Stack.IP, Proto: netstack.ProtoUDP,
-				SrcPort: 1, DstPort: 9, Payload: make([]byte, 16), TTL: 32}
-			for i := 0; i < per; i++ {
-				attempts.Add(1)
-				m.Stack.InjectRX(0, pkt)
-			}
-		}()
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
@@ -197,8 +185,19 @@ func TestMetricsConcurrentRead(t *testing.T) {
 			}
 		}()
 	}
+	// Stepping every 64 packets keeps the queue from filling, so every
+	// injection is accepted.
+	const injected = writers * per
+	pkt := &netstack.Packet{Src: netstack.Addr(10, 0, 0, 2), Dst: m.Stack.IP, Proto: netstack.ProtoUDP,
+		SrcPort: 1, DstPort: 9, Payload: make([]byte, 16), TTL: 32}
+	for i := 0; i < injected; i++ {
+		m.Stack.InjectRX(0, pkt)
+		if i%64 == 63 {
+			m.Engine.Run(0)
+		}
+	}
+	m.Engine.Run(0)
 	wg.Wait()
-	m.Stack.StopRXWorkers()
 	close(stop)
 	reader.Wait()
 
@@ -206,10 +205,10 @@ func TestMetricsConcurrentRead(t *testing.T) {
 		t.Errorf("dispatch_raises = %v, want %d", got, writers*per)
 	}
 	accepted, dropped := metrics.Value(m, "net_rx_queue_accepted"), metrics.Value(m, "net_rx_queue_dropped")
-	if accepted+dropped != float64(attempts.Load()) {
-		t.Errorf("accepted %v + dropped %v != %d injected", accepted, dropped, attempts.Load())
+	if accepted != injected || dropped != 0 {
+		t.Errorf("accepted %v, dropped %v of %d injected", accepted, dropped, injected)
 	}
-	if runs := metrics.Value(m, `bcode_runs{program="pass",point="xdp"}`); runs > accepted {
+	if runs := metrics.Value(m, `bcode_runs{program="pass",point="xdp"}`); runs != accepted {
 		t.Errorf("XDP ran %v times on %v accepted packets", runs, accepted)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"spin/internal/bcode"
-	"spin/internal/capability"
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
@@ -82,9 +81,6 @@ type Machine struct {
 	Zone     *netstack.Zone
 	DNS      *netstack.DNSServer
 	Resolver *netstack.Resolver
-
-	// Extern is the externalized-reference table for user applications.
-	Extern *capability.Table
 
 	nics     []*sal.NIC
 	engines  []*sim.Engine
@@ -159,7 +155,6 @@ func NewMachine(name string, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("spin: boot netstack: %w", err)
 	}
 	m.FS = fs.New(m.Disk, m.Clock, cfg.CacheBlocks)
-	m.Extern = capability.NewTable()
 
 	// Fault containment boots armed: a handler that exhausts the default
 	// fault/overrun budgets is quarantined off its event.
@@ -167,12 +162,9 @@ func NewMachine(name string, cfg Config) (*Machine, error) {
 
 	// Crash-only teardown: each subsystem registers a reclaimer so
 	// DestroyDomain recovers a departing principal's whole footprint —
-	// event handlers, externalized capabilities, network endpoints.
+	// event handlers and network endpoints.
 	m.Namespace.AddReclaimer("dispatch", func(owner domain.Identity) int {
 		return m.Dispatcher.RemoveOwner(owner)
-	})
-	m.Namespace.AddReclaimer("capability", func(owner domain.Identity) int {
-		return m.Extern.RevokeOwner(owner.Name)
 	})
 	m.Namespace.AddReclaimer("net.udp", func(owner domain.Identity) int {
 		return m.Stack.UDP().UnbindOwner(owner.Name)
@@ -444,11 +436,11 @@ func (m *Machine) DisableFaultInjection() { m.Dispatcher.SetInjector(nil) }
 // DestroyDomain is crash-only extension teardown (the recovery action
 // quarantine escalates to): in one call the named principal's interface
 // exports are withdrawn from the nameserver, its event handlers are
-// uninstalled from the dispatcher, its externalized capabilities are
-// revoked, and its network endpoints are released — without the departing
-// code's cooperation. Importers that already linked keep their direct
-// procedure pointers; the freed names are immediately re-exportable by a
-// replacement extension. The report itemizes what was reclaimed.
+// uninstalled from the dispatcher, and its network endpoints are released —
+// without the departing code's cooperation. Importers that already linked
+// keep their direct procedure pointers; the freed names are immediately
+// re-exportable by a replacement extension. The report itemizes what was
+// reclaimed.
 func (m *Machine) DestroyDomain(ident domain.Identity) domain.DestroyReport {
 	return m.Namespace.Destroy(ident)
 }

