@@ -270,5 +270,11 @@ func run(out io.Writer, requests int) error {
 	// every pending timer first so the page shows one state (the breaker's
 	// open timeout elapsed: half-open, awaiting a probe).
 	in.Driver().Drain()
-	return showPage("/debug/metrics?prefix=lb_", "")
+	if err := showPage("/debug/metrics?prefix=lb_", ""); err != nil {
+		return err
+	}
+	// Let the page's own connection close, so that the run leaves no packet
+	// in flight: net_packets_live counts every simulation in the process.
+	in.Driver().Drain()
+	return nil
 }

@@ -97,7 +97,7 @@ func TestVirtualTimeGates(t *testing.T) {
 		want    sim.Duration
 	}{
 		{"DNS resolve over the named star", resolveLatency, 930240},
-		{"dial to ESTABLISHED over the named star", dialLatency, 949312},
+		{"dial to ESTABLISHED over the named star", dialLatency, 949376},
 	}
 	for _, g := range gates {
 		if got := g.measure(t); got != g.want {
@@ -400,11 +400,31 @@ func runFlows(t *testing.T, in *vnet.Internet, n, size int) []flow {
 // 2 ms bottleneck that loses and reorders as given.
 func benchDumbbell(t *testing.T, pairs int, bottleneck vnet.LinkModel) *vnet.Internet {
 	t.Helper()
+	return seededDumbbell(t, pairs, bottleneck, 23)
+}
+
+// seededDumbbell is benchDumbbell from another topology seed, which decides
+// where the link's dice fall. When the test ends, it runs the topology until
+// nothing is left to happen and checks that every pooled packet allocated
+// since it was built has been released: none is leaked by a queue, a link
+// or a connection's out-of-order queue.
+func seededDumbbell(t *testing.T, pairs int, bottleneck vnet.LinkModel, seed uint64) *vnet.Internet {
+	t.Helper()
 	bottleneck.Latency = 2 * sim.Millisecond
-	in, err := vnet.Dumbbell(pairs, pairs, vnet.LinkModel{Latency: 100 * sim.Microsecond}, bottleneck, 23)
+	in, err := vnet.Dumbbell(pairs, pairs, vnet.LinkModel{Latency: 100 * sim.Microsecond}, bottleneck, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := netstack.LivePackets()
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		in.Run(0)
+		if now := netstack.LivePackets(); now != live {
+			t.Errorf("%d pooled packets live after the run, %d before it", now, live)
+		}
+	})
 	return in
 }
 
@@ -444,7 +464,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if recovery > rtt+sim.Millisecond {
 			t.Errorf("the dropped bytes arrived %v late with a round trip of %v, want at most a round trip and 1 ms", recovery, rtt)
 		}
-		if rtt != 4553312 || recovery != 4794924 {
+		if rtt != 4553376 || recovery != 4786828 {
 			t.Errorf("round trip %d ns, recovery %d ns: the pinned figures moved", rtt, recovery)
 		}
 	})
@@ -484,7 +504,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if probes != 1 || rtos != 0 || lossy.retransmits != 1 {
 			t.Errorf("%v probes, %v timeouts, %d retransmissions; want 1, 0 and 1", probes, rtos, lossy.retransmits)
 		}
-		if late := lossy.done().Sub(clean.done()); late != 9536744 {
+		if late := lossy.done().Sub(clean.done()); late != 9448744 {
 			t.Errorf("tail recovered %d ns late: the pinned figure moved", late)
 		}
 	})
@@ -493,19 +513,39 @@ func TestLossRecoveryGates(t *testing.T) {
 	const size = 2 << 20
 	last := func(fs []flow) sim.Time { return max(fs[0].done(), fs[1].done()) }
 	clean := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{}), 2, size)
-	t.Run("loss costs less than 2.5x and is shared", func(t *testing.T) {
-		lossy := runFlows(t, benchDumbbell(t, 2, vnet.LinkModel{
-			Loss: 0.01, Reorder: 0.02, ReorderDelay: 300 * sim.Microsecond,
-		}), 2, size)
-		if ratio := float64(last(lossy)) / float64(last(clean)); ratio > 2.5 {
-			t.Errorf("1%% loss and 2%% reorder take %.2fx the clean link's time, want at most 2.5x", ratio)
+	// Reno's rate under loss p is MSS/RTT · √(3/2p) (Mathis et al.): on the
+	// lossy link, 31.4 Mb/s a flow, so 2 MiB takes 534 ms. Every lossy flow,
+	// on this topology and on eight others, finishes within 1.2x that and
+	// without a retransmission timeout.
+	const lossRate = 0.01
+	rtt := clean[0].established.Sub(0)
+	reno := sim.Duration(float64(size) / (netstack.DefaultMSS * math.Sqrt(1.5/lossRate)) * float64(rtt))
+	lossyFlows := func(t *testing.T, seed uint64) []flow {
+		t.Helper()
+		in := seededDumbbell(t, 2, vnet.LinkModel{
+			Loss: lossRate, Reorder: 0.02, ReorderDelay: 300 * sim.Microsecond,
+		}, seed)
+		fs := runFlows(t, in, 2, size)
+		for i, f := range fs {
+			rtos := metrics.Value(in.Machine("l"+strconv.Itoa(i)).Stack.TCP(), "net_tcp_rtos")
+			if f.done() > sim.Time(reno*12/10) || rtos != 0 {
+				t.Errorf("topology %d: flow %d finished at %v after %v timeouts, want within 1.2 x %v (Reno's rate) and none",
+					seed, i, sim.Duration(f.done()), rtos, reno)
+			}
 		}
+		return fs
+	}
+	t.Run("loss costs no more than Reno and is shared", func(t *testing.T) {
+		lossy := lossyFlows(t, 23)
 		a, b := lossy[0].done(), lossy[1].done()
 		if ratio := float64(max(a, b)) / float64(min(a, b)); ratio > 1.5 {
 			t.Errorf("competing flows finished at %v and %v, %.2fx apart, want at most 1.5x", sim.Duration(a), sim.Duration(b), ratio)
 		}
-		if last(clean) != 318090248 || a != 548046796 || b != 754933940 {
+		if last(clean) != 202344692 || a != 578879220 || b != 429494140 {
 			t.Errorf("clean %d ns, lossy flows %d and %d ns: the pinned figures moved", last(clean), a, b)
+		}
+		for seed := uint64(8); seed <= 15; seed++ {
+			lossyFlows(t, seed)
 		}
 	})
 

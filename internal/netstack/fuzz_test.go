@@ -20,6 +20,11 @@ func FuzzParsePacket(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, EtherHeader+IPHeader))
+	// Window scale (RFC 7323) two bytes long, three, four, and with a shift
+	// past the largest a connection takes.
+	for _, opt := range [][]byte{{optNOP, optNOP, optWScale, 2}, {optNOP, optWScale, 3, 1}, {optWScale, 4, 1, 0}, {optNOP, optWScale, 3, 15}} {
+		f.Add(tcpFrame(opt, "xyz"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := ParsePacket(data)
 		if err != nil {

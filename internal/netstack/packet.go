@@ -99,9 +99,12 @@ type Packet struct {
 	Seq, Ack uint32
 	Flags    TCPFlags
 	Window   int
-	// TCP options (RFC 2018): SACKPermitted is offered on a SYN or SYN|ACK;
-	// the first NumSACK entries of SACK are the blocks an ACK reports.
+	// TCP options (RFC 2018, RFC 7323). SACKPermitted, and with WScaleOK the
+	// window shift WScale, are offered on a SYN or SYN|ACK; the first
+	// NumSACK entries of SACK are the blocks an ACK reports.
 	SACKPermitted bool
+	WScaleOK      bool
+	WScale        uint8
 	NumSACK       uint8
 	SACK          [MaxSACKBlocks]SACKBlock
 
@@ -168,8 +171,19 @@ func AllocPacket() *Packet {
 	p := pktPool.Get().(*Packet)
 	p.pooled = true
 	atomic.StoreInt32(&p.refs, 1)
+	livePackets.Add(1)
 	return p
 }
+
+// livePackets counts the packets AllocPacket handed out that have not had
+// their last Release. One simulation runs on one goroutine, so the count is
+// uncontended.
+var livePackets atomic.Int64
+
+// LivePackets reports how many pooled packets are held, process-wide: by
+// queues, by the wire, by a TCP connection's out-of-order queue. A run left
+// to finish returns it to where it started; anything more is a leak.
+func LivePackets() int64 { return livePackets.Load() }
 
 // Retain adds a reference and returns p, for handing the same packet to a
 // second owner. No-op on non-pooled packets.
@@ -194,6 +208,7 @@ func (p *Packet) Release() {
 	if n < 0 {
 		panic("netstack: Packet released more times than retained")
 	}
+	livePackets.Add(-1)
 	payload := p.Payload
 	if cap(payload) > maxPooledPayload {
 		payload = nil
@@ -255,18 +270,21 @@ func (p *Packet) WireSize() int {
 // SACKBlocks returns the SACK blocks the segment carries.
 func (p *Packet) SACKBlocks() []SACKBlock { return p.SACK[:min(int(p.NumSACK), MaxSACKBlocks)] }
 
-// tcpOptionsLen is the option bytes the TCP header carries, each option
-// padded with NOPs to a 4-byte boundary: SACK-permitted in 4, SACK in 4
-// plus 8 a block.
+// tcpOptionsLen is the option bytes the TCP header carries: SACK-permitted
+// in 2, window scale in 3 and SACK in 2 plus 8 a block, back to back and
+// padded to a 4-byte boundary.
 func (p *Packet) tcpOptionsLen() int {
 	n := 0
 	if p.SACKPermitted {
-		n += 4
+		n += 2
+	}
+	if p.WScaleOK {
+		n += 3
 	}
 	if k := len(p.SACKBlocks()); k > 0 {
-		n += 4 + 8*k
+		n += 2 + 8*k
 	}
-	return n
+	return (n + 3) &^ 3
 }
 
 // Clone returns a deep copy (payload included); forwarding and multicast

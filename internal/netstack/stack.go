@@ -583,9 +583,9 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Durati
 func (s *Stack) Stats() (received, sent int64) { return s.received.Load(), s.sent.Load() }
 
 // Metrics emits the stack's packet counters (IP-layer rx/tx, the RX queues,
-// reassembly, forwarding, contained RX panics), the TCP module's, and every
-// verified program loaded into the stack. Counters are atomics, so it is
-// safe from any goroutine.
+// reassembly, forwarding, contained RX panics), the pooled packets held,
+// the TCP module's, and every verified program loaded into the stack.
+// Counters are atomics, so it is safe from any goroutine.
 func (s *Stack) Metrics(emit metrics.Emit) {
 	emit("net_rx_packets", float64(s.received.Load()))
 	emit("net_tx_packets", float64(s.sent.Load()))
@@ -601,6 +601,7 @@ func (s *Stack) Metrics(emit metrics.Emit) {
 	emit("net_forwarded", float64(s.forwarded.Load()))
 	emit("net_ttl_expired", float64(s.ttlExpired.Load()))
 	emit("net_rx_panics", float64(s.rxPanics.Load()))
+	emit("net_packets_live", float64(LivePackets())) // pooled packets held, process-wide
 	s.tcp.Metrics(emit)
 	if x := s.xdp.Load(); x != nil {
 		x.Metrics(emit)

@@ -44,8 +44,25 @@ func (s TCPState) String() string {
 // DefaultMSS is the default maximum segment size (Ethernet-friendly).
 const DefaultMSS = 1460
 
-// rcvWindow is the fixed receive window advertised (bytes).
-const rcvWindow = 32 * 1024
+// rcvWindow is the receive window, in bytes, advertised to a peer that
+// scales windows (RFC 7323), with shift rcvShift. A peer that does not is
+// advertised maxUnscaledWindow, and so is every peer in a SYN or SYN|ACK,
+// whose window is never scaled.
+const (
+	rcvWindow         = 96 * 1024
+	rcvShift          = 1
+	maxUnscaledWindow = 0xffff
+	// maxWScale is the largest shift taken from a peer (RFC 7323 §2.3).
+	maxWScale = 14
+)
+
+// The scaled window fits the header's 16 bits (a constant that does not
+// convert fails to compile).
+const _ = uint16(rcvWindow >> rcvShift)
+
+// initialWindow is the congestion window a connection starts with, in
+// segments: three for a segment size above 1095 bytes (RFC 5681 §3.1).
+const initialWindow = 3
 
 // retxTimeout is the retransmission timeout before the first round-trip
 // sample and its floor after (RFC 6298 with a 200 ms minimum). Each
@@ -63,7 +80,7 @@ const retxBackoffCap = 5
 const maxRTT = 60 * sim.Second
 
 // maxCwnd caps the congestion window, in segments. The advertised window
-// (rcvWindow, 22 segments) binds long before it does.
+// (rcvWindow, 67 segments) binds before it does.
 const maxCwnd = 128
 
 // dupAckThreshold is the number of duplicate ACKs taken as a loss from a
@@ -155,8 +172,39 @@ type synEntry struct {
 	rcvNxt uint32   // peer ISS + 1
 	iss    uint32   // our initial send sequence for the SYN-ACK
 	wnd    uint16   // peer's advertised window from the SYN
-	sackOK bool     // the SYN offered SACK, so the SYN-ACK does too
+	opts   synOpts  // what the SYN offered, so the SYN-ACK offers it too
 	at     sim.Time // arrival, for TTL/oldest eviction
+}
+
+// synOpts are the options both SYNs of a connection carried, in one byte:
+// whether the peer reads SACK blocks (RFC 2018) and whether windows are
+// scaled (RFC 7323), and if so by what shift the peer's are.
+type synOpts uint8
+
+const (
+	optsShift synOpts = 0x0f // the peer's window shift, at most maxWScale; 0 without optsScale
+	optsScale synOpts = 1 << 4
+	optsSACK  synOpts = 1 << 5
+)
+
+// synOptsOf reads the options a SYN or SYN|ACK offers.
+func synOptsOf(p *Packet) synOpts {
+	var o synOpts
+	if p.SACKPermitted {
+		o |= optsSACK
+	}
+	if p.WScaleOK {
+		o |= optsScale | synOpts(min(p.WScale, maxWScale))
+	}
+	return o
+}
+
+// offer puts on a SYN or SYN|ACK the options o holds.
+func (o synOpts) offer(p *Packet) {
+	p.SACKPermitted = o&optsSACK != 0
+	if o&optsScale != 0 {
+		p.WScaleOK, p.WScale = true, rcvShift
+	}
 }
 
 // Conn is one TCP connection endpoint. A million idle ones make every word
@@ -213,10 +261,11 @@ type Conn struct {
 	backoff      uint8
 
 	closed bool
-	// sackOK is set when both SYNs carried SACK-permitted (RFC 2018): the
-	// receive side reports its queue in SACK blocks, and the send side
-	// finds losses with RACK-TLP instead of counting duplicate ACKs.
-	sackOK bool
+	// opts are the options both SYNs carried. With SACK (RFC 2018) the
+	// receive side reports its queue in SACK blocks, and the send side finds
+	// losses with RACK-TLP instead of counting duplicate ACKs. With window
+	// scaling (RFC 7323) every window after the SYNs is scaled, both ways.
+	opts synOpts
 	// timer is what the retx event does when it expires.
 	timer  timerKind
 	rcvNxt uint32
@@ -311,11 +360,40 @@ func (c *Conn) unsent() []byte { return c.sendBuf.Bytes()[c.sent:] }
 
 // sendData cuts the next n unsent bytes into a segment and sends it.
 func (c *Conn) sendData(n int) {
-	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, n: uint16(n)})
+	c.track(segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, n: uint16(n)})
 	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, c.unsent()[:n]))
 	c.sent += uint32(n)
 	c.sndNxt += uint32(n)
 	c.armRetx()
+}
+
+// track records a segment just sent. The first record makes room for the
+// initial window and a FIN, so a short exchange grows the list no further.
+func (c *Conn) track(s segment) {
+	if c.inflight == nil {
+		c.inflight = make([]segment, 0, initialWindow+1)
+	}
+	c.inflight = append(c.inflight, s)
+}
+
+// sackOK reports whether both SYNs carried SACK-permitted.
+func (c *Conn) sackOK() bool { return c.opts&optsSACK != 0 }
+
+// rcvWnd is the window the connection advertises, in bytes: what a peer may
+// send past RCV.NXT.
+func (c *Conn) rcvWnd() uint32 {
+	if c.opts&optsScale != 0 {
+		return rcvWindow
+	}
+	return maxUnscaledWindow
+}
+
+// window is the window field of a segment after the SYNs: rcvWnd, scaled.
+func (c *Conn) window() int {
+	if c.opts&optsScale != 0 {
+		return rcvWindow >> rcvShift
+	}
+	return maxUnscaledWindow
 }
 
 // State reports the connection state. Safe to call from any goroutine.
@@ -401,7 +479,7 @@ type TCP struct {
 // so never a bulk flow's.
 const (
 	maxSpareSendBufs = 64
-	maxSpareSendBuf  = 2 * rcvWindow
+	maxSpareSendBuf  = 64 << 10
 )
 
 func newTCP(s *Stack) *TCP {
@@ -490,7 +568,7 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	c := &Conn{
 		tcp:    t,
 		remote: dst, remotePort: port,
-		cwnd: 1, ssthresh: 16, sndWnd: rcvWindow,
+		cwnd: initialWindow, ssthresh: 16, sndWnd: rcvWindow,
 		delivery: cost,
 		sndUna:   100, sndNxt: 100, recover: 100,
 	}
@@ -517,10 +595,11 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	return c, nil
 }
 
-// sendSYN sends (or resends) the connection's SYN, which always offers SACK.
+// sendSYN sends (or resends) the connection's SYN, which always offers SACK
+// and window scaling.
 func (c *Conn) sendSYN() {
 	p := c.seg(FlagSYN, c.sndUna, 0, nil)
-	p.SACKPermitted = true
+	(optsSACK | optsScale).offer(p)
 	c.sendSeg(p)
 }
 
@@ -591,7 +670,7 @@ func (c *Conn) Close() error {
 }
 
 func (c *Conn) sendFIN() {
-	c.inflight = append(c.inflight, segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, bits: segFIN})
+	c.track(segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, bits: segFIN})
 	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil))
 	c.sndNxt++
 	c.armRetx()
@@ -649,13 +728,14 @@ func (c *Conn) finInflight() bool {
 	return n > 0 && c.inflight[n-1].bits&segFIN != 0
 }
 
-// seg allocates a pooled segment carrying this connection's receive window,
-// and, on an ACK to a peer that permits it, SACK blocks for what is queued
-// out of order; payload (if any) is copied into the packet's own buffer.
+// seg allocates a pooled segment carrying this connection's receive window
+// (unscaled on its SYN, which goes before any scaling is agreed), and, on an
+// ACK to a peer that permits it, SACK blocks for what is queued out of
+// order; payload (if any) is copied into the packet's own buffer.
 func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload []byte) *Packet {
 	p := AllocPacket()
-	p.Flags, p.Seq, p.Ack, p.Window = flags, seq, ack, rcvWindow
-	if x := c.loss; x != nil && c.sackOK && flags&FlagACK != 0 {
+	p.Flags, p.Seq, p.Ack, p.Window = flags, seq, ack, c.window()
+	if x := c.loss; x != nil && c.sackOK() && flags&FlagACK != 0 {
 		x.fillSACK(p)
 	}
 	if len(payload) > 0 {
@@ -900,18 +980,19 @@ func (t *TCP) recordSynLocked(sh *tcpShard, key connKey, pkt *Packet) synEntry {
 	} else if len(sh.syn) >= maxHalfOpenPerShard {
 		t.evictSynLocked(sh)
 	}
-	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: clampU16(pkt.Window), sackOK: pkt.SACKPermitted, at: t.stack.clock.Now()}
+	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: clampU16(pkt.Window), opts: synOptsOf(pkt), at: t.stack.clock.Now()}
 	sh.syn[key] = e
 	return e
 }
 
-// sendSynAck answers the SYN pkt from its half-open entry.
+// sendSynAck answers the SYN pkt from its half-open entry, with an unscaled
+// window and the options the SYN offered.
 func (t *TCP) sendSynAck(pkt *Packet, e synEntry) {
 	synack := AllocPacket()
 	synack.Src, synack.Dst, synack.Proto = t.stack.IP, pkt.Src, ProtoTCP
 	synack.SrcPort, synack.DstPort = pkt.DstPort, pkt.SrcPort
-	synack.Flags, synack.Seq, synack.Ack, synack.Window = FlagSYN|FlagACK, e.iss, e.rcvNxt, rcvWindow
-	synack.SACKPermitted = e.sackOK
+	synack.Flags, synack.Seq, synack.Ack, synack.Window = FlagSYN|FlagACK, e.iss, e.rcvNxt, maxUnscaledWindow
+	e.opts.offer(synack)
 	synack.TTL = 32
 	_ = t.stack.SendIP(synack)
 }
@@ -951,12 +1032,12 @@ func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 	c := &Conn{
 		tcp:    t,
 		remote: pkt.Src, localPort: pkt.DstPort, remotePort: pkt.SrcPort,
-		cwnd: 1, ssthresh: 16,
+		cwnd: initialWindow, ssthresh: 16,
 		sndWnd: uint32(e.wnd), sndWL1: e.rcvNxt - 1, sndWL2: e.iss + 1,
 		delivery: l.cost,
 		sndUna:   e.iss + 1, sndNxt: e.iss + 1, recover: e.iss,
 		rcvNxt:   e.rcvNxt,
-		sackOK:   e.sackOK,
+		opts:     e.opts,
 		acceptCb: l.accept,
 	}
 	c.setState(StateEstablished)
@@ -1003,7 +1084,7 @@ func (c *Conn) handle(pkt *Packet) {
 		// with an ACK elsewhere in the window, and dropped outside it.
 		if d := pkt.Seq - c.rcvNxt; d == 0 {
 			c.teardown()
-		} else if d < rcvWindow {
+		} else if d < c.rcvWnd() {
 			c.sendAck()
 		}
 		return
@@ -1034,11 +1115,11 @@ func (c *Conn) handleSynSent(pkt *Packet) {
 	}
 	c.sndUna = pkt.Ack
 	c.rcvNxt = pkt.Seq + 1
-	// The advertised window is taken at face value — including zero. A
-	// zero window pauses pump(), and the persist probe in onRetxTimer
-	// keeps testing for it to reopen.
-	c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, pkt.Ack
-	c.sackOK = pkt.SACKPermitted
+	// The advertised window is taken at face value, unscaled as a SYN's
+	// always is — including zero. A zero window pauses pump(), and the
+	// persist probe in onRetxTimer keeps testing for it to reopen.
+	c.sndWnd, c.sndWL1, c.sndWL2 = uint32(clampU16(pkt.Window)), pkt.Seq, pkt.Ack
+	c.opts = synOptsOf(pkt)
 	c.setState(StateEstablished)
 	c.retxAttempts = 0
 	c.cancelRetx()
@@ -1068,16 +1149,18 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	// outstanding and carries nothing else, no data, SYN, FIN or new window.
 	dup := ack == c.sndUna && len(c.inflight) > 0 && len(pkt.Payload) == 0 && pkt.Flags&(FlagSYN|FlagFIN) == 0
 	if d := int32(pkt.Seq - c.sndWL1); d > 0 || d == 0 && int32(ack-c.sndWL2) >= 0 {
-		dup = dup && uint32(pkt.Window) == c.sndWnd
-		c.sndWnd, c.sndWL1, c.sndWL2 = uint32(pkt.Window), pkt.Seq, ack
+		// The peer's shift is 0 unless both SYNs offered scaling.
+		wnd := uint32(clampU16(pkt.Window)) << (c.opts & optsShift)
+		dup = dup && wnd == c.sndWnd
+		c.sndWnd, c.sndWL1, c.sndWL2 = wnd, pkt.Seq, ack
 	}
 	if ack == c.sndUna {
 		c.takeSACK(pkt)
 		switch {
-		case c.sackOK && c.loss != nil:
+		case c.sackOK() && c.loss != nil:
 			c.rackDetect()
 			c.pump()
-		case dup && !c.sackOK:
+		case dup && !c.sackOK():
 			c.onDupAck()
 		}
 		return true
@@ -1109,13 +1192,13 @@ func (c *Conn) onAck(pkt *Packet) bool {
 		c.grow(n)
 	case full:
 		c.cwnd, c.caAcked = c.ssthresh, 0
-	case !c.sackOK:
+	case !c.sackOK():
 		c.cwnd = uint16(max(int(c.cwnd)-n, 0) + 1)
 	}
 	switch {
 	case full:
 		c.endRecovery()
-	case !c.sackOK:
+	case !c.sackOK():
 		c.markLost(0)
 	}
 	if finAcked {
@@ -1200,7 +1283,7 @@ func (c *Conn) onDupAck() {
 // ahead of it, is the whole steady state.
 func (c *Conn) onData(pkt *Packet) {
 	if x := c.loss; pkt.Seq != c.rcvNxt || x != nil && (len(x.runs) > 0 || x.fin) {
-		c.onDataOutOfOrder(pkt.Seq, pkt.Payload)
+		c.onDataOutOfOrder(pkt)
 		return
 	}
 	c.deliver(pkt.Payload)
@@ -1214,7 +1297,8 @@ func (c *Conn) onData(pkt *Packet) {
 // ACK of RCV.NXT: a duplicate if the segment left a hole, carrying the
 // queue's SACK blocks, and one covering everything when the hole has
 // filled.
-func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
+func (c *Conn) onDataOutOfOrder(pkt *Packet) {
+	seq, p := pkt.Seq, pkt.Payload
 	if old := int32(c.rcvNxt - seq); old > 0 {
 		dup := min(int(old), len(p))
 		c.reportDuplicate(seq, seq+uint32(dup))
@@ -1226,7 +1310,7 @@ func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
 		c.deliver(p)
 		c.drainOOO()
 	default:
-		c.queueOOO(seq, p)
+		c.queueOOO(pkt)
 	}
 	c.sendAck()
 	if x := c.loss; x != nil && x.fin && x.finSeq == c.rcvNxt {
@@ -1238,7 +1322,7 @@ func (c *Conn) onDataOutOfOrder(seq uint32, p []byte) {
 // end), sequence space that arrived twice (RFC 2883), if the peer reads
 // SACK blocks.
 func (c *Conn) reportDuplicate(start, end uint32) {
-	if c.sackOK && start != end {
+	if c.sackOK() && start != end {
 		c.lossState().dsack = seqRange{start, end}
 	}
 }
@@ -1256,20 +1340,20 @@ func (c *Conn) deliver(p []byte) {
 // and the D-SACK to report, on the send side the SACK scoreboard's totals
 // and the RACK-TLP state (tcp_rack.go).
 //
-// The out-of-order queue holds the bytes that arrived ahead of RCV.NXT, kept
-// so that the segment that fills the hole releases them all and the sender
-// resends only what was lost. It is bounded by the advertised window twice
-// over. The bytes live in one ring of rcvWindow bytes, the byte with
-// sequence number s at buf[s%rcvWindow], so a segment reaching past
-// RCV.NXT+rcvWindow has nowhere to go and is dropped; and at most
-// maxOOORuns separate runs are tracked, so a peer dribbling one-byte
-// segments with gaps cannot grow the bookkeeping (a segment that would
-// start one run more is dropped too). Both are within what the sender was
-// told: it retransmits.
+// The out-of-order queue holds the segments that arrived ahead of RCV.NXT,
+// kept so that the segment that fills the hole releases them all and the
+// sender resends only what was lost. Each is kept as the packet it arrived
+// in, retained, so queueing copies nothing. A segment reaching past the
+// advertised window is dropped, and so is one that would make the queue
+// hold more than maxOOOPackets packets or track more than maxOOORuns
+// separate runs, so that a peer dribbling one-byte segments with gaps can
+// grow neither the queue nor its bookkeeping. All three are within what the
+// sender was told: it retransmits.
 type lossState struct {
-	buf []byte // the ring, made on the first byte queued
+	// ooo are the queued packets, in sequence order.
+	ooo []*Packet
 	// runs are the queued byte ranges, ascending, disjoint and not
-	// touching.
+	// touching: the index the SACK blocks are read from.
 	runs []seqRange
 	// fin records a FIN that arrived ahead of a hole, at finSeq.
 	fin    bool
@@ -1291,11 +1375,11 @@ type lossState struct {
 
 type seqRange struct{ start, end uint32 }
 
-const maxOOORuns = 32
-
-// The ring is indexed with a mask, so rcvWindow must be a power of two
-// (anything else makes this constant negative, which does not convert).
-const _ = uint(-(rcvWindow & (rcvWindow - 1)))
+const (
+	maxOOORuns = 32
+	// maxOOOPackets is two windows of full-sized segments.
+	maxOOOPackets = 2 * rcvWindow / DefaultMSS
+)
 
 // lossState returns the connection's loss state, made on first use. RACK
 // starts out counting what is acknowledged as delivered.
@@ -1307,15 +1391,17 @@ func (c *Conn) lossState() *lossState {
 	return c.loss
 }
 
-// queueOOO keeps p, which starts at seq, ahead of RCV.NXT.
-func (c *Conn) queueOOO(seq uint32, p []byte) {
-	end := seq + uint32(len(p))
-	if end-c.rcvNxt > rcvWindow {
+// queueOOO keeps pkt, whose payload starts ahead of RCV.NXT. A segment all
+// of whose bytes one run holds already is reported as a duplicate instead.
+func (c *Conn) queueOOO(pkt *Packet) {
+	seq := pkt.Seq
+	end := seq + uint32(len(pkt.Payload))
+	if end-c.rcvNxt > c.rcvWnd() {
 		return
 	}
 	q := c.lossState()
-	if q.buf == nil {
-		q.buf, q.runs = make([]byte, rcvWindow), make([]seqRange, 0, maxOOORuns)
+	if q.runs == nil {
+		q.runs = make([]seqRange, 0, maxOOORuns)
 	}
 	// The runs from i up to j overlap or touch [seq, end): they merge.
 	i := 0
@@ -1326,16 +1412,18 @@ func (c *Conn) queueOOO(seq uint32, p []byte) {
 	for j < len(q.runs) && int32(q.runs[j].start-end) <= 0 {
 		j++
 	}
+	if r := q.runs[i:j]; len(r) == 1 && int32(seq-r[0].start) >= 0 && int32(end-r[0].end) <= 0 {
+		c.reportDuplicate(seq, end)
+		q.newest = seq
+		return
+	}
+	if len(q.ooo) == maxOOOPackets || i == j && len(q.runs) == maxOOORuns {
+		return
+	}
 	if i == j {
-		if len(q.runs) == maxOOORuns {
-			return
-		}
 		q.runs = slices.Insert(q.runs, i, seqRange{seq, end})
 	} else {
 		r := &q.runs[i]
-		if j == i+1 && int32(seq-r.start) >= 0 && int32(end-r.end) <= 0 {
-			c.reportDuplicate(seq, end)
-		}
 		if int32(seq-r.start) < 0 {
 			r.start = seq
 		}
@@ -1345,12 +1433,25 @@ func (c *Conn) queueOOO(seq uint32, p []byte) {
 		q.runs = slices.Delete(q.runs, i+1, j)
 	}
 	q.newest = seq
-	at := seq & (rcvWindow - 1)
-	copy(q.buf, p[copy(q.buf[at:], p):])
+	k := len(q.ooo)
+	for k > 0 && int32(q.ooo[k-1].Seq-seq) > 0 {
+		k--
+	}
+	q.ooo = slices.Insert(q.ooo, k, hold(pkt))
 }
 
-// drainOOO delivers every queued run RCV.NXT has reached. A run that
-// RCV.NXT has passed arrived twice, in part: that part is reported.
+// hold keeps a delivered packet past its delivery: a pooled one by one more
+// reference, any other as a pooled copy, since its owner may reuse it.
+func hold(p *Packet) *Packet {
+	if p.pooled {
+		return p.Retain()
+	}
+	return p.Clone()
+}
+
+// drainOOO delivers every queued run RCV.NXT has reached, each packet's
+// bytes from RCV.NXT on, and releases the packets. A run that RCV.NXT has
+// passed arrived twice, in part: that part is reported.
 func (c *Conn) drainOOO() {
 	q := c.loss
 	for q != nil && q == c.loss && len(q.runs) > 0 && int32(q.runs[0].start-c.rcvNxt) <= 0 {
@@ -1363,13 +1464,13 @@ func (c *Conn) drainOOO() {
 			}
 			c.reportDuplicate(r.start, end)
 		}
-		if n := int32(r.end - c.rcvNxt); n > 0 {
-			at := c.rcvNxt & (rcvWindow - 1)
-			first := q.buf[at:min(at+uint32(n), rcvWindow)]
-			c.deliver(first)
-			if rest := int(n) - len(first); rest > 0 {
-				c.deliver(q.buf[:rest])
+		for q == c.loss && len(q.ooo) > 0 && int32(q.ooo[0].Seq-r.end) < 0 {
+			p := q.ooo[0]
+			q.ooo = slices.Delete(q.ooo, 0, 1)
+			if off := c.rcvNxt - p.Seq; int(off) < len(p.Payload) {
+				c.deliver(p.Payload[off:])
 			}
+			p.Release()
 		}
 	}
 }
@@ -1423,7 +1524,7 @@ func (c *Conn) onFIN(pkt *Packet) {
 	case d == 0:
 		c.takeFIN()
 		return
-	case d > 0 && d < rcvWindow:
+	case d > 0 && uint32(d) < c.rcvWnd():
 		q := c.lossState()
 		q.fin, q.finSeq = true, seq
 	}
@@ -1468,7 +1569,12 @@ func (c *Conn) teardown() {
 		return
 	}
 	c.cancelRetx()
-	c.loss = nil
+	if c.loss != nil {
+		for _, p := range c.loss.ooo {
+			p.Release()
+		}
+		c.loss = nil
+	}
 	// Drained send-buffer storage goes to the next connection. Packets copy
 	// what they carry, so nothing else holds it.
 	if t, n := c.tcp, c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf {

@@ -207,3 +207,39 @@ func TestFinOvertakesLostData(t *testing.T) {
 		t.Errorf("client %v, server %v, want FIN_WAIT_2 and CLOSE_WAIT", client.State(), server.State())
 	}
 }
+
+// The out-of-order queue keeps each segment as the packet it arrived in: one
+// live packet more for each, released when RCV.NXT reaches it, or when the
+// connection goes with the hole still open.
+func TestOutOfOrderQueueReleasesPackets(t *testing.T) {
+	queue := []step{
+		{at: 1 * ms, in: in(data(S, S)), out: []seg{sack(0, blk{S, 2 * S})}},
+		{at: 2 * ms, in: in(data(3*S, S)), out: []seg{sack(0, blk{3 * S, 4 * S}, blk{S, 2 * S})}},
+		{at: 3 * ms, in: in(data(3*S, S)), note: "a duplicate is not kept again",
+			out: []seg{sack(0, blk{3 * S, 4 * S}, blk{3 * S, 4 * S}, blk{S, 2 * S})}},
+	}
+	wantLive := func(want int64) func(*testing.T, *scriptRig) {
+		return func(t *testing.T, r *scriptRig) {
+			t.Helper()
+			if got := LivePackets(); got != want {
+				t.Errorf("%d packets live, want %d", got, want)
+			}
+		}
+	}
+	t.Run("drained", func(t *testing.T) {
+		r := sackServerRig(t)
+		live := LivePackets()
+		r.run(queue)
+		r.run([]step{
+			{at: 4 * ms, in: in(data(0, S)), out: []seg{sack(2*S, blk{3 * S, 4 * S})}, check: wantLive(live + 1)},
+			{at: 5 * ms, in: in(data(2*S, S)), out: []seg{ack(4 * S)}, check: both(wantLive(live), wantReceived(4*S))},
+		})
+	})
+	t.Run("torn-down", func(t *testing.T) {
+		r := sackServerRig(t)
+		live := LivePackets()
+		r.run(queue)
+		wantLive(live+2)(t, r)
+		r.run([]step{{at: 4 * ms, in: in(seg{flags: FlagRST, seq: 0}), check: both(wantState(StateClosed), wantLive(live))}})
+	})
+}

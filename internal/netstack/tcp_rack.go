@@ -100,7 +100,7 @@ func (c *Conn) delivered(s segment, now sim.Time) {
 // permit SACK mean nothing.
 func (c *Conn) takeSACK(pkt *Packet) {
 	blocks := pkt.SACKBlocks()
-	if !c.sackOK || len(blocks) == 0 {
+	if !c.sackOK() || len(blocks) == 0 {
 		return
 	}
 	x := c.lossState()
@@ -174,7 +174,7 @@ func (c *Conn) reoWnd() sim.Duration {
 // for when the last such one will be.
 func (c *Conn) rackDetect() {
 	x := c.loss
-	if !c.sackOK || x == nil || x.sackedSegs == 0 && c.phase == phaseOpen {
+	if !c.sackOK() || x == nil || x.sackedSegs == 0 && c.phase == phaseOpen {
 		return
 	}
 	now, wnd := c.tcp.stack.clock.Now(), c.reoWnd()
@@ -215,7 +215,7 @@ func (c *Conn) startRecovery() {
 	r.undoRetrans, r.canUndo = 0, true
 	c.ssthresh = uint16(max(len(c.inflight)/2, 2))
 	c.cwnd = c.ssthresh
-	if !c.sackOK {
+	if !c.sackOK() {
 		c.cwnd += dupAckThreshold
 	}
 	c.phase, c.recover = phaseRecovery, c.sndNxt
@@ -252,7 +252,7 @@ func (c *Conn) markLost(i int) {
 func (c *Conn) markLostOnTimeout() {
 	r := &c.lossState().rack
 	r.tlpOut, r.canUndo = false, false
-	if !c.sackOK {
+	if !c.sackOK() {
 		c.markLost(0)
 		return
 	}
@@ -303,7 +303,7 @@ func (c *Conn) resend(i int) {
 // recovered, SACKed or probed already.
 func (c *Conn) probeAllowed() bool {
 	x := c.loss
-	return c.sackOK && c.srtt != 0 && c.phase == phaseOpen && len(c.inflight) > 0 &&
+	return c.sackOK() && c.srtt != 0 && c.phase == phaseOpen && len(c.inflight) > 0 &&
 		(x == nil || !x.rack.tlpOut && x.sackedSegs == 0)
 }
 

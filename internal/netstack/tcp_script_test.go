@@ -42,10 +42,13 @@ type seg struct {
 	seq, ack int // relative; ack is ignored without FlagACK
 	n        int // payload bytes
 	win      int // injected segments only; 0 advertises rcvWindow
-	// sackOK is the SACK-permitted option. Every SYN the endpoint sends
-	// offers it, which the recorder checks itself, so a script writes that
-	// SYN without it.
+	// sackOK is the SACK-permitted option, and wscale the window-scale
+	// option with its shift (RFC 7323). Every SYN the endpoint sends offers
+	// SACK and a shift of rcvShift, which the recorder checks itself, so a
+	// script writes that SYN without them.
 	sackOK bool
+	wscale bool
+	shift  int
 	// sack are the SACK blocks, relative like ack; the first empty one ends
 	// the list.
 	sack [MaxSACKBlocks]blk
@@ -58,6 +61,9 @@ func (s seg) String() string {
 	str := fmt.Sprintf("%v seq %d ack %d len %d", s.flags, s.seq, s.ack, s.n)
 	if s.sackOK {
 		str += " sackOK"
+	}
+	if s.wscale {
+		str += fmt.Sprintf(" wscale %d", s.shift)
 	}
 	for _, b := range s.sack {
 		if b != (blk{}) {
@@ -97,7 +103,7 @@ type emission struct {
 	at sim.Time
 	seg
 	corrupt bool
-	noOffer bool // a SYN without SACK-permitted
+	noOffer bool // a SYN without SACK-permitted or window scale rcvShift
 }
 
 // scriptRig is the endpoint under test and the recorder around it.
@@ -111,10 +117,11 @@ type scriptRig struct {
 	cause   sim.Time // the step or timer event now running
 	emitted []emission
 
-	written  int    // application bytes written so far
-	received []byte // what OnData delivered
-	misorder bool   // OnData delivered a byte out of place
-	closes   int    // OnClose calls
+	advertised int    // the window field of the segment emitted last
+	written    int    // application bytes written so far
+	received   []byte // what OnData delivered
+	misorder   bool   // OnData delivered a byte out of place
+	closes     int    // OnClose calls
 }
 
 // streamByte is the byte at offset off of either direction's stream.
@@ -147,10 +154,12 @@ func (r *scriptRig) Transmit(f sal.NetFrame, _ sim.Time) {
 	if p.Flags&FlagACK != 0 {
 		e.ack = int(int32(p.Ack - (scriptPeerISS + 1)))
 	}
-	e.sackOK = p.SACKPermitted
+	e.sackOK, e.wscale, e.shift = p.SACKPermitted, p.WScaleOK, int(p.WScale)
 	if p.Flags == FlagSYN {
-		e.sackOK, e.noOffer = false, !p.SACKPermitted
+		e.sackOK, e.wscale, e.shift = false, false, 0
+		e.noOffer = !p.SACKPermitted || !p.WScaleOK || p.WScale != rcvShift
 	}
+	r.advertised = p.Window
 	for i, b := range p.SACKBlocks() {
 		e.sack[i] = blk{int(int32(b.Start - (scriptPeerISS + 1))), int(int32(b.End - (scriptPeerISS + 1)))}
 	}
@@ -272,7 +281,7 @@ func (r *scriptRig) inject(s seg) {
 	if s.win != 0 {
 		p.Window = s.win
 	}
-	p.SACKPermitted = s.sackOK
+	p.SACKPermitted, p.WScaleOK, p.WScale = s.sackOK, s.wscale, uint8(s.shift)
 	for _, b := range s.sack {
 		if b != (blk{}) {
 			p.SACK[p.NumSACK] = SACKBlock{uint32(b.start) + r.dutISS() + 1, uint32(b.end) + r.dutISS() + 1}
@@ -314,7 +323,7 @@ func (r *scriptRig) expect(at sim.Time, what string, want []seg) {
 			note = " (payload is not the stream's bytes at that offset)"
 		}
 		if e.noOffer {
-			note = " (a SYN that does not offer SACK)"
+			note = " (a SYN that does not offer SACK and a window shift of rcvShift)"
 		}
 		r.t.Errorf("    %v at %v%s", e.seg, sim.Duration(e.at), note)
 	}
@@ -389,6 +398,16 @@ func wantReceived(n int) func(*testing.T, *scriptRig) {
 		t.Helper()
 		if len(r.received) != n {
 			t.Errorf("OnData has delivered %d bytes, want %d", len(r.received), n)
+		}
+	}
+}
+
+// wantAdvertised checks the window field of the segment emitted last.
+func wantAdvertised(win int) func(*testing.T, *scriptRig) {
+	return func(t *testing.T, r *scriptRig) {
+		t.Helper()
+		if r.advertised != win {
+			t.Errorf("advertised window field %d, want %d", r.advertised, win)
 		}
 	}
 }
@@ -811,6 +830,118 @@ func TestTCPScript(t *testing.T) {
 			{at: 5000 * ms, note: "idle"},
 		})
 		wantCauses(t, r, tcpStats{TLPProbes: 1, RTOs: 1})
+	})
+
+	// RFC 5681 §3.1: a connection starts with a window of three full-sized
+	// segments (IW for 1095 < SMSS <= 2190), whichever end opened it, and
+	// with ssthresh 16.
+	t.Run("rfc5681-3.1/initial-window-is-three-segments", func(t *testing.T) {
+		clientRig(t).run([]step{
+			{at: 1 * ms, write: 5, out: []seg{data(0, S), data(S, S), data(2*S, S)}, check: wantCwnd(3)},
+			{at: 5 * ms, in: in(ack(S)), note: "slow start", out: []seg{data(3*S, S), data(4*S, S)}, check: wantCwnd(4)},
+		})
+		serverRig(t).run([]step{{at: 1 * ms, write: 4, out: []seg{data(0, S), data(S, S), data(2*S, S)},
+			check: func(t *testing.T, r *scriptRig) {
+				if got := r.conn.ssthresh; got != 16 {
+					t.Errorf("ssthresh %d, want 16", got)
+				}
+			}}})
+	})
+	// RFC 5681 §3.1: after a timeout the window is one segment, whatever it
+	// started at.
+	t.Run("rfc5681-3.1/loss-window-after-rto-is-one", func(t *testing.T) {
+		rto := 1*ms + sum(S) + 200*ms
+		clientRig(t).run([]step{
+			{at: 1 * ms, write: 3, out: []seg{data(0, S), data(S, S), data(2*S, S)}},
+			{at: rto, note: "the timeout resends the head alone", out: []seg{data(0, S)}, check: wantCwnd(1)},
+			{at: 210 * ms, in: in(ack(S)), note: "slow start from one segment", out: []seg{data(S, S)}, check: wantCwnd(2)},
+			{at: 215 * ms, in: in(ack(3 * S))},
+			{at: 2000 * ms, note: "nothing left to time out"},
+		})
+	})
+
+	// RFC 7323: windows are scaled only if both SYNs carried the option,
+	// never in a SYN or SYN|ACK, and in every segment after them, each way by
+	// the shift its sender offered; a shift above 14 is taken as 14 (§2.3).
+	const scaledWnd = rcvWindow >> rcvShift
+	offer := func(s seg, shift int) *seg {
+		s.wscale, s.shift = true, shift
+		return &s
+	}
+	// scaledClient dials a peer whose SYN|ACK offers shift and the window win.
+	scaledClient := func(t *testing.T, shift, win int) *scriptRig {
+		r := dialRig(t)
+		wantAdvertised(maxUnscaledWindow)(t, r)
+		r.run([]step{{in: offer(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, win: win}, shift),
+			out: []seg{ack(0)}, check: wantAdvertised(scaledWnd)}})
+		return r
+	}
+	// scaledServer accepts a peer whose SYN offers SACK and shift.
+	scaledServer := func(t *testing.T, shift int) *scriptRig {
+		r := newScriptRig(t, false)
+		if err := r.st.TCP().Listen(80, nil, r.adopt); err != nil {
+			t.Fatal(err)
+		}
+		r.run([]step{
+			{in: offer(seg{flags: FlagSYN, seq: -1, sackOK: true}, shift),
+				out:   []seg{*offer(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, sackOK: true}, rcvShift)},
+				check: wantAdvertised(maxUnscaledWindow)},
+			{in: in(ack(0))},
+		})
+		return r
+	}
+	t.Run("rfc7323/no-scaling-unless-both-syns-offer-it", func(t *testing.T) {
+		// The SYN|ACK does not offer it: the endpoint advertises the largest
+		// unscaled window and takes the peer's as written.
+		dialRig(t).run([]step{
+			{in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, win: 5000}), out: []seg{ack(0)},
+				check: wantAdvertised(maxUnscaledWindow)},
+			{at: 1 * ms, in: in(seg{flags: FlagACK, ack: 0, win: 1000}), note: "no shift applies"},
+			{at: 2 * ms, write: 2, out: []seg{data(0, 1000)}},
+		})
+		// The SYN does not offer it, so neither does the SYN|ACK (serverRig
+		// checks) nor is anything after it scaled.
+		serverRig(t).run([]step{{at: 1 * ms, in: in(data(0, 10)), out: []seg{ack(10)}, check: wantAdvertised(maxUnscaledWindow)}})
+		// Both offer it.
+		scaledServer(t, 0).run([]step{{at: 1 * ms, in: in(data(0, 10)), out: []seg{ack(10)}, check: wantAdvertised(scaledWnd)}})
+	})
+	t.Run("rfc7323/syn-windows-are-never-scaled", func(t *testing.T) {
+		scaledClient(t, 2, 2000).run([]step{
+			{at: 1 * ms, write: 2, note: "the SYN|ACK's 2000 bytes, not 8000", out: []seg{data(0, S), data(S, 2000-S)}},
+		})
+		scaledServer(t, 2) // its SYN|ACK advertises 65535, unscaled
+	})
+	t.Run("rfc7323/later-windows-are-scaled-both-ways", func(t *testing.T) {
+		scaledClient(t, 3, 0).window(64, 64).run([]step{
+			{at: 1 * ms, in: in(seg{flags: FlagACK, ack: 0, win: 1000}), note: "1000 << 3 bytes"},
+			{at: 2 * ms, write: 6, out: []seg{data(0, S), data(S, S), data(2*S, S), data(3*S, S), data(4*S, S), data(5*S, 8000-5*S)},
+				check: wantAdvertised(scaledWnd)},
+		})
+		scaledServer(t, 2).run([]step{
+			{at: 1 * ms, in: in(seg{flags: FlagACK, ack: 0, win: 1000}), note: "1000 << 2 bytes"},
+			{at: 2 * ms, write: 3, out: []seg{data(0, S), data(S, S), data(2*S, 4000-2*S)}, check: wantAdvertised(scaledWnd)},
+		})
+	})
+	t.Run("rfc7323/shift-above-14-is-14", func(t *testing.T) {
+		var out []seg
+		for k := 0; k < 11; k++ {
+			out = append(out, data(k*S, S))
+		}
+		scaledClient(t, 15, 0).window(64, 64).run([]step{
+			{at: 1 * ms, in: in(seg{flags: FlagACK, ack: 0, win: 1}), note: "1 << 14 bytes, not 1 << 15"},
+			{at: 2 * ms, write: 12, out: append(out, data(11*S, 1<<14-11*S))},
+		})
+	})
+	t.Run("rfc7323/data-past-the-scaled-window-is-not-kept", func(t *testing.T) {
+		scaledServer(t, 0).run([]step{
+			{at: 1 * ms, in: in(data(70000, 100)), note: "past 65535, inside the scaled window: kept",
+				out: []seg{sack(0, blk{70000, 70100})}},
+			{at: 2 * ms, in: in(data(rcvWindow-50, 100)), note: "reaches past the scaled window: not kept",
+				out: []seg{sack(0, blk{70000, 70100})}},
+		})
+		sackServerRig(t).run([]step{
+			{at: 1 * ms, in: in(data(70000, 100)), note: "past the unscaled window: not kept", out: []seg{ack(0)}},
+		})
 	})
 }
 

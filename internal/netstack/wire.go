@@ -21,9 +21,9 @@ import (
 //	ip(20):    version, total length(2), frag id(4), frag offset(2),
 //	           flags, TTL, protocol, src(4), dst(4)
 //	transport: UDP(8) ports/length; TCP(20) ports/seq/ack/data offset/
-//	           flags/window, then its options (SACK-permitted, SACK
-//	           blocks); ICMP(8) type/seq — matching the header sizes the
-//	           cost model charges for (Packet.WireSize).
+//	           flags/window, then its options (SACK-permitted, window
+//	           scale, SACK blocks); ICMP(8) type/seq — matching the
+//	           header sizes the cost model charges for (Packet.WireSize).
 
 // etherTypeIPv4 marks IP payloads in the ethernet header.
 const etherTypeIPv4 = 0x0800
@@ -219,31 +219,36 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 	return nil
 }
 
-// TCP option kinds (RFC 793, RFC 2018).
+// TCP option kinds (RFC 793, RFC 2018, RFC 7323).
 const (
 	optEOL           = 0
 	optNOP           = 1
 	optMSS           = 2
+	optWScale        = 3
 	optSACKPermitted = 4
 	optSACK          = 5
 )
 
 // appendTCPOptions writes pkt's options into b, which is exactly
-// pkt.tcpOptionsLen() bytes: each option behind two NOPs, so that it ends on
-// a word boundary.
+// pkt.tcpOptionsLen() bytes and cleared: back to back, the zeroes after them
+// an EOL that pads the header to a word boundary. Packed, every option the
+// parser reads fits the 40 bytes it was read from: SACK-permitted, a window
+// scale and four SACK blocks take 39.
 func appendTCPOptions(b []byte, pkt *Packet) {
 	if pkt.SACKPermitted {
-		copy(b, []byte{optNOP, optNOP, optSACKPermitted, 2})
-		b = b[4:]
+		b = b[copy(b, []byte{optSACKPermitted, 2}):]
+	}
+	if pkt.WScaleOK {
+		b = b[copy(b, []byte{optWScale, 3, pkt.WScale}):]
 	}
 	blocks := pkt.SACKBlocks()
 	if len(blocks) == 0 {
 		return
 	}
-	copy(b, []byte{optNOP, optNOP, optSACK, byte(2 + 8*len(blocks))})
+	copy(b, []byte{optSACK, byte(2 + 8*len(blocks))})
 	for i, blk := range blocks {
-		binary.BigEndian.PutUint32(b[4+8*i:], blk.Start)
-		binary.BigEndian.PutUint32(b[8+8*i:], blk.End)
+		binary.BigEndian.PutUint32(b[2+8*i:], blk.Start)
+		binary.BigEndian.PutUint32(b[6+8*i:], blk.End)
 	}
 }
 
@@ -251,8 +256,9 @@ func appendTCPOptions(b []byte, pkt *Packet) {
 // data offset. EOL ends the list and NOP pads it; MSS is read past (the
 // stack's segment size is fixed) and so is any kind it does not know, by its
 // length. A length below 2, an option running past the data offset, a
-// malformed SACK-permitted or a SACK option with other than one to four
-// blocks in all is rejected.
+// SACK-permitted or window scale of the wrong length, or a SACK option with
+// other than one to four blocks in all is rejected. A window shift is read
+// as sent; the connection caps it (RFC 7323 §2.3).
 func parseTCPOptions(pkt *Packet, b []byte) error {
 	for i := 0; i < len(b); {
 		kind := b[i]
@@ -279,6 +285,11 @@ func parseTCPOptions(pkt *Packet, b []byte) error {
 				return fmt.Errorf("%w: SACK-permitted length %d", ErrBadOption, n)
 			}
 			pkt.SACKPermitted = true
+		case optWScale:
+			if n != 3 {
+				return fmt.Errorf("%w: window scale length %d", ErrBadOption, n)
+			}
+			pkt.WScaleOK, pkt.WScale = true, b[i+2]
 		case optSACK:
 			k := (n - 2) / 8
 			if (n-2)%8 != 0 || k == 0 || int(pkt.NumSACK)+k > MaxSACKBlocks {

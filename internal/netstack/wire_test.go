@@ -33,6 +33,13 @@ func wireSamplePackets() []*Packet {
 		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
 			SrcPort: 80, DstPort: 30001, Seq: 1000, Ack: 101, Flags: FlagSYN | FlagACK, Window: 32 * 1024, TTL: 32,
 			SACKPermitted: true, NumSACK: 4, SACK: [MaxSACKBlocks]SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}},
+		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+			SrcPort: 80, DstPort: 30001, Seq: 1000, Ack: 101, Flags: FlagSYN | FlagACK, Window: 0xffff, TTL: 32,
+			SACKPermitted: true, WScaleOK: true, WScale: 14},
+		{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+			SrcPort: 80, DstPort: 30001, Seq: 1000, Ack: 101, Flags: FlagSYN | FlagACK, Window: 0xffff, TTL: 32,
+			SACKPermitted: true, WScaleOK: true, WScale: 7,
+			NumSACK: 4, SACK: [MaxSACKBlocks]SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}},
 	}
 }
 
@@ -75,6 +82,10 @@ func wireOptionFrames() []struct {
 			Packet{}},
 		{"two-sack-options-add-up", []byte{optSACK, 10, 0, 0, 0, 1, 0, 0, 0, 2, optSACK, 10, 0, 0, 0, 3, 0, 0, 0, 4},
 			sack(SACKBlock{1, 2}, SACKBlock{3, 4})},
+		{"window-scale-unpadded-then-eol", []byte{optWScale, 3, 7, optEOL},
+			Packet{WScaleOK: true, WScale: 7}},
+		{"window-shift-past-14-read-as-sent", []byte{optNOP, optWScale, 3, 15},
+			Packet{WScaleOK: true, WScale: 15}},
 	}
 }
 
@@ -86,7 +97,8 @@ func samePacket(a, b *Packet) bool {
 		a.Window == b.Window && a.ICMPType == b.ICMPType && a.ICMPSeq == b.ICMPSeq &&
 		a.TTL == b.TTL && a.FragID == b.FragID && a.FragOffset == b.FragOffset &&
 		a.MoreFrags == b.MoreFrags && bytes.Equal(a.Payload, b.Payload) &&
-		a.SACKPermitted == b.SACKPermitted && slices.Equal(a.SACKBlocks(), b.SACKBlocks())
+		a.SACKPermitted == b.SACKPermitted && a.WScaleOK == b.WScaleOK && a.WScale == b.WScale &&
+		slices.Equal(a.SACKBlocks(), b.SACKBlocks())
 }
 
 func TestWireParsesForeignOptions(t *testing.T) {
@@ -97,6 +109,7 @@ func TestWireParsesForeignOptions(t *testing.T) {
 			continue
 		}
 		if got.SACKPermitted != tc.want.SACKPermitted || !slices.Equal(got.SACKBlocks(), tc.want.SACKBlocks()) ||
+			got.WScaleOK != tc.want.WScaleOK || got.WScale != tc.want.WScale ||
 			string(got.Payload) != "xyz" || got.Seq != 7 || got.Window != 1000 {
 			t.Errorf("%s: parsed %+v", tc.name, got)
 		}
@@ -175,6 +188,8 @@ func TestParsePacketRejectsMalformed(t *testing.T) {
 		{"option-without-length", tcpFrame([]byte{optNOP, optNOP, optNOP, optSACKPermitted}, ""), ErrBadOption},
 		{"option-overruns-data-offset", tcpFrame([]byte{30, 8, 0, 0}, "payload bytes are not options"), ErrBadOption},
 		{"sack-permitted-length-3", tcpFrame([]byte{optSACKPermitted, 3, 0, optNOP}, ""), ErrBadOption},
+		{"window-scale-length-2", tcpFrame([]byte{optNOP, optNOP, optWScale, 2}, ""), ErrBadOption},
+		{"window-scale-length-4", tcpFrame([]byte{optWScale, 4, 7, 0}, ""), ErrBadOption},
 		{"sack-length-not-whole-blocks", tcpFrame([]byte{optNOP, optNOP, optSACK, 6, 0, 0, 0, 0}, ""), ErrBadOption},
 		// Forty option bytes hold four blocks, so a fifth always overruns.
 		{"fifth-sack-block", tcpFrame(sackOf(5)[:40], ""), ErrBadOption},

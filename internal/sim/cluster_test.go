@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestClusterInterleavesByTime(t *testing.T) {
@@ -385,6 +387,38 @@ func TestPostReleasesOperands(t *testing.T) {
 		t.Errorf("fired posts still hold %d bytes, want under %d", after-before, limit-before)
 	}
 	runtime.KeepAlive(e)
+}
+
+// A fresh engine carves posted events from slabs of 4, 8, ... 64 events, so
+// posting n at once costs O(log n + n/64) allocations, not one or two an
+// event: the slabs, the doublings of the queue and of the free list the
+// events join as they fire, and the engine itself. The mark that sends Step
+// through the posted event rides in Event's padding, which matters because
+// every TCP connection embeds an Event.
+func TestPostGrowsBySlab(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 32 {
+		t.Errorf("Event is %d bytes, want 32", got)
+	}
+	const posts = 1000
+	ran := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		e := NewEngine()
+		for i := 0; i < posts; i++ {
+			e.Post(Time(i), func(count, _ any, n int) { *count.(*int) += n }, &ran, nil, 1)
+		}
+		e.Run(0)
+	})
+	if ran != 11*posts {
+		t.Fatalf("%d handlers ran, want %d", ran, 11*posts)
+	}
+	// 4+8+16+32 events in the first four slabs, 64 in each after; up to
+	// bits.Len(posts)+1 doublings each for the queue and the free list; the
+	// engine and its clock.
+	slabs := 4 + (posts-60+63)/64
+	if limit := slabs + 2*(bits.Len(posts)+1) + 2; allocs > float64(limit) {
+		t.Errorf("posting %d events on a fresh engine allocated %v times, want at most %d", posts, allocs, limit)
+	}
+	t.Logf("%d posts: %v allocations", posts, allocs)
 }
 
 // Post allocates nothing once the free list covers the queue's depth, and

@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // Event is a scheduled simulation callback. Engine.At returns one to hold
 // and maybe Cancel. The zero Event with Do set is an owner-held timer: it
 // lives in the struct that owns it, Engine.Arm schedules it any number of
@@ -9,6 +11,7 @@ type Event struct {
 	Do     func()
 	seq    int64 // tie-break: FIFO among same-time events
 	cancel bool
+	posted bool  // the Event of a posted, which Step fires through it
 	pos    int32 // 1 + index in the eventQueue holding it, 0 when in none
 }
 
@@ -120,6 +123,12 @@ type Engine struct {
 	queue eventQueue
 	seq   int64
 	free  []*posted // fired Post events, for reuse; at most the peak queue depth
+	// slab is where Post carves events the free list cannot supply, the
+	// first carved of them in use. Each new slab is twice the last, from 4
+	// up to 64 events, so an engine that only ever posts a few pays for a
+	// few.
+	slab   []posted
+	carved int
 
 	// cluster is the Cluster the engine was last added to, if any, and head
 	// is what stands for the engine in that cluster's ready queue: head.At
@@ -170,26 +179,37 @@ func (e *Engine) At(t Time, fn func()) *Event {
 
 // posted is the event behind Post. The caller never sees it, so it can be
 // neither cancelled nor held past its firing, which is what makes it safe
-// to use again.
+// to use again. Its Event comes first, so Step can go from the one to the
+// other.
 type posted struct {
-	Event         // Do is bound to fire once, when the posted is made
-	engine        *Engine
+	Event
 	fn            func(recv, payload any, n int)
 	recv, payload any
 	n             int
 }
 
+// Slab sizes, in events.
+const (
+	minSlab = 4
+	maxSlab = 64
+)
+
 // Post schedules fn(recv, payload, n) to run at t, like At, in an event
-// taken from the engine's free list. With fn a function value that captures
-// nothing and pointers in recv and payload, a Post allocates nothing once
-// the list has grown to the queue's depth.
+// taken from the engine's free list, or else carved from its slab. With fn
+// a function value that captures nothing and pointers in recv and payload,
+// a Post allocates nothing once the list has grown to the queue's depth,
+// and one slab per up to 64 events before that.
 func (e *Engine) Post(t Time, fn func(recv, payload any, n int), recv, payload any, n int) {
 	var p *posted
 	if last := len(e.free) - 1; last >= 0 {
 		p, e.free = e.free[last], e.free[:last]
 	} else {
-		p = &posted{engine: e}
-		p.Do = p.fire
+		if e.carved == len(e.slab) {
+			e.slab, e.carved = make([]posted, min(max(2*len(e.slab), minSlab), maxSlab)), 0
+		}
+		p = &e.slab[e.carved]
+		p.posted = true
+		e.carved++
 	}
 	p.fn, p.recv, p.payload, p.n = fn, recv, payload, n
 	e.schedule(&p.Event, t)
@@ -198,10 +218,10 @@ func (e *Engine) Post(t Time, fn func(recv, payload any, n int), recv, payload a
 // fire hands the event back before it calls fn, operands cleared, so that
 // fn may Post again and be given the same one, and the event holds on to
 // nothing while it waits.
-func (p *posted) fire() {
+func (e *Engine) fire(p *posted) {
 	fn, recv, payload, n := p.fn, p.recv, p.payload, p.n
 	p.fn, p.recv, p.payload = nil, nil, nil
-	p.engine.free = append(p.engine.free, p)
+	e.free = append(e.free, p)
 	fn(recv, payload, n)
 }
 
@@ -241,7 +261,11 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.Clock.AdvanceTo(ev.At)
-		ev.Do()
+		if ev.posted {
+			e.fire((*posted)(unsafe.Pointer(ev)))
+		} else {
+			ev.Do()
+		}
 		return true
 	}
 	return false

@@ -435,7 +435,7 @@ func TestFailoverReconvergeVirtualTime(t *testing.T) {
 	if !lab.in.RunUntil(func() bool { return lab.bal.LastEjectAt() >= killAt }, sim.Time(10*sim.Second)) {
 		t.Fatal("never re-converged")
 	}
-	if got, want := lab.bal.LastEjectAt().Sub(killAt), sim.Duration(649335342); got != want {
+	if got, want := lab.bal.LastEjectAt().Sub(killAt), sim.Duration(649335470); got != want {
 		t.Errorf("re-converged %d virtual ns after the kill, want exactly %d", got, want)
 	}
 }
