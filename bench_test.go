@@ -51,9 +51,9 @@ func BenchmarkDispatchRaiseParallel64(b *testing.B) { benchmarkDispatchRaisePara
 // BenchmarkMillionConns holds 2^20 concurrent established connections in
 // one stack — the C10M scaling claim — and reports per-connection setup
 // cost and heap. Setup cost must stay O(1) in table size: an insert is one
-// write to one of 64 maps (compare netstack.tcp.conn_setup_ns in
-// BENCHMARK.json, the same sweep at 1/16 the size; residual growth is GC
-// mark work over the live heap and the maps doubling).
+// map write (compare netstack.tcp.conn_setup_ns in BENCHMARK.json, the
+// same sweep at 1/16 the size; residual growth is GC mark work over the
+// live heap and the map doubling).
 func BenchmarkMillionConns(b *testing.B) {
 	var last bench.ConnScaleResult
 	for i := 0; i < b.N; i++ {

@@ -212,7 +212,7 @@ func chaosNetstack(t *testing.T, seed uint64, sum *chaosSummary) {
 		t.Error("9 one-sided fragment losses left no partial buffer (expected at least one)")
 	}
 	// Crash-only cleanup: age the partials past the TTL, then let fresh
-	// traffic sweep them. 30 consecutive FragIDs visit every shard.
+	// traffic sweep them: the first new datagram evicts every expired one.
 	m.Clock.Advance(netstack.ReasmTTL + sim.Millisecond)
 	sendFrags(1000)
 	pending, evicted := int(metrics.Value(m.Stack, "net_reassembly_pending")), int64(metrics.Value(m.Stack, "net_reassembly_evicted"))

@@ -118,7 +118,7 @@ func benchStack(t *testing.T) *netstack.Stack {
 	return st
 }
 
-// Steady-state segment delivery on one established connection — shard
+// Steady-state segment delivery on one established connection — table
 // lookup, state machine, pooled ACK — runs at zero heap allocations per
 // packet. One allocation per packet is the whole regression, so no slack.
 func TestTCPSteadyRXAllocFree(t *testing.T) {

@@ -103,7 +103,7 @@ func All() []Experiment {
 		{"gc", "impact of automatic storage management (§5.5)", RunGC},
 		{"http", "web server transaction latency (§5.4)", RunHTTP},
 		{"ablation", "design-choice ablations (co-location, fast path, granularity)", RunAblation},
-		{"c10m", "TCP connection scaling: sharded table, syncookie SYN path", RunC10M},
+		{"c10m", "TCP connection scaling: one table, syncookie SYN path", RunC10M},
 	}
 }
 

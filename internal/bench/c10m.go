@@ -13,10 +13,10 @@ import (
 // C10M connection scaling: the paper's §5 argument is that extensibility
 // need not cost performance; the ROADMAP's C10M item pushes that to
 // production scale — one kernel holding ~10⁶ concurrent TCP connections.
-// This experiment measures the property that makes it possible: with the
-// sharded connection table, per-connection setup cost is O(1) in table
-// size (an insert is one write to one shard's map), and the
-// syncookie-style half-open path allocates nothing per SYN. The paper has
+// This experiment measures the property that makes it possible: with one
+// connection table under one lock, per-connection setup cost is O(1) in
+// table size (an insert is one map write), and the syncookie-style
+// half-open path allocates nothing per SYN. The paper has
 // no corresponding column (its Alpha had 64 MB of RAM), so paper cells are
 // n/a; the measured curve is the artifact.
 
@@ -87,7 +87,7 @@ var c10mSizes = []int{10_000, 50_000, 200_000}
 func RunC10M() (*Table, error) {
 	tb := &Table{
 		ID:      "c10m",
-		Title:   "TCP connection scaling (sharded table, syncookie SYN path)",
+		Title:   "TCP connection scaling (one table, syncookie SYN path)",
 		Columns: []string{"setup ns/conn", "heap B/conn"},
 		Unit:    "ns and bytes per connection",
 		Notes: []string{

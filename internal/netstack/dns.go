@@ -507,7 +507,10 @@ type DNSTransport interface {
 }
 
 // dnsOverUDP is the default transport: each query binds a fresh ephemeral
-// UDP port for its reply and releases it on the first reply or on cancel.
+// UDP port for its reply and releases it on the reply or on cancel. The
+// port is predictable, so a datagram counts as the reply only if it passes
+// RFC 5452 §9.1's checks: it comes from the queried server's port 53 and
+// carries the query's ID. Anything else is dropped and the port stays bound.
 type dnsOverUDP struct {
 	stack *Stack
 	cost  DeliveryCost
@@ -520,13 +523,17 @@ func NewDNSOverUDP(stack *Stack, cost DeliveryCost) DNSTransport {
 }
 
 func (t *dnsOverUDP) Query(server IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
+	if len(msg) < dnsHeaderLen {
+		return nil, fmt.Errorf("%w: %d-byte query", ErrBadDNSMessage, len(msg))
+	}
 	port, err := t.stack.UDP().EphemeralPort()
 	if err != nil {
 		return nil, err
 	}
 	fired := false
+	id := [2]byte(msg) // the query's ID, which the reply echoes
 	err = t.stack.UDP().Bind(port, t.cost, func(pkt *Packet) {
-		if fired {
+		if fired || pkt.Src != server || pkt.SrcPort != DNSPort || len(pkt.Payload) < dnsHeaderLen || [2]byte(pkt.Payload) != id {
 			return
 		}
 		fired = true
@@ -774,9 +781,9 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	if perr != nil || !m.Response || m.ID != lk.id ||
 		len(m.Questions) != 1 || m.Questions[0].Name != lk.name || m.Questions[0].Type != DNSTypeA {
 		// A reply that is not ours (stale, spoofed-looking, or mangled)
-		// is ignored; the timeout still stands guard. The transport has
-		// already released its port, so the pending attempt can only end
-		// by timeout.
+		// is ignored; the timeout still stands guard. The default
+		// transport has already matched its source and ID and released
+		// its port, so this attempt can now only end by timeout.
 		return
 	}
 	r := lk.r

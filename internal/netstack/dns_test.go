@@ -465,6 +465,77 @@ func TestResolverTimeoutPath(t *testing.T) {
 	}
 }
 
+// A datagram that is not the server's answer — the wrong ID, or the
+// query's ID from the wrong port or address — reaching a lookup's
+// predictable reply port ahead of the answer is ignored (RFC 5452 §9.1):
+// the answer that follows is taken in one round trip, with no retry. Each
+// stray is a well-formed answer for another address, so one taken for the
+// reply would show.
+func TestResolverIgnoresStrayDatagram(t *testing.T) {
+	server, want, forged := Addr(10, 0, 0, 2), Addr(10, 0, 0, 7), Addr(10, 0, 0, 66)
+	for _, tc := range []struct {
+		name    string
+		src     IPAddr
+		srcPort uint16
+		wrongID bool
+	}{
+		{"wrong ID from the server's port 53", server, DNSPort, true},
+		{"the query's ID from another port", server, 5353, false},
+		{"the query's ID from another address", forged, DNSPort, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, cl := pair(t, sal.LanceModel)
+			answer := func(q *DNSMessage, id uint16, addr IPAddr) []byte {
+				wire, err := EncodeDNSMessage(&DNSMessage{ID: id, Response: true, RD: true, RA: true,
+					Questions: q.Questions, Answers: []DNSRR{{Name: q.Questions[0].Name, Type: DNSTypeA,
+						TTL: 60, Data: []byte{byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr)}}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wire
+			}
+			// The server sends the stray just ahead of its answer, so the
+			// stray arrives first.
+			if err := b.stack.UDP().Bind(DNSPort, nil, func(pkt *Packet) {
+				q, err := ParseDNSMessage(pkt.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := q.ID
+				if tc.wrongID {
+					id++
+				}
+				stray := AllocPacket()
+				stray.Src, stray.Dst, stray.Proto = tc.src, pkt.Src, ProtoUDP
+				stray.SrcPort, stray.DstPort = tc.srcPort, pkt.SrcPort
+				stray.SetPayload(answer(q, id, forged))
+				if err := b.stack.SendIP(stray); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.stack.UDP().Send(DNSPort, pkt.Src, pkt.SrcPort, answer(q, q.ID, want)); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{server}, Seed: 1})
+			var got []IPAddr
+			var gerr error
+			r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = g, e })
+			cl.Run(0)
+			if gerr != nil || len(got) != 1 || got[0] != want {
+				t.Fatalf("LookupA = %v, %v; want [%v]", got, gerr, want)
+			}
+			if st := r.stats; st.Sent != 1 || st.Retries != 0 {
+				t.Errorf("Sent = %d, Retries = %d; want 1 and 0", st.Sent, st.Retries)
+			}
+			if now := a.eng.Now(); now >= sim.Time(sim.Millisecond) {
+				t.Errorf("lookup finished at %v, want one round trip", now)
+			}
+		})
+	}
+}
+
 // servfailOnce answers the first query with SERVFAIL a little later and
 // never answers another.
 type servfailOnce struct {

@@ -31,39 +31,25 @@ func mtuFor(nic *sal.NIC) int {
 // (Fields live on Packet in packet.go.)
 
 // Reassembly bounds: a partial datagram older than ReasmTTL (virtual time
-// since its first fragment) is evicted, and each shard holds at most
-// maxPendingPerShard partial datagrams (oldest evicted first). Both bounds
-// exist because UDP has no recovery — a single lost fragment would
+// since its first fragment) is evicted when the next datagram starts, and
+// at most maxPending partial datagrams are held (oldest evicted first). Both
+// bounds exist because UDP has no recovery — a single lost fragment would
 // otherwise pin its buffer forever.
 const (
-	ReasmTTL           = 500 * sim.Millisecond
-	maxPendingPerShard = 64
-	reasmShards        = 8
+	ReasmTTL   = 500 * sim.Millisecond
+	maxPending = 512
 )
 
-// reassembly buffers partially arrived datagrams, keyed by (src, id) and
-// sharded by key hash; each shard holds at most maxPendingPerShard partials
-// under its own lock.
+// reassembly buffers partially arrived datagrams, keyed by (src, id), in one
+// table under one lock.
 type reassembly struct {
-	shards  [reasmShards]reasmShard
-	evicted atomic.Int64
-}
-
-type reasmShard struct {
 	mu    sync.Mutex
-	parts map[fragKey]*fragBuffer
+	parts agedTable[fragKey, *fragBuffer]
 }
 
 type fragKey struct {
 	src IPAddr
 	id  uint32
-}
-
-// shard spreads keys across the shard array (Fibonacci hashing over both
-// fields).
-func (k fragKey) shard() int {
-	h := uint32(k.src)*2654435761 ^ k.id*0x9E3779B9
-	return int(h % reasmShards)
 }
 
 // byteRange is a covered half-open payload interval [start, end).
@@ -79,7 +65,7 @@ type fragBuffer struct {
 	received int
 	total    int // total payload length; -1 until the final fragment
 	template Packet
-	firstAt  sim.Time // arrival of the first fragment, for latency and TTL
+	firstAt  sim.Time // arrival of the first fragment, for latency
 }
 
 // addCovered merges [start, end) into the covered list and returns how many
@@ -132,11 +118,7 @@ func (b *fragBuffer) complete() bool {
 const MaxDatagram = 64 << 10
 
 func newReassembly() *reassembly {
-	r := &reassembly{}
-	for i := range r.shards {
-		r.shards[i].parts = make(map[fragKey]*fragBuffer)
-	}
-	return r
+	return &reassembly{parts: agedTable[fragKey, *fragBuffer]{ttl: ReasmTTL, max: maxPending}}
 }
 
 // sendFragmented splits pkt into MTU-sized fragments and transmits each.
@@ -181,26 +163,21 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 // FuzzFragmentReassembly, a negative offset previously panicked the copy
 // below and an oversized offset let one datagram allocate without bound.
 //
-// Within a shard the lock covers one fragment's bookkeeping.
+// The lock covers one fragment's bookkeeping.
 func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duration) {
 	if pkt.FragOffset < 0 || pkt.FragOffset > MaxDatagram ||
 		pkt.FragOffset+len(pkt.Payload) > MaxDatagram {
 		return nil, 0
 	}
 	key := fragKey{src: pkt.Src, id: pkt.FragID}
-	sh := &r.shards[key.shard()]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	buf, ok := sh.parts[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	buf, ok := r.parts.get(key)
 	if !ok {
-		// A new datagram starting: evict what the TTL says is dead, then
-		// make room under the cap. Both scans are bounded by the cap.
-		r.sweepShardLocked(sh, now)
-		if len(sh.parts) >= maxPendingPerShard {
-			r.evictOldestLocked(sh)
-		}
+		// A new datagram starting: put evicts what the TTL says is dead,
+		// then makes room under the cap.
 		buf = &fragBuffer{total: -1, template: *pkt, firstAt: now}
-		sh.parts[key] = buf
+		r.parts.put(key, buf, now)
 	}
 	end := pkt.FragOffset + len(pkt.Payload)
 	if end > len(buf.data) {
@@ -214,7 +191,7 @@ func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duratio
 		buf.total = end
 	}
 	if buf.complete() {
-		delete(sh.parts, key)
+		r.parts.delete(key)
 		// The whole datagram is a pooled packet adopting the buffer the
 		// reassembler built — no final copy. The caller (receive1) owns
 		// the reference and releases it after delivery.
@@ -229,57 +206,16 @@ func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duratio
 	return nil, 0
 }
 
-// sweepShardLocked evicts partial datagrams whose first fragment is older
-// than ReasmTTL. Callers hold sh.mu.
-func (r *reassembly) sweepShardLocked(sh *reasmShard, now sim.Time) {
-	for k, b := range sh.parts {
-		if now.Sub(b.firstAt) > ReasmTTL {
-			delete(sh.parts, k)
-			r.evicted.Add(1)
-		}
-	}
-}
-
-// evictOldestLocked drops the shard's oldest partial datagram. Callers hold
-// sh.mu.
-func (r *reassembly) evictOldestLocked(sh *reasmShard) {
-	var oldestKey fragKey
-	var oldest *fragBuffer
-	for k, b := range sh.parts {
-		if oldest == nil || b.firstAt < oldest.firstAt {
-			oldestKey, oldest = k, b
-		}
-	}
-	if oldest != nil {
-		delete(sh.parts, oldestKey)
-		r.evicted.Add(1)
-	}
-}
-
-// sweep evicts every partial datagram older than ReasmTTL across all shards
-// — the virtual-time TTL sweep (also applied lazily per shard as new
-// datagrams arrive).
-func (r *reassembly) sweep(now sim.Time) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		r.sweepShardLocked(sh, now)
-		sh.mu.Unlock()
-	}
-}
-
-// Pending reports datagrams awaiting fragments (tests).
+// Pending reports datagrams awaiting fragments.
 func (r *reassembly) Pending() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.parts)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.parts.len()
 }
 
-// Evicted reports partial datagrams dropped by the TTL sweep or the
-// pending cap.
-func (r *reassembly) Evicted() int64 { return r.evicted.Load() }
+// Evicted reports partial datagrams dropped by the TTL or the pending cap.
+func (r *reassembly) Evicted() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.parts.evicted
+}

@@ -210,26 +210,11 @@ func TestOverlappingFragmentsCompleteOnce(t *testing.T) {
 	}
 }
 
-// sameShardIDs returns n fragment IDs for src that all hash to one shard, so
-// shard-local bounds can be tested deterministically.
-func sameShardIDs(src IPAddr, n int) []uint32 {
-	ids := make([]uint32, 0, n)
-	want := -1
-	for id := uint32(1); len(ids) < n; id++ {
-		sh := (fragKey{src: src, id: id}).shard()
-		if want == -1 {
-			want = sh
-		}
-		if sh == want {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // Regression (reassembly leak): partial datagrams whose tail never arrives
-// are swept by the virtual-time TTL — Pending returns to 0 instead of
-// pinning a buffer per lost fragment forever.
+// are evicted by the virtual-time TTL once a later datagram starts —
+// Pending returns to 0 instead of pinning a buffer per lost fragment
+// forever. The later datagrams here are whole in one fragment, so they
+// complete on arrival and leave nothing pending themselves.
 func TestReassemblyTTLSweepEvictsStalePartials(t *testing.T) {
 	r := newReassembly()
 	const stale = 5
@@ -242,77 +227,88 @@ func TestReassemblyTTLSweepEvictsStalePartials(t *testing.T) {
 	if r.Pending() != stale {
 		t.Fatalf("pending = %d, want %d", r.Pending(), stale)
 	}
-	r.sweep(sim.Time(ReasmTTL)) // exactly at the TTL: not yet expired
-	if r.Pending() != stale {
-		t.Fatalf("sweep at TTL evicted early: pending = %d", r.Pending())
+	later := func(id uint32, at sim.Time) {
+		whole, _ := r.reassemble(markedFrag(Addr(10, 0, 1, 1), id, 0, false, 100), at)
+		if whole == nil {
+			t.Fatal("single-fragment datagram did not complete")
+		}
+		whole.Release()
 	}
-	r.sweep(sim.Time(ReasmTTL) + 1)
+	later(1, sim.Time(ReasmTTL)) // exactly at the TTL: not yet expired
+	if r.Pending() != stale || r.Evicted() != 0 {
+		t.Fatalf("datagram at TTL evicted early: pending = %d, evicted = %d", r.Pending(), r.Evicted())
+	}
+	later(2, sim.Time(ReasmTTL)+1)
 	if r.Pending() != 0 {
-		t.Errorf("pending = %d after TTL sweep, want 0", r.Pending())
+		t.Errorf("pending = %d after the TTL, want 0", r.Pending())
 	}
 	if r.Evicted() != stale {
 		t.Errorf("evicted = %d, want %d", r.Evicted(), stale)
 	}
 }
 
-// The lazy per-shard sweep: a new datagram arriving in a shard evicts that
-// shard's expired partials without a global sweep.
+// The lazy sweep: a new datagram arriving evicts the partials past the TTL
+// without a global sweep. At exactly ReasmTTL a partial is not expired; one
+// past it, it is.
 func TestReassemblyLazySweepOnNewKey(t *testing.T) {
 	r := newReassembly()
 	src := Addr(10, 0, 0, 2)
-	ids := sameShardIDs(src, 2)
-	if whole, _ := r.reassemble(markedFrag(src, ids[0], 0, true, 100), sim.Time(0)); whole != nil {
-		t.Fatal("partial completed")
+	for _, f := range []struct {
+		id          uint32
+		at          sim.Time
+		wantPending int
+		wantEvicted int64
+	}{
+		{1, 0, 1, 0},
+		{2, sim.Time(ReasmTTL), 2, 0},     // id 1 is exactly ReasmTTL old: kept
+		{3, sim.Time(ReasmTTL) + 1, 2, 1}, // id 1 is one past: evicted; id 2 kept
+	} {
+		if whole, _ := r.reassemble(markedFrag(src, f.id, 0, true, 100), f.at); whole != nil {
+			t.Fatal("partial completed")
+		}
+		if r.Pending() != f.wantPending || r.Evicted() != f.wantEvicted {
+			t.Fatalf("after id %d at %d: pending = %d, evicted = %d; want %d, %d",
+				f.id, f.at, r.Pending(), r.Evicted(), f.wantPending, f.wantEvicted)
+		}
 	}
-	late := sim.Time(ReasmTTL) + sim.Time(sim.Millisecond)
-	if whole, _ := r.reassemble(markedFrag(src, ids[1], 0, true, 100), late); whole != nil {
-		t.Fatal("partial completed")
-	}
-	if r.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (stale partial lazily evicted)", r.Pending())
-	}
-	if r.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", r.Evicted())
+	if _, ok := r.parts.get(fragKey{src: src, id: 1}); ok {
+		t.Error("the expired partial survived")
 	}
 }
 
-// The per-shard cap: pending partials in one shard never exceed
-// maxPendingPerShard; the oldest is evicted to admit a new datagram.
+// The cap: pending partials from every source together never exceed
+// maxPending; each new datagram past it evicts the oldest.
 func TestReassemblyCapEvictsOldest(t *testing.T) {
 	r := newReassembly()
-	src := Addr(10, 0, 0, 4)
-	ids := sameShardIDs(src, maxPendingPerShard+1)
-	for i, id := range ids {
+	key := func(i int) fragKey { return fragKey{src: Addr(10, 0, 0, byte(i%4)), id: uint32(i)} }
+	const extra = 3
+	for i := 0; i < maxPending+extra; i++ {
 		// Strictly increasing arrival times, all within the TTL of each
 		// other, so only the cap (not the TTL) can evict.
 		at := sim.Time(i) * sim.Time(sim.Microsecond)
-		if whole, _ := r.reassemble(markedFrag(src, id, 0, true, 8), at); whole != nil {
+		k := key(i)
+		if whole, _ := r.reassemble(markedFrag(k.src, k.id, 0, true, 8), at); whole != nil {
 			t.Fatal("partial completed")
 		}
+		if want := min(i+1, maxPending); r.Pending() != want {
+			t.Fatalf("after %d datagrams: pending = %d, want %d", i+1, r.Pending(), want)
+		}
 	}
-	if r.Pending() != maxPendingPerShard {
-		t.Errorf("pending = %d, want cap %d", r.Pending(), maxPendingPerShard)
+	if r.Evicted() != extra {
+		t.Errorf("evicted = %d, want %d", r.Evicted(), extra)
 	}
-	if r.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", r.Evicted())
-	}
-	// The evicted one is the oldest: its key is gone from the shard.
-	sh := &r.shards[(fragKey{src: src, id: ids[0]}).shard()]
-	sh.mu.Lock()
-	_, oldestAlive := sh.parts[fragKey{src: src, id: ids[0]}]
-	_, newestAlive := sh.parts[fragKey{src: src, id: ids[len(ids)-1]}]
-	sh.mu.Unlock()
-	if oldestAlive {
-		t.Error("oldest partial survived the cap eviction")
-	}
-	if !newestAlive {
-		t.Error("newest partial was evicted instead of the oldest")
+	// The evicted ones are the oldest, in arrival order.
+	for i := 0; i < maxPending+extra; i++ {
+		if _, alive := r.parts.get(key(i)); alive != (i >= extra) {
+			t.Errorf("datagram %d alive = %v, want %v", i, alive, i >= extra)
+		}
 	}
 }
 
 // End-to-end leak bound: after fragment loss leaves partial datagrams
-// pending, a virtual-time TTL sweep returns Pending to 0 and counts the
-// evictions in net_reassembly_evicted.
+// pending and the TTL elapses in virtual time, the next fragmented datagram
+// evicts them all — Pending returns to 0 and net_reassembly_evicted counts
+// every one.
 func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	a.nic.InjectLoss(0.4, 13)
@@ -326,9 +322,11 @@ func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("fragment loss left nothing pending; loss seed no longer bites")
 	}
-	// Let the TTL elapse in virtual time, then sweep.
+	// Let the TTL elapse in virtual time, then send one more datagram
+	// over a lossless wire.
 	b.eng.After(ReasmTTL+sim.Millisecond, func() {
-		b.stack.reasm.sweep(b.stack.clock.Now())
+		a.nic.InjectLoss(0, 0)
+		_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, make([]byte, 4000))
 	})
 	cl.Run(0)
 	after, evicted := counter(b.stack, "net_reassembly_pending"), counter(b.stack, "net_reassembly_evicted")

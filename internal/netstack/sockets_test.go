@@ -24,7 +24,7 @@ func sockPair(t *testing.T) (sa, sb *Sockets, a, b *host) {
 
 // The core blocking-adapter contract: a listener accepts, both directions
 // carry data, close delivers EOF, and the connections drain from both
-// shard tables.
+// stacks' tables.
 func TestSockConnEchoAndEOF(t *testing.T) {
 	sa, sb, a, b := sockPair(t)
 	ln, err := sb.Listen(7)

@@ -114,18 +114,16 @@ const timeWaitDelay = 500 * sim.Millisecond
 // replayable.
 const serverISS = 1000
 
-// TCP demultiplexing table bounds. Connections and half-open entries (SYN
-// received, final ACK pending) share tcpShards shards, chosen by a hash of
-// the 4-tuple key. A SYN costs one compact entry in a bounded table,
-// syncookie-style — never a *Conn — so a SYN flood is capped at MaxHalfOpen
-// entries of a few dozen bytes each.
+// Half-open table bounds (RFC 4987 §3.2). A SYN costs one compact entry
+// (SYN received, final ACK pending) in a bounded table, syncookie-style —
+// never a *Conn — so a SYN flood is capped at MaxHalfOpen entries of a few
+// dozen bytes each.
 const (
-	tcpShards = 64
-	// MaxHalfOpen bounds the half-open table across all shards; beyond it
-	// the oldest entries are evicted (counted in net_tcp_half_open_evicted).
-	MaxHalfOpen         = 4096
-	maxHalfOpenPerShard = MaxHalfOpen / tcpShards
-	// synTTL evicts half-open entries whose final ACK never arrived.
+	// MaxHalfOpen bounds the half-open table; beyond it the oldest entry is
+	// evicted (counted in net_tcp_half_open_evicted).
+	MaxHalfOpen = 4096
+	// synTTL evicts half-open entries whose final ACK never arrived, when
+	// the next SYN arrives.
 	synTTL = 5 * sim.Second
 )
 
@@ -138,42 +136,13 @@ func tcpKey(remote IPAddr, remotePort, localPort uint16) connKey {
 	return connKey(uint64(remote)<<32 | uint64(remotePort)<<16 | uint64(localPort))
 }
 
-// hash mixes the packed key (splitmix64 finalizer) so that sequential ports
-// and addresses spread across shards.
-func (k connKey) hash() uint64 {
-	h := uint64(k)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// tcpShard is one slice of the demultiplexing table: the connections and
-// the half-open entries whose keys hash to it, under one lock, so a final
-// ACK consumes its half-open entry and publishes the connection in a single
-// critical section. Both maps are made on first insert and grow with what
-// they hold; an idle module is tcpShards empty shards.
-//
-// Lock order is TCP.mu, then a shard's mu, never the reverse, and never two
-// shards at once. Nothing that can call back into the module runs under a
-// shard lock — accept callbacks, OnConnect, Conn.handle, SendIP, reset —
-// because an accept callback may dial out, which takes both.
-type tcpShard struct {
-	mu    sync.Mutex
-	conns map[connKey]*Conn
-	syn   map[connKey]synEntry
-}
-
 // synEntry is the compact half-open record for a SYN awaiting its final
 // ACK: just enough to resend the SYN-ACK and materialize the connection.
 type synEntry struct {
-	rcvNxt uint32   // peer ISS + 1
-	iss    uint32   // our initial send sequence for the SYN-ACK
-	wnd    uint16   // peer's advertised window from the SYN
-	opts   synOpts  // what the SYN offered, so the SYN-ACK offers it too
-	at     sim.Time // arrival, for TTL/oldest eviction
+	rcvNxt uint32  // peer ISS + 1
+	iss    uint32  // our initial send sequence for the SYN-ACK
+	wnd    uint16  // peer's advertised window from the SYN
+	opts   synOpts // what the SYN offered, so the SYN-ACK offers it too
 }
 
 // synOpts are the options both SYNs of a connection carried, in one byte:
@@ -442,34 +411,37 @@ type Listener struct {
 // TCP engine as a kernel-asserted extension; here the engine is implemented
 // natively, which only strengthens the reproduction.
 //
-// Connections and half-open entries are demultiplexed through one sharded
-// table (see tcpShard): the per-segment lookup is an uncontended lock plus a
-// map read, and setup/teardown writers contend only within one shard. The
-// listener table is a single cow.Map (listeners change rarely). Individual
-// Conn state machines remain single-threaded — segments for one connection
-// must be delivered from the simulation goroutine, since handling them
-// transmits and arms timers.
+// Connections and half-open entries are demultiplexed through one table
+// under mu: the per-segment lookup is an uncontended lock plus a map read,
+// and a final ACK consumes its half-open entry and publishes the connection
+// in one critical section. The listener table is a single cow.Map
+// (listeners change rarely). Individual Conn state machines remain
+// single-threaded — segments for one connection must be delivered from the
+// simulation goroutine, since handling them transmits and arms timers.
 type TCP struct {
 	stack *Stack
 
 	listeners cow.Map[uint16, *Listener]
-	// mu guards nextPort, the ephemeral-port cursor, and spareSendBufs,
-	// send-buffer storage that torn-down connections left empty for the
-	// next ones to write into.
+	// mu guards the demultiplexing table — conns, made on first insert, and
+	// syn, the half-open entries — as well as nextPort, the ephemeral-port
+	// cursor, and spareSendBufs, send-buffer storage that torn-down
+	// connections left empty for the next ones to write into. Nothing that
+	// can call back into the module runs under it — accept callbacks,
+	// OnConnect, Conn.handle, SendIP, reset — because an accept callback
+	// may dial out.
 	mu            sync.Mutex
+	conns         map[connKey]*Conn
+	syn           agedTable[connKey, synEntry]
 	nextPort      uint16
 	spareSendBufs [][]byte
-
-	shards [tcpShards]tcpShard
 
 	// maxRetx is the per-connection retransmission cap (DefaultMaxRetx
 	// unless overridden with SetMaxRetx before connections exist).
 	maxRetx int
 
-	accepted        atomic.Int64
-	resets          atomic.Int64
-	halfOpenEvicted atomic.Int64
-	timedOut        atomic.Int64
+	accepted atomic.Int64
+	resets   atomic.Int64
+	timedOut atomic.Int64
 
 	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived atomic.Int64
 }
@@ -483,30 +455,20 @@ const (
 )
 
 func newTCP(s *Stack) *TCP {
-	return &TCP{stack: s, nextPort: 30000, maxRetx: DefaultMaxRetx}
-}
-
-func (t *TCP) shardFor(key connKey) *tcpShard {
-	return &t.shards[key.hash()&(tcpShards-1)]
-}
-
-// putLocked publishes key -> c. Callers hold sh.mu and have seen key absent.
-func (sh *tcpShard) putLocked(key connKey, c *Conn) {
-	if sh.conns == nil {
-		sh.conns = make(map[connKey]*Conn)
+	return &TCP{
+		stack:    s,
+		syn:      agedTable[connKey, synEntry]{ttl: synTTL, max: MaxHalfOpen},
+		nextPort: 30000,
+		maxRetx:  DefaultMaxRetx,
 	}
-	sh.conns[key] = c
 }
 
-// insert publishes key -> c unless key is taken, and reports whether it did.
-func (sh *tcpShard) insert(key connKey, c *Conn) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, taken := sh.conns[key]; taken {
-		return false
+// putLocked publishes key -> c. Callers hold t.mu and have seen key absent.
+func (t *TCP) putLocked(key connKey, c *Conn) {
+	if t.conns == nil {
+		t.conns = make(map[connKey]*Conn)
 	}
-	sh.putLocked(key, c)
-	return true
+	t.conns[key] = c
 }
 
 // Listen accepts connections on port; accept runs when a connection reaches
@@ -581,7 +543,10 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 		}
 		c.localPort = t.nextPort
 		key := tcpKey(dst, port, c.localPort)
-		found = t.shardFor(key).insert(key, c)
+		if _, taken := t.conns[key]; !taken {
+			t.putLocked(key, c)
+			found = true
+		}
 	}
 	t.mu.Unlock()
 	if !found {
@@ -824,7 +789,7 @@ func (c *Conn) cancelRetx() { c.retx.Disarm() }
 
 // retxExhausted enforces the retransmission cap: past tcp.maxRetx
 // consecutive unacknowledged retransmissions the connection fails with
-// ErrTimedOut — teardown fires OnClose and removes it from the shard
+// ErrTimedOut — teardown fires OnClose and removes it from the connection
 // table. Reports true when the caller must stop retransmitting. Otherwise
 // it counts the attempt and doubles the timeout.
 func (c *Conn) retxExhausted() bool {
@@ -916,11 +881,10 @@ func (t *TCP) deliver(pkt *Packet) {
 
 func (t *TCP) deliver1(pkt *Packet) {
 	key := tcpKey(pkt.Src, pkt.SrcPort, pkt.DstPort)
-	sh := t.shardFor(key)
 	var e synEntry
 	var synack, accepted bool
-	sh.mu.Lock()
-	c := sh.conns[key]
+	t.mu.Lock()
+	c := t.conns[key]
 	if c == nil {
 		l, _ := t.listeners.Get(pkt.DstPort)
 		switch {
@@ -928,23 +892,23 @@ func (t *TCP) deliver1(pkt *Packet) {
 			// A SYN to a listening port records a compact half-open entry —
 			// no *Conn until the final ACK proves the peer is real.
 			if l != nil {
-				e, synack = t.recordSynLocked(sh, key, pkt), true
+				e, synack = t.recordSynLocked(key, pkt), true
 			}
 		case pkt.Flags&FlagACK != 0:
 			// The final ACK consumes its half-open entry whatever it says. A
 			// wrong acknowledgment number (the peer is confused or hostile)
 			// or a listener withdrawn since the SYN leaves no connection,
 			// and the segment is reset below.
-			if half, ok := sh.syn[key]; ok {
-				delete(sh.syn, key)
+			if half, ok := t.syn.get(key); ok {
+				t.syn.delete(key)
 				if l != nil && pkt.Ack == half.iss+1 {
 					c, accepted = t.newServerConn(l, half, pkt), true
-					sh.putLocked(key, c)
+					t.putLocked(key, c)
 				}
 			}
 		}
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 
 	if accepted {
 		t.accepted.Add(1)
@@ -969,19 +933,14 @@ func (t *TCP) deliver1(pkt *Packet) {
 // recordSynLocked records the half-open entry for a SYN, or finds the one a
 // duplicate SYN — our SYN-ACK was lost, or the client retransmitted — already
 // has, so that the SYN-ACK goes out again with the original ISS. Callers
-// hold sh.mu.
-func (t *TCP) recordSynLocked(sh *tcpShard, key connKey, pkt *Packet) synEntry {
-	e, dup := sh.syn[key]
+// hold t.mu.
+func (t *TCP) recordSynLocked(key connKey, pkt *Packet) synEntry {
+	e, dup := t.syn.get(key)
 	if dup {
 		return e
 	}
-	if sh.syn == nil {
-		sh.syn = make(map[connKey]synEntry)
-	} else if len(sh.syn) >= maxHalfOpenPerShard {
-		t.evictSynLocked(sh)
-	}
-	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: clampU16(pkt.Window), opts: synOptsOf(pkt), at: t.stack.clock.Now()}
-	sh.syn[key] = e
+	e = synEntry{rcvNxt: pkt.Seq + 1, iss: serverISS, wnd: clampU16(pkt.Window), opts: synOptsOf(pkt)}
+	t.syn.put(key, e, t.stack.clock.Now())
 	return e
 }
 
@@ -995,33 +954,6 @@ func (t *TCP) sendSynAck(pkt *Packet, e synEntry) {
 	e.opts.offer(synack)
 	synack.TTL = 32
 	_ = t.stack.SendIP(synack)
-}
-
-// evictSynLocked makes room in a full half-open shard: entries past synTTL
-// go first, then the oldest. Callers hold sh.mu.
-func (t *TCP) evictSynLocked(sh *tcpShard) {
-	now := t.stack.clock.Now()
-	for k, e := range sh.syn {
-		if now.Sub(e.at) > synTTL {
-			delete(sh.syn, k)
-			t.halfOpenEvicted.Add(1)
-		}
-	}
-	if len(sh.syn) < maxHalfOpenPerShard {
-		return
-	}
-	var oldestKey connKey
-	var oldestAt sim.Time
-	first := true
-	for k, e := range sh.syn {
-		if first || e.at < oldestAt {
-			oldestKey, oldestAt, first = k, e.at, false
-		}
-	}
-	if !first {
-		delete(sh.syn, oldestKey)
-		t.halfOpenEvicted.Add(1)
-	}
 }
 
 // newServerConn builds the connection for a half-open entry whose final ACK
@@ -1563,7 +1495,7 @@ func (c *Conn) startTimeWait() {
 
 func teardownPosted(c, _ any, _ int) { c.(*Conn).teardown() }
 
-// teardown removes the connection from its shard.
+// teardown removes the connection from the demultiplexing table.
 func (c *Conn) teardown() {
 	if c.State() == StateClosed {
 		return
@@ -1575,24 +1507,19 @@ func (c *Conn) teardown() {
 		}
 		c.loss = nil
 	}
-	// Drained send-buffer storage goes to the next connection. Packets copy
-	// what they carry, so nothing else holds it.
-	if t, n := c.tcp, c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf {
-		t.mu.Lock()
-		if len(t.spareSendBufs) < maxSpareSendBufs {
-			c.sendBuf.Reset()
-			t.spareSendBufs = append(t.spareSendBufs, c.sendBuf.Bytes())
-			c.sendBuf = bytes.Buffer{}
-		}
-		t.mu.Unlock()
-	}
 	prev := c.State()
 	c.setState(StateClosed)
-	key := tcpKey(c.remote, c.remotePort, c.localPort)
-	sh := c.tcp.shardFor(key)
-	sh.mu.Lock()
-	delete(sh.conns, key)
-	sh.mu.Unlock()
+	t := c.tcp
+	t.mu.Lock()
+	delete(t.conns, tcpKey(c.remote, c.remotePort, c.localPort))
+	// Drained send-buffer storage goes to the next connection. Packets copy
+	// what they carry, so nothing else holds it.
+	if n := c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
+		c.sendBuf.Reset()
+		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf.Bytes())
+		c.sendBuf = bytes.Buffer{}
+	}
+	t.mu.Unlock()
 	if c.OnClose != nil && prev != StateCloseWait {
 		c.OnClose(c)
 	}
@@ -1610,8 +1537,9 @@ func (t *TCP) SetMaxRetx(n int) {
 // Conns reports the number of live connections, exact under concurrent
 // setup/teardown.
 func (t *TCP) Conns() int {
-	conns, _ := t.tables()
-	return conns
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.conns)
 }
 
 // Unsettled counts the live connections holding out-of-order data and those
@@ -1619,47 +1547,34 @@ func (t *TCP) Conns() int {
 // left to happen, either is a leak. It reads every connection's state, so it
 // is for tests and debuggers, on the simulation goroutine.
 func (t *TCP) Unsettled() (queued, armed int) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.conns {
-			if q := c.loss; q != nil && (len(q.runs) > 0 || q.fin) {
-				queued++
-			}
-			if c.retx.Armed() {
-				armed++
-			}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.conns {
+		if q := c.loss; q != nil && (len(q.runs) > 0 || q.fin) {
+			queued++
 		}
-		sh.mu.Unlock()
+		if c.retx.Armed() {
+			armed++
+		}
 	}
 	return queued, armed
-}
-
-// tables counts live connections and half-open entries across the shards.
-func (t *TCP) tables() (conns, halfOpen int) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		conns += len(sh.conns)
-		halfOpen += len(sh.syn)
-		sh.mu.Unlock()
-	}
-	return conns, halfOpen
 }
 
 // Metrics emits the module's table sizes and counters, including why
 // segments were retransmitted. Safe from any goroutine.
 func (t *TCP) Metrics(emit metrics.Emit) {
-	conns, halfOpen := t.tables()
-	emit("net_tcp_conns", float64(conns))                                // from SYN_SENT or the final ACK to teardown
-	emit("net_tcp_half_open", float64(halfOpen))                         // awaiting their final ACK
-	emit("net_tcp_half_open_evicted", float64(t.halfOpenEvicted.Load())) // dropped by the bounded table
-	emit("net_tcp_accepted", float64(t.accepted.Load()))                 // materialized by a final ACK
-	emit("net_tcp_resets", float64(t.resets.Load()))                     // RSTs sent for unexpected segments
-	emit("net_tcp_timed_out", float64(t.timedOut.Load()))                // torn down by the retransmission cap
-	emit("net_tcp_fast_recoveries", float64(t.fastRecoveries.Load()))    // entered on a loss RACK or duplicate ACKs found
-	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost.Load()))   // something sent after them arrived
-	emit("net_tcp_tlp_probes", float64(t.tlpProbes.Load()))              // tail-loss probes sent
-	emit("net_tcp_rtos", float64(t.rtos.Load()))                         // retransmission timeouts, SYN included
-	emit("net_tcp_dsacks_received", float64(t.dsacksReceived.Load()))    // the peer got a segment twice
+	t.mu.Lock()
+	conns, halfOpen, evicted := len(t.conns), t.syn.len(), t.syn.evicted
+	t.mu.Unlock()
+	emit("net_tcp_conns", float64(conns))                              // from SYN_SENT or the final ACK to teardown
+	emit("net_tcp_half_open", float64(halfOpen))                       // awaiting their final ACK
+	emit("net_tcp_half_open_evicted", float64(evicted))                // dropped by the bounded table, by TTL or age
+	emit("net_tcp_accepted", float64(t.accepted.Load()))               // materialized by a final ACK
+	emit("net_tcp_resets", float64(t.resets.Load()))                   // RSTs sent for unexpected segments
+	emit("net_tcp_timed_out", float64(t.timedOut.Load()))              // torn down by the retransmission cap
+	emit("net_tcp_fast_recoveries", float64(t.fastRecoveries.Load()))  // entered on a loss RACK or duplicate ACKs found
+	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost.Load())) // something sent after them arrived
+	emit("net_tcp_tlp_probes", float64(t.tlpProbes.Load()))            // tail-loss probes sent
+	emit("net_tcp_rtos", float64(t.rtos.Load()))                       // retransmission timeouts, SYN included
+	emit("net_tcp_dsacks_received", float64(t.dsacksReceived.Load()))  // the peer got a segment twice
 }

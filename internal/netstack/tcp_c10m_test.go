@@ -15,7 +15,8 @@ import (
 )
 
 // C10M hot-path behavior: RFC-correct resets, zero-window persist, bounded
-// half-open state under SYN flood, and exact accounting across shards.
+// half-open state under SYN flood, and exact accounting under parallel
+// setup.
 
 // TestTCPResetForms covers both RFC 793 RST forms: a segment carrying an
 // ACK is refuted with Seq = its ACK number; a segment without one (bare SYN
@@ -162,9 +163,105 @@ func TestTCPSynFloodBounded(t *testing.T) {
 	}
 }
 
+// TestTCPHalfOpenBoundExact: the half-open table is bounded at exactly
+// MaxHalfOpen entries (RFC 4987 §3.2). One SYN past the bound evicts the
+// oldest entry overall, and an entry older than synTTL goes when the next
+// SYN arrives, whether or not the table is full.
+func TestTCPHalfOpenBoundExact(t *testing.T) {
+	server := func(t *testing.T) (*Stack, *TCP) {
+		eng := sim.NewEngine()
+		d := dispatch.New(eng, &sim.SPINProfile)
+		st, err := NewStack("half-open", Addr(10, 0, 0, 1), eng, &sim.SPINProfile, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.TCP().Listen(80, nil, func(*Conn) {}); err != nil {
+			t.Fatal(err)
+		}
+		return st, st.TCP()
+	}
+	// segment sends peer i's SYN, or its final ACK.
+	segment := func(st *Stack, i int, flags TCPFlags) {
+		pkt := &Packet{
+			Src: Addr(172, 16, byte(i>>8), byte(i)), SrcPort: uint16(1024 + i),
+			Dst: st.IP, DstPort: 80, Proto: ProtoTCP, Flags: flags, Seq: 10, Window: 8192,
+		}
+		if flags == FlagACK {
+			pkt.Seq, pkt.Ack = 11, serverISS+1
+		}
+		st.TCP().Deliver(pkt)
+	}
+
+	t.Run("the bound holds every SYN up to it", func(t *testing.T) {
+		st, tcp := server(t)
+		for i := 0; i < MaxHalfOpen; i++ {
+			segment(st, i, FlagSYN)
+		}
+		if s := tcpStatsOf(tcp); s.HalfOpen != MaxHalfOpen || s.HalfOpenEvicted != 0 {
+			t.Fatalf("%d half-open, %d evicted after %d SYNs; want %d and 0",
+				s.HalfOpen, s.HalfOpenEvicted, MaxHalfOpen, MaxHalfOpen)
+		}
+	})
+
+	t.Run("one SYN past it evicts the first", func(t *testing.T) {
+		st, tcp := server(t)
+		for i := 0; i <= MaxHalfOpen; i++ {
+			segment(st, i, FlagSYN)
+		}
+		if s := tcpStatsOf(tcp); s.HalfOpen != MaxHalfOpen || s.HalfOpenEvicted != 1 {
+			t.Fatalf("%d half-open, %d evicted after %d SYNs; want %d and 1",
+				s.HalfOpen, s.HalfOpenEvicted, MaxHalfOpen+1, MaxHalfOpen)
+		}
+		segment(st, 0, FlagACK) // the evicted entry's final ACK
+		if s := tcpStatsOf(tcp); s.Resets != 1 || s.Conns != 0 {
+			t.Fatalf("first SYN's final ACK: %d resets, %d connections; want 1 and 0", s.Resets, s.Conns)
+		}
+		segment(st, MaxHalfOpen, FlagACK) // the newest entry's
+		if s := tcpStatsOf(tcp); s.Resets != 1 || s.Conns != 1 || s.Accepted != 1 {
+			t.Fatalf("last SYN's final ACK: %d resets, %d connections, %d accepted; want 1, 1, 1",
+				s.Resets, s.Conns, s.Accepted)
+		}
+	})
+
+	t.Run("a flood keeps the table and its queue bounded", func(t *testing.T) {
+		st, tcp := server(t)
+		const flood = 10 * MaxHalfOpen
+		for i := 0; i < flood; i++ {
+			segment(st, i, FlagSYN)
+		}
+		if s := tcpStatsOf(tcp); s.HalfOpen != MaxHalfOpen || s.HalfOpenEvicted != flood-MaxHalfOpen {
+			t.Fatalf("%d half-open, %d evicted after %d SYNs; want %d and %d",
+				s.HalfOpen, s.HalfOpenEvicted, flood, MaxHalfOpen, flood-MaxHalfOpen)
+		}
+		if q := len(tcp.syn.queue); q > queueBound(MaxHalfOpen) {
+			t.Fatalf("%d queue slots after %d SYNs, want at most %d", q, flood, queueBound(MaxHalfOpen))
+		}
+	})
+
+	t.Run("an entry past synTTL goes with the next SYN", func(t *testing.T) {
+		st, tcp := server(t)
+		segment(st, 0, FlagSYN)
+		st.Clock().Advance(synTTL)
+		segment(st, 1, FlagSYN) // entry 0 is exactly synTTL old: kept
+		if s := tcpStatsOf(tcp); s.HalfOpen != 2 || s.HalfOpenEvicted != 0 {
+			t.Fatalf("at synTTL: %d half-open, %d evicted; want 2 and 0", s.HalfOpen, s.HalfOpenEvicted)
+		}
+		st.Clock().Advance(1)
+		segment(st, 2, FlagSYN) // entry 0 is one past: evicted; entry 1 kept
+		if s := tcpStatsOf(tcp); s.HalfOpen != 2 || s.HalfOpenEvicted != 1 {
+			t.Fatalf("past synTTL: %d half-open, %d evicted; want 2 and 1", s.HalfOpen, s.HalfOpenEvicted)
+		}
+		segment(st, 0, FlagACK)
+		segment(st, 1, FlagACK)
+		if s := tcpStatsOf(tcp); s.Resets != 1 || s.Accepted != 1 {
+			t.Fatalf("%d resets, %d accepted; want the expired entry reset and the live one accepted", s.Resets, s.Accepted)
+		}
+	})
+}
+
 // TestTCPConnsExactUnderParallelSetup drives full server-side handshakes
 // and teardowns from many goroutines at once (direct Deliver, no wire) and
-// checks the per-shard counters stay exact. Run with -race.
+// checks the table's counters stay exact. Run with -race.
 func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dispatch.New(eng, &sim.SPINProfile)
@@ -219,9 +316,10 @@ func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	}
 }
 
-// TestTCPTableWalkersUnderParallelSetup: Stats and Unsettled walk the shard
-// maps while other goroutines insert into them, which the runtime kills a
-// process for unless the walkers hold the shard lock. Run with -race.
+// TestTCPTableWalkersUnderParallelSetup: Stats and Unsettled walk the
+// connection table while other goroutines insert into it, which the runtime
+// kills a process for unless the walkers hold the table's lock. Run with
+// -race.
 func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dispatch.New(eng, &sim.SPINProfile)

@@ -32,7 +32,7 @@ func establishedPair(t *testing.T) (a, b *host, cl *sim.Cluster, client, server 
 
 // The foreground bugfix at the TCP layer: a SYN that is never answered is
 // retransmitted with exponential backoff at most MaxRetx times, then the
-// connection is torn down — OnClose fires, the shard table empties,
+// connection is torn down — OnClose fires, the connection table empties,
 // Err() reports ErrTimedOut — instead of retransmitting forever.
 func TestRetxCapSynSent(t *testing.T) {
 	a, _, cl := pair(t, sal.LanceModel)
