@@ -3,6 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,14 +44,21 @@ const dnsClassIN = 1
 // DNS response codes (RCode).
 const (
 	DNSRCodeOK       = 0
-	DNSRCodeFormErr  = 1
 	DNSRCodeNXDomain = 3
+)
+
+// Header flag bits: query/response, recursion desired and available.
+const (
+	dnsFlagQR = 0x8000
+	dnsFlagRD = 0x0100
+	dnsFlagRA = 0x0080
 )
 
 // dnsHeaderLen is the fixed DNS header size.
 const dnsHeaderLen = 12
 
-// maxDNSName is the maximum encoded name length (RFC 1035 §2.3.4).
+// maxDNSName is the maximum encoded name length, root octet included (RFC
+// 1035 §2.3.4).
 const maxDNSName = 255
 
 // maxDNSPointerJumps bounds compression-pointer chases while decoding one
@@ -123,24 +131,47 @@ func canonicalDNSName(name string) (string, error) {
 	return name, nil
 }
 
-// appendDNSName appends name in wire label form (no compression).
-func appendDNSName(dst []byte, name string) []byte {
+// appendDNSHeader appends a header with the given flags and section counts.
+func appendDNSHeader(dst []byte, id, flags uint16, qd, an int) []byte {
+	return append(dst,
+		byte(id>>8), byte(id),
+		byte(flags>>8), byte(flags),
+		byte(qd>>8), byte(qd),
+		byte(an>>8), byte(an),
+		0, 0, 0, 0) // NS and AR counts: not modeled
+}
+
+// appendDNSQuestion appends a question for a canonical name, written
+// uncompressed.
+func appendDNSQuestion(dst []byte, name string, qtype uint16) []byte {
 	for rest, more := name, name != ""; more; {
 		var label string
 		label, rest, more = strings.Cut(rest, ".")
 		dst = append(dst, byte(len(label)))
 		dst = append(dst, label...)
 	}
-	return append(dst, 0)
+	return append(dst, 0, byte(qtype>>8), byte(qtype), 0, dnsClassIN)
+}
+
+// appendDNSRecord appends a record for a canonical name: the question form
+// followed by TTL, RDATA length and RDATA.
+func appendDNSRecord(dst []byte, name string, rtype uint16, ttl uint32, data []byte) []byte {
+	dst = appendDNSQuestion(dst, name, rtype)
+	dst = append(dst, byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl),
+		byte(len(data)>>8), byte(len(data)))
+	return append(dst, data...)
 }
 
 // parseDNSName decodes one name starting at off, following compression
-// pointers (bounded, backward-only). It returns the canonical name and the
-// offset just past the name in the original stream.
-func parseDNSName(b []byte, off int) (string, int, error) {
-	var sb strings.Builder
-	next := -1 // offset after the first pointer, -1 until one is seen
-	jumps, total := 0, 0
+// pointers (bounded, backward-only), into a buffer on the stack. It returns
+// the canonical name and the offset just past the name in the original
+// stream. A name equal to prev is returned as prev itself, so a decode into
+// reused storage allocates only the names it has not seen.
+func parseDNSName(b []byte, off int, prev string) (string, int, error) {
+	var buf [maxDNSName]byte
+	name := buf[:0]
+	next := -1           // offset after the first pointer, -1 until one is seen
+	jumps, total := 0, 1 // total counts wire octets, the root's included
 	for {
 		if off >= len(b) {
 			return "", 0, fmt.Errorf("%w: truncated name", ErrBadDNSMessage)
@@ -152,7 +183,10 @@ func parseDNSName(b []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off
 			}
-			return sb.String(), next, nil
+			if string(name) == prev {
+				return prev, next, nil
+			}
+			return string(name), next, nil
 		case l&0xC0 == 0xC0:
 			if off+1 >= len(b) {
 				return "", 0, fmt.Errorf("%w: truncated pointer", ErrBadDNSMessage)
@@ -177,8 +211,8 @@ func parseDNSName(b []byte, off int) (string, int, error) {
 			if total += l + 1; total > maxDNSName {
 				return "", 0, fmt.Errorf("%w: name too long", ErrBadDNSMessage)
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(name) > 0 {
+				name = append(name, '.')
 			}
 			for _, c := range b[off+1 : off+1+l] {
 				if c == '.' {
@@ -187,7 +221,7 @@ func parseDNSName(b []byte, off int) (string, int, error) {
 				if 'A' <= c && c <= 'Z' {
 					c += 'a' - 'A'
 				}
-				sb.WriteByte(c)
+				name = append(name, c)
 			}
 			off += 1 + l
 		}
@@ -199,29 +233,23 @@ func parseDNSName(b []byte, off int) (string, int, error) {
 func AppendDNSMessage(dst []byte, m *DNSMessage) ([]byte, error) {
 	var flags uint16
 	if m.Response {
-		flags |= 0x8000
+		flags |= dnsFlagQR
 	}
 	if m.RD {
-		flags |= 0x0100
+		flags |= dnsFlagRD
 	}
 	if m.RA {
-		flags |= 0x0080
+		flags |= dnsFlagRA
 	}
 	flags |= uint16(m.RCode & 0x0F)
-	dst = append(dst,
-		byte(m.ID>>8), byte(m.ID),
-		byte(flags>>8), byte(flags),
-		byte(len(m.Questions)>>8), byte(len(m.Questions)),
-		byte(len(m.Answers)>>8), byte(len(m.Answers)),
-		0, 0, 0, 0) // NS and AR counts: not modeled
+	dst = appendDNSHeader(dst, m.ID, flags, len(m.Questions), len(m.Answers))
 	for i := range m.Questions {
 		q := &m.Questions[i]
 		name, err := canonicalDNSName(q.Name)
 		if err != nil {
 			return nil, err
 		}
-		dst = appendDNSName(dst, name)
-		dst = append(dst, byte(q.Type>>8), byte(q.Type), 0, dnsClassIN)
+		dst = appendDNSQuestion(dst, name, q.Type)
 	}
 	for i := range m.Answers {
 		rr := &m.Answers[i]
@@ -232,11 +260,7 @@ func AppendDNSMessage(dst []byte, m *DNSMessage) ([]byte, error) {
 		if len(rr.Data) > 0xFFFF {
 			return nil, fmt.Errorf("%w: RDATA too long", ErrBadDNSMessage)
 		}
-		dst = appendDNSName(dst, name)
-		dst = append(dst, byte(rr.Type>>8), byte(rr.Type), 0, dnsClassIN,
-			byte(rr.TTL>>24), byte(rr.TTL>>16), byte(rr.TTL>>8), byte(rr.TTL),
-			byte(len(rr.Data)>>8), byte(len(rr.Data)))
-		dst = append(dst, rr.Data...)
+		dst = appendDNSRecord(dst, name, rr.Type, rr.TTL, rr.Data)
 	}
 	return dst, nil
 }
@@ -246,83 +270,86 @@ func EncodeDNSMessage(m *DNSMessage) ([]byte, error) {
 	return AppendDNSMessage(nil, m)
 }
 
-// ParseDNSMessage decodes one DNS message, validating every field: header
-// and section lengths, label structure, pointer chains, class, RDATA
-// bounds. Section counts are checked against the bytes actually present
-// before anything is allocated, so a hostile header cannot demand
-// unbounded memory. It never panics on arbitrary input; returned slices
-// copy out of b.
+// ParseDNSMessage decodes one DNS message (see DNSMessage.decode). It
+// never panics on arbitrary input; each record's Data aliases b.
 func ParseDNSMessage(b []byte) (*DNSMessage, error) {
-	if len(b) < dnsHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadDNSMessage, len(b))
+	m := new(DNSMessage)
+	if err := m.decode(b); err != nil {
+		return nil, err
 	}
-	m := &DNSMessage{
-		ID: uint16(b[0])<<8 | uint16(b[1]),
+	return m, nil
+}
+
+// decode parses b into m, validating every field: header and section
+// lengths, label structure, pointer chains, class, RDATA bounds. Section
+// counts are checked against the bytes actually present before anything is
+// allocated, so a hostile header cannot demand unbounded memory. It reuses
+// m's storage: a section that fits its capacity keeps its slots, a name
+// equal to the one its slot held keeps that string, and each record's Data
+// aliases b.
+func (m *DNSMessage) decode(b []byte) error {
+	if len(b) < dnsHeaderLen {
+		return fmt.Errorf("%w: %d bytes", ErrBadDNSMessage, len(b))
 	}
 	flags := uint16(b[2])<<8 | uint16(b[3])
-	m.Response = flags&0x8000 != 0
 	if op := (flags >> 11) & 0xF; op != 0 {
-		return nil, fmt.Errorf("%w: opcode %d unsupported", ErrBadDNSMessage, op)
+		return fmt.Errorf("%w: opcode %d unsupported", ErrBadDNSMessage, op)
 	}
-	m.RD = flags&0x0100 != 0
-	m.RA = flags&0x0080 != 0
-	m.RCode = uint8(flags & 0x0F)
 	qd := int(b[4])<<8 | int(b[5])
 	an := int(b[6])<<8 | int(b[7])
-	ns := int(b[8])<<8 | int(b[9])
-	ar := int(b[10])<<8 | int(b[11])
-	if ns != 0 || ar != 0 {
-		return nil, fmt.Errorf("%w: authority/additional sections unsupported", ErrBadDNSMessage)
+	if ns, ar := int(b[8])<<8|int(b[9]), int(b[10])<<8|int(b[11]); ns != 0 || ar != 0 {
+		return fmt.Errorf("%w: authority/additional sections unsupported", ErrBadDNSMessage)
 	}
 	// A question costs >= 5 bytes on the wire, a record >= 11: reject
 	// counts the message cannot possibly hold.
 	if qd*5+an*11 > len(b)-dnsHeaderLen {
-		return nil, fmt.Errorf("%w: counts qd=%d an=%d exceed %d bytes", ErrBadDNSMessage, qd, an, len(b))
+		return fmt.Errorf("%w: counts qd=%d an=%d exceed %d bytes", ErrBadDNSMessage, qd, an, len(b))
 	}
+	m.ID = uint16(b[0])<<8 | uint16(b[1])
+	m.Response = flags&dnsFlagQR != 0
+	m.RD = flags&dnsFlagRD != 0
+	m.RA = flags&dnsFlagRA != 0
+	m.RCode = uint8(flags & 0x0F)
+	m.Questions = slices.Grow(m.Questions[:0], qd)[:qd]
+	m.Answers = slices.Grow(m.Answers[:0], an)[:an]
 	off := dnsHeaderLen
-	for i := 0; i < qd; i++ {
-		name, next, err := parseDNSName(b, off)
-		if err != nil {
-			return nil, err
+	var err error
+	for i := range m.Questions {
+		q := &m.Questions[i]
+		if q.Name, off, err = parseDNSName(b, off, q.Name); err != nil {
+			return err
 		}
-		off = next
 		if off+4 > len(b) {
-			return nil, fmt.Errorf("%w: truncated question", ErrBadDNSMessage)
+			return fmt.Errorf("%w: truncated question", ErrBadDNSMessage)
 		}
-		qtype := uint16(b[off])<<8 | uint16(b[off+1])
+		q.Type = uint16(b[off])<<8 | uint16(b[off+1])
 		if class := uint16(b[off+2])<<8 | uint16(b[off+3]); class != dnsClassIN {
-			return nil, fmt.Errorf("%w: class %d unsupported", ErrBadDNSMessage, class)
+			return fmt.Errorf("%w: class %d unsupported", ErrBadDNSMessage, class)
 		}
 		off += 4
-		m.Questions = append(m.Questions, DNSQuestion{Name: name, Type: qtype})
 	}
-	for i := 0; i < an; i++ {
-		name, next, err := parseDNSName(b, off)
-		if err != nil {
-			return nil, err
+	for i := range m.Answers {
+		rr := &m.Answers[i]
+		if rr.Name, off, err = parseDNSName(b, off, rr.Name); err != nil {
+			return err
 		}
-		off = next
 		if off+10 > len(b) {
-			return nil, fmt.Errorf("%w: truncated record", ErrBadDNSMessage)
+			return fmt.Errorf("%w: truncated record", ErrBadDNSMessage)
 		}
-		rr := DNSRR{Name: name}
 		rr.Type = uint16(b[off])<<8 | uint16(b[off+1])
 		if class := uint16(b[off+2])<<8 | uint16(b[off+3]); class != dnsClassIN {
-			return nil, fmt.Errorf("%w: class %d unsupported", ErrBadDNSMessage, class)
+			return fmt.Errorf("%w: class %d unsupported", ErrBadDNSMessage, class)
 		}
 		rr.TTL = uint32(b[off+4])<<24 | uint32(b[off+5])<<16 | uint32(b[off+6])<<8 | uint32(b[off+7])
 		rdlen := int(b[off+8])<<8 | int(b[off+9])
 		off += 10
 		if off+rdlen > len(b) {
-			return nil, fmt.Errorf("%w: RDATA %d bytes past end", ErrBadDNSMessage, rdlen)
+			return fmt.Errorf("%w: RDATA %d bytes past end", ErrBadDNSMessage, rdlen)
 		}
-		if rdlen > 0 {
-			rr.Data = append([]byte(nil), b[off:off+rdlen]...)
-		}
+		rr.Data = b[off : off+rdlen : off+rdlen]
 		off += rdlen
-		m.Answers = append(m.Answers, rr)
 	}
-	return m, nil
+	return nil
 }
 
 // Zone is one machine's authoritative name data: canonical names mapped to
@@ -414,6 +441,9 @@ type ZoneLookup func(name string) (addrs []IPAddr, ttl sim.Duration, ok bool)
 type DNSServer struct {
 	stack  *Stack
 	lookup ZoneLookup
+	// query is the query being answered, decoded in place: serve runs on
+	// the simulation goroutine, one datagram at a time.
+	query DNSMessage
 
 	queries   atomic.Int64 // well-formed queries received
 	answered  atomic.Int64 // replies carrying A records
@@ -456,104 +486,125 @@ func (s *DNSServer) Metrics(emit metrics.Emit) {
 
 // serve answers one query datagram. Malformed or non-query traffic is
 // dropped (the resolver's timeout covers it); a well-formed single-question
-// query always gets a reply: answers, NODATA, or NXDOMAIN.
+// query always gets a reply: answers, NODATA, or NXDOMAIN. The reply is
+// encoded into a buffer on the stack, which Send copies into its packet.
 func (s *DNSServer) serve(pkt *Packet) {
-	q, err := ParseDNSMessage(pkt.Payload)
-	if err != nil || q.Response || len(q.Questions) != 1 {
+	q := &s.query
+	if err := q.decode(pkt.Payload); err != nil || q.Response || len(q.Questions) != 1 {
 		s.malformed.Add(1)
 		return
 	}
 	question := q.Questions[0]
-	reply := &DNSMessage{
-		ID: q.ID, Response: true, RD: q.RD, RA: true,
-		Questions: []DNSQuestion{question},
-	}
 	addrs, ttl, exists := s.lookup(question.Name)
 	s.queries.Add(1)
+	flags := uint16(dnsFlagQR | dnsFlagRA)
+	if q.RD {
+		flags |= dnsFlagRD
+	}
 	switch {
 	case !exists:
-		reply.RCode = DNSRCodeNXDomain
+		flags |= DNSRCodeNXDomain
+		addrs = nil
 		s.nxdomain.Add(1)
 	case question.Type != DNSTypeA || len(addrs) == 0:
 		// The name exists but has nothing of the asked type: NODATA — an
 		// empty NOERROR answer (we only store A records).
+		addrs = nil
 		s.nodata.Add(1)
 	default:
-		ttlSec := uint32((ttl + sim.Second - 1) / sim.Second)
-		if ttlSec == 0 {
-			ttlSec = 1
-		}
-		for _, a := range addrs {
-			reply.Answers = append(reply.Answers, DNSRR{
-				Name: question.Name, Type: DNSTypeA, TTL: ttlSec,
-				Data: []byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)},
-			})
-		}
 		s.answered.Add(1)
 	}
-	wire, err := EncodeDNSMessage(reply)
-	if err != nil {
-		return
+	ttlSec := uint32((ttl + sim.Second - 1) / sim.Second)
+	if ttlSec == 0 {
+		ttlSec = 1
+	}
+	var buf [512]byte
+	wire := appendDNSHeader(buf[:0], q.ID, flags, 1, len(addrs))
+	wire = appendDNSQuestion(wire, question.Name, question.Type)
+	for _, a := range addrs {
+		rdata := [4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
+		wire = appendDNSRecord(wire, question.Name, DNSTypeA, ttlSec, rdata[:])
 	}
 	_ = s.stack.UDP().Send(DNSPort, pkt.Src, pkt.SrcPort, wire)
 }
 
 // DNSTransport carries one encoded query to a server and delivers the raw
-// reply — the pluggable layer under the Resolver. done must be called at
-// most once, from the simulation goroutine; the transport never runs its
-// own timer (timeout policy lives in the Resolver, which calls cancel).
+// reply — the pluggable layer under the Resolver. msg is valid only for the
+// call. done must be called at most once, from the simulation goroutine; the
+// transport never runs its own timer (timeout policy lives in the Resolver,
+// which calls cancel).
 type DNSTransport interface {
 	Query(server IPAddr, msg []byte, done func(reply []byte, err error)) (cancel func(), err error)
 }
 
-// dnsOverUDP is the default transport: each query binds a fresh ephemeral
-// UDP port for its reply and releases it on the reply or on cancel. The
-// port is predictable, so a datagram counts as the reply only if it passes
-// RFC 5452 §9.1's checks: it comes from the queried server's port 53 and
-// carries the query's ID. Anything else is dropped and the port stays bound.
+// dnsOverUDP is a Resolver's default transport. Its first query binds an
+// ephemeral UDP port for replies, and every later query shares it. The
+// port is predictable, so a datagram counts as a query's reply only if it
+// passes RFC 5452 §9.1's checks: it comes from the queried server's port 53
+// and carries the query's ID. Anything else is dropped and the port stays
+// bound. Two queries outstanding to one server never carry the same ID
+// (Resolver.queryID).
 type dnsOverUDP struct {
 	stack *Stack
 	cost  DeliveryCost
+	port  uint16       // the reply port; 0 until the first query binds it
+	out   []*dnsLookup // the lookups whose attempt awaits its reply
 }
 
-// NewDNSOverUDP returns the UDP transport for stack. cost models reply
-// delivery (nil means InKernelDelivery).
-func NewDNSOverUDP(stack *Stack, cost DeliveryCost) DNSTransport {
-	return &dnsOverUDP{stack: stack, cost: cost}
+// send transmits lk's query msg from the reply port, binding the port on
+// first use, and holds lk for the reply.
+func (t *dnsOverUDP) send(lk *dnsLookup, msg []byte) error {
+	udp := t.stack.UDP()
+	if t.port == 0 {
+		port, err := udp.EphemeralPort()
+		if err != nil {
+			return err
+		}
+		if err := udp.Bind(port, t.cost, t.receive); err != nil {
+			return err
+		}
+		t.port = port
+	}
+	t.out = append(t.out, lk)
+	if err := udp.Send(t.port, lk.server, DNSPort, msg); err != nil {
+		t.cancel(lk)
+		return err
+	}
+	return nil
 }
 
-func (t *dnsOverUDP) Query(server IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
-	if len(msg) < dnsHeaderLen {
-		return nil, fmt.Errorf("%w: %d-byte query", ErrBadDNSMessage, len(msg))
-	}
-	port, err := t.stack.UDP().EphemeralPort()
-	if err != nil {
-		return nil, err
-	}
-	fired := false
-	id := [2]byte(msg) // the query's ID, which the reply echoes
-	err = t.stack.UDP().Bind(port, t.cost, func(pkt *Packet) {
-		if fired || pkt.Src != server || pkt.SrcPort != DNSPort || len(pkt.Payload) < dnsHeaderLen || [2]byte(pkt.Payload) != id {
-			return
-		}
-		fired = true
-		t.stack.UDP().Unbind(port)
-		done(append([]byte(nil), pkt.Payload...), nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := t.stack.UDP().Send(port, server, DNSPort, msg); err != nil {
-		t.stack.UDP().Unbind(port)
-		return nil, err
-	}
-	cancel := func() {
-		if !fired {
-			fired = true
-			t.stack.UDP().Unbind(port)
+// find returns the index of the lookup whose query to server carries id, or
+// -1.
+func (t *dnsOverUDP) find(server IPAddr, id uint16) int {
+	for i, lk := range t.out {
+		if lk.server == server && lk.id == id {
+			return i
 		}
 	}
-	return cancel, nil
+	return -1
+}
+
+// cancel withdraws lk's query, if it is still outstanding; its reply, if
+// one comes, is dropped.
+func (t *dnsOverUDP) cancel(lk *dnsLookup) {
+	if i := slices.Index(t.out, lk); i >= 0 {
+		t.out = slices.Delete(t.out, i, i+1)
+	}
+}
+
+// receive matches a datagram at the reply port against the outstanding
+// queries and hands a match its reply, to read in place.
+func (t *dnsOverUDP) receive(pkt *Packet) {
+	if pkt.SrcPort != DNSPort || len(pkt.Payload) < dnsHeaderLen {
+		return
+	}
+	i := t.find(pkt.Src, uint16(pkt.Payload[0])<<8|uint16(pkt.Payload[1]))
+	if i < 0 {
+		return
+	}
+	lk := t.out[i]
+	t.out = slices.Delete(t.out, i, i+1)
+	lk.onReply(pkt.Payload, nil)
 }
 
 // positiveTTLCap clamps how long answers may be cached, regardless of the
@@ -600,8 +651,11 @@ type resolverStats struct {
 type Resolver struct {
 	stack *Stack
 	cfg   ResolverConfig
-	txp   DNSTransport
+	udp   *dnsOverUDP // the default transport; nil when cfg.Transport is set
 	rand  *sim.Rand
+
+	query []byte     // the query being sent, encoded in place
+	reply DNSMessage // the reply being read, decoded in place
 
 	pos   map[string]dnsPosEntry
 	neg   map[string]dnsNegEntry
@@ -629,16 +683,16 @@ func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
 	if cfg.NegativeTTL <= 0 {
 		cfg.NegativeTTL = 5 * sim.Second
 	}
-	txp := cfg.Transport
-	if txp == nil {
-		txp = NewDNSOverUDP(stack, cfg.Cost)
-	}
-	return &Resolver{
-		stack: stack, cfg: cfg, txp: txp,
+	r := &Resolver{
+		stack: stack, cfg: cfg,
 		rand: sim.NewRand(cfg.Seed ^ 0xd15ba11ad),
 		pos:  make(map[string]dnsPosEntry),
 		neg:  make(map[string]dnsNegEntry),
 	}
+	if cfg.Transport == nil {
+		r.udp = &dnsOverUDP{stack: stack, cost: cfg.Cost}
+	}
+	return r
 }
 
 // Metrics emits the resolver's counters. They are plain fields, so it runs
@@ -653,10 +707,10 @@ func (r *Resolver) Metrics(emit metrics.Emit) {
 	emit("dns_resolver_failures", float64(r.stats.Failures))
 }
 
-// FlushCache drops both caches (benchmarks measure uncached resolves).
+// FlushCache empties both caches (benchmarks measure uncached resolves).
 func (r *Resolver) FlushCache() {
-	r.pos = make(map[string]dnsPosEntry)
-	r.neg = make(map[string]dnsNegEntry)
+	clear(r.pos)
+	clear(r.neg)
 }
 
 // Flush drops any cached answer (positive or negative) for one name, so
@@ -693,7 +747,7 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 	if e, ok := r.pos[cn]; ok {
 		if now < e.expires {
 			r.stats.CacheHits++
-			cb(append([]IPAddr(nil), e.addrs...), nil)
+			cb(slices.Clone(e.addrs), nil)
 			return
 		}
 		delete(r.pos, cn)
@@ -715,6 +769,18 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 	lk.attempt()
 }
 
+// queryID draws the next query ID from the seeded stream, drawing again
+// while the default transport has a query with that ID outstanding to
+// server, so each reply matches one query. With 65,536 queries outstanding
+// every ID may be taken, and it stops looking.
+func (r *Resolver) queryID(server IPAddr) uint16 {
+	id := uint16(r.rand.Uint64())
+	for r.udp != nil && len(r.udp.out) < 1<<16 && r.udp.find(server, id) >= 0 {
+		id = uint16(r.rand.Uint64())
+	}
+	return id
+}
+
 // dnsLookup is one in-flight resolution: its attempt counter walks the
 // server list with doubling timeouts until a reply lands or the budget is
 // spent.
@@ -724,30 +790,29 @@ type dnsLookup struct {
 	cb       func([]IPAddr, error)
 	tries    int
 	done     bool
+	server   IPAddr // the attempt in flight's server and query ID
 	id       uint16
-	cancelTx func()
+	cancelTx func()    // cfg.Transport's cancel for the attempt in flight
 	timeout  sim.Event // owner-held, one per lookup, re-armed per attempt
 }
 
 func (lk *dnsLookup) attempt() {
 	r := lk.r
-	server := r.cfg.Servers[lk.tries%len(r.cfg.Servers)]
-	lk.id = uint16(r.rand.Uint64())
-	msg := &DNSMessage{
-		ID: lk.id, RD: true,
-		Questions: []DNSQuestion{{Name: lk.name, Type: DNSTypeA}},
-	}
-	wire, err := EncodeDNSMessage(msg)
-	if err != nil {
-		lk.finish(nil, err)
-		return
-	}
+	lk.server = r.cfg.Servers[lk.tries%len(r.cfg.Servers)]
+	lk.id = r.queryID(lk.server)
+	r.query = appendDNSHeader(r.query[:0], lk.id, dnsFlagRD, 1, 0)
+	r.query = appendDNSQuestion(r.query, lk.name, DNSTypeA)
 	if lk.tries > 0 {
 		r.stats.Retries++
 	}
 	lk.tries++
 	r.stats.Sent++
-	cancel, err := r.txp.Query(server, wire, lk.onReply)
+	var err error
+	if r.udp != nil {
+		err = r.udp.send(lk, r.query)
+	} else {
+		lk.cancelTx, err = r.cfg.Transport.Query(lk.server, r.query, lk.onReply)
+	}
 	if lk.done {
 		// The transport delivered the reply synchronously; there is
 		// nothing to time out.
@@ -757,9 +822,8 @@ func (lk *dnsLookup) attempt() {
 		// Transport refusal (ports exhausted, no route): burn the attempt
 		// after a timeout rather than spinning through the budget
 		// instantly.
-		cancel = func() {}
+		lk.cancelTx = nil
 	}
-	lk.cancelTx = cancel
 	// Exponential backoff per attempt plus seeded jitter, so a fleet of
 	// resolvers retrying through the same outage does not self-
 	// synchronize — and so the retry times are a pure function of the
@@ -777,16 +841,16 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 		lk.retryOrFail()
 		return
 	}
-	m, perr := ParseDNSMessage(reply)
-	if perr != nil || !m.Response || m.ID != lk.id ||
+	r := lk.r
+	m := &r.reply
+	if m.decode(reply) != nil || !m.Response || m.ID != lk.id ||
 		len(m.Questions) != 1 || m.Questions[0].Name != lk.name || m.Questions[0].Type != DNSTypeA {
 		// A reply that is not ours (stale, spoofed-looking, or mangled)
 		// is ignored; the timeout still stands guard. The default
-		// transport has already matched its source and ID and released
-		// its port, so this attempt can now only end by timeout.
+		// transport has already matched its source and ID and withdrawn
+		// the query, so this attempt can now only end by timeout.
 		return
 	}
-	r := lk.r
 	now := r.stack.clock.Now()
 	if m.RCode == DNSRCodeNXDomain {
 		err := fmt.Errorf("%w: %s: NXDOMAIN", ErrNameNotFound, lk.name)
@@ -799,9 +863,11 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 		lk.retryOrFail()
 		return
 	}
-	var addrs []IPAddr
+	var found [8]IPAddr
+	addrs := found[:0]
 	minTTL := positiveTTLCap
-	for _, rr := range m.Answers {
+	for i := range m.Answers {
+		rr := &m.Answers[i]
 		if rr.Type != DNSTypeA || len(rr.Data) != 4 || rr.Name != lk.name {
 			continue
 		}
@@ -821,18 +887,26 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	if minTTL < sim.Second {
 		minTTL = sim.Second
 	}
-	r.pos[lk.name] = dnsPosEntry{addrs: addrs, expires: now.Add(minTTL)}
-	lk.finish(append([]IPAddr(nil), addrs...), nil)
+	r.pos[lk.name] = dnsPosEntry{addrs: slices.Clone(addrs), expires: now.Add(minTTL)}
+	lk.finish(slices.Clone(addrs), nil)
 }
 
 func (lk *dnsLookup) onTimeout() {
 	if lk.done {
 		return
 	}
-	if lk.cancelTx != nil {
-		lk.cancelTx()
-	}
+	lk.cancel()
 	lk.retryOrFail()
+}
+
+// cancel withdraws the attempt in flight's query from its transport.
+func (lk *dnsLookup) cancel() {
+	if lk.r.udp != nil {
+		lk.r.udp.cancel(lk)
+	} else if lk.cancelTx != nil {
+		lk.cancelTx()
+		lk.cancelTx = nil
+	}
 }
 
 func (lk *dnsLookup) retryOrFail() {
@@ -850,9 +924,6 @@ func (lk *dnsLookup) finish(addrs []IPAddr, err error) {
 	}
 	lk.done = true
 	lk.timeout.Disarm()
-	if lk.cancelTx != nil {
-		lk.cancelTx()
-		lk.cancelTx = nil
-	}
+	lk.cancel()
 	lk.cb(addrs, err)
 }

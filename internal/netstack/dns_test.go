@@ -147,12 +147,33 @@ func TestParseDNSMessageRejects(t *testing.T) {
 		{"opcode", []byte{0, 1, 0x28, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"rdata past end", append(header(0, 1, 0, 0),
 			0, 0, DNSTypeA, 0, 1, 0, 0, 0, 60, 0, 200)},
+		{"256-octet name", longDNSQuery(62)},
 	}
 	for _, tc := range cases {
 		if _, err := ParseDNSMessage(tc.in); !errors.Is(err, ErrBadDNSMessage) {
 			t.Errorf("%s: err = %v, want ErrBadDNSMessage", tc.name, err)
 		}
 	}
+	// One octet shorter is the longest legal name (RFC 1035 §2.3.4 counts
+	// the root octet): it parses and survives the round trip unchanged.
+	longest := longDNSQuery(61)
+	m, err := ParseDNSMessage(longest)
+	if err != nil {
+		t.Fatalf("255-octet name: %v", err)
+	}
+	if wire, err := EncodeDNSMessage(m); err != nil || !bytes.Equal(wire, longest) {
+		t.Errorf("255-octet name: round trip = %x, %v; want %x", wire, err, longest)
+	}
+}
+
+// longDNSQuery is a one-question query whose name has labels of 63, 63, 63
+// and last octets: 193 + last + 1 octets on the wire, the root's included.
+func longDNSQuery(last int) []byte {
+	msg := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	for _, l := range []int{63, 63, 63, last} {
+		msg = append(append(msg, byte(l)), bytes.Repeat([]byte{'a'}, l)...)
+	}
+	return append(msg, 0, 0, DNSTypeA, 0, dnsClassIN)
 }
 
 func TestZone(t *testing.T) {
@@ -533,6 +554,139 @@ func TestResolverIgnoresStrayDatagram(t *testing.T) {
 				t.Errorf("lookup finished at %v, want one round trip", now)
 			}
 		})
+	}
+}
+
+// Lookups on one resolver share its reply port. The server holds the
+// first query until the second arrives and answers the second first: each
+// callback still gets its own name's address, from one query each, with no
+// retry and no timer left to fire. The seed makes the ID stream draw the
+// first query's ID again for the second, so the second lookup must draw
+// past it: two queries outstanding to one server never carry one ID.
+func TestResolverSharesOneReplyPort(t *testing.T) {
+	// A lookup draws its query ID, then its timeout jitter; the second
+	// lookup's ID is the stream's third draw.
+	seed := uint64(0)
+	for ; ; seed++ {
+		rnd := sim.NewRand(seed ^ 0xd15ba11ad)
+		first := uint16(rnd.Uint64())
+		rnd.Uint64()
+		if uint16(rnd.Uint64()) == first {
+			break
+		}
+	}
+	a, b, cl := pair(t, sal.LanceModel)
+	server := Addr(10, 0, 0, 2)
+	want := map[string]IPAddr{"one.spin.test": Addr(10, 0, 0, 11), "two.spin.test": Addr(10, 0, 0, 12)}
+	type query struct {
+		src  IPAddr
+		port uint16
+		msg  *DNSMessage
+	}
+	var held []query
+	ids := map[uint16]bool{}
+	ports := map[uint16]bool{}
+	if err := b.stack.UDP().Bind(DNSPort, nil, func(pkt *Packet) {
+		m, err := ParseDNSMessage(pkt.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, query{pkt.Src, pkt.SrcPort, m})
+		ids[m.ID], ports[pkt.SrcPort] = true, true
+		if len(held) < 2 {
+			return
+		}
+		for i := len(held) - 1; i >= 0; i-- {
+			m := held[i].msg
+			wire := answerA(t, m, want[m.Questions[0].Name])
+			if err := b.stack.UDP().Send(DNSPort, held[i].src, held[i].port, wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{server}, Seed: seed})
+	got := map[string]IPAddr{}
+	for name := range want {
+		r.LookupA(name, func(g []IPAddr, e error) {
+			if e != nil || len(g) != 1 {
+				t.Errorf("LookupA(%s) = %v, %v", name, g, e)
+				return
+			}
+			got[name] = g[0]
+		})
+	}
+	cl.Run(0)
+	for name, addr := range want {
+		if got[name] != addr {
+			t.Errorf("LookupA(%s) = %v, want %v", name, got[name], addr)
+		}
+	}
+	if st := r.stats; st.Sent != 2 || st.Retries != 0 {
+		t.Errorf("Sent = %d, Retries = %d; want 2 and 0", st.Sent, st.Retries)
+	}
+	if len(held) != 2 || len(ids) != 2 || len(ports) != 1 {
+		t.Errorf("server saw %d queries with %d IDs from %d ports, want 2, 2 and 1", len(held), len(ids), len(ports))
+	}
+	if now := a.eng.Now(); now >= sim.Time(sim.Millisecond) {
+		t.Errorf("lookups finished at %v, want one round trip", now)
+	}
+	if len(r.udp.out) != 0 {
+		t.Errorf("%d queries still outstanding", len(r.udp.out))
+	}
+}
+
+// answerA encodes the answer to query q: one A record for addr.
+func answerA(t *testing.T, q *DNSMessage, addr IPAddr) []byte {
+	t.Helper()
+	wire, err := EncodeDNSMessage(&DNSMessage{ID: q.ID, Response: true, RD: true, RA: true,
+		Questions: q.Questions, Answers: []DNSRR{{Name: q.Questions[0].Name, Type: DNSTypeA,
+			TTL: 60, Data: []byte{byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr)}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// An attempt that times out on the default transport is withdrawn from the
+// shared reply port: the server leaves the first query unanswered and
+// answers it late, just ahead of the retry's answer. The late answer is
+// dropped, the retry's is taken, and nothing is left outstanding.
+func TestResolverTimeoutWithdrawsQuery(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	server, late, want := Addr(10, 0, 0, 2), Addr(10, 0, 0, 66), Addr(10, 0, 0, 7)
+	var first *DNSMessage
+	if err := b.stack.UDP().Bind(DNSPort, nil, func(pkt *Packet) {
+		m, err := ParseDNSMessage(pkt.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = m
+			return
+		}
+		for _, wire := range [][]byte{answerA(t, first, late), answerA(t, m, want)} {
+			if err := b.stack.UDP().Send(DNSPort, pkt.Src, pkt.SrcPort, wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{server}, Seed: 1})
+	var got []IPAddr
+	var gerr error
+	r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = g, e })
+	cl.Run(0)
+	if gerr != nil || len(got) != 1 || got[0] != want {
+		t.Fatalf("LookupA = %v, %v; want [%v]", got, gerr, want)
+	}
+	if st := r.stats; st.Sent != 2 || st.Retries != 1 {
+		t.Errorf("Sent = %d, Retries = %d; want 2 and 1", st.Sent, st.Retries)
+	}
+	if len(r.udp.out) != 0 {
+		t.Errorf("%d queries still outstanding", len(r.udp.out))
 	}
 }
 

@@ -73,6 +73,7 @@ func FuzzParseDNSMessage(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12, 0, 1, 0, 1})
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, dnsHeaderLen))
+	f.Add(longDNSQuery(62)) // one octet past the longest legal name
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseDNSMessage(data)
 		if err != nil {
