@@ -13,12 +13,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 
 	"spin/internal/domain"
 	"spin/internal/fs"
@@ -53,6 +56,45 @@ func (d debugContent) Get(path string) ([]byte, bool) {
 		return []byte(log()), true
 	}
 	return d.docs.Get(path)
+}
+
+// closeTracker counts the connections net/http's transports dialled and
+// have not closed. A transport closes a connection from a goroutine of its
+// own after the caller has the body; a Close landing after run returned
+// would send its FIN into a simulation nothing steps again, and the packet
+// would stay live on the next run's net_packets_live. open is guarded by
+// the driver lock.
+type closeTracker struct {
+	drv  *netstack.Driver
+	open int
+}
+
+type dialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
+
+func (t *closeTracker) track(dial dialFunc) dialFunc {
+	return func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		t.drv.Run(func() { t.open++ })
+		return &trackedConn{Conn: c, t: t}, nil
+	}
+}
+
+// wait steps the simulation until every tracked connection has closed.
+func (t *closeTracker) wait() { t.drv.WaitUntil(func() bool { return t.open == 0 }) }
+
+type trackedConn struct {
+	net.Conn
+	t    *closeTracker
+	once sync.Once
+}
+
+func (c *trackedConn) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { c.t.drv.Run(func() { c.t.open-- }) })
+	return err
 }
 
 func main() {
@@ -209,8 +251,9 @@ func run(out io.Writer, requests int) error {
 	if err != nil {
 		return err
 	}
+	conns := &closeTracker{drv: in.Driver()}
 	httpc := &http.Client{Transport: &http.Transport{
-		DialContext:       dialer.DialContext,
+		DialContext:       conns.track(dialer.DialContext),
 		DisableKeepAlives: true,
 	}}
 	resp, err := httpc.Get("http://web.spin.test/index.html")
@@ -232,7 +275,7 @@ func run(out io.Writer, requests int) error {
 	// failures trip the breaker (passive outlier detection), the ring
 	// ejects it, and every later request lands on the survivor.
 	lbc := &http.Client{Transport: &http.Transport{
-		DialContext:       rd.DialContext,
+		DialContext:       conns.track(rd.DialContext),
 		DisableKeepAlives: true,
 	}}
 	fetch := func() error {
@@ -268,7 +311,9 @@ func run(out io.Writer, requests int) error {
 	// "metrics lb_" shows too. net/http's goroutines interleave freely, so
 	// how far virtual time ran past the ejection differs run to run; settle
 	// every pending timer first so the page shows one state (the breaker's
-	// open timeout elapsed: half-open, awaiting a probe).
+	// open timeout elapsed: half-open, awaiting a probe). Every connection
+	// net/http dialled is closed first, so none closes after the run.
+	conns.wait()
 	in.Driver().Drain()
 	if err := showPage("/debug/metrics?prefix=lb_", ""); err != nil {
 		return err

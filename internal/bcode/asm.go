@@ -17,23 +17,11 @@ func AddImm(dst uint8, imm int32) Insn { return Insn{Op: OpAddImm, Dst: dst, Imm
 // SubImm sets dst -= imm.
 func SubImm(dst uint8, imm int32) Insn { return Insn{Op: OpSubImm, Dst: dst, Imm: imm} }
 
-// MulImm sets dst *= imm.
-func MulImm(dst uint8, imm int32) Insn { return Insn{Op: OpMulImm, Dst: dst, Imm: imm} }
-
 // DivImm sets dst /= imm.
 func DivImm(dst uint8, imm int32) Insn { return Insn{Op: OpDivImm, Dst: dst, Imm: imm} }
 
 // ModImm sets dst %= imm.
 func ModImm(dst uint8, imm int32) Insn { return Insn{Op: OpModImm, Dst: dst, Imm: imm} }
-
-// AndImm sets dst &= imm.
-func AndImm(dst uint8, imm int32) Insn { return Insn{Op: OpAndImm, Dst: dst, Imm: imm} }
-
-// OrImm sets dst |= imm.
-func OrImm(dst uint8, imm int32) Insn { return Insn{Op: OpOrImm, Dst: dst, Imm: imm} }
-
-// XorImm sets dst ^= imm.
-func XorImm(dst uint8, imm int32) Insn { return Insn{Op: OpXorImm, Dst: dst, Imm: imm} }
 
 // LshImm sets dst <<= imm (amount masked to 63).
 func LshImm(dst uint8, imm int32) Insn { return Insn{Op: OpLshImm, Dst: dst, Imm: imm} }
@@ -44,35 +32,14 @@ func RshImm(dst uint8, imm int32) Insn { return Insn{Op: OpRshImm, Dst: dst, Imm
 // AddReg sets dst += src (also pointer + scalar).
 func AddReg(dst, src uint8) Insn { return Insn{Op: OpAddReg, Dst: dst, Src: src} }
 
-// SubReg sets dst -= src.
-func SubReg(dst, src uint8) Insn { return Insn{Op: OpSubReg, Dst: dst, Src: src} }
-
-// MulReg sets dst *= src.
-func MulReg(dst, src uint8) Insn { return Insn{Op: OpMulReg, Dst: dst, Src: src} }
-
 // DivReg sets dst /= src (src == 0 yields 0).
 func DivReg(dst, src uint8) Insn { return Insn{Op: OpDivReg, Dst: dst, Src: src} }
 
 // ModReg sets dst %= src (src == 0 leaves dst unchanged).
 func ModReg(dst, src uint8) Insn { return Insn{Op: OpModReg, Dst: dst, Src: src} }
 
-// AndReg sets dst &= src.
-func AndReg(dst, src uint8) Insn { return Insn{Op: OpAndReg, Dst: dst, Src: src} }
-
-// OrReg sets dst |= src.
-func OrReg(dst, src uint8) Insn { return Insn{Op: OpOrReg, Dst: dst, Src: src} }
-
-// XorReg sets dst ^= src.
-func XorReg(dst, src uint8) Insn { return Insn{Op: OpXorReg, Dst: dst, Src: src} }
-
 // LshReg sets dst <<= src (amount masked to 63).
 func LshReg(dst, src uint8) Insn { return Insn{Op: OpLshReg, Dst: dst, Src: src} }
-
-// RshReg sets dst >>= src (amount masked to 63).
-func RshReg(dst, src uint8) Insn { return Insn{Op: OpRshReg, Dst: dst, Src: src} }
-
-// Neg sets dst = -dst.
-func Neg(dst uint8) Insn { return Insn{Op: OpNeg, Dst: dst} }
 
 // LdCtx loads context word field into dst.
 func LdCtx(dst uint8, field int32) Insn { return Insn{Op: OpLdCtx, Dst: dst, Imm: field} }
@@ -104,59 +71,9 @@ func JgtImm(dst uint8, imm int32, off int16) Insn {
 	return Insn{Op: OpJgtImm, Dst: dst, Imm: imm, Off: off}
 }
 
-// JgeImm jumps forward off if dst >= imm (unsigned).
-func JgeImm(dst uint8, imm int32, off int16) Insn {
-	return Insn{Op: OpJgeImm, Dst: dst, Imm: imm, Off: off}
-}
-
-// JltImm jumps forward off if dst < imm (unsigned).
-func JltImm(dst uint8, imm int32, off int16) Insn {
-	return Insn{Op: OpJltImm, Dst: dst, Imm: imm, Off: off}
-}
-
-// JleImm jumps forward off if dst <= imm (unsigned).
-func JleImm(dst uint8, imm int32, off int16) Insn {
-	return Insn{Op: OpJleImm, Dst: dst, Imm: imm, Off: off}
-}
-
-// JsetImm jumps forward off if dst & imm != 0.
-func JsetImm(dst uint8, imm int32, off int16) Insn {
-	return Insn{Op: OpJsetImm, Dst: dst, Imm: imm, Off: off}
-}
-
-// JeqReg jumps forward off if dst == src.
-func JeqReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJeqReg, Dst: dst, Src: src, Off: off}
-}
-
-// JneReg jumps forward off if dst != src.
-func JneReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJneReg, Dst: dst, Src: src, Off: off}
-}
-
 // JgtReg jumps forward off if dst > src (unsigned).
 func JgtReg(dst, src uint8, off int16) Insn {
 	return Insn{Op: OpJgtReg, Dst: dst, Src: src, Off: off}
-}
-
-// JgeReg jumps forward off if dst >= src (unsigned).
-func JgeReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJgeReg, Dst: dst, Src: src, Off: off}
-}
-
-// JltReg jumps forward off if dst < src (unsigned).
-func JltReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJltReg, Dst: dst, Src: src, Off: off}
-}
-
-// JleReg jumps forward off if dst <= src (unsigned).
-func JleReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJleReg, Dst: dst, Src: src, Off: off}
-}
-
-// JsetReg jumps forward off if dst & src != 0.
-func JsetReg(dst, src uint8, off int16) Insn {
-	return Insn{Op: OpJsetReg, Dst: dst, Src: src, Off: off}
 }
 
 // Exit returns r0 as the verdict.

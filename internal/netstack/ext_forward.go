@@ -11,7 +11,6 @@ import "math"
 // a user-level socket splice. The node is a Divert packet filter: a
 // verified predicate selects the packets, the consumer re-sends them.
 type Forwarder struct {
-	filter *PacketFilter
 	// Forwarded counts redirected packets.
 	Forwarded int64
 }
@@ -24,7 +23,7 @@ func newForwarder(stack *Stack, name string, pred Predicate, rewrite func(fwd *P
 	if err != nil {
 		return nil, err
 	}
-	f := &Forwarder{filter: filter}
+	f := &Forwarder{}
 	filter.Consumer = func(pkt *Packet) {
 		fwd := pkt.Clone()
 		rewrite(fwd)
@@ -56,6 +55,3 @@ func NewReverseForwarder(stack *Stack, proto uint8, port uint16, from, target IP
 		And(MatchProto(proto), matchWord(CtxSrcPort, uint64(port), uint64(port)), MatchSrc(from)),
 		func(fwd *Packet) { fwd.Src, fwd.Dst = stack.IP, target })
 }
-
-// Remove uninstalls the forwarder.
-func (f *Forwarder) Remove() { f.filter.Remove() }

@@ -28,7 +28,6 @@ type VideoServer struct {
 	port   uint16
 
 	clients []IPAddr
-	ref     dispatch.HandlerRef
 
 	// FramesSent counts frames pushed through the graph (once per frame,
 	// regardless of client count).
@@ -44,7 +43,7 @@ func NewVideoServer(stack *Stack, port uint16, source VideoFrameSource) (*VideoS
 	vs := &VideoServer{stack: stack, source: source, port: port}
 	// The multicast extension: a handler on SendPacket that fans a single
 	// logical send out to the client list.
-	ref, err := stack.disp.Install(EvSendPacket, func(arg, _ any) any {
+	_, err := stack.disp.Install(EvSendPacket, func(arg, _ any) any {
 		pkt := arg.(*Packet)
 		for _, dst := range vs.clients {
 			out := pkt.Clone()
@@ -66,7 +65,6 @@ func NewVideoServer(stack *Stack, port uint16, source VideoFrameSource) (*VideoS
 	if err != nil {
 		return nil, err
 	}
-	vs.ref = ref
 	return vs, nil
 }
 
@@ -97,9 +95,6 @@ func (vs *VideoServer) SendFrame(n int) {
 	vs.FramesSent++
 	vs.stack.disp.Raise(EvSendPacket, pkt)
 }
-
-// Remove uninstalls the multicast handler.
-func (vs *VideoServer) Remove() { _ = vs.stack.disp.Remove(vs.ref) }
 
 // VideoClient is the client-side extension: it awaits incoming video
 // packets, decompresses them, and writes them directly to the frame buffer

@@ -216,9 +216,6 @@ func (s *Stack) Engine() *sim.Engine { return s.engine }
 // Clock exposes the machine clock.
 func (s *Stack) Clock() *sim.Clock { return s.clock }
 
-// Profile exposes the machine cost profile.
-func (s *Stack) Profile() *sim.Profile { return s.profile }
-
 // Attach connects a NIC as a driver at the bottom of the graph. The first
 // attached NIC becomes the default route. Incoming frames land in the NIC's
 // bounded RX queue; protocol processing drains the queue in a separately

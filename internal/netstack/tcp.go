@@ -21,9 +21,7 @@ type TCPState int
 // Connection states.
 const (
 	StateClosed TCPState = iota
-	StateListen
 	StateSynSent
-	StateSynRcvd
 	StateEstablished
 	StateFinWait1
 	StateFinWait2
@@ -33,7 +31,7 @@ const (
 )
 
 func (s TCPState) String() string {
-	names := []string{"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
+	names := []string{"CLOSED", "SYN_SENT", "ESTABLISHED",
 		"FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT", "LAST_ACK", "TIME_WAIT"}
 	if int(s) < len(names) {
 		return names[s]

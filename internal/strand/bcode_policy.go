@@ -63,7 +63,7 @@ func (c *CPU) stealVetoed(victim *CPU) bool {
 	var ctx bcode.Context
 	ctx.W[StealCtxThief] = uint64(c.id)
 	ctx.W[StealCtxVictim] = uint64(victim.id)
-	ctx.W[StealCtxDepth] = uint64(victim.ready.Load().size)
+	ctx.W[StealCtxDepth] = uint64(victim.ready.size.Load())
 	ctx.W[StealCtxNow] = uint64(c.clock.Now())
 	if !p.Run(&ctx) {
 		return false

@@ -2,7 +2,7 @@ package strand
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"spin/internal/metrics"
@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the multi-CPU half of the strand scheduler: per-CPU
-// run queues held as copy-on-write snapshots, randomized work stealing on
-// idle, and strand→CPU affinity with migration accounting. The paper's
+// run queues edited in place, randomized work stealing on idle, and
+// strand→CPU affinity with migration accounting. The paper's
 // extensibility story is unchanged — Block/Unblock/Checkpoint/Resume are
 // still dispatcher events, subschedulers still install guarded handlers,
 // and GuardStrandOwner still gates strand capabilities — the scheduler
@@ -25,112 +25,77 @@ import (
 // earliest clock (the same conservative rule sim.Cluster uses for
 // machines), so execution stays deterministic under a fixed seed.
 
-// readyList is an immutable snapshot of one CPU's runnable strands:
-// priority levels sorted descending, FIFO order within a level. Readers
-// (steal scans, the cluster driver's eligibility checks, debuggers) load
-// the snapshot lock-free; writers copy the spine and the level they touch
-// and swap the pointer under the CPU's writer mutex — the same
-// copy-on-write discipline as the dispatcher's event state.
-type readyList struct {
-	prios []int
-	qs    [][]*Strand
-	size  int
+// runQueue is one CPU's runnable strands: priority levels sorted
+// descending, FIFO order within a level, edited in place. Only the driver
+// goroutine and the strand holding the CPU token touch it, and the token
+// passes on unbuffered channels, so it needs no lock; size is atomic
+// because Metrics reads it from any goroutine. A level emptied by a pop
+// stays in place, so its slice's capacity serves the next push.
+type runQueue struct {
+	levels []runLevel
+	size   atomic.Int64
 }
 
-var emptyReady = &readyList{}
+type runLevel struct {
+	prio    int
+	strands []*Strand
+}
 
-// level finds the index of prio in rl.prios, or the insertion point.
-func (rl *readyList) level(prio int) (int, bool) {
-	for i, p := range rl.prios {
-		if p == prio {
-			return i, true
-		}
-		if p < prio {
-			return i, false
-		}
+// push appends s to the back of its priority level.
+func (q *runQueue) push(s *Strand) {
+	i := 0
+	for i < len(q.levels) && q.levels[i].prio > s.prio {
+		i++
 	}
-	return len(rl.prios), false
-}
-
-// push returns a new list with s appended to the back of its priority level.
-func (rl *readyList) push(s *Strand) *readyList {
-	i, ok := rl.level(s.prio)
-	next := &readyList{size: rl.size + 1}
-	if ok {
-		next.prios = append([]int(nil), rl.prios...)
-		next.qs = append([][]*Strand(nil), rl.qs...)
-		q := make([]*Strand, 0, len(rl.qs[i])+1)
-		q = append(q, rl.qs[i]...)
-		next.qs[i] = append(q, s)
-		return next
+	if i == len(q.levels) || q.levels[i].prio != s.prio {
+		q.levels = slices.Insert(q.levels, i, runLevel{prio: s.prio})
 	}
-	next.prios = make([]int, 0, len(rl.prios)+1)
-	next.qs = make([][]*Strand, 0, len(rl.qs)+1)
-	next.prios = append(next.prios, rl.prios[:i]...)
-	next.prios = append(next.prios, s.prio)
-	next.prios = append(next.prios, rl.prios[i:]...)
-	next.qs = append(next.qs, rl.qs[:i]...)
-	next.qs = append(next.qs, []*Strand{s})
-	next.qs = append(next.qs, rl.qs[i:]...)
-	return next
+	q.levels[i].strands = append(q.levels[i].strands, s)
+	q.size.Add(1)
 }
 
-// dropLevel returns a copy of rl with level i replaced by q (or removed
-// when q is empty).
-func (rl *readyList) withLevel(i int, q []*Strand) *readyList {
-	next := &readyList{size: rl.size - 1}
-	if len(q) == 0 {
-		next.prios = make([]int, 0, len(rl.prios)-1)
-		next.qs = make([][]*Strand, 0, len(rl.qs)-1)
-		next.prios = append(next.prios, rl.prios[:i]...)
-		next.prios = append(next.prios, rl.prios[i+1:]...)
-		next.qs = append(next.qs, rl.qs[:i]...)
-		next.qs = append(next.qs, rl.qs[i+1:]...)
-		return next
-	}
-	next.prios = append([]int(nil), rl.prios...)
-	next.qs = append([][]*Strand(nil), rl.qs...)
-	next.qs[i] = q
-	return next
-}
-
-// pop returns the front of the highest priority level — the strand the CPU
+// pop takes the front of the highest non-empty level — the strand the CPU
 // runs next.
-func (rl *readyList) pop() (*Strand, *readyList) {
-	if rl.size == 0 {
-		return nil, rl
+func (q *runQueue) pop() *Strand {
+	for i := range q.levels {
+		if len(q.levels[i].strands) > 0 {
+			return q.take(&q.levels[i], 0)
+		}
 	}
-	q := rl.qs[0]
-	return q[0], rl.withLevel(0, q[1:])
+	return nil
 }
 
-// stealTail returns the back of the lowest priority level — the coldest
+// stealTail takes the back of the lowest non-empty level — the coldest
 // queued work, the classic victim end for a thief so the owner keeps the
 // strands it is about to run.
-func (rl *readyList) stealTail() (*Strand, *readyList) {
-	if rl.size == 0 {
-		return nil, rl
-	}
-	i := len(rl.qs) - 1
-	q := rl.qs[i]
-	return q[len(q)-1], rl.withLevel(i, q[:len(q)-1])
-}
-
-// remove returns a list without s, reporting whether s was present.
-func (rl *readyList) remove(s *Strand) (*readyList, bool) {
-	i, ok := rl.level(s.prio)
-	if !ok {
-		return rl, false
-	}
-	for j, x := range rl.qs[i] {
-		if x == s {
-			q := make([]*Strand, 0, len(rl.qs[i])-1)
-			q = append(q, rl.qs[i][:j]...)
-			q = append(q, rl.qs[i][j+1:]...)
-			return rl.withLevel(i, q), true
+func (q *runQueue) stealTail() *Strand {
+	for i := len(q.levels) - 1; i >= 0; i-- {
+		if l := &q.levels[i]; len(l.strands) > 0 {
+			return q.take(l, len(l.strands)-1)
 		}
 	}
-	return rl, false
+	return nil
+}
+
+// remove takes s out of the queue, reporting whether it was queued.
+func (q *runQueue) remove(s *Strand) bool {
+	for i := range q.levels {
+		if l := &q.levels[i]; l.prio == s.prio {
+			if j := slices.Index(l.strands, s); j >= 0 {
+				q.take(l, j)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// take removes and returns the j-th strand of level l.
+func (q *runQueue) take(l *runLevel, j int) *Strand {
+	s := l.strands[j]
+	l.strands = slices.Delete(l.strands, j, j+1)
+	q.size.Add(-1)
+	return s
 }
 
 // CPU is one virtual processor of the scheduler: an engine (and therefore a
@@ -141,13 +106,9 @@ type CPU struct {
 	engine *sim.Engine
 	clock  *sim.Clock
 
-	// mu serializes writers of the ready snapshot (own enqueue/dequeue and
-	// thieves); readers load the pointer lock-free.
-	mu    sync.Mutex
-	ready atomic.Pointer[readyList]
-
-	// current/last are driver-goroutine state, synchronized with strand
-	// bodies through the CPU-token channel handoffs.
+	// ready, current and last are driver-goroutine state, synchronized
+	// with strand bodies through the CPU-token channel handoffs.
+	ready   runQueue
 	current *Strand
 	last    *Strand
 
@@ -162,53 +123,12 @@ type CPU struct {
 
 func newCPU(id int, sched *Scheduler, engine *sim.Engine, seed uint64) *CPU {
 	c := &CPU{id: id, sched: sched, engine: engine, clock: engine.Clock}
-	c.ready.Store(emptyReady)
 	c.reseed(seed)
 	return c
 }
 
 func (c *CPU) reseed(seed uint64) {
 	c.rng = sim.NewRand(seed + 0x9E3779B97F4A7C15*uint64(c.id+1))
-}
-
-// enqueue appends s to the back of its priority level.
-func (c *CPU) enqueue(s *Strand) {
-	c.mu.Lock()
-	c.ready.Store(c.ready.Load().push(s))
-	c.mu.Unlock()
-}
-
-// dequeue removes s, reporting whether it was queued.
-func (c *CPU) dequeue(s *Strand) bool {
-	c.mu.Lock()
-	next, ok := c.ready.Load().remove(s)
-	if ok {
-		c.ready.Store(next)
-	}
-	c.mu.Unlock()
-	return ok
-}
-
-// popLocal takes the next strand off this CPU's own queue.
-func (c *CPU) popLocal() *Strand {
-	c.mu.Lock()
-	s, next := c.ready.Load().pop()
-	if s != nil {
-		c.ready.Store(next)
-	}
-	c.mu.Unlock()
-	return s
-}
-
-// takeTail surrenders the coldest queued strand to a thief.
-func (c *CPU) takeTail() *Strand {
-	c.mu.Lock()
-	s, next := c.ready.Load().stealTail()
-	if s != nil {
-		c.ready.Store(next)
-	}
-	c.mu.Unlock()
-	return s
 }
 
 // trySteal scans the other CPUs in deterministic random order and steals
@@ -228,7 +148,7 @@ func (c *CPU) trySteal() *Strand {
 		if c.stealVetoed(victim) {
 			continue
 		}
-		s := victim.takeTail()
+		s := victim.ready.stealTail()
 		if s == nil {
 			continue
 		}
@@ -263,7 +183,7 @@ func (c *CPU) step() bool {
 		c.engine.Step()
 		progress = true
 	}
-	next := c.popLocal()
+	next := c.ready.pop()
 	if next == nil {
 		next = c.trySteal()
 	}
@@ -327,7 +247,7 @@ func (sched *Scheduler) Metrics(emit metrics.Emit) {
 		emit("strand_switches"+l, float64(c.switches.Load()))
 		emit("strand_steals"+l, float64(c.steals.Load()))
 		emit("strand_migrations"+l, float64(c.migrations.Load()))
-		emit("strand_ready"+l, float64(c.ready.Load().size))
+		emit("strand_ready"+l, float64(c.ready.size.Load()))
 		emit("strand_clock_ns"+l, float64(c.clock.Now()))
 	}
 	emit("strand_faults", float64(sched.strandFaults.Load()))

@@ -6,7 +6,7 @@ import (
 	"spin/internal/sim"
 )
 
-// readyList is the COW core of the multi-CPU scheduler; this test drives it
+// runQueue is the core of the multi-CPU scheduler; this test drives it
 // with 10k random operations against a dead-simple reference (a plain slice
 // ordered by priority then arrival) and requires identical behavior.
 
@@ -69,9 +69,9 @@ func (r *refQueue) remove(s *Strand) bool {
 	return false
 }
 
-func TestReadyListMatchesReferenceModel(t *testing.T) {
+func TestRunQueueMatchesReferenceModel(t *testing.T) {
 	rng := sim.NewRand(42)
-	rl := emptyReady
+	var rq runQueue
 	ref := &refQueue{}
 	var live []*Strand
 	id := 0
@@ -86,7 +86,7 @@ func TestReadyListMatchesReferenceModel(t *testing.T) {
 			if want != nil {
 				wname = want.name
 			}
-			t.Fatalf("%s: readyList returned %s, reference model says %s", op, gname, wname)
+			t.Fatalf("%s: runQueue returned %s, reference model says %s", op, gname, wname)
 		}
 	}
 
@@ -95,23 +95,21 @@ func TestReadyListMatchesReferenceModel(t *testing.T) {
 		case 0, 1: // push
 			s := &Strand{name: itoa(id), prio: rng.Intn(5) - 2}
 			id++
-			rl = rl.push(s)
+			rq.push(s)
 			ref.push(s)
 			live = append(live, s)
 		case 2: // pop
-			got, next := rl.pop()
+			got := rq.pop()
 			want := ref.pop()
 			check("pop", got, want)
 			if got != nil {
-				rl = next
 				live = removeStrand(live, got)
 			}
 		case 3: // stealTail
-			got, next := rl.stealTail()
+			got := rq.stealTail()
 			want := ref.stealTail()
 			check("stealTail", got, want)
 			if got != nil {
-				rl = next
 				live = removeStrand(live, got)
 			}
 		case 4: // remove a random live strand (Block on a queued strand)
@@ -119,41 +117,16 @@ func TestReadyListMatchesReferenceModel(t *testing.T) {
 				continue
 			}
 			s := live[rng.Intn(len(live))]
-			next, ok := rl.remove(s)
+			ok := rq.remove(s)
 			refOK := ref.remove(s)
 			if ok != refOK {
-				t.Fatalf("remove(%s): readyList=%v reference=%v", s.name, ok, refOK)
+				t.Fatalf("remove(%s): runQueue=%v reference=%v", s.name, ok, refOK)
 			}
-			rl = next
 			live = removeStrand(live, s)
 		}
-		if rl.size != len(ref.items) {
-			t.Fatalf("op %d: size %d, reference has %d", i, rl.size, len(ref.items))
+		if n := rq.size.Load(); n != int64(len(ref.items)) {
+			t.Fatalf("op %d: size %d, reference has %d", i, n, len(ref.items))
 		}
-	}
-}
-
-// TestReadyListSnapshotsImmutable verifies the COW contract: operations on
-// a snapshot never disturb an older snapshot a concurrent reader may hold.
-func TestReadyListSnapshotsImmutable(t *testing.T) {
-	a := &Strand{name: "a", prio: 1}
-	b := &Strand{name: "b", prio: 2}
-	c := &Strand{name: "c", prio: 1}
-	base := emptyReady.push(a).push(b)
-	snapSize := base.size
-
-	_ = base.push(c)
-	if _, next := base.pop(); next == base {
-		t.Fatal("pop returned the receiver for a non-empty list")
-	}
-	if _, _ = base.stealTail(); base.size != snapSize {
-		t.Fatalf("stealTail mutated snapshot: size %d, want %d", base.size, snapSize)
-	}
-	if got, _ := base.pop(); got != b {
-		t.Fatalf("snapshot changed: pop = %v, want b", got.name)
-	}
-	if emptyReady.size != 0 {
-		t.Fatal("emptyReady mutated")
 	}
 }
 

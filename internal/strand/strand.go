@@ -265,8 +265,8 @@ func (sched *Scheduler) SetAffinity(s *Strand, cpu int) {
 		return
 	}
 	src := s.cpu
-	if src.dequeue(s) {
-		dst.enqueue(s)
+	if src.ready.remove(s) {
+		dst.ready.push(s)
 	}
 	s.cpu = dst
 	dst.migrations.Add(1)
@@ -297,7 +297,7 @@ func (sched *Scheduler) doBlock(s *Strand) {
 		s.state = Blocked
 	case Runnable:
 		s.state = Blocked
-		s.cpu.dequeue(s)
+		s.cpu.ready.remove(s)
 	}
 }
 
@@ -305,7 +305,7 @@ func (sched *Scheduler) doUnblock(s *Strand) {
 	if s.state == Blocked {
 		s.state = Runnable
 		s.readyAt = sched.actingClock().Now()
-		s.cpu.enqueue(s)
+		s.cpu.ready.push(s)
 	}
 }
 
@@ -313,7 +313,7 @@ func (sched *Scheduler) doUnblock(s *Strand) {
 // due events, another CPU has queued work it could steal, or it can safely
 // idle forward to its own next event.
 func (sched *Scheduler) eligible(c *CPU) bool {
-	if c.ready.Load().size > 0 {
+	if c.ready.size.Load() > 0 {
 		return true
 	}
 	at, hasEvent := c.engine.NextEventTime()
@@ -321,7 +321,7 @@ func (sched *Scheduler) eligible(c *CPU) bool {
 		return true
 	}
 	for _, d := range sched.cpus {
-		if d != c && d.ready.Load().size > 0 {
+		if d != c && d.ready.size.Load() > 0 {
 			return true
 		}
 	}
@@ -338,7 +338,7 @@ func (sched *Scheduler) safeIdleAdvance(c *CPU, at sim.Time) bool {
 		if d == c {
 			continue
 		}
-		if d.ready.Load().size > 0 && d.clock.Now() < at {
+		if d.ready.size.Load() > 0 && d.clock.Now() < at {
 			return false
 		}
 		if dat, ok := d.engine.NextEventTime(); ok && dat < at {
@@ -478,7 +478,7 @@ func (s *Strand) BlockSelf() {
 func (s *Strand) Yield() {
 	s.state = Runnable
 	s.readyAt = s.cpu.clock.Now()
-	s.cpu.enqueue(s)
+	s.cpu.ready.push(s)
 	s.yieldToScheduler(false)
 }
 

@@ -1,6 +1,7 @@
 package strand
 
 import (
+	"runtime"
 	"testing"
 
 	"spin/internal/dispatch"
@@ -610,5 +611,34 @@ func TestOSFThreadsPkgAccessor(t *testing.T) {
 	sched.Run()
 	if !done {
 		t.Error("thread hung")
+	}
+}
+
+// A Yield between two runnable strands on one CPU allocates nothing: the
+// run queue is edited in place and the CPU token passes on channels. The
+// fixed cost of a run (strands, goroutines) is cancelled by subtracting a
+// short run's mallocs from a long one's.
+func TestYieldAllocFree(t *testing.T) {
+	mallocs := func(yields int) uint64 {
+		sched, _ := newSched(t)
+		for _, name := range []string{"a", "b"} {
+			sched.Start(sched.NewStrand(name, 0, func(s *Strand) {
+				for i := 0; i < yields; i++ {
+					s.Yield()
+				}
+			}))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sched.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 1000, 11000
+	mallocs(short) // warm up
+	extra := float64(mallocs(long)) - float64(mallocs(short))
+	// A few mallocs of runtime noise either way round to 0.00 a Yield.
+	if perYield := extra / (2 * (long - short)); perYield >= 0.005 {
+		t.Errorf("a Yield allocates %.2f objects, want 0", perYield)
 	}
 }

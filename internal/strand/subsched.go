@@ -44,9 +44,6 @@ type SubStrand struct {
 	finished bool
 }
 
-// Finished reports whether the substrand's body has completed.
-func (ss *SubStrand) Finished() bool { return ss.finished }
-
 // NewSubScheduler creates an application-specific scheduler and installs
 // its Block/Unblock handlers (guarded to its own strands) on the global
 // dispatcher.
@@ -147,9 +144,6 @@ func (sub *SubScheduler) dequeue(ss *SubStrand) {
 		}
 	}
 }
-
-// Carrier exposes the carrier strand (for starting the scheduler).
-func (sub *SubScheduler) Carrier() *Strand { return sub.carrier }
 
 // LotteryPolicy returns a proportional-share policy [Waldspurger & Weihl
 // 94]: each runnable substrand holds Weight tickets (default 1) and the

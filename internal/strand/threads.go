@@ -61,9 +61,6 @@ func (p *ThreadPkg) Join(t *Thread) {
 // Strand exposes the thread's strand capability.
 func (t *Thread) Strand() *Strand { return t.strand }
 
-// Done reports whether the thread has terminated.
-func (t *Thread) Done() bool { return t.done }
-
 // Mutex is an in-kernel lock with direct handoff to the first waiter.
 type Mutex struct {
 	pkg     *ThreadPkg

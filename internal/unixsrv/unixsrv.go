@@ -92,7 +92,6 @@ type Process struct {
 	parent   *Process
 	children map[int]*Process
 	exited   bool
-	exitCode int
 	// reaped children pending Wait.
 	zombies map[int]int
 	waitSem *strand.Semaphore
@@ -206,7 +205,6 @@ func (p *Process) Exit(code int) {
 		return
 	}
 	p.exited = true
-	p.exitCode = code
 	p.Space.Destroy()
 	if p.parent != nil && !p.parent.exited {
 		p.parent.zombies[p.PID] = code
@@ -366,9 +364,6 @@ func (p *Process) Write(fd int, data []byte) (int, error) {
 	return len(data), nil
 }
 
-// Exited reports termination state and code.
-func (p *Process) Exited() (bool, int) { return p.exited, p.exitCode }
-
 // Exec replaces the process image, like execve(2): the old address space is
 // torn down, a fresh one (text + initial heap) is built, descriptors are
 // retained, and the new program runs in its place. It does not return to
@@ -419,7 +414,6 @@ func (p *Process) Kill(pid, code int) error {
 		return nil
 	}
 	target.exited = true
-	target.exitCode = code
 	target.Space.Destroy()
 	if target.parent != nil && !target.parent.exited {
 		target.parent.zombies[target.PID] = code

@@ -35,7 +35,6 @@ type Pager struct {
 	clockOrder []int
 	clockHand  int
 	nextBlock  int64
-	ref        dispatch.HandlerRef
 
 	// Faults, SwapIns and Evictions expose behaviour.
 	Faults    int
@@ -67,7 +66,7 @@ func NewPager(sys *System, disk *sal.Disk, ctx *Context, region *VirtAddr,
 		return nil, err
 	}
 	lo, hi := region.VPN(0), region.VPN(region.Pages()-1)
-	ref, err := sys.Disp.Install(EvPageNotPresent, func(arg, _ any) any {
+	_, err := sys.Disp.Install(EvPageNotPresent, func(arg, _ any) any {
 		f := arg.(*sal.Fault)
 		return pg.fault(int(f.VPN - lo))
 	}, dispatch.InstallOptions{
@@ -80,7 +79,6 @@ func NewPager(sys *System, disk *sal.Disk, ctx *Context, region *VirtAddr,
 	if err != nil {
 		return nil, err
 	}
-	pg.ref = ref
 	return pg, nil
 }
 
@@ -185,6 +183,3 @@ func (pg *Pager) IsResident(i int) bool {
 	_, ok := pg.resident[i]
 	return ok
 }
-
-// Disarm removes the pager's fault handler.
-func (pg *Pager) Disarm() { _ = pg.sys.Disp.Remove(pg.ref) }

@@ -48,13 +48,10 @@ func (sw *Switch) Stats() (forwarded, noRoute, ttlExpired int64) {
 	return sw.forwarded, sw.noRoute, sw.ttlExpired
 }
 
-// Ports returns the switch's ports in link-attachment order.
-func (sw *Switch) Ports() []*Port { return sw.ports }
-
 // addPort grows the switch by one port; out (the link half transmitting
 // away from this port) is wired by the builder after both ends exist.
-func (sw *Switch) addPort(name string) *Port {
-	p := &Port{sw: sw, name: name}
+func (sw *Switch) addPort() *Port {
+	p := &Port{sw: sw}
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -62,13 +59,9 @@ func (sw *Switch) addPort(name string) *Port {
 // Port is one switch attachment point. It is a link endpoint (frames arrive
 // here) and holds the outbound half of the same link.
 type Port struct {
-	sw   *Switch
-	name string
-	out  sal.Wire // transmit half of the attached link, away from the switch
+	sw  *Switch
+	out sal.Wire // transmit half of the attached link, away from the switch
 }
-
-// Name returns the port's label ("s0[2]" or the far node's name).
-func (p *Port) Name() string { return p.name }
 
 // DeliverAt schedules the frame's forwarding step on the switch's engine —
 // the endpoint contract links deliver into.

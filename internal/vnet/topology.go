@@ -47,9 +47,8 @@ type linkSpec struct {
 //		Link("a", "s0", edge).Link("b", "s0", edge).
 //		Build()
 type Builder struct {
-	seed     uint64
-	nicModel sal.NICModel
-	err      error
+	seed uint64
+	err  error
 
 	nodes    map[string]int
 	machines []machineSpec
@@ -60,9 +59,8 @@ type Builder struct {
 // NewBuilder starts a topology. seed drives every link's fault models.
 func NewBuilder(seed uint64) *Builder {
 	return &Builder{
-		seed:     seed,
-		nicModel: VirtualEtherModel,
-		nodes:    make(map[string]int),
+		seed:  seed,
+		nodes: make(map[string]int),
 	}
 }
 
@@ -70,13 +68,6 @@ func (b *Builder) fail(format string, args ...any) *Builder {
 	if b.err == nil {
 		b.err = fmt.Errorf("vnet: "+format, args...)
 	}
-	return b
-}
-
-// NICModel overrides the NIC model topology hosts get (default
-// VirtualEtherModel).
-func (b *Builder) NICModel(m sal.NICModel) *Builder {
-	b.nicModel = m
 	return b
 }
 
@@ -187,11 +178,11 @@ func (b *Builder) Build() (*Internet, error) {
 		at := &attachment{peer: index[far]}
 		adj[index[node]] = append(adj[index[node]], at)
 		if m := in.machines[node]; m != nil {
-			at.nic = m.AddNIC(b.nicModel)
+			at.nic = m.AddNIC(VirtualEtherModel)
 			at.nic.AttachWire(out)
 			return at, at.nic
 		}
-		at.port = in.switches[node].addPort(far)
+		at.port = in.switches[node].addPort()
 		at.port.out = out
 		return at, at.port
 	}

@@ -59,9 +59,6 @@ type Internet struct {
 	resolvers []*netstack.Resolver
 }
 
-// Seed returns the seed the topology's link models replay from.
-func (in *Internet) Seed() uint64 { return in.seed }
-
 // Cluster returns the conservative cluster driving all engines.
 func (in *Internet) Cluster() *sim.Cluster { return in.cluster }
 

@@ -83,7 +83,6 @@ type Machine struct {
 	Resolver *netstack.Resolver
 
 	nics     []*sal.NIC
-	engines  []*sim.Engine
 	nextVec  sal.InterruptVector
 	public   *domain.T
 	extCount int
@@ -144,7 +143,6 @@ func NewMachine(name string, cfg Config) (*Machine, error) {
 	for i := 1; i < cfg.CPUs; i++ {
 		engines = append(engines, sim.NewEngine())
 	}
-	m.engines = engines
 	m.Sched, err = strand.NewMultiScheduler(cfg.Profile, m.Dispatcher, engines...)
 	if err != nil {
 		return nil, fmt.Errorf("spin: boot scheduler: %w", err)
@@ -230,9 +228,6 @@ func (m *Machine) exportPublicInterfaces() error {
 	}
 	return nil
 }
-
-// Public returns the SpinPublic aggregate domain.
-func (m *Machine) Public() *domain.T { return m.public }
 
 // LoadExtension dynamically links a safe object file into the kernel: it
 // verifies the object, creates a protection domain for it, and resolves its
@@ -365,12 +360,6 @@ func (m *Machine) AddNIC(model sal.NICModel) *sal.NIC {
 // is shared; callers must not mutate it).
 func (m *Machine) NICs() []*sal.NIC { return m.nics }
 
-// Engines returns every simulation engine the machine owns: the boot
-// engine first, then one per extra CPU. Topology builders (internal/vnet)
-// register the boot engine with their cluster; extra CPU engines are driven
-// by the strand scheduler.
-func (m *Machine) Engines() []*sim.Engine { return m.engines }
-
 // Syscall models a user-level application invoking a kernel service: the
 // trap handler raises the Trap.SystemCall event, which is dispatched to a
 // handler installed by an extension. It returns the handler result.
@@ -420,18 +409,13 @@ func (m *Machine) DisableTracing() { m.Dispatcher.SetTracer(nil) }
 // harness: every injection site (dispatcher invocation, netstack RX /
 // reassembly / TCP delivery, VM pager, strand entry, verified-filter
 // actions at "bcode.run") consults the returned injector, whose decisions
-// replay exactly from seed. Arm rules on the
-// injector to make faults happen; until then (and after
-// DisableFaultInjection) each site costs one predictable-nil load.
+// replay exactly from seed. Arm rules on the injector to make faults
+// happen; until then each site costs one predictable-nil load.
 func (m *Machine) EnableFaultInjection(seed uint64) *faultinject.Injector {
 	in := faultinject.New(seed, m.Clock)
 	m.Dispatcher.SetInjector(in)
 	return in
 }
-
-// DisableFaultInjection disarms fault injection (one atomic pointer swap).
-// Counters on the injector EnableFaultInjection returned remain readable.
-func (m *Machine) DisableFaultInjection() { m.Dispatcher.SetInjector(nil) }
 
 // DestroyDomain is crash-only extension teardown (the recovery action
 // quarantine escalates to): in one call the named principal's interface
