@@ -188,7 +188,7 @@ func chaosNetstack(t *testing.T, seed uint64, sum *chaosSummary) {
 	sendFrags := func(idBase uint32) {
 		for i := 0; i < datagrams; i++ {
 			for _, half := range []struct {
-				off  int
+				off  int32
 				more bool
 			}{{0, true}, {300, false}} {
 				p := udpPkt(10)

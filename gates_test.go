@@ -201,30 +201,42 @@ func twoHostStar(t *testing.T) *vnet.Internet {
 // Moving a packet through the simulator allocates nothing: not an event,
 // not a closure, not a boxed frame. Pinned the way RX is, with no slack,
 // for a bare frame and for a datagram, because one object per hop is the
-// whole regression (the parent commit spent 4.5 a hop and 9 a datagram).
+// whole regression (the parent commit spent 4.5 a hop and 9 a datagram),
+// and for a full-size TCP segment, whose payload is summed once and whose
+// header is encoded on each link into a buffer the link keeps.
 func TestFrameAcrossSwitchAllocFree(t *testing.T) {
-	in := twoHostStar(t)
-	nic0, nic1, dst := in.Machine("h0").NICs()[0], in.Machine("h1").NICs()[0], in.IP("h1")
-	arrived := 0
-	nic1.OnReceive = func(f sal.NetFrame) bool {
-		arrived++
-		sal.ReleaseFrame(f)
-		return true
-	}
-	const runs = 1000
-	allocs := testing.AllocsPerRun(runs, func() {
-		pkt := netstack.AllocPacket()
-		pkt.Dst, pkt.Proto, pkt.TTL = dst, netstack.ProtoUDP, 32
-		if err := nic0.Send(sal.NetFrame{Size: pkt.WireSize(), Payload: pkt}); err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		name    string
+		proto   uint8
+		payload int
+	}{
+		{"bare UDP frame", netstack.ProtoUDP, 0},
+		{"full-size TCP segment", netstack.ProtoTCP, 1460},
+	} {
+		in := twoHostStar(t)
+		nic0, nic1, dst := in.Machine("h0").NICs()[0], in.Machine("h1").NICs()[0], in.IP("h1")
+		arrived := 0
+		nic1.OnReceive = func(f sal.NetFrame) bool {
+			arrived++
+			sal.ReleaseFrame(f)
+			return true
 		}
-		in.Run(0)
-	})
-	if allocs != 0 {
-		t.Errorf("a frame over link, switch and link allocates %v, want 0", allocs)
-	}
-	if arrived != runs+1 {
-		t.Errorf("%d frames arrived, want %d", arrived, runs+1)
+		const runs = 1000
+		allocs := testing.AllocsPerRun(runs, func() {
+			pkt := netstack.AllocPacket()
+			pkt.Dst, pkt.Proto, pkt.TTL = dst, row.proto, 32
+			pkt.AllocPayload(row.payload)
+			if err := nic0.Send(sal.NetFrame{Size: pkt.WireSize(), Payload: pkt}); err != nil {
+				t.Fatal(err)
+			}
+			in.Run(0)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a frame over link, switch and link allocates %v, want 0", row.name, allocs)
+		}
+		if arrived != runs+1 {
+			t.Errorf("%s: %d frames arrived, want %d", row.name, arrived, runs+1)
+		}
 	}
 }
 

@@ -81,7 +81,9 @@ func (vs *VideoServer) Clients() int { return len(vs.clients) }
 // SendFrame reads frame number n from the source and pushes it through the
 // protocol graph exactly once; the multicast handler fans it out.
 func (vs *VideoServer) SendFrame(n int) {
-	payload := vs.source(n)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(n))
+	payload := append(hdr[:], vs.source(n)...)
 	// Read path + single UDP/IP traversal for the template packet.
 	vs.stack.clock.Advance(2 * vs.stack.profile.ProtoLayer)
 	pkt := &Packet{
@@ -89,9 +91,6 @@ func (vs *VideoServer) SendFrame(n int) {
 		SrcPort: vs.port, DstPort: vs.port,
 		Payload: payload, TTL: 32,
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	pkt.Payload = append(hdr[:], pkt.Payload...)
 	vs.FramesSent++
 	vs.stack.disp.Raise(EvSendPacket, pkt)
 }

@@ -65,7 +65,7 @@ func TestForwardingTTLExpiry(t *testing.T) {
 	got := 0
 	b.stack.UDP().Bind(9, InKernelDelivery, func(*Packet) { got++ })
 	// TTL 1 dies at the router; TTL 2 reaches b.
-	for _, ttl := range []int{1, 2} {
+	for _, ttl := range []int32{1, 2} {
 		pkt := AllocPacket()
 		pkt.Src, pkt.Dst, pkt.Proto = a.stack.IP, b.stack.IP, ProtoUDP
 		pkt.SrcPort, pkt.DstPort = 5000, 9

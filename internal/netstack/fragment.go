@@ -142,7 +142,7 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 		frag.CopyHeaderFrom(pkt)
 		frag.SetPayload(payload[off:end])
 		frag.FragID = id
-		frag.FragOffset = off
+		frag.FragOffset = int32(off)
 		frag.MoreFrags = end < len(payload)
 		// Per-fragment IP header build.
 		s.clock.Advance(s.profile.ProtoLayer / 2)
@@ -165,8 +165,8 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 //
 // The lock covers one fragment's bookkeeping.
 func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duration) {
-	if pkt.FragOffset < 0 || pkt.FragOffset > MaxDatagram ||
-		pkt.FragOffset+len(pkt.Payload) > MaxDatagram {
+	off := int(pkt.FragOffset)
+	if off < 0 || off > MaxDatagram || off+len(pkt.Payload) > MaxDatagram {
 		return nil, 0
 	}
 	key := fragKey{src: pkt.Src, id: pkt.FragID}
@@ -179,14 +179,14 @@ func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duratio
 		buf = &fragBuffer{total: -1, template: *pkt, firstAt: now}
 		r.parts.put(key, buf, now)
 	}
-	end := pkt.FragOffset + len(pkt.Payload)
+	end := off + len(pkt.Payload)
 	if end > len(buf.data) {
 		grown := make([]byte, end)
 		copy(grown, buf.data)
 		buf.data = grown
 	}
-	copy(buf.data[pkt.FragOffset:], pkt.Payload)
-	buf.addCovered(pkt.FragOffset, end)
+	copy(buf.data[off:], pkt.Payload)
+	buf.addCovered(off, end)
 	if !pkt.MoreFrags {
 		buf.total = end
 	}

@@ -138,7 +138,7 @@ func markedFrag(src IPAddr, id uint32, off int, more bool, size int) *Packet {
 	}
 	return &Packet{
 		Src: src, Dst: Addr(10, 0, 0, 1), Proto: ProtoUDP, DstPort: 9,
-		FragID: id, FragOffset: off, MoreFrags: more, Payload: p, TTL: 32,
+		FragID: id, FragOffset: int32(off), MoreFrags: more, Payload: p, TTL: 32,
 	}
 }
 

@@ -156,7 +156,7 @@ func FuzzFragmentReassembly(f *testing.F) {
 			}
 			pkt := &Packet{
 				Src: src, Dst: src, Proto: ProtoUDP,
-				FragID: id, FragOffset: off, MoreFrags: more,
+				FragID: id, FragOffset: int32(off), MoreFrags: more,
 				Payload: payload,
 			}
 			keys[fragKey{src: pkt.Src, id: pkt.FragID}] = true

@@ -113,6 +113,10 @@ type Packet struct {
 	ICMPSeq  uint16
 
 	Payload []byte
+	// sum is a hash of Payload, kept by PayloadSum while summed is set.
+	// Every write to the payload clears summed.
+	sum    uint64
+	summed bool
 
 	// Claimed is set by an extension that consumed the packet at some
 	// layer, suppressing default downstream processing (how the
@@ -120,13 +124,13 @@ type Packet struct {
 	Claimed bool
 
 	// TTL guards against forwarding loops.
-	TTL int
+	TTL int32
 
 	// IP fragmentation: FragID groups the fragments of one datagram,
 	// FragOffset is this fragment's payload offset, MoreFrags marks
 	// non-final fragments.
 	FragID     uint32
-	FragOffset int
+	FragOffset int32
 	MoreFrags  bool
 
 	// Pool state. pooled marks packets from AllocPacket; refs is their
@@ -221,6 +225,7 @@ func (p *Packet) Release() {
 // capacity), so the caller keeps ownership of b.
 func (p *Packet) SetPayload(b []byte) {
 	p.Payload = append(p.Payload[:0], b...)
+	p.summed = false
 }
 
 // AllocPayload sets the payload to n zero bytes, reusing the packet's
@@ -234,6 +239,7 @@ func (p *Packet) AllocPayload(n int) []byte {
 			p.Payload[i] = 0
 		}
 	}
+	p.summed = false
 	return p.Payload
 }
 
@@ -241,14 +247,30 @@ func (p *Packet) AllocPayload(n int) []byte {
 // reassembly, which built the buffer itself and discards it afterwards.
 func (p *Packet) adoptPayload(buf []byte) {
 	p.Payload = buf
+	p.summed = false
 }
 
+// PayloadSum returns hash(p.Payload), calling hash at most once until the
+// payload is next written: a frame's payload is hashed once per packet
+// however many links it crosses. Code that writes Payload's bytes in place
+// rather than through SetPayload or AllocPayload calls PayloadWritten.
+func (p *Packet) PayloadSum(hash func([]byte) uint64) uint64 {
+	if !p.summed {
+		p.sum, p.summed = hash(p.Payload), true
+	}
+	return p.sum
+}
+
+// PayloadWritten drops the sum PayloadSum keeps, after Payload's bytes
+// were changed in place.
+func (p *Packet) PayloadWritten() { p.summed = false }
+
 // CopyHeaderFrom copies every header field of src into p, leaving p's
-// payload and pool state untouched.
+// payload (with its sum) and pool state untouched.
 func (p *Packet) CopyHeaderFrom(src *Packet) {
-	payload, pooled, refs := p.Payload, p.pooled, p.refs
+	payload, sum, summed, pooled, refs := p.Payload, p.sum, p.summed, p.pooled, p.refs
 	*p = *src
-	p.Payload, p.pooled, p.refs = payload, pooled, refs
+	p.Payload, p.sum, p.summed, p.pooled, p.refs = payload, sum, summed, pooled, refs
 	p.Claimed = false
 }
 

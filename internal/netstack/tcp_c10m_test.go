@@ -532,6 +532,15 @@ func TestConnSizeBudget(t *testing.T) {
 	}
 }
 
+// Every segment in flight or queued is a Packet, and the payload sum the
+// links share cost it 16 bytes; TTL and FragOffset, 8 and 16 bits on the
+// wire, are int32 so that it still fits the 144-byte size class.
+func TestPacketSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 144 {
+		t.Errorf("Packet is %d bytes, budget 144", got)
+	}
+}
+
 // A fleet pays a stack's fixed cost once per host, so a table sized for the
 // most connections any host might hold is paid hundreds of times by hosts
 // that hold a few dozen. What a new stack allocates is pinned here.

@@ -74,17 +74,22 @@ func EncodePacket(pkt *Packet) []byte {
 
 // AppendPacket appends pkt's wire form to dst and returns the extended
 // buffer — the allocation-free encoder for hot paths that reuse a scratch
-// buffer (the append is recognized by the compiler as grow-and-clear, so a
-// dst with enough capacity costs nothing).
+// buffer: the header, then the payload.
 func AppendPacket(dst []byte, pkt *Packet) []byte {
+	return append(AppendHeader(dst, pkt), pkt.Payload...)
+}
+
+// AppendHeader appends the bytes of pkt's wire form that precede its
+// payload — ethernet, IP and transport headers, TCP options included — and
+// returns the extended buffer.
+func AppendHeader(dst []byte, pkt *Packet) []byte {
 	thdr := transportHeaderLen(pkt.Proto)
 	if pkt.Proto == ProtoTCP {
 		thdr += pkt.tcpOptionsLen()
 	}
-	total := IPHeader + thdr + len(pkt.Payload)
-	off := len(dst)
+	off, n := len(dst), EtherHeader+IPHeader+thdr
 	// Not append(dst, make(...)...): a -race build allocates the make.
-	dst = slices.Grow(dst, EtherHeader+total)[:off+EtherHeader+total]
+	dst = slices.Grow(dst, n)[:off+n]
 	b := dst[off:]
 	clear(b)
 
@@ -93,9 +98,9 @@ func AppendPacket(dst []byte, pkt *Packet) []byte {
 
 	ip := b[EtherHeader:]
 	ip[0] = 4
-	binary.BigEndian.PutUint16(ip[1:3], clampU16(total))
+	binary.BigEndian.PutUint16(ip[1:3], clampU16(IPHeader+thdr+len(pkt.Payload)))
 	binary.BigEndian.PutUint32(ip[3:7], pkt.FragID)
-	binary.BigEndian.PutUint16(ip[7:9], clampU16(pkt.FragOffset))
+	binary.BigEndian.PutUint16(ip[7:9], clampU16(int(pkt.FragOffset)))
 	if pkt.MoreFrags {
 		ip[9] = ipMoreFrags
 	}
@@ -127,7 +132,6 @@ func AppendPacket(dst []byte, pkt *Packet) []byte {
 		t[0] = pkt.ICMPType
 		binary.BigEndian.PutUint16(t[4:6], pkt.ICMPSeq)
 	}
-	copy(b[EtherHeader+IPHeader+thdr:], pkt.Payload)
 	return dst
 }
 
@@ -181,9 +185,9 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 	}
 	pkt.Proto = proto
 	pkt.FragID = binary.BigEndian.Uint32(ip[3:7])
-	pkt.FragOffset = int(binary.BigEndian.Uint16(ip[7:9]))
+	pkt.FragOffset = int32(binary.BigEndian.Uint16(ip[7:9]))
 	pkt.MoreFrags = ip[9]&ipMoreFrags != 0
-	pkt.TTL = int(ip[10])
+	pkt.TTL = int32(ip[10])
 	pkt.Src = IPAddr(binary.BigEndian.Uint32(ip[12:16]))
 	pkt.Dst = IPAddr(binary.BigEndian.Uint32(ip[16:20]))
 	t := ip[IPHeader:]
@@ -214,7 +218,7 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 	if copyPayload {
 		pkt.SetPayload(t[thdr : total-IPHeader])
 	} else {
-		pkt.Payload = t[thdr : total-IPHeader]
+		pkt.adoptPayload(t[thdr : total-IPHeader])
 	}
 	return nil
 }

@@ -74,47 +74,78 @@ func TestHookDroppedFramesNeverReachPeer(t *testing.T) {
 }
 
 // TestHookAlterPreservesWireParity: altering a frame in a hook is
-// wire-identical to the sender having sent the altered bytes — the link
-// digest (computed from encoded wire bytes post-hook) and the peer's view
-// must match a run where the source sent the altered payload directly.
+// wire-identical to the sender having sent the altered bytes — the digests
+// of the hooked link and of every link after it (computed from encoded wire
+// bytes post-hook) and the peer's view must match a run where the source
+// sent the altered payload directly. On a three-link path the hook sits on
+// the second link, so the first has already summed the payload it alters in
+// place: the sum must not survive the hook, and the first link, which saw
+// the bytes before the hook, must tell the two runs apart.
 func TestHookAlterPreservesWireParity(t *testing.T) {
 	const n = 30
-	run := func(alterInHook bool) (uint64, []byte) {
-		in := buildPair(t, LinkModel{Latency: 20 * sim.Microsecond}, 9)
-		a, b := in.Machine("a"), in.Machine("b")
-		if alterInHook {
-			in.Link("a~b").AddHook(func(ev *FrameEvent) Verdict {
-				if pkt, ok := ev.Frame.Payload.(*netstack.Packet); ok &&
-					pkt.Proto == netstack.ProtoUDP && len(pkt.Payload) > 0 {
-					pkt.Payload[0] ^= 0xAA
-				}
-				return Pass
-			})
-		}
-		var seen []byte
-		b.Stack.UDP().Bind(9, nil, func(pkt *netstack.Packet) {
-			seen = append(seen, pkt.Payload...)
-		})
-		for i := 0; i < n; i++ {
-			payload := []byte{byte(i), byte(i * 3)}
-			if !alterInHook {
-				payload[0] ^= 0xAA // sender applies the same mutation
-			}
-			if err := a.Stack.UDP().Send(100, in.IP("b"), 9, payload); err != nil {
+	for _, row := range []struct {
+		name         string
+		build        func() *Internet
+		hooked       string
+		same, differ []string
+	}{
+		{"one link", func() *Internet {
+			return buildPair(t, LinkModel{Latency: 20 * sim.Microsecond}, 9)
+		}, "a~b", []string{"a~b"}, nil},
+		{"three links", func() *Internet {
+			edge := LinkModel{Latency: 20 * sim.Microsecond}
+			in, err := NewBuilder(9).Machine("a", 0).Switch("s1").Switch("s2").Machine("b", 0).
+				Link("a", "s1", edge).Link("s1", "s2", edge).Link("s2", "b", edge).
+				Build()
+			if err != nil {
 				t.Fatal(err)
 			}
-			in.Run(0)
+			return in
+		}, "s1~s2", []string{"s1~s2", "s2~b"}, []string{"a~s1"}},
+	} {
+		run := func(alterInHook bool) (map[string][2]uint64, []byte) {
+			in := row.build()
+			a, b := in.Machine("a"), in.Machine("b")
+			if alterInHook {
+				in.Link(row.hooked).AddHook(func(ev *FrameEvent) Verdict {
+					if pkt, ok := ev.Frame.Payload.(*netstack.Packet); ok &&
+						pkt.Proto == netstack.ProtoUDP && len(pkt.Payload) > 0 {
+						pkt.Payload[0] ^= 0xAA
+					}
+					return Pass
+				})
+			}
+			var seen []byte
+			b.Stack.UDP().Bind(9, nil, func(pkt *netstack.Packet) {
+				seen = append(seen, pkt.Payload...)
+			})
+			for i := 0; i < n; i++ {
+				payload := []byte{byte(i), byte(i * 3)}
+				if !alterInHook {
+					payload[0] ^= 0xAA // sender applies the same mutation
+				}
+				if err := a.Stack.UDP().Send(100, in.IP("b"), 9, payload); err != nil {
+					t.Fatal(err)
+				}
+				in.Run(0)
+			}
+			return in.LinkDigests(), seen
 		}
-		ab, _ := in.Link("a~b").Digests()
-		return ab, seen
-	}
-	dHook, seenHook := run(true)
-	dSrc, seenSrc := run(false)
-	if dHook != dSrc {
-		t.Errorf("wire digest differs: hook-altered %#x vs source-altered %#x", dHook, dSrc)
-	}
-	if !bytes.Equal(seenHook, seenSrc) {
-		t.Error("peer payloads differ between hook-altered and source-altered runs")
+		dHook, seenHook := run(true)
+		dSrc, seenSrc := run(false)
+		for _, name := range row.same {
+			if dHook[name] != dSrc[name] {
+				t.Errorf("%s: link %s's digest differs: hook-altered %#x vs source-altered %#x", row.name, name, dHook[name], dSrc[name])
+			}
+		}
+		for _, name := range row.differ {
+			if dHook[name] == dSrc[name] {
+				t.Errorf("%s: link %s, before the hook, reads %#x in both runs", row.name, name, dHook[name])
+			}
+		}
+		if !bytes.Equal(seenHook, seenSrc) {
+			t.Errorf("%s: peer payloads differ between hook-altered and source-altered runs", row.name)
+		}
 	}
 }
 

@@ -148,9 +148,9 @@ func (l *Link) AddHook(h Hook) { l.hooks = append(l.hooks, h) }
 func (l *Link) Stats() (ab, ba LinkStats) { return l.ab.stats, l.ba.stats }
 
 // Digests returns the per-direction frame-order digests: a chained hash
-// over (encoded frame bytes, arrival time) of every delivered frame. Two
-// runs of the same seeded topology produce byte-identical traffic exactly
-// when these match on every link.
+// over (header wire bytes, payload sum, arrival time) of every delivered
+// frame. Two runs of the same seeded topology produce byte-identical
+// traffic exactly when these match on every link.
 func (l *Link) Digests() (ab, ba uint64) { return l.ab.digest, l.ba.digest }
 
 // mix64 is the splitmix64 finalizer — deterministic 64-bit mixing for
@@ -172,20 +172,41 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// hashBytes folds a byte slice into 64 bits: FNV-1a's xor-and-multiply over
-// little-endian words, then over the tail's bytes, starting from the length
-// so that a trailing zero counts. Each step is a bijection of h, so two
-// slices of one length that differ in one word always hash differently; the
-// shift brings a word's high bytes, which the multiply alone only carries
-// upward, back into the low half.
+// hashBytes folds a byte slice into 64 bits with FNV-1a's xor-and-multiply
+// over little-endian words. Four independent lanes take the words of each
+// 32-byte block in turn, so four multiplies are in flight at once, and are
+// folded in order into one as four more words; the rest of the slice goes a
+// word, then a byte, at a time. Every lane starts from the length, so that a
+// trailing zero counts, plus its index. Each step is a bijection of the value
+// it updates, so two slices of one length that differ in one word always
+// hash differently; the shift brings a word's high bytes, which the multiply
+// alone only carries upward, back into the low half.
 func hashBytes(b []byte) uint64 {
+	const prime = 1099511628211
 	h := 14695981039346656037 ^ uint64(len(b))
+	if len(b) >= 32 {
+		h0, h1, h2, h3 := h, h+1, h+2, h+3
+		for ; len(b) >= 32; b = b[32:] {
+			h0 = (h0 ^ binary.LittleEndian.Uint64(b)) * prime
+			h1 = (h1 ^ binary.LittleEndian.Uint64(b[8:])) * prime
+			h2 = (h2 ^ binary.LittleEndian.Uint64(b[16:])) * prime
+			h3 = (h3 ^ binary.LittleEndian.Uint64(b[24:])) * prime
+			h0 ^= h0 >> 32
+			h1 ^= h1 >> 32
+			h2 ^= h2 >> 32
+			h3 ^= h3 >> 32
+		}
+		for _, lane := range [4]uint64{h0, h1, h2, h3} {
+			h = (h ^ lane) * prime
+			h ^= h >> 32
+		}
+	}
 	for ; len(b) >= 8; b = b[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * 1099511628211
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
 		h ^= h >> 32
 	}
 	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
+		h = (h ^ uint64(c)) * prime
 	}
 	return h
 }
@@ -199,16 +220,17 @@ func (m *LinkModel) txTime(n int) sim.Duration {
 	return sim.Duration(int64(n) * 8 * int64(sim.Second) / m.BandwidthBps)
 }
 
-// encode renders the frame's wire bytes into the half's scratch buffer —
-// netstack packets get their real wire form (what pcap and the digest see);
-// foreign payloads are represented by their size.
-func (h *half) encode(f sal.NetFrame) []byte {
+// encode renders what the digest and pcap see of a frame: a netstack
+// packet's header wire bytes, in the half's scratch buffer because a switch
+// changes them on every hop, and its payload with the payload's sum, which
+// the packet keeps from one hop to the next; a foreign payload is its size.
+func (h *half) encode(f sal.NetFrame) (hdr, payload []byte, sum uint64) {
 	if pkt, ok := f.Payload.(*netstack.Packet); ok {
-		h.scratch = netstack.AppendPacket(h.scratch[:0], pkt)
-		return h.scratch
+		h.scratch = netstack.AppendHeader(h.scratch[:0], pkt)
+		return h.scratch, pkt.Payload, pkt.PayloadSum(hashBytes)
 	}
 	h.scratch = binary.LittleEndian.AppendUint64(h.scratch[:0], uint64(f.Size))
-	return h.scratch
+	return h.scratch, nil, 0
 }
 
 // drop discards a frame (releasing a pooled payload) and traces the event.
@@ -266,6 +288,10 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 			}
 		}
 		f, extra = hooked, ev.ExtraDelay
+		// A hook may have written the payload in place.
+		if pkt, ok := f.Payload.(*netstack.Packet); ok {
+			pkt.PayloadWritten()
+		}
 	}
 	// Link-bandwidth serialization (bottleneck links).
 	start := departed
@@ -296,11 +322,11 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 // deliver commits one frame arrival: digest, capture, trace, then the far
 // endpoint's interrupt (or switch forwarding step) at the arrival time.
 func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
-	wire := h.encode(f)
-	h.fold(wire, arrival)
+	hdr, payload, sum := h.encode(f)
+	h.fold(hdr, sum, arrival)
 	h.stats.Delivered++
 	if h.link.cap != nil {
-		h.link.cap.Record(arrival, wire)
+		h.link.cap.Record(arrival, hdr, payload)
 	}
 	if h.link.tr != nil {
 		h.link.tr.Trace(trace.Record{
@@ -311,10 +337,10 @@ func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 	h.to.DeliverAt(arrival, f)
 }
 
-// fold chains one delivered frame, its wire bytes and arrival time, into the
-// direction's digest.
-func (h *half) fold(wire []byte, arrival sim.Time) {
-	h.digest = mix64(h.digest ^ hashBytes(wire) ^ uint64(arrival))
+// fold chains one delivered frame into the direction's digest: its header
+// wire bytes, then its payload's sum and its arrival time.
+func (h *half) fold(hdr []byte, payloadSum uint64, arrival sim.Time) {
+	h.digest = mix64(mix64(h.digest^hashBytes(hdr)) ^ payloadSum ^ uint64(arrival))
 }
 
 // cloneFrame deep-copies a frame for duplicate delivery: the two arrivals

@@ -47,25 +47,27 @@ func NewCapture(w io.Writer) *Capture {
 	return c
 }
 
-// Record writes one frame observed at virtual time t.
-func (c *Capture) Record(t sim.Time, frame []byte) {
+// Record writes one frame observed at virtual time t, given as its header
+// bytes and its payload.
+func (c *Capture) Record(t sim.Time, header, payload []byte) {
 	if c.err != nil {
 		return
 	}
-	n := len(frame)
-	if n > pcapSnapLen {
-		n = pcapSnapLen
-	}
+	size := len(header) + len(payload)
+	n := min(size, pcapSnapLen)
 	var hdr [pcapRecHdrLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t/sim.Time(sim.Second)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(t%sim.Time(sim.Second))/1000)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(size))
 	if _, c.err = c.w.Write(hdr[:]); c.err != nil {
 		return
 	}
-	if _, c.err = c.w.Write(frame[:n]); c.err != nil {
-		return
+	// A header is shorter than the snap length; only a payload is cut.
+	for _, b := range [2][]byte{header, payload[:n-len(header)]} {
+		if _, c.err = c.w.Write(b); c.err != nil {
+			return
+		}
 	}
 	c.records++
 }
