@@ -303,9 +303,9 @@ func run(out io.Writer, requests int) error {
 			return fmt.Errorf("post-kill fetch %d: %w", i, err)
 		}
 	}
-	requestsN, attempts, retries, failovers := rd.Stats()
-	fmt.Fprintf(out, "  8/8 ok: requests=%d attempts=%d retries=%d failovers=%d ejections=%d\n",
-		requestsN, attempts, retries, failovers, bal.Ejections())
+	fmt.Fprintf(out, "  8/8 ok: requests=%v attempts=%v retries=%v failovers=%v ejections=%d\n",
+		metrics.Value(rd, "lb_client_requests"), metrics.Value(rd, "lb_client_attempts"),
+		metrics.Value(rd, "lb_client_retries"), metrics.Value(rd, "lb_client_failovers"), bal.Ejections())
 
 	// The balancer's and dialer's metrics, the lb_ samples spin-dbg's
 	// "metrics lb_" shows too. net/http's goroutines interleave freely, so

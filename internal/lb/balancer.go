@@ -14,27 +14,16 @@ type Config struct {
 	// Seed drives vnode placement, probe jitter and request keys; fixed
 	// seed, fixed routing.
 	Seed uint64
-	// Breaker tunes every backend's circuit breaker.
-	Breaker BreakerConfig
-	// Port is the backend service port dialed by probes and the
-	// ResilientDialer (default 80).
-	Port uint16
 }
 
 // healthInterval spaces active probes per backend, jittered by up to 1/8 so
 // a fleet's probes don't self-synchronize; healthTimeout bounds one probe's
-// connect.
+// connect to the backend's probePort.
 const (
 	healthInterval = 250 * sim.Millisecond
 	healthTimeout  = 100 * sim.Millisecond
+	probePort      = 80
 )
-
-func (c Config) withDefaults() Config {
-	if c.Port == 0 {
-		c.Port = 80
-	}
-	return c
-}
 
 // backend is one named service replica and its local health state.
 type backend struct {
@@ -62,7 +51,6 @@ type Balancer struct {
 	resolver *netstack.Resolver
 	engine   *sim.Engine
 	clock    *sim.Clock
-	cfg      Config
 	rand     *sim.Rand
 
 	ring     *Ring
@@ -84,13 +72,11 @@ type Balancer struct {
 // (use AddBackend for the common name==host case). The ring starts with
 // every backend in.
 func NewBalancer(stack *netstack.Stack, resolver *netstack.Resolver, cfg Config) *Balancer {
-	cfg = cfg.withDefaults()
 	b := &Balancer{
 		stack:    stack,
 		resolver: resolver,
 		engine:   stack.Engine(),
 		clock:    stack.Clock(),
-		cfg:      cfg,
 		rand:     sim.NewRand(cfg.Seed ^ 0x1ba1a9ce4),
 		ring:     NewRing(cfg.Seed, DefaultVnodes),
 		backends: make(map[string]*backend),
@@ -105,15 +91,12 @@ func (b *Balancer) AddBackend(name, host string) {
 		host = name
 	}
 	be := &backend{name: name, host: host}
-	be.breaker = NewBreaker(b.engine, b.cfg.Breaker)
+	be.breaker = NewBreaker(b.engine)
 	be.breaker.onChange = func(from, to BreakerState) { b.onBreaker(be, from, to) }
 	b.backends[name] = be
 	b.order = append(b.order, name)
 	b.rebuild()
 }
-
-// Port is the backend service port the balancer targets.
-func (b *Balancer) Port() uint16 { return b.cfg.Port }
 
 // Host returns the DNS name dialed for a ring member ("" if unknown).
 func (b *Balancer) Host(name string) string {
@@ -288,7 +271,7 @@ func (b *Balancer) probe(be *backend) {
 			finish(false)
 			return
 		}
-		conn, err := b.stack.TCP().Connect(addrs[0], b.cfg.Port, nil)
+		conn, err := b.stack.TCP().Connect(addrs[0], probePort, nil)
 		if err != nil {
 			finish(false)
 			return

@@ -38,7 +38,7 @@ func TestBalancerHealthLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := netstack.NewDNSServer(stack, netstack.InKernelDelivery, zone.LookupA); err != nil {
+	if _, err := netstack.NewDNSServer("", stack, zone.LookupA); err != nil {
 		t.Fatal(err)
 	}
 	resolver := netstack.NewResolver(stack, netstack.ResolverConfig{
@@ -62,9 +62,6 @@ func TestBalancerHealthLoopback(t *testing.T) {
 	}
 	if bal.Host("nope") != "" {
 		t.Fatal("Host of unknown member should be empty")
-	}
-	if bal.Port() != 80 {
-		t.Fatalf("default port = %d", bal.Port())
 	}
 	if got := bal.Members(); len(got) != 2 {
 		t.Fatalf("Members = %v, want both", got)
@@ -143,7 +140,7 @@ func TestBalancerHealthLoopback(t *testing.T) {
 // explicit Eject does the same immediately, successes reset streaks.
 func TestBalancerPassiveOutlier(t *testing.T) {
 	stack, _ := soloStack(t)
-	bal := NewBalancer(stack, nil, Config{Seed: 9, Breaker: BreakerConfig{FailureThreshold: 2}})
+	bal := NewBalancer(stack, nil, Config{Seed: 9})
 	bal.AddBackend("a", "a.spin.test")
 	bal.AddBackend("b", "b.spin.test")
 	bal.AddBackend("c", "c.spin.test")

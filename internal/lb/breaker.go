@@ -29,34 +29,20 @@ func (s BreakerState) String() string {
 	return "?"
 }
 
-// BreakerConfig tunes one circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is how many consecutive failures open the breaker
-	// (default 3).
-	FailureThreshold int
-	// OpenTimeout is how long an open breaker rejects before admitting a
-	// half-open probe (default 2s virtual).
-	OpenTimeout sim.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 2 * sim.Second
-	}
-	return c
-}
+// A breaker opens after breakerThreshold consecutive failures and admits a
+// half-open probe breakerOpenTimeout after opening.
+const (
+	breakerThreshold   = 3
+	breakerOpenTimeout = 2 * sim.Second
+)
 
 // Breaker is one backend's circuit breaker: closed → (threshold consecutive
-// failures) → open → (OpenTimeout, on a virtual-time engine timer) →
+// failures) → open → (breakerOpenTimeout, on a virtual-time engine timer) →
 // half-open → one probe success closes it, one probe failure re-opens it.
 // Mutations happen only in engine context; the state itself is an atomic so
 // observability renderers on other goroutines read it safely.
 type Breaker struct {
 	engine *sim.Engine
-	cfg    BreakerConfig
 
 	state    atomic.Int32
 	failures int // consecutive, in the closed state
@@ -70,8 +56,8 @@ type Breaker struct {
 }
 
 // NewBreaker builds a closed breaker whose open timer runs on engine.
-func NewBreaker(engine *sim.Engine, cfg BreakerConfig) *Breaker {
-	return &Breaker{engine: engine, cfg: cfg.withDefaults()}
+func NewBreaker(engine *sim.Engine) *Breaker {
+	return &Breaker{engine: engine}
 }
 
 // State reads the breaker's position (safe from any goroutine).
@@ -101,7 +87,7 @@ func (b *Breaker) Fail() {
 	switch b.State() {
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= breakerThreshold {
 			b.open()
 		}
 	case BreakerHalfOpen:
@@ -120,7 +106,7 @@ func (b *Breaker) ForceOpen() {
 func (b *Breaker) open() {
 	b.ejections.Add(1)
 	b.transition(BreakerOpen)
-	b.timer = b.engine.After(b.cfg.OpenTimeout, func() {
+	b.timer = b.engine.After(breakerOpenTimeout, func() {
 		b.timer = nil
 		if b.State() == BreakerOpen {
 			b.transition(BreakerHalfOpen)

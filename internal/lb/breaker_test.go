@@ -10,7 +10,7 @@ func newTestBreaker(t *testing.T) (*sim.Engine, *Breaker, *[]string) {
 	t.Helper()
 	eng := sim.NewEngine()
 	transitions := &[]string{}
-	br := NewBreaker(eng, BreakerConfig{FailureThreshold: 3, OpenTimeout: 2 * sim.Second})
+	br := NewBreaker(eng)
 	br.onChange = func(from, to BreakerState) {
 		*transitions = append(*transitions, from.String()+">"+to.String())
 	}
@@ -56,10 +56,10 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		br.Fail()
 	}
-	// OpenTimeout elapses on the virtual clock -> half-open.
+	// breakerOpenTimeout elapses on the virtual clock -> half-open.
 	eng.Run(0)
 	if br.State() != BreakerHalfOpen {
-		t.Fatalf("state after OpenTimeout = %v, want half-open", br.State())
+		t.Fatalf("state after breakerOpenTimeout = %v, want half-open", br.State())
 	}
 	if eng.Now() != sim.Time(2*sim.Second) {
 		t.Fatalf("half-open at t=%v, want 2s", eng.Now())
@@ -71,7 +71,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	eng.Run(0)
 	if br.State() != BreakerHalfOpen {
-		t.Fatalf("second OpenTimeout: state %v, want half-open", br.State())
+		t.Fatalf("second breakerOpenTimeout: state %v, want half-open", br.State())
 	}
 	// ...and a successful probe closes.
 	br.Success()

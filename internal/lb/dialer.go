@@ -107,13 +107,6 @@ func NewResilientDialer(s *netstack.Sockets, bal *Balancer, policy RetryPolicy, 
 func (rd *ResilientDialer) budget() float64     { return math.Float64frombits(rd.budgetBits.Load()) }
 func (rd *ResilientDialer) setBudget(v float64) { rd.budgetBits.Store(math.Float64bits(v)) }
 
-// Stats reports (requests, attempts, retries, failovers) so experiments
-// can assert "no retry storm": attempts - requests must stay within the
-// budget the request volume earned.
-func (rd *ResilientDialer) Stats() (requests, attempts, retries, failovers int64) {
-	return rd.requests.Load(), rd.attempts.Load(), rd.retries.Load(), rd.failovers.Load()
-}
-
 // Dial implements the net.Dial shape; see DialContext.
 func (rd *ResilientDialer) Dial(network, address string) (net.Conn, error) {
 	return rd.DialContext(context.Background(), network, address)

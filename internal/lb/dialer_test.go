@@ -28,7 +28,7 @@ func newDialerRig(t *testing.T) *dialerRig {
 			t.Fatal(err)
 		}
 	}
-	if _, err := netstack.NewDNSServer(stack, netstack.InKernelDelivery, zone.LookupA); err != nil {
+	if _, err := netstack.NewDNSServer("", stack, zone.LookupA); err != nil {
 		t.Fatal(err)
 	}
 	resolver := netstack.NewResolver(stack, netstack.ResolverConfig{
@@ -52,7 +52,7 @@ func (r *dialerRig) listen(t *testing.T) {
 func TestResilientDialerFailover(t *testing.T) {
 	r := newDialerRig(t)
 	r.listen(t)
-	bal := NewBalancer(r.stack, r.socks.Resolver(), Config{Seed: 7, Breaker: BreakerConfig{FailureThreshold: 2}})
+	bal := NewBalancer(r.stack, r.socks.Resolver(), Config{Seed: 7})
 	bal.AddBackend("app-a", "app-a.spin.test")
 	bal.AddBackend("app-b", "app-b.spin.test")
 	rd := NewResilientDialer(r.socks, bal, RetryPolicy{
@@ -75,9 +75,10 @@ func TestResilientDialerFailover(t *testing.T) {
 	}
 	_ = c.Close()
 	// Malformed addresses fail before the request counter.
-	requests, attempts, retries, _ := rd.Stats()
-	if requests != 1 || attempts != 1 || retries != 0 {
-		t.Fatalf("after healthy dial: requests=%d attempts=%d retries=%d", requests, attempts, retries)
+	v := func(name string) float64 { return metrics.Value(rd, name) }
+	if v("lb_client_requests") != 1 || v("lb_client_attempts") != 1 || v("lb_client_retries") != 0 {
+		t.Fatalf("after healthy dial: requests=%v attempts=%v retries=%v",
+			v("lb_client_requests"), v("lb_client_attempts"), v("lb_client_retries"))
 	}
 
 	// Tear the service down: every attempt meets an RST. The next dials
@@ -96,7 +97,6 @@ func TestResilientDialerFailover(t *testing.T) {
 	if !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("dials never reached ErrNoBackends: %v", err)
 	}
-	v := func(name string) float64 { return metrics.Value(rd, name) }
 	if v("lb_client_retries") < 2 || v("lb_client_failovers") < 1 || v("lb_client_budget_spent") < 2 {
 		t.Fatalf("retries=%v failovers=%v spent=%v, want retry+failover activity",
 			v("lb_client_retries"), v("lb_client_failovers"), v("lb_client_budget_spent"))
@@ -114,7 +114,7 @@ func TestResilientDialerFailover(t *testing.T) {
 // ErrBudgetExhausted instead of piling on.
 func TestResilientDialerBudget(t *testing.T) {
 	r := newDialerRig(t) // no listener: every attempt fails
-	bal := NewBalancer(r.stack, r.socks.Resolver(), Config{Seed: 7, Breaker: BreakerConfig{FailureThreshold: 100}})
+	bal := NewBalancer(r.stack, r.socks.Resolver(), Config{Seed: 7})
 	bal.AddBackend("app-a", "app-a.spin.test")
 	bal.AddBackend("app-b", "app-b.spin.test")
 	rd := NewResilientDialer(r.socks, bal, RetryPolicy{

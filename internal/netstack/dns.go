@@ -452,21 +452,16 @@ type DNSServer struct {
 	malformed atomic.Int64 // datagrams the codec (or shape check) rejected
 }
 
-// NewDNSServer binds the server to UDP port 53 with the given delivery
-// cost model. lookup is the authority — typically a Zone's LookupA,
+// NewDNSServer binds the server to UDP port 53 with in-kernel delivery,
+// owned by owner so the port is released when the owner's domain is
+// destroyed. lookup is the authority — typically a Zone's LookupA,
 // imported through the machine's domain nameserver.
-func NewDNSServer(stack *Stack, cost DeliveryCost, lookup ZoneLookup) (*DNSServer, error) {
-	return NewDNSServerOwned("", stack, cost, lookup)
-}
-
-// NewDNSServerOwned is NewDNSServer with a recorded owning principal, so
-// the port is released when the owner's domain is destroyed.
-func NewDNSServerOwned(owner string, stack *Stack, cost DeliveryCost, lookup ZoneLookup) (*DNSServer, error) {
+func NewDNSServer(owner string, stack *Stack, lookup ZoneLookup) (*DNSServer, error) {
 	if lookup == nil {
 		return nil, errors.New("netstack: DNS server needs a zone lookup")
 	}
 	s := &DNSServer{stack: stack, lookup: lookup}
-	if err := stack.UDP().BindOwned(owner, DNSPort, cost, s.serve); err != nil {
+	if err := stack.UDP().BindOwned(owner, DNSPort, InKernelDelivery, s.serve); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -546,7 +541,6 @@ type DNSTransport interface {
 // (Resolver.queryID).
 type dnsOverUDP struct {
 	stack *Stack
-	cost  DeliveryCost
 	port  uint16       // the reply port; 0 until the first query binds it
 	out   []*dnsLookup // the lookups whose attempt awaits its reply
 }
@@ -560,7 +554,7 @@ func (t *dnsOverUDP) send(lk *dnsLookup, msg []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := udp.Bind(port, t.cost, t.receive); err != nil {
+		if err := udp.Bind(port, InKernelDelivery, t.receive); err != nil {
 			return err
 		}
 		t.port = port
@@ -607,9 +601,19 @@ func (t *dnsOverUDP) receive(pkt *Packet) {
 	lk.onReply(pkt.Payload, nil)
 }
 
-// positiveTTLCap clamps how long answers may be cached, regardless of the
-// record TTL.
-const positiveTTLCap = 3600 * sim.Second
+const (
+	// positiveTTLCap clamps how long answers may be cached, regardless of
+	// the record TTL.
+	positiveTTLCap = 3600 * sim.Second
+	// resolverTimeout is the first attempt's wait; later attempts double
+	// it.
+	resolverTimeout = 500 * sim.Millisecond
+	// resolverAttempts is the total number of queries sent before giving
+	// up.
+	resolverAttempts = 3
+	// negativeTTL is how long NXDOMAIN/NODATA results are cached.
+	negativeTTL = 5 * sim.Second
+)
 
 // ResolverConfig tunes a Resolver. The zero value resolves against no
 // servers (every lookup fails), so Servers is the one required field.
@@ -618,20 +622,9 @@ type ResolverConfig struct {
 	Servers []IPAddr
 	// Transport overrides the default UDP transport.
 	Transport DNSTransport
-	// Timeout is the first attempt's wait (default 500ms virtual); later
-	// attempts double it.
-	Timeout sim.Duration
-	// Attempts is the total number of queries sent before giving up
-	// (default 3).
-	Attempts int
-	// NegativeTTL is how long NXDOMAIN/NODATA results are cached
-	// (default 5s virtual).
-	NegativeTTL sim.Duration
 	// Seed drives query IDs and retry jitter; fixed seed, fixed byte
 	// stream.
 	Seed uint64
-	// Cost models delivery of replies on the default transport.
-	Cost DeliveryCost
 }
 
 // resolverStats counts one resolver's work.
@@ -672,17 +665,8 @@ type dnsNegEntry struct {
 	expires sim.Time
 }
 
-// NewResolver builds a resolver for stack from cfg, applying defaults.
+// NewResolver builds a resolver for stack from cfg.
 func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 500 * sim.Millisecond
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
-	if cfg.NegativeTTL <= 0 {
-		cfg.NegativeTTL = 5 * sim.Second
-	}
 	r := &Resolver{
 		stack: stack, cfg: cfg,
 		rand: sim.NewRand(cfg.Seed ^ 0xd15ba11ad),
@@ -690,7 +674,7 @@ func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
 		neg:  make(map[string]dnsNegEntry),
 	}
 	if cfg.Transport == nil {
-		r.udp = &dnsOverUDP{stack: stack, cost: cfg.Cost}
+		r.udp = &dnsOverUDP{stack: stack}
 	}
 	return r
 }
@@ -828,7 +812,7 @@ func (lk *dnsLookup) attempt() {
 	// resolvers retrying through the same outage does not self-
 	// synchronize — and so the retry times are a pure function of the
 	// seed.
-	base := r.cfg.Timeout << (lk.tries - 1)
+	base := resolverTimeout << (lk.tries - 1)
 	jitter := sim.Duration(r.rand.Uint64() % uint64(base/8+1))
 	r.stack.engine.Arm(&lk.timeout, base+jitter)
 }
@@ -854,7 +838,7 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	now := r.stack.clock.Now()
 	if m.RCode == DNSRCodeNXDomain {
 		err := fmt.Errorf("%w: %s: NXDOMAIN", ErrNameNotFound, lk.name)
-		r.neg[lk.name] = dnsNegEntry{err: err, expires: now.Add(r.cfg.NegativeTTL)}
+		r.neg[lk.name] = dnsNegEntry{err: err, expires: now.Add(negativeTTL)}
 		r.stats.Failures++
 		lk.finish(nil, err)
 		return
@@ -879,7 +863,7 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	if len(addrs) == 0 {
 		// NOERROR with no usable answers: NODATA.
 		err := fmt.Errorf("%w: %s: no A records", ErrNameNotFound, lk.name)
-		r.neg[lk.name] = dnsNegEntry{err: err, expires: now.Add(r.cfg.NegativeTTL)}
+		r.neg[lk.name] = dnsNegEntry{err: err, expires: now.Add(negativeTTL)}
 		r.stats.Failures++
 		lk.finish(nil, err)
 		return
@@ -910,7 +894,7 @@ func (lk *dnsLookup) cancel() {
 }
 
 func (lk *dnsLookup) retryOrFail() {
-	if lk.tries < lk.r.cfg.Attempts {
+	if lk.tries < resolverAttempts {
 		lk.attempt()
 		return
 	}

@@ -216,7 +216,7 @@ func dnsServerPair(t *testing.T) (a, b *host, cl *sim.Cluster, srv *DNSServer) {
 	if err := zone.AddA("empty.spin.test", 60*sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewDNSServer(b.stack, nil, zone.LookupA)
+	srv, err := NewDNSServer("", b.stack, zone.LookupA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestResolverLookupAndCache(t *testing.T) {
 	}
 }
 
-// Negative answers (NXDOMAIN and NODATA) are cached for NegativeTTL:
+// Negative answers (NXDOMAIN and NODATA) are cached for negativeTTL:
 // repeat lookups answer synchronously without traffic, and the entry
 // expires on the virtual clock.
 func TestResolverNegativeCache(t *testing.T) {
@@ -351,9 +351,8 @@ func TestResolverNegativeCache(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, _, cl, _ := dnsServerPair(t)
 			r := NewResolver(a.stack, ResolverConfig{
-				Servers:     []IPAddr{Addr(10, 0, 0, 2)},
-				NegativeTTL: 5 * sim.Second,
-				Seed:        1,
+				Servers: []IPAddr{Addr(10, 0, 0, 2)},
+				Seed:    1,
 			})
 			var first error
 			r.LookupA(tc.qname, func(_ []IPAddr, e error) { first = e })
@@ -418,7 +417,7 @@ func (f *fakeTransport) Query(server IPAddr, msg []byte, done func([]byte, error
 // The timeout path: attempts, backoff bounds, and the fact that timeouts
 // are NOT negatively cached (a later lookup tries the network again).
 func TestResolverTimeoutPath(t *testing.T) {
-	const timeout = 100 * sim.Millisecond
+	const timeout = resolverTimeout
 	cases := []struct {
 		name        string
 		failures    int // queries the transport eats before answering
@@ -426,13 +425,14 @@ func TestResolverTimeoutPath(t *testing.T) {
 		wantSent    int64
 		wantRetries int64
 		// virtual-time bounds for the whole lookup: backoff doubles per
-		// attempt (100, 200, 400ms) with up to base/8 seeded jitter each.
+		// attempt (1, 2 and 4 timeouts) with up to base/8 seeded jitter
+		// each.
 		minElapsed, maxElapsed sim.Duration
 	}{
 		{"answers first try", 0, nil, 1, 0, 0, 0},
 		{"one retry", 1, nil, 2, 1, timeout, timeout + timeout/8},
-		{"second retry", 2, nil, 3, 2, 300 * sim.Millisecond, 337500 * sim.Microsecond},
-		{"all attempts dropped", 3, ErrDNSTimeout, 3, 2, 700 * sim.Millisecond, 787500 * sim.Microsecond},
+		{"second retry", 2, nil, 3, 2, 3 * timeout, 3*timeout + 3*timeout/8},
+		{"all attempts dropped", 3, ErrDNSTimeout, 3, 2, 7 * timeout, 7*timeout + 7*timeout/8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -441,8 +441,6 @@ func TestResolverTimeoutPath(t *testing.T) {
 			r := NewResolver(h.stack, ResolverConfig{
 				Servers:   []IPAddr{Addr(10, 0, 0, 2)},
 				Transport: ft,
-				Timeout:   timeout,
-				Attempts:  3,
 				Seed:      42,
 			})
 			start := h.eng.Now()
@@ -719,12 +717,11 @@ func (f *servfailOnce) Query(server IPAddr, msg []byte, done func([]byte, error)
 // attempt's query and burns a second one, and the lookup gives up after a
 // third of the time its backoff allows.
 func TestResolverRetryOnReplyRearmsItsTimeout(t *testing.T) {
-	const timeout = 100 * sim.Millisecond
+	const timeout = resolverTimeout
 	h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
 	ft := &servfailOnce{eng: h.eng}
 	r := NewResolver(h.stack, ResolverConfig{
-		Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft,
-		Timeout: timeout, Attempts: 3, Seed: 42,
+		Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft, Seed: 42,
 	})
 	var gerr error
 	r.LookupA("web.spin.test", func(_ []IPAddr, e error) { gerr = e })
@@ -733,7 +730,7 @@ func TestResolverRetryOnReplyRearmsItsTimeout(t *testing.T) {
 		t.Fatalf("err = %v after %d queries, want ErrDNSTimeout after 3", gerr, ft.queries)
 	}
 	// 10ms to the SERVFAIL, then the second and third attempts' full
-	// timeouts (200ms and 400ms, plus jitter).
+	// timeouts (2 and 4 timeouts, plus jitter).
 	if elapsed := h.eng.Now(); elapsed < sim.Time(10*sim.Millisecond+6*timeout) {
 		t.Errorf("gave up after %v, want at least %v", elapsed, 10*sim.Millisecond+6*timeout)
 	}
@@ -745,8 +742,7 @@ func TestResolverDeterministic(t *testing.T) {
 		h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
 		ft := &fakeTransport{failures: 2, answers: []IPAddr{Addr(10, 0, 0, 7)}}
 		r := NewResolver(h.stack, ResolverConfig{
-			Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft,
-			Timeout: 50 * sim.Millisecond, Attempts: 3, Seed: seed,
+			Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft, Seed: seed,
 		})
 		r.LookupA("web.spin.test", func([]IPAddr, error) {})
 		h.eng.Run(0)
@@ -777,10 +773,10 @@ func TestResolverDeterministic(t *testing.T) {
 // cleanly.
 func TestDNSServerCloseAndRebind(t *testing.T) {
 	a, b, cl, srv := dnsServerPair(t)
-	if _, err := NewDNSServer(b.stack, nil, nil); err == nil {
+	if _, err := NewDNSServer("", b.stack, nil); err == nil {
 		t.Error("server without a zone lookup accepted")
 	}
-	if _, err := NewDNSServer(b.stack, nil, NewZone().LookupA); err == nil {
+	if _, err := NewDNSServer("", b.stack, NewZone().LookupA); err == nil {
 		t.Error("second bind of port 53 accepted")
 	}
 	srv.Close()
@@ -792,7 +788,7 @@ func TestDNSServerCloseAndRebind(t *testing.T) {
 	if raw := rawQuery(t, a, cl, wire); raw != nil {
 		t.Fatal("closed server answered")
 	}
-	if _, err := NewDNSServer(b.stack, nil, NewZone().LookupA); err != nil {
+	if _, err := NewDNSServer("", b.stack, NewZone().LookupA); err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
 }

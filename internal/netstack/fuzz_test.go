@@ -13,7 +13,7 @@ import (
 // encode/parse round trip unchanged (the parse is canonical).
 func FuzzParsePacket(f *testing.F) {
 	for _, pkt := range wireSamplePackets() {
-		f.Add(EncodePacket(pkt))
+		f.Add(AppendPacket(nil, pkt))
 	}
 	for _, tc := range wireOptionFrames() {
 		f.Add(tcpFrame(tc.opts, "xyz"))
@@ -30,7 +30,7 @@ func FuzzParsePacket(f *testing.F) {
 		if err != nil {
 			return
 		}
-		round, err := ParsePacket(EncodePacket(pkt))
+		round, err := ParsePacket(AppendPacket(nil, pkt))
 		if err != nil {
 			t.Fatalf("re-parse of re-encoded packet failed: %v\npacket: %+v", err, pkt)
 		}

@@ -269,8 +269,7 @@ func (s *SockConn) RemoteAddr() net.Addr {
 }
 
 // SetDeadline implements net.Conn: the wall-clock deadline's distance from
-// now is mapped 1:1 onto virtual time. For deterministic tests prefer
-// SetReadDeadlineVT.
+// now is mapped 1:1 onto virtual time.
 func (s *SockConn) SetDeadline(t time.Time) error {
 	return errors.Join(s.SetReadDeadline(t), s.SetWriteDeadline(t))
 }
@@ -287,18 +286,6 @@ func (s *SockConn) SetWriteDeadline(t time.Time) error {
 	d, armed := wallDeadline(t)
 	s.d.Run(func() { s.wr.set(s.stack.engine, d, armed) })
 	return nil
-}
-
-// SetReadDeadlineVT arms the read deadline d of virtual time from now
-// (d <= 0 expires immediately); it is the deterministic alternative to
-// SetReadDeadline.
-func (s *SockConn) SetReadDeadlineVT(d sim.Duration) {
-	s.d.Run(func() { s.rd.set(s.stack.engine, d, true) })
-}
-
-// ClearReadDeadline clears a deadline set by SetReadDeadlineVT.
-func (s *SockConn) ClearReadDeadline() {
-	s.d.Run(func() { s.rd.set(s.stack.engine, 0, false) })
 }
 
 // wallDeadline converts net.Conn wall-clock deadline conventions: the zero

@@ -130,8 +130,9 @@ func TestSockReadDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := c.(*SockConn)
-	sc.SetReadDeadlineVT(10 * sim.Millisecond)
+	if err := c.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
 	_, rerr := c.Read(make([]byte, 1))
 	if !errors.Is(rerr, os.ErrDeadlineExceeded) {
 		t.Fatalf("read error = %v, want os.ErrDeadlineExceeded", rerr)
@@ -141,7 +142,9 @@ func TestSockReadDeadline(t *testing.T) {
 		t.Errorf("deadline error is not a net.Error timeout: %v", rerr)
 	}
 	// Cleared deadline: the next read blocks until the peer writes.
-	sc.ClearReadDeadline()
+	if err := c.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
 	srv := <-accepted
 	go func() {
 		if _, err := srv.Write([]byte("late")); err != nil {
@@ -188,7 +191,6 @@ func TestSockDialNoResolver(t *testing.T) {
 // connection behind.
 func TestSockDialTimedOut(t *testing.T) {
 	sa, _, a, _ := sockPair(t)
-	a.stack.TCP().SetMaxRetx(3)
 	start := a.eng.Now()
 	// 10.0.0.9 routes to the peer NIC, but the peer stack drops the
 	// foreign-addressed frames: every SYN disappears.
@@ -197,11 +199,11 @@ func TestSockDialTimedOut(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTimedOut", err)
 	}
 	elapsed := a.eng.Now().Sub(start)
-	// Backoff doubles from the 200ms base; with MaxRetx=3 the conn sends
-	// 3 retransmissions and gives up when the last timer fires:
-	// 200+400+800+1600 = 3s virtual.
-	if elapsed < 3000*sim.Millisecond || elapsed > 3100*sim.Millisecond {
-		t.Errorf("timed-out dial took %v, want ~3s", elapsed)
+	// Backoff doubles from the 200ms base; the conn sends DefaultMaxRetx
+	// retransmissions and gives up when the last timer fires, 19.0s
+	// virtual.
+	if elapsed < 19000*sim.Millisecond || elapsed > 19100*sim.Millisecond {
+		t.Errorf("timed-out dial took %v, want ~19s", elapsed)
 	}
 	if got := a.stack.TCP().Conns(); got != 0 {
 		t.Errorf("timed-out dial left %d connections", got)
@@ -322,7 +324,6 @@ func TestSockDialByName(t *testing.T) {
 // immediately; malformed addresses fail before any traffic.
 func TestSockDialDeadlineAndContext(t *testing.T) {
 	sa, _, a, _ := sockPair(t)
-	a.stack.TCP().SetMaxRetx(10) // retx budget far beyond the dial deadline
 	dl := sa.Dialer()
 	dl.Timeout = 300 * sim.Millisecond
 	start := a.eng.Now()

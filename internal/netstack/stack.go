@@ -110,13 +110,6 @@ type Stack struct {
 
 	received atomic.Int64
 	sent     atomic.Int64
-	// forwarding, when set, makes the stack an IP router: transit packets
-	// (destination not this host, unclaimed by any extension) are re-sent
-	// along the route table with TTL decremented instead of dropped —
-	// multi-hop delivery through a SPIN machine acting as a router node.
-	forwarding atomic.Bool
-	forwarded  atomic.Int64
-	ttlExpired atomic.Int64
 	// rxPanics counts handler panics contained in the receive path: a
 	// faulty protocol handler costs its packet, never the drain or the
 	// kernel (paper §4.3 applied to the data path).
@@ -356,9 +349,6 @@ func (s *Stack) Detach(nic *sal.NIC) bool {
 	return true
 }
 
-// RXPanics reports handler panics contained by the receive path's guard.
-func (s *Stack) RXPanics() int64 { return s.rxPanics.Load() }
-
 // AddRoute directs packets for dst out through nic.
 func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) { s.routes.Set(dst, nic) }
 
@@ -418,12 +408,9 @@ func (s *Stack) receive1(linkEvent string, pkt *Packet) {
 		return
 	}
 	if pkt.Dst != s.IP {
-		// Not ours and nobody claimed it: route it onward if this stack
-		// is a router, else drop (no transparent routing unless a
-		// forwarder extension claims it).
-		if s.forwarding.Load() {
-			s.forward(pkt)
-		}
+		// Not ours and nobody claimed it: an end host drops transit
+		// traffic. Routing is vnet.Switch's job, or a forwarder
+		// extension's that claims the packet above.
 		return
 	}
 	// Reassemble fragmented datagrams before transport processing.
@@ -465,29 +452,6 @@ func (s *Stack) receive1(linkEvent string, pkt *Packet) {
 			s.tcp.deliver(pkt)
 		}
 	}
-}
-
-// EnableForwarding turns the stack into an IP router: inbound packets for
-// other hosts are re-sent along the route table (specific routes first,
-// then the default NIC) with TTL decremented, so a SPIN machine with
-// several NICs can sit inside a multi-hop topology as a router node. Off by
-// default — an end host silently drops transit traffic.
-func (s *Stack) EnableForwarding(on bool) { s.forwarding.Store(on) }
-
-// forward re-sends one transit packet along the route table. The RX path
-// only borrows the packet (its drain step releases it after delivery), so
-// the TX path gets its own reference.
-func (s *Stack) forward(pkt *Packet) {
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		s.ttlExpired.Add(1)
-		if tr := s.disp.Tracer(); tr != nil {
-			tr.Trace(trace.Record{Event: "net.ip.ttl-expired", Origin: "net", Start: s.clock.Now()})
-		}
-		return
-	}
-	s.forwarded.Add(1)
-	_ = s.SendIP(pkt.Retain())
 }
 
 func loopbackPosted(stack, pkt any, _ int) {
@@ -580,7 +544,7 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Durati
 func (s *Stack) Stats() (received, sent int64) { return s.received.Load(), s.sent.Load() }
 
 // Metrics emits the stack's packet counters (IP-layer rx/tx, the RX queues,
-// reassembly, forwarding, contained RX panics), the pooled packets held,
+// reassembly, contained RX panics), the pooled packets held,
 // the TCP module's, and every verified program loaded into the stack.
 // Counters are atomics, so it is safe from any goroutine.
 func (s *Stack) Metrics(emit metrics.Emit) {
@@ -595,8 +559,6 @@ func (s *Stack) Metrics(emit metrics.Emit) {
 	emit("net_rx_queue_dropped", float64(dropped))
 	emit("net_reassembly_pending", float64(s.reasm.Pending()))
 	emit("net_reassembly_evicted", float64(s.reasm.Evicted()))
-	emit("net_forwarded", float64(s.forwarded.Load()))
-	emit("net_ttl_expired", float64(s.ttlExpired.Load()))
 	emit("net_rx_panics", float64(s.rxPanics.Load()))
 	emit("net_packets_live", float64(LivePackets())) // pooled packets held, process-wide
 	s.tcp.Metrics(emit)

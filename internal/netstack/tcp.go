@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -87,7 +86,7 @@ const maxCwnd = 128
 // reordering (RFC 8985 §6.2).
 const dupAckThreshold = 3
 
-// DefaultMaxRetx is the default retransmission cap: after this many
+// DefaultMaxRetx is the retransmission cap: after this many
 // unacknowledged retransmissions of the same data (or SYN) the connection
 // is torn down with ErrTimedOut. With exponential backoff from retxTimeout
 // the whole attempt is bounded at ~19 s of virtual time.
@@ -433,10 +432,6 @@ type TCP struct {
 	nextPort      uint16
 	spareSendBufs [][]byte
 
-	// maxRetx is the per-connection retransmission cap (DefaultMaxRetx
-	// unless overridden with SetMaxRetx before connections exist).
-	maxRetx int
-
 	accepted atomic.Int64
 	resets   atomic.Int64
 	timedOut atomic.Int64
@@ -457,7 +452,6 @@ func newTCP(s *Stack) *TCP {
 		stack:    s,
 		syn:      agedTable[connKey, synEntry]{ttl: synTTL, max: MaxHalfOpen},
 		nextPort: 30000,
-		maxRetx:  DefaultMaxRetx,
 	}
 }
 
@@ -785,13 +779,13 @@ func (c *Conn) armAt(kind timerKind, at sim.Time) {
 
 func (c *Conn) cancelRetx() { c.retx.Disarm() }
 
-// retxExhausted enforces the retransmission cap: past tcp.maxRetx
+// retxExhausted enforces the retransmission cap: past DefaultMaxRetx
 // consecutive unacknowledged retransmissions the connection fails with
 // ErrTimedOut — teardown fires OnClose and removes it from the connection
 // table. Reports true when the caller must stop retransmitting. Otherwise
 // it counts the attempt and doubles the timeout.
 func (c *Conn) retxExhausted() bool {
-	if int(c.retxAttempts) >= c.tcp.maxRetx {
+	if c.retxAttempts >= DefaultMaxRetx {
 		c.tcp.timedOut.Add(1)
 		c.setErr(ErrTimedOut)
 		c.teardown()
@@ -1521,15 +1515,6 @@ func (c *Conn) teardown() {
 	if c.OnClose != nil && prev != StateCloseWait {
 		c.OnClose(c)
 	}
-}
-
-// SetMaxRetx overrides the retransmission cap for connections created
-// after the call (tests shorten it; 0 or negative restores the default).
-func (t *TCP) SetMaxRetx(n int) {
-	if n <= 0 {
-		n = DefaultMaxRetx
-	}
-	t.maxRetx = min(n, math.MaxUint8) // Conn.retxAttempts is a byte
 }
 
 // Conns reports the number of live connections, exact under concurrent

@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -480,43 +479,6 @@ func TestPacketCloneIsIndependent(t *testing.T) {
 	}
 	q.Payload[0] = 'x'
 	q.Release()
-}
-
-// Wire codec: pooled/append variants agree with the originals.
-
-func TestWireCodecPooledParity(t *testing.T) {
-	src := &Packet{
-		Src: Addr(10, 0, 0, 1), Dst: Addr(10, 0, 0, 2), Proto: ProtoTCP,
-		SrcPort: 1234, DstPort: 80, Seq: 99, Ack: 7, Flags: FlagACK,
-		Window: 512, TTL: 32, Payload: []byte("payload bytes"),
-	}
-	plain := EncodePacket(src)
-	scratch := make([]byte, 0, 2048)
-	appended := AppendPacket(scratch, src)
-	if !bytes.Equal(plain, appended) {
-		t.Fatal("AppendPacket disagrees with EncodePacket")
-	}
-
-	p1, err1 := ParsePacket(plain)
-	p2, err2 := ParsePacketPooled(plain)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if fmt.Sprint(p1) != fmt.Sprint(p2) || !bytes.Equal(p1.Payload, p2.Payload) ||
-		p1.Seq != p2.Seq || p1.Flags != p2.Flags || p1.Window != p2.Window {
-		t.Fatalf("pooled parse disagrees: %v vs %v", p1, p2)
-	}
-	// The pooled packet must own its payload (the frame buffer is reused
-	// by callers).
-	plain[len(plain)-1] ^= 0xff
-	if !bytes.Equal(p2.Payload, []byte("payload bytes")) {
-		t.Fatal("pooled parse aliases the frame buffer")
-	}
-	p2.Release()
-
-	if _, err := ParsePacketPooled(plain[:10]); err == nil {
-		t.Fatal("short frame must not parse")
-	}
 }
 
 // A million idle connections pay for every byte of Conn, and Go rounds the

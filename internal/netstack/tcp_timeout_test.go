@@ -31,12 +31,11 @@ func establishedPair(t *testing.T) (a, b *host, cl *sim.Cluster, client, server 
 }
 
 // The foreground bugfix at the TCP layer: a SYN that is never answered is
-// retransmitted with exponential backoff at most MaxRetx times, then the
+// retransmitted with exponential backoff at most DefaultMaxRetx times, then the
 // connection is torn down — OnClose fires, the connection table empties,
 // Err() reports ErrTimedOut — instead of retransmitting forever.
 func TestRetxCapSynSent(t *testing.T) {
 	a, _, cl := pair(t, sal.LanceModel)
-	a.stack.TCP().SetMaxRetx(2)
 	c, err := a.stack.TCP().Connect(Addr(10, 0, 0, 9), 80, nil) // dropped at the peer's IP layer
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +54,13 @@ func TestRetxCapSynSent(t *testing.T) {
 	if got := a.stack.TCP().Conns(); got != 0 {
 		t.Errorf("Conns = %d after timeout", got)
 	}
-	// 2 retransmissions then the final timer: 200+400+800ms, plus the
-	// last SYN's in-flight delivery draining after the teardown.
-	if elapsed < 1400*sim.Millisecond || elapsed > 1410*sim.Millisecond {
-		t.Errorf("gave up after %v, want ~1.4s", elapsed)
+	// DefaultMaxRetx retransmissions then the final timer, 19.0s, plus
+	// the last SYN's in-flight delivery draining after the teardown.
+	if elapsed < 19000*sim.Millisecond || elapsed > 19010*sim.Millisecond {
+		t.Errorf("gave up after %v, want ~19.0s", elapsed)
 	}
-	if got := c.Retransmits(); got != 2 {
-		t.Errorf("Retransmits = %d, want 2", got)
+	if got := c.Retransmits(); got != DefaultMaxRetx {
+		t.Errorf("Retransmits = %d, want %d", got, DefaultMaxRetx)
 	}
 }
 
@@ -70,7 +69,6 @@ func TestRetxCapSynSent(t *testing.T) {
 // tears down, and reports ErrTimedOut — no infinite data retransmission.
 func TestRetxCapEstablishedData(t *testing.T) {
 	a, b, cl, client, _ := establishedPair(t)
-	a.stack.TCP().SetMaxRetx(2)
 	b.nic.OnReceive = func(sal.NetFrame) bool { return false } // partition b
 	closed := false
 	client.OnClose = func(*Conn) { closed = true }
@@ -95,8 +93,7 @@ func TestRetxCapEstablishedData(t *testing.T) {
 // An ACK that makes forward progress resets the retransmission budget:
 // a lossy-but-alive path never accumulates attempts toward the cap.
 func TestRetxBudgetResetsOnProgress(t *testing.T) {
-	a, _, cl, client, server := establishedPair(t)
-	a.stack.TCP().SetMaxRetx(3)
+	_, _, cl, client, server := establishedPair(t)
 	var rx int
 	server.OnData = func(_ *Conn, p []byte) { rx += len(p) }
 	for i := 0; i < 5; i++ {
@@ -162,8 +159,7 @@ func TestCloseSynSentQueuedData(t *testing.T) {
 // peer (forcing retransmissions), and the timeout teardown, while readers
 // hammer the accessors.
 func TestConnAccessorRaceTorture(t *testing.T) {
-	a, b, cl, client, _ := establishedPair(t)
-	a.stack.TCP().SetMaxRetx(3)
+	_, b, cl, client, _ := establishedPair(t)
 	b.nic.OnReceive = func(sal.NetFrame) bool { return false }
 
 	var stop atomic.Bool

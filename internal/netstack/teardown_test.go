@@ -109,8 +109,8 @@ func TestRXPanicContained(t *testing.T) {
 		_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, []byte("x"))
 		cl.Run(0)
 	}
-	if n := b.stack.RXPanics(); n != 2 {
-		t.Errorf("RXPanics = %d, want the 2 injected", n)
+	if n := counter(b.stack, "net_rx_panics"); n != 2 {
+		t.Errorf("net_rx_panics = %d, want the 2 injected", n)
 	}
 	if got != 3 {
 		t.Errorf("%d datagrams delivered, want 3 (2 lost to contained panics)", got)

@@ -65,16 +65,10 @@ func clampU16(v int) uint16 {
 	return uint16(v)
 }
 
-// EncodePacket renders pkt in wire form. Fields wider in the struct than on
+// AppendPacket appends pkt's wire form to dst and returns the extended
+// buffer: the header, then the payload. Fields wider in the struct than on
 // the wire (TTL, Window, FragOffset) saturate; the parse side of a
 // round-trip is therefore canonical.
-func EncodePacket(pkt *Packet) []byte {
-	return AppendPacket(nil, pkt)
-}
-
-// AppendPacket appends pkt's wire form to dst and returns the extended
-// buffer — the allocation-free encoder for hot paths that reuse a scratch
-// buffer: the header, then the payload.
 func AppendPacket(dst []byte, pkt *Packet) []byte {
 	return append(AppendHeader(dst, pkt), pkt.Payload...)
 }
@@ -141,49 +135,26 @@ func AppendHeader(dst []byte, pkt *Packet) []byte {
 // input and the returned packet's payload aliases b (callers that keep the
 // packet past the frame's lifetime must Clone).
 func ParsePacket(b []byte) (*Packet, error) {
-	pkt := &Packet{}
-	if err := parsePacketInto(pkt, b, false); err != nil {
-		return nil, err
-	}
-	return pkt, nil
-}
-
-// ParsePacketPooled decodes one wire frame into a pooled packet whose
-// payload is copied into the packet's own buffer — the decoder for hot
-// paths, where the frame buffer is reused and the packet flows into the RX
-// queues. The caller owns the returned packet's single reference.
-func ParsePacketPooled(b []byte) (*Packet, error) {
-	pkt := AllocPacket()
-	if err := parsePacketInto(pkt, b, true); err != nil {
-		pkt.Release()
-		return nil, err
-	}
-	return pkt, nil
-}
-
-// parsePacketInto decodes b into pkt; copyPayload selects whether the
-// payload is copied into pkt's own buffer or aliases b.
-func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 	if len(b) < EtherHeader+IPHeader {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(b))
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(b))
 	}
 	if et := binary.BigEndian.Uint16(b[12:14]); et != etherTypeIPv4 {
-		return fmt.Errorf("%w: ethertype %#04x", ErrBadEtherType, et)
+		return nil, fmt.Errorf("%w: ethertype %#04x", ErrBadEtherType, et)
 	}
 	ip := b[EtherHeader:]
 	if ip[0] != 4 {
-		return fmt.Errorf("%w: %d", ErrBadIPVersion, ip[0])
+		return nil, fmt.Errorf("%w: %d", ErrBadIPVersion, ip[0])
 	}
 	proto := ip[11]
 	thdr := transportHeaderLen(proto)
 	total := int(binary.BigEndian.Uint16(ip[1:3]))
 	if total < IPHeader+thdr {
-		return fmt.Errorf("%w: total %d < headers %d", ErrBadLength, total, IPHeader+thdr)
+		return nil, fmt.Errorf("%w: total %d < headers %d", ErrBadLength, total, IPHeader+thdr)
 	}
 	if total > len(ip) {
-		return fmt.Errorf("%w: total %d > frame %d", ErrBadLength, total, len(ip))
+		return nil, fmt.Errorf("%w: total %d > frame %d", ErrBadLength, total, len(ip))
 	}
-	pkt.Proto = proto
+	pkt := &Packet{Proto: proto}
 	pkt.FragID = binary.BigEndian.Uint32(ip[3:7])
 	pkt.FragOffset = int32(binary.BigEndian.Uint16(ip[7:9]))
 	pkt.MoreFrags = ip[9]&ipMoreFrags != 0
@@ -196,7 +167,7 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 		pkt.SrcPort = binary.BigEndian.Uint16(t[0:2])
 		pkt.DstPort = binary.BigEndian.Uint16(t[2:4])
 		if udpLen := int(binary.BigEndian.Uint16(t[4:6])); udpLen != total-IPHeader {
-			return fmt.Errorf("%w: udp length %d, ip carries %d", ErrBadLength, udpLen, total-IPHeader)
+			return nil, fmt.Errorf("%w: udp length %d, ip carries %d", ErrBadLength, udpLen, total-IPHeader)
 		}
 	case ProtoTCP:
 		pkt.SrcPort = binary.BigEndian.Uint16(t[0:2])
@@ -204,23 +175,19 @@ func parsePacketInto(pkt *Packet, b []byte, copyPayload bool) error {
 		pkt.Seq = binary.BigEndian.Uint32(t[4:8])
 		pkt.Ack = binary.BigEndian.Uint32(t[8:12])
 		if thdr = int(t[12]>>4) * 4; thdr < TCPHeader || thdr > total-IPHeader {
-			return fmt.Errorf("%w: tcp data offset %d bytes, segment %d", ErrBadLength, thdr, total-IPHeader)
+			return nil, fmt.Errorf("%w: tcp data offset %d bytes, segment %d", ErrBadLength, thdr, total-IPHeader)
 		}
 		pkt.Flags = TCPFlags(t[13])
 		pkt.Window = int(binary.BigEndian.Uint16(t[14:16]))
 		if err := parseTCPOptions(pkt, t[TCPHeader:thdr]); err != nil {
-			return err
+			return nil, err
 		}
 	case ProtoICMP:
 		pkt.ICMPType = t[0]
 		pkt.ICMPSeq = binary.BigEndian.Uint16(t[4:6])
 	}
-	if copyPayload {
-		pkt.SetPayload(t[thdr : total-IPHeader])
-	} else {
-		pkt.adoptPayload(t[thdr : total-IPHeader])
-	}
-	return nil
+	pkt.adoptPayload(t[thdr : total-IPHeader])
+	return pkt, nil
 }
 
 // TCP option kinds (RFC 793, RFC 2018, RFC 7323).

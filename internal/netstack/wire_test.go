@@ -46,7 +46,7 @@ func wireSamplePackets() []*Packet {
 // tcpFrame is a TCP frame whose header carries opts verbatim, the data
 // offset counting them (opts must be a whole number of words).
 func tcpFrame(opts []byte, payload string) []byte {
-	b := EncodePacket(&Packet{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
+	b := AppendPacket(nil, &Packet{Src: Addr(10, 0, 0, 2), Dst: Addr(10, 0, 0, 1), Proto: ProtoTCP,
 		SrcPort: 80, DstPort: 30001, Seq: 7, Ack: 9, Flags: FlagACK, Window: 1000, TTL: 32,
 		Payload: []byte(payload)})
 	at := EtherHeader + IPHeader + TCPHeader
@@ -113,7 +113,7 @@ func TestWireParsesForeignOptions(t *testing.T) {
 			string(got.Payload) != "xyz" || got.Seq != 7 || got.Window != 1000 {
 			t.Errorf("%s: parsed %+v", tc.name, got)
 		}
-		round, err := ParsePacket(EncodePacket(got))
+		round, err := ParsePacket(AppendPacket(nil, got))
 		if err != nil || !samePacket(got, round) {
 			t.Errorf("%s: round trip %v\n  first %+v\n  round %+v", tc.name, err, got, round)
 		}
@@ -122,7 +122,7 @@ func TestWireParsesForeignOptions(t *testing.T) {
 
 func TestWireRoundTrip(t *testing.T) {
 	for i, pkt := range wireSamplePackets() {
-		b := EncodePacket(pkt)
+		b := AppendPacket(nil, pkt)
 		if len(b) != pkt.WireSize() {
 			t.Errorf("packet %d: encoded %d bytes, WireSize %d", i, len(b), pkt.WireSize())
 		}
@@ -137,7 +137,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestParsePacketRejectsMalformed(t *testing.T) {
-	good := EncodePacket(wireSamplePackets()[0])
+	good := AppendPacket(nil, wireSamplePackets()[0])
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -205,7 +205,7 @@ func TestParsePacketRejectsMalformed(t *testing.T) {
 func TestEncodeSaturatesWideFields(t *testing.T) {
 	pkt := &Packet{Src: 1, Dst: 2, Proto: ProtoTCP, TTL: 4096, Window: 1 << 20,
 		FragOffset: 1 << 20, Payload: []byte("x")}
-	got, err := ParsePacket(EncodePacket(pkt))
+	got, err := ParsePacket(AppendPacket(nil, pkt))
 	if err != nil {
 		t.Fatal(err)
 	}

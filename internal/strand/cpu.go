@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the multi-CPU half of the strand scheduler: per-CPU
-// run queues edited in place, randomized work stealing on idle, and
-// strand→CPU affinity with migration accounting. The paper's
+// run queues edited in place, and randomized work stealing on idle with
+// migration accounting. The paper's
 // extensibility story is unchanged — Block/Unblock/Checkpoint/Resume are
 // still dispatcher events, subschedulers still install guarded handlers,
 // and GuardStrandOwner still gates strand capabilities — the scheduler
@@ -229,7 +229,7 @@ func (sched *Scheduler) Steals() int64 {
 	return n
 }
 
-// Migrations reports strand home-CPU changes (steals and SetAffinity moves).
+// Migrations reports strand home-CPU changes (every steal re-homes one).
 func (sched *Scheduler) Migrations() int64 {
 	var n int64
 	for _, c := range sched.cpus {

@@ -11,8 +11,8 @@ import (
 	"spin/internal/trace"
 )
 
-// Multi-CPU scheduling: per-CPU run queues, work stealing, affinity, and
-// migration accounting.
+// Multi-CPU scheduling: per-CPU run queues, work stealing and migration
+// accounting.
 
 func newMultiSched(t *testing.T, cpus int) (*Scheduler, []*sim.Engine) {
 	t.Helper()
@@ -142,41 +142,6 @@ func TestNewStrandRoundRobinPlacement(t *testing.T) {
 			t.Fatalf("strand %d placed on cpu%d, want %d", i, got, i%4)
 		}
 	}
-}
-
-func TestSetAffinityMovesQueuedStrand(t *testing.T) {
-	sched, _ := newMultiSched(t, 2)
-	ranOn := -1
-	s := sched.NewStrandOn("pinned", 1, 0, func(s *Strand) { ranOn = s.CPU() })
-	sched.Start(s) // queued on cpu0
-	sched.SetAffinity(s, 1)
-	if s.CPU() != 1 {
-		t.Fatalf("after SetAffinity strand homed on cpu%d, want 1", s.CPU())
-	}
-	if got := cpuStats(sched)[0].Ready; got != 0 {
-		t.Fatalf("cpu0 still queues %d strands after re-homing", got)
-	}
-	if got := sched.Migrations(); got != 1 {
-		t.Fatalf("Migrations = %d after SetAffinity, want 1", got)
-	}
-	sched.Run()
-	if ranOn != 1 {
-		t.Fatalf("strand ran on cpu%d, want 1", ranOn)
-	}
-	if sched.Steals() != 0 {
-		t.Fatalf("affinity move counted as a steal")
-	}
-}
-
-func TestSetAffinityBadCPUPanics(t *testing.T) {
-	sched, _ := newMultiSched(t, 2)
-	s := sched.NewStrand("s", 1, func(*Strand) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAffinity(7) on a 2-CPU machine did not panic")
-		}
-	}()
-	sched.SetAffinity(s, 7)
 }
 
 func TestCrossCPUSleepWakesOnHomeCPU(t *testing.T) {

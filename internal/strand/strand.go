@@ -68,7 +68,7 @@ type Strand struct {
 	state State
 	sched *Scheduler
 	// cpu is the strand's home CPU: where Unblock and Yield queue it. It
-	// changes when a thief steals the strand or SetAffinity re-homes it.
+	// changes when a thief steals the strand.
 	cpu *CPU
 	// readyAt is the acting CPU's virtual time when the strand last became
 	// runnable; the dispatching CPU advances at least this far before
@@ -250,29 +250,6 @@ func (sched *Scheduler) NewStrandOn(name string, prio, cpu int, body func(*Stran
 		cpu:   sched.cpus[cpu],
 		body:  body,
 		token: make(chan struct{}),
-	}
-}
-
-// SetAffinity re-homes s onto the given CPU: future Unblocks and Yields
-// queue it there. If s is queued runnable it moves immediately. Counted as
-// a migration.
-func (sched *Scheduler) SetAffinity(s *Strand, cpu int) {
-	if cpu < 0 || cpu >= len(sched.cpus) {
-		panic(fmt.Sprintf("strand: no CPU %d (machine has %d)", cpu, len(sched.cpus)))
-	}
-	dst := sched.cpus[cpu]
-	if s.cpu == dst {
-		return
-	}
-	src := s.cpu
-	if src.ready.remove(s) {
-		dst.ready.push(s)
-	}
-	s.cpu = dst
-	dst.migrations.Add(1)
-	sched.observe(SchedEvent{Kind: "migrate", Strand: s.name, CPU: dst.id, From: src.id, At: sched.actingClock().Now()})
-	if tr := sched.disp.Tracer(); tr != nil {
-		tr.Trace(trace.Record{Event: "sched.migrate", Origin: "sched", Start: sched.actingClock().Now(), Outcome: trace.OutcomeOK})
 	}
 }
 

@@ -220,7 +220,9 @@ func TestFailoverSLOExperiment(t *testing.T) {
 	}
 	// SLO: no retry storm — retries bounded by what the budget allows
 	// (initial half bucket + per-request earnings).
-	reqs, attempts, retries, failovers := lab.rd.Stats()
+	v := func(name string) int64 { return int64(metrics.Value(lab.rd, name)) }
+	reqs, attempts, retries, failovers := v("lb_client_requests"), v("lb_client_attempts"),
+		v("lb_client_retries"), v("lb_client_failovers")
 	if reqs != requests {
 		t.Errorf("requests = %d, want %d", reqs, requests)
 	}

@@ -42,11 +42,11 @@ var exposedNames = []string{
 	"lb_backend_probe_failures", "lb_backend_probes", "lb_backend_successes", "lb_backends",
 	"lb_client_attempts", "lb_client_budget_denied", "lb_client_budget_spent", "lb_client_budget_tokens",
 	"lb_client_failovers", "lb_client_requests", "lb_client_retries", "lb_ejections", "lb_ring_members",
-	"net_forwarded", "net_packets_live", "net_reassembly_evicted", "net_reassembly_pending", "net_rx_packets", "net_rx_panics",
+	"net_packets_live", "net_reassembly_evicted", "net_reassembly_pending", "net_rx_packets", "net_rx_panics",
 	"net_rx_queue_accepted", "net_rx_queue_dropped",
 	"net_tcp_accepted", "net_tcp_conns", "net_tcp_dsacks_received", "net_tcp_fast_recoveries", "net_tcp_half_open",
 	"net_tcp_half_open_evicted", "net_tcp_rack_marked_lost", "net_tcp_resets", "net_tcp_rtos", "net_tcp_timed_out",
-	"net_tcp_tlp_probes", "net_ttl_expired", "net_tx_packets",
+	"net_tcp_tlp_probes", "net_tx_packets",
 	"sal_mmu_faults", "sal_phys_frames", "sal_phys_frames_in_use", "sal_tlb_hits", "sal_tlb_misses",
 	"strand_clock_ns", "strand_faults", "strand_migrations", "strand_ready", "strand_steals", "strand_switches",
 	"trace_latency_ns_bucket", "trace_latency_ns_count", "trace_latency_ns_max", "trace_latency_ns_sum",

@@ -92,13 +92,6 @@ type Machine struct {
 type Config struct {
 	// IP is the machine's network address.
 	IP netstack.IPAddr
-	// MemoryBytes is physical memory size (default 64 MB, the paper's
-	// hardware).
-	MemoryBytes int64
-	// Profile overrides the cost profile (default sim.SPINProfile).
-	Profile *sim.Profile
-	// CacheBlocks sizes the file system buffer cache (default 256).
-	CacheBlocks int
 	// CPUs is the number of virtual processors the strand scheduler
 	// multiplexes (default 1). CPU 0 is the boot CPU, sharing the
 	// machine's engine; each extra CPU gets its own engine and clock, and
@@ -106,36 +99,29 @@ type Config struct {
 	CPUs int
 }
 
-// NewMachine boots a SPIN kernel.
+// NewMachine boots a SPIN kernel on the paper's hardware: 64 MB of
+// physical memory, a 256-block buffer cache and sim.SPINProfile's costs.
 func NewMachine(name string, cfg Config) (*Machine, error) {
-	if cfg.MemoryBytes == 0 {
-		cfg.MemoryBytes = 64 << 20
-	}
-	if cfg.Profile == nil {
-		cfg.Profile = &sim.SPINProfile
-	}
-	if cfg.CacheBlocks == 0 {
-		cfg.CacheBlocks = 256
-	}
+	prof := &sim.SPINProfile
 	eng := sim.NewEngine()
 	m := &Machine{
 		Name:    name,
 		Engine:  eng,
 		Clock:   eng.Clock,
-		Profile: cfg.Profile,
+		Profile: prof,
 		nextVec: sal.VecNIC0,
 	}
-	m.Dispatcher = dispatch.New(eng, cfg.Profile)
+	m.Dispatcher = dispatch.New(eng, prof)
 	m.Namespace = domain.NewNameserver()
-	m.Heap = sim.NewHeap(m.Clock, cfg.Profile)
-	m.IC = sal.NewInterruptController(eng, cfg.Profile)
-	m.MMU = sal.NewMMU(m.Clock, cfg.Profile)
-	m.Phys = sal.NewPhysMem(cfg.MemoryBytes)
+	m.Heap = sim.NewHeap(m.Clock, prof)
+	m.IC = sal.NewInterruptController(eng, prof)
+	m.MMU = sal.NewMMU(m.Clock, prof)
+	m.Phys = sal.NewPhysMem(64 << 20)
 	m.Console = &sal.Console{}
 	m.Disk = sal.NewDisk(m.Clock)
 
 	var err error
-	m.VM, err = vm.New(eng, cfg.Profile, m.Dispatcher, m.MMU, m.Phys)
+	m.VM, err = vm.New(eng, prof, m.Dispatcher, m.MMU, m.Phys)
 	if err != nil {
 		return nil, fmt.Errorf("spin: boot vm: %w", err)
 	}
@@ -143,16 +129,16 @@ func NewMachine(name string, cfg Config) (*Machine, error) {
 	for i := 1; i < cfg.CPUs; i++ {
 		engines = append(engines, sim.NewEngine())
 	}
-	m.Sched, err = strand.NewMultiScheduler(cfg.Profile, m.Dispatcher, engines...)
+	m.Sched, err = strand.NewMultiScheduler(prof, m.Dispatcher, engines...)
 	if err != nil {
 		return nil, fmt.Errorf("spin: boot scheduler: %w", err)
 	}
 	m.Threads = strand.NewThreadPkg(m.Sched)
-	m.Stack, err = netstack.NewStack(name, cfg.IP, eng, cfg.Profile, m.Dispatcher)
+	m.Stack, err = netstack.NewStack(name, cfg.IP, eng, prof, m.Dispatcher)
 	if err != nil {
 		return nil, fmt.Errorf("spin: boot netstack: %w", err)
 	}
-	m.FS = fs.New(m.Disk, m.Clock, cfg.CacheBlocks)
+	m.FS = fs.New(m.Disk, m.Clock, 256)
 
 	// Fault containment boots armed: a handler that exhausts the default
 	// fault/overrun budgets is quarantined off its event.
@@ -329,7 +315,7 @@ func (m *Machine) ServeDNS(zone *netstack.Zone) error {
 	if !ok {
 		return fmt.Errorf("spin: %s: DNS.LookupA has wrong type %T", m.Name, sym.Value.Interface())
 	}
-	srv, err := netstack.NewDNSServerOwned(DNSAuthorityName, m.Stack, nil, lookup)
+	srv, err := netstack.NewDNSServer(DNSAuthorityName, m.Stack, lookup)
 	if err != nil {
 		m.Namespace.Unexport(DNSAuthorityName)
 		return err

@@ -187,7 +187,7 @@ func TestLoadVendorDriver(t *testing.T) {
 
 // A fleet boots one machine per host, so what a machine allocates before it
 // does anything is paid hundreds of times. Physical memory costs what has
-// been touched, so nothing here grows with MemoryBytes; the stack's own
+// been touched, so nothing here grows with the memory size; the stack's own
 // share is pinned by netstack's TestIdleStackFootprint.
 func TestIdleMachineFootprint(t *testing.T) {
 	const machines, budget = 64, 48 << 10
