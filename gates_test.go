@@ -420,16 +420,31 @@ func runFlows(t *testing.T, in *vnet.Internet, n, size int) []flow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.OnConnect = func(c *netstack.Conn) {
-			f.established = left.Clock.Now()
-			stream := make([]byte, size)
-			for k := range stream {
-				stream[k] = byte(k*7 + i)
+		// The writer fills the send buffer, and refills it each time ACKs
+		// have half emptied it, until the stream is queued.
+		stream := make([]byte, size)
+		for k := range stream {
+			stream[k] = byte(k*7 + i)
+		}
+		queued := 0
+		fill := func(c *netstack.Conn) {
+			n := min(len(stream)-queued, netstack.SendBufSize-c.Buffered())
+			if n == 0 {
+				return
 			}
-			if err := c.Send(stream); err != nil {
+			if err := c.Send(stream[queued : queued+n]); err != nil {
 				t.Fatal(err)
 			}
+			queued += n
+			if c.Buffered() > netstack.SendBufSize {
+				t.Fatalf("flow %d: send buffer holds %d bytes, bound %d", i, c.Buffered(), netstack.SendBufSize)
+			}
 		}
+		conn.OnConnect = func(c *netstack.Conn) {
+			f.established = left.Clock.Now()
+			fill(c)
+		}
+		conn.OnSent = fill
 		defer func() { f.retransmits = conn.Retransmits() }()
 	}
 	if !in.RunUntil(func() bool { return complete == n }, sim.Time(10*60*sim.Second)) {

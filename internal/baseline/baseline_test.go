@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"bytes"
 	"testing"
 
 	"spin/internal/netstack"
@@ -227,6 +228,72 @@ func TestTCPSpliceTerminatesLocally(t *testing.T) {
 	// terminated the transport), unlike SPIN's in-kernel forwarder.
 	if mid.Stack.TCP().Conns() == 0 {
 		t.Error("splice should hold local TCP state — that is its defining flaw")
+	}
+}
+
+// A stream larger than the send buffer crosses the splice whole and in
+// order to a target behind a lossy link, and the splice closes the far leg
+// only behind its last byte.
+func TestTCPSpliceRelaysPastTheSendBuffer(t *testing.T) {
+	sysC, sysM, sysS := NewOSF1(), NewOSF1(), NewOSF1()
+	client, _ := sysC.NewHost("c", netstack.Addr(10, 0, 0, 1), sal.LanceModel)
+	mid, _ := sysM.NewHost("m", netstack.Addr(10, 0, 0, 2), sal.LanceModel)
+	server, _ := sysS.NewHost("s", netstack.Addr(10, 0, 0, 3), sal.LanceModel)
+	mid2 := sal.NewNIC(sal.LanceModel, sysM.Engine, mid.IC, sal.VecNIC1)
+	_ = sal.Connect(client.NIC, mid.NIC)
+	_ = sal.Connect(mid2, server.NIC)
+	mid.Stack.Attach(mid2)
+	mid.Stack.AddRoute(netstack.Addr(10, 0, 0, 1), mid.NIC)
+	mid.Stack.AddRoute(netstack.Addr(10, 0, 0, 3), mid2)
+	mid2.InjectLoss(0.1, 1)
+	server.NIC.InjectLoss(0.1, 2)
+
+	sp, err := NewTCPSplice(mid, 80, netstack.Addr(10, 0, 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([]byte, 3<<19) // 1.5 MiB
+	for i := range stream {
+		stream[i] = byte(i*7 + i>>10)
+	}
+	var got []byte
+	closedAt := -1
+	_ = server.Stack.TCP().Listen(80, sysS.SocketDelivery(), func(c *netstack.Conn) {
+		c.OnData = func(_ *netstack.Conn, d []byte) { got = append(got, d...) }
+		c.OnClose = func(*netstack.Conn) {
+			if closedAt < 0 {
+				closedAt = len(got)
+			}
+		}
+	})
+	conn, _ := client.Stack.TCP().Connect(netstack.Addr(10, 0, 0, 2), 80, sysC.SocketDelivery())
+	queued := 0
+	fill := func(c *netstack.Conn) {
+		n := min(len(stream)-queued, netstack.SendBufSize-c.Buffered())
+		if n == 0 {
+			return
+		}
+		if err := c.Send(stream[queued : queued+n]); err != nil {
+			t.Fatal(err)
+		}
+		if queued += n; queued == len(stream) {
+			c.Close()
+		}
+	}
+	conn.OnConnect, conn.OnSent = fill, fill
+	cl := sim.NewCluster(sysC.Engine, sysM.Engine, sysS.Engine)
+	cl.RunUntil(func() bool { return closedAt >= 0 }, sim.Time(600*sim.Second))
+	if !bytes.Equal(got, stream) {
+		t.Fatalf("the target received %d of %d bytes, equal %v", len(got), len(stream), bytes.Equal(got, stream))
+	}
+	if closedAt != len(stream) {
+		t.Errorf("the far leg closed after %d of %d bytes", closedAt, len(stream))
+	}
+	if sp.Spliced != int64(len(stream)) {
+		t.Errorf("spliced %d bytes, want %d", sp.Spliced, len(stream))
+	}
+	if mid2.Dropped() == 0 && server.NIC.Dropped() == 0 {
+		t.Error("the lossy link lost nothing")
 	}
 }
 

@@ -136,37 +136,71 @@ func NewTCPSplice(h *Host, port uint16, target netstack.IPAddr) (*TCPSplice, err
 			inbound.Close()
 			return
 		}
-		var pendingOut [][]byte
-		ready := false
-		outbound.OnConnect = func(c *netstack.Conn) {
-			ready = true
-			for _, d := range pendingOut {
-				h.chargeUserSend(len(d))
-				_ = c.Send(d)
-			}
-			pendingOut = nil
-		}
+		in, out := &spliceLeg{h: h, c: inbound}, &spliceLeg{h: h, c: outbound}
+		outbound.OnConnect = out.drain
+		inbound.OnSent, outbound.OnSent = in.drain, out.drain
 		inbound.OnData = func(_ *netstack.Conn, data []byte) {
 			sp.Spliced += int64(len(data))
-			if !ready {
-				pendingOut = append(pendingOut, append([]byte(nil), data...))
-				return
-			}
-			h.chargeUserSend(len(data))
-			_ = outbound.Send(data)
+			out.forward(data)
 		}
 		outbound.OnData = func(_ *netstack.Conn, data []byte) {
 			sp.Spliced += int64(len(data))
-			h.chargeUserSend(len(data))
-			_ = inbound.Send(data)
+			in.forward(data)
 		}
-		inbound.OnClose = func(*netstack.Conn) { outbound.Close(); inbound.Close() }
-		outbound.OnClose = func(*netstack.Conn) { inbound.Close(); outbound.Close() }
+		inbound.OnClose = func(*netstack.Conn) { out.close(); inbound.Close() }
+		outbound.OnClose = func(*netstack.Conn) { in.close(); outbound.Close() }
 	})
 	if err != nil {
 		return nil, err
 	}
 	return sp, nil
+}
+
+// spliceLeg is one connection of a splice and what the other delivered for
+// it that it has not yet taken: everything before the outbound leg
+// connects, and whatever its send buffer has no room for.
+type spliceLeg struct {
+	h       *Host
+	c       *netstack.Conn
+	pending [][]byte
+	closing bool // the other leg closed: close behind what is pending
+}
+
+// forward passes data on, or holds a copy of it behind what is held.
+func (l *spliceLeg) forward(data []byte) {
+	if len(l.pending) == 0 && l.send(data) {
+		return
+	}
+	// The packet owning data is pooled; copy before it is reused.
+	l.pending = append(l.pending, append([]byte(nil), data...))
+}
+
+// send passes d on, through the user send path, if the connection is up
+// and its send buffer has room for d.
+func (l *spliceLeg) send(d []byte) bool {
+	if l.c.State() == netstack.StateSynSent || l.c.Buffered()+len(d) > netstack.SendBufSize {
+		return false
+	}
+	l.h.chargeUserSend(len(d))
+	_ = l.c.Send(d)
+	return true
+}
+
+// drain sends what is held, in order, while there is room, and closes the
+// connection once nothing is held if the other leg has closed.
+func (l *spliceLeg) drain(*netstack.Conn) {
+	for len(l.pending) > 0 && l.send(l.pending[0]) {
+		l.pending = l.pending[1:]
+	}
+	if l.closing && len(l.pending) == 0 {
+		l.c.Close()
+	}
+}
+
+// close closes the connection behind what is held for it.
+func (l *spliceLeg) close() {
+	l.closing = true
+	l.drain(l.c)
 }
 
 // VideoServer is the OSF/1 video server: a user-space process that sends

@@ -86,7 +86,7 @@ func countFile(path string) (int, int64, error) {
 		return 0, 0, err
 	}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // starts small; a line may still reach 1 MiB
 	lines := 0
 	inBlock := false
 	for sc.Scan() {

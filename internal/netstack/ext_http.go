@@ -106,8 +106,27 @@ func (h *HTTPServer) serve1(c *Conn, req []byte) {
 	var buf [64]byte
 	header := append(buf[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
 	header = strconv.AppendInt(header, int64(len(body)), 10)
-	_ = c.Send(append(header, "\r\n\r\n"...), body)
+	header = append(header, "\r\n\r\n"...)
+	n := min(len(body), max(SendBufSize-c.Buffered()-len(header), 0))
+	_ = c.Send(header, body[:n])
+	if n < len(body) {
+		sendRest(c, body[n:])
+		return
+	}
 	c.Close()
+}
+
+// sendRest queues the rest of a body larger than the send buffer as ACKs
+// free room, and closes the connection behind its last byte.
+func sendRest(c *Conn, body []byte) {
+	c.OnSent = func(c *Conn) {
+		n := min(len(body), SendBufSize-c.Buffered())
+		if c.Send(body[:n]) == nil {
+			if body = body[n:]; len(body) == 0 {
+				c.Close()
+			}
+		}
+	}
 }
 
 // responseSize reads the length of the response whose first bytes are b

@@ -433,9 +433,34 @@ func TestSendBufferReused(t *testing.T) {
 	}
 	_ = conn.Send(page)
 	_ = conn.Close()
-	if conn.sendBuf.Cap() != 0 || len(a.stack.TCP().spareSendBufs) != 1 {
+	if cap(conn.sendBuf) != 0 || len(a.stack.TCP().spareSendBufs) != 1 {
 		t.Errorf("aborted connection holds %d bytes of storage; client keeps %d spares",
-			conn.sendBuf.Cap(), len(a.stack.TCP().spareSendBufs))
+			cap(conn.sendBuf), len(a.stack.TCP().spareSendBufs))
+	}
+}
+
+// A response larger than the send buffer goes out as ACKs free room, and
+// the server closes behind its last byte.
+func TestHTTPBodyLargerThanSendBuffer(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	page := make([]byte, 600<<10)
+	for i := range page {
+		page[i] = byte(i*7 + i>>12)
+	}
+	if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/big": page}); err != nil {
+		t.Fatal(err)
+	}
+	var status string
+	var body []byte
+	if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/big", nil, func(s string, got []byte) { status, body = s, got }); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(0)
+	if status != "HTTP/1.0 200 OK" || !bytes.Equal(body, page) {
+		t.Fatalf("status %q, %d of %d body bytes, equal %v", status, len(body), len(page), bytes.Equal(body, page))
+	}
+	if n := a.stack.TCP().Conns() + b.stack.TCP().Conns(); n != 0 {
+		t.Errorf("%d connections left after the transfer", n)
 	}
 }
 

@@ -162,8 +162,8 @@ func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
 
 // SockConn adapts one *Conn to net.Conn. Reads block (stepping the
 // simulation) until data, EOF, an error, or a deadline; writes queue into
-// the TCP send buffer and never block. Obtain one from Sockets.Dial /
-// Dialer.DialContext or a Sockets listener.
+// the TCP send buffer and block, the same way, while it is full. Obtain one
+// from Sockets.Dial / Dialer.DialContext or a Sockets listener.
 type SockConn struct {
 	d      *Driver
 	c      *Conn
@@ -220,24 +220,34 @@ func (s *SockConn) Read(p []byte) (n int, err error) {
 	return n, err
 }
 
-// Write queues p into the TCP send buffer (which copies it). It never
-// blocks — the simulated send buffer is unbounded — so the write deadline
-// only gates already-failed connections.
+// Write queues p into the TCP send buffer (which copies it). While the
+// buffer has no room for the rest of p it blocks, driving the simulation
+// forward, until ACKs free some, the write deadline passes or the
+// connection closes; it returns how much of p it queued.
 func (s *SockConn) Write(p []byte) (n int, err error) {
-	s.d.Run(func() {
-		switch {
-		case s.closed:
-			err = net.ErrClosed
-		case s.wr.expired:
-			err = os.ErrDeadlineExceeded
-		default:
-			err = s.c.Send(p)
+	for {
+		s.d.Run(func() {
+			switch {
+			case s.closed:
+				err = net.ErrClosed
+			case s.wr.expired:
+				err = os.ErrDeadlineExceeded
+			default:
+				k := min(len(p)-n, SendBufSize-s.c.Buffered())
+				if err = s.c.Send(p[n : n+k]); err == nil {
+					n += k
+				}
+			}
+		})
+		if err != nil || n == len(p) {
+			return n, err
 		}
-	})
-	if err != nil {
-		return 0, err
+		// Wait for room for the rest, or for half the buffer, as OnSent does.
+		s.d.WaitUntil(func() bool {
+			return s.closed || s.wr.expired || s.c.State() == StateClosed ||
+				SendBufSize-s.c.Buffered() >= min(len(p)-n, SendBufSize/2)
+		})
 	}
-	return len(p), nil
 }
 
 // Close closes the connection (FIN, or teardown in SYN_SENT) and wakes any

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -284,6 +285,75 @@ func TestSockWallDeadlines(t *testing.T) {
 	}
 	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Errorf("read past future deadline = %v", err)
+	}
+}
+
+// A write larger than the send buffer blocks while ACKs free room and
+// returns once all of it is queued, and the peer reads back every byte.
+func TestSockWriteLargerThanSendBuffer(t *testing.T) {
+	sa, sb, _, _ := sockPair(t)
+	ln, err := sb.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 1<<20)
+	for i := range msg {
+		msg[i] = byte(i*7 + i>>11)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, len(msg))
+		c, err := ln.Accept()
+		if err == nil {
+			_, err = io.ReadFull(c, buf)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		got <- buf
+	}()
+	c, err := sa.Dialer().Dial("tcp", "10.0.0.2:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Write(msg); n != len(msg) || err != nil {
+		t.Fatalf("Write = %d, %v; want %d, nil", n, err, len(msg))
+	}
+	if b := <-got; !bytes.Equal(b, msg) {
+		t.Error("the peer read back different bytes")
+	}
+}
+
+// A write deadline that passes while Write waits for room ends it with
+// os.ErrDeadlineExceeded, and the count it returns is what it queued.
+func TestSockWriteDeadlineWhileBlocked(t *testing.T) {
+	sa, sb, _, b := sockPair(t)
+	ln, err := sb.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if _, err := ln.Accept(); err != nil {
+			t.Error(err)
+		}
+	}()
+	c, err := sa.Dialer().Dial("tcp", "10.0.0.2:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The peer's ACKs vanish, so nothing queued is ever acknowledged.
+	sa.Driver().Run(func() { b.nic.InjectLoss(1, 1) })
+	if err := c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := c.Write(make([]byte, 1<<20))
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("blocked write past its deadline = %v, want os.ErrDeadlineExceeded", err)
+	}
+	var buffered int
+	sa.Driver().Run(func() { buffered = c.(*SockConn).Conn().Buffered() })
+	if n != buffered || n != SendBufSize {
+		t.Errorf("Write returned %d, the send buffer holds %d; want both %d", n, buffered, SendBufSize)
 	}
 }
 

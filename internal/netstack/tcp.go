@@ -1,7 +1,6 @@
 package netstack
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -92,8 +91,17 @@ const dupAckThreshold = 3
 // the whole attempt is bounded at ~19 s of virtual time.
 const DefaultMaxRetx = 6
 
+// SendBufSize bounds the bytes a connection holds for its writer, sent and
+// unacknowledged or waiting for window (a real stack's SO_SNDBUF). It is
+// more than twice the window a peer advertises, so a writer that refills
+// it once OnSent reports it half empty never leaves the window short.
+const SendBufSize = 256 << 10
+
 // Errors surfaced by connections that fail rather than hang.
 var (
+	// ErrSendBufFull is Send's refusal of a write the send buffer has no
+	// room for. Nothing of it was queued; OnSent reports room.
+	ErrSendBufFull = errors.New("netstack: send buffer full")
 	// ErrTimedOut reports that the retransmission cap was exhausted: the
 	// peer (or the path to it) stayed silent through every backoff.
 	ErrTimedOut = errors.New("netstack: connection timed out")
@@ -193,14 +201,16 @@ type Conn struct {
 
 	// Send side.
 	sndUna, sndNxt uint32
-	// sendBuf holds every byte Send queued that the peer has not
-	// acknowledged: the first sent of them are the inflight segments'
-	// data, back to back, and the rest wait for window. Segments are cut
-	// from it and retransmitted from it; nothing is copied per segment.
-	sent     uint32
-	sendBuf  bytes.Buffer
-	inflight []segment
-	sndWnd   uint32 // peer's advertised window, bytes
+	// sendBuf[head:] holds every byte Send queued that the peer has not
+	// acknowledged, at most SendBufSize: the first sent of them are the
+	// inflight segments' data, back to back, and the rest wait for window.
+	// Segments are cut from it and retransmitted from it; nothing is copied
+	// per segment. An ACK advances head, and a write with no room at the
+	// tail slides the live bytes down to the front.
+	sent, head uint32
+	sendBuf    []byte
+	inflight   []segment
+	sndWnd     uint32 // peer's advertised window, bytes
 	// sndWL1 and sndWL2 are the sequence and acknowledgment numbers of the
 	// segment sndWnd was last taken from (RFC 793 §3.9): an older segment,
 	// arriving late, does not bring its window back.
@@ -257,6 +267,10 @@ type Conn struct {
 	OnData func(*Conn, []byte)
 	// OnClose fires when the connection fully closes.
 	OnClose func(*Conn)
+	// OnSent fires, until Close, when an ACK of new data leaves the send
+	// buffer at most half full (Buffered() <= SendBufSize/2): the writer's
+	// cue to refill it.
+	OnSent func(*Conn)
 
 	// acceptCb is the listener's accept callback. On server-side
 	// connections it is published on the Conn before the Conn enters the
@@ -321,8 +335,15 @@ func (s segment) end() uint32 {
 // len is the sequence space the segment occupies.
 func (s segment) len() uint32 { return s.end() - s.seq }
 
+// live is the queued data the peer has not acknowledged.
+func (c *Conn) live() []byte { return c.sendBuf[c.head:] }
+
 // unsent is the queued data not yet segmented.
-func (c *Conn) unsent() []byte { return c.sendBuf.Bytes()[c.sent:] }
+func (c *Conn) unsent() []byte { return c.live()[c.sent:] }
+
+// Buffered reports the bytes the send buffer holds: queued by Send and not
+// yet acknowledged by the peer. It never exceeds SendBufSize.
+func (c *Conn) Buffered() int { return len(c.sendBuf) - int(c.head) }
 
 // sendData cuts the next n unsent bytes into a segment and sends it.
 func (c *Conn) sendData(n int) {
@@ -560,38 +581,47 @@ func (c *Conn) sendSYN() {
 	c.sendSeg(p)
 }
 
-// Send queues payloads for transmission, back to back, as one write.
+// Send queues payloads for transmission, back to back, as one write. A
+// write that does not fit the send buffer whole is refused with
+// ErrSendBufFull and nothing of it is queued.
 func (c *Conn) Send(payloads ...[]byte) error {
 	st := c.State()
-	if c.closed || st != StateEstablished && st != StateCloseWait {
-		if !c.closed && st == StateSynSent {
-			// Queue until established.
-			c.write(payloads)
-			return nil
-		}
-		if c.closed || st == StateClosed {
-			return fmt.Errorf("netstack: send: %w", ErrClosed)
-		}
+	switch {
+	case c.closed || st == StateClosed:
+		return fmt.Errorf("netstack: send: %w", ErrClosed)
+	case st != StateEstablished && st != StateCloseWait && st != StateSynSent:
 		return errors.New("netstack: send on non-established connection")
 	}
-	c.write(payloads)
-	c.pump()
+	n := 0
+	for _, p := range payloads {
+		n += len(p)
+	}
+	if c.Buffered()+n > SendBufSize {
+		return ErrSendBufFull
+	}
+	c.write(payloads, n)
+	c.pump() // sends nothing before the handshake completes
 	return nil
 }
 
-// write appends payloads to the send buffer. A connection's first write
-// takes the storage a torn-down one left its module, if there is some.
-func (c *Conn) write(payloads [][]byte) {
-	if t := c.tcp; c.sendBuf.Cap() == 0 {
+// write appends n bytes of payloads to the send buffer. A connection's
+// first write takes the storage a torn-down one left its module, if there
+// is some.
+func (c *Conn) write(payloads [][]byte, n int) {
+	if t := c.tcp; cap(c.sendBuf) == 0 {
 		t.mu.Lock()
-		if n := len(t.spareSendBufs); n > 0 {
-			c.sendBuf = *bytes.NewBuffer(t.spareSendBufs[n-1])
-			t.spareSendBufs = t.spareSendBufs[:n-1]
+		if k := len(t.spareSendBufs); k > 0 {
+			c.sendBuf = t.spareSendBufs[k-1]
+			t.spareSendBufs = t.spareSendBufs[:k-1]
 		}
 		t.mu.Unlock()
 	}
+	if len(c.sendBuf)+n > cap(c.sendBuf) && c.head > 0 {
+		c.sendBuf = c.sendBuf[:copy(c.sendBuf, c.live())]
+		c.head = 0
+	}
 	for _, p := range payloads {
-		c.sendBuf.Write(p)
+		c.sendBuf = append(c.sendBuf, p...)
 	}
 }
 
@@ -614,7 +644,7 @@ func (c *Conn) Close() error {
 		if c.State() == StateSynSent && len(c.unsent()) > 0 {
 			err = fmt.Errorf("%w: %d queued bytes discarded before handshake completed",
 				ErrClosed, len(c.unsent()))
-			c.sendBuf.Reset()
+			c.sendBuf, c.head = c.sendBuf[:0], 0
 			c.setErr(err)
 		}
 		c.teardown() // cancels any armed retransmit timer
@@ -1136,6 +1166,9 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	}
 	c.rackDetect()
 	c.pump()
+	if c.OnSent != nil && !c.closed && c.Buffered() <= SendBufSize/2 {
+		c.OnSent(c)
+	}
 	return true
 }
 
@@ -1163,7 +1196,9 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 	}
 	c.inflight = c.inflight[:copy(c.inflight, c.inflight[n:])]
 	c.sent -= uint32(acked)
-	c.sendBuf.Next(acked)
+	if c.head += uint32(acked); int(c.head) == len(c.sendBuf) {
+		c.sendBuf, c.head = c.sendBuf[:0], 0
+	}
 	return n, finAcked
 }
 
@@ -1506,10 +1541,9 @@ func (c *Conn) teardown() {
 	delete(t.conns, tcpKey(c.remote, c.remotePort, c.localPort))
 	// Drained send-buffer storage goes to the next connection. Packets copy
 	// what they carry, so nothing else holds it.
-	if n := c.sendBuf.Cap(); c.sendBuf.Len() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
-		c.sendBuf.Reset()
-		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf.Bytes())
-		c.sendBuf = bytes.Buffer{}
+	if n := cap(c.sendBuf); c.Buffered() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
+		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf[:0])
+		c.sendBuf = nil
 	}
 	t.mu.Unlock()
 	if c.OnClose != nil && prev != StateCloseWait {

@@ -295,7 +295,7 @@ func (c *Conn) resend(i int) {
 	}
 	off := s.seq - c.inflight[0].seq
 	c.retransmits.Add(1)
-	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.sendBuf.Bytes()[off:off+uint32(s.n)]))
+	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.live()[off:off+uint32(s.n)]))
 }
 
 // probeAllowed reports whether the timer should be the probe timeout (RFC

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -90,6 +91,7 @@ type step struct {
 	at    sim.Duration
 	in    *seg // a segment arrives
 	write int  // the application writes this many full segments
+	full  bool // the application writes one more, which the send buffer must refuse
 	close bool // the application closes
 	out   []seg
 	// check looks at the connection after the step.
@@ -357,6 +359,14 @@ func (r *scriptRig) run(steps []step) {
 					r.t.Fatalf("%s: %v", what, err)
 				}
 				r.written += S
+			}
+		case s.full:
+			before := r.conn.Buffered()
+			if err := r.conn.Send(streamBytes(r.written, S)); !errors.Is(err, ErrSendBufFull) {
+				r.t.Fatalf("%s: a write past the send buffer's bound returned %v, want ErrSendBufFull", what, err)
+			}
+			if got := r.conn.Buffered(); got != before {
+				r.t.Errorf("%s: a refused write left %d bytes buffered, was %d", what, got, before)
 			}
 		case s.close:
 			if err := r.conn.Close(); err != nil {
@@ -830,6 +840,55 @@ func TestTCPScript(t *testing.T) {
 			{at: 5000 * ms, note: "idle"},
 		})
 		wantCauses(t, r, tcpStats{TLPProbes: 1, RTOs: 1})
+	})
+
+	// The send buffer holds at most SendBufSize bytes. A write past it is
+	// refused whole, and the ACK that leaves it half full or less tells the
+	// writer, once, to refill it. The peer's window is 40 segments and the
+	// congestion window wider, so each ACK of 40 lets 40 more out.
+	t.Run("sndbuf/bounded-and-refilled-at-half", func(t *testing.T) {
+		const w, fits = 40 * S, SendBufSize / S // 179 segments
+		segs := func(from, n int) []seg {
+			var out []seg
+			for k := from; k < from+n; k++ {
+				out = append(out, data(k*S, S))
+			}
+			return out
+		}
+		ackW := func(n int) *seg { return in(seg{flags: FlagACK, ack: n * S, win: w}) }
+		sents := 0
+		wantBuffered := func(n, sent int) func(*testing.T, *scriptRig) {
+			return func(t *testing.T, r *scriptRig) {
+				t.Helper()
+				if got := r.conn.Buffered(); got != n*S {
+					t.Errorf("%d bytes buffered, want %d", got, n*S)
+				}
+				if sents != sent {
+					t.Errorf("OnSent fired %d times, want %d", sents, sent)
+				}
+			}
+		}
+		r := dialRig(t)
+		r.run([]step{{in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, win: w}), out: []seg{ack(0)}}})
+		r.window(64, 64)
+		r.conn.OnSent = func(c *Conn) {
+			sents++
+			for c.Buffered()+S <= SendBufSize {
+				if err := c.Send(streamBytes(r.written, S)); err != nil {
+					t.Fatal(err)
+				}
+				r.written += S
+			}
+		}
+		r.run([]step{
+			{at: 1 * ms, write: fits, out: segs(0, 40), check: wantBuffered(fits, 0)},
+			{at: 2 * ms, full: true, note: "refused whole: nothing queued, nothing sent", check: wantBuffered(fits, 0)},
+			{at: 5 * ms, in: ackW(40), note: "139 segments left: above half", out: segs(40, 40), check: wantBuffered(fits-40, 0)},
+			{at: 9 * ms, in: ackW(80), note: "99 left: still above half", out: segs(80, 40), check: wantBuffered(fits-80, 0)},
+			{at: 13 * ms, in: ackW(120), note: "59 left: OnSent refills to the bound, behind the window's 40",
+				out: segs(120, 40), check: wantBuffered(fits, 1)},
+			{at: 17 * ms, in: ackW(160), note: "the refill goes out", out: segs(160, 40), check: wantBuffered(fits-40, 1)},
+		})
 	})
 
 	// RFC 5681 §3.1: a connection starts with a window of three full-sized

@@ -173,15 +173,20 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		if err != nil {
 			return nil, fmt.Errorf("vnet: conversation %d: connect: %w", i, err)
 		}
-		chunk := c.Chunk
-		conn.OnConnect = func(cn *netstack.Conn) {
-			buf := make([]byte, chunk)
-			for off := 0; off < total; off += len(buf) {
-				buf = buf[:min(chunk, total-off)]
-				pat.fill(buf, off)
-				_ = cn.Send(buf)
+		// The writer queues a chunk at a time while the send buffer has
+		// room, from OnConnect and again whenever ACKs have half emptied it.
+		buf, off := make([]byte, c.Chunk), 0
+		fill := func(cn *netstack.Conn) {
+			for off < total {
+				b := buf[:min(len(buf), total-off)]
+				pat.fill(b, off)
+				if cn.Send(b) != nil {
+					return
+				}
+				off += len(b)
 			}
 		}
+		conn.OnConnect, conn.OnSent = fill, fill
 		rr := r
 		cc := conn
 		defer func() { rr.Retransmits = cc.Retransmits() }()
