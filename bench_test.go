@@ -15,27 +15,28 @@ import (
 	"spin/internal/sim"
 )
 
-// benchmarkDispatchRaiseParallel measures Raise throughput under contention:
-// GOMAXPROCS goroutines raising round-robin across nEvents distinct events,
-// each with a single unguarded primary (the paper's direct-call fast path).
-// With the copy-on-write snapshot dispatcher, raises of unrelated events
-// share no lock, so multi-event throughput should scale with GOMAXPROCS
-// rather than serialize on a dispatcher-wide mutex.
+// benchmarkDispatchRaiseParallel measures Raise throughput on GOMAXPROCS
+// machines at once: each goroutine owns one dispatcher and its clock (a
+// raise charges the clock, so only its owner raises) and raises
+// round-robin across nEvents distinct events, each with a single unguarded
+// primary (the paper's direct-call fast path). Machines share no lock, so
+// throughput should scale with GOMAXPROCS.
 func benchmarkDispatchRaiseParallel(b *testing.B, nEvents int) {
-	eng := sim.NewEngine()
-	d := dispatch.New(eng, &sim.SPINProfile)
 	names := make([]string, nEvents)
 	for i := range names {
 		names[i] = fmt.Sprintf("Bench.Event%d", i)
-		if err := d.Define(names[i], dispatch.DefineOptions{
-			Primary: func(_, _ any) any { return nil },
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		d := dispatch.New(sim.NewEngine(), &sim.SPINProfile)
+		for _, name := range names {
+			if err := d.Define(name, dispatch.DefineOptions{
+				Primary: func(_, _ any) any { return nil },
+			}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
 		i := 0
 		for pb.Next() {
 			d.Raise(names[i%nEvents], i)

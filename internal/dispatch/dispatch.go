@@ -15,17 +15,19 @@
 // the guard/handler pairs, charging per-guard and per-handler costs — the
 // linear behaviour measured in the paper's §5.5 scaling experiment.
 //
-// Concurrency model: the read path (Raise, Stats, introspection) is
-// lock-free. Per-event state is published as an immutable snapshot through
-// an atomic pointer, and the event table itself is a copy-on-write map
-// behind another atomic pointer. Writers (Define, Install, AddGuard,
-// Remove, RemovePrimary) serialize on a single mutex, build a fresh
-// snapshot, and swap it in; raises in flight keep dispatching against the
-// snapshot they loaded. Counters are atomics, so raise/abort/fault totals
-// are exact under parallel raises. Authorizers are consulted while the
-// writer lock is held, making authorization + insertion atomic with respect
-// to concurrent installs — an authorizer must therefore not call back into
-// the dispatcher's write operations.
+// Concurrency model: raises charge the machine's virtual clock, so they run
+// on the clock's owner — whoever steps the machine's engine (see sim.Clock).
+// The read path (Raise, RaiseEvent, introspection) is lock-free. Per-event
+// state is published as an immutable snapshot through an atomic pointer, and
+// the event table itself is a copy-on-write map behind another atomic
+// pointer. Writers (Define, Install, AddGuard, Remove, RemovePrimary)
+// serialize on a single mutex, build a fresh snapshot, and swap it in; raises
+// in flight keep dispatching against the snapshot they loaded. Counters are
+// atomics, so Metrics may read them from any goroutine while the owner
+// raises. Authorizers are consulted while the writer lock is held, making
+// authorization + insertion atomic with respect to concurrent installs — an
+// authorizer must therefore not call back into the dispatcher's write
+// operations.
 package dispatch
 
 import (
@@ -151,9 +153,12 @@ func (s *eventSnapshot) clone() *eventSnapshot {
 	return &ns
 }
 
-// eventState is the stable identity of a defined event: the atomically
-// published snapshot plus counters. nextID is guarded by Dispatcher.mu.
-type eventState struct {
+// Event is the stable identity of a defined event: the atomically published
+// snapshot plus counters. nextID is guarded by Dispatcher.mu. A raiser that
+// resolves its event once with Dispatcher.Event and raises through
+// RaiseEvent skips the name lookup on every raise — the dispatcher's
+// counterpart of the paper's linker patching a resolved call (§3.2).
+type Event struct {
 	name   string
 	snap   atomic.Pointer[eventSnapshot]
 	raises atomic.Int64
@@ -172,9 +177,9 @@ type Dispatcher struct {
 	// mu serializes handler-list writers (Install/AddGuard/Remove/RemovePrimary).
 	// The read path never takes it.
 	mu sync.Mutex
-	// events is the event table. eventState values are never removed or
-	// replaced, so a loaded *eventState stays valid forever.
-	events cow.Map[string, *eventState]
+	// events is the event table. Event values are never removed or
+	// replaced, so a loaded *Event stays valid forever.
+	events cow.Map[string, *Event]
 
 	// faults counts handler runtime exceptions contained at the dispatch
 	// boundary; lastFault (guarded by faultMu) describes the most recent.
@@ -217,8 +222,16 @@ func New(engine *sim.Engine, profile *sim.Profile) *Dispatcher {
 }
 
 // lookup finds an event without locking. Safe from any goroutine.
-func (d *Dispatcher) lookup(name string) (*eventState, bool) {
+func (d *Dispatcher) lookup(name string) (*Event, bool) {
 	return d.events.Get(name)
+}
+
+// Event resolves a defined event to its handle for RaiseEvent, or returns
+// nil if name is undefined. The handle stays valid for the dispatcher's
+// life: events are never removed or redefined.
+func (d *Dispatcher) Event(name string) *Event {
+	st, _ := d.lookup(name)
+	return st
 }
 
 // DefineOptions configures an event at definition time.
@@ -252,7 +265,7 @@ func (d *Dispatcher) Define(name string, opts DefineOptions) error {
 	if snap.combiner == nil {
 		snap.combiner = LastResult
 	}
-	st := &eventState{name: name}
+	st := &Event{name: name}
 	if opts.Primary != nil {
 		snap.handlers = append(snap.handlers, newHandlerEntry(handlerEntry{
 			handler: opts.Primary,
@@ -409,20 +422,26 @@ func (d *Dispatcher) RemovePrimary(event string, requester domain.Identity) erro
 	return fmt.Errorf("dispatch: event %q has no primary handler", event)
 }
 
-// Raise dispatches the event synchronously and returns the combined result.
-// Raising an undefined event returns nil (announcements into the void are
-// legal; the raiser cannot distinguish "no event" from "no handlers").
-//
-// Raise acquires no locks: it loads the event table and the event's
-// snapshot through atomic pointers and dispatches against that immutable
-// view. Raises of unrelated events proceed fully in parallel; a raise
-// concurrent with an install sees either the old or the new handler list,
-// never a torn one. Events with Async constraints schedule handlers on the
-// simulation engine, which is single-threaded — raise those only from the
-// simulation goroutine.
+// Raise dispatches the named event synchronously and returns the combined
+// result: a lookup plus RaiseEvent. Raising an undefined event returns nil
+// (announcements into the void are legal; the raiser cannot distinguish "no
+// event" from "no handlers").
 func (d *Dispatcher) Raise(event string, arg any) any {
-	st, ok := d.lookup(event)
-	if !ok {
+	return d.RaiseEvent(d.Event(event), arg)
+}
+
+// RaiseEvent dispatches the event behind a handle from Event and returns the
+// combined result; a nil handle (an undefined event) returns nil.
+//
+// A raise charges its costs to the machine's clock, so it runs on the
+// clock's owner (see sim.Clock): whoever steps the machine's engine. It
+// acquires no locks: it loads the event's snapshot through an atomic pointer
+// and dispatches against that immutable view, so Install, AddGuard, Remove
+// and SetTracer may run on other goroutines at the same time — a raise
+// concurrent with an install sees either the old or the new handler list,
+// never a torn one.
+func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
+	if st == nil {
 		return nil
 	}
 	st.raises.Add(1)
@@ -449,7 +468,7 @@ func (d *Dispatcher) Raise(event string, arg any) any {
 		dur := d.clock.Now().Sub(start)
 		tr.Observe(handlerKey(e), dur)
 		tr.Trace(trace.Record{
-			Event: event, Origin: "dispatch", Handlers: 1,
+			Event: st.name, Origin: "dispatch", Handlers: 1,
 			Start: start, Duration: dur, Outcome: outcomeOf(aborted, faulted),
 		})
 		if aborted {
@@ -512,7 +531,7 @@ func (d *Dispatcher) Raise(event string, arg any) any {
 	}
 	if tr != nil {
 		tr.Trace(trace.Record{
-			Event: event, Origin: "dispatch", Handlers: ran,
+			Event: st.name, Origin: "dispatch", Handlers: ran,
 			Start: start, Duration: d.clock.Now().Sub(start),
 			Outcome: outcomeOf(anyAbort, anyFault),
 		})
@@ -570,7 +589,7 @@ func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer.Load() }
 // "dispatch.invoke" is a fault-injection site: an armed KindPanic rule
 // faults the handler here (inside the containment boundary), a KindDelay
 // rule slows it against its time bound.
-func (d *Dispatcher) invokeBounded(st *eventState, bound sim.Duration, e *handlerEntry, arg any) (res any, aborted, faulted bool) {
+func (d *Dispatcher) invokeBounded(st *Event, bound sim.Duration, e *handlerEntry, arg any) (res any, aborted, faulted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.faults.Add(1)
@@ -624,7 +643,7 @@ func (d *Dispatcher) HandlerCount(event string) int {
 // faults and quarantined handlers; the contained-fault total and the
 // quarantine policy; and, while they are set, the tracer's latency
 // histograms and the injector's per-site counters. Counters are atomics,
-// so it is safe from any goroutine, even under parallel raises.
+// so it is safe from any goroutine while the clock's owner raises.
 func (d *Dispatcher) Metrics(emit metrics.Emit) {
 	quarantined := map[string]int{}
 	d.qmu.Lock()

@@ -140,8 +140,8 @@ func (ke *KeyedEvent) RemoveKeyed(ref KeyedRef) error {
 	return nil
 }
 
-// Stats reports raises and index hits. Counters are atomics; totals are
-// exact under parallel raises.
+// Stats reports raises and index hits. Counters are atomics, so it is safe
+// from any goroutine while the clock's owner raises.
 func (ke *KeyedEvent) Stats() (raises, indexed int64) {
 	return ke.raises.Load(), ke.indexed.Load()
 }

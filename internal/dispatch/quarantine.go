@@ -76,11 +76,11 @@ func (d *Dispatcher) OnQuarantine(fn func(QuarantineRecord)) {
 }
 
 // quarantine atomically unlinks handler e from its event. Called from the
-// raise path (no dispatcher locks held) after a budget is exhausted;
-// concurrent raises may both cross the threshold, in which case the loser
-// finds the handler already gone and does nothing — one unlink, one record,
-// one notification per quarantined handler.
-func (d *Dispatcher) quarantine(st *eventState, e *handlerEntry, reason string) {
+// raise path (no dispatcher locks held) after a budget is exhausted. If the
+// handler is already gone — removed on another goroutine, or quarantined by
+// a raise nested in this one — it does nothing: one unlink, one record, one
+// notification per quarantined handler.
+func (d *Dispatcher) quarantine(st *Event, e *handlerEntry, reason string) {
 	if e.primary {
 		return // the primary is the fallback, never the casualty
 	}

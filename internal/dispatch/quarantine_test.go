@@ -157,8 +157,10 @@ func TestQuarantinePreservesKeyedPrimary(t *testing.T) {
 	}
 }
 
-// TestQuarantineConcurrentRaises crosses the threshold from many goroutines
-// at once: exactly one unlink, one record, one notification.
+// TestQuarantineConcurrentRaises crosses the threshold on the clock's
+// owner while other goroutines churn the event's handler list and read the
+// quarantine log: exactly one unlink, one record, one notification, and no
+// churner's handler left behind.
 func TestQuarantineConcurrentRaises(t *testing.T) {
 	d, _ := newTestDispatcher()
 	d.SetQuarantinePolicy(QuarantinePolicy{FaultThreshold: 10})
@@ -172,16 +174,45 @@ func TestQuarantineConcurrentRaises(t *testing.T) {
 	_ = d.Define("E", DefineOptions{Primary: func(_, _ any) any { return nil }})
 	_, _ = d.Install("E", func(_, _ any) any { panic("x") },
 		InstallOptions{Installer: domain.Identity{Name: "ext"}})
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				d.Raise("E", nil)
+	wg.Add(2)
+	go func() { // churner: installs and removes a well-behaved handler
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
+			ref, err := d.Install("E", func(_, _ any) any { return nil },
+				InstallOptions{Installer: domain.Identity{Name: "churn"}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := d.Remove(ref); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // reader: the log and the metrics surface
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = d.Quarantined()
+			d.Metrics(func(string, float64) {})
+		}
+	}()
+	for i := 0; i < 400; i++ {
+		d.Raise("E", nil)
 	}
+	close(stop)
 	wg.Wait()
 	if n := d.HandlerCount("E"); n != 1 {
 		t.Fatalf("HandlerCount = %d", n)

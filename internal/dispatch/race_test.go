@@ -69,10 +69,12 @@ func TestRemovePrimaryRefusedOnKeyedEvent(t *testing.T) {
 	}
 }
 
-// Torture: concurrent Define/Install/AddGuard/Remove/Raise on a shared
-// dispatcher must be race-free (run under -race; the pre-snapshot dispatcher
-// fails here on the AddGuard-vs-Raise guard-slice race) and must never
-// deliver a torn handler list to a raise.
+// Torture: Define/Install/AddGuard/Remove on other goroutines while the
+// clock's owner raises must be race-free (run under -race; the pre-snapshot
+// dispatcher fails here on the AddGuard-vs-Raise guard-slice race) and must
+// never deliver a torn handler list to a raise. Raises charge the clock, so
+// they all run on its owner, this goroutine; the writers race the
+// copy-on-write tables it reads.
 func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 	d, _ := newTestDispatcher()
 	const events = 4
@@ -86,22 +88,11 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 		}
 	}
 	const (
-		raisers   = 4
 		mutators  = 4
 		iters     = 8000
-		raiseIter = 60000
+		raiseIter = 240000
 	)
 	var wg sync.WaitGroup
-	for r := 0; r < raisers; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < raiseIter; i++ {
-				d.Raise(names[(r+i)%events], i)
-			}
-		}()
-	}
 	for m := 0; m < mutators; m++ {
 		m := m
 		wg.Add(1)
@@ -128,7 +119,8 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 			}
 		}()
 	}
-	// A definer churning fresh events exercises the COW event table.
+	// A definer churning fresh events exercises the COW event table; the
+	// owner resolves and raises them as they appear.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -138,14 +130,20 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d.Raise(name, i)
 		}
 	}()
+	const freshEvery = raiseIter / iters
+	for i := 0; i < raiseIter; i++ {
+		d.Raise(names[i%events], i)
+		if i%freshEvery == 0 {
+			d.RaiseEvent(d.Event(fmt.Sprintf("Fresh%d", i/freshEvery)), i)
+		}
+	}
 	wg.Wait()
 	for _, ev := range names {
 		raises, _, _ := eventStats(d, ev)
-		if raises == 0 {
-			t.Errorf("event %s saw no raises", ev)
+		if raises != raiseIter/events {
+			t.Errorf("event %s saw %d raises, want %d", ev, raises, raiseIter/events)
 		}
 		// All mutator handlers were removed; only the primary remains.
 		if got := d.HandlerCount(ev); got != 1 {
@@ -154,7 +152,8 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 	}
 }
 
-// Torture: concurrent keyed Install/Remove/Raise against one KeyedEvent.
+// Torture: keyed Install/Remove on other goroutines while the owner raises
+// one KeyedEvent.
 func TestConcurrentKeyedInstallRemoveRaise(t *testing.T) {
 	d, _ := newTestDispatcher()
 	ke, err := d.DefineKeyed("K", keyOfPort, DefineOptions{})
@@ -162,16 +161,6 @@ func TestConcurrentKeyedInstallRemoveRaise(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20000; i++ {
-				d.Raise("K", &keyedArg{port: uint64(r%8 + 1)})
-			}
-		}()
-	}
 	for m := 0; m < 4; m++ {
 		m := m
 		wg.Add(1)
@@ -191,6 +180,9 @@ func TestConcurrentKeyedInstallRemoveRaise(t *testing.T) {
 			}
 		}()
 	}
+	for i := 0; i < 80000; i++ {
+		d.Raise("K", &keyedArg{port: uint64(i%4 + 1)})
+	}
 	wg.Wait()
 	raises, indexed := ke.Stats()
 	if raises != 80000 || indexed != 80000 {
@@ -201,9 +193,10 @@ func TestConcurrentKeyedInstallRemoveRaise(t *testing.T) {
 	}
 }
 
-// Counter exactness: atomics must not drop counts under parallel raises —
-// Stats raises/aborts and ExtensionFaults totals are exact.
-func TestCountersExactUnderParallelRaises(t *testing.T) {
+// Counter exactness: the owner's raises, aborts and contained faults are
+// counted exactly, and Metrics renders them from another goroutine while
+// they run (under -race every read is synchronized with the counters).
+func TestCountersExactUnderConcurrentMetricsRead(t *testing.T) {
 	d, eng := newTestDispatcher()
 	_ = d.Define("Counted", DefineOptions{Primary: func(_, _ any) any { return nil }})
 	_ = d.Define("Slow", DefineOptions{Constraint: Constraint{TimeBound: sim.Microsecond}})
@@ -213,22 +206,29 @@ func TestCountersExactUnderParallelRaises(t *testing.T) {
 	}, InstallOptions{})
 	_ = d.Define("Faulty", DefineOptions{Primary: func(_, _ any) any { panic("boom") }})
 
-	const goroutines = 8
-	const perG = 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				d.Raise("Counted", i)
-				d.Raise("Slow", i)
-				d.Raise("Faulty", i)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
+			d.Metrics(func(string, float64) {})
+			d.ExtensionFaults()
+		}
+	}()
+	const total = 4000
+	for i := 0; i < total; i++ {
+		d.Raise("Counted", i)
+		d.Raise("Slow", i)
+		d.Raise("Faulty", i)
 	}
-	wg.Wait()
-	const total = goroutines * perG
+	close(stop)
+	reader.Wait()
 	if raises, aborts, _ := eventStats(d, "Counted"); raises != total || aborts != 0 {
 		t.Errorf("Counted stats = %d, %d; want %d, 0", raises, aborts, total)
 	}

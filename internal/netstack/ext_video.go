@@ -24,6 +24,7 @@ type VideoFrameSource func(frame int) []byte
 // VideoServer streams frames to registered clients.
 type VideoServer struct {
 	stack  *Stack
+	send   *dispatch.Event // EvSendPacket
 	source VideoFrameSource
 	port   uint16
 
@@ -40,7 +41,7 @@ type VideoServer struct {
 // NewVideoServer builds the server extension trio on stack. Frames go to
 // UDP port `port` on every subscribed client.
 func NewVideoServer(stack *Stack, port uint16, source VideoFrameSource) (*VideoServer, error) {
-	vs := &VideoServer{stack: stack, source: source, port: port}
+	vs := &VideoServer{stack: stack, send: stack.disp.Event(EvSendPacket), source: source, port: port}
 	// The multicast extension: a handler on SendPacket that fans a single
 	// logical send out to the client list.
 	_, err := stack.disp.Install(EvSendPacket, func(arg, _ any) any {
@@ -92,7 +93,7 @@ func (vs *VideoServer) SendFrame(n int) {
 		Payload: payload, TTL: 32,
 	}
 	vs.FramesSent++
-	vs.stack.disp.Raise(EvSendPacket, pkt)
+	vs.stack.disp.RaiseEvent(vs.send, pkt)
 }
 
 // VideoClient is the client-side extension: it awaits incoming video

@@ -64,7 +64,7 @@ const DefaultRXQueueDepth = 1024
 type rxQueue struct {
 	stack     *Stack
 	nic       *sal.NIC
-	linkEvent string
+	linkEvent *dispatch.Event
 	depth     int
 	accepted  atomic.Int64
 	dropped   atomic.Int64
@@ -76,10 +76,11 @@ type rxQueue struct {
 //
 // Concurrency model: packets are received, sent and timed on the simulation
 // goroutine (whichever goroutine steps the engine; the socket adapters'
-// Driver lets one at a time), one engine step per received packet. Other
-// goroutines may read Metrics, whose counters are atomics, and raise events
-// on the dispatcher. The route, UDP port and TCP listener tables are
-// cow.Maps, so a reader never sees a torn table.
+// Driver lets one at a time), one engine step per received packet; raises
+// charge the machine's clock, so they run there too (see sim.Clock). Other
+// goroutines may read Metrics, whose counters are atomics. The route, UDP
+// port and TCP listener tables are cow.Maps, so a reader never sees a torn
+// table.
 type Stack struct {
 	Host    string
 	IP      IPAddr
@@ -87,6 +88,9 @@ type Stack struct {
 	clock   *sim.Clock
 	profile *sim.Profile
 	disp    *dispatch.Dispatcher
+	// The graph events, resolved once at construction: a packet's raises
+	// go by handle, not by name.
+	evEther, evATM, evIP, evICMP, evUDP, evTCP *dispatch.Event
 
 	// mu serializes Attach/Detach (the queue list and the default NIC
 	// change together). The receive path never takes it.
@@ -170,6 +174,8 @@ func NewStack(host string, ip IPAddr, engine *sim.Engine, profile *sim.Profile, 
 			return nil, err
 		}
 	}
+	s.evEther, s.evATM, s.evIP = disp.Event(EvEtherArrived), disp.Event(EvATMArrived), disp.Event(EvIPArrived)
+	s.evICMP, s.evUDP, s.evTCP = disp.Event(EvICMPArrived), disp.Event(EvUDPArrived), disp.Event(EvTCPArrived)
 	s.udp = &UDP{stack: s}
 	s.tcp = newTCP(s)
 
@@ -220,9 +226,9 @@ func (s *Stack) Attach(nic *sal.NIC) {
 	if s.defaultNIC.Load() == nil {
 		s.defaultNIC.Store(nic)
 	}
-	linkEvent := EvEtherArrived
+	linkEvent := s.evEther
 	if nic.Model.CellSize > 0 {
-		linkEvent = EvATMArrived
+		linkEvent = s.evATM
 	}
 	q := &rxQueue{stack: s, nic: nic, linkEvent: linkEvent}
 	next := append(slices.Clone(*s.rxqs.Load()), q)
@@ -272,7 +278,7 @@ func rxPosted(queue, pkt any, _ int) {
 // receivePosted runs one packet up the graph in the protocol thread,
 // charging its context switch, and releases the packet after its synchronous
 // delivery (handlers that keep payload bytes have copied them by then).
-func (s *Stack) receivePosted(linkEvent string, pkt *Packet) {
+func (s *Stack) receivePosted(linkEvent *dispatch.Event, pkt *Packet) {
 	s.clock.Advance(s.profile.ContextSwitch)
 	s.safeReceive(linkEvent, pkt)
 	pkt.Release()
@@ -282,7 +288,7 @@ func (s *Stack) receivePosted(linkEvent string, pkt *Packet) {
 // panic that escapes the dispatcher's containment (or an injected one from
 // the "net.rx" site) is recovered here, counted, and traced — the packet is
 // lost, the drain keeps going.
-func (s *Stack) safeReceive(linkEvent string, pkt *Packet) {
+func (s *Stack) safeReceive(linkEvent *dispatch.Event, pkt *Packet) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.rxPanics.Add(1)
@@ -302,7 +308,7 @@ func (s *Stack) safeReceive(linkEvent string, pkt *Packet) {
 // per-packet path (with and without an XDP program attached) without queue
 // noise. Call it from the simulation goroutine.
 func (s *Stack) ReceiveOne(pkt *Packet) {
-	s.safeReceive(EvEtherArrived, pkt)
+	s.safeReceive(s.evEther, pkt)
 }
 
 // InjectRX enqueues pkt directly on the nicIndex'th attached NIC's receive
@@ -374,7 +380,7 @@ func (s *Stack) routeFor(dst IPAddr) *sal.NIC {
 // receive pushes one packet up the graph, timing the whole inbound path
 // when tracing is enabled (the tracer pointer is the dispatcher's single
 // enable/disable switch, so the disabled cost is one nil check per packet).
-func (s *Stack) receive(linkEvent string, pkt *Packet) {
+func (s *Stack) receive(linkEvent *dispatch.Event, pkt *Packet) {
 	tr := s.disp.Tracer()
 	if tr == nil {
 		s.receive1(linkEvent, pkt)
@@ -385,7 +391,7 @@ func (s *Stack) receive(linkEvent string, pkt *Packet) {
 	tr.Observe("net.rx", s.clock.Now().Sub(start))
 }
 
-func (s *Stack) receive1(linkEvent string, pkt *Packet) {
+func (s *Stack) receive1(linkEvent *dispatch.Event, pkt *Packet) {
 	// Injection site "net.rx": drop/error discards the packet before the
 	// graph sees it; a panic rule exercises the safeReceive guard.
 	if f := s.disp.InjectorInstalled().Fire("net.rx"); f.Kind == faultinject.KindDrop || f.Kind == faultinject.KindError {
@@ -399,12 +405,12 @@ func (s *Stack) receive1(linkEvent string, pkt *Packet) {
 	s.received.Add(1)
 	// Link layer processing + event.
 	s.clock.Advance(s.profile.ProtoLayer)
-	if claimed, _ := s.disp.Raise(linkEvent, pkt).(bool); claimed {
+	if claimed, _ := s.disp.RaiseEvent(linkEvent, pkt).(bool); claimed {
 		return
 	}
 	// IP layer: header validation, checksum over header.
 	s.clock.Advance(s.profile.ProtoLayer)
-	if claimed, _ := s.disp.Raise(EvIPArrived, pkt).(bool); claimed {
+	if claimed, _ := s.disp.RaiseEvent(s.evIP, pkt).(bool); claimed {
 		return
 	}
 	if pkt.Dst != s.IP {
@@ -438,24 +444,24 @@ func (s *Stack) receive1(linkEvent string, pkt *Packet) {
 	}
 	// Transport layer: header processing plus checksum verification over
 	// the payload.
-	s.clock.Advance(s.profile.ProtoLayer)
-	s.clock.Advance(sim.Duration(len(pkt.Payload)) * ChecksumPerByte)
+	s.clock.Advance(s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
 	switch pkt.Proto {
 	case ProtoICMP:
-		s.disp.Raise(EvICMPArrived, pkt)
+		s.disp.RaiseEvent(s.evICMP, pkt)
 	case ProtoUDP:
-		if claimed, _ := s.disp.Raise(EvUDPArrived, pkt).(bool); !claimed {
+		if claimed, _ := s.disp.RaiseEvent(s.evUDP, pkt).(bool); !claimed {
 			s.udp.deliver(pkt)
 		}
 	case ProtoTCP:
-		if claimed, _ := s.disp.Raise(EvTCPArrived, pkt).(bool); !claimed {
+		if claimed, _ := s.disp.RaiseEvent(s.evTCP, pkt).(bool); !claimed {
 			s.tcp.deliver(pkt)
 		}
 	}
 }
 
 func loopbackPosted(stack, pkt any, _ int) {
-	stack.(*Stack).receivePosted(EvEtherArrived, pkt.(*Packet))
+	s := stack.(*Stack)
+	s.receivePosted(s.evEther, pkt.(*Packet))
 }
 
 // ErrNoRoute reports a destination with no attached NIC.
@@ -480,8 +486,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 		// this, a service colocated with its own client (the DNS authority
 		// resolving through itself, a balancer probing a local backend)
 		// deadlocks on a query no wire will ever carry.
-		s.clock.Advance(2 * s.profile.ProtoLayer)
-		s.clock.Advance(sim.Duration(len(pkt.Payload)) * ChecksumPerByte)
+		s.clock.Advance(2*s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
 		s.sent.Add(1)
 		s.engine.Post(s.clock.Now(), loopbackPosted, s, pkt, 0)
 		return nil
@@ -493,8 +498,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 	}
 	// Transport + IP header construction, plus the transport checksum
 	// over the payload.
-	s.clock.Advance(2 * s.profile.ProtoLayer)
-	s.clock.Advance(sim.Duration(len(pkt.Payload)) * ChecksumPerByte)
+	s.clock.Advance(2*s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
 	s.sent.Add(1)
 	if mtu := mtuFor(nic); pkt.WireSize()-EtherHeader > mtu {
 		return s.sendFragmented(pkt, nic, mtu)

@@ -234,8 +234,7 @@ func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
 func receivePosted(nic, payload any, size int) {
 	n := nic.(*NIC)
 	n.ic.enter(n.vector)
-	n.clock.Advance(n.Model.DriverRecvCost)
-	n.clock.Advance(n.Model.hostMoveCost(size))
+	n.clock.Advance(n.Model.DriverRecvCost + n.Model.hostMoveCost(size))
 	n.received.Add(1)
 	n.bytesReceived.Add(int64(size))
 	if n.OnReceive != nil && !n.OnReceive(NetFrame{Size: size, Payload: payload}) {
@@ -273,8 +272,7 @@ func (n *NIC) Send(f NetFrame) error {
 	if n.wire == nil {
 		return fmt.Errorf("sal: %s not connected", n.Model.Name)
 	}
-	n.clock.Advance(n.Model.DriverSendCost)
-	n.clock.Advance(n.Model.hostMoveCost(f.Size))
+	n.clock.Advance(n.Model.DriverSendCost + n.Model.hostMoveCost(f.Size))
 	start := n.clock.Now()
 	if n.txFreeAt > start {
 		start = n.txFreeAt

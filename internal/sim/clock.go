@@ -69,23 +69,23 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Figure 6 can report CPU utilization: Advance accrues busy time, while
 // Sleep (idle waiting, e.g. for a wire) does not.
 //
-// The clock is safe for concurrent use: the dispatcher's lock-free Raise
-// path charges costs from many goroutines at once (the parallel dispatch
-// benchmarks and race tests), so both accumulators are atomics and never
-// guarded by a lock. Concurrent advances commute — total elapsed and busy
-// time are exact regardless of interleaving. AdvanceTo and ResetBusy are
-// meant for the single-threaded simulation engine; calling them concurrently
-// with Advance is safe but their read-modify sequences are not atomic as a
-// unit.
+// Ownership: a machine's clock is written only by whoever steps its engine —
+// the goroutine calling Step or Run, the Driver's lock holder, or the strand
+// holding the CPU token. Advance, Sleep, AdvanceTo, Busy, ResetBusy and
+// Utilization are the owner's; a hand-off of ownership through a channel or
+// a mutex gives the happens-before the next owner needs. Now alone may be
+// called from any goroutine: the time is an atomic that only the owner
+// stores, so an off-owner reader sees a value that never decreases. A charge
+// is one atomic store, not two locked read-modify-writes.
 type Clock struct {
-	now  atomic.Int64 // Time
-	busy atomic.Int64 // Duration
+	now  atomic.Int64 // Time; stored by the owner, loaded by anyone
+	busy Duration     // the owner's alone
 }
 
 // NewClock returns a clock at time zero.
 func NewClock() *Clock { return &Clock{} }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time. Safe from any goroutine.
 func (c *Clock) Now() Time { return Time(c.now.Load()) }
 
 // Advance moves the clock forward by d and accounts it as busy (CPU) time.
@@ -94,8 +94,8 @@ func (c *Clock) Advance(d Duration) {
 	if d <= 0 {
 		return
 	}
-	c.now.Add(int64(d))
-	c.busy.Add(int64(d))
+	c.now.Store(c.now.Load() + int64(d))
+	c.busy += d
 }
 
 // Sleep moves the clock forward by d without accruing busy time. It models
@@ -105,28 +105,22 @@ func (c *Clock) Sleep(d Duration) {
 	if d <= 0 {
 		return
 	}
-	c.now.Add(int64(d))
+	c.now.Store(c.now.Load() + int64(d))
 }
 
 // AdvanceTo moves the clock to t if t is in the future, as idle time.
 func (c *Clock) AdvanceTo(t Time) {
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
+	if int64(t) > c.now.Load() {
+		c.now.Store(int64(t))
 	}
 }
 
 // Busy returns accumulated busy (CPU) time.
-func (c *Clock) Busy() Duration { return Duration(c.busy.Load()) }
+func (c *Clock) Busy() Duration { return c.busy }
 
 // ResetBusy clears the busy-time accumulator, for utilization measurements
 // over a window.
-func (c *Clock) ResetBusy() { c.busy.Store(0) }
+func (c *Clock) ResetBusy() { c.busy = 0 }
 
 // Utilization reports busy time as a fraction of the window since 'start'.
 func (c *Clock) Utilization(start Time) float64 {

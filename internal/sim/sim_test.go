@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +50,56 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 	if c.Busy() != 100 {
 		t.Errorf("AdvanceTo must be idle time; busy=%v", c.Busy())
+	}
+}
+
+// TestClockNowReadableOffOwner holds the clock's contract: the owner alone
+// charges it, with Advance, Sleep and AdvanceTo (an AdvanceTo into the past
+// never rewinds it), while another goroutine reads Now. Under -race the read
+// is synchronized with the owner's stores, and the readings never decrease.
+func TestClockNowReadableOffOwner(t *testing.T) {
+	c := NewClock()
+	done := make(chan struct{})
+	var readerErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := c.Now()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			now := c.Now()
+			if now < last {
+				readerErr = fmt.Errorf("Now went back from %v to %v", last, now)
+				return
+			}
+			last = now
+		}
+	}()
+	var want Time
+	var busy Duration
+	for i := 0; i < 20000; i++ {
+		c.Advance(3)
+		c.Sleep(2)
+		c.AdvanceTo(c.Now() - 4) // the past: no rewind
+		c.AdvanceTo(c.Now() + 5)
+		want += 10
+		busy += 3
+		if c.Now() != want {
+			t.Fatalf("step %d: Now = %v, want %v", i, c.Now(), want)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if readerErr != nil {
+		t.Error(readerErr)
+	}
+	if c.Busy() != busy {
+		t.Errorf("Busy = %v, want %v (only Advance is busy time)", c.Busy(), busy)
 	}
 }
 

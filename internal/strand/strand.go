@@ -103,6 +103,8 @@ type Scheduler struct {
 	profile *sim.Profile
 	disp    *dispatch.Dispatcher
 	cpus    []*CPU
+	// The four strand events, resolved once: a switch raises by handle.
+	evBlock, evUnblock, evCheckpoint, evResume *dispatch.Event
 
 	// engine/clock are CPU 0's — the boot CPU. Charges made outside the
 	// scheduler loop (strand creation from init code, for example) land
@@ -181,6 +183,8 @@ func NewMultiScheduler(profile *sim.Profile, disp *dispatch.Dispatcher, engines 
 			return nil, err
 		}
 	}
+	sched.evBlock, sched.evUnblock = disp.Event(EvBlock), disp.Event(EvUnblock)
+	sched.evCheckpoint, sched.evResume = disp.Event(EvCheckpoint), disp.Event(EvResume)
 	return sched, nil
 }
 
@@ -258,14 +262,14 @@ func (sched *Scheduler) NewStrandOn(name string, prio, cpu int, body func(*Stran
 // Strand.Block event; the default implementation dequeues the strand.
 func (sched *Scheduler) Block(s *Strand) {
 	sched.actingClock().Advance(sched.profile.SchedOp)
-	sched.disp.Raise(EvBlock, s)
+	sched.disp.RaiseEvent(sched.evBlock, s)
 }
 
 // Unblock signals that s is runnable (e.g. an interrupt handler completing
 // an I/O).
 func (sched *Scheduler) Unblock(s *Strand) {
 	sched.actingClock().Advance(sched.profile.SchedOp)
-	sched.disp.Raise(EvUnblock, s)
+	sched.disp.RaiseEvent(sched.evUnblock, s)
 }
 
 func (sched *Scheduler) doBlock(s *Strand) {
@@ -371,9 +375,9 @@ func (c *CPU) dispatch(next *Strand) {
 		c.switches.Add(1)
 		sched.observe(SchedEvent{Kind: "switch", Strand: next.name, CPU: c.id, From: c.id, At: c.clock.Now()})
 		if c.last != nil && !c.last.exited {
-			sched.disp.Raise(EvCheckpoint, c.last)
+			sched.disp.RaiseEvent(sched.evCheckpoint, c.last)
 		}
-		sched.disp.Raise(EvResume, next)
+		sched.disp.RaiseEvent(sched.evResume, next)
 	}
 	c.last = next
 	c.current = next
@@ -441,8 +445,8 @@ func (s *Strand) exit() {
 // someone Unblocks it. Must be called from the strand's own body.
 func (s *Strand) BlockSelf() {
 	s.cpu.clock.Advance(s.sched.profile.SchedOp)
-	s.sched.disp.Raise(EvCheckpoint, s)
-	s.sched.disp.Raise(EvBlock, s)
+	s.sched.disp.RaiseEvent(s.sched.evCheckpoint, s)
+	s.sched.disp.RaiseEvent(s.sched.evBlock, s)
 	s.yieldToScheduler(false)
 }
 

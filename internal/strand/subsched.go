@@ -76,7 +76,7 @@ func NewSubScheduler(global *Scheduler, ident domain.Identity) (*SubScheduler, e
 			ss.runnable = true
 			sub.runq = append(sub.runq, ss)
 			// Receive control of the processor: wake the carrier.
-			global.disp.Raise(EvUnblock, sub.carrier)
+			global.disp.RaiseEvent(global.evUnblock, sub.carrier)
 		}
 		return nil
 	}, dispatch.InstallOptions{Installer: ident, Guard: guard})
@@ -98,7 +98,7 @@ func (sub *SubScheduler) NewSubStrand(name string, body func(*SubStrand)) *SubSt
 // Start makes a substrand runnable by raising Strand.Unblock on it — the
 // dispatcher routes the event to this scheduler.
 func (sub *SubScheduler) Start(ss *SubStrand) {
-	sub.global.disp.Raise(EvUnblock, ss)
+	sub.global.disp.RaiseEvent(sub.global.evUnblock, ss)
 }
 
 // loop is the carrier body: the delivery of Resume (being scheduled by the

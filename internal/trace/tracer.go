@@ -12,8 +12,8 @@
 // load. Enabling or disabling is one atomic pointer swap; raises in flight
 // keep using whichever tracer they loaded. All record/observe paths are
 // lock-free (atomic slot stores in the ring, atomic bucket counters in the
-// histograms, cow.Map histogram table), so tracing never serializes
-// the dispatcher's parallel Raise path.
+// histograms, cow.Map histogram table), so tracing takes no lock on the
+// raise path and a reader on another goroutine never blocks a raiser.
 package trace
 
 import (

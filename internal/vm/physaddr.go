@@ -223,7 +223,7 @@ func (svc *PhysAddrService) Reclaim(candidate *PhysAddr) (*PhysAddr, error) {
 		return nil, badCap("PhysAddr.T")
 	}
 	victim := candidate
-	if alt, ok := svc.sys.Disp.Raise(EvReclaim, candidate).(*PhysAddr); ok && alt != nil {
+	if alt, ok := svc.sys.Disp.RaiseEvent(svc.sys.evReclaim, candidate).(*PhysAddr); ok && alt != nil {
 		if !alt.dead && svc.liveCaps[alt] {
 			victim = alt
 		}

@@ -40,6 +40,9 @@ type System struct {
 	PhysSvc  *PhysAddrService
 	VirtSvc  *VirtAddrService
 	TransSvc *TranslationService
+
+	// The four events, resolved once: a fault or a reclaim raises by handle.
+	evBadAddress, evPageNotPresent, evProtection, evReclaim *dispatch.Event
 }
 
 // New wires a memory system over the given hardware and dispatcher, defining
@@ -87,6 +90,8 @@ func New(engine *sim.Engine, profile *sim.Profile, disp *dispatch.Dispatcher,
 	if err := disp.Define(EvReclaim, dispatch.DefineOptions{Combiner: firstAlternative}); err != nil {
 		return nil, err
 	}
+	s.evBadAddress, s.evPageNotPresent = disp.Event(EvBadAddress), disp.Event(EvPageNotPresent)
+	s.evProtection, s.evReclaim = disp.Event(EvProtectionFault), disp.Event(EvReclaim)
 	return s, nil
 }
 
@@ -113,18 +118,18 @@ func (s *System) Access(ctx *Context, va uint64, mode sal.Prot) (faultOut *sal.F
 		if attempt == 0 {
 			trapLatency = s.Clock.Now().Sub(start)
 		}
-		var ev string
+		var ev *dispatch.Event
 		switch fault.Kind {
 		case sal.FaultBadAddress:
-			ev = EvBadAddress
+			ev = s.evBadAddress
 		case sal.FaultPageNotPresent:
-			ev = EvPageNotPresent
+			ev = s.evPageNotPresent
 		case sal.FaultProtection:
-			ev = EvProtectionFault
+			ev = s.evProtection
 		default:
 			return fault, trapLatency
 		}
-		resolved, _ := s.Disp.Raise(ev, fault).(bool)
+		resolved, _ := s.Disp.RaiseEvent(ev, fault).(bool)
 		if !resolved {
 			return fault, trapLatency
 		}

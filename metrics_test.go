@@ -133,10 +133,10 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsConcurrentRead renders a machine's metrics from another
-// goroutine while raises run in parallel and one goroutine, the simulation's,
-// injects packets and steps the engine that delivers them. Under -race every
-// read must be synchronized with the writers, and the counts read afterwards
-// are exact.
+// goroutine while one goroutine, the simulation's (the clock's owner),
+// raises events, injects packets and steps the engine that delivers them.
+// Under -race every read must be synchronized with the writers, and the
+// counts read afterwards are exact.
 func TestMetricsConcurrentRead(t *testing.T) {
 	m, err := spin.NewMachine("observed", spin.Config{IP: netstack.Addr(10, 0, 0, 1), CPUs: 2})
 	if err != nil {
@@ -175,29 +175,19 @@ func TestMetricsConcurrentRead(t *testing.T) {
 		}
 	}()
 	const writers, per = 2, 2000
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.Dispatcher.Raise("Observed.Event", nil)
-			}
-		}()
-	}
 	// Stepping every 64 packets keeps the queue from filling, so every
-	// injection is accepted.
+	// injection is accepted. One raise rides with each injection.
 	const injected = writers * per
 	pkt := &netstack.Packet{Src: netstack.Addr(10, 0, 0, 2), Dst: m.Stack.IP, Proto: netstack.ProtoUDP,
 		SrcPort: 1, DstPort: 9, Payload: make([]byte, 16), TTL: 32}
 	for i := 0; i < injected; i++ {
+		m.Dispatcher.Raise("Observed.Event", nil)
 		m.Stack.InjectRX(0, pkt)
 		if i%64 == 63 {
 			m.Engine.Run(0)
 		}
 	}
 	m.Engine.Run(0)
-	wg.Wait()
 	close(stop)
 	reader.Wait()
 

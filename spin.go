@@ -82,10 +82,11 @@ type Machine struct {
 	DNS      *netstack.DNSServer
 	Resolver *netstack.Resolver
 
-	nics     []*sal.NIC
-	nextVec  sal.InterruptVector
-	public   *domain.T
-	extCount int
+	nics      []*sal.NIC
+	nextVec   sal.InterruptVector
+	public    *domain.T
+	extCount  int
+	syscallEv *dispatch.Event // SyscallEvent's handle
 }
 
 // Config tunes machine construction.
@@ -162,6 +163,7 @@ func NewMachine(name string, cfg Config) (*Machine, error) {
 	if err := m.Dispatcher.Define(SyscallEvent, dispatch.DefineOptions{}); err != nil {
 		return nil, err
 	}
+	m.syscallEv = m.Dispatcher.Event(SyscallEvent)
 
 	if err := m.exportPublicInterfaces(); err != nil {
 		return nil, err
@@ -352,7 +354,7 @@ func (m *Machine) NICs() []*sal.NIC { return m.nics }
 func (m *Machine) Syscall(name string, arg any) any {
 	m.Clock.Advance(m.Profile.Trap)
 	m.Clock.Advance(m.Profile.SyscallOverhead)
-	res := m.Dispatcher.Raise(SyscallEvent, &Syscall{Name: name, Arg: arg})
+	res := m.Dispatcher.RaiseEvent(m.syscallEv, &Syscall{Name: name, Arg: arg})
 	m.Clock.Advance(m.Profile.Trap)
 	return res
 }

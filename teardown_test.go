@@ -99,10 +99,10 @@ func TestDestroyDomainReclaimsFootprint(t *testing.T) {
 	}
 }
 
-// TestDestroyRacesDispatchTraffic tears a domain down while other
-// goroutines raise its events, reinstall handlers, re-export and link
-// against its interfaces. Run under -race; the invariant at the end is that
-// a final destroy leaves only primaries.
+// TestDestroyRacesDispatchTraffic tears a domain down while the clock's
+// owner (this goroutine) raises its events and other goroutines reinstall
+// handlers, re-export and link against its interfaces. Run under -race; the
+// invariant at the end is that a final destroy leaves only primaries.
 func TestDestroyRacesDispatchTraffic(t *testing.T) {
 	m, err := NewMachine("teardown-race", Config{})
 	if err != nil {
@@ -126,16 +126,6 @@ func TestDestroyRacesDispatchTraffic(t *testing.T) {
 
 	var wg sync.WaitGroup
 	const rounds = 200
-	// Raisers: live traffic through the events being torn down.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				m.Dispatcher.Raise(fmt.Sprintf("Race.%d", (g+i)%events), nil)
-			}
-		}(g)
-	}
 	// Installer: keeps adding handlers owned by the doomed principal.
 	wg.Add(1)
 	go func() {
@@ -168,6 +158,10 @@ func TestDestroyRacesDispatchTraffic(t *testing.T) {
 			m.DestroyDomain(ext)
 		}
 	}()
+	// Raiser: live traffic through the events being torn down.
+	for i := 0; i < 2*rounds; i++ {
+		m.Dispatcher.Raise(fmt.Sprintf("Race.%d", i%events), nil)
+	}
 	wg.Wait()
 
 	// Quiesced: one final teardown must leave only the primaries.
