@@ -62,8 +62,8 @@ func (d debugContent) Get(path string) ([]byte, bool) {
 // have not closed. A transport closes a connection from a goroutine of its
 // own after the caller has the body; a Close landing after run returned
 // would send its FIN into a simulation nothing steps again, and the packet
-// would stay live on the next run's net_packets_live. open is guarded by
-// the driver lock.
+// would stay live on the next run's net_packets_live. open is touched only
+// on the driver's loop (in Run and WaitUntil).
 type closeTracker struct {
 	drv  *netstack.Driver
 	open int

@@ -44,8 +44,8 @@ type backend struct {
 // detection (ReportFailure from the dialer) and active health checks both
 // feed the breakers, and every breaker transition rebuilds the ring so
 // only closed (healthy) backends receive traffic. All methods that mutate
-// state must run in engine context (inside an engine callback, or under
-// the socket Driver's lock via Driver.Run).
+// state must run in engine context (inside an engine callback, or on the
+// socket Driver's loop via Driver.Run).
 type Balancer struct {
 	stack    *netstack.Stack
 	resolver *netstack.Resolver

@@ -73,7 +73,8 @@ type ResilientDialer struct {
 	rand   *sim.Rand
 
 	// budgetBits is the retry token bucket (a float64 via math.Float64bits):
-	// mutated only under the driver lock, readable lock-free by reports.
+	// mutated only on the Driver's loop (in Driver.Run), readable lock-free
+	// by reports.
 	budgetBits atomic.Uint64
 	reqSeq     uint64
 
@@ -103,7 +104,7 @@ func NewResilientDialer(s *netstack.Sockets, bal *Balancer, policy RetryPolicy, 
 }
 
 // budget / setBudget access the token bucket (float64 behind an atomic;
-// writers hold the driver lock, readers may be anywhere).
+// writers run on the Driver's loop, readers may be anywhere).
 func (rd *ResilientDialer) budget() float64     { return math.Float64frombits(rd.budgetBits.Load()) }
 func (rd *ResilientDialer) setBudget(v float64) { rd.budgetBits.Store(math.Float64bits(v)) }
 

@@ -13,7 +13,7 @@
 // replays byte-identically, failures included.
 //
 // Concurrency discipline: Balancer and Breaker mutate state only in engine
-// context (inside engine callbacks, or under the netstack.Driver lock via
+// context (inside engine callbacks, or on the netstack.Driver's loop via
 // Driver.Run). Breaker states are additionally published through atomics so
 // report renderers on other goroutines read safely.
 package lb

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
+	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +25,16 @@ import (
 //
 // The hard part is marrying two worlds: the simulation is a single-
 // threaded discrete-event engine (callbacks, virtual time), while stdlib
-// networking code blocks real goroutines. The Driver bridges them: every
-// blocking operation takes the driver lock and *becomes the simulation's
-// clock*, stepping the engine until its predicate holds, then parking on a
-// condition variable when the event queue runs dry. Virtual time therefore
-// advances exactly as far as the blocked callers need it to — no wall-
-// clock polling, no background ticker — and a run remains deterministic
-// because the engine still executes events in virtual-time order under one
-// lock, regardless of which goroutine happens to be stepping.
+// networking code blocks real goroutines. The Driver bridges them with one
+// long-lived goroutine, its loop, that alone steps the engine. A blocking
+// operation hands the loop a call — what to do, and what must hold before
+// the caller may go on — and parks until the loop signals it. The loop
+// steps only while some call waits, so virtual time advances exactly as
+// far as the blocked callers need it to (no wall-clock polling, no
+// background ticker), and it runs events in virtual-time order whichever
+// goroutine asked. The deep simulation stack lives on the loop's
+// goroutine: it grows once per Driver, not on each fresh goroutine that
+// net/http starts for a request.
 
 // Stepper is any event source the Driver can advance: a single machine's
 // sim.Engine or a whole topology's sim.Cluster. Step executes the next
@@ -40,85 +43,238 @@ type Stepper interface {
 	Step() bool
 }
 
-// Driver serializes a simulation shared by blocking goroutines. All engine
-// access — stepping, scheduling, reading adapter state — happens under its
-// lock; engine callbacks (OnData, timers) thus run with the lock held and
-// may touch adapter buffers directly.
+// Driver runs a simulation shared by blocking goroutines. Its loop
+// goroutine owns every engine behind the source: it alone steps it, and
+// engine callbacks, WaitUntil predicates and Run functions all run there,
+// so they may touch adapter buffers directly.
 //
 // Once a Driver wraps an engine or cluster, advance the simulation only
-// through it (blocking socket calls, Run, Drain) — mixing in direct
-// Engine.Run calls would race the stepping goroutines.
-type Driver struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	src  Stepper
-	// pending counts goroutines blocked entering Run. A stepping WaitUntil
-	// yields to them instead of executing more events: an injector is
-	// conceptually an event at the current virtual time, so racing the
-	// clock ahead of it would starve it forever once perpetual timers
-	// (periodic health probes, keepalives) keep the event queue non-empty.
-	pending atomic.Int64
-}
+// through it (blocking socket calls, Run, Drain) — a direct Engine.Run
+// would race the loop. The loop goroutine ends once nothing refers to the
+// Driver and no call is pending.
+type Driver struct{ loop *loop }
 
-// NewDriver wraps an event source.
+// NewDriver wraps an event source and starts its loop.
 func NewDriver(src Stepper) *Driver {
-	d := &Driver{src: src}
-	d.cond = sync.NewCond(&d.mu)
+	l := &loop{src: src, calls: make(chan *call)}
+	l.start(nil)
+	d := &Driver{loop: l}
+	// The loop refers to l, never to d, so d can become unreachable while
+	// the loop runs. Then a nil call tells the loop it may end.
+	runtime.SetFinalizer(d, func(d *Driver) { go func() { l.calls <- nil }() })
 	return d
 }
 
-// Run injects fn into the simulation: it runs under the driver lock and
-// wakes every blocked operation to re-check what changed.
+// Run injects fn into the simulation at the current virtual time: it runs
+// on the loop, before the next step, and every blocked operation then
+// re-checks what changed. A panic in fn is raised again here.
 func (d *Driver) Run(fn func()) {
-	d.pending.Add(1)
-	d.mu.Lock()
-	d.pending.Add(-1)
-	fn()
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	c := newCall(opRun)
+	c.fn = fn
+	d.loop.do(c)
 }
 
 // WaitUntil blocks the calling goroutine until pred holds, stepping the
-// simulation as needed. pred runs under the driver lock and may have side
-// effects (consuming buffered data); it is re-evaluated after every step
-// and every Run injection. If the event queue drains with pred still
-// false — or another goroutine is waiting to inject — the caller parks
-// until the injection lands: exactly a blocking socket's semantics.
+// simulation as needed. pred runs on the loop and may have side effects
+// (consuming buffered data); it is checked when the call arrives, after
+// every step and after every call that lands meanwhile. If the event queue
+// drains with pred still false, the caller stays parked until some other
+// call changes that: exactly a blocking socket's semantics. A panic in
+// pred is raised again here.
 //
-// Fairness vs. determinism: yielding to pending injectors keeps concurrent
-// blocking goroutines (net/http's split read/write loops) live even when
-// periodic timers never let the queue drain. The byte-identical-replay
-// contract is narrower: it holds when blocking calls are issued from one
-// goroutine at a time, so every step interleaving is fixed by virtual time
-// alone.
+// Waiters are checked in the order they arrived, so of two whose
+// conditions come true at the same step the earlier resumes first. The
+// byte-identical-replay contract holds when blocking calls are issued from
+// one goroutine at a time: the order in which calls from several
+// goroutines reach the loop is up to the host scheduler.
 func (d *Driver) WaitUntil(pred func() bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if pred() {
-			return
-		}
-		if d.pending.Load() > 0 {
-			d.cond.Wait()
-			continue
-		}
-		if d.src.Step() {
-			d.cond.Broadcast()
-			continue
-		}
-		d.cond.Wait()
+	c := newCall(opWait)
+	c.pred = pred
+	d.loop.do(c)
+}
+
+// Drain steps the simulation until the event queue is empty — the harness
+// call for "let everything in flight settle".
+func (d *Driver) Drain() { d.loop.do(newCall(opDrain)) }
+
+func opRun(_ *loop, c *call) bool { c.fn(); return true }
+
+func opWait(_ *loop, c *call) bool { return c.pred() }
+
+func opDrain(l *loop, _ *call) bool { return l.dry }
+
+// loop is a Driver's state, owned by its goroutine. Nothing reachable from
+// it may refer to the Driver: socket adapters and their TCP callbacks hold
+// the loop, so a Driver nothing else holds is finalized and its loop ends.
+type loop struct {
+	src     Stepper
+	calls   chan *call                    // a nil call: the Driver is unreachable
+	exited  atomic.Pointer[chan struct{}] // closed when the current run ends
+	waiters []*call                       // calls whose condition does not hold yet, in arrival order
+	dry     bool                          // the last Step found no event, and no call arrived since
+	orphan  bool                          // the Driver is gone
+}
+
+// start runs the loop goroutine again after the run that old belongs to,
+// unless another call did already. A call on a loop whose Driver was
+// dropped (a SockConn kept past its Sockets) starts the next run this way.
+func (l *loop) start(old *chan struct{}) {
+	exited := make(chan struct{})
+	if l.exited.CompareAndSwap(old, &exited) {
+		go l.run(exited)
 	}
 }
 
-// Drain steps the simulation until the event queue is empty, without
-// parking — the harness call for "let everything in flight settle".
-func (d *Driver) Drain() {
-	d.mu.Lock()
-	for d.src.Step() {
-		d.cond.Broadcast()
+// do hands c to the loop, blocks until the loop is done with it, and
+// returns c's results, recycling c. A panic in c's op is raised again.
+func (l *loop) do(c *call) result {
+	// Most calls find the loop parked waiting for one; a non-blocking send
+	// is shallower than send's select on the goroutines net/http starts.
+	select {
+	case l.calls <- c:
+	default:
+		l.send(c)
 	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	<-c.done
+	r, p := c.result, c.panicked
+	c.free()
+	if p != nil {
+		panic(p)
+	}
+	return r
+}
+
+// send waits until the loop takes c, starting a new run if the last one
+// ended.
+func (l *loop) send(c *call) {
+	for {
+		exited := l.exited.Load()
+		select {
+		case l.calls <- c:
+			return
+		case <-*exited:
+			l.start(exited)
+		}
+	}
+}
+
+// run admits every queued call before each step, steps while some call
+// waits, and blocks for the next call when none does or the source is dry.
+// Once the Driver is gone, it ends when no call waits or is queued.
+func (l *loop) run(exited chan struct{}) {
+	defer close(exited)
+	for {
+		var c *call
+		switch {
+		case len(l.waiters) > 0 && !l.dry:
+			select {
+			case c = <-l.calls:
+			default:
+				l.dry = !l.src.Step()
+				l.poll()
+				continue
+			}
+		case l.orphan && len(l.waiters) == 0:
+			select {
+			case c = <-l.calls:
+			default:
+				return
+			}
+		default:
+			c = <-l.calls
+		}
+		if c == nil {
+			l.orphan = true
+			continue
+		}
+		l.dry = false
+		if l.try(c) {
+			l.poll() // c may have changed what the waiters wait for
+		} else {
+			l.waiters = append(l.waiters, c)
+		}
+	}
+}
+
+// poll signals, in arrival order, every waiter whose condition now holds.
+func (l *loop) poll() {
+	keep := l.waiters[:0]
+	for _, w := range l.waiters {
+		if !l.try(w) {
+			keep = append(keep, w)
+		}
+	}
+	clear(l.waiters[len(keep):])
+	l.waiters = keep
+}
+
+// try runs c's op and signals c if it is done or it panicked.
+func (l *loop) try(c *call) (done bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.panicked, done = p, true
+			c.done <- struct{}{}
+		}
+	}()
+	if done = c.op(l, c); done {
+		c.done <- struct{}{}
+	}
+	return done
+}
+
+// call is one blocking operation handed to the loop: a static op, its
+// operands and its results, so that a socket call allocates nothing.
+type call struct {
+	// op does the work on the loop and reports whether the call is done;
+	// one that is not stays a waiter, and op runs again after each step.
+	op       func(l *loop, c *call) bool
+	done     chan struct{}
+	panicked any
+	result
+
+	fn    func()      // Run
+	pred  func() bool // WaitUntil
+	ln    *SockListener
+	stack *Stack
+	dl    *sockDeadline
+	ctx   context.Context
+	p     []byte
+	dur   sim.Duration
+	armed bool
+
+	res       *Resolver
+	host      string
+	ip        IPAddr
+	port      uint16
+	onResolve func([]IPAddr, error) // c.resolved, bound once per call
+	looked    bool                  // the lookup answered
+	keep      bool                  // the dial gave up first: the lookup holds c
+}
+
+// result is what a call hands back; s is also an operand.
+type result struct {
+	n     int
+	s     *SockConn
+	addrs []IPAddr
+	err   error
+}
+
+// spareCalls recycles calls. A pool's fast path is shallow: the first call
+// on one of net/http's fresh goroutines should not be what grows its stack.
+var spareCalls = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+func newCall(op func(*loop, *call) bool) *call {
+	c := spareCalls.Get().(*call)
+	c.op = op
+	return c
+}
+
+// free keeps c for reuse, unless the resolver still holds it.
+func (c *call) free() {
+	if !c.keep {
+		*c = call{done: c.done, onResolve: c.onResolve}
+		spareCalls.Put(c)
+	}
 }
 
 // SockAddr is the net.Addr for simulated TCP endpoints.
@@ -142,8 +298,7 @@ type sockDeadline struct {
 
 func (dl *sockDeadline) expire() { dl.expired = true }
 
-// set arms the deadline d from now; zero clears it. Caller holds the
-// driver lock.
+// set arms the deadline d from now; zero clears it. Runs on the loop.
 func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
 	dl.ev.Disarm()
 	dl.expired = false
@@ -160,27 +315,40 @@ func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
 	engine.Arm(&dl.ev, d)
 }
 
+// passed reports whether the deadline expired; a nil deadline never does.
+func (dl *sockDeadline) passed() bool { return dl != nil && dl.expired }
+
+func opSetDeadline(_ *loop, c *call) bool {
+	c.dl.set(c.stack.engine, c.dur, c.armed)
+	return true
+}
+
 // SockConn adapts one *Conn to net.Conn. Reads block (stepping the
 // simulation) until data, EOF, an error, or a deadline; writes queue into
 // the TCP send buffer and block, the same way, while it is full. Obtain one
 // from Sockets.Dial / Dialer.DialContext or a Sockets listener.
 type SockConn struct {
-	d      *Driver
+	loop   *loop
 	c      *Conn
 	stack  *Stack
-	rx     []byte
+	rx     []byte // received, unread from rx[head:]
+	head   int
 	dead   bool // OnClose fired: peer FIN, teardown, or local close done
 	closed bool // local Close called
 	rd, wr sockDeadline
 }
 
-// newSockConn wires the adapter's callbacks; call with the driver lock
-// held (inside Run or an engine callback) and before any payload can
-// arrive.
-func newSockConn(d *Driver, stack *Stack, c *Conn) *SockConn {
-	s := &SockConn{d: d, c: c, stack: stack}
+// newSockConn wires the adapter's callbacks; call it on the loop (inside
+// Run or an engine callback) before any payload can arrive.
+func newSockConn(l *loop, stack *Stack, c *Conn) *SockConn {
+	s := &SockConn{loop: l, c: c, stack: stack}
 	c.OnData = func(_ *Conn, payload []byte) {
 		// The packet owning payload is pooled; copy before it is reused.
+		// Slide the unread bytes down rather than grow past the array.
+		if s.head > 0 && len(s.rx)+len(payload) > cap(s.rx) {
+			s.rx = s.rx[:copy(s.rx, s.rx[s.head:])]
+			s.head = 0
+		}
 		s.rx = append(s.rx, payload...)
 	}
 	c.OnClose = func(*Conn) { s.dead = true }
@@ -192,79 +360,95 @@ func (s *SockConn) Conn() *Conn { return s.c }
 
 // Read blocks until buffered payload, EOF, a connection error, or the read
 // deadline, driving the simulation forward while it waits.
-func (s *SockConn) Read(p []byte) (n int, err error) {
+func (s *SockConn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	s.d.WaitUntil(func() bool {
-		switch {
-		case s.closed:
-			err = net.ErrClosed
-		case len(s.rx) > 0:
-			n = copy(p, s.rx)
-			rest := copy(s.rx, s.rx[n:])
-			s.rx = s.rx[:rest]
-		case s.rd.expired:
-			err = os.ErrDeadlineExceeded
-		case s.dead:
-			if e := s.c.Err(); e != nil {
-				err = e
-			} else {
-				err = io.EOF
-			}
-		default:
-			return false
+	c := newCall(opRead)
+	c.s, c.p = s, p
+	r := s.loop.do(c)
+	return r.n, r.err
+}
+
+func opRead(_ *loop, c *call) bool {
+	s := c.s
+	switch {
+	case s.closed:
+		c.err = net.ErrClosed
+	case s.head < len(s.rx):
+		c.n = copy(c.p, s.rx[s.head:])
+		if s.head += c.n; s.head == len(s.rx) {
+			s.rx, s.head = s.rx[:0], 0
 		}
-		return true
-	})
-	return n, err
+	case s.rd.expired:
+		c.err = os.ErrDeadlineExceeded
+	case s.dead:
+		if c.err = s.c.Err(); c.err == nil {
+			c.err = io.EOF
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // Write queues p into the TCP send buffer (which copies it). While the
 // buffer has no room for the rest of p it blocks, driving the simulation
 // forward, until ACKs free some, the write deadline passes or the
 // connection closes; it returns how much of p it queued.
-func (s *SockConn) Write(p []byte) (n int, err error) {
-	for {
-		s.d.Run(func() {
-			switch {
-			case s.closed:
-				err = net.ErrClosed
-			case s.wr.expired:
-				err = os.ErrDeadlineExceeded
-			default:
-				k := min(len(p)-n, SendBufSize-s.c.Buffered())
-				if err = s.c.Send(p[n : n+k]); err == nil {
-					n += k
-				}
-			}
-		})
-		if err != nil || n == len(p) {
-			return n, err
+func (s *SockConn) Write(p []byte) (int, error) {
+	c := newCall(opWrite)
+	c.s, c.p = s, p
+	r := s.loop.do(c)
+	return r.n, r.err
+}
+
+// opWrite queues what fits of the rest of c.p, then waits as opWriteRoom.
+func opWrite(_ *loop, c *call) bool {
+	s := c.s
+	switch {
+	case s.closed:
+		c.err = net.ErrClosed
+	case s.wr.expired:
+		c.err = os.ErrDeadlineExceeded
+	default:
+		k := min(len(c.p)-c.n, SendBufSize-s.c.Buffered())
+		if c.err = s.c.Send(c.p[c.n : c.n+k]); c.err == nil {
+			c.n += k
 		}
-		// Wait for room for the rest, or for half the buffer, as OnSent does.
-		s.d.WaitUntil(func() bool {
-			return s.closed || s.wr.expired || s.c.State() == StateClosed ||
-				SendBufSize-s.c.Buffered() >= min(len(p)-n, SendBufSize/2)
-		})
 	}
+	c.op = opWriteRoom
+	return c.err != nil || c.n == len(c.p)
+}
+
+// opWriteRoom waits for room for the rest of a write, or for half the
+// buffer, as OnSent does, and then queues more.
+func opWriteRoom(l *loop, c *call) bool {
+	s := c.s
+	return (s.closed || s.wr.expired || s.c.State() == StateClosed ||
+		SendBufSize-s.c.Buffered() >= min(len(c.p)-c.n, SendBufSize/2)) && opWrite(l, c)
 }
 
 // Close closes the connection (FIN, or teardown in SYN_SENT) and wakes any
 // blocked reads. Queued-but-unsent data in SYN_SENT surfaces the TCP
 // layer's ErrClosed report.
-func (s *SockConn) Close() (err error) {
-	s.d.Run(func() {
-		if s.closed {
-			err = net.ErrClosed
-			return
-		}
-		s.closed = true
-		s.rd.set(s.stack.engine, 0, false)
-		s.wr.set(s.stack.engine, 0, false)
-		err = s.c.Close()
-	})
-	return err
+func (s *SockConn) Close() error {
+	c := newCall(opClose)
+	c.s = s
+	return s.loop.do(c).err
+}
+
+func opClose(_ *loop, c *call) bool {
+	s := c.s
+	if s.closed {
+		c.err = net.ErrClosed
+		return true
+	}
+	s.closed = true
+	s.rd.set(s.stack.engine, 0, false)
+	s.wr.set(s.stack.engine, 0, false)
+	c.err = s.c.Close()
+	return true
 }
 
 // LocalAddr returns the connection's local endpoint.
@@ -285,73 +469,88 @@ func (s *SockConn) SetDeadline(t time.Time) error {
 }
 
 // SetReadDeadline implements net.Conn; see SetDeadline.
-func (s *SockConn) SetReadDeadline(t time.Time) error {
-	d, armed := wallDeadline(t)
-	s.d.Run(func() { s.rd.set(s.stack.engine, d, armed) })
-	return nil
-}
+func (s *SockConn) SetReadDeadline(t time.Time) error { return s.setDeadline(&s.rd, t) }
 
 // SetWriteDeadline implements net.Conn; see SetDeadline.
-func (s *SockConn) SetWriteDeadline(t time.Time) error {
-	d, armed := wallDeadline(t)
-	s.d.Run(func() { s.wr.set(s.stack.engine, d, armed) })
-	return nil
-}
+func (s *SockConn) SetWriteDeadline(t time.Time) error { return s.setDeadline(&s.wr, t) }
 
-// wallDeadline converts net.Conn wall-clock deadline conventions: the zero
-// time clears, otherwise the distance from now becomes a virtual duration.
-func wallDeadline(t time.Time) (sim.Duration, bool) {
-	if t.IsZero() {
-		return 0, false
+// setDeadline converts net.Conn's wall-clock convention: the zero time
+// clears, otherwise the distance from now becomes a virtual duration.
+func (s *SockConn) setDeadline(dl *sockDeadline, t time.Time) error {
+	c := newCall(opSetDeadline)
+	c.stack, c.dl, c.armed = s.stack, dl, !t.IsZero()
+	if c.armed {
+		c.dur = sim.Duration(time.Until(t).Nanoseconds())
 	}
-	return sim.Duration(time.Until(t).Nanoseconds()), true
+	return s.loop.do(c).err
 }
 
 // SockListener adapts a TCP listen port to net.Listener. The TCP accept
-// callback (engine context, driver lock held) wires a SockConn immediately
-// — before any payload lands — and queues it for Accept.
+// callback (on the loop) wires a SockConn immediately — before any payload
+// lands — and queues it for Accept.
 type SockListener struct {
-	d       *Driver
+	loop    *loop
 	stack   *Stack
 	port    uint16
 	backlog []*SockConn
 	closed  bool
 }
 
+// accepted is the listen port's accept callback.
+func (ln *SockListener) accepted(c *Conn) {
+	if ln.closed {
+		_ = c.Close()
+		return
+	}
+	ln.backlog = append(ln.backlog, newSockConn(ln.loop, ln.stack, c))
+}
+
 // Accept blocks until a connection reaches ESTABLISHED, driving the
 // simulation while it waits.
-func (l *SockListener) Accept() (c net.Conn, err error) {
-	l.d.WaitUntil(func() bool {
-		switch {
-		case len(l.backlog) > 0:
-			c = l.backlog[0]
-			l.backlog = l.backlog[1:]
-		case l.closed:
-			err = net.ErrClosed
-		default:
-			return false
-		}
-		return true
-	})
-	return c, err
+func (ln *SockListener) Accept() (net.Conn, error) {
+	c := newCall(opAccept)
+	c.ln = ln
+	r := ln.loop.do(c)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.s, nil
+}
+
+func opAccept(_ *loop, c *call) bool {
+	ln := c.ln
+	switch {
+	case len(ln.backlog) > 0:
+		c.s = ln.backlog[0]
+		ln.backlog = ln.backlog[1:]
+	case ln.closed:
+		c.err = net.ErrClosed
+	default:
+		return false
+	}
+	return true
 }
 
 // Close withdraws the listener and wakes blocked Accepts. Connections
 // already accepted live on.
-func (l *SockListener) Close() (err error) {
-	l.d.Run(func() {
-		if l.closed {
-			err = net.ErrClosed
-			return
-		}
-		l.closed = true
-		l.stack.TCP().Unlisten(l.port)
-	})
-	return err
+func (ln *SockListener) Close() error {
+	c := newCall(opUnlisten)
+	c.ln = ln
+	return ln.loop.do(c).err
+}
+
+func opUnlisten(_ *loop, c *call) bool {
+	if c.ln.closed {
+		c.err = net.ErrClosed
+	} else {
+		c.ln.closed = true
+		c.ln.stack.TCP().Unlisten(c.ln.port)
+	}
+	return true
 }
 
 // Addr returns the listening endpoint.
-func (l *SockListener) Addr() net.Addr { return SockAddr{IP: l.stack.IP, Port: l.port} }
+func (ln *SockListener) Addr() net.Addr { return SockAddr{IP: ln.stack.IP, Port: ln.port} }
 
 // Sockets is one machine's stdlib-compatible socket layer: a Driver (often
 // shared across a topology), the machine's stack, and its resolver.
@@ -379,21 +578,13 @@ func (s *Sockets) Resolver() *Resolver { return s.resolver }
 
 // Listen opens a net.Listener on port.
 func (s *Sockets) Listen(port uint16) (net.Listener, error) {
-	l := &SockListener{d: s.d, stack: s.stack, port: port}
+	ln := &SockListener{loop: s.d.loop, stack: s.stack, port: port}
 	var err error
-	s.d.Run(func() {
-		err = s.stack.TCP().Listen(port, nil, func(c *Conn) {
-			if l.closed {
-				_ = c.Close()
-				return
-			}
-			l.backlog = append(l.backlog, newSockConn(s.d, s.stack, c))
-		})
-	})
+	s.d.Run(func() { err = s.stack.TCP().Listen(port, nil, ln.accepted) })
 	if err != nil {
 		return nil, err
 	}
-	return l, nil
+	return ln, nil
 }
 
 // Dialer dials simulated TCP by name or literal address:
@@ -434,28 +625,39 @@ func (dl *Dialer) DialContext(ctx context.Context, network, address string) (net
 	if err != nil {
 		return nil, fmt.Errorf("netstack: dial %s: bad port: %w", address, err)
 	}
-	var deadline sockDeadline
+	// The whole dial's deadline; a nil one never passes.
+	var deadline *sockDeadline
 	if dl.Timeout > 0 {
-		dl.s.d.Run(func() { deadline.set(dl.s.stack.engine, dl.Timeout, true) })
-		defer dl.s.d.Run(func() { deadline.set(dl.s.stack.engine, 0, false) })
+		deadline = new(sockDeadline)
+		dl.setDeadline(deadline, dl.Timeout)
+		defer dl.setDeadline(deadline, 0)
 	}
-	addrs, err := dl.resolve(ctx, host, &deadline)
+	addrs, err := dl.resolve(ctx, host, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("netstack: dial %s: %w", address, err)
 	}
 	var lastErr error
 	for _, ip := range addrs {
-		c, err := dl.dialIP(ctx, ip, uint16(port), &deadline)
-		if err == nil {
-			return c, nil
+		c := newCall(opConnect)
+		c.stack, c.ip, c.port, c.ctx, c.dl = dl.s.stack, ip, uint16(port), ctx, deadline
+		r := dl.s.d.loop.do(c)
+		if r.err == nil {
+			return r.s, nil
 		}
-		lastErr = err
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, os.ErrDeadlineExceeded) {
+		lastErr = r.err
+		if errors.Is(lastErr, context.Canceled) || errors.Is(lastErr, context.DeadlineExceeded) ||
+			errors.Is(lastErr, os.ErrDeadlineExceeded) {
 			break
 		}
 	}
 	return nil, fmt.Errorf("netstack: dial %s: %w", address, lastErr)
+}
+
+// setDeadline arms the dial's deadline d from now; zero clears it.
+func (dl *Dialer) setDeadline(deadline *sockDeadline, d sim.Duration) {
+	c := newCall(opSetDeadline)
+	c.stack, c.dl, c.dur, c.armed = dl.s.stack, deadline, d, d > 0
+	dl.s.d.loop.do(c)
 }
 
 // resolve turns host into candidate addresses: a literal IPv4 parses
@@ -467,86 +669,94 @@ func (dl *Dialer) resolve(ctx context.Context, host string, deadline *sockDeadli
 	if dl.s.resolver == nil {
 		return nil, fmt.Errorf("%w: no resolver for %q", ErrNameNotFound, host)
 	}
-	var (
-		addrs []IPAddr
-		rerr  error
-		done  bool
-	)
-	dl.s.d.Run(func() {
-		dl.s.resolver.LookupA(host, func(a []IPAddr, e error) {
-			addrs, rerr, done = a, e, true
-		})
-	})
-	dl.s.d.WaitUntil(func() bool {
-		if deadline.expired && !done {
-			rerr, done = os.ErrDeadlineExceeded, true
-		}
-		if ctx.Err() != nil && !done {
-			rerr, done = ctx.Err(), true
-		}
-		return done
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	return addrs, nil
+	c := newCall(opResolve)
+	c.res, c.host, c.ctx, c.dl = dl.s.resolver, host, ctx, deadline
+	r := dl.s.d.loop.do(c)
+	return r.addrs, r.err
 }
 
-// dialIP opens the connection and pumps the simulation until the handshake
-// resolves: ESTABLISHED, or a teardown whose cause (ErrTimedOut after the
-// retransmission cap, a RST) comes from Conn.Err.
-func (dl *Dialer) dialIP(ctx context.Context, ip IPAddr, port uint16, deadline *sockDeadline) (net.Conn, error) {
-	var (
-		sc   *SockConn
-		cerr error
-	)
-	dl.s.d.Run(func() {
-		c, err := dl.s.stack.TCP().Connect(ip, port, nil)
-		if err != nil {
-			cerr = err
-			return
-		}
-		sc = newSockConn(dl.s.d, dl.s.stack, c)
-	})
-	if cerr != nil {
-		return nil, cerr
+// opResolve starts the lookup, then waits as opResolved.
+func opResolve(l *loop, c *call) bool {
+	if c.onResolve == nil {
+		c.onResolve = c.resolved
 	}
-	dl.s.d.WaitUntil(func() bool {
-		switch {
-		case sc.c.State() == StateEstablished:
-		case sc.dead || sc.c.State() == StateClosed:
-			if cerr = sc.c.Err(); cerr == nil {
-				cerr = ErrClosed
-			}
-		case deadline.expired:
-			cerr = os.ErrDeadlineExceeded
-		case ctx.Err() != nil:
-			cerr = ctx.Err()
-		default:
-			return false
-		}
+	c.res.LookupA(c.host, c.onResolve)
+	c.op = opResolved
+	return opResolved(l, c)
+}
+
+// resolved is the lookup's callback. Once the dial has given up, the
+// caller may be reading c's results, so it leaves them alone.
+func (c *call) resolved(addrs []IPAddr, err error) {
+	if !c.keep {
+		c.addrs, c.err, c.looked = addrs, err, true
+	}
+}
+
+func opResolved(_ *loop, c *call) bool {
+	if c.looked {
 		return true
-	})
-	if cerr != nil {
-		dl.s.d.Run(func() { _ = sc.c.Close() })
-		return nil, cerr
 	}
-	return sc, nil
+	c.keep = c.gaveUp()
+	return c.keep
 }
 
-// parseIPv4 parses a dotted-quad literal.
+// gaveUp reports whether the dial's deadline or context ended its wait,
+// and why.
+func (c *call) gaveUp() bool {
+	switch {
+	case c.dl.passed():
+		c.err = os.ErrDeadlineExceeded
+	case c.ctx.Err() != nil:
+		c.err = c.ctx.Err()
+	default:
+		return false
+	}
+	return true
+}
+
+// opConnect opens the connection, then waits as opEstablished: for
+// ESTABLISHED, or a teardown whose cause (ErrTimedOut after the
+// retransmission cap, a RST) comes from Conn.Err.
+func opConnect(l *loop, c *call) bool {
+	conn, err := c.stack.TCP().Connect(c.ip, c.port, nil)
+	if err != nil {
+		c.err = err
+		return true
+	}
+	c.s = newSockConn(l, c.stack, conn)
+	c.op = opEstablished
+	return opEstablished(l, c)
+}
+
+// opEstablished waits for the handshake; a dial that fails or is given up
+// on closes its connection.
+func opEstablished(_ *loop, c *call) bool {
+	s := c.s
+	switch {
+	case s.c.State() == StateEstablished:
+		return true
+	case s.dead || s.c.State() == StateClosed:
+		if c.err = s.c.Err(); c.err == nil {
+			c.err = ErrClosed
+		}
+	case !c.gaveUp():
+		return false
+	}
+	_ = s.c.Close()
+	return true
+}
+
+// parseIPv4 parses a dotted-quad literal without allocating. A name is
+// turned down at its first letter, before netip would build an error.
 func parseIPv4(s string) (IPAddr, bool) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if s == "" || s[0] < '0' || s[0] > '9' {
 		return 0, false
 	}
-	var ip uint32
-	for _, p := range parts {
-		n, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, false
-		}
-		ip = ip<<8 | uint32(n)
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
+		return 0, false
 	}
-	return IPAddr(ip), true
+	b := a.As4()
+	return Addr(b[0], b[1], b[2], b[3]), true
 }

@@ -4,15 +4,37 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
+
+// gate is a Stepper over src that counts the steps it takes and, while
+// hold is set, reports itself dry: a blocked call then stays blocked until
+// another goroutine's call releases it.
+type gate struct {
+	src   Stepper
+	hold  atomic.Bool
+	steps atomic.Int64
+}
+
+func (g *gate) Step() bool {
+	if g.hold.Load() || !g.src.Step() {
+		return false
+	}
+	g.steps.Add(1)
+	return true
+}
 
 // sockPair builds two connected hosts sharing one driver, with socket
 // layers on both (no resolvers: these tests dial literals).
@@ -417,5 +439,250 @@ func TestSockDialDeadlineAndContext(t *testing.T) {
 	}
 	if _, err := sa.Dialer().Dial("tcp", "10.0.0.2:99999"); err == nil {
 		t.Error("out-of-range port accepted")
+	}
+}
+
+// Waiters resume in the virtual-time order of their conditions, and two
+// whose conditions come true at the same step resume in arrival order.
+func TestDriverLoopWaitersResumeInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	g := &gate{src: eng}
+	g.hold.Store(true) // nothing steps until all four wait
+	d := NewDriver(g)
+	set := map[string]bool{}
+	d.Run(func() {
+		eng.After(2*sim.Millisecond, func() { set["late"] = true })
+		eng.After(1*sim.Millisecond, func() { set["early"] = true })
+		eng.After(3*sim.Millisecond, func() { set["tie"] = true })
+	})
+	var (
+		wg      sync.WaitGroup
+		waiting int
+		order   []string
+	)
+	for i, w := range []struct{ name, flag string }{
+		{"late", "late"}, {"tie1", "tie"}, {"early", "early"}, {"tie2", "tie"},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			d.WaitUntil(func() bool {
+				if first {
+					first = false
+					waiting++
+				}
+				if !set[w.flag] {
+					return false
+				}
+				order = append(order, w.name)
+				return true
+			})
+		}()
+		for n := 0; n <= i; {
+			runtime.Gosched()
+			d.Run(func() { n = waiting })
+		}
+	}
+	g.hold.Store(false)
+	d.Run(func() {}) // the loop found the source dry; wake it
+	wg.Wait()
+	if got := fmt.Sprint(order); got != "[early late tie1 tie2]" {
+		t.Errorf("waiters resumed as %s, want [early late tie1 tie2]", got)
+	}
+}
+
+// A Run issued while a waiter steps a source that never drains (a
+// perpetual timer) lands before the next step: the waiter sees its effect
+// at the step count it ran at.
+func TestDriverLoopRunLandsBeforeNextStep(t *testing.T) {
+	eng := sim.NewEngine()
+	g := &gate{src: eng}
+	d := NewDriver(g)
+	var tick func()
+	tick = func() { eng.After(sim.Millisecond, tick) }
+	d.Run(tick)
+	var (
+		flag         bool
+		ranAt, sawAt int64
+	)
+	done := make(chan struct{})
+	go func() {
+		d.WaitUntil(func() bool {
+			if flag && sawAt == 0 {
+				sawAt = g.steps.Load()
+			}
+			return flag
+		})
+		close(done)
+	}()
+	for g.steps.Load() < 1000 {
+		runtime.Gosched()
+	}
+	d.Run(func() { flag, ranAt = true, g.steps.Load() })
+	<-done
+	if sawAt != ranAt {
+		t.Errorf("the Run landed at step %d, the waiter saw it at step %d", ranAt, sawAt)
+	}
+}
+
+// Drain steps until the source is dry, events scheduled by events included.
+func TestDriverLoopDrainEmptiesSource(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDriver(eng)
+	fired := 0
+	d.Run(func() {
+		for i := 1; i <= 5; i++ {
+			eng.After(sim.Duration(i)*sim.Millisecond, func() {
+				fired++
+				eng.After(sim.Second, func() { fired++ })
+			})
+		}
+	})
+	d.Drain()
+	if dry := !eng.Step(); fired != 10 || !dry {
+		t.Errorf("after Drain: %d of 10 events fired, source dry = %v", fired, dry)
+	}
+}
+
+// A panic in a Run fn or a predicate reaches the calling goroutine, and
+// the Driver goes on serving calls.
+func TestDriverLoopPanicReachesCaller(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDriver(eng)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Run", func() { d.Run(func() { panic("run") }) }},
+		{"WaitUntil", func() { d.WaitUntil(func() bool { panic("pred") }) }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil {
+					t.Errorf("%s: the panic did not reach the caller", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	fired := false
+	d.Run(func() { eng.After(sim.Millisecond, func() { fired = true }) })
+	d.WaitUntil(func() bool { return fired })
+}
+
+// A Driver nothing refers to lets its loop goroutine end: 200 of them,
+// each used once, leave the goroutine count near where it was. A
+// connection kept past its Driver still works; its calls start the loop
+// again.
+func TestDriverLoopEndsWithDriver(t *testing.T) {
+	settle := func(want func() bool) bool {
+		for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+			runtime.GC()
+			if want() {
+				return true
+			}
+		}
+		return false
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		NewDriver(sim.NewEngine()).Run(func() {})
+	}
+	if !settle(func() bool { return runtime.NumGoroutine() <= base+5 }) {
+		t.Errorf("%d goroutines after 200 dropped Drivers, %d before", runtime.NumGoroutine(), base)
+	}
+
+	rig := sockConns(t)
+	c1, c2 := rig.c1.(*SockConn), rig.c2
+	rig.d = nil
+	exited := *c1.loop.exited.Load()
+	if !settle(func() bool {
+		select {
+		case <-exited:
+			return true
+		default:
+			return false
+		}
+	}) {
+		t.Fatal("the loop outlived its Driver")
+	}
+	if _, err := c2.Write([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 5)
+	if _, err := io.ReadFull(c1, buf); err != nil || string(buf) != "after" {
+		t.Fatalf("read past the Driver = %q, %v", buf, err)
+	}
+}
+
+// A large buffered body read in small chunks arrives intact; each Read
+// advances a head offset rather than moving what is left, and a drained
+// buffer keeps its array for what arrives next.
+func TestSockReadSmallChunks(t *testing.T) {
+	rig := sockConns(t)
+	c1 := rig.c1.(*SockConn)
+	want := make([]byte, 1<<20)
+	rand.New(rand.NewSource(3)).Read(want)
+	if _, err := rig.c2.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	rig.d.Drain()
+	got := make([]byte, 0, len(want))
+	buf := make([]byte, 1024)
+	for len(got) < len(want) {
+		n, err := c1.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:n]...)
+		if len(got) == 1024 {
+			var head int
+			rig.d.Run(func() { head = c1.head })
+			if head != 1024 {
+				t.Errorf("after one 1 KiB read the head is at %d, want 1024", head)
+			}
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the body read in 1 KiB chunks differs from the one written")
+	}
+	var array *byte
+	rig.d.Run(func() { array = &c1.rx[:1][0] })
+	if _, err := rig.c2.Write([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	rig.d.Drain()
+	rig.d.Run(func() {
+		if &c1.rx[:1][0] != array || c1.head != 0 || string(c1.rx) != "next" {
+			t.Errorf("a drained buffer did not keep its array (head %d, %q)", c1.head, c1.rx)
+		}
+	})
+}
+
+// parseIPv4 reads dotted quads, and a dial by name or by literal, once a
+// request in http_star_sockets, parses without allocating.
+func TestParseIPv4AllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		in        string
+		ip        IPAddr
+		ok, alloc bool // alloc: a malformed literal may allocate netip's error
+	}{
+		{"10.0.0.2", Addr(10, 0, 0, 2), true, false},
+		{"web.spin.test", 0, false, false},
+		{"255.255.255.255", Addr(255, 255, 255, 255), true, false},
+		{"010.0.0.1", 0, false, true}, // leading zeros read as octal elsewhere: refused
+		{"10.0.0", 0, false, true},
+		{"10.0.0.2.", 0, false, true},
+		{"256.0.0.1", 0, false, true},
+		{"::ffff:10.0.0.2", 0, false, false},
+		{"", 0, false, false},
+	} {
+		if ip, ok := parseIPv4(tc.in); ip != tc.ip || ok != tc.ok {
+			t.Errorf("parseIPv4(%q) = %v, %v; want %v, %v", tc.in, ip, ok, tc.ip, tc.ok)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { parseIPv4(tc.in) }); allocs != 0 && !tc.alloc {
+			t.Errorf("parseIPv4(%q) allocates %v, want 0", tc.in, allocs)
+		}
 	}
 }

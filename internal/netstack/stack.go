@@ -75,8 +75,8 @@ type rxQueue struct {
 // and hosts the UDP/TCP port tables.
 //
 // Concurrency model: packets are received, sent and timed on the simulation
-// goroutine (whichever goroutine steps the engine; the socket adapters'
-// Driver lets one at a time), one engine step per received packet; raises
+// goroutine (whichever goroutine steps the engine; behind the socket
+// adapters, the Driver's loop), one engine step per received packet; raises
 // charge the machine's clock, so they run there too (see sim.Clock). Other
 // goroutines may read Metrics, whose counters are atomics. The route, UDP
 // port and TCP listener tables are cow.Maps, so a reader never sees a torn

@@ -70,8 +70,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sleep (idle waiting, e.g. for a wire) does not.
 //
 // Ownership: a machine's clock is written only by whoever steps its engine —
-// the goroutine calling Step or Run, the Driver's lock holder, or the strand
-// holding the CPU token. Advance, Sleep, AdvanceTo, Busy, ResetBusy and
+// the goroutine calling Step or Run, a netstack Driver's loop goroutine, or
+// the strand holding the CPU token. Advance, Sleep, AdvanceTo, Busy, ResetBusy and
 // Utilization are the owner's; a hand-off of ownership through a channel or
 // a mutex gives the happens-before the next owner needs. Now alone may be
 // called from any goroutine: the time is an atomic that only the owner
