@@ -146,7 +146,8 @@ type Injector struct {
 }
 
 // New returns an injector with no rules armed. seed drives every
-// probabilistic decision; the clock receives KindDelay advances.
+// probabilistic decision; the clock receives KindDelay advances, so it may
+// be nil only while no KindDelay rule is armed.
 func New(seed uint64, clock *sim.Clock) *Injector {
 	return &Injector{seed: seed, clock: clock}
 }
@@ -172,32 +173,13 @@ func (in *Injector) DisarmAll() {
 	in.rules.DeleteFunc(func(string, []*armedRule) bool { return true })
 }
 
-// splitmix64 is the standard splitmix64 finalizer: a high-quality 64-bit
-// mix whose output for a given input never changes — the basis of replay.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// siteHash folds a site name into 64 bits (FNV-1a).
-func siteHash(site string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // decide reports whether hit number n of a rule fires, as a pure function
 // of the seed, the site and the hit index.
 func (in *Injector) decide(r *armedRule, n uint64) bool {
 	if r.Probability <= 0 || r.Probability >= 1 {
 		return true
 	}
-	x := splitmix64(in.seed ^ siteHash(r.Site) ^ n)
+	x := sim.Mix64(in.seed ^ sim.HashString(r.Site) ^ n)
 	return float64(x>>11)/(1<<53) < r.Probability
 }
 
@@ -262,9 +244,7 @@ func (in *Injector) apply(site string, r *armedRule, st *siteStats) Fault {
 		panic(&Injected{Site: site, Seq: seq})
 	case KindDelay:
 		f.Delay = r.Delay
-		if in.clock != nil {
-			in.clock.Advance(r.Delay)
-		}
+		in.clock.Advance(r.Delay)
 	case KindError:
 		f.Err = r.Err
 		if f.Err == nil {

@@ -142,7 +142,7 @@ func (rd *ResilientDialer) DialContext(ctx context.Context, network, address str
 	rd.s.Driver().Run(func() {
 		rd.setBudget(minf(rd.budget()+budgetRatio, rd.policy.BudgetCap))
 		rd.reqSeq++
-		key = mix64(rd.rand.Uint64() ^ rd.reqSeq)
+		key = sim.Mix64(rd.rand.Uint64() ^ rd.reqSeq)
 		n = rd.bal.Sequence(key, candidates[:])
 	})
 	if n == 0 {

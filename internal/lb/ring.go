@@ -21,6 +21,8 @@ package lb
 import (
 	"sort"
 	"sync/atomic"
+
+	"spin/internal/sim"
 )
 
 // ringPoint is one vnode on the ring: a hash position owned by a backend
@@ -63,24 +65,6 @@ func NewRing(seed uint64, vnodes int) *Ring {
 	return r
 }
 
-// mix64 is the splitmix64 finalizer (the repo's standard hash mixer).
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// hashString folds a name into 64 bits (FNV-1a).
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // SetMembers rebuilds the ring around the given member set (order
 // irrelevant; names are sorted internally so the snapshot is canonical).
 func (r *Ring) SetMembers(names []string) {
@@ -91,10 +75,10 @@ func (r *Ring) SetMembers(names []string) {
 		points:  make([]ringPoint, 0, len(members)*r.vnodes),
 	}
 	for i, name := range members {
-		base := mix64(r.seed ^ hashString(name))
+		base := sim.Mix64(r.seed ^ sim.HashString(name))
 		for v := 0; v < r.vnodes; v++ {
 			st.points = append(st.points, ringPoint{
-				hash:    mix64(base ^ uint64(v)*0x9E3779B97F4A7C15),
+				hash:    sim.Mix64(base ^ uint64(v)*0x9E3779B97F4A7C15),
 				backend: int32(i),
 			})
 		}

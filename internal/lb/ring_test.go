@@ -3,6 +3,8 @@ package lb
 import (
 	"fmt"
 	"testing"
+
+	"spin/internal/sim"
 )
 
 func ringMembers(n int) []string {
@@ -23,7 +25,7 @@ func TestRingDeterministicSeeded(t *testing.T) {
 	}
 	diverged := false
 	for k := uint64(0); k < 1000; k++ {
-		key := mix64(k)
+		key := sim.Mix64(k)
 		if a.Pick(key) != b.Pick(key) {
 			t.Fatalf("same seed diverged at key %d", k)
 		}
@@ -43,7 +45,7 @@ func TestRingDistribution(t *testing.T) {
 	counts := make(map[string]int)
 	const keys = 10000
 	for k := 0; k < keys; k++ {
-		counts[r.Pick(mix64(uint64(k)))]++
+		counts[r.Pick(sim.Mix64(uint64(k)))]++
 	}
 	for _, m := range ringMembers(5) {
 		share := float64(counts[m]) / keys
@@ -61,12 +63,12 @@ func TestRingMinimalDisruption(t *testing.T) {
 	const keys = 5000
 	before := make([]string, keys)
 	for k := 0; k < keys; k++ {
-		before[k] = r.Pick(mix64(uint64(k)))
+		before[k] = r.Pick(sim.Mix64(uint64(k)))
 	}
 	r.SetMembers(ringMembers(5)[:4]) // drop b4
 	moved := 0
 	for k := 0; k < keys; k++ {
-		after := r.Pick(mix64(uint64(k)))
+		after := r.Pick(sim.Mix64(uint64(k)))
 		if before[k] == "b4" {
 			if after == "b4" {
 				t.Fatalf("key %d still routes to the removed member", k)
@@ -88,7 +90,7 @@ func TestRingSequence(t *testing.T) {
 	r.SetMembers(ringMembers(4))
 	var buf [8]string
 	for k := uint64(0); k < 200; k++ {
-		key := mix64(k)
+		key := sim.Mix64(k)
 		n := r.Sequence(key, buf[:])
 		if n != 4 {
 			t.Fatalf("Sequence returned %d members, want 4", n)
@@ -119,8 +121,8 @@ func TestRingPickAllocFree(t *testing.T) {
 	key := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		key++
-		_ = r.Pick(mix64(key))
-		_ = r.Sequence(mix64(key), buf[:])
+		_ = r.Pick(sim.Mix64(key))
+		_ = r.Sequence(sim.Mix64(key), buf[:])
 	})
 	if allocs != 0 {
 		t.Errorf("Pick+Sequence allocate %.1f/op, want 0", allocs)

@@ -265,7 +265,6 @@ func NewProgramFilter(stack *Stack, name string, prog *bcode.Program, action Fil
 		if f.action == Observe {
 			return false
 		}
-		pkt.Claimed = true
 		if f.action == Divert && f.Consumer != nil {
 			f.Consumer(pkt)
 		}

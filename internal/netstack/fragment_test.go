@@ -68,7 +68,7 @@ func TestFragmentLossLosesWholeDatagram(t *testing.T) {
 	// reassembles, and the partial buffer stays pending (bounded by the
 	// test; real stacks would time it out).
 	a, b, cl := pair(t, sal.LanceModel)
-	a.nic.InjectLoss(0.4, 13)
+	dropRX(b, 0.4, 13)
 	delivered := 0
 	_ = b.stack.UDP().Bind(9, InKernelDelivery, func(p *Packet) { delivered++ })
 	const n = 16
@@ -79,7 +79,7 @@ func TestFragmentLossLosesWholeDatagram(t *testing.T) {
 	if delivered == n {
 		t.Error("no datagram lost despite fragment loss")
 	}
-	if a.nic.Dropped() == 0 {
+	if rxDrops(b) == 0 {
 		t.Error("injection did not drop")
 	}
 }
@@ -311,7 +311,7 @@ func TestReassemblyCapEvictsOldest(t *testing.T) {
 // every one.
 func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
-	a.nic.InjectLoss(0.4, 13)
+	dropRX(b, 0.4, 13)
 	_ = b.stack.UDP().Bind(9, InKernelDelivery, func(*Packet) {})
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -325,7 +325,7 @@ func TestStackReassemblyPendingReturnsToZero(t *testing.T) {
 	// Let the TTL elapse in virtual time, then send one more datagram
 	// over a lossless wire.
 	b.eng.After(ReasmTTL+sim.Millisecond, func() {
-		a.nic.InjectLoss(0, 0)
+		b.disp.InjectorInstalled().Disarm("net.rx")
 		_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, make([]byte, 4000))
 	})
 	cl.Run(0)

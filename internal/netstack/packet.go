@@ -118,11 +118,6 @@ type Packet struct {
 	sum    uint64
 	summed bool
 
-	// Claimed is set by an extension that consumed the packet at some
-	// layer, suppressing default downstream processing (how the
-	// forwarder intercepts packets below the transport).
-	Claimed bool
-
 	// TTL guards against forwarding loops.
 	TTL int32
 
@@ -153,7 +148,7 @@ type Packet struct {
 //   - AllocPacket returns a packet with one reference, owned by the caller.
 //   - Handing a packet to SendIP / NIC.Send / enqueueRX donates that
 //     reference: the stack releases it after transmission or delivery
-//     (including the drop paths — full RX queue, no route, injected loss).
+//     (including the drop paths — full RX queue, no route, a lossy link).
 //   - Handlers reached during delivery borrow the packet: its payload is
 //     valid only for the duration of the callback. A handler that keeps
 //     data must copy it (every in-tree handler does), and one that re-sends
@@ -271,7 +266,6 @@ func (p *Packet) CopyHeaderFrom(src *Packet) {
 	payload, sum, summed, pooled, refs := p.Payload, p.sum, p.summed, p.pooled, p.refs
 	*p = *src
 	p.Payload, p.sum, p.summed, p.pooled, p.refs = payload, sum, summed, pooled, refs
-	p.Claimed = false
 }
 
 // WireSize returns the packet's size on the wire including link, network

@@ -315,7 +315,7 @@ func confFutureDeadline(t *testing.T) {
 	}
 	// With the peer's ACKs lost, a write past the send buffer blocks until
 	// its deadline, well before the retransmission cap.
-	rig.d.Run(func() { rig.b.nic.InjectLoss(1, 1) })
+	rig.d.Run(func() { dropRX(rig.a, 1, 1) })
 	c1.SetDeadline(time.Now().Add(after))
 	if n, err := c1.Write(make([]byte, 2*SendBufSize)); n != SendBufSize || !isTimeout(err) {
 		t.Errorf("blocked write past a future deadline = %d, %v", n, err)

@@ -349,7 +349,7 @@ func TestSockWriteLargerThanSendBuffer(t *testing.T) {
 // A write deadline that passes while Write waits for room ends it with
 // os.ErrDeadlineExceeded, and the count it returns is what it queued.
 func TestSockWriteDeadlineWhileBlocked(t *testing.T) {
-	sa, sb, _, b := sockPair(t)
+	sa, sb, a, _ := sockPair(t)
 	ln, err := sb.Listen(7)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestSockWriteDeadlineWhileBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The peer's ACKs vanish, so nothing queued is ever acknowledged.
-	sa.Driver().Run(func() { b.nic.InjectLoss(1, 1) })
+	sa.Driver().Run(func() { dropRX(a, 1, 1) })
 	if err := c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,8 @@ type Stack struct {
 	// go by handle, not by name.
 	evEther, evATM, evIP, evICMP, evUDP, evTCP *dispatch.Event
 
-	// mu serializes Attach/Detach (the queue list and the default NIC
-	// change together). The receive path never takes it.
+	// mu serializes Attach (the queue list and the default NIC change
+	// together). The receive path never takes it.
 	mu sync.Mutex
 	// routes maps destination address -> outbound NIC.
 	routes cow.Map[IPAddr, *sal.NIC]
@@ -324,35 +324,6 @@ func (s *Stack) InjectRX(nicIndex int, pkt *Packet) bool {
 		return false
 	}
 	return s.enqueueRX(qs[nicIndex], pkt)
-}
-
-// Detach disconnects a NIC from the stack: the driver upcall is unhooked,
-// the NIC's receive queue is unlinked, routes through the NIC are withdrawn,
-// and the default route is promoted to the next attached NIC (or cleared).
-// Packets already queued still ride their posted drain steps up the graph;
-// nothing arrives after. It reports whether the NIC was attached.
-func (s *Stack) Detach(nic *sal.NIC) bool {
-	if nic == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.rxqs.Load()
-	next := slices.DeleteFunc(slices.Clone(old), func(q *rxQueue) bool { return q.nic == nic })
-	if len(next) == len(old) {
-		return false
-	}
-	nic.OnReceive = nil
-	s.rxqs.Store(&next)
-	s.routes.DeleteFunc(func(_ IPAddr, via *sal.NIC) bool { return via == nic })
-	if s.defaultNIC.Load() == nic {
-		if len(next) > 0 {
-			s.defaultNIC.Store(next[0].nic)
-		} else {
-			s.defaultNIC.Store(nil)
-		}
-	}
-	return true
 }
 
 // AddRoute directs packets for dst out through nic.

@@ -440,7 +440,7 @@ func TestPacketPoolRetainRelease(t *testing.T) {
 	p.Release() // final: back to the pool
 
 	q := AllocPacket()
-	if q.Proto != 0 || q.Seq != 0 || q.Claimed || len(q.Payload) != 0 {
+	if q.Proto != 0 || q.Seq != 0 || len(q.Payload) != 0 {
 		t.Fatalf("pooled packet not zeroed: %+v", q)
 	}
 	q.Release()

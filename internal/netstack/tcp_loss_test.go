@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"spin/internal/faultinject"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -15,10 +16,22 @@ import (
 func lossyPair(t *testing.T, rate float64, seed uint64) (*host, *host, *sim.Cluster) {
 	t.Helper()
 	a, b, cl := pair(t, sal.LanceModel)
-	a.nic.InjectLoss(rate, seed)
-	b.nic.InjectLoss(rate, seed+1)
+	dropRX(b, rate, seed)
+	dropRX(a, rate, seed+1)
 	return a, b, cl
 }
+
+// dropRX makes h's stack drop each frame it receives with probability p at
+// its "net.rx" fault-injection site, deterministically from seed. A rule
+// reads p <= 0 as every hit, so a lossless case arms nothing.
+func dropRX(h *host, p float64, seed uint64) {
+	inj := faultinject.New(seed, h.eng.Clock)
+	inj.Arm(faultinject.Rule{Site: "net.rx", Kind: faultinject.KindDrop, Probability: p})
+	h.disp.SetInjector(inj)
+}
+
+// rxDrops reports the frames h's stack dropped at "net.rx".
+func rxDrops(h *host) int64 { return h.disp.InjectorInstalled().FiredAt("net.rx") }
 
 func TestTCPSurvivesModerateLoss(t *testing.T) {
 	a, b, cl := lossyPair(t, 0.05, 42)
@@ -36,14 +49,14 @@ func TestTCPSurvivesModerateLoss(t *testing.T) {
 	cl.RunUntil(func() bool { return len(received) >= total }, sim.Time(10*60*sim.Second))
 	if len(received) != total {
 		t.Fatalf("received %d of %d bytes (drops a=%d b=%d, retransmits=%d)",
-			len(received), total, a.nic.Dropped(), b.nic.Dropped(), conn.Retransmits())
+			len(received), total, rxDrops(a), rxDrops(b), conn.Retransmits())
 	}
 	for i := range received {
 		if received[i] != byte(i*7) {
 			t.Fatalf("corruption at byte %d", i)
 		}
 	}
-	if conn.Retransmits() == 0 && a.nic.Dropped() > 0 {
+	if conn.Retransmits() == 0 && rxDrops(b) > 0 {
 		t.Error("frames dropped but no retransmissions recorded")
 	}
 }
@@ -59,7 +72,7 @@ func TestTCPSurvivesHandshakeLoss(t *testing.T) {
 	ok := cl.RunUntil(func() bool { return established }, sim.Time(10*60*sim.Second))
 	if !ok {
 		t.Fatalf("handshake never completed under loss (drops a=%d b=%d)",
-			a.nic.Dropped(), b.nic.Dropped())
+			rxDrops(a), rxDrops(b))
 	}
 }
 
@@ -111,7 +124,7 @@ func TestTCPCongestionWindowCollapsesOnLoss(t *testing.T) {
 		t.Fatalf("cwnd did not grow: %d", grown)
 	}
 	// Now lose everything for a while: send into a black hole.
-	a.nic.InjectLoss(1.0, 5)
+	dropRX(b, 1, 5)
 	_ = conn.Send(make([]byte, 4*1024))
 	// Let at least one retransmission timeout fire.
 	deadline := a.eng.Now().Add(sim.Duration(2 * retxTimeout))
@@ -143,8 +156,8 @@ func TestUDPIsLossyByDesign(t *testing.T) {
 	if sink.Packets() == 0 {
 		t.Error("all datagrams lost at 50% injected loss")
 	}
-	if a.nic.Dropped()+sink.Packets() != n {
-		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", a.nic.Dropped(), sink.Packets(), n)
+	if rxDrops(b)+sink.Packets() != n {
+		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", rxDrops(b), sink.Packets(), n)
 	}
 }
 

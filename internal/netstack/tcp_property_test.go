@@ -26,8 +26,8 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 		}
 		a, b, cl := pair(t, sal.LanceModel)
 		if lossRate > 0 {
-			a.nic.InjectLoss(lossRate, seed*2+1)
-			b.nic.InjectLoss(lossRate, seed*2+2)
+			dropRX(b, lossRate, seed*2+1)
+			dropRX(a, lossRate, seed*2+2)
 		}
 		// Build the payloads: client sends chunks; server echoes each
 		// chunk back doubled.

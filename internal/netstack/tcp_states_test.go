@@ -3,6 +3,7 @@ package netstack
 import (
 	"testing"
 
+	"spin/internal/faultinject"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -142,22 +143,21 @@ func TestTCPServerRetransmitsSYNACK(t *testing.T) {
 	// Drop the server's first SYN-ACK: its retransmission timer must
 	// recover the handshake.
 	a, b, cl := pair(t, sal.LanceModel)
-	// Lose ~the first outbound frame from b (seed chosen so the first
-	// Float64 < rate).
-	b.nic.InjectLoss(0.9, 3)
+	// The SYN-ACK is the first frame the client receives.
+	inj := faultinject.New(3, a.eng.Clock)
+	inj.Arm(faultinject.Rule{Site: "net.rx", Kind: faultinject.KindDrop, MaxFires: 1})
+	a.disp.SetInjector(inj)
 	accepted := false
 	_ = b.stack.TCP().Listen(80, nil, func(*Conn) { accepted = true })
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
 	up := false
 	conn.OnConnect = func(*Conn) { up = true }
-	cl.RunUntil(func() bool { return up }, sim.Time(60*sim.Second))
-	// Stop losing so the test converges if it has not already, and drain
-	// until the server side completes too.
-	b.nic.InjectLoss(0, 0)
-	cl.RunUntil(func() bool { return up && accepted }, sim.Time(10*60*sim.Second))
+	cl.RunUntil(func() bool { return up && accepted }, sim.Time(60*sim.Second))
 	if !up || !accepted {
-		t.Fatalf("handshake never recovered (up=%v accepted=%v, b dropped %d)",
-			up, accepted, b.nic.Dropped())
+		t.Fatalf("handshake never recovered (up=%v accepted=%v)", up, accepted)
+	}
+	if n := rxDrops(a); n != 1 {
+		t.Errorf("client dropped %d frames, want the one SYN-ACK", n)
 	}
 }
 

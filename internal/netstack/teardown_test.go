@@ -57,47 +57,6 @@ func TestUnlistenOwnerReleasesPorts(t *testing.T) {
 	}
 }
 
-func TestDetachNIC(t *testing.T) {
-	a, b, cl := pair(t, sal.LanceModel)
-	got := 0
-	_ = b.stack.UDP().Bind(9, InKernelDelivery, func(*Packet) { got++ })
-	_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, []byte("x"))
-	cl.Run(0)
-	if got != 1 {
-		t.Fatalf("delivery before detach = %d", got)
-	}
-	// A packet queued before the detach still rides its posted drain step
-	// up the graph, once.
-	queued := &Packet{Src: Addr(10, 0, 0, 1), Dst: Addr(10, 0, 0, 2), Proto: ProtoUDP,
-		SrcPort: 1, DstPort: 9, Payload: []byte("q"), TTL: 32}
-	if !b.stack.InjectRX(0, queued) {
-		t.Fatal("InjectRX refused a packet on an empty queue")
-	}
-	if !b.stack.Detach(b.nic) {
-		t.Fatal("Detach reported NIC not attached")
-	}
-	cl.Run(0)
-	if got != 2 {
-		t.Fatalf("deliveries of the packet queued before detach = %d, want 1", got-1)
-	}
-	if b.stack.Detach(b.nic) {
-		t.Error("second Detach found the NIC still attached")
-	}
-	if b.stack.Detach(nil) {
-		t.Error("Detach(nil) = true")
-	}
-	// Traffic to the detached stack goes nowhere; the sender must not
-	// crash and the receiver count must not move.
-	_ = a.stack.UDP().Send(1, Addr(10, 0, 0, 2), 9, []byte("x"))
-	cl.Run(0)
-	if got != 2 {
-		t.Errorf("delivery after detach = %d, want still 2", got)
-	}
-	if b.stack.InjectRX(0, &Packet{Dst: Addr(10, 0, 0, 2)}) {
-		t.Error("InjectRX on a detached queue index succeeded")
-	}
-}
-
 func TestRXPanicContained(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	inj := faultinject.New(7, b.eng.Clock)

@@ -156,8 +156,8 @@ type Wire interface {
 // driver's entry point.
 //
 // Counters are atomics: they are mutated in interrupt context (the
-// simulation goroutine) while Stats/Dropped/RXDropped may be read from
-// other goroutines (tests, debug endpoints, metrics readers).
+// simulation goroutine) while Stats/RXDropped may be read from other
+// goroutines (tests, debug endpoints, metrics readers).
 type NIC struct {
 	Model  NICModel
 	engine *sim.Engine
@@ -175,27 +175,11 @@ type NIC struct {
 	// frame as dropped on receive.
 	OnReceive func(NetFrame) bool
 
-	// lossRate drops outbound frames with the given probability, using a
-	// deterministic PRNG — fault injection for protocol robustness tests.
-	lossRate float64
-	lossRng  *sim.Rand
-
 	sent, received atomic.Int64
 	bytesSent      atomic.Int64
 	bytesReceived  atomic.Int64
-	dropped        atomic.Int64
 	rxDropped      atomic.Int64
 }
-
-// InjectLoss makes the NIC drop outbound frames with probability p,
-// deterministically from seed. p=0 disables injection.
-func (n *NIC) InjectLoss(p float64, seed uint64) {
-	n.lossRate = p
-	n.lossRng = sim.NewRand(seed)
-}
-
-// Dropped reports frames lost to injection.
-func (n *NIC) Dropped() int64 { return n.dropped.Load() }
 
 // RXDropped reports received frames the driver upcall refused — arrivals
 // that found the stack's bounded RX queue full.
@@ -281,16 +265,6 @@ func (n *NIC) Send(f NetFrame) error {
 	n.txFreeAt = start.Add(tx)
 	n.sent.Add(1)
 	n.bytesSent.Add(int64(f.Size))
-	if n.lossRate > 0 && n.lossRng != nil && n.lossRng.Float64() < n.lossRate {
-		// The frame occupies the wire but never arrives (CRC error,
-		// collision): the transmitter cannot tell. A refcounted payload
-		// (netstack's pooled packets) is recycled here — the end of the
-		// frame's life. The interface assertion keeps sal independent of
-		// the protocol stack's packet type.
-		n.dropped.Add(1)
-		ReleaseFrame(f)
-		return nil
-	}
 	n.wire.Transmit(f, n.txFreeAt)
 	return nil
 }

@@ -49,3 +49,23 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
+
+// Mix64 is the splitmix64 finalizer: a 64-bit mix whose output for a given
+// input never changes, so the seeds, digests, ring positions and fault
+// decisions built on it replay exactly.
+func Mix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
+// HashString folds a string into 64 bits (FNV-1a).
+func HashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

@@ -27,47 +27,83 @@ func buildPair(t *testing.T, model LinkModel, seed uint64) *Internet {
 // TestHookDroppedFramesNeverReachPeer: property, across several seeds and
 // drop predicates — every frame a hook drops is invisible to the peer NIC,
 // and every frame it passes arrives. Checked against the NIC's own receive
-// counters, not the link's bookkeeping.
+// counters, not the link's bookkeeping. The faulty case puts every other
+// way a direction loses or adds a frame on the same link — seeded loss and
+// duplication, a down window — and checks that the direction conserves
+// frames: each one the sender's NIC sent was delivered, lost, dropped while
+// down or dropped by the hook, and the peer's NIC received every delivery.
 func TestHookDroppedFramesNeverReachPeer(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 77} {
-		for _, modulus := range []int{2, 3, 5} {
-			in := buildPair(t, LinkModel{Latency: 20 * sim.Microsecond}, seed)
-			a, b := in.Machine("a"), in.Machine("b")
-			dropped := 0
-			in.Link("a~b").AddHook(func(ev *FrameEvent) Verdict {
-				pkt, ok := ev.Frame.Payload.(*netstack.Packet)
-				if ok && pkt.Proto == netstack.ProtoUDP && len(pkt.Payload) > 0 &&
-					int(pkt.Payload[0])%modulus == 0 {
-					dropped++
-					return Drop
+	const n, step = 60, sim.Millisecond
+	for _, row := range []struct {
+		name   string
+		model  LinkModel
+		faulty bool
+	}{
+		{"ideal", LinkModel{Latency: 20 * sim.Microsecond}, false},
+		{"faulty", LinkModel{Latency: 20 * sim.Microsecond, Loss: 0.2, Duplicate: 0.2}, true},
+	} {
+		for _, seed := range []uint64{1, 2, 77} {
+			for _, modulus := range []int{2, 3, 5} {
+				in := buildPair(t, row.model, seed)
+				if row.faulty {
+					if err := in.FlapLink("a~b", sim.Time(20*step), sim.Time(30*step)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				return Pass
-			})
-			got := 0
-			b.Stack.UDP().Bind(9, nil, func(*netstack.Packet) { got++ })
-			const n = 60
-			for i := 0; i < n; i++ {
-				payload := []byte{byte(i), byte(seed)}
-				if err := a.Stack.UDP().Send(100, in.IP("b"), 9, payload); err != nil {
-					t.Fatal(err)
+				a, b := in.Machine("a"), in.Machine("b")
+				dropped := 0
+				in.Link("a~b").AddHook(func(ev *FrameEvent) Verdict {
+					pkt, ok := ev.Frame.Payload.(*netstack.Packet)
+					if ok && pkt.Proto == netstack.ProtoUDP && len(pkt.Payload) > 0 &&
+						int(pkt.Payload[0])%modulus == 0 {
+						dropped++
+						return Drop
+					}
+					return Pass
+				})
+				got := 0
+				b.Stack.UDP().Bind(9, nil, func(*netstack.Packet) { got++ })
+				for i := 0; i < n; i++ {
+					payload := []byte{byte(i), byte(seed)}
+					a.Engine.At(sim.Time(sim.Duration(i)*step), func() {
+						if err := a.Stack.UDP().Send(100, in.IP("b"), 9, payload); err != nil {
+							t.Error(err)
+						}
+					})
 				}
 				in.Run(0)
-			}
-			if dropped == 0 {
-				t.Fatalf("seed %d mod %d: predicate never matched", seed, modulus)
-			}
-			_, recv, _, _ := b.NICs()[0].Stats()
-			if int(recv) != n-dropped {
-				t.Errorf("seed %d mod %d: peer NIC saw %d frames, want %d sent - %d dropped",
-					seed, modulus, recv, n, dropped)
-			}
-			if got != n-dropped {
-				t.Errorf("seed %d mod %d: delivered %d datagrams, want %d",
-					seed, modulus, got, n-dropped)
-			}
-			ab, _ := in.Link("a~b").Stats()
-			if int(ab.HookDropped) != dropped {
-				t.Errorf("link counted %d hook drops, hook made %d", ab.HookDropped, dropped)
+				if dropped == 0 {
+					t.Fatalf("%s seed %d mod %d: predicate never matched", row.name, seed, modulus)
+				}
+				ab, _ := in.Link("a~b").Stats()
+				sent, _, _, _ := a.NICs()[0].Stats()
+				_, recv, _, _ := b.NICs()[0].Stats()
+				if int(ab.HookDropped) != dropped {
+					t.Errorf("%s: link counted %d hook drops, hook made %d", row.name, ab.HookDropped, dropped)
+				}
+				if sent != n {
+					t.Errorf("%s seed %d mod %d: sender NIC sent %d frames, want %d", row.name, seed, modulus, sent, n)
+				}
+				if fates := ab.Delivered - ab.Duplicated + ab.Lost + ab.Down + ab.HookDropped; sent != fates {
+					t.Errorf("%s seed %d mod %d: sent %d, but delivered-duplicated+lost+down+hook = %d (%+v)",
+						row.name, seed, modulus, sent, fates, ab)
+				}
+				if recv != ab.Delivered {
+					t.Errorf("%s seed %d mod %d: peer NIC saw %d frames, link delivered %d",
+						row.name, seed, modulus, recv, ab.Delivered)
+				}
+				if got != int(recv) {
+					t.Errorf("%s seed %d mod %d: delivered %d datagrams, peer NIC saw %d frames",
+						row.name, seed, modulus, got, recv)
+				}
+				if row.faulty {
+					if ab.Lost == 0 || ab.Down == 0 || ab.Duplicated == 0 {
+						t.Errorf("seed %d mod %d: a fault never fired (%+v)", seed, modulus, ab)
+					}
+				} else if int(recv) != n-dropped {
+					t.Errorf("seed %d mod %d: peer NIC saw %d frames, want %d sent - %d dropped",
+						seed, modulus, recv, n, dropped)
+				}
 			}
 		}
 	}

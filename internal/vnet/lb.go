@@ -5,6 +5,7 @@ import (
 
 	"spin/internal/domain"
 	"spin/internal/lb"
+	"spin/internal/sim"
 )
 
 // Load-balancing glue: build an internal/lb Balancer / ResilientDialer on
@@ -27,7 +28,7 @@ func (in *Internet) Balancer(machine string, cfg lb.Config, backends ...string) 
 		return nil, fmt.Errorf("vnet: Balancer: machine %q has no resolver (EnableDNS first)", machine)
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = in.seed ^ hashString(machine) ^ 0xba1a
+		cfg.Seed = in.seed ^ sim.HashString(machine) ^ 0xba1a
 	}
 	bal := lb.NewBalancer(s.Stack(), s.Resolver(), cfg)
 	for _, b := range backends {
@@ -46,7 +47,7 @@ func (in *Internet) ResilientDialer(machine string, bal *lb.Balancer, policy lb.
 	if err != nil {
 		return nil, err
 	}
-	return lb.NewResilientDialer(s, bal, policy, in.seed^hashString(machine)), nil
+	return lb.NewResilientDialer(s, bal, policy, in.seed^sim.HashString(machine)), nil
 }
 
 // WithdrawOnDestroy arms the DNS half of crash-only backend teardown: a

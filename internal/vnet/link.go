@@ -3,7 +3,6 @@ package vnet
 import (
 	"encoding/binary"
 
-	"spin/internal/faultinject"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -73,8 +72,6 @@ type LinkStats struct {
 	Down int64
 	// HookDropped frames were dropped by a netem hook.
 	HookDropped int64
-	// Injected frames were dropped by a faultinject rule at the link site.
-	Injected int64
 	// Duplicated and Reordered count the fault models firing.
 	Duplicated, Reordered int64
 }
@@ -113,20 +110,16 @@ type Link struct {
 	down  bool
 	hooks []Hook
 
-	// inj/tr/cap are set by the Internet (EnableFaultInjection,
-	// EnableTracing, CaptureLink) before the simulation runs.
-	inj *faultinject.Injector
+	// tr/cap are set by the Internet (EnableTracing, CaptureLink) before
+	// the simulation runs.
 	tr  *trace.Tracer
 	cap *Capture
-
-	// site is the per-link faultinject site name, "vnet.link:<name>".
-	site string
 }
 
 func newLink(name string, model LinkModel, seed uint64) *Link {
-	l := &Link{Name: name, Model: model, site: "vnet.link:" + name}
-	l.ab = &half{link: l, rng: sim.NewRand(mix64(seed ^ hashString(name)))}
-	l.ba = &half{link: l, rng: sim.NewRand(mix64(seed ^ hashString(name) ^ 0x9e37))}
+	l := &Link{Name: name, Model: model}
+	l.ab = &half{link: l, rng: sim.NewRand(sim.Mix64(seed ^ sim.HashString(name)))}
+	l.ba = &half{link: l, rng: sim.NewRand(sim.Mix64(seed ^ sim.HashString(name) ^ 0x9e37))}
 	return l
 }
 
@@ -152,25 +145,6 @@ func (l *Link) Stats() (ab, ba LinkStats) { return l.ab.stats, l.ba.stats }
 // frame. Two runs of the same seeded topology produce byte-identical
 // traffic exactly when these match on every link.
 func (l *Link) Digests() (ab, ba uint64) { return l.ab.digest, l.ba.digest }
-
-// mix64 is the splitmix64 finalizer — deterministic 64-bit mixing for
-// seeds and digests.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// hashString folds a string into 64 bits (FNV-1a).
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
 
 // hashBytes folds a byte slice into 64 bits with FNV-1a's xor-and-multiply
 // over little-endian words. Four independent lanes take the words of each
@@ -245,7 +219,7 @@ func (h *half) drop(f sal.NetFrame, at sim.Time, why string) {
 }
 
 // Transmit carries one frame across this direction: administrative state,
-// fault injection, hooks, link-bandwidth serialization, seeded loss /
+// hooks, link-bandwidth serialization, seeded loss /
 // reorder / duplication, then arrival at the far endpoint. Runs on the
 // sending node's goroutine at its virtual "departed" time.
 func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
@@ -255,31 +229,13 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 		h.drop(f, departed, "down")
 		return
 	}
-	var extra sim.Duration
-	// Fault injection: the per-link site first, then the generic one.
-	for _, site := range [2]string{l.site, "vnet.link"} {
-		ft := l.inj.Fire(site)
-		if !ft.Fired() {
-			continue
-		}
-		switch ft.Kind {
-		case faultinject.KindDrop, faultinject.KindError:
-			h.stats.Injected++
-			h.drop(f, departed, "injected")
-			return
-		case faultinject.KindDelay:
-			// The injector has a nil clock here: the delay is returned,
-			// not charged to any CPU, and stretches the flight time.
-			extra += ft.Delay
-		}
-		break
-	}
 	// Netem hooks: inspect / alter / delay / drop.
+	var extra sim.Duration
 	if len(l.hooks) > 0 {
 		// Hooks mutate a copy, so that f escapes to the heap on a hooked
 		// link only.
 		hooked := f
-		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &hooked, Depart: departed, ExtraDelay: extra}
+		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &hooked, Depart: departed}
 		for _, hook := range l.hooks {
 			if hook(&ev) == Drop {
 				h.stats.HookDropped++
@@ -340,7 +296,7 @@ func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 // fold chains one delivered frame into the direction's digest: its header
 // wire bytes, then its payload's sum and its arrival time.
 func (h *half) fold(hdr []byte, payloadSum uint64, arrival sim.Time) {
-	h.digest = mix64(mix64(h.digest^hashBytes(hdr)) ^ payloadSum ^ uint64(arrival))
+	h.digest = sim.Mix64(sim.Mix64(h.digest^hashBytes(hdr)) ^ payloadSum ^ uint64(arrival))
 }
 
 // cloneFrame deep-copies a frame for duplicate delivery: the two arrivals

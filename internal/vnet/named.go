@@ -45,7 +45,7 @@ func (in *Internet) EnableDNS(server string) error {
 		m := in.machines[name]
 		in.resolvers = append(in.resolvers, m.UseResolver(netstack.ResolverConfig{
 			Servers: []netstack.IPAddr{srv.Stack.IP},
-			Seed:    in.seed ^ hashString(name),
+			Seed:    in.seed ^ sim.HashString(name),
 		}))
 	}
 	in.dnsServer = server

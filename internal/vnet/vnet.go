@@ -9,9 +9,10 @@
 // event always runs first. With a fixed topology and seed, a run is
 // byte-identical — per-link frame-order digests (Link.Digests,
 // Internet.Fingerprint) make that checkable, netem-style hooks (Link.
-// AddHook) and faultinject sites ("vnet.link:<name>") bend traffic
-// deterministically, and CaptureLink exports any link's frames as a
-// tshark-readable pcap file.
+// AddHook) are the one place a frame in flight is delayed, altered or
+// dropped on purpose, and CaptureLink exports any link's frames as a
+// tshark-readable pcap file. Faults inside a kernel come from the
+// machine's own faultinject sites; no link consults an injector.
 //
 // Topologies come from the Builder DSL or the Star / Dumbbell / FatTree
 // helpers; the conversation harness (RunConversations) drives cross-machine
@@ -23,7 +24,6 @@ import (
 	"io"
 
 	"spin"
-	"spin/internal/faultinject"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 	"spin/internal/trace"
@@ -46,8 +46,7 @@ type Internet struct {
 	links        map[string]*Link
 	linkOrder    []string
 
-	inj *faultinject.Injector
-	tr  *trace.Tracer
+	tr *trace.Tracer
 
 	// Naming & sockets (named.go): the topology-wide DNS authority and the
 	// blocking-adapter driver over the cluster.
@@ -114,20 +113,8 @@ func (in *Internet) FlapLink(name string, downAt, upAt sim.Time) error {
 	return nil
 }
 
-// EnableFaultInjection arms a deterministic injector on every link: sites
-// "vnet.link:<name>" (per link) and "vnet.link" (any link) consult it per
-// frame. The injector has no clock — KindDelay rules stretch flight time
-// instead of charging a CPU. Arm rules on the returned injector.
-func (in *Internet) EnableFaultInjection(seed uint64) *faultinject.Injector {
-	in.inj = faultinject.New(seed, nil)
-	for _, name := range in.linkOrder {
-		in.links[name].inj = in.inj
-	}
-	return in.inj
-}
-
 // EnableTracing records per-link frame events (vnet.link.deliver, .lost,
-// .down, .hook-drop, .injected) in a fresh tracer ring shared by all links.
+// .down, .hook-drop) in a fresh tracer ring shared by all links.
 func (in *Internet) EnableTracing(ringSize int) *trace.Tracer {
 	in.tr = trace.New(ringSize)
 	for _, name := range in.linkOrder {
@@ -164,24 +151,24 @@ func (in *Internet) LinkDigests() map[string][2]uint64 {
 // received/sent, per-NIC frames and bytes). Two runs of the same seeded
 // topology match exactly when their fingerprints match.
 func (in *Internet) Fingerprint() uint64 {
-	fp := mix64(in.seed)
+	fp := sim.Mix64(in.seed)
 	for _, name := range in.linkOrder {
 		ab, ba := in.links[name].Digests()
-		fp = mix64(fp ^ hashString(name) ^ ab)
-		fp = mix64(fp ^ ba)
+		fp = sim.Mix64(fp ^ sim.HashString(name) ^ ab)
+		fp = sim.Mix64(fp ^ ba)
 	}
 	for _, name := range in.machineOrder {
 		m := in.machines[name]
 		recv, sent := m.Stack.Stats()
-		fp = mix64(fp ^ hashString(name) ^ uint64(recv)<<32 ^ uint64(sent))
+		fp = sim.Mix64(fp ^ sim.HashString(name) ^ uint64(recv)<<32 ^ uint64(sent))
 		for _, nic := range m.NICs() {
 			s, r, bs, br := nic.Stats()
-			fp = mix64(fp ^ uint64(s)<<48 ^ uint64(r)<<32 ^ uint64(bs)<<16 ^ uint64(br))
+			fp = sim.Mix64(fp ^ uint64(s)<<48 ^ uint64(r)<<32 ^ uint64(bs)<<16 ^ uint64(br))
 		}
 	}
 	for _, name := range in.switchOrder {
 		f, nr, ttl := in.switches[name].Stats()
-		fp = mix64(fp ^ hashString(name) ^ uint64(f)<<32 ^ uint64(nr)<<16 ^ uint64(ttl))
+		fp = sim.Mix64(fp ^ sim.HashString(name) ^ uint64(f)<<32 ^ uint64(nr)<<16 ^ uint64(ttl))
 	}
 	return fp
 }

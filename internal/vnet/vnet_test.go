@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"spin/internal/faultinject"
 	"spin/internal/netstack"
 	"spin/internal/sim"
 )
@@ -217,7 +216,9 @@ func TestPartitionRecovery(t *testing.T) {
 	}
 }
 
-func TestFaultInjectionSites(t *testing.T) {
+// One hook both drops and delays: the first 3 frames on a~b never arrive,
+// and every later one lands 5ms after it left.
+func TestHookDropsAndDelays(t *testing.T) {
 	in, err := NewBuilder(13).
 		Machine("a", 0).Machine("b", 0).
 		Link("a", "b", edge).
@@ -225,13 +226,14 @@ func TestFaultInjectionSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := in.EnableFaultInjection(77)
-	// Drop the first 3 frames on a~b specifically, then delay every later
-	// frame via the generic site.
-	inj.Arm(
-		faultinject.Rule{Site: "vnet.link:a~b", Kind: faultinject.KindDrop, MaxFires: 3},
-		faultinject.Rule{Site: "vnet.link", Kind: faultinject.KindDelay, Delay: 5 * sim.Millisecond},
-	)
+	seen := 0
+	in.Link("a~b").AddHook(func(ev *FrameEvent) Verdict {
+		if seen++; seen <= 3 {
+			return Drop
+		}
+		ev.ExtraDelay += 5 * sim.Millisecond
+		return Pass
+	})
 	a, b := in.Machine("a"), in.Machine("b")
 	got := 0
 	b.Stack.UDP().Bind(9, nil, func(*netstack.Packet) { got++ })
@@ -243,19 +245,16 @@ func TestFaultInjectionSites(t *testing.T) {
 		in.Run(0)
 	}
 	if got != n-3 {
-		t.Errorf("delivered %d, want %d (3 injected drops)", got, n-3)
+		t.Errorf("delivered %d, want %d (3 hook drops)", got, n-3)
 	}
 	ab, _ := in.Link("a~b").Stats()
-	if ab.Injected != 3 {
-		t.Errorf("injected drops = %d, want 3", ab.Injected)
-	}
-	if inj.FiredAt("vnet.link") == 0 {
-		t.Error("generic vnet.link site never fired")
+	if ab.HookDropped != 3 {
+		t.Errorf("hook drops = %d, want 3", ab.HookDropped)
 	}
 	// Delays stretched flight time: b's arrivals ran ~5ms after a's sends,
 	// so b's clock passed 5ms while a sent only tiny frames.
 	if now := b.Clock.Now(); now < sim.Time(5*sim.Millisecond) {
-		t.Errorf("b clock %v: injected delay did not stretch flight time", now)
+		t.Errorf("b clock %v: hook delay did not stretch flight time", now)
 	}
 }
 
