@@ -37,6 +37,9 @@ func FuzzParsePacket(f *testing.F) {
 		if !samePacket(pkt, round) {
 			t.Fatalf("round trip changed packet:\n  first %+v\n  round %+v", pkt, round)
 		}
+		if a, b := pkt.HeaderSum(), round.HeaderSum(); a != b {
+			t.Fatalf("equal headers sum to %#x and %#x:\n  first %+v\n  round %+v", a, b, pkt, round)
+		}
 	})
 }
 

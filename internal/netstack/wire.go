@@ -129,6 +129,54 @@ func AppendHeader(dst []byte, pkt *Packet) []byte {
 	return dst
 }
 
+// HeaderSum hashes the fields AppendHeader writes, and nothing else: what a
+// frame's header says on the wire, without encoding it. The fields are
+// packed into whole 64-bit words, each folded by foldWord. Each step is a
+// bijection of the running value, so two headers that differ in one word
+// always hash differently.
+func (p *Packet) HeaderSum() uint64 {
+	var ports uint64
+	switch p.Proto {
+	case ProtoUDP, ProtoTCP:
+		ports = uint64(p.SrcPort)<<16 | uint64(p.DstPort)
+	case ProtoICMP:
+		ports = uint64(p.ICMPType)<<16 | uint64(p.ICMPSeq)
+	}
+	var more uint64
+	if p.MoreFrags {
+		more = 1
+	}
+	h := foldWord(14695981039346656037, uint64(p.Src)<<32|uint64(p.Dst))
+	h = foldWord(h, uint64(p.FragID)<<32|uint64(uint32(p.FragOffset)))
+	h = foldWord(h, uint64(uint32(p.TTL))<<32|ports)
+	h = foldWord(h, uint64(len(p.Payload))<<16|more<<8|uint64(p.Proto))
+	if p.Proto != ProtoTCP {
+		return h
+	}
+	blocks := p.SACKBlocks()
+	var opts uint64
+	if p.SACKPermitted {
+		opts |= 1
+	}
+	if p.WScaleOK {
+		opts |= 2
+	}
+	h = foldWord(h, uint64(p.Seq)<<32|uint64(p.Ack))
+	h = foldWord(h, uint64(uint32(p.Window))<<32|uint64(p.Flags)<<24|uint64(p.WScale)<<16|uint64(len(blocks))<<8|opts)
+	for _, b := range blocks {
+		h = foldWord(h, uint64(b.Start)<<32|uint64(b.End))
+	}
+	return h
+}
+
+// foldWord is one step of HeaderSum: FNV-1a's xor-and-multiply on a whole
+// word, then a shift that brings the word's high bytes, which the multiply
+// alone only carries upward, back into the low half.
+func foldWord(h, w uint64) uint64 {
+	h = (h ^ w) * 1099511628211
+	return h ^ h>>32
+}
+
 // ParsePacket decodes one wire frame into a Packet, validating every field:
 // frame and header lengths, ethertype, IP version, and the total-length
 // consistency that bounds the payload slice. It never panics on arbitrary

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -211,5 +212,75 @@ func TestEncodeSaturatesWideFields(t *testing.T) {
 	}
 	if got.TTL != 255 || got.Window != 0xffff || got.FragOffset != 0xffff {
 		t.Errorf("saturation: ttl=%d window=%d fragoff=%d", got.TTL, got.Window, got.FragOffset)
+	}
+}
+
+// HeaderSum stands in for the header's wire bytes in the link digest, so it
+// must see every field AppendHeader writes and nothing it does not. Each
+// row changes one field of a packet: where the wire header changes, the sum
+// must change; where it does not (payload bytes of the same length, SACK
+// entries past NumSACK, pool state, fields another protocol's header
+// carries), the sum must not.
+func TestHeaderSumCoversEveryHeaderField(t *testing.T) {
+	tcp := &Packet{Src: Addr(10, 0, 0, 1), Dst: Addr(10, 0, 0, 2), Proto: ProtoTCP,
+		SrcPort: 30001, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagACK, Window: 5000, TTL: 32,
+		FragID: 9, FragOffset: 8, MoreFrags: true, SACKPermitted: true, WScaleOK: true, WScale: 7,
+		NumSACK: 4, SACK: [MaxSACKBlocks]SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, Payload: []byte("payload")}
+	twoBlocks := *tcp
+	twoBlocks.NumSACK = 2
+	udp, icmp := wireSamplePackets()[0], wireSamplePackets()[2]
+	type row struct {
+		name string
+		base *Packet
+		wire bool // the change shows in AppendHeader's bytes
+		edit func(*Packet)
+	}
+	rows := []row{
+		{"src", tcp, true, func(p *Packet) { p.Src++ }},
+		{"dst", tcp, true, func(p *Packet) { p.Dst++ }},
+		{"proto", udp, true, func(p *Packet) { p.Proto = ProtoTCP }},
+		{"tcp src port", tcp, true, func(p *Packet) { p.SrcPort++ }},
+		{"tcp dst port", tcp, true, func(p *Packet) { p.DstPort++ }},
+		{"udp src port", udp, true, func(p *Packet) { p.SrcPort++ }},
+		{"udp dst port", udp, true, func(p *Packet) { p.DstPort++ }},
+		{"ttl", tcp, true, func(p *Packet) { p.TTL++ }},
+		{"frag id", tcp, true, func(p *Packet) { p.FragID++ }},
+		{"frag offset", tcp, true, func(p *Packet) { p.FragOffset++ }},
+		{"more frags", tcp, true, func(p *Packet) { p.MoreFrags = false }},
+		{"payload length", tcp, true, func(p *Packet) { p.Payload = append(slices.Clip(p.Payload), 0) }},
+		{"udp payload length", udp, true, func(p *Packet) { p.Payload = p.Payload[:len(p.Payload)-1] }},
+		{"seq", tcp, true, func(p *Packet) { p.Seq++ }},
+		{"ack", tcp, true, func(p *Packet) { p.Ack++ }},
+		{"flags", tcp, true, func(p *Packet) { p.Flags |= FlagFIN }},
+		{"window", tcp, true, func(p *Packet) { p.Window++ }},
+		{"sack permitted", tcp, true, func(p *Packet) { p.SACKPermitted = false }},
+		{"window scale offered", tcp, true, func(p *Packet) { p.WScaleOK = false }},
+		{"window scale", tcp, true, func(p *Packet) { p.WScale++ }},
+		{"num sack", tcp, true, func(p *Packet) { p.NumSACK-- }},
+		{"num sack up", &twoBlocks, true, func(p *Packet) { p.NumSACK++ }},
+		{"icmp type", icmp, true, func(p *Packet) { p.ICMPType = 0 }},
+		{"icmp seq", icmp, true, func(p *Packet) { p.ICMPSeq++ }},
+
+		{"payload byte", tcp, false, func(p *Packet) { p.Payload = []byte("Payload") }},
+		{"sack entry past NumSACK", &twoBlocks, false, func(p *Packet) { p.SACK[3].End++ }},
+		{"pool state", tcp, false, func(p *Packet) { p.pooled, p.refs, p.sum, p.summed = true, 3, 5, true }},
+		{"ports of an icmp packet", icmp, false, func(p *Packet) { p.SrcPort, p.DstPort = 1, 2 }},
+		{"tcp fields of a udp packet", udp, false, func(p *Packet) { p.Seq, p.Ack, p.Window, p.NumSACK = 1, 2, 3, 1 }},
+		{"icmp fields of a tcp packet", tcp, false, func(p *Packet) { p.ICMPType, p.ICMPSeq = 8, 9 }},
+	}
+	for i := range MaxSACKBlocks {
+		rows = append(rows,
+			row{fmt.Sprintf("sack block %d start", i), tcp, true, func(p *Packet) { p.SACK[i].Start++ }},
+			row{fmt.Sprintf("sack block %d end", i), tcp, true, func(p *Packet) { p.SACK[i].End++ }})
+	}
+	for _, r := range rows {
+		p := *r.base
+		r.edit(&p)
+		if wire := !bytes.Equal(AppendHeader(nil, r.base), AppendHeader(nil, &p)); wire != r.wire {
+			t.Errorf("%s: the wire header changed %v, want %v", r.name, wire, r.wire)
+		}
+		if changed := p.HeaderSum() != r.base.HeaderSum(); changed != r.wire {
+			t.Errorf("%s: HeaderSum changed %v, want %v", r.name, changed, r.wire)
+		}
 	}
 }

@@ -148,25 +148,26 @@ const (
 
 // InterruptController delivers device interrupts to registered handlers via
 // the machine's engine, charging the interrupt-entry cost on delivery.
+// Handlers and counts are indexed by vector, grown on Register or on a
+// vector's first interrupt, so that delivering one hashes nothing.
 type InterruptController struct {
 	engine   *sim.Engine
 	profile  *sim.Profile
-	handlers map[InterruptVector]func(payload any)
-	count    map[InterruptVector]int64
+	handlers []func(payload any)
+	count    []int64
 }
 
 // NewInterruptController returns a controller scheduling on engine.
 func NewInterruptController(engine *sim.Engine, profile *sim.Profile) *InterruptController {
-	return &InterruptController{
-		engine:   engine,
-		profile:  profile,
-		handlers: make(map[InterruptVector]func(any)),
-		count:    make(map[InterruptVector]int64),
-	}
+	return &InterruptController{engine: engine, profile: profile}
 }
 
 // Register installs the handler for vector, replacing any previous one.
+// Vectors are small non-negative numbers.
 func (ic *InterruptController) Register(vec InterruptVector, h func(payload any)) {
+	if int(vec) >= len(ic.handlers) {
+		ic.handlers = append(ic.handlers, make([]func(any), int(vec)+1-len(ic.handlers))...)
+	}
 	ic.handlers[vec] = h
 }
 
@@ -178,13 +179,16 @@ func (ic *InterruptController) RaiseAt(t sim.Time, vec InterruptVector, payload 
 func raisePosted(ic, payload any, vec int) {
 	c := ic.(*InterruptController)
 	c.enter(InterruptVector(vec))
-	if h, ok := c.handlers[InterruptVector(vec)]; ok {
-		h(payload)
+	if vec < len(c.handlers) && c.handlers[vec] != nil {
+		c.handlers[vec](payload)
 	}
 }
 
 // enter counts one interrupt on vec and charges the interrupt-entry cost.
 func (ic *InterruptController) enter(vec InterruptVector) {
+	if int(vec) >= len(ic.count) {
+		ic.count = append(ic.count, make([]int64, int(vec)+1-len(ic.count))...)
+	}
 	ic.count[vec]++
 	ic.engine.Clock.Advance(ic.profile.InterruptEntry)
 }
@@ -195,7 +199,12 @@ func (ic *InterruptController) Raise(vec InterruptVector, payload any) {
 }
 
 // Count reports interrupts delivered on vec.
-func (ic *InterruptController) Count(vec InterruptVector) int64 { return ic.count[vec] }
+func (ic *InterruptController) Count(vec InterruptVector) int64 {
+	if vec < 0 || int(vec) >= len(ic.count) {
+		return 0
+	}
+	return ic.count[vec]
+}
 
 func (v InterruptVector) String() string {
 	switch v {

@@ -1,6 +1,7 @@
 package sal
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +287,33 @@ func TestInterruptDelivery(t *testing.T) {
 	}
 	if eng.Clock.Busy() != sim.SPINProfile.InterruptEntry {
 		t.Errorf("busy = %v, want interrupt entry cost", eng.Clock.Busy())
+	}
+}
+
+// Handlers and counts are indexed by vector: a vector raised with no
+// handler is counted and charged, one never raised counts 0, a vector well
+// past the well-known ones (fig6 gives its NICs 10+i) grows the tables, and
+// a second Register replaces the first handler.
+func TestInterruptVectorsByIndex(t *testing.T) {
+	eng := sim.NewEngine()
+	ic := NewInterruptController(eng, &sim.SPINProfile)
+	var got []string
+	ic.Register(12, func(p any) { got = append(got, "first "+p.(string)) })
+	ic.Register(12, func(p any) { got = append(got, "second "+p.(string)) })
+	ic.RaiseAt(100, 12, "a")
+	ic.RaiseAt(200, 17, "unregistered")
+	ic.RaiseAt(300, 12, "b")
+	eng.Run(0)
+	if want := []string{"second a", "second b"}; !slices.Equal(got, want) {
+		t.Errorf("handled %q, want %q", got, want)
+	}
+	for vec, want := range map[InterruptVector]int64{12: 2, 17: 1, VecDisk: 0, 11: 0, 40: 0, -1: 0} {
+		if n := ic.Count(vec); n != want {
+			t.Errorf("Count(%v) = %d, want %d", vec, n, want)
+		}
+	}
+	if busy, want := eng.Clock.Busy(), 3*sim.SPINProfile.InterruptEntry; busy != want {
+		t.Errorf("busy = %v, want three interrupt entries (%v)", busy, want)
 	}
 }
 

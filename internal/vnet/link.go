@@ -87,15 +87,16 @@ type endpoint interface {
 // the half owns everything to the far endpoint — bandwidth, loss, reorder,
 // duplication, hooks, capture, digest.
 type half struct {
-	link   *Link
-	dir    string
+	link *Link
+	// origin is the trace origin, the link's name and the direction
+	// ("a~b a->b"), built once with the topology.
+	origin string
 	to     endpoint
 	rng    *sim.Rand
 	freeAt sim.Time // link-bandwidth serialization
 
-	stats   LinkStats
-	digest  uint64
-	scratch []byte
+	stats  LinkStats
+	digest uint64
 }
 
 // Link is a full-duplex modeled link between two nodes of an Internet. Both
@@ -141,9 +142,11 @@ func (l *Link) AddHook(h Hook) { l.hooks = append(l.hooks, h) }
 func (l *Link) Stats() (ab, ba LinkStats) { return l.ab.stats, l.ba.stats }
 
 // Digests returns the per-direction frame-order digests: a chained hash
-// over (header wire bytes, payload sum, arrival time) of every delivered
-// frame. Two runs of the same seeded topology produce byte-identical
-// traffic exactly when these match on every link.
+// over (header sum, payload sum, arrival time) of every delivered frame,
+// where a packet's header sum is netstack's HeaderSum of the fields its
+// wire header carries and a foreign payload's is its size. Two runs of the
+// same seeded topology produce byte-identical traffic exactly when these
+// match on every link.
 func (l *Link) Digests() (ab, ba uint64) { return l.ab.digest, l.ba.digest }
 
 // hashBytes folds a byte slice into 64 bits with FNV-1a's xor-and-multiply
@@ -194,25 +197,15 @@ func (m *LinkModel) txTime(n int) sim.Duration {
 	return sim.Duration(int64(n) * 8 * int64(sim.Second) / m.BandwidthBps)
 }
 
-// encode renders what the digest and pcap see of a frame: a netstack
-// packet's header wire bytes, in the half's scratch buffer because a switch
-// changes them on every hop, and its payload with the payload's sum, which
-// the packet keeps from one hop to the next; a foreign payload is its size.
-func (h *half) encode(f sal.NetFrame) (hdr, payload []byte, sum uint64) {
-	if pkt, ok := f.Payload.(*netstack.Packet); ok {
-		h.scratch = netstack.AppendHeader(h.scratch[:0], pkt)
-		return h.scratch, pkt.Payload, pkt.PayloadSum(hashBytes)
-	}
-	h.scratch = binary.LittleEndian.AppendUint64(h.scratch[:0], uint64(f.Size))
-	return h.scratch, nil, 0
-}
+// dir is the direction the half carries frames in ("a->b").
+func (h *half) dir() string { return h.origin[len(h.link.Name)+1:] }
 
 // drop discards a frame (releasing a pooled payload) and traces the event.
-func (h *half) drop(f sal.NetFrame, at sim.Time, why string) {
+func (h *half) drop(f sal.NetFrame, at sim.Time, event string) {
 	sal.ReleaseFrame(f)
 	if h.link.tr != nil {
 		h.link.tr.Trace(trace.Record{
-			Event: "vnet.link." + why, Origin: h.link.Name + " " + h.dir,
+			Event: event, Origin: h.origin,
 			Start: at, Outcome: trace.OutcomeFaulted,
 		})
 	}
@@ -226,7 +219,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	l := h.link
 	if l.down {
 		h.stats.Down++
-		h.drop(f, departed, "down")
+		h.drop(f, departed, "vnet.link.down")
 		return
 	}
 	// Netem hooks: inspect / alter / delay / drop.
@@ -235,11 +228,11 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 		// Hooks mutate a copy, so that f escapes to the heap on a hooked
 		// link only.
 		hooked := f
-		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &hooked, Depart: departed}
+		ev := FrameEvent{Link: l.Name, Dir: h.dir(), Frame: &hooked, Depart: departed}
 		for _, hook := range l.hooks {
 			if hook(&ev) == Drop {
 				h.stats.HookDropped++
-				h.drop(hooked, departed, "hook-drop")
+				h.drop(hooked, departed, "vnet.link.hook-drop")
 				return
 			}
 		}
@@ -260,7 +253,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	// Seeded fault models, fixed draw order per frame: loss, reorder, dup.
 	if l.Model.Loss > 0 && h.rng.Float64() < l.Model.Loss {
 		h.stats.Lost++
-		h.drop(f, departed, "lost")
+		h.drop(f, departed, "vnet.link.lost")
 		return
 	}
 	if l.Model.Reorder > 0 && h.rng.Float64() < l.Model.Reorder {
@@ -278,25 +271,25 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 // deliver commits one frame arrival: digest, capture, trace, then the far
 // endpoint's interrupt (or switch forwarding step) at the arrival time.
 func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
-	hdr, payload, sum := h.encode(f)
-	h.fold(hdr, sum, arrival)
+	if pkt, ok := f.Payload.(*netstack.Packet); ok {
+		h.fold(pkt.HeaderSum(), pkt.PayloadSum(hashBytes), arrival)
+	} else {
+		h.fold(uint64(f.Size), 0, arrival)
+	}
 	h.stats.Delivered++
 	if h.link.cap != nil {
-		h.link.cap.Record(arrival, hdr, payload)
+		h.link.cap.record(arrival, f)
 	}
 	if h.link.tr != nil {
-		h.link.tr.Trace(trace.Record{
-			Event: "vnet.link.deliver", Origin: h.link.Name + " " + h.dir,
-			Start: arrival,
-		})
+		h.link.tr.Trace(trace.Record{Event: "vnet.link.deliver", Origin: h.origin, Start: arrival})
 	}
 	h.to.DeliverAt(arrival, f)
 }
 
 // fold chains one delivered frame into the direction's digest: its header
-// wire bytes, then its payload's sum and its arrival time.
-func (h *half) fold(hdr []byte, payloadSum uint64, arrival sim.Time) {
-	h.digest = sim.Mix64(sim.Mix64(h.digest^hashBytes(hdr)) ^ payloadSum ^ uint64(arrival))
+// sum, then its payload's sum and its arrival time.
+func (h *half) fold(headerSum, payloadSum uint64, arrival sim.Time) {
+	h.digest = sim.Mix64(sim.Mix64(h.digest^headerSum) ^ payloadSum ^ uint64(arrival))
 }
 
 // cloneFrame deep-copies a frame for duplicate delivery: the two arrivals

@@ -13,14 +13,15 @@ import (
 func arrivalOf(i int) sim.Time { return sim.Time(1000 * (i + 1)) }
 
 // digestOf is Link.Digests() after the given frames arrived in order, each
-// folded as a frame's header bytes or, asPayload, as the sum of its payload.
+// folded by its hash as a frame's header sum or, asPayload, as the sum of
+// its payload.
 func digestOf(frames [][]byte, arrival func(i int) sim.Time, asPayload bool) uint64 {
 	l := newLink("a~b", LinkModel{}, 1)
 	for i, f := range frames {
 		if asPayload {
-			l.ab.fold(nil, hashBytes(f), arrival(i))
+			l.ab.fold(0, hashBytes(f), arrival(i))
 		} else {
-			l.ab.fold(f, 0, arrival(i))
+			l.ab.fold(hashBytes(f), 0, arrival(i))
 		}
 	}
 	ab, _ := l.Digests()
@@ -30,8 +31,8 @@ func digestOf(frames [][]byte, arrival func(i int) sim.Time, asPayload bool) uin
 // The digest is the replay oracle of every vnet test and of the benchmark,
 // so folding words four lanes at a time, and a payload by its sum, must not
 // cost it anything it used to detect: for short frames on both sides of the
-// word and lane boundaries and for a full-size one, folded as header bytes
-// and as a payload, any single changed byte, a dropped or added trailing
+// word and lane boundaries and for a full-size one, folded as a header sum
+// and as a payload sum, any single changed byte, a dropped or added trailing
 // byte, two frames changing places and an arrival one nanosecond off each
 // give a different digest.
 func TestDigestSensitivity(t *testing.T) {
@@ -88,11 +89,11 @@ func TestDigestSensitivity(t *testing.T) {
 		}
 	}
 
-	// The same on the packet path, where a header is encoded on every hop
-	// and a payload is summed once: three full-size TCP segments cross a
+	// The same on the packet path, where a header's fields are summed on
+	// every hop and a payload once: three full-size TCP segments cross a
 	// link, a switch and a second link, and a change to the middle one's
-	// payload, header or length changes the digest of both links. A capture
-	// reads the same bytes and changes nothing.
+	// payload, header or length changes the digest of both links. A capture,
+	// the only reader of encoded header bytes, changes nothing.
 	t.Run("packets over link-switch-link", func(t *testing.T) {
 		crossed := []string{"h0~s0", "h1~s0"}
 		run := func(change func(*netstack.Packet), capture bool) (map[string][2]uint64, uint64) {
@@ -142,6 +143,10 @@ func TestDigestSensitivity(t *testing.T) {
 			{"a flipped sequence number", func(p *netstack.Packet) { p.Seq ^= 1 }},
 			{"a flipped TTL", func(p *netstack.Packet) { p.TTL ^= 1 }},
 			{"a flipped SACK block", func(p *netstack.Packet) { p.SACK[0].End ^= 1 }},
+			{"a flipped acknowledgement number", func(p *netstack.Packet) { p.Ack ^= 1 }},
+			{"a flipped window", func(p *netstack.Packet) { p.Window ^= 1 }},
+			{"an added FIN flag", func(p *netstack.Packet) { p.Flags |= netstack.FlagFIN }},
+			{"a flipped destination port", func(p *netstack.Packet) { p.DstPort ^= 1 }},
 			{"an added payload byte", func(p *netstack.Packet) { p.SetPayload(append(p.Payload[:len(p.Payload):len(p.Payload)], 0)) }},
 		} {
 			got, _ := run(c.change, false)
@@ -156,8 +161,8 @@ func TestDigestSensitivity(t *testing.T) {
 
 // BenchmarkFrameHop reports what one link hop of a full-size frame costs
 // the host, as ns/hop over host, switch, switch and host: the NIC and the
-// link, the header encoded and folded on each hop, the payload summed on
-// the first, and the switches' forwarding steps.
+// link, the header's fields summed and folded on each hop, the payload
+// summed on the first, and the switches' forwarding steps.
 func BenchmarkFrameHop(b *testing.B) {
 	in, err := NewBuilder(1).Machine("a", 0).Switch("s1").Switch("s2").Machine("b", 0).
 		Link("a", "s1", LinkModel{}).Link("s1", "s2", LinkModel{}).Link("s2", "b", LinkModel{}).

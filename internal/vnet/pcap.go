@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"io"
 
+	"spin/internal/netstack"
+	"spin/internal/sal"
 	"spin/internal/sim"
 )
 
@@ -29,6 +31,7 @@ type Capture struct {
 	w       io.Writer
 	err     error
 	records int
+	scratch []byte
 }
 
 // NewCapture writes the pcap global header to w and returns the capture.
@@ -47,13 +50,23 @@ func NewCapture(w io.Writer) *Capture {
 	return c
 }
 
-// Record writes one frame observed at virtual time t, given as its header
-// bytes and its payload.
-func (c *Capture) Record(t sim.Time, header, payload []byte) {
+// record writes one frame delivered at virtual time t: a netstack packet's
+// header wire bytes, encoded into the capture's scratch buffer because a
+// switch changes them on every hop, then its payload; a foreign payload is
+// its size. Only a capture marshals a header: the digest hashes a packet's
+// fields (netstack's HeaderSum covers exactly the fields AppendHeader
+// writes).
+func (c *Capture) record(t sim.Time, f sal.NetFrame) {
 	if c.err != nil {
 		return
 	}
-	size := len(header) + len(payload)
+	var payload []byte
+	if pkt, ok := f.Payload.(*netstack.Packet); ok {
+		c.scratch, payload = netstack.AppendHeader(c.scratch[:0], pkt), pkt.Payload
+	} else {
+		c.scratch = binary.LittleEndian.AppendUint64(c.scratch[:0], uint64(f.Size))
+	}
+	size := len(c.scratch) + len(payload)
 	n := min(size, pcapSnapLen)
 	var hdr [pcapRecHdrLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t/sim.Time(sim.Second)))
@@ -64,7 +77,7 @@ func (c *Capture) Record(t sim.Time, header, payload []byte) {
 		return
 	}
 	// A header is shorter than the snap length; only a payload is cut.
-	for _, b := range [2][]byte{header, payload[:n-len(header)]} {
+	for _, b := range [2][]byte{c.scratch, payload[:n-len(c.scratch)]} {
 		if _, c.err = c.w.Write(b); c.err != nil {
 			return
 		}

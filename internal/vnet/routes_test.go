@@ -18,7 +18,7 @@ func bruteRoutes(in *Internet) (via map[string]map[netstack.IPAddr]string, links
 	adj := map[string][]edge{}
 	links = map[string][]string{}
 	for _, name := range in.Links() {
-		a, b, _ := strings.Cut(in.Link(name).ab.dir, "->")
+		a, b, _ := strings.Cut(in.Link(name).ab.dir(), "->")
 		adj[a] = append(adj[a], edge{b, name})
 		adj[b] = append(adj[b], edge{a, name})
 		links[a] = append(links[a], name)
