@@ -565,6 +565,71 @@ func TestLossRecoveryGates(t *testing.T) {
 		}
 	})
 
+	// The send buffer is a ring made by the first write, here of ring bytes.
+	// The writer tops it up to ring bytes whenever an ACK frees room, so it
+	// never grows, never drains mid-stream and wraps: the segment holding
+	// stream bytes ring-1 and ring is cut from the ring's last bytes and its
+	// first. That segment is dropped, and the resend, cut from the same two
+	// pieces, must deliver the stream byte for byte.
+	t.Run("a segment straddling the end of the send ring is resent", func(t *testing.T) {
+		const ring, size = 10*netstack.DefaultMSS + 700, 64 << 10
+		const firstSeq = 101 // the client's ISS is 100; its SYN takes one
+		in := benchDumbbell(t, 1, vnet.LinkModel{})
+		left, right := in.Machine("l0"), in.Machine("r0")
+		dropped := 0
+		in.Link("bottleneck").AddHook(func(ev *vnet.FrameEvent) vnet.Verdict {
+			pkt, _ := ev.Frame.Payload.(*netstack.Packet)
+			if pkt == nil || len(pkt.Payload) == 0 || ev.Dir != "sl->sr" {
+				return vnet.Pass
+			}
+			if off := int(pkt.Seq - firstSeq); off < ring && off+len(pkt.Payload) > ring && dropped == 0 {
+				dropped++
+				return vnet.Drop
+			}
+			return vnet.Pass
+		})
+		got := 0
+		if err := right.Stack.TCP().Listen(80, netstack.InKernelDelivery, func(c *netstack.Conn) {
+			c.OnData = func(_ *netstack.Conn, b []byte) {
+				for k, v := range b {
+					if v != byte((got+k)*7) {
+						t.Fatalf("byte %d arrived as %#x", got+k, v)
+					}
+				}
+				got += len(b)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := left.Stack.TCP().Connect(right.Stack.IP, 80, netstack.InKernelDelivery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := make([]byte, size)
+		for k := range stream {
+			stream[k] = byte(k * 7)
+		}
+		queued := 0
+		fill := func(c *netstack.Conn) {
+			if n := min(size-queued, ring-c.Buffered()); n > 0 {
+				if err := c.Send(stream[queued : queued+n]); err != nil {
+					t.Fatal(err)
+				}
+				queued += n
+			}
+			if c.Buffered() > netstack.SendBufSize {
+				t.Fatalf("send buffer holds %d bytes, bound %d", c.Buffered(), netstack.SendBufSize)
+			}
+		}
+		conn.OnConnect, conn.OnSent = fill, fill
+		if !in.RunUntil(func() bool { return got == size }, sim.Time(60*sim.Second)) {
+			t.Fatalf("%d of %d bytes arrived", got, size)
+		}
+		if dropped != 1 || conn.Retransmits() == 0 {
+			t.Errorf("%d straddling segments dropped, %d retransmissions; want 1 and at least 1", dropped, conn.Retransmits())
+		}
+	})
+
 	// The last data frame of a transfer is dropped: nothing sent after it
 	// can be SACKed, so no ACK says it is missing. A probe two round trips
 	// after it went out resends it.

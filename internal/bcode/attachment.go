@@ -2,7 +2,6 @@ package bcode
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spin/internal/metrics"
 )
@@ -11,11 +10,12 @@ import (
 // a dispatcher guard, the scheduler's steal-policy slot. Whatever the hook,
 // a loaded program is the same object: verified once at Attach, run by the
 // interpreter against a Context the load point declares on its own stack,
-// counted and observed the same way.
+// counted and observed the same way. Its counters belong, like the load
+// point, to whoever steps the machine's engine.
 type Attachment struct {
 	name, point string
 	prog        *Program
-	runs, hits  atomic.Int64
+	runs, hits  int64
 }
 
 // Attach verifies prog against the load point's spec. Install-time
@@ -32,18 +32,18 @@ func Attach(name, point string, prog *Program, spec Spec) (*Attachment, error) {
 // call that keeps no reference to ctx, so a load point's Context stays on
 // its stack.
 func (a *Attachment) Run(ctx *Context) bool {
-	a.runs.Add(1)
+	a.runs++
 	return a.prog.Run(ctx) != VerdictPass
 }
 
 // Hit counts one verdict the load point acted on (a drop, a veto).
-func (a *Attachment) Hit() { a.hits.Add(1) }
+func (a *Attachment) Hit() { a.hits++ }
 
 // Name identifies the attachment.
 func (a *Attachment) Name() string { return a.name }
 
 // Stats reports evaluations and verdicts acted on.
-func (a *Attachment) Stats() (runs, hits int64) { return a.runs.Load(), a.hits.Load() }
+func (a *Attachment) Stats() (runs, hits int64) { return a.runs, a.hits }
 
 // Labels is the attachment's label set on the metrics surface.
 func (a *Attachment) Labels() string {
@@ -54,6 +54,6 @@ func (a *Attachment) Labels() string {
 func (a *Attachment) Metrics(emit metrics.Emit) {
 	l := a.Labels()
 	emit("bcode_insns"+l, float64(len(a.prog.Insns)))
-	emit("bcode_runs"+l, float64(a.runs.Load()))
-	emit("bcode_hits"+l, float64(a.hits.Load()))
+	emit("bcode_runs"+l, float64(a.runs))
+	emit("bcode_hits"+l, float64(a.hits))
 }

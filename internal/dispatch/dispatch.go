@@ -15,28 +15,23 @@
 // the guard/handler pairs, charging per-guard and per-handler costs — the
 // linear behaviour measured in the paper's §5.5 scaling experiment.
 //
-// Concurrency model: raises charge the machine's virtual clock, so they run
-// on the clock's owner — whoever steps the machine's engine (see sim.Clock).
-// The read path (Raise, RaiseEvent, introspection) is lock-free. Per-event
-// state is published as an immutable snapshot through an atomic pointer, and
-// the event table itself is a copy-on-write map behind another atomic
-// pointer. Writers (Define, Install, AddGuard, Remove, RemovePrimary)
-// serialize on a single mutex, build a fresh snapshot, and swap it in; raises
-// in flight keep dispatching against the snapshot they loaded. Counters are
-// atomics, so Metrics may read them from any goroutine while the owner
-// raises. Authorizers are consulted while the writer lock is held, making
-// authorization + insertion atomic with respect to concurrent installs — an
-// authorizer must therefore not call back into the dispatcher's write
-// operations.
+// Ownership: a dispatcher belongs to its machine, and whoever steps the
+// machine's engine (see sim.Clock) alone defines, installs, raises and reads
+// counters; any other goroutine goes through the sockets Driver's Run, or
+// waits until stepping has stopped. So nothing here locks and counters are
+// plain fields. Per-event state is still an immutable snapshot that writers
+// (Define, Install, AddGuard, Remove, RemovePrimary, quarantine) replace
+// rather than edit: a handler may remove itself, or be quarantined, while a
+// raise is walking the list it was called from, and that walk keeps the
+// snapshot it loaded. Authorizers run inside Install and RemovePrimary and
+// must not call back into the dispatcher's write operations.
 package dispatch
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 
-	"spin/internal/cow"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
 	"spin/internal/metrics"
@@ -70,8 +65,8 @@ func LastResult(results []any) any {
 // InstallAuthorizer is consulted by the dispatcher when a module other than
 // the default implementation module asks to install a handler. It may deny
 // the installation by returning an error, and may impose an additional guard
-// of its own (e.g. IP's per-protocol-type guards). Authorizers run with the
-// dispatcher's writer lock held and must not call back into Define, Install,
+// of its own (e.g. IP's per-protocol-type guards). Authorizers run inside
+// Install and RemovePrimary and must not call back into Define, Install,
 // AddGuard, Remove or RemovePrimary.
 type InstallAuthorizer func(installer domain.Identity) (Guard, error)
 
@@ -112,17 +107,18 @@ type handlerEntry struct {
 	primary bool
 	id      int
 	event   string
-	// faults and overruns are the handler's lifetime misbehaviour
-	// counters, shared by pointer across snapshot copies so an AddGuard
+	// misbehaviour holds the handler's lifetime fault and overrun
+	// counts, shared by pointer across snapshot copies so an AddGuard
 	// replacement does not reset a handler's quarantine budget.
-	faults   *atomic.Int64
-	overruns *atomic.Int64
+	misbehaviour *misbehaviour
 }
+
+// misbehaviour is one handler's lifetime fault and time-bound-overrun count.
+type misbehaviour struct{ faults, overruns int64 }
 
 // newHandlerEntry allocates an entry with fresh misbehaviour counters.
 func newHandlerEntry(e handlerEntry) *handlerEntry {
-	e.faults = new(atomic.Int64)
-	e.overruns = new(atomic.Int64)
+	e.misbehaviour = new(misbehaviour)
 	return &e
 }
 
@@ -134,7 +130,7 @@ func (e *handlerEntry) withGuard(g Guard) *handlerEntry {
 }
 
 // eventSnapshot is the immutable per-event state the read path dispatches
-// against. Writers build a new snapshot and publish it atomically.
+// against. Writers build a new snapshot and replace the event's pointer.
 type eventSnapshot struct {
 	authorizer InstallAuthorizer
 	constraint Constraint
@@ -153,17 +149,17 @@ func (s *eventSnapshot) clone() *eventSnapshot {
 	return &ns
 }
 
-// Event is the stable identity of a defined event: the atomically published
-// snapshot plus counters. nextID is guarded by Dispatcher.mu. A raiser that
+// Event is the stable identity of a defined event: its current snapshot
+// plus counters. A raiser that
 // resolves its event once with Dispatcher.Event and raises through
 // RaiseEvent skips the name lookup on every raise — the dispatcher's
 // counterpart of the paper's linker patching a resolved call (§3.2).
 type Event struct {
 	name   string
-	snap   atomic.Pointer[eventSnapshot]
-	raises atomic.Int64
-	aborts atomic.Int64
-	faults atomic.Int64
+	snap   *eventSnapshot
+	raises int64
+	aborts int64
+	faults int64
 	nextID int
 }
 
@@ -174,41 +170,34 @@ type Dispatcher struct {
 	profile *sim.Profile
 	engine  *sim.Engine
 
-	// mu serializes handler-list writers (Install/AddGuard/Remove/RemovePrimary).
-	// The read path never takes it.
-	mu sync.Mutex
 	// events is the event table. Event values are never removed or
-	// replaced, so a loaded *Event stays valid forever.
-	events cow.Map[string, *Event]
+	// replaced, so a resolved *Event stays valid forever.
+	events map[string]*Event
 
 	// faults counts handler runtime exceptions contained at the dispatch
-	// boundary; lastFault (guarded by faultMu) describes the most recent.
-	faults    atomic.Int64
-	faultMu   sync.Mutex
+	// boundary; lastFault describes the most recent.
+	faults    int64
 	lastFault string
 
 	// Quarantine policy: a handler whose lifetime fault count reaches
 	// qFaultThreshold, or whose time-bound-overrun count reaches
-	// qOverrunBudget, is atomically unlinked from its event (the event
-	// falls back to its primary). Zero disables that dimension.
-	qFaultThreshold atomic.Int64
-	qOverrunBudget  atomic.Int64
-	// qmu guards the quarantine log; onQuarantine is the notification
-	// callback (invoked outside all dispatcher locks).
-	qmu          sync.Mutex
-	quarantined  []QuarantineRecord
-	onQuarantine atomic.Pointer[func(QuarantineRecord)]
+	// qOverrunBudget, is unlinked from its event (the event falls back to
+	// its primary). Zero disables that dimension. onQuarantine is the
+	// notification callback.
+	qFaultThreshold int64
+	qOverrunBudget  int64
+	quarantined     []QuarantineRecord
+	onQuarantine    func(QuarantineRecord)
 
 	// tracer, when non-nil, receives a trace record and latency samples
-	// for every raise. Disabled tracing costs the read path exactly one
-	// predictable-nil atomic load; enabling/disabling is one pointer swap
-	// and raises in flight keep the tracer they loaded.
-	tracer atomic.Pointer[trace.Tracer]
+	// for every raise. Disabled tracing costs the read path one
+	// predictable nil check.
+	tracer *trace.Tracer
 
 	// injector, when non-nil, is consulted at the "dispatch.invoke" fault-
 	// injection site on every handler invocation. Same cost discipline as
-	// the tracer: disabled is one predictable-nil load.
-	injector atomic.Pointer[faultinject.Injector]
+	// the tracer.
+	injector *faultinject.Injector
 }
 
 // New returns a dispatcher charging costs from profile against the engine's
@@ -221,9 +210,10 @@ func New(engine *sim.Engine, profile *sim.Profile) *Dispatcher {
 	}
 }
 
-// lookup finds an event without locking. Safe from any goroutine.
+// lookup finds a defined event.
 func (d *Dispatcher) lookup(name string) (*Event, bool) {
-	return d.events.Get(name)
+	st, ok := d.events[name]
+	return st, ok
 }
 
 // Event resolves a defined event to its handle for RaiseEvent, or returns
@@ -276,10 +266,14 @@ func (d *Dispatcher) Define(name string, opts DefineOptions) error {
 		}))
 		st.nextID++
 	}
-	st.snap.Store(snap)
-	if _, dup := d.events.LoadOrStore(name, st); dup {
+	if _, dup := d.events[name]; dup {
 		return fmt.Errorf("dispatch: event %q already defined", name)
 	}
+	st.snap = snap
+	if d.events == nil {
+		d.events = make(map[string]*Event)
+	}
+	d.events[name] = st
 	return nil
 }
 
@@ -302,20 +296,16 @@ type HandlerRef struct {
 
 // Install registers a handler on the named event after consulting the
 // event's authorizer. The authorizer's guard (if any) is evaluated before
-// the installer's own guard. The authorizer consultation and the insertion
-// are one atomic step with respect to concurrent installs: two racing
-// installs cannot interleave authorizer guards with the wrong entry.
+// the installer's own guard.
 func (d *Dispatcher) Install(event string, h Handler, opts InstallOptions) (HandlerRef, error) {
 	if h == nil {
 		return HandlerRef{}, errors.New("dispatch: nil handler")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	st, ok := d.lookup(event)
 	if !ok {
 		return HandlerRef{}, fmt.Errorf("%w: %q", ErrNoSuchEvent, event)
 	}
-	snap := st.snap.Load()
+	snap := st.snap
 	var guards []Guard
 	if snap.authorizer != nil {
 		g, err := snap.authorizer(opts.Installer)
@@ -340,30 +330,28 @@ func (d *Dispatcher) Install(event string, h Handler, opts InstallOptions) (Hand
 	st.nextID++
 	ns := snap.clone()
 	ns.handlers = append(ns.handlers, e)
-	st.snap.Store(ns)
+	st.snap = ns
 	return HandlerRef{event: event, id: e.id}, nil
 }
 
 // AddGuard stacks an additional guard on an installed handler, further
 // constraining its invocation (paper: "A handler can stack additional guards
-// on an event"). The handler entry is replaced, not mutated, so concurrent
-// raises never observe a half-updated guard chain.
+// on an event"). The handler entry is replaced, not mutated, so a raise
+// walking the old snapshot never observes a half-updated guard chain.
 func (d *Dispatcher) AddGuard(ref HandlerRef, g Guard) error {
 	if g == nil {
 		return errors.New("dispatch: nil guard")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	st, ok := d.lookup(ref.event)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchEvent, ref.event)
 	}
-	snap := st.snap.Load()
+	snap := st.snap
 	for i, e := range snap.handlers {
 		if e.id == ref.id {
 			ns := snap.clone()
 			ns.handlers[i] = e.withGuard(g)
-			st.snap.Store(ns)
+			st.snap = ns
 			return nil
 		}
 	}
@@ -372,18 +360,16 @@ func (d *Dispatcher) AddGuard(ref HandlerRef, g Guard) error {
 
 // Remove uninstalls a handler.
 func (d *Dispatcher) Remove(ref HandlerRef) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	st, ok := d.lookup(ref.event)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchEvent, ref.event)
 	}
-	snap := st.snap.Load()
+	snap := st.snap
 	for i, e := range snap.handlers {
 		if e.id == ref.id {
 			ns := snap.clone()
 			ns.handlers = append(ns.handlers[:i:i], ns.handlers[i+1:]...)
-			st.snap.Store(ns)
+			st.snap = ns
 			return nil
 		}
 	}
@@ -396,13 +382,11 @@ func (d *Dispatcher) Remove(ref HandlerRef) error {
 // DefineKeyed it fails with ErrKeyedPrimary: the primary there is the key
 // demultiplexer, and removing it would silently orphan every keyed handler.
 func (d *Dispatcher) RemovePrimary(event string, requester domain.Identity) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	st, ok := d.lookup(event)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchEvent, event)
 	}
-	snap := st.snap.Load()
+	snap := st.snap
 	if snap.keyed {
 		return fmt.Errorf("%w: %q", ErrKeyedPrimary, event)
 	}
@@ -415,7 +399,7 @@ func (d *Dispatcher) RemovePrimary(event string, requester domain.Identity) erro
 		if e.primary {
 			ns := snap.clone()
 			ns.handlers = append(ns.handlers[:i:i], ns.handlers[i+1:]...)
-			st.snap.Store(ns)
+			st.snap = ns
 			return nil
 		}
 	}
@@ -434,21 +418,19 @@ func (d *Dispatcher) Raise(event string, arg any) any {
 // combined result; a nil handle (an undefined event) returns nil.
 //
 // A raise charges its costs to the machine's clock, so it runs on the
-// clock's owner (see sim.Clock): whoever steps the machine's engine. It
-// acquires no locks: it loads the event's snapshot through an atomic pointer
-// and dispatches against that immutable view, so Install, AddGuard, Remove
-// and SetTracer may run on other goroutines at the same time — a raise
-// concurrent with an install sees either the old or the new handler list,
-// never a torn one.
+// machine's owner (see sim.Clock): whoever steps the machine's engine, as do
+// Install, AddGuard, Remove and SetTracer. It dispatches against the
+// snapshot it loaded at the start, so a handler that removes itself (or is
+// quarantined) mid-raise does not disturb the walk.
 func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 	if st == nil {
 		return nil
 	}
-	st.raises.Add(1)
-	snap := st.snap.Load()
+	st.raises++
+	snap := st.snap
 	// Tracing disabled is the common case: tr is nil and the only cost on
-	// this path is the one predictable-nil load above each branch below.
-	tr := d.tracer.Load()
+	// this path is one predictable nil check in each branch below.
+	tr := d.tracer
 	// Fast path: exactly one unguarded synchronous handler — direct
 	// procedure call from raiser to handler (still within the runtime's
 	// exception containment and the event's time bound).
@@ -458,7 +440,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 		if tr == nil {
 			res, aborted, _ := d.invokeBounded(st, snap.constraint.TimeBound, e, arg)
 			if aborted {
-				st.aborts.Add(1)
+				st.aborts++
 				return nil
 			}
 			return res
@@ -472,7 +454,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 			Start: start, Duration: dur, Outcome: outcomeOf(aborted, faulted),
 		})
 		if aborted {
-			st.aborts.Add(1)
+			st.aborts++
 			return nil
 		}
 		return res
@@ -506,7 +488,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 			ran++
 			d.engine.After(0, func() {
 				if _, aborted, _ := d.invokeBounded(st, bound, e, arg); aborted {
-					st.aborts.Add(1)
+					st.aborts++
 				}
 			})
 			continue
@@ -522,7 +504,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 			tr.Observe(handlerKey(e), d.clock.Now().Sub(hstart))
 		}
 		if aborted {
-			st.aborts.Add(1)
+			st.aborts++
 			anyAbort = true
 			anyFault = anyFault || faulted
 			continue
@@ -560,15 +542,14 @@ func outcomeOf(aborted, faulted bool) trace.Outcome {
 	}
 }
 
-// SetTracer enables tracing (t non-nil) or disables it (t nil) with a
-// single atomic pointer swap. Raises in flight keep whichever tracer they
-// loaded at dispatch start.
-func (d *Dispatcher) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
+// SetTracer enables tracing (t non-nil) or disables it (t nil). A raise in
+// flight keeps whichever tracer it loaded at dispatch start.
+func (d *Dispatcher) SetTracer(t *trace.Tracer) { d.tracer = t }
 
 // Tracer returns the active tracer, or nil when tracing is disabled.
 // Subsystems outside the dispatcher (netstack, scheduler, pager) use it to
 // feed their own latency series through the same enable/disable switch.
-func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer.Load() }
+func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer }
 
 // invokeBounded runs the handler, enforcing the virtual-time bound: if the
 // handler advanced the clock beyond the bound its result is discarded and it
@@ -584,7 +565,7 @@ func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer.Load() }
 // in the runtime libraries found in conventional systems" (§4.3). The raiser
 // and all other handlers proceed. Faults are counted globally, per event,
 // and per handler; a handler that exhausts its quarantine budget (fault
-// threshold or time-bound-overrun budget) is atomically unlinked.
+// threshold or time-bound-overrun budget) is unlinked.
 //
 // "dispatch.invoke" is a fault-injection site: an armed KindPanic rule
 // faults the handler here (inside the containment boundary), a KindDelay
@@ -592,28 +573,27 @@ func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer.Load() }
 func (d *Dispatcher) invokeBounded(st *Event, bound sim.Duration, e *handlerEntry, arg any) (res any, aborted, faulted bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			d.faults.Add(1)
-			st.faults.Add(1)
-			faults := e.faults.Add(1)
-			d.faultMu.Lock()
+			d.faults++
+			st.faults++
+			e.misbehaviour.faults++
+			faults := e.misbehaviour.faults
 			d.lastFault = fmt.Sprintf("handler of %q (installer %q): %v", e.event, e.owner.Name, r)
-			d.faultMu.Unlock()
-			if thr := d.qFaultThreshold.Load(); thr > 0 && faults >= thr {
+			if thr := d.qFaultThreshold; thr > 0 && faults >= thr {
 				d.quarantine(st, e, fmt.Sprintf("%d faults (threshold %d), last: %v", faults, thr, r))
 			}
 			res, aborted, faulted = nil, true, true
 		}
 	}()
-	inj := d.injector.Load()
-	inj.Fire("dispatch.invoke")
+	d.injector.Fire("dispatch.invoke")
 	if bound <= 0 {
 		return e.handler(arg, e.closure), false, false
 	}
 	start := d.clock.Now()
 	res = e.handler(arg, e.closure)
 	if d.clock.Now().Sub(start) > bound {
-		overruns := e.overruns.Add(1)
-		if budget := d.qOverrunBudget.Load(); budget > 0 && overruns >= budget {
+		e.misbehaviour.overruns++
+		overruns := e.misbehaviour.overruns
+		if budget := d.qOverrunBudget; budget > 0 && overruns >= budget {
 			d.quarantine(st, e, fmt.Sprintf("%d time-bound overruns (budget %d)", overruns, budget))
 		}
 		return nil, true, false
@@ -624,17 +604,14 @@ func (d *Dispatcher) invokeBounded(st *Event, bound sim.Duration, e *handlerEntr
 // ExtensionFaults reports how many handler runtime exceptions the dispatcher
 // has contained, and the most recent one's description.
 func (d *Dispatcher) ExtensionFaults() (int64, string) {
-	d.faultMu.Lock()
-	last := d.lastFault
-	d.faultMu.Unlock()
-	return d.faults.Load(), last
+	return d.faults, d.lastFault
 }
 
 // HandlerCount reports the number of handlers installed on event (including
 // the primary).
 func (d *Dispatcher) HandlerCount(event string) int {
 	if st, ok := d.lookup(event); ok {
-		return len(st.snap.Load().handlers)
+		return len(st.snap.handlers)
 	}
 	return 0
 }
@@ -642,36 +619,41 @@ func (d *Dispatcher) HandlerCount(event string) int {
 // Metrics emits, for every defined event, its raises, aborts, contained
 // faults and quarantined handlers; the contained-fault total and the
 // quarantine policy; and, while they are set, the tracer's latency
-// histograms and the injector's per-site counters. Counters are atomics,
-// so it is safe from any goroutine while the clock's owner raises.
+// histograms and the injector's per-site counters. It runs on the
+// machine's owner.
 func (d *Dispatcher) Metrics(emit metrics.Emit) {
 	quarantined := map[string]int{}
-	d.qmu.Lock()
 	for _, r := range d.quarantined {
 		quarantined[r.Event]++
 	}
-	d.qmu.Unlock()
-	for name, st := range d.events.Snapshot() {
+	for name, st := range d.events {
 		l := fmt.Sprintf("{event=%q}", name)
-		emit("dispatch_raises"+l, float64(st.raises.Load()))
-		emit("dispatch_aborts"+l, float64(st.aborts.Load()))
-		emit("dispatch_faults"+l, float64(st.faults.Load()))
+		emit("dispatch_raises"+l, float64(st.raises))
+		emit("dispatch_aborts"+l, float64(st.aborts))
+		emit("dispatch_faults"+l, float64(st.faults))
 		emit("dispatch_quarantined"+l, float64(quarantined[name]))
 	}
-	emit("dispatch_faults_total", float64(d.faults.Load()))
-	emit("dispatch_quarantine_fault_threshold", float64(d.qFaultThreshold.Load()))
-	emit("dispatch_quarantine_overrun_budget", float64(d.qOverrunBudget.Load()))
-	if t := d.tracer.Load(); t != nil {
-		t.Metrics(emit)
+	emit("dispatch_faults_total", float64(d.faults))
+	emit("dispatch_quarantine_fault_threshold", float64(d.qFaultThreshold))
+	emit("dispatch_quarantine_overrun_budget", float64(d.qOverrunBudget))
+	if d.tracer != nil {
+		d.tracer.Metrics(emit)
 	}
-	if in := d.injector.Load(); in != nil {
-		in.Metrics(emit)
+	if d.injector != nil {
+		d.injector.Metrics(emit)
 	}
 }
 
 // Events lists the defined event names, sorted. Used by the Figure 5
 // protocol-graph dump.
-func (d *Dispatcher) Events() []string { return cow.SortedKeys(&d.events) }
+func (d *Dispatcher) Events() []string {
+	names := make([]string, 0, len(d.events))
+	for name := range d.events {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
 
 // HandlerOwners reports the identities of the handlers installed on event in
 // installation order ("(primary)" for the primary). Used by the Figure 5
@@ -681,7 +663,7 @@ func (d *Dispatcher) HandlerOwners(event string) []string {
 	if !ok {
 		return nil
 	}
-	snap := st.snap.Load()
+	snap := st.snap
 	out := make([]string, 0, len(snap.handlers))
 	for _, e := range snap.handlers {
 		if e.primary {

@@ -3,9 +3,6 @@ package dispatch
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
-
-	"spin/internal/cow"
 )
 
 // Keyed guard optimization — the paper's stated future work (§5.5:
@@ -21,8 +18,10 @@ import (
 // every installed guard — dispatch cost becomes independent of the number
 // of installed handlers.
 //
-// Like the dispatcher's event table, the key index is a cow.Map: raises
-// never lock; InstallKeyed and RemoveKeyed publish a new index.
+// The key index is a plain map owned, like the dispatcher, by whoever steps
+// the machine's engine. A key's handler slice is replaced, never edited, by
+// InstallKeyed and RemoveKeyed: a keyed handler may remove itself while the
+// demultiplexer is walking the slice it was called from.
 
 // KeyFunc extracts the demultiplexing key from an event argument.
 type KeyFunc func(arg any) (key uint64, ok bool)
@@ -35,12 +34,11 @@ type KeyedEvent struct {
 	name  string
 	keyOf KeyFunc
 
-	// byKey is the index; published entry slices are immutable. nextID is
-	// only touched inside byKey.Update, so the index's writer lock guards it.
-	byKey   cow.Map[uint64, []*keyedEntry]
+	// byKey is the index; its entry slices are immutable.
+	byKey   map[uint64][]*keyedEntry
 	nextID  int
-	raises  atomic.Int64
-	indexed atomic.Int64
+	raises  int64
+	indexed int64
 }
 
 type keyedEntry struct {
@@ -63,6 +61,7 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 		d:     d,
 		name:  name,
 		keyOf: keyOf,
+		byKey: make(map[uint64][]*keyedEntry),
 	}
 	userPrimary := opts.Primary
 	userClosure := opts.PrimaryClosure
@@ -71,14 +70,14 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 		ke.d.clock.Advance(ke.d.profile.GuardEval) // the single key extraction
 		var results []any
 		if key, ok := ke.keyOf(arg); ok {
-			entries, _ := ke.byKey.Get(key)
-			ke.indexed.Add(1)
+			entries := ke.byKey[key]
+			ke.indexed++
 			for _, e := range entries {
 				ke.d.clock.Advance(ke.d.profile.HandlerInvoke)
 				results = append(results, e.h(arg, e.closure))
 			}
 		}
-		ke.raises.Add(1)
+		ke.raises++
 		if userPrimary != nil {
 			results = append(results, userPrimary(arg, userClosure))
 		}
@@ -110,43 +109,34 @@ func (ke *KeyedEvent) InstallKeyed(key uint64, h Handler, closure any) (KeyedRef
 	if h == nil {
 		return KeyedRef{}, fmt.Errorf("dispatch: nil keyed handler on %q", ke.name)
 	}
-	e := &keyedEntry{h: h, closure: closure}
-	ke.byKey.Update(func(next map[uint64][]*keyedEntry) {
-		e.id = ke.nextID
-		ke.nextID++
-		next[key] = append(slices.Clone(next[key]), e)
-	})
+	e := &keyedEntry{h: h, closure: closure, id: ke.nextID}
+	ke.nextID++
+	list := ke.byKey[key]
+	ke.byKey[key] = append(list[:len(list):len(list)], e)
 	return KeyedRef{key: key, id: e.id}, nil
 }
 
 // RemoveKeyed uninstalls a keyed handler.
 func (ke *KeyedEvent) RemoveKeyed(ref KeyedRef) error {
-	found := false
-	ke.byKey.Update(func(next map[uint64][]*keyedEntry) {
-		list := next[ref.key]
-		i := slices.IndexFunc(list, func(e *keyedEntry) bool { return e.id == ref.id })
-		if found = i >= 0; !found {
-			return
-		}
-		if len(list) == 1 {
-			delete(next, ref.key)
-		} else {
-			next[ref.key] = slices.Delete(slices.Clone(list), i, i+1)
-		}
-	})
-	if !found {
+	list := ke.byKey[ref.key]
+	i := slices.IndexFunc(list, func(e *keyedEntry) bool { return e.id == ref.id })
+	switch {
+	case i < 0:
 		return fmt.Errorf("dispatch: keyed handler %d not installed on %q", ref.id, ke.name)
+	case len(list) == 1:
+		delete(ke.byKey, ref.key)
+	default:
+		ke.byKey[ref.key] = slices.Delete(slices.Clone(list), i, i+1)
 	}
 	return nil
 }
 
-// Stats reports raises and index hits. Counters are atomics, so it is safe
-// from any goroutine while the clock's owner raises.
+// Stats reports raises and index hits.
 func (ke *KeyedEvent) Stats() (raises, indexed int64) {
-	return ke.raises.Load(), ke.indexed.Load()
+	return ke.raises, ke.indexed
 }
 
 // Keys reports how many distinct keys have handlers.
 func (ke *KeyedEvent) Keys() int {
-	return len(ke.byKey.Snapshot())
+	return len(ke.byKey)
 }

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"slices"
 
 	"spin/internal/domain"
 	"spin/internal/faultinject"
@@ -14,7 +15,7 @@ import (
 // repeatedly faulting extension would stay installed forever, failing every
 // raise it guards. Under a quarantine policy the dispatcher tracks each
 // handler's lifetime faults and time-bound overruns; a handler that
-// exhausts either budget is atomically unlinked from its event — the event
+// exhausts either budget is unlinked from its event — the event
 // falls back to its primary — with a "dispatch.quarantine" trace record and
 // a notification visible to whoever authorized the installation.
 //
@@ -41,8 +42,8 @@ var DefaultQuarantinePolicy = QuarantinePolicy{FaultThreshold: 8, OverrunBudget:
 // SetQuarantinePolicy installs the policy. It applies to faults and
 // overruns counted from now on (handler lifetime counters are not reset).
 func (d *Dispatcher) SetQuarantinePolicy(p QuarantinePolicy) {
-	d.qFaultThreshold.Store(p.FaultThreshold)
-	d.qOverrunBudget.Store(p.OverrunBudget)
+	d.qFaultThreshold = p.FaultThreshold
+	d.qOverrunBudget = p.OverrunBudget
 }
 
 // QuarantineRecord describes one handler unlinked by the quarantine policy.
@@ -63,83 +64,62 @@ func (r QuarantineRecord) String() string {
 	return fmt.Sprintf("%v %s: handler by %q quarantined: %s", r.At, r.Event, r.Owner.Name, r.Reason)
 }
 
-// OnQuarantine registers fn to be called (outside all dispatcher locks)
-// each time a handler is quarantined — the notification path through which
+// OnQuarantine registers fn to be called each time a handler is
+// quarantined — the notification path through which
 // the event's default implementation module, or its authorizer's owner,
 // observes that an installation it approved has been withdrawn.
-func (d *Dispatcher) OnQuarantine(fn func(QuarantineRecord)) {
-	if fn == nil {
-		d.onQuarantine.Store(nil)
-		return
-	}
-	d.onQuarantine.Store(&fn)
-}
+func (d *Dispatcher) OnQuarantine(fn func(QuarantineRecord)) { d.onQuarantine = fn }
 
-// quarantine atomically unlinks handler e from its event. Called from the
-// raise path (no dispatcher locks held) after a budget is exhausted. If the
-// handler is already gone — removed on another goroutine, or quarantined by
-// a raise nested in this one — it does nothing: one unlink, one record, one
-// notification per quarantined handler.
+// quarantine unlinks handler e from its event. Called from the raise path
+// after a budget is exhausted. If the handler is already gone — removed by
+// a handler, or quarantined by a raise nested in this one — it does
+// nothing: one unlink, one record, one notification per quarantined handler.
 func (d *Dispatcher) quarantine(st *Event, e *handlerEntry, reason string) {
 	if e.primary {
 		return // the primary is the fallback, never the casualty
 	}
-	d.mu.Lock()
-	snap := st.snap.Load()
-	removed := false
-	for i, cur := range snap.handlers {
-		if cur.id == e.id {
-			ns := snap.clone()
-			ns.handlers = append(ns.handlers[:i:i], ns.handlers[i+1:]...)
-			st.snap.Store(ns)
-			removed = true
-			break
-		}
+	snap := st.snap
+	i := slices.IndexFunc(snap.handlers, func(h *handlerEntry) bool { return h.id == e.id })
+	if i < 0 {
+		return // already unlinked by a nested raise (or a Remove)
 	}
-	d.mu.Unlock()
-	if !removed {
-		return // lost the race to another quarantining raise (or a Remove)
-	}
+	ns := snap.clone()
+	ns.handlers = slices.Delete(ns.handlers, i, i+1)
+	st.snap = ns
 	rec := QuarantineRecord{
 		Event:    st.name,
 		Owner:    e.owner,
-		Faults:   e.faults.Load(),
-		Overruns: e.overruns.Load(),
+		Faults:   e.misbehaviour.faults,
+		Overruns: e.misbehaviour.overruns,
 		Reason:   reason,
 		At:       d.clock.Now(),
 	}
-	d.qmu.Lock()
 	d.quarantined = append(d.quarantined, rec)
-	d.qmu.Unlock()
-	if tr := d.tracer.Load(); tr != nil {
-		tr.Trace(trace.Record{
+	if d.tracer != nil {
+		d.tracer.Trace(trace.Record{
 			Event: "dispatch.quarantine", Origin: "dispatch",
 			Start: rec.At, Outcome: trace.OutcomeFaulted,
 		})
 	}
-	if fn := d.onQuarantine.Load(); fn != nil {
-		(*fn)(rec)
+	if d.onQuarantine != nil {
+		d.onQuarantine(rec)
 	}
 }
 
 // Quarantined returns the quarantine log, oldest first.
 func (d *Dispatcher) Quarantined() []QuarantineRecord {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
 	return append([]QuarantineRecord(nil), d.quarantined...)
 }
 
 // RemoveOwner uninstalls every non-primary handler installed by owner,
-// across all events, in one writer critical section — the dispatcher's half
+// across all events — the dispatcher's half
 // of crash-only domain teardown. Primaries (including keyed demultiplexers)
 // are preserved: they belong to the default implementation module, not the
 // departing extension. It returns the number of handlers removed.
 func (d *Dispatcher) RemoveOwner(owner domain.Identity) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	removed := 0
-	for _, st := range d.events.Snapshot() {
-		snap := st.snap.Load()
+	for _, st := range d.events {
+		snap := st.snap
 		var kept []*handlerEntry
 		for _, e := range snap.handlers {
 			if !e.primary && e.owner.Name == owner.Name {
@@ -151,18 +131,18 @@ func (d *Dispatcher) RemoveOwner(owner domain.Identity) int {
 		if len(kept) != len(snap.handlers) {
 			ns := snap.clone()
 			ns.handlers = kept
-			st.snap.Store(ns)
+			st.snap = ns
 		}
 	}
 	return removed
 }
 
-// SetInjector arms (in non-nil) or disarms (nil) fault injection with a
-// single atomic pointer swap; the disabled cost is one predictable-nil load
-// per handler invocation, mirroring SetTracer.
-func (d *Dispatcher) SetInjector(in *faultinject.Injector) { d.injector.Store(in) }
+// SetInjector arms (in non-nil) or disarms (nil) fault injection; the
+// disabled cost is one predictable nil check per handler invocation,
+// mirroring SetTracer.
+func (d *Dispatcher) SetInjector(in *faultinject.Injector) { d.injector = in }
 
 // InjectorInstalled returns the active injector, or nil when injection is
 // disabled. Subsystems outside the dispatcher (netstack, scheduler, pager)
 // use it to consult their own sites through the same switch.
-func (d *Dispatcher) InjectorInstalled() *faultinject.Injector { return d.injector.Load() }
+func (d *Dispatcher) InjectorInstalled() *faultinject.Injector { return d.injector }

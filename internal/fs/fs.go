@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -23,9 +22,11 @@ type inode struct {
 	blocks []int64
 }
 
-// FileSystem is a simple extent-less file system over a simulated disk.
+// FileSystem is a simple extent-less file system over a simulated disk. It
+// belongs to one machine and, like the rest of it, is used only by whoever
+// steps that machine's engine (a strand runs it while holding the CPU), so
+// it and its caches take no lock.
 type FileSystem struct {
-	mu    sync.Mutex
 	disk  *sal.Disk
 	clock *sim.Clock
 
@@ -54,8 +55,6 @@ func New(disk *sal.Disk, clock *sim.Clock, cacheBlocks int) *FileSystem {
 
 // Create writes a new file with the given contents.
 func (f *FileSystem) Create(name string, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if _, dup := f.files[name]; dup {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
@@ -83,8 +82,6 @@ func (f *FileSystem) Create(name string, data []byte) error {
 
 // Remove deletes a file and drops its cached blocks.
 func (f *FileSystem) Remove(name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, ok := f.files[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -98,8 +95,6 @@ func (f *FileSystem) Remove(name string) error {
 
 // Size returns a file's length.
 func (f *FileSystem) Size(name string) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, ok := f.files[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -109,8 +104,6 @@ func (f *FileSystem) Size(name string) (int, error) {
 
 // List returns the file names, sorted.
 func (f *FileSystem) List() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]string, 0, len(f.files))
 	for n := range f.files {
 		out = append(out, n)
@@ -134,8 +127,6 @@ func (f *FileSystem) ReadUncached(name string) ([]byte, error) {
 }
 
 func (f *FileSystem) read(name string, cached bool) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, ok := f.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -171,7 +162,6 @@ func (f *FileSystem) CacheStats() (hits, misses int64) { return f.cache.Stats() 
 
 // BufferCache is an LRU block cache.
 type BufferCache struct {
-	mu       sync.Mutex
 	capacity int
 	blocks   map[int64][]byte
 	order    []int64 // LRU order: front = oldest
@@ -187,8 +177,6 @@ func NewBufferCache(capacity int) *BufferCache {
 
 // Get returns the cached block, refreshing recency.
 func (c *BufferCache) Get(b int64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	data, ok := c.blocks[b]
 	if !ok {
 		c.misses++
@@ -204,8 +192,6 @@ func (c *BufferCache) Put(b int64, data []byte) {
 	if c.capacity == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, exists := c.blocks[b]; exists {
 		c.blocks[b] = data
 		c.touch(b)
@@ -222,8 +208,6 @@ func (c *BufferCache) Put(b int64, data []byte) {
 
 // Invalidate drops a block.
 func (c *BufferCache) Invalidate(b int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.blocks[b]; !ok {
 		return
 	}
@@ -238,15 +222,11 @@ func (c *BufferCache) Invalidate(b int64) {
 
 // Len reports resident blocks.
 func (c *BufferCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.blocks)
 }
 
 // Stats reports hit/miss counts.
 func (c *BufferCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
 

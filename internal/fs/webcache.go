@@ -1,7 +1,5 @@
 package fs
 
-import "sync"
-
 // WebCache is the SPIN web server's hybrid caching policy (paper §5.4):
 // LRU caching for small files, no caching for large files (which tend to be
 // accessed infrequently), and — because the large-file path reads through
@@ -10,7 +8,6 @@ import "sync"
 // It implements netstack.HTTPContent (Get), so it plugs directly under the
 // in-kernel HTTP server extension.
 type WebCache struct {
-	mu sync.Mutex
 	fs *FileSystem
 	// LargeThreshold divides small (cached) from large (uncached) files.
 	LargeThreshold int
@@ -38,14 +35,11 @@ func NewWebCache(fs *FileSystem, capacityBytes, largeThreshold int) *WebCache {
 // Get implements the content lookup: small files come from (and populate)
 // the object cache; large files stream through the non-caching read path.
 func (w *WebCache) Get(path string) ([]byte, bool) {
-	w.mu.Lock()
 	if body, ok := w.objects[path]; ok {
 		w.Hits++
 		w.touch(path)
-		w.mu.Unlock()
 		return body, true
 	}
-	w.mu.Unlock()
 
 	size, err := w.fs.Size(path)
 	if err != nil {
@@ -58,23 +52,19 @@ func (w *WebCache) Get(path string) ([]byte, bool) {
 		if err != nil {
 			return nil, false
 		}
-		w.mu.Lock()
 		w.LargeReads++
-		w.mu.Unlock()
 		return body, true
 	}
 	body, err := w.fs.Read(path)
 	if err != nil {
 		return nil, false
 	}
-	w.mu.Lock()
 	w.Misses++
 	w.insert(path, body)
-	w.mu.Unlock()
 	return body, true
 }
 
-// insert adds a small object, evicting LRU entries to fit. Caller holds mu.
+// insert adds a small object, evicting LRU entries to fit.
 func (w *WebCache) insert(path string, body []byte) {
 	if len(body) > w.capacity {
 		return
@@ -90,7 +80,7 @@ func (w *WebCache) insert(path string, body []byte) {
 	w.order = append(w.order, path)
 }
 
-// touch refreshes recency. Caller holds mu.
+// touch refreshes recency.
 func (w *WebCache) touch(path string) {
 	for i, x := range w.order {
 		if x == path {
@@ -103,15 +93,11 @@ func (w *WebCache) touch(path string) {
 
 // Cached reports whether path is resident in the object cache.
 func (w *WebCache) Cached(path string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	_, ok := w.objects[path]
 	return ok
 }
 
 // UsedBytes reports resident object bytes.
 func (w *WebCache) UsedBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.used
 }

@@ -2,7 +2,6 @@ package lb
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spin/internal/metrics"
 	"spin/internal/netstack"
@@ -33,11 +32,11 @@ type backend struct {
 
 	probeTimer *sim.Event
 
-	picks         atomic.Int64
-	successes     atomic.Int64
-	failures      atomic.Int64
-	probes        atomic.Int64
-	probeFailures atomic.Int64
+	picks         int64
+	successes     int64
+	failures      int64
+	probes        int64
+	probeFailures int64
 }
 
 // Balancer ties the ring to per-backend breakers: passive outlier
@@ -59,12 +58,11 @@ type Balancer struct {
 
 	healthOn bool
 
-	ejections atomic.Int64
+	ejections int64
 	// lastEjectAt / lastRejoinAt track ring convergence times for the
-	// failover experiments (virtual ns as atomics for cross-goroutine
-	// reads).
-	lastEjectAt  atomic.Int64
-	lastRejoinAt atomic.Int64
+	// failover experiments.
+	lastEjectAt  sim.Time
+	lastRejoinAt sim.Time
 }
 
 // NewBalancer builds a balancer on the client machine's stack and
@@ -113,7 +111,7 @@ func (b *Balancer) Members() []string { return b.ring.Members() }
 func (b *Balancer) Pick(key uint64) string {
 	name := b.ring.Pick(key)
 	if be := b.backends[name]; be != nil {
-		be.picks.Add(1)
+		be.picks++
 	}
 	return name
 }
@@ -124,7 +122,7 @@ func (b *Balancer) Sequence(key uint64, buf []string) int {
 	n := b.ring.Sequence(key, buf)
 	if n > 0 {
 		if be := b.backends[buf[0]]; be != nil {
-			be.picks.Add(1)
+			be.picks++
 		}
 	}
 	return n
@@ -134,7 +132,7 @@ func (b *Balancer) Sequence(key uint64, buf []string) int {
 // completed. Engine context.
 func (b *Balancer) ReportSuccess(name string) {
 	if be := b.backends[name]; be != nil {
-		be.successes.Add(1)
+		be.successes++
 		be.breaker.Success()
 	}
 }
@@ -143,7 +141,7 @@ func (b *Balancer) ReportSuccess(name string) {
 // (dial timeout, reset, withdrawn name). Engine context.
 func (b *Balancer) ReportFailure(name string) {
 	if be := b.backends[name]; be != nil {
-		be.failures.Add(1)
+		be.failures++
 		be.breaker.Fail()
 	}
 }
@@ -160,13 +158,13 @@ func (b *Balancer) Eject(name string) {
 // state changes ring membership. Half-open stays out of the ring — only
 // probe traffic (active health checks) tests a recovering backend.
 func (b *Balancer) onBreaker(be *backend, from, to BreakerState) {
-	now := int64(b.clock.Now())
+	now := b.clock.Now()
 	if to == BreakerOpen {
-		b.ejections.Add(1)
-		b.lastEjectAt.Store(now)
+		b.ejections++
+		b.lastEjectAt = now
 	}
 	if to == BreakerClosed && from != BreakerClosed {
-		b.lastRejoinAt.Store(now)
+		b.lastRejoinAt = now
 	}
 	b.rebuild()
 }
@@ -183,21 +181,21 @@ func (b *Balancer) rebuild() {
 }
 
 // Ejections counts breaker openings across all backends.
-func (b *Balancer) Ejections() int64 { return b.ejections.Load() }
+func (b *Balancer) Ejections() int64 { return b.ejections }
 
 // LastEjectAt is the virtual time of the most recent ejection (ring
-// shrink); zero if none. Safe from any goroutine.
-func (b *Balancer) LastEjectAt() sim.Time { return sim.Time(b.lastEjectAt.Load()) }
+// shrink); zero if none.
+func (b *Balancer) LastEjectAt() sim.Time { return b.lastEjectAt }
 
 // LastRejoinAt is the virtual time of the most recent breaker re-close
-// (ring regrow); zero if none. Safe from any goroutine.
-func (b *Balancer) LastRejoinAt() sim.Time { return sim.Time(b.lastRejoinAt.Load()) }
+// (ring regrow); zero if none.
+func (b *Balancer) LastRejoinAt() sim.Time { return b.lastRejoinAt }
 
 // Successes returns backend name's successful-request count (the
 // determinism experiments compare per-backend service counts).
 func (b *Balancer) Successes(name string) int64 {
 	if be := b.backends[name]; be != nil {
-		return be.successes.Load()
+		return be.successes
 	}
 	return 0
 }
@@ -246,7 +244,7 @@ func (b *Balancer) probe(be *backend) {
 	if !b.healthOn {
 		return
 	}
-	be.probes.Add(1)
+	be.probes++
 	done := false
 	finish := func(ok bool) {
 		if done {
@@ -256,7 +254,7 @@ func (b *Balancer) probe(be *backend) {
 		if ok {
 			be.breaker.Success()
 		} else {
-			be.probeFailures.Add(1)
+			be.probeFailures++
 			be.breaker.Fail()
 		}
 		if b.healthOn {
@@ -296,21 +294,20 @@ func (b *Balancer) probe(be *backend) {
 
 // Metrics emits the ring's size, the ejection total and, per backend, its
 // breaker state (as a label, with the host it dials) and its pick,
-// success, failure, probe and ejection counters. Counters and breaker
-// states are atomics; the backend set is fixed once AddBackend calls end.
+// success, failure, probe and ejection counters.
 func (b *Balancer) Metrics(emit metrics.Emit) {
 	emit("lb_ring_members", float64(len(b.ring.Members())))
 	emit("lb_backends", float64(len(b.order)))
-	emit("lb_ejections", float64(b.ejections.Load()))
+	emit("lb_ejections", float64(b.ejections))
 	for _, name := range b.order {
 		be := b.backends[name]
 		l := fmt.Sprintf("{backend=%q}", name)
 		emit(fmt.Sprintf("lb_backend_breaker{backend=%q,host=%q,state=%q}", name, be.host, be.breaker.State()), 1)
-		emit("lb_backend_picks"+l, float64(be.picks.Load()))
-		emit("lb_backend_successes"+l, float64(be.successes.Load()))
-		emit("lb_backend_failures"+l, float64(be.failures.Load()))
-		emit("lb_backend_probes"+l, float64(be.probes.Load()))
-		emit("lb_backend_probe_failures"+l, float64(be.probeFailures.Load()))
+		emit("lb_backend_picks"+l, float64(be.picks))
+		emit("lb_backend_successes"+l, float64(be.successes))
+		emit("lb_backend_failures"+l, float64(be.failures))
+		emit("lb_backend_probes"+l, float64(be.probes))
+		emit("lb_backend_probe_failures"+l, float64(be.probeFailures))
 		emit("lb_backend_ejections"+l, float64(be.breaker.Ejections()))
 	}
 }

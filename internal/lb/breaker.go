@@ -1,8 +1,6 @@
 package lb
 
 import (
-	"sync/atomic"
-
 	"spin/internal/sim"
 )
 
@@ -39,16 +37,15 @@ const (
 // Breaker is one backend's circuit breaker: closed → (threshold consecutive
 // failures) → open → (breakerOpenTimeout, on a virtual-time engine timer) →
 // half-open → one probe success closes it, one probe failure re-opens it.
-// Mutations happen only in engine context; the state itself is an atomic so
-// observability renderers on other goroutines read it safely.
+// It is read and written only in engine context.
 type Breaker struct {
 	engine *sim.Engine
 
-	state    atomic.Int32
+	state    BreakerState
 	failures int // consecutive, in the closed state
 	timer    *sim.Event
 
-	ejections atomic.Int64 // closed/half-open -> open transitions
+	ejections int64 // closed/half-open -> open transitions
 
 	// onChange, when set, observes every state transition (the Balancer
 	// uses it to rebuild the ring). Runs in engine context.
@@ -60,11 +57,11 @@ func NewBreaker(engine *sim.Engine) *Breaker {
 	return &Breaker{engine: engine}
 }
 
-// State reads the breaker's position (safe from any goroutine).
-func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
+// State reads the breaker's position.
+func (b *Breaker) State() BreakerState { return b.state }
 
 // Ejections counts how many times the breaker has opened.
-func (b *Breaker) Ejections() int64 { return b.ejections.Load() }
+func (b *Breaker) Ejections() int64 { return b.ejections }
 
 // Allow reports whether a request may be sent through this breaker: closed
 // and half-open pass (half-open traffic IS the probe), open rejects.
@@ -104,7 +101,7 @@ func (b *Breaker) ForceOpen() {
 }
 
 func (b *Breaker) open() {
-	b.ejections.Add(1)
+	b.ejections++
 	b.transition(BreakerOpen)
 	b.timer = b.engine.After(breakerOpenTimeout, func() {
 		b.timer = nil
@@ -123,12 +120,12 @@ func (b *Breaker) Stop() {
 }
 
 func (b *Breaker) transition(to BreakerState) {
-	from := BreakerState(b.state.Load())
+	from := b.state
 	if from == to {
 		return
 	}
 	b.failures = 0
-	b.state.Store(int32(to))
+	b.state = to
 	if b.onChange != nil {
 		b.onChange(from, to)
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"strconv"
-	"sync/atomic"
 
 	"spin/internal/metrics"
 	"spin/internal/netstack"
@@ -72,18 +70,17 @@ type ResilientDialer struct {
 	policy RetryPolicy
 	rand   *sim.Rand
 
-	// budgetBits is the retry token bucket (a float64 via math.Float64bits):
-	// mutated only on the Driver's loop (in Driver.Run), readable lock-free
-	// by reports.
-	budgetBits atomic.Uint64
-	reqSeq     uint64
+	// budget is the retry token bucket, read and written on the Driver's
+	// loop (in Driver.Run).
+	budget float64
+	reqSeq uint64
 
-	requests     atomic.Int64
-	attempts     atomic.Int64
-	retries      atomic.Int64
-	failovers    atomic.Int64
-	budgetSpent  atomic.Int64
-	budgetDenied atomic.Int64
+	requests     int64
+	attempts     int64
+	retries      int64
+	failovers    int64
+	budgetSpent  int64
+	budgetDenied int64
 }
 
 // NewResilientDialer wraps a machine's socket layer with balancer-driven
@@ -99,14 +96,9 @@ func NewResilientDialer(s *netstack.Sockets, bal *Balancer, policy RetryPolicy, 
 		policy: policy,
 		rand:   sim.NewRand(seed ^ 0x5e111e27),
 	}
-	rd.setBudget(policy.BudgetCap / 2) // start half-full: early failures may retry
+	rd.budget = policy.BudgetCap / 2 // start half-full: early failures may retry
 	return rd
 }
-
-// budget / setBudget access the token bucket (float64 behind an atomic;
-// writers run on the Driver's loop, readers may be anywhere).
-func (rd *ResilientDialer) budget() float64     { return math.Float64frombits(rd.budgetBits.Load()) }
-func (rd *ResilientDialer) setBudget(v float64) { rd.budgetBits.Store(math.Float64bits(v)) }
 
 // Dial implements the net.Dial shape; see DialContext.
 func (rd *ResilientDialer) Dial(network, address string) (net.Conn, error) {
@@ -132,15 +124,14 @@ func (rd *ResilientDialer) DialContext(ctx context.Context, network, address str
 	if err != nil {
 		return nil, fmt.Errorf("lb: dial %s: bad port: %w", address, err)
 	}
-	rd.requests.Add(1)
-
 	var (
 		key        uint64
 		candidates [maxFailoverCandidates]string
 		n          int
 	)
 	rd.s.Driver().Run(func() {
-		rd.setBudget(minf(rd.budget()+budgetRatio, rd.policy.BudgetCap))
+		rd.requests++
+		rd.budget = minf(rd.budget+budgetRatio, rd.policy.BudgetCap)
 		rd.reqSeq++
 		key = sim.Mix64(rd.rand.Uint64() ^ rd.reqSeq)
 		n = rd.bal.Sequence(key, candidates[:])
@@ -155,25 +146,28 @@ func (rd *ResilientDialer) DialContext(ctx context.Context, network, address str
 			// A retry must be paid for, then backed off.
 			ok := false
 			rd.s.Driver().Run(func() {
-				if b := rd.budget(); b >= 1 {
-					rd.setBudget(b - 1)
-					ok = true
+				if ok = rd.budget >= 1; ok {
+					rd.budget--
+					rd.budgetSpent++
+					rd.retries++
+				} else {
+					rd.budgetDenied++
 				}
 			})
 			if !ok {
-				rd.budgetDenied.Add(1)
 				return nil, fmt.Errorf("lb: dial %s: %w (last error: %v)", address, ErrBudgetExhausted, lastErr)
 			}
-			rd.budgetSpent.Add(1)
-			rd.retries.Add(1)
 			rd.sleep(rd.backoff(attempt))
 		}
 		name := candidates[attempt%n]
-		if attempt > 0 && name != candidates[0] {
-			rd.failovers.Add(1)
-		}
-		rd.attempts.Add(1)
-		host := rd.bal.Host(name)
+		var host string
+		rd.s.Driver().Run(func() {
+			if attempt > 0 && name != candidates[0] {
+				rd.failovers++
+			}
+			rd.attempts++
+			host = rd.bal.Host(name)
+		})
 		conn, err := rd.inner.DialContext(ctx, network, net.JoinHostPort(host, strconv.FormatUint(port, 10)))
 		rd.s.Driver().Run(func() {
 			if err == nil {
@@ -218,16 +212,17 @@ func (rd *ResilientDialer) sleep(d sim.Duration) {
 }
 
 // Metrics emits the dialer's request, attempt, retry and failover counts
-// and its retry budget: tokens held, spent and denied. Safe from any
-// goroutine.
+// and its retry budget: tokens held, spent and denied. Like every counter
+// here it runs on the client machine's owner (through Driver.Run from
+// elsewhere).
 func (rd *ResilientDialer) Metrics(emit metrics.Emit) {
-	emit("lb_client_requests", float64(rd.requests.Load()))
-	emit("lb_client_attempts", float64(rd.attempts.Load()))
-	emit("lb_client_retries", float64(rd.retries.Load()))
-	emit("lb_client_failovers", float64(rd.failovers.Load()))
-	emit("lb_client_budget_tokens", rd.budget())
-	emit("lb_client_budget_spent", float64(rd.budgetSpent.Load()))
-	emit("lb_client_budget_denied", float64(rd.budgetDenied.Load()))
+	emit("lb_client_requests", float64(rd.requests))
+	emit("lb_client_attempts", float64(rd.attempts))
+	emit("lb_client_retries", float64(rd.retries))
+	emit("lb_client_failovers", float64(rd.failovers))
+	emit("lb_client_budget_tokens", rd.budget)
+	emit("lb_client_budget_spent", float64(rd.budgetSpent))
+	emit("lb_client_budget_denied", float64(rd.budgetDenied))
 }
 
 func minf(a, b float64) float64 {

@@ -12,15 +12,14 @@
 // from seeded generators — so a topology run that includes a balancer
 // replays byte-identically, failures included.
 //
-// Concurrency discipline: Balancer and Breaker mutate state only in engine
-// context (inside engine callbacks, or on the netstack.Driver's loop via
-// Driver.Run). Breaker states are additionally published through atomics so
-// report renderers on other goroutines read safely.
+// Ownership: a balancer belongs to its client machine. Balancer, Breaker
+// and ResilientDialer state is read and written only by whoever steps that
+// machine's engine (inside engine callbacks, or on the netstack.Driver's
+// loop via Driver.Run), so it is plain fields.
 package lb
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"spin/internal/sim"
 )
@@ -39,14 +38,13 @@ type ringState struct {
 	members []string
 }
 
-// Ring is a seeded consistent-hash ring. Membership changes rebuild an
-// immutable snapshot behind an atomic pointer (the dispatcher's
-// copy-on-write discipline), so Pick on the hot path is a lock-free load
-// plus a binary search — no locks, no allocation.
+// Ring is a seeded consistent-hash ring. Membership changes rebuild its
+// state whole, so Pick on the hot path is a binary search with no
+// allocation.
 type Ring struct {
 	seed   uint64
 	vnodes int
-	state  atomic.Pointer[ringState]
+	state  *ringState
 }
 
 // DefaultVnodes is the per-member vnode count: enough that removing one of
@@ -61,7 +59,7 @@ func NewRing(seed uint64, vnodes int) *Ring {
 		vnodes = DefaultVnodes
 	}
 	r := &Ring{seed: seed, vnodes: vnodes}
-	r.state.Store(&ringState{})
+	r.state = &ringState{}
 	return r
 }
 
@@ -84,12 +82,12 @@ func (r *Ring) SetMembers(names []string) {
 		}
 	}
 	sort.Slice(st.points, func(a, b int) bool { return st.points[a].hash < st.points[b].hash })
-	r.state.Store(st)
+	r.state = st
 }
 
 // Members returns the current member names, sorted (the snapshot's own
 // slice; callers must not mutate it).
-func (r *Ring) Members() []string { return r.state.Load().members }
+func (r *Ring) Members() []string { return r.state.members }
 
 // pickIdx finds the index of the first vnode at or clockwise of key.
 func (st *ringState) pickIdx(key uint64) int {
@@ -112,7 +110,7 @@ func (st *ringState) pickIdx(key uint64) int {
 // Pick routes key to a member: the owner of the first vnode clockwise of
 // the key. Allocation-free; returns "" on an empty ring.
 func (r *Ring) Pick(key uint64) string {
-	st := r.state.Load()
+	st := r.state
 	if len(st.points) == 0 {
 		return ""
 	}
@@ -124,7 +122,7 @@ func (r *Ring) Pick(key uint64) string {
 // entry is Pick's answer). It returns how many it wrote (min of ring size
 // and len(buf)); allocation-free.
 func (r *Ring) Sequence(key uint64, buf []string) int {
-	st := r.state.Load()
+	st := r.state
 	if len(st.points) == 0 || len(buf) == 0 {
 		return 0
 	}

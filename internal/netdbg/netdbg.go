@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"spin/internal/dispatch"
 	"spin/internal/metrics"
@@ -41,17 +40,17 @@ type Target struct {
 type Debugger struct {
 	stack   *netstack.Stack
 	target  Target
-	queries atomic.Int64
+	queries int64
 }
 
 // Queries counts requests served.
-func (d *Debugger) Queries() int64 { return d.queries.Load() }
+func (d *Debugger) Queries() int64 { return d.queries }
 
 // New installs the debugger on stack at port.
 func New(stack *netstack.Stack, port uint16, target Target) (*Debugger, error) {
 	d := &Debugger{stack: stack, target: target}
 	err := stack.UDP().Bind(port, netstack.InKernelDelivery, func(pkt *netstack.Packet) {
-		d.queries.Add(1)
+		d.queries++
 		reply := d.execute(string(pkt.Payload))
 		_ = stack.UDP().Send(port, pkt.Src, pkt.SrcPort, []byte(reply))
 	})

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"spin/internal/metrics"
 	"spin/internal/sim"
@@ -357,8 +355,9 @@ func (m *DNSMessage) decode(b []byte) error {
 // nameserver (Machine.ServeDNS exports the zone's interface and the server
 // imports it back), keeping SPIN's naming discipline: the network
 // nameserver is an extension wired up by name, not a special case.
+// Like the machine's stack, it is read and written by whoever steps the
+// machine's engine.
 type Zone struct {
-	mu   sync.Mutex
 	recs map[string]zoneEntry
 }
 
@@ -386,8 +385,6 @@ func (z *Zone) AddA(name string, ttl sim.Duration, addrs ...IPAddr) error {
 	if ttl <= 0 {
 		ttl = 60 * sim.Second
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	z.recs[cn] = zoneEntry{addrs: append([]IPAddr(nil), addrs...), ttl: ttl}
 	return nil
 }
@@ -398,8 +395,6 @@ func (z *Zone) Remove(name string) bool {
 	if err != nil {
 		return false
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	_, ok := z.recs[cn]
 	delete(z.recs, cn)
 	return ok
@@ -412,8 +407,6 @@ func (z *Zone) LookupA(name string) (addrs []IPAddr, ttl sim.Duration, ok bool) 
 	if err != nil {
 		return nil, 0, false
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	e, ok := z.recs[cn]
 	if !ok {
 		return nil, 0, false
@@ -423,8 +416,6 @@ func (z *Zone) LookupA(name string) (addrs []IPAddr, ttl sim.Duration, ok bool) 
 
 // Names lists the zone's names, sorted.
 func (z *Zone) Names() []string {
-	z.mu.Lock()
-	defer z.mu.Unlock()
 	out := make([]string, 0, len(z.recs))
 	for n := range z.recs {
 		out = append(out, n)
@@ -445,11 +436,11 @@ type DNSServer struct {
 	// the simulation goroutine, one datagram at a time.
 	query DNSMessage
 
-	queries   atomic.Int64 // well-formed queries received
-	answered  atomic.Int64 // replies carrying A records
-	nxdomain  atomic.Int64 // names not in the zone
-	nodata    atomic.Int64 // names present but without records of the asked type
-	malformed atomic.Int64 // datagrams the codec (or shape check) rejected
+	queries   int64 // well-formed queries received
+	answered  int64 // replies carrying A records
+	nxdomain  int64 // names not in the zone
+	nodata    int64 // names present but without records of the asked type
+	malformed int64 // datagrams the codec (or shape check) rejected
 }
 
 // NewDNSServer binds the server to UDP port 53 with in-kernel delivery,
@@ -470,13 +461,13 @@ func NewDNSServer(owner string, stack *Stack, lookup ZoneLookup) (*DNSServer, er
 // Close releases the server's port.
 func (s *DNSServer) Close() { s.stack.UDP().Unbind(DNSPort) }
 
-// Metrics emits the server's query counters. Safe from any goroutine.
+// Metrics emits the server's query counters.
 func (s *DNSServer) Metrics(emit metrics.Emit) {
-	emit("dns_server_queries", float64(s.queries.Load()))
-	emit("dns_server_answered", float64(s.answered.Load()))
-	emit("dns_server_nxdomain", float64(s.nxdomain.Load()))
-	emit("dns_server_nodata", float64(s.nodata.Load()))
-	emit("dns_server_malformed", float64(s.malformed.Load()))
+	emit("dns_server_queries", float64(s.queries))
+	emit("dns_server_answered", float64(s.answered))
+	emit("dns_server_nxdomain", float64(s.nxdomain))
+	emit("dns_server_nodata", float64(s.nodata))
+	emit("dns_server_malformed", float64(s.malformed))
 }
 
 // serve answers one query datagram. Malformed or non-query traffic is
@@ -486,12 +477,12 @@ func (s *DNSServer) Metrics(emit metrics.Emit) {
 func (s *DNSServer) serve(pkt *Packet) {
 	q := &s.query
 	if err := q.decode(pkt.Payload); err != nil || q.Response || len(q.Questions) != 1 {
-		s.malformed.Add(1)
+		s.malformed++
 		return
 	}
 	question := q.Questions[0]
 	addrs, ttl, exists := s.lookup(question.Name)
-	s.queries.Add(1)
+	s.queries++
 	flags := uint16(dnsFlagQR | dnsFlagRA)
 	if q.RD {
 		flags |= dnsFlagRD
@@ -500,14 +491,14 @@ func (s *DNSServer) serve(pkt *Packet) {
 	case !exists:
 		flags |= DNSRCodeNXDomain
 		addrs = nil
-		s.nxdomain.Add(1)
+		s.nxdomain++
 	case question.Type != DNSTypeA || len(addrs) == 0:
 		// The name exists but has nothing of the asked type: NODATA — an
 		// empty NOERROR answer (we only store A records).
 		addrs = nil
-		s.nodata.Add(1)
+		s.nodata++
 	default:
-		s.answered.Add(1)
+		s.answered++
 	}
 	ttlSec := uint32((ttl + sim.Second - 1) / sim.Second)
 	if ttlSec == 0 {

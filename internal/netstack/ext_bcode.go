@@ -8,7 +8,7 @@ import "spin/internal/bcode"
 //   - AttachXDP hangs one verified program below the protocol graph, at
 //     the very top of receive1 — the XDP position. Its verdict is binary
 //     (nonzero = drop before the link-layer event fires), its cost is one
-//     atomic load when absent, and it cannot reach kernel memory at all:
+//     nil check when absent, and it cannot reach kernel memory at all:
 //     the verifier proved every load in bounds before the program was
 //     admitted.
 //
@@ -61,21 +61,21 @@ func (s *Stack) AttachXDP(name string, prog *bcode.Program) (*XDPFilter, error) 
 	if err != nil {
 		return nil, err
 	}
-	s.xdp.Store(x)
+	s.xdp = x
 	return x, nil
 }
 
 // DetachXDP removes the attached XDP program, if any.
-func (s *Stack) DetachXDP() { s.xdp.Store(nil) }
+func (s *Stack) DetachXDP() { s.xdp = nil }
 
 // XDP returns the attached XDP program, or nil.
-func (s *Stack) XDP() *XDPFilter { return s.xdp.Load() }
+func (s *Stack) XDP() *XDPFilter { return s.xdp }
 
 // xdpDrop evaluates the attached program (if any) against pkt, charging one
 // guard evaluation, and reports whether the packet is to be dropped. The
 // context lives on this frame: Run is a direct call that keeps no reference.
 func (s *Stack) xdpDrop(pkt *Packet) bool {
-	x := s.xdp.Load()
+	x := s.xdp
 	if x == nil {
 		return false
 	}

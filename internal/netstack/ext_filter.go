@@ -273,9 +273,7 @@ func NewProgramFilter(stack *Stack, name string, prog *bcode.Program, action Fil
 	if err != nil {
 		return nil, err
 	}
-	stack.filterMu.Lock()
 	stack.filters = append(stack.filters, f)
-	stack.filterMu.Unlock()
 	return f, nil
 }
 
@@ -305,8 +303,6 @@ func (f *PacketFilter) Quarantined() bool {
 // Remove uninstalls the filter (a no-op if quarantine already did).
 func (f *PacketFilter) Remove() {
 	_ = f.stack.disp.Remove(f.ref)
-	f.stack.filterMu.Lock()
-	defer f.stack.filterMu.Unlock()
 	if i := slices.Index(f.stack.filters, f); i >= 0 {
 		f.stack.filters = slices.Delete(f.stack.filters, i, i+1)
 	}

@@ -1,9 +1,6 @@
 package netstack
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -41,9 +38,8 @@ const (
 )
 
 // reassembly buffers partially arrived datagrams, keyed by (src, id), in one
-// table under one lock.
+// table.
 type reassembly struct {
-	mu    sync.Mutex
 	parts agedTable[fragKey, *fragBuffer]
 }
 
@@ -131,7 +127,8 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 	if maxPayload <= 0 {
 		maxPayload = mtu / 2
 	}
-	id := atomic.AddUint32(&s.fragID, 1)
+	s.fragID++
+	id := s.fragID
 	payload := pkt.Payload
 	for off := 0; off < len(payload); off += maxPayload {
 		end := off + maxPayload
@@ -162,16 +159,12 @@ func (s *Stack) sendFragmented(pkt *Packet, nic *sal.NIC, mtu int) error {
 // offsets, or an end past MaxDatagram — are dropped: found by
 // FuzzFragmentReassembly, a negative offset previously panicked the copy
 // below and an oversized offset let one datagram allocate without bound.
-//
-// The lock covers one fragment's bookkeeping.
 func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duration) {
 	off := int(pkt.FragOffset)
 	if off < 0 || off > MaxDatagram || off+len(pkt.Payload) > MaxDatagram {
 		return nil, 0
 	}
 	key := fragKey{src: pkt.Src, id: pkt.FragID}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	buf, ok := r.parts.get(key)
 	if !ok {
 		// A new datagram starting: put evicts what the TTL says is dead,
@@ -208,14 +201,10 @@ func (r *reassembly) reassemble(pkt *Packet, now sim.Time) (*Packet, sim.Duratio
 
 // Pending reports datagrams awaiting fragments.
 func (r *reassembly) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.parts.len()
 }
 
 // Evicted reports partial datagrams dropped by the TTL or the pending cap.
 func (r *reassembly) Evicted() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.parts.evicted
 }

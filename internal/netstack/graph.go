@@ -26,15 +26,15 @@ func (s *Stack) Graph() string {
 			fmt.Fprintf(&b, "      -> [%s]\n", o)
 		}
 	}
-	// Port tables are handlers too (snapshot loads; safe during traffic).
-	if ports := s.udp.ports.Snapshot(); len(ports) > 0 {
+	// Port tables are handlers too.
+	if ports := s.udp.ports; len(ports) > 0 {
 		fmt.Fprintf(&b, "  UDP ports:")
 		for p := range ports {
 			fmt.Fprintf(&b, " %d", p)
 		}
 		fmt.Fprintln(&b)
 	}
-	if listeners := s.tcp.listeners.Snapshot(); len(listeners) > 0 {
+	if listeners := s.tcp.listeners; len(listeners) > 0 {
 		fmt.Fprintf(&b, "  TCP listeners:")
 		for p := range listeners {
 			fmt.Fprintf(&b, " %d", p)

@@ -129,10 +129,9 @@ type Packet struct {
 	MoreFrags  bool
 
 	// Pool state. pooled marks packets from AllocPacket; refs is their
-	// reference count, manipulated atomically (a plain int32 rather than
-	// atomic.Int32 so existing by-value Packet copies stay legal — copies
-	// clear it). Both are zero on ordinary &Packet{} literals, which makes
-	// Retain/Release strict no-ops for them.
+	// reference count, kept by the owner of the topology the packet
+	// crosses (copies clear it). Both are zero on ordinary &Packet{}
+	// literals, which makes Retain/Release strict no-ops for them.
 	pooled bool
 	refs   int32
 }
@@ -169,13 +168,15 @@ const maxPooledPayload = 16 << 10
 func AllocPacket() *Packet {
 	p := pktPool.Get().(*Packet)
 	p.pooled = true
-	atomic.StoreInt32(&p.refs, 1)
+	p.refs = 1
 	livePackets.Add(1)
 	return p
 }
 
 // livePackets counts the packets AllocPacket handed out that have not had
-// their last Release. One simulation runs on one goroutine, so the count is
+// their last Release. It is the one packet counter kept atomically: it
+// counts for the whole process, and separate topologies may run on separate
+// goroutines at once. One simulation runs on one goroutine, so the count is
 // uncontended.
 var livePackets atomic.Int64
 
@@ -188,7 +189,7 @@ func LivePackets() int64 { return livePackets.Load() }
 // second owner. No-op on non-pooled packets.
 func (p *Packet) Retain() *Packet {
 	if p.pooled {
-		atomic.AddInt32(&p.refs, 1)
+		p.refs++
 	}
 	return p
 }
@@ -200,11 +201,11 @@ func (p *Packet) Release() {
 	if !p.pooled {
 		return
 	}
-	n := atomic.AddInt32(&p.refs, -1)
-	if n > 0 {
+	p.refs--
+	if p.refs > 0 {
 		return
 	}
-	if n < 0 {
+	if p.refs < 0 {
 		panic("netstack: Packet released more times than retained")
 	}
 	livePackets.Add(-1)

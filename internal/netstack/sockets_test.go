@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"spin/internal/metrics"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -129,6 +130,122 @@ func TestSockConnEchoAndEOF(t *testing.T) {
 	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("read after close: %v", err)
 	}
+}
+
+// The one-owner contract under -race: while socket flows run on a Driver,
+// another goroutine reads each machine's metrics, TCP().Conns() and
+// Unsettled() through Driver.Run, the one way onto a running machine. Every
+// reading is taken between steps, so it agrees with itself: the table's
+// length is the metric, no more connections are armed or queued than live,
+// each received frame was raised once, and accepts only grow. Once the
+// flows end, the totals are the sums of the per-flow counts.
+func TestSockReadersThroughDriver(t *testing.T) {
+	sa, sb, a, b := sockPair(t)
+	drv := sa.Driver()
+	ln, err := sb.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 4
+	sizes := [flows]int{20000, 33000, 47000, 61000}
+	var received [flows]int
+	var wg sync.WaitGroup
+	wg.Add(2 * flows)
+	go func() {
+		for i := 0; i < flows; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				t.Error(err)
+				wg.Add(-(flows - i))
+				return
+			}
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				var first [1]byte
+				if _, err := io.ReadFull(c, first[:]); err != nil {
+					t.Error(err)
+					return
+				}
+				n, err := io.Copy(io.Discard, c)
+				if err != nil {
+					t.Error(err)
+				}
+				received[first[0]] = int(n) + 1
+			}()
+		}
+	}()
+	for i := 0; i < flows; i++ {
+		go func() {
+			defer wg.Done()
+			c, err := sa.Dialer().Dial("tcp", "10.0.0.2:7")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf := bytes.Repeat([]byte{byte(i)}, sizes[i])
+			for off := 0; off < len(buf); off += 4096 {
+				if _, err := c.Write(buf[off:min(off+4096, len(buf))]); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			c.Close()
+		}()
+	}
+
+	stop := make(chan struct{})
+	readerDone := make(chan int)
+	go func() {
+		readings, lastAccepted := 0, 0.0
+		for {
+			select {
+			case <-stop:
+				readerDone <- readings
+				return
+			default:
+			}
+			drv.Run(func() {
+				for _, h := range []*host{a, b} {
+					conns := h.stack.TCP().Conns()
+					queued, armed := h.stack.TCP().Unsettled()
+					m := metrics.Value(h.stack, "net_tcp_conns")
+					rx := metrics.Value(h.stack, "net_rx_packets")
+					raised := metrics.Value(h.stack.Dispatcher(), `dispatch_raises{event="Ether.PktArrived"}`)
+					if m != float64(conns) || queued > conns || armed > conns || rx != raised {
+						t.Errorf("%s: %d conns (metric %v), %d queued, %d armed, %v received, %v raised",
+							h.stack.Host, conns, m, queued, armed, rx, raised)
+					}
+				}
+				accepted := metrics.Value(b.stack, "net_tcp_accepted")
+				if accepted < lastAccepted || accepted > flows {
+					t.Errorf("accepted went %v -> %v", lastAccepted, accepted)
+				}
+				lastAccepted = accepted
+			})
+			readings++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if readings := <-readerDone; readings == 0 {
+		t.Error("the reader never read")
+	}
+	ln.Close()
+	drv.Drain()
+	drv.Run(func() {
+		for i, n := range received {
+			if n != sizes[i] {
+				t.Errorf("flow %d: %d of %d bytes received", i, n, sizes[i])
+			}
+		}
+		if got := metrics.Value(b.stack, "net_tcp_accepted"); got != flows {
+			t.Errorf("accepted %v connections, %d flows", got, flows)
+		}
+		if got := a.stack.TCP().Conns() + b.stack.TCP().Conns(); got != 0 {
+			t.Errorf("%d connections left after every flow closed", got)
+		}
+	})
 }
 
 // A virtual-time read deadline unblocks a reader with

@@ -4,11 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
-	"sync"
-	"sync/atomic"
 
-	"spin/internal/cow"
 	"spin/internal/dispatch"
 	"spin/internal/domain"
 	"spin/internal/faultinject"
@@ -60,27 +56,27 @@ const DefaultRXQueueDepth = 1024
 // rxQueue is one NIC's bounded receive queue. The driver upcall enqueues in
 // interrupt context by posting the packet's own engine step, which runs its
 // protocol processing (rxPosted); depth counts the steps posted and not yet
-// run. Only the simulation goroutine touches depth.
+// run.
 type rxQueue struct {
 	stack     *Stack
 	nic       *sal.NIC
 	linkEvent *dispatch.Event
 	depth     int
-	accepted  atomic.Int64
-	dropped   atomic.Int64
+	accepted  int64
+	dropped   int64
 }
 
 // Stack is one machine's protocol stack. It attaches NIC drivers at the
 // bottom, defines the protocol-graph events on the machine's dispatcher,
 // and hosts the UDP/TCP port tables.
 //
-// Concurrency model: packets are received, sent and timed on the simulation
-// goroutine (whichever goroutine steps the engine; behind the socket
-// adapters, the Driver's loop), one engine step per received packet; raises
-// charge the machine's clock, so they run there too (see sim.Clock). Other
-// goroutines may read Metrics, whose counters are atomics. The route, UDP
-// port and TCP listener tables are cow.Maps, so a reader never sees a torn
-// table.
+// Ownership: a stack belongs to its machine. Packets are received, sent and
+// timed by whoever steps the machine's engine (behind the socket adapters,
+// the Driver's loop), one engine step per received packet, and only that
+// owner reads or writes the stack's tables and counters (Metrics, Conns,
+// Stats included); any other goroutine goes through Driver.Run, or waits
+// until stepping has stopped. So nothing here locks: the route, UDP port
+// and TCP tables are plain maps and the counters plain integers.
 type Stack struct {
 	Host    string
 	IP      IPAddr
@@ -92,39 +88,34 @@ type Stack struct {
 	// go by handle, not by name.
 	evEther, evATM, evIP, evICMP, evUDP, evTCP *dispatch.Event
 
-	// mu serializes Attach (the queue list and the default NIC change
-	// together). The receive path never takes it.
-	mu sync.Mutex
 	// routes maps destination address -> outbound NIC.
-	routes cow.Map[IPAddr, *sal.NIC]
+	routes map[IPAddr]*sal.NIC
 	// defaultNIC carries packets with no specific route.
-	defaultNIC atomic.Pointer[sal.NIC]
+	defaultNIC *sal.NIC
 
-	// rxqs is the copy-on-write list of per-NIC receive queues, in Attach
-	// order.
-	rxqs atomic.Pointer[[]*rxQueue]
+	// rxqs lists the per-NIC receive queues, in Attach order.
+	rxqs []*rxQueue
 
 	udp *UDP
 	tcp *TCP
 
 	// fragID numbers outbound fragmented datagrams; reasm collects
 	// inbound fragments.
-	fragID uint32 // accessed atomically
+	fragID uint32
 	reasm  *reassembly
 
-	received atomic.Int64
-	sent     atomic.Int64
+	received int64
+	sent     int64
 	// rxPanics counts handler panics contained in the receive path: a
 	// faulty protocol handler costs its packet, never the drain or the
 	// kernel (paper §4.3 applied to the data path).
-	rxPanics atomic.Int64
+	rxPanics int64
 
 	// xdp is the verified early-drop program evaluated before the
 	// link-layer event fires (see ext_bcode.go); filters tracks the
 	// installed IP-layer filters for the metrics surface.
-	xdp      atomic.Pointer[XDPFilter]
-	filterMu sync.Mutex
-	filters  []*PacketFilter
+	xdp     *XDPFilter
+	filters []*PacketFilter
 }
 
 // NewStack builds a protocol stack on the machine's dispatcher and defines
@@ -139,8 +130,6 @@ func NewStack(host string, ip IPAddr, engine *sim.Engine, profile *sim.Profile, 
 		disp:    disp,
 		reasm:   newReassembly(),
 	}
-	emptyQueues := []*rxQueue(nil)
-	s.rxqs.Store(&emptyQueues)
 	// The IP module is the default implementation module for
 	// IP.PacketArrived: its authorizer hands each installer a guard
 	// comparing the packet's protocol type against what the handler may
@@ -222,18 +211,15 @@ func (s *Stack) Clock() *sim.Clock { return s.clock }
 // full queue drops the frame — explicit backpressure, never unbounded
 // buffering.
 func (s *Stack) Attach(nic *sal.NIC) {
-	s.mu.Lock()
-	if s.defaultNIC.Load() == nil {
-		s.defaultNIC.Store(nic)
+	if s.defaultNIC == nil {
+		s.defaultNIC = nic
 	}
 	linkEvent := s.evEther
 	if nic.Model.CellSize > 0 {
 		linkEvent = s.evATM
 	}
 	q := &rxQueue{stack: s, nic: nic, linkEvent: linkEvent}
-	next := append(slices.Clone(*s.rxqs.Load()), q)
-	s.rxqs.Store(&next)
-	s.mu.Unlock()
+	s.rxqs = append(s.rxqs, q)
 	nic.OnReceive = func(f sal.NetFrame) bool {
 		pkt, ok := f.Payload.(*Packet)
 		if !ok {
@@ -254,14 +240,14 @@ func (s *Stack) Attach(nic *sal.NIC) {
 // receive. A full queue drops the packet and counts it.
 func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 	if q.depth == DefaultRXQueueDepth {
-		q.dropped.Add(1)
+		q.dropped++
 		if tr := s.disp.Tracer(); tr != nil {
 			tr.Trace(trace.Record{Event: "net.rx.dropped", Origin: "net", Start: s.clock.Now()})
 		}
 		return false
 	}
 	q.depth++
-	q.accepted.Add(1)
+	q.accepted++
 	// Protocol processing runs in a separately scheduled kernel thread
 	// outside the interrupt handler (paper §5.3).
 	s.engine.Post(s.clock.Now(), rxPosted, q, pkt, 0)
@@ -291,7 +277,7 @@ func (s *Stack) receivePosted(linkEvent *dispatch.Event, pkt *Packet) {
 func (s *Stack) safeReceive(linkEvent *dispatch.Event, pkt *Packet) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.rxPanics.Add(1)
+			s.rxPanics++
 			if tr := s.disp.Tracer(); tr != nil {
 				tr.Trace(trace.Record{
 					Event: "net.rx.panic", Origin: "net",
@@ -319,33 +305,36 @@ func (s *Stack) ReceiveOne(pkt *Packet) {
 // packets (non-pooled ones are unaffected — Release is a no-op — so tests
 // may re-inject the same literal).
 func (s *Stack) InjectRX(nicIndex int, pkt *Packet) bool {
-	qs := *s.rxqs.Load()
-	if nicIndex < 0 || nicIndex >= len(qs) {
+	if nicIndex < 0 || nicIndex >= len(s.rxqs) {
 		return false
 	}
-	return s.enqueueRX(qs[nicIndex], pkt)
+	return s.enqueueRX(s.rxqs[nicIndex], pkt)
 }
 
 // AddRoute directs packets for dst out through nic.
-func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) { s.routes.Set(dst, nic) }
+func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) {
+	s.AddRoutes(map[IPAddr]*sal.NIC{dst: nic})
+}
 
-// AddRoutes installs a whole table of routes in one publish; AddRoute
-// copies the table once per route.
+// AddRoutes installs a whole table of routes.
 func (s *Stack) AddRoutes(routes map[IPAddr]*sal.NIC) {
-	s.routes.Update(func(next map[IPAddr]*sal.NIC) { maps.Copy(next, routes) })
+	if s.routes == nil {
+		s.routes = make(map[IPAddr]*sal.NIC, len(routes))
+	}
+	maps.Copy(s.routes, routes)
 }
 
 // Routes reports how many destination-specific routes are installed; every
 // other destination goes out through the default NIC.
-func (s *Stack) Routes() int { return len(s.routes.Snapshot()) }
+func (s *Stack) Routes() int { return len(s.routes) }
 
 // routeFor resolves the outbound NIC for dst: the specific route if one is
-// installed, else the default NIC. Lock-free.
+// installed, else the default NIC.
 func (s *Stack) routeFor(dst IPAddr) *sal.NIC {
-	if nic, _ := s.routes.Get(dst); nic != nil {
+	if nic := s.routes[dst]; nic != nil {
 		return nic
 	}
-	return s.defaultNIC.Load()
+	return s.defaultNIC
 }
 
 // receive pushes one packet up the graph, timing the whole inbound path
@@ -373,7 +362,7 @@ func (s *Stack) receive1(linkEvent *dispatch.Event, pkt *Packet) {
 	if s.xdpDrop(pkt) {
 		return
 	}
-	s.received.Add(1)
+	s.received++
 	// Link layer processing + event.
 	s.clock.Advance(s.profile.ProtoLayer)
 	if claimed, _ := s.disp.RaiseEvent(linkEvent, pkt).(bool); claimed {
@@ -458,7 +447,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 		// resolving through itself, a balancer probing a local backend)
 		// deadlocks on a query no wire will ever carry.
 		s.clock.Advance(2*s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
-		s.sent.Add(1)
+		s.sent++
 		s.engine.Post(s.clock.Now(), loopbackPosted, s, pkt, 0)
 		return nil
 	}
@@ -470,7 +459,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 	// Transport + IP header construction, plus the transport checksum
 	// over the payload.
 	s.clock.Advance(2*s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
-	s.sent.Add(1)
+	s.sent++
 	if mtu := mtuFor(nic); pkt.WireSize()-EtherHeader > mtu {
 		return s.sendFragmented(pkt, nic, mtu)
 	}
@@ -514,36 +503,31 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload int, cb func(rtt sim.Durati
 	return nil
 }
 
-// Stats reports packets received and sent at the IP layer. Counters are
-// atomics, so it is safe from any goroutine.
-func (s *Stack) Stats() (received, sent int64) { return s.received.Load(), s.sent.Load() }
+// Stats reports packets received and sent at the IP layer.
+func (s *Stack) Stats() (received, sent int64) { return s.received, s.sent }
 
 // Metrics emits the stack's packet counters (IP-layer rx/tx, the RX queues,
 // reassembly, contained RX panics), the pooled packets held,
 // the TCP module's, and every verified program loaded into the stack.
-// Counters are atomics, so it is safe from any goroutine.
 func (s *Stack) Metrics(emit metrics.Emit) {
-	emit("net_rx_packets", float64(s.received.Load()))
-	emit("net_tx_packets", float64(s.sent.Load()))
+	emit("net_rx_packets", float64(s.received))
+	emit("net_tx_packets", float64(s.sent))
 	var accepted, dropped int64
-	for _, q := range *s.rxqs.Load() {
-		accepted += q.accepted.Load()
-		dropped += q.dropped.Load()
+	for _, q := range s.rxqs {
+		accepted += q.accepted
+		dropped += q.dropped
 	}
 	emit("net_rx_queue_accepted", float64(accepted))
 	emit("net_rx_queue_dropped", float64(dropped))
 	emit("net_reassembly_pending", float64(s.reasm.Pending()))
 	emit("net_reassembly_evicted", float64(s.reasm.Evicted()))
-	emit("net_rx_panics", float64(s.rxPanics.Load()))
+	emit("net_rx_panics", float64(s.rxPanics))
 	emit("net_packets_live", float64(LivePackets())) // pooled packets held, process-wide
 	s.tcp.Metrics(emit)
-	if x := s.xdp.Load(); x != nil {
-		x.Metrics(emit)
+	if s.xdp != nil {
+		s.xdp.Metrics(emit)
 	}
-	s.filterMu.Lock()
-	filters := slices.Clone(s.filters)
-	s.filterMu.Unlock()
-	for _, f := range filters {
+	for _, f := range s.filters {
 		f.prog.Metrics(emit)
 		quarantined := 0.0
 		if f.Quarantined() {

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"spin/internal/cow"
 	"spin/internal/faultinject"
 	"spin/internal/metrics"
 	"spin/internal/sim"
@@ -190,27 +187,26 @@ type Conn struct {
 	localPort  uint16
 	remotePort uint16
 
-	// state, the retransmission counters and the terminal error are
-	// atomics: the state machine mutates them from the simulation
-	// goroutine while observers (tests, debuggers, the socket adapters'
-	// torture monitors) read them from anywhere.
-	connErr       atomic.Pointer[error]
-	state         atomic.Int32
-	retransmits   atomic.Int32
-	zeroWndProbes atomic.Int32
+	// connErr is the terminal error, the first one recorded.
+	connErr       *error
+	state         int32
+	retransmits   int32
+	zeroWndProbes int32
 
 	// Send side.
 	sndUna, sndNxt uint32
-	// sendBuf[head:] holds every byte Send queued that the peer has not
-	// acknowledged, at most SendBufSize: the first sent of them are the
-	// inflight segments' data, back to back, and the rest wait for window.
-	// Segments are cut from it and retransmitted from it; nothing is copied
-	// per segment. An ACK advances head, and a write with no room at the
-	// tail slides the live bytes down to the front.
-	sent, head uint32
-	sendBuf    []byte
-	inflight   []segment
-	sndWnd     uint32 // peer's advertised window, bytes
+	// sendBuf is a ring holding, from head on and wrapping at its end,
+	// the queued bytes Send took that the peer has not acknowledged, at
+	// most SendBufSize: the first sent of them are the inflight segments'
+	// data, back to back, and the rest wait for window. Segments are cut
+	// from it and retransmitted from it; a segment that straddles the end
+	// of the ring is cut in two pieces. An ACK advances head; a write that
+	// does not fit grows the ring, doubling it, and copies the live bytes
+	// once.
+	sent, head, queued uint32
+	sendBuf            []byte
+	inflight           []segment
+	sndWnd             uint32 // peer's advertised window, bytes
 	// sndWL1 and sndWL2 are the sequence and acknowledgment numbers of the
 	// segment sndWnd was last taken from (RFC 793 §3.9): an older segment,
 	// arriving late, does not bring its window back.
@@ -273,9 +269,9 @@ type Conn struct {
 	OnSent func(*Conn)
 
 	// acceptCb is the listener's accept callback. On server-side
-	// connections it is published on the Conn before the Conn enters the
-	// connection table, so a concurrent delivery can never observe the
-	// connection without it.
+	// connections it is set on the Conn before the Conn enters the
+	// connection table, so no delivery can observe the connection without
+	// it.
 	acceptCb func(*Conn)
 }
 
@@ -335,20 +331,36 @@ func (s segment) end() uint32 {
 // len is the sequence space the segment occupies.
 func (s segment) len() uint32 { return s.end() - s.seq }
 
-// live is the queued data the peer has not acknowledged.
-func (c *Conn) live() []byte { return c.sendBuf[c.head:] }
+// ringAt is the index in sendBuf of the byte off bytes past head.
+func (c *Conn) ringAt(off uint32) uint32 {
+	if i := c.head + off; i < uint32(len(c.sendBuf)) {
+		return i
+	}
+	return c.head + off - uint32(len(c.sendBuf))
+}
 
-// unsent is the queued data not yet segmented.
-func (c *Conn) unsent() []byte { return c.live()[c.sent:] }
+// queuedAt returns the n queued bytes from off bytes past head on, as the
+// piece before the end of the ring and the piece that wrapped past it.
+func (c *Conn) queuedAt(off, n uint32) (a, b []byte) {
+	i := c.ringAt(off)
+	if k := uint32(len(c.sendBuf)) - i; n > k {
+		return c.sendBuf[i:], c.sendBuf[:n-k]
+	}
+	return c.sendBuf[i : i+n], nil
+}
+
+// unsent is how many queued bytes are not yet segmented.
+func (c *Conn) unsent() int { return int(c.queued - c.sent) }
 
 // Buffered reports the bytes the send buffer holds: queued by Send and not
 // yet acknowledged by the peer. It never exceeds SendBufSize.
-func (c *Conn) Buffered() int { return len(c.sendBuf) - int(c.head) }
+func (c *Conn) Buffered() int { return int(c.queued) }
 
 // sendData cuts the next n unsent bytes into a segment and sends it.
 func (c *Conn) sendData(n int) {
 	c.track(segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, n: uint16(n)})
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, c.unsent()[:n]))
+	a, b := c.queuedAt(c.sent, uint32(n))
+	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, a, b))
 	c.sent += uint32(n)
 	c.sndNxt += uint32(n)
 	c.armRetx()
@@ -383,10 +395,10 @@ func (c *Conn) window() int {
 	return maxUnscaledWindow
 }
 
-// State reports the connection state. Safe to call from any goroutine.
-func (c *Conn) State() TCPState { return TCPState(c.state.Load()) }
+// State reports the connection state.
+func (c *Conn) State() TCPState { return TCPState(c.state) }
 
-func (c *Conn) setState(s TCPState) { c.state.Store(int32(s)) }
+func (c *Conn) setState(s TCPState) { c.state = int32(s) }
 
 // Remote reports the peer address/port.
 func (c *Conn) Remote() (IPAddr, uint16) { return c.remote, c.remotePort }
@@ -394,27 +406,28 @@ func (c *Conn) Remote() (IPAddr, uint16) { return c.remote, c.remotePort }
 // LocalPort reports the local port of the connection's 4-tuple.
 func (c *Conn) LocalPort() uint16 { return c.localPort }
 
-// Retransmits reports how many segments were retransmitted. Safe to call
-// from any goroutine.
-func (c *Conn) Retransmits() int64 { return int64(c.retransmits.Load()) }
+// Retransmits reports how many segments were retransmitted.
+func (c *Conn) Retransmits() int64 { return int64(c.retransmits) }
 
 // ZeroWindowProbes reports how many persist probes were sent against a
-// peer's zero-window advertisement. Safe to call from any goroutine.
-func (c *Conn) ZeroWindowProbes() int64 { return int64(c.zeroWndProbes.Load()) }
+// peer's zero-window advertisement.
+func (c *Conn) ZeroWindowProbes() int64 { return int64(c.zeroWndProbes) }
 
 // Err reports why the connection failed: ErrTimedOut after retransmission
 // exhaustion, ErrClosed (wrapped) when a close discarded queued data, nil
 // for connections that closed cleanly or are still alive.
 func (c *Conn) Err() error {
-	if p := c.connErr.Load(); p != nil {
-		return *p
+	if c.connErr != nil {
+		return *c.connErr
 	}
 	return nil
 }
 
 // setErr records the connection's terminal error; the first one wins.
 func (c *Conn) setErr(err error) {
-	c.connErr.CompareAndSwap(nil, &err)
+	if c.connErr == nil {
+		c.connErr = &err
+	}
 }
 
 // Listener accepts inbound connections on a port.
@@ -429,35 +442,26 @@ type Listener struct {
 // TCP engine as a kernel-asserted extension; here the engine is implemented
 // natively, which only strengthens the reproduction.
 //
-// Connections and half-open entries are demultiplexed through one table
-// under mu: the per-segment lookup is an uncontended lock plus a map read,
-// and a final ACK consumes its half-open entry and publishes the connection
-// in one critical section. The listener table is a single cow.Map
-// (listeners change rarely). Individual Conn state machines remain
-// single-threaded — segments for one connection must be delivered from the
-// simulation goroutine, since handling them transmits and arms timers.
+// Connections and half-open entries are demultiplexed through one table,
+// conns (made on first insert) and syn, and listeners through another, all
+// plain maps owned, like the rest of the stack, by whoever steps the
+// machine's engine: a segment's lookup is a map read. nextPort is the
+// ephemeral-port cursor, and spareSendBufs is send-buffer storage that
+// torn-down connections left empty for the next ones to write into.
 type TCP struct {
 	stack *Stack
 
-	listeners cow.Map[uint16, *Listener]
-	// mu guards the demultiplexing table — conns, made on first insert, and
-	// syn, the half-open entries — as well as nextPort, the ephemeral-port
-	// cursor, and spareSendBufs, send-buffer storage that torn-down
-	// connections left empty for the next ones to write into. Nothing that
-	// can call back into the module runs under it — accept callbacks,
-	// OnConnect, Conn.handle, SendIP, reset — because an accept callback
-	// may dial out.
-	mu            sync.Mutex
+	listeners     map[uint16]*Listener
 	conns         map[connKey]*Conn
 	syn           agedTable[connKey, synEntry]
 	nextPort      uint16
 	spareSendBufs [][]byte
 
-	accepted atomic.Int64
-	resets   atomic.Int64
-	timedOut atomic.Int64
+	accepted int64
+	resets   int64
+	timedOut int64
 
-	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived atomic.Int64
+	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived int64
 }
 
 // A TCP module keeps at most maxSpareSendBufs spare send buffers, enough for
@@ -476,8 +480,8 @@ func newTCP(s *Stack) *TCP {
 	}
 }
 
-// putLocked publishes key -> c. Callers hold t.mu and have seen key absent.
-func (t *TCP) putLocked(key connKey, c *Conn) {
+// put enters key -> c. Callers have seen key absent.
+func (t *TCP) put(key connKey, c *Conn) {
 	if t.conns == nil {
 		t.conns = make(map[connKey]*Conn)
 	}
@@ -496,18 +500,21 @@ func (t *TCP) ListenOwned(owner string, port uint16, cost DeliveryCost, accept f
 	if cost == nil {
 		cost = InKernelDelivery
 	}
-	l := &Listener{port: port, cost: cost, accept: accept, owner: owner}
-	if _, dup := t.listeners.LoadOrStore(port, l); dup {
+	if _, dup := t.listeners[port]; dup {
 		return fmt.Errorf("netstack: TCP port %d in use", port)
 	}
+	if t.listeners == nil {
+		t.listeners = make(map[uint16]*Listener)
+	}
+	t.listeners[port] = &Listener{port: port, cost: cost, accept: accept, owner: owner}
 	return nil
 }
 
 // Unlisten stops accepting on port.
-func (t *TCP) Unlisten(port uint16) { t.listeners.Delete(port) }
+func (t *TCP) Unlisten(port uint16) { delete(t.listeners, port) }
 
-// UnlistenOwner withdraws every listener registered under owner in one
-// snapshot swap — the TCP module's teardown reclaimer. Established
+// UnlistenOwner withdraws every listener registered under owner — the TCP
+// module's teardown reclaimer. Established
 // connections accepted earlier run their normal state machines to
 // completion; only the ability to accept new ones is revoked. It returns
 // the number of listeners withdrawn.
@@ -515,7 +522,14 @@ func (t *TCP) UnlistenOwner(owner string) int {
 	if owner == "" {
 		return 0
 	}
-	return t.listeners.DeleteFunc(func(_ uint16, l *Listener) bool { return l.owner == owner })
+	n := 0
+	for port, l := range t.listeners {
+		if l.owner == owner {
+			delete(t.listeners, port)
+			n++
+		}
+	}
+	return n
 }
 
 // Connect opens a connection to dst:port. The returned Conn is in SYN_SENT;
@@ -534,7 +548,6 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	if dialFault.Kind == faultinject.KindError {
 		return nil, fmt.Errorf("netstack: dial %v:%d: %w", dst, port, dialFault.Err)
 	}
-	t.mu.Lock()
 	// A local port only has to be unique per 4-tuple (full demux), so the
 	// same ephemeral port serves many remotes and outbound connection
 	// count is not capped by the port range. The scan is bounded: with
@@ -557,11 +570,10 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 		c.localPort = t.nextPort
 		key := tcpKey(dst, port, c.localPort)
 		if _, taken := t.conns[key]; !taken {
-			t.putLocked(key, c)
+			t.put(key, c)
 			found = true
 		}
 	}
-	t.mu.Unlock()
 	if !found {
 		return nil, fmt.Errorf("netstack: no free local port for %v:%d: %w", dst, port, ErrPortsExhausted)
 	}
@@ -576,7 +588,7 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 // sendSYN sends (or resends) the connection's SYN, which always offers SACK
 // and window scaling.
 func (c *Conn) sendSYN() {
-	p := c.seg(FlagSYN, c.sndUna, 0, nil)
+	p := c.seg(FlagSYN, c.sndUna, 0, nil, nil)
 	(optsSACK | optsScale).offer(p)
 	c.sendSeg(p)
 }
@@ -606,22 +618,32 @@ func (c *Conn) Send(payloads ...[]byte) error {
 
 // write appends n bytes of payloads to the send buffer. A connection's
 // first write takes the storage a torn-down one left its module, if there
-// is some.
+// is some, or else makes a ring of the write's size; a write that does not
+// fit doubles the ring, up to SendBufSize, until it does.
 func (c *Conn) write(payloads [][]byte, n int) {
-	if t := c.tcp; cap(c.sendBuf) == 0 {
-		t.mu.Lock()
+	if t := c.tcp; len(c.sendBuf) == 0 {
 		if k := len(t.spareSendBufs); k > 0 {
 			c.sendBuf = t.spareSendBufs[k-1]
 			t.spareSendBufs = t.spareSendBufs[:k-1]
 		}
-		t.mu.Unlock()
 	}
-	if len(c.sendBuf)+n > cap(c.sendBuf) && c.head > 0 {
-		c.sendBuf = c.sendBuf[:copy(c.sendBuf, c.live())]
-		c.head = 0
+	if need := int(c.queued) + n; need > len(c.sendBuf) {
+		size := len(c.sendBuf)
+		if size == 0 {
+			size = need
+		}
+		for size < need {
+			size *= 2
+		}
+		grown := make([]byte, min(size, SendBufSize))
+		a, b := c.queuedAt(0, c.queued)
+		copy(grown[copy(grown, a):], b)
+		c.sendBuf, c.head = grown, 0
 	}
 	for _, p := range payloads {
-		c.sendBuf = append(c.sendBuf, p...)
+		a, b := c.queuedAt(c.queued, uint32(len(p)))
+		copy(b, p[copy(a, p):])
+		c.queued += uint32(len(p))
 	}
 }
 
@@ -641,10 +663,10 @@ func (c *Conn) Close() error {
 		c.setState(StateLastAck)
 	default:
 		var err error
-		if c.State() == StateSynSent && len(c.unsent()) > 0 {
+		if c.State() == StateSynSent && c.unsent() > 0 {
 			err = fmt.Errorf("%w: %d queued bytes discarded before handshake completed",
-				ErrClosed, len(c.unsent()))
-			c.sendBuf, c.head = c.sendBuf[:0], 0
+				ErrClosed, c.unsent())
+			c.head, c.queued = 0, 0
 			c.setErr(err)
 		}
 		c.teardown() // cancels any armed retransmit timer
@@ -658,7 +680,7 @@ func (c *Conn) Close() error {
 
 func (c *Conn) sendFIN() {
 	c.track(segment{at: c.tcp.stack.clock.Now(), seq: c.sndNxt, bits: segFIN})
-	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil))
+	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil, nil))
 	c.sndNxt++
 	c.armRetx()
 }
@@ -670,7 +692,7 @@ func (c *Conn) pump() {
 	if !c.sending() {
 		return
 	}
-	for len(c.unsent()) > 0 {
+	for c.unsent() > 0 {
 		if c.sndWnd == 0 {
 			// Peer advertised a zero window: pause, and let the
 			// retransmission timer send persist probes (the peer owes us
@@ -678,13 +700,13 @@ func (c *Conn) pump() {
 			c.armRetx()
 			return
 		}
-		n := min(DefaultMSS, len(c.unsent()), c.peerRoom(), int(c.cwnd)*DefaultMSS-c.pipe())
+		n := min(DefaultMSS, c.unsent(), c.peerRoom(), int(c.cwnd)*DefaultMSS-c.pipe())
 		if n <= 0 {
 			return // a window is full; ACKs will re-pump
 		}
 		c.sendData(n)
 	}
-	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && len(c.unsent()) == 0 && !c.finInflight() {
+	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && c.unsent() == 0 && !c.finInflight() {
 		c.sendFIN()
 	}
 }
@@ -719,7 +741,7 @@ func (c *Conn) finInflight() bool {
 // (unscaled on its SYN, which goes before any scaling is agreed), and, on an
 // ACK to a peer that permits it, SACK blocks for what is queued out of
 // order; payload (if any) is copied into the packet's own buffer.
-func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload []byte) *Packet {
+func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload, wrapped []byte) *Packet {
 	p := AllocPacket()
 	p.Flags, p.Seq, p.Ack, p.Window = flags, seq, ack, c.window()
 	if x := c.loss; x != nil && c.sackOK() && flags&FlagACK != 0 {
@@ -727,6 +749,7 @@ func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload []byte) *Packet {
 	}
 	if len(payload) > 0 {
 		p.SetPayload(payload)
+		p.Payload = append(p.Payload, wrapped...)
 	}
 	return p
 }
@@ -816,7 +839,7 @@ func (c *Conn) cancelRetx() { c.retx.Disarm() }
 // it counts the attempt and doubles the timeout.
 func (c *Conn) retxExhausted() bool {
 	if c.retxAttempts >= DefaultMaxRetx {
-		c.tcp.timedOut.Add(1)
+		c.tcp.timedOut++
 		c.setErr(ErrTimedOut)
 		c.teardown()
 		return true
@@ -839,8 +862,8 @@ func (c *Conn) onRetxTimer() {
 		if c.retxExhausted() {
 			return
 		}
-		c.tcp.rtos.Add(1)
-		c.retransmits.Add(1)
+		c.tcp.rtos++
+		c.retransmits++
 		c.sendSYN()
 		c.restartRetx()
 	case len(c.inflight) > 0 && c.timer == timerPTO:
@@ -855,7 +878,7 @@ func (c *Conn) onRetxTimer() {
 		if c.retxExhausted() {
 			return
 		}
-		c.tcp.rtos.Add(1)
+		c.tcp.rtos++
 		// RFC 5681 §3.1: half the flight on the first timeout of this
 		// segment, held on the ones after; then slow start from one
 		// segment through what is marked lost.
@@ -867,13 +890,13 @@ func (c *Conn) onRetxTimer() {
 		c.markLostOnTimeout()
 		c.pump()
 		c.restartRetx()
-	case c.sndWnd == 0 && len(c.unsent()) > 0 && c.State() != StateClosed:
+	case c.sndWnd == 0 && c.unsent() > 0 && c.State() != StateClosed:
 		// Zero-window persist (RFC 1122 §4.2.2.17): the peer advertised
 		// window 0 and will send nothing further on its own; probe with a
 		// single byte to elicit an ACK carrying the reopened window.
 		// Probes are deliberately uncapped — the peer is alive and ACKing,
 		// just full — so they never trip the MaxRetx teardown.
-		c.zeroWndProbes.Add(1)
+		c.zeroWndProbes++
 		c.sendData(1)
 	}
 }
@@ -905,16 +928,15 @@ func (t *TCP) deliver1(pkt *Packet) {
 	key := tcpKey(pkt.Src, pkt.SrcPort, pkt.DstPort)
 	var e synEntry
 	var synack, accepted bool
-	t.mu.Lock()
 	c := t.conns[key]
 	if c == nil {
-		l, _ := t.listeners.Get(pkt.DstPort)
+		l := t.listeners[pkt.DstPort]
 		switch {
 		case pkt.Flags&(FlagSYN|FlagACK) == FlagSYN:
 			// A SYN to a listening port records a compact half-open entry —
 			// no *Conn until the final ACK proves the peer is real.
 			if l != nil {
-				e, synack = t.recordSynLocked(key, pkt), true
+				e, synack = t.recordSyn(key, pkt), true
 			}
 		case pkt.Flags&FlagACK != 0:
 			// The final ACK consumes its half-open entry whatever it says. A
@@ -925,15 +947,14 @@ func (t *TCP) deliver1(pkt *Packet) {
 				t.syn.delete(key)
 				if l != nil && pkt.Ack == half.iss+1 {
 					c, accepted = t.newServerConn(l, half, pkt), true
-					t.putLocked(key, c)
+					t.put(key, c)
 				}
 			}
 		}
 	}
-	t.mu.Unlock()
 
 	if accepted {
-		t.accepted.Add(1)
+		t.accepted++
 		if c.acceptCb != nil {
 			c.acceptCb(c)
 		}
@@ -952,11 +973,10 @@ func (t *TCP) deliver1(pkt *Packet) {
 	}
 }
 
-// recordSynLocked records the half-open entry for a SYN, or finds the one a
+// recordSyn records the half-open entry for a SYN, or finds the one a
 // duplicate SYN — our SYN-ACK was lost, or the client retransmitted — already
-// has, so that the SYN-ACK goes out again with the original ISS. Callers
-// hold t.mu.
-func (t *TCP) recordSynLocked(key connKey, pkt *Packet) synEntry {
+// has, so that the SYN-ACK goes out again with the original ISS.
+func (t *TCP) recordSyn(key connKey, pkt *Packet) synEntry {
 	e, dup := t.syn.get(key)
 	if dup {
 		return e
@@ -1003,7 +1023,7 @@ func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 // without one (a bare SYN to a closed port) gets Seq 0 plus an ACK of
 // everything it occupied, so the peer can match the RST to its send.
 func (t *TCP) reset(pkt *Packet) {
-	t.resets.Add(1)
+	t.resets++
 	rst := AllocPacket()
 	rst.Src, rst.Dst, rst.Proto = t.stack.IP, pkt.Src, ProtoTCP
 	rst.SrcPort, rst.DstPort = pkt.DstPort, pkt.SrcPort
@@ -1085,7 +1105,7 @@ func (c *Conn) handleSynSent(pkt *Packet) {
 }
 
 // sendAck sends a bare ACK of everything received in order so far.
-func (c *Conn) sendAck() { c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil)) }
+func (c *Conn) sendAck() { c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil, nil)) }
 
 // onAck processes an acknowledgment and reports whether the segment
 // carrying it is acceptable. An ACK for data never sent (RFC 793 §3.9:
@@ -1196,8 +1216,9 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 	}
 	c.inflight = c.inflight[:copy(c.inflight, c.inflight[n:])]
 	c.sent -= uint32(acked)
-	if c.head += uint32(acked); int(c.head) == len(c.sendBuf) {
-		c.sendBuf, c.head = c.sendBuf[:0], 0
+	c.head, c.queued = c.ringAt(uint32(acked)), c.queued-uint32(acked)
+	if c.queued == 0 {
+		c.head = 0
 	}
 	return n, finAcked
 }
@@ -1537,35 +1558,26 @@ func (c *Conn) teardown() {
 	prev := c.State()
 	c.setState(StateClosed)
 	t := c.tcp
-	t.mu.Lock()
 	delete(t.conns, tcpKey(c.remote, c.remotePort, c.localPort))
 	// Drained send-buffer storage goes to the next connection. Packets copy
 	// what they carry, so nothing else holds it.
-	if n := cap(c.sendBuf); c.Buffered() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
-		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf[:0])
+	if n := len(c.sendBuf); c.Buffered() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
+		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf)
 		c.sendBuf = nil
 	}
-	t.mu.Unlock()
 	if c.OnClose != nil && prev != StateCloseWait {
 		c.OnClose(c)
 	}
 }
 
-// Conns reports the number of live connections, exact under concurrent
-// setup/teardown.
-func (t *TCP) Conns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
+// Conns reports the number of live connections.
+func (t *TCP) Conns() int { return len(t.conns) }
 
 // Unsettled counts the live connections holding out-of-order data and those
 // with the retransmit timer running. On a topology run until nothing is
 // left to happen, either is a leak. It reads every connection's state, so it
-// is for tests and debuggers, on the simulation goroutine.
+// is for tests and debuggers.
 func (t *TCP) Unsettled() (queued, armed int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, c := range t.conns {
 		if q := c.loss; q != nil && (len(q.runs) > 0 || q.fin) {
 			queued++
@@ -1578,20 +1590,17 @@ func (t *TCP) Unsettled() (queued, armed int) {
 }
 
 // Metrics emits the module's table sizes and counters, including why
-// segments were retransmitted. Safe from any goroutine.
+// segments were retransmitted.
 func (t *TCP) Metrics(emit metrics.Emit) {
-	t.mu.Lock()
-	conns, halfOpen, evicted := len(t.conns), t.syn.len(), t.syn.evicted
-	t.mu.Unlock()
-	emit("net_tcp_conns", float64(conns))                              // from SYN_SENT or the final ACK to teardown
-	emit("net_tcp_half_open", float64(halfOpen))                       // awaiting their final ACK
-	emit("net_tcp_half_open_evicted", float64(evicted))                // dropped by the bounded table, by TTL or age
-	emit("net_tcp_accepted", float64(t.accepted.Load()))               // materialized by a final ACK
-	emit("net_tcp_resets", float64(t.resets.Load()))                   // RSTs sent for unexpected segments
-	emit("net_tcp_timed_out", float64(t.timedOut.Load()))              // torn down by the retransmission cap
-	emit("net_tcp_fast_recoveries", float64(t.fastRecoveries.Load()))  // entered on a loss RACK or duplicate ACKs found
-	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost.Load())) // something sent after them arrived
-	emit("net_tcp_tlp_probes", float64(t.tlpProbes.Load()))            // tail-loss probes sent
-	emit("net_tcp_rtos", float64(t.rtos.Load()))                       // retransmission timeouts, SYN included
-	emit("net_tcp_dsacks_received", float64(t.dsacksReceived.Load()))  // the peer got a segment twice
+	emit("net_tcp_conns", float64(len(t.conns)))                // from SYN_SENT or the final ACK to teardown
+	emit("net_tcp_half_open", float64(t.syn.len()))             // awaiting their final ACK
+	emit("net_tcp_half_open_evicted", float64(t.syn.evicted))   // dropped by the bounded table, by TTL or age
+	emit("net_tcp_accepted", float64(t.accepted))               // materialized by a final ACK
+	emit("net_tcp_resets", float64(t.resets))                   // RSTs sent for unexpected segments
+	emit("net_tcp_timed_out", float64(t.timedOut))              // torn down by the retransmission cap
+	emit("net_tcp_fast_recoveries", float64(t.fastRecoveries))  // entered on a loss RACK or duplicate ACKs found
+	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost)) // something sent after them arrived
+	emit("net_tcp_tlp_probes", float64(t.tlpProbes))            // tail-loss probes sent
+	emit("net_tcp_rtos", float64(t.rtos))                       // retransmission timeouts, SYN included
+	emit("net_tcp_dsacks_received", float64(t.dsacksReceived))  // the peer got a segment twice
 }

@@ -3,7 +3,6 @@ package netstack
 import (
 	"bytes"
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -258,9 +257,10 @@ func TestTCPHalfOpenBoundExact(t *testing.T) {
 	})
 }
 
-// TestTCPConnsExactUnderParallelSetup drives full server-side handshakes
-// and teardowns from many goroutines at once (direct Deliver, no wire) and
-// checks the table's counters stay exact. Run with -race.
+// TestTCPConnsExactUnderParallelSetup drives full server-side
+// handshakes and teardowns from many clients interleaved on the stack's
+// owner (direct Deliver, no wire) and checks the table's counters are exact
+// after every one.
 func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dispatch.New(eng, &sim.SPINProfile)
@@ -274,51 +274,48 @@ func TestTCPConnsExactUnderParallelSetup(t *testing.T) {
 	}
 
 	const workers, each = 8, 500
-	handshake := func(w int, teardown bool) {
-		pkt := &Packet{}
-		for i := 0; i < each; i++ {
-			src := Addr(10, 1, byte(w), byte(i))
-			sport := uint16(2000 + i)
-			pkt.Src, pkt.SrcPort = src, sport
-			pkt.Dst, pkt.DstPort, pkt.Proto = st.IP, 80, ProtoTCP
-			if !teardown {
-				pkt.Flags, pkt.Seq, pkt.Ack, pkt.Window = FlagSYN, 10, 0, rcvWindow
-				tcp.Deliver(pkt)
-				pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
-				tcp.Deliver(pkt)
-			} else {
-				pkt.Flags, pkt.Seq, pkt.Ack = FlagRST, 11, 0
-				tcp.Deliver(pkt)
-			}
+	pkt := &Packet{}
+	step := func(w, i int, teardown bool) {
+		pkt.Src, pkt.SrcPort = Addr(10, 1, byte(w), byte(i)), uint16(2000+i)
+		pkt.Dst, pkt.DstPort, pkt.Proto = st.IP, 80, ProtoTCP
+		if !teardown {
+			pkt.Flags, pkt.Seq, pkt.Ack, pkt.Window = FlagSYN, 10, 0, rcvWindow
+			tcp.Deliver(pkt)
+			pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
+			tcp.Deliver(pkt)
+		} else {
+			pkt.Flags, pkt.Seq, pkt.Ack = FlagRST, 11, 0
+			tcp.Deliver(pkt)
 		}
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { defer wg.Done(); handshake(w, false) }(w)
+	for i := 0; i < each; i++ {
+		for w := 0; w < workers; w++ {
+			step(w, i, false)
+			if got, want := tcp.Conns(), i*workers+w+1; got != want {
+				t.Fatalf("Conns = %d after %d handshakes", got, want)
+			}
+		}
 	}
-	wg.Wait()
 	if got := tcp.Conns(); got != workers*each {
-		t.Fatalf("Conns = %d after parallel setup, want %d", got, workers*each)
+		t.Fatalf("Conns = %d after interleaved setup, want %d", got, workers*each)
 	}
 	if st := tcpStatsOf(tcp); st.Accepted != workers*each {
 		t.Fatalf("Accepted = %d, want %d", st.Accepted, workers*each)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { defer wg.Done(); handshake(w, true) }(w)
+	for i := 0; i < each; i++ {
+		for w := 0; w < workers; w++ {
+			step(w, i, true)
+		}
 	}
-	wg.Wait()
 	if got := tcp.Conns(); got != 0 {
-		t.Fatalf("Conns = %d after parallel teardown, want 0", got)
+		t.Fatalf("Conns = %d after interleaved teardown, want 0", got)
 	}
 }
 
 // TestTCPTableWalkersUnderParallelSetup: Stats and Unsettled walk the
-// connection table while other goroutines insert into it, which the runtime
-// kills a process for unless the walkers hold the table's lock. Run with
-// -race.
+// connection table between the segments that insert into it, and every
+// walk sees exactly the connections and half-open entries made so far.
 func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dispatch.New(eng, &sim.SPINProfile)
@@ -332,38 +329,30 @@ func TestTCPTableWalkersUnderParallelSetup(t *testing.T) {
 	}
 
 	const workers, each = 4, 500
-	var setup sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		setup.Add(1)
-		go func(w int) {
-			defer setup.Done()
-			pkt := &Packet{Dst: st.IP, DstPort: 80, Proto: ProtoTCP, Window: rcvWindow}
-			for i := 0; i < each; i++ {
-				pkt.Src, pkt.SrcPort = Addr(10, 1, byte(w), byte(i)), uint16(2000+i)
-				pkt.Flags, pkt.Seq, pkt.Ack = FlagSYN, 10, 0
-				tcp.Deliver(pkt)
-				pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
-				tcp.Deliver(pkt)
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	walked := make(chan struct{})
-	go func() {
-		defer close(walked)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tcpStatsOf(tcp)
-				tcp.Unsettled()
-			}
+	pkt := &Packet{Dst: st.IP, DstPort: 80, Proto: ProtoTCP, Window: rcvWindow}
+	walk := func(conns, halfOpen int) {
+		if s := tcpStatsOf(tcp); s.Conns != conns || s.HalfOpen != halfOpen {
+			t.Fatalf("walk saw %d connections and %d half-open entries, want %d and %d", s.Conns, s.HalfOpen, conns, halfOpen)
 		}
-	}()
-	setup.Wait()
-	close(stop)
-	<-walked
+		if queued, armed := tcp.Unsettled(); queued != 0 || armed != 0 {
+			t.Fatalf("Unsettled = %d, %d on idle connections", queued, armed)
+		}
+	}
+	for i := 0; i < each; i++ {
+		// Every worker's SYN, then every worker's final ACK.
+		for w := 0; w < workers; w++ {
+			pkt.Src, pkt.SrcPort = Addr(10, 1, byte(w), byte(i)), uint16(2000+i)
+			pkt.Flags, pkt.Seq, pkt.Ack = FlagSYN, 10, 0
+			tcp.Deliver(pkt)
+			walk(i*workers, w+1)
+		}
+		for w := 0; w < workers; w++ {
+			pkt.Src, pkt.SrcPort = Addr(10, 1, byte(w), byte(i)), uint16(2000+i)
+			pkt.Flags, pkt.Seq, pkt.Ack = FlagACK, 11, serverISS+1
+			tcp.Deliver(pkt)
+			walk(i*workers+w+1, workers-w-1)
+		}
+	}
 	if st := tcpStatsOf(tcp); st.Conns != workers*each || st.HalfOpen != 0 {
 		t.Fatalf("%d connections and %d half-open entries, want %d and 0", st.Conns, st.HalfOpen, workers*each)
 	}

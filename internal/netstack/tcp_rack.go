@@ -133,7 +133,7 @@ func (c *Conn) takeSACK(pkt *Packet) {
 // seen, and the window widens by min_RTT/4, once a round trip (RFC 8985
 // §6.2 step 4).
 func (c *Conn) onDSACK(b SACKBlock) {
-	c.tcp.dsacksReceived.Add(1)
+	c.tcp.dsacksReceived++
 	r := &c.loss.rack
 	if r.tlpOut && r.tlpRetrans && b.End == r.tlpEnd {
 		r.tlpRetrans = false
@@ -190,7 +190,7 @@ func (c *Conn) rackDetect() {
 			continue
 		}
 		c.markLost(i)
-		c.tcp.rackMarkedLost.Add(1)
+		c.tcp.rackMarkedLost++
 		marked = true
 	}
 	if marked {
@@ -209,7 +209,7 @@ func (c *Conn) startRecovery() {
 	if c.phase != phaseOpen || int32(c.sndUna-c.recover) <= 0 {
 		return
 	}
-	c.tcp.fastRecoveries.Add(1)
+	c.tcp.fastRecoveries++
 	r := &c.lossState().rack
 	r.undoCwnd, r.undoSsthresh, r.undoRecover = c.cwnd, c.ssthresh, c.recover
 	r.undoRetrans, r.canUndo = 0, true
@@ -280,7 +280,7 @@ func (c *Conn) resendLost() {
 	}
 }
 
-// resend retransmits inflight[i] from the send buffer, which starts with
+// resend retransmits inflight[i] from the send buffer, whose head is
 // inflight[0]'s first byte.
 func (c *Conn) resend(i int) {
 	s := &c.inflight[i]
@@ -294,8 +294,9 @@ func (c *Conn) resend(i int) {
 		flags |= FlagFIN
 	}
 	off := s.seq - c.inflight[0].seq
-	c.retransmits.Add(1)
-	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, c.live()[off:off+uint32(s.n)]))
+	c.retransmits++
+	a, b := c.queuedAt(off, uint32(s.n))
+	c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, a, b))
 }
 
 // probeAllowed reports whether the timer should be the probe timeout (RFC
@@ -314,8 +315,8 @@ func (c *Conn) probeAllowed() bool {
 func (c *Conn) probe() {
 	r := &c.lossState().rack
 	r.tlpOut = true
-	c.tcp.tlpProbes.Add(1)
-	if n := min(DefaultMSS, len(c.unsent()), c.peerRoom()); n > 0 && c.sending() {
+	c.tcp.tlpProbes++
+	if n := min(DefaultMSS, c.unsent(), c.peerRoom()); n > 0 && c.sending() {
 		r.tlpRetrans = false
 		c.sendData(n)
 	} else {

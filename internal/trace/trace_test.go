@@ -14,7 +14,7 @@ func TestRingPutSnapshotOrder(t *testing.T) {
 		t.Fatalf("Cap = %d, want 16", r.Cap())
 	}
 	for i := 0; i < 10; i++ {
-		r.Put(&Record{Event: "E", Start: sim.Time(i)})
+		r.Put(Record{Event: "E", Start: sim.Time(i)})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 10 {
@@ -30,7 +30,7 @@ func TestRingPutSnapshotOrder(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	r := NewRing(16)
 	for i := 0; i < 40; i++ {
-		r.Put(&Record{Start: sim.Time(i)})
+		r.Put(Record{Start: sim.Time(i)})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 16 {

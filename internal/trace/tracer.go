@@ -2,25 +2,22 @@
 // subsystem — the other half of the paper's §3.2 monitoring style
 // ("extensions passively monitor system activity, and provide up-to-date
 // performance information to applications"). Where the metrics surface
-// counts, trace records where virtual time goes: a fixed-size lock-free
-// ring buffer of per-dispatch records, plus per-event and per-handler
-// latency histograms in log₂ buckets that the dispatcher, netstack packet
-// path, strand scheduler and VM pager feed.
+// counts, trace records where virtual time goes: a fixed-size ring buffer of
+// per-dispatch records, plus per-event and per-handler latency histograms in
+// log₂ buckets that the dispatcher, netstack packet path, strand scheduler
+// and VM pager feed.
 //
-// Tracing is zero-cost when disabled: subsystems hold an
-// atomic.Pointer[Tracer] and the disabled path is a single predictable-nil
-// load. Enabling or disabling is one atomic pointer swap; raises in flight
-// keep using whichever tracer they loaded. All record/observe paths are
-// lock-free (atomic slot stores in the ring, atomic bucket counters in the
-// histograms, cow.Map histogram table), so tracing takes no lock on the
-// raise path and a reader on another goroutine never blocks a raiser.
+// Tracing is zero-cost when disabled: the dispatcher holds a *Tracer and the
+// disabled path is a single predictable nil check. A tracer belongs to one
+// machine and, like the rest of it, is written and read only by whoever
+// steps the machine's engine: Trace is a store into the ring by value and
+// Observe a map read plus four plain updates, with no lock and no atomic.
 package trace
 
 import (
 	"fmt"
 	"strings"
 
-	"spin/internal/cow"
 	"spin/internal/metrics"
 	"spin/internal/sim"
 )
@@ -29,10 +26,8 @@ import (
 type Tracer struct {
 	ring *Ring
 
-	// histos maps series name -> *Histogram: Observe on an existing series
-	// is lock-free; only the insertion of a new series copies the table
-	// (rare — the set of event names stabilizes immediately).
-	histos cow.Map[string, *Histogram]
+	// histos maps series name -> *Histogram.
+	histos map[string]*Histogram
 }
 
 // DefaultRingSize is the default trace ring capacity.
@@ -44,29 +39,32 @@ func New(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Tracer{ring: NewRing(ringSize)}
+	return &Tracer{ring: NewRing(ringSize), histos: make(map[string]*Histogram)}
 }
 
 // Trace publishes one record to the ring and feeds the event's latency
 // histogram.
 func (t *Tracer) Trace(rec Record) {
-	r := rec
-	t.ring.Put(&r)
+	t.ring.Put(rec)
 	t.Observe(rec.Event, rec.Duration)
 }
 
 // Observe records one latency sample for the named series, creating the
 // series on first use.
 func (t *Tracer) Observe(name string, d sim.Duration) {
-	h, ok := t.histos.Get(name)
+	h, ok := t.histos[name]
 	if !ok {
-		h, _ = t.histos.LoadOrStore(name, NewHistogram())
+		h = NewHistogram()
+		t.histos[name] = h
 	}
 	h.Observe(d)
 }
 
 // Histogram returns the named latency series, if it has samples.
-func (t *Tracer) Histogram(name string) (*Histogram, bool) { return t.histos.Get(name) }
+func (t *Tracer) Histogram(name string) (*Histogram, bool) {
+	h, ok := t.histos[name]
+	return h, ok
+}
 
 // Snapshot returns the ring's buffered records, oldest first.
 func (t *Tracer) Snapshot() []Record { return t.ring.Snapshot() }
@@ -92,18 +90,18 @@ func (t *Tracer) Dump() string {
 // nanoseconds: the cumulative count at each non-empty log₂ bucket's upper
 // bound, then the series' sum, count and largest sample.
 func (t *Tracer) Metrics(emit metrics.Emit) {
-	for name, h := range t.histos.Snapshot() {
+	for name, h := range t.histos {
 		l := fmt.Sprintf("{series=%q", name)
 		var cum int64
 		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
+			if n := h.buckets[i]; n > 0 {
 				cum += n
 				emit(fmt.Sprintf("trace_latency_ns_bucket%s,le=\"%d\"}", l, BucketLow(i+1)-1), float64(cum))
 			}
 		}
 		emit("trace_latency_ns_bucket"+l+`,le="+Inf"}`, float64(cum))
 		emit("trace_latency_ns_count"+l+"}", float64(cum))
-		emit("trace_latency_ns_sum"+l+"}", float64(h.sum.Load()))
+		emit("trace_latency_ns_sum"+l+"}", float64(h.sum))
 		emit("trace_latency_ns_max"+l+"}", float64(h.Max()))
 	}
 }

@@ -133,10 +133,11 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsConcurrentRead renders a machine's metrics from another
-// goroutine while one goroutine, the simulation's (the clock's owner),
-// raises events, injects packets and steps the engine that delivers them.
-// Under -race every read must be synchronized with the writers, and the
-// counts read afterwards are exact.
+// goroutine while the machine's owner, a sockets Driver's loop, raises
+// events, injects packets and steps the engine that delivers them. The
+// reader goes through Driver.Run, the one way onto a running machine, so
+// under -race every read is ordered with the writers; each page it reads is
+// exact as of its moment, and the counts read afterwards are exact.
 func TestMetricsConcurrentRead(t *testing.T) {
 	m, err := spin.NewMachine("observed", spin.Config{IP: netstack.Addr(10, 0, 0, 1), CPUs: 2})
 	if err != nil {
@@ -157,6 +158,7 @@ func TestMetricsConcurrentRead(t *testing.T) {
 	if err := m.Dispatcher.Define("Observed.Event", dispatch.DefineOptions{Primary: func(_, _ any) any { return nil }}); err != nil {
 		t.Fatal(err)
 	}
+	drv := netstack.NewDriver(m.Engine)
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)
@@ -168,8 +170,18 @@ func TestMetricsConcurrentRead(t *testing.T) {
 				return
 			default:
 			}
-			if err := metrics.Write(io.Discard, "", m); err != nil {
-				t.Error(err)
+			var err error
+			var raises, accepted, runs float64
+			drv.Run(func() {
+				err = metrics.Write(io.Discard, "", m)
+				raises = metrics.Value(m, `dispatch_raises{event="Observed.Event"}`)
+				accepted = metrics.Value(m, "net_rx_queue_accepted")
+				runs = metrics.Value(m, `bcode_runs{program="pass",point="xdp"}`)
+			})
+			// One packet rides with each raise, and XDP has run on every
+			// packet accepted and drained.
+			if err != nil || accepted != raises || runs > accepted {
+				t.Errorf("page: err %v, %v raises, %v accepted, %v XDP runs", err, raises, accepted, runs)
 				return
 			}
 		}
@@ -180,25 +192,31 @@ func TestMetricsConcurrentRead(t *testing.T) {
 	const injected = writers * per
 	pkt := &netstack.Packet{Src: netstack.Addr(10, 0, 0, 2), Dst: m.Stack.IP, Proto: netstack.ProtoUDP,
 		SrcPort: 1, DstPort: 9, Payload: make([]byte, 16), TTL: 32}
-	for i := 0; i < injected; i++ {
-		m.Dispatcher.Raise("Observed.Event", nil)
-		m.Stack.InjectRX(0, pkt)
-		if i%64 == 63 {
-			m.Engine.Run(0)
-		}
+	for i := 0; i < injected; i += 64 {
+		drv.Run(func() {
+			for j := i; j < min(i+64, injected); j++ {
+				m.Dispatcher.Raise("Observed.Event", nil)
+				m.Stack.InjectRX(0, pkt)
+			}
+		})
+		drv.Drain()
 	}
-	m.Engine.Run(0)
 	close(stop)
 	reader.Wait()
 
-	if got := metrics.Value(m, `dispatch_raises{event="Observed.Event"}`); got != writers*per {
-		t.Errorf("dispatch_raises = %v, want %d", got, writers*per)
+	var raises, accepted, dropped, runs float64
+	drv.Run(func() {
+		raises = metrics.Value(m, `dispatch_raises{event="Observed.Event"}`)
+		accepted, dropped = metrics.Value(m, "net_rx_queue_accepted"), metrics.Value(m, "net_rx_queue_dropped")
+		runs = metrics.Value(m, `bcode_runs{program="pass",point="xdp"}`)
+	})
+	if raises != writers*per {
+		t.Errorf("dispatch_raises = %v, want %d", raises, writers*per)
 	}
-	accepted, dropped := metrics.Value(m, "net_rx_queue_accepted"), metrics.Value(m, "net_rx_queue_dropped")
 	if accepted != injected || dropped != 0 {
 		t.Errorf("accepted %v, dropped %v of %d injected", accepted, dropped, injected)
 	}
-	if runs := metrics.Value(m, `bcode_runs{program="pass",point="xdp"}`); runs != accepted {
+	if runs != accepted {
 		t.Errorf("XDP ran %v times on %v accepted packets", runs, accepted)
 	}
 }

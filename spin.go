@@ -375,20 +375,21 @@ func (m *Machine) RegisterSyscall(name string, ident domain.Identity, h func(arg
 }
 
 // EnableTracing switches on kernel-wide event tracing and latency
-// profiling: every dispatch is recorded in a lock-free ring of ringSize
+// profiling: every dispatch is recorded in a ring of ringSize
 // records (trace.DefaultRingSize if <= 0) and fed into per-event,
 // per-handler and per-subsystem latency histograms. The returned tracer's
 // Dump renders the ring (spin-dbg's trace command, spin-httpd's
 // /debug/trace) and the histograms join the machine's Metrics. Enabling is one
-// atomic pointer swap; until then the machine pays one predictable-nil
-// load per raise.
+// pointer store; until then the machine pays one predictable nil check per
+// raise. Like all of the machine's state, the tracer is the owner's: call
+// this, and read the tracer, on the goroutine that steps the engine.
 func (m *Machine) EnableTracing(ringSize int) *trace.Tracer {
 	t := trace.New(ringSize)
 	m.Dispatcher.SetTracer(t)
 	return t
 }
 
-// DisableTracing switches tracing off (one atomic pointer swap). Records
+// DisableTracing switches tracing off (one pointer store). Records
 // already buffered remain readable through the tracer EnableTracing
 // returned.
 func (m *Machine) DisableTracing() { m.Dispatcher.SetTracer(nil) }
@@ -398,7 +399,7 @@ func (m *Machine) DisableTracing() { m.Dispatcher.SetTracer(nil) }
 // reassembly / TCP delivery, VM pager, strand entry, verified-filter
 // actions at "bcode.run") consults the returned injector, whose decisions
 // replay exactly from seed. Arm rules on the injector to make faults
-// happen; until then each site costs one predictable-nil load.
+// happen; until then each site costs one predictable nil check.
 func (m *Machine) EnableFaultInjection(seed uint64) *faultinject.Injector {
 	in := faultinject.New(seed, m.Clock)
 	m.Dispatcher.SetInjector(in)

@@ -9,7 +9,6 @@ package spin
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"spin/internal/dispatch"
@@ -99,12 +98,13 @@ func TestDestroyDomainReclaimsFootprint(t *testing.T) {
 	}
 }
 
-// TestDestroyRacesDispatchTraffic tears a domain down while the clock's
-// owner (this goroutine) raises its events and other goroutines reinstall
-// handlers, re-export and link against its interfaces. Run under -race; the
-// invariant at the end is that a final destroy leaves only primaries.
+// TestDestroyRacesDispatchTraffic tears a domain down while, on
+// the machine's owner, its events are raised, handlers reinstalled and its
+// interfaces re-exported and linked against, all interleaved round by
+// round. After every destroy only primaries are left and the interface is
+// gone; a final destroy leaves only primaries.
 func TestDestroyRacesDispatchTraffic(t *testing.T) {
-	m, err := NewMachine("teardown-race", Config{})
+	m, err := NewMachine("teardown-interleave", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,59 +123,51 @@ func TestDestroyRacesDispatchTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var wg sync.WaitGroup
-	const rounds = 200
-	// Installer: keeps adding handlers owned by the doomed principal.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			_, _ = m.Dispatcher.Install(fmt.Sprintf("Race.%d", i%events),
-				func(_, _ any) any { return "ext" }, dispatch.InstallOptions{Installer: ext})
-		}
-	}()
-	// Exporter/linker: churns the nameserver with the same owner.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			_ = m.Namespace.ExportOwned("RacyService", iface, nil, ext)
-			var ping func() int
-			client, err := domain.CreateFromModule("RacyClient", func(o *safe.ObjectFile) {
-				o.Import("Racy.Ping", &ping)
-			})
-			if err == nil {
-				_ = m.Namespace.LinkAgainst("RacyService", domain.Identity{Name: "app"}, client)
+	onlyPrimaries := func(when string) {
+		for i := 0; i < events; i++ {
+			ev := fmt.Sprintf("Race.%d", i)
+			if n := m.Dispatcher.HandlerCount(ev); n != 1 {
+				t.Fatalf("%s: %s has %d handlers, want 1", when, ev, n)
+			}
+			if got := m.Dispatcher.Raise(ev, nil); got != "primary" {
+				t.Fatalf("%s: %s raise = %v", when, ev, got)
 			}
 		}
-	}()
-	// Destroyer: repeated crash-only teardown racing all of the above.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds/4; i++ {
-			m.DestroyDomain(ext)
+		if _, err := m.Namespace.Import("RacyService", domain.Identity{Name: "app"}); !errors.Is(err, domain.ErrNotExported) {
+			t.Fatalf("%s: RacyService still importable: %v", when, err)
 		}
-	}()
-	// Raiser: live traffic through the events being torn down.
-	for i := 0; i < 2*rounds; i++ {
-		m.Dispatcher.Raise(fmt.Sprintf("Race.%d", i%events), nil)
 	}
-	wg.Wait()
 
-	// Quiesced: one final teardown must leave only the primaries.
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		// Installer: adds a handler owned by the doomed principal.
+		if _, err := m.Dispatcher.Install(fmt.Sprintf("Race.%d", i%events),
+			func(_, _ any) any { return "ext" }, dispatch.InstallOptions{Installer: ext}); err != nil {
+			t.Fatal(err)
+		}
+		// Raiser: live traffic through the events being torn down.
+		m.Dispatcher.Raise(fmt.Sprintf("Race.%d", (2*i)%events), nil)
+		// Exporter/linker: churns the nameserver with the same owner.
+		_ = m.Namespace.ExportOwned("RacyService", iface, nil, ext)
+		var ping func() int
+		client, err := domain.CreateFromModule("RacyClient", func(o *safe.ObjectFile) {
+			o.Import("Racy.Ping", &ping)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Namespace.LinkAgainst("RacyService", domain.Identity{Name: "app"}, client); err != nil || ping() != 1 {
+			t.Fatalf("round %d: link against RacyService: %v", i, err)
+		}
+		m.Dispatcher.Raise(fmt.Sprintf("Race.%d", (2*i+1)%events), nil)
+		// Destroyer: crash-only teardown every fourth round.
+		if i%4 == 3 {
+			m.DestroyDomain(ext)
+			onlyPrimaries(fmt.Sprintf("after round %d", i))
+		}
+	}
+
+	// One final teardown must leave only the primaries.
 	m.DestroyDomain(ext)
-	for i := 0; i < events; i++ {
-		ev := fmt.Sprintf("Race.%d", i)
-		if n := m.Dispatcher.HandlerCount(ev); n != 1 {
-			t.Errorf("%s has %d handlers after final destroy, want 1", ev, n)
-		}
-		if got := m.Dispatcher.Raise(ev, nil); got != "primary" {
-			t.Errorf("%s raise = %v after final destroy", ev, got)
-		}
-	}
-	if _, err := m.Namespace.Import("RacyService", domain.Identity{Name: "app"}); !errors.Is(err, domain.ErrNotExported) {
-		t.Errorf("RacyService still importable after final destroy: %v", err)
-	}
+	onlyPrimaries("after final destroy")
 }
