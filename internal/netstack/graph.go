@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -27,19 +28,25 @@ func (s *Stack) Graph() string {
 		}
 	}
 	// Port tables are handlers too.
-	if ports := s.udp.ports; len(ports) > 0 {
-		fmt.Fprintf(&b, "  UDP ports:")
-		for p := range ports {
-			fmt.Fprintf(&b, " %d", p)
-		}
-		fmt.Fprintln(&b)
-	}
-	if listeners := s.tcp.listeners; len(listeners) > 0 {
-		fmt.Fprintf(&b, "  TCP listeners:")
-		for p := range listeners {
-			fmt.Fprintf(&b, " %d", p)
-		}
-		fmt.Fprintln(&b)
-	}
+	writePorts(&b, "UDP ports", s.udp.ports)
+	writePorts(&b, "TCP listeners", s.tcp.listeners)
 	return b.String()
+}
+
+// writePorts lists a port table's ports in order on one labelled line, or
+// nothing if the table is empty.
+func writePorts[K uint16 | uint32, V any](b *strings.Builder, label string, table map[K]V) {
+	if len(table) == 0 {
+		return
+	}
+	ports := make([]K, 0, len(table))
+	for p := range table {
+		ports = append(ports, p)
+	}
+	slices.Sort(ports)
+	fmt.Fprintf(b, "  %s:", label)
+	for _, p := range ports {
+		fmt.Fprintf(b, " %d", p)
+	}
+	fmt.Fprintln(b)
 }

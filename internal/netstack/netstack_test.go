@@ -691,6 +691,39 @@ func TestGraphRendering(t *testing.T) {
 	}
 }
 
+// The graph lists ports in order, not in a map's order, so two stacks with
+// the same ports bound in opposite orders render byte for byte the same.
+func TestGraphDeterministic(t *testing.T) {
+	ports := []uint16{6000, 7001, 53, 9999, 123, 8080, 20000, 7}
+	render := func(reverse bool) string {
+		h := newNetHost(t, "a", Addr(10, 0, 0, 1), sal.LanceModel)
+		for i := range ports {
+			p := ports[i]
+			if reverse {
+				p = ports[len(ports)-1-i]
+			}
+			if err := h.stack.UDP().Bind(p, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.stack.TCP().Listen(p, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h.stack.Graph()
+	}
+	want := render(false)
+	for _, line := range []string{"UDP ports: 7 53 123 6000 7001 8080 9999 20000\n", "TCP listeners: 7 53 123 6000 7001 8080 9999 20000\n"} {
+		if !strings.Contains(want, line) {
+			t.Errorf("graph missing %q:\n%s", line, want)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if got := render(i%2 == 0); got != want {
+			t.Fatalf("graph differs between bind orders:\n%s\nvs\n%s", got, want)
+		}
+	}
+}
+
 func TestStackNoRoute(t *testing.T) {
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, &sim.SPINProfile)

@@ -54,13 +54,14 @@ func InKernelDelivery(*sim.Clock, *Packet) {}
 const DefaultRXQueueDepth = 1024
 
 // rxQueue is one NIC's bounded receive queue. The driver upcall enqueues in
-// interrupt context by posting the packet's own engine step, which runs its
-// protocol processing (rxPosted); depth counts the steps posted and not yet
-// run.
+// interrupt context by posting the packet's own drain step to the queue's
+// lane, which runs its protocol processing (rxPosted); depth counts the
+// steps posted and not yet run.
 type rxQueue struct {
 	stack     *Stack
 	nic       *sal.NIC
 	linkEvent *dispatch.Event
+	steps     sim.Lane
 	depth     int
 	accepted  int64
 	dropped   int64
@@ -219,6 +220,7 @@ func (s *Stack) Attach(nic *sal.NIC) {
 		linkEvent = s.evATM
 	}
 	q := &rxQueue{stack: s, nic: nic, linkEvent: linkEvent}
+	q.steps.Init(s.engine, rxPosted, q)
 	s.rxqs = append(s.rxqs, q)
 	nic.OnReceive = func(f sal.NetFrame) bool {
 		pkt, ok := f.Payload.(*Packet)
@@ -250,7 +252,7 @@ func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 	q.accepted++
 	// Protocol processing runs in a separately scheduled kernel thread
 	// outside the interrupt handler (paper §5.3).
-	s.engine.Post(s.clock.Now(), rxPosted, q, pkt, 0)
+	q.steps.Post(s.clock.Now(), pkt, 0)
 	return true
 }
 

@@ -19,7 +19,9 @@ type UDPHandler func(pkt *Packet)
 // during delivery has already been looked up.
 type UDP struct {
 	stack *Stack
-	ports map[uint16]udpBinding
+	// ports is keyed by the port widened to 32 bits, which Go's maps hash
+	// on a fast path that a 16-bit key has none of.
+	ports map[uint32]udpBinding
 	// cursor is the next ephemeral-port offset to try.
 	cursor int
 }
@@ -42,18 +44,18 @@ func (u *UDP) BindOwned(owner string, port uint16, cost DeliveryCost, h UDPHandl
 	if cost == nil {
 		cost = InKernelDelivery
 	}
-	if _, dup := u.ports[port]; dup {
+	if _, dup := u.ports[uint32(port)]; dup {
 		return fmt.Errorf("netstack: UDP port %d in use", port)
 	}
 	if u.ports == nil {
-		u.ports = make(map[uint16]udpBinding)
+		u.ports = make(map[uint32]udpBinding)
 	}
-	u.ports[port] = udpBinding{h: h, cost: cost, owner: owner}
+	u.ports[uint32(port)] = udpBinding{h: h, cost: cost, owner: owner}
 	return nil
 }
 
 // Unbind releases port.
-func (u *UDP) Unbind(port uint16) { delete(u.ports, port) }
+func (u *UDP) Unbind(port uint16) { delete(u.ports, uint32(port)) }
 
 // UnbindOwner releases every port bound under owner — the UDP module's
 // teardown reclaimer. It returns the number of ports released.
@@ -88,7 +90,7 @@ func (u *UDP) EphemeralPort() (uint16, error) {
 	const span = EphemeralMax - EphemeralMin + 1
 	for i := 0; i < span; i++ {
 		p := uint16(EphemeralMin + (u.cursor+i)%span)
-		if _, used := u.ports[p]; !used {
+		if _, used := u.ports[uint32(p)]; !used {
 			u.cursor = (u.cursor + i + 1) % span
 			return p, nil
 		}
@@ -111,7 +113,7 @@ func (u *UDP) Send(srcPort uint16, dst IPAddr, dstPort uint16, payload []byte) e
 // deliver hands a datagram to its bound endpoint (after graph handlers
 // declined to claim it).
 func (u *UDP) deliver(pkt *Packet) {
-	b, ok := u.ports[pkt.DstPort]
+	b, ok := u.ports[uint32(pkt.DstPort)]
 	if !ok {
 		return // port unreachable; silently dropped in this model
 	}

@@ -166,6 +166,7 @@ type NIC struct {
 
 	wire     Wire
 	txFreeAt sim.Time
+	rx       sim.Lane // receive interrupts in arrival order
 
 	// OnReceive is the driver receive upcall, called in interrupt context
 	// after the driver receive cost has been charged. It reports whether
@@ -187,13 +188,15 @@ func (n *NIC) RXDropped() int64 { return n.rxDropped }
 // NewNIC creates an interface of the given model on the machine described
 // by engine/ic, delivering receive interrupts on vector.
 func NewNIC(model NICModel, engine *sim.Engine, ic *InterruptController, vector InterruptVector) *NIC {
-	return &NIC{
+	n := &NIC{
 		Model:  model,
 		engine: engine,
 		clock:  engine.Clock,
 		ic:     ic,
 		vector: vector,
 	}
+	n.rx.Init(engine, receivePosted, n)
+	return n
 }
 
 // AttachWire installs w as the NIC's outbound transport, replacing any
@@ -207,7 +210,7 @@ func (n *NIC) Wire() Wire { return n.wire }
 // DeliverAt schedules f's receive interrupt on this NIC at absolute virtual
 // time t — the receive-side entry point wires and switch nodes use.
 func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
-	n.engine.Post(t, receivePosted, n, f.Payload, f.Size)
+	n.rx.Post(t, f.Payload, f.Size)
 }
 
 // receivePosted is the NIC's receive interrupt. The frame's two words ride

@@ -20,10 +20,12 @@ func referenceNext(engines []*Engine) *Engine {
 	return best
 }
 
-// ran is one executed event: which engine, and its seq there.
+// ran is one executed event: which engine (its payload), its seq there and
+// its time.
 type ran struct {
 	engine int
 	seq    int64
+	at     Time
 }
 
 // universe is one copy of a seeded random schedule. Two universes built from
@@ -37,9 +39,13 @@ type universe struct {
 	trace   []ran
 	events  []*Event // every event At returned, run or not
 	timers  []*timer // every owner-held event, two an engine
-	budget  int      // events still to be scheduled
-	posting bool     // a Post handler is running
-	seen    map[string]int
+	lanes   []*Lane  // two an engine
+	// postOnly sends every lane post to Engine.Post instead, the program
+	// the lanes must not change.
+	postOnly bool
+	budget   int  // events still to be scheduled
+	posting  bool // a Post or lane handler is running
+	seen     map[string]int
 }
 
 // timer is an owner-held event, always armed on the same engine.
@@ -63,8 +69,8 @@ func liveHead(e *Engine) *Event {
 	return head
 }
 
-func newUniverse(seed uint64, indexed bool) *universe {
-	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, budget: 400, seen: map[string]int{}}
+func newUniverse(seed uint64, indexed, postOnly bool) *universe {
+	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, postOnly: postOnly, budget: 400, seen: map[string]int{}}
 	if indexed {
 		u.cluster = NewCluster()
 	}
@@ -86,6 +92,9 @@ func (u *universe) addEngine() {
 			u.ran(e, tm.seq)
 		}
 		u.timers = append(u.timers, tm)
+		l := new(Lane)
+		l.Init(e, ranPosted, u)
+		u.lanes = append(u.lanes, l)
 	}
 	for n := u.rng.Intn(3); n > 0; n-- {
 		u.schedule(e, Time(u.rng.Intn(20)))
@@ -98,9 +107,10 @@ func (u *universe) addEngine() {
 func (u *universe) pick() *Engine { return u.engines[u.rng.Intn(len(u.engines))] }
 
 // schedule queues one event on e, from whichever engine's handler is
-// running, in one of the three forms: a closure by At, a recycled event by
-// Post, or one of e's two owner-held events by Arm, whatever state that one
-// is in. seen counts the cases the oracle is there for.
+// running, in one of the four forms: a closure by At, a recycled event by
+// Post, one of e's two owner-held events by Arm, whatever state that one is
+// in, or an entry on one of e's two lanes, in order or behind the lane's
+// tail. seen counts the cases the oracle is there for.
 func (u *universe) schedule(e *Engine, at Time) {
 	if u.budget == 0 {
 		return
@@ -110,7 +120,7 @@ func (u *universe) schedule(e *Engine, at Time) {
 	if u.cluster != nil && e.head.pos != 0 && at < e.head.At {
 		u.seen["earlier than the cluster's marker"]++
 	}
-	switch u.rng.Intn(3) {
+	switch u.rng.Intn(4) {
 	case 0:
 		u.events = append(u.events, e.At(at, func() { u.ran(e, seq) }))
 	case 1:
@@ -130,6 +140,26 @@ func (u *universe) schedule(e *Engine, at Time) {
 		}
 		tm.seq = seq
 		e.Arm(&tm.ev, Duration(at-e.Now()))
+	case 3:
+		l := u.lanes[2*u.index[e]+u.rng.Intn(2)]
+		switch {
+		case l.count == 0:
+			u.seen["lane post into an empty lane"]++
+		case max(at, e.Now()) < l.tail():
+			u.seen["lane post behind its tail"]++
+		case max(at, e.Now()) == l.tail():
+			u.seen["lane post at its tail's time"]++
+		default:
+			u.seen["lane post after its tail"]++
+		}
+		if u.posting {
+			u.seen["lane post from inside a handler"]++
+		}
+		if u.postOnly {
+			e.Post(at, ranPosted, u, e, int(seq))
+		} else {
+			l.Post(at, e, int(seq))
+		}
 	}
 }
 
@@ -143,7 +173,7 @@ func ranPosted(u, e any, seq int) {
 // work: events on its own and other engines placed before, at and after
 // the target's current head, and cancellations of heads and non-heads.
 func (u *universe) ran(e *Engine, seq int64) {
-	u.trace = append(u.trace, ran{u.index[e], seq})
+	u.trace = append(u.trace, ran{u.index[e], seq, e.Now()})
 	for n := u.rng.Intn(4); n > 0; n-- {
 		to := e
 		if u.rng.Intn(3) > 0 {
@@ -234,13 +264,13 @@ func (u *universe) step() int {
 }
 
 // TestClusterMatchesReferenceScan is the scheduler's oracle: over many
-// seeded random schedules, drawn from all three scheduling forms, the
+// seeded random schedules, drawn from all four scheduling forms, the
 // indexed cluster must choose, step for step, the engine the linear scan
 // chooses, and both must execute the same (engine, seq) sequence.
 func TestClusterMatchesReferenceScan(t *testing.T) {
 	steps, seen := 0, map[string]int{}
 	for seed := uint64(1); seed <= 1500; seed++ {
-		ref, got := newUniverse(seed, false), newUniverse(seed, true)
+		ref, got := newUniverse(seed, false, false), newUniverse(seed, true, false)
 		for {
 			ref.between()
 			got.between()
@@ -275,9 +305,52 @@ func TestClusterMatchesReferenceScan(t *testing.T) {
 		t.Fatalf("only %d cluster steps compared; the schedules ran dry", steps)
 	}
 	for _, k := range []string{"earlier than the cluster's marker", "post from inside a post handler",
-		"arm while armed", "arm while disarmed and still queued", "arm after firing"} {
+		"arm while armed", "arm while disarmed and still queued", "arm after firing",
+		"lane post into an empty lane", "lane post behind its tail", "lane post at its tail's time",
+		"lane post after its tail", "lane post from inside a handler"} {
 		if seen[k] < 1000 {
 			t.Errorf("%s: drawn %d times, want at least 1000", k, seen[k])
 		}
+	}
+}
+
+// TestLaneMatchesPost is the lane's oracle: each seeded random program runs
+// twice on a cluster, the second time with every lane post made by
+// Engine.Post, and both runs must fire the same (time, seq, payload)
+// sequence and leave every clock where the other does. A lane changes how
+// many events wait in an engine's queue, never which runs next.
+func TestLaneMatchesPost(t *testing.T) {
+	steps := 0
+	for seed := uint64(1); seed <= 1500; seed++ {
+		post, lane := newUniverse(seed, true, true), newUniverse(seed, true, false)
+		for {
+			post.between()
+			lane.between()
+			want, have := post.step(), lane.step()
+			if want != have {
+				t.Fatalf("seed %d after %d events: with Post engine %d steps, with lanes engine %d",
+					seed, len(post.trace), want, have)
+			}
+			if want < 0 {
+				break
+			}
+			steps++
+		}
+		if len(post.trace) != len(lane.trace) {
+			t.Fatalf("seed %d: %d events with Post, %d with lanes", seed, len(post.trace), len(lane.trace))
+		}
+		for i := range post.trace {
+			if post.trace[i] != lane.trace[i] {
+				t.Fatalf("seed %d: event %d is %v with Post, %v with lanes", seed, i, post.trace[i], lane.trace[i])
+			}
+		}
+		for i, e := range post.engines {
+			if e.Now() != lane.engines[i].Now() {
+				t.Fatalf("seed %d: engine %d clock %v with Post, %v with lanes", seed, i, e.Now(), lane.engines[i].Now())
+			}
+		}
+	}
+	if steps < 100_000 {
+		t.Fatalf("only %d steps compared; the schedules ran dry", steps)
 	}
 }

@@ -12,6 +12,7 @@ type Event struct {
 	seq    int64 // tie-break: FIFO among same-time events
 	cancel bool
 	posted bool  // the Event of a posted, which Step fires through it
+	lane   bool  // the Event of a Lane, which Step fires through it
 	pos    int32 // 1 + index in the eventQueue holding it, 0 when in none
 }
 
@@ -114,9 +115,11 @@ func (q eventQueue) down(i int) {
 // There are three ways to schedule. At takes any closure and returns the
 // event, for what is rare or may be cancelled by someone else. Post carries
 // a static function and its operands in an event the engine recycles, for
-// the per-packet hand-off nobody cancels. Arm schedules an Event embedded
+// the per-packet hand-off nobody cancels; a Lane posts the same way for one
+// source whose times never go back, a link's frames or a receive queue, and
+// keeps all but its head out of the queue. Arm schedules an Event embedded
 // in the struct that owns it, for a timer its owner sets again and again.
-// All three draw one seq from the same counter, so which one a site uses
+// All of them draw one seq from the same counter, so which one a site uses
 // does not change the order events run in.
 type Engine struct {
 	Clock *Clock
@@ -147,23 +150,28 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.Clock.Now() }
 
 // schedule queues ev, which is in no queue, to fire at t, or now if t is in
-// the past.
+// the past, under the next seq.
 func (e *Engine) schedule(ev *Event, t Time) {
 	if t < e.Clock.Now() {
 		t = e.Clock.Now()
 	}
 	ev.At, ev.seq, ev.cancel = t, e.seq, false
 	e.seq++
+	e.enqueue(ev)
+}
+
+// enqueue pushes ev, keyed already, onto the queue.
+func (e *Engine) enqueue(ev *Event) {
 	e.queue.push(ev)
 	// Only an earlier head can break head.At's lower bound, so this is the
 	// one place an engine has to tell its cluster anything; pops only raise
 	// the head, and Cluster.next catches up with those at the root.
 	if c := e.cluster; c != nil {
 		if e.head.pos == 0 {
-			e.head.At = t
+			e.head.At = ev.At
 			c.ready.push(&e.head)
-		} else if t < e.head.At {
-			e.head.At = t
+		} else if ev.At < e.head.At {
+			e.head.At = ev.At
 			c.ready.up(int(e.head.pos) - 1)
 		}
 	}
@@ -240,11 +248,15 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 	return e.At(e.Clock.Now().Add(d), fn)
 }
 
-// Pending reports the number of live (uncancelled) queued events.
+// Pending reports the number of live (uncancelled) queued events, each
+// entry of a lane counted.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, ev := range e.queue {
-		if !ev.cancel {
+		switch {
+		case ev.lane:
+			n += (*Lane)(unsafe.Pointer(ev)).count
+		case !ev.cancel:
 			n++
 		}
 	}
@@ -256,7 +268,13 @@ func (e *Engine) Pending() int {
 // empty. Cancelled events are discarded without running.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := e.queue.remove(0)
+		ev := e.queue[0]
+		if ev.lane {
+			e.Clock.AdvanceTo(ev.At)
+			(*Lane)(unsafe.Pointer(ev)).fire()
+			return true
+		}
+		e.queue.remove(0)
 		if ev.cancel {
 			continue
 		}

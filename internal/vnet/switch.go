@@ -52,6 +52,7 @@ func (sw *Switch) Stats() (forwarded, noRoute, ttlExpired int64) {
 // away from this port) is wired by the builder after both ends exist.
 func (sw *Switch) addPort() *Port {
 	p := &Port{sw: sw}
+	p.in.Init(sw.engine, forwardPosted, sw)
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -60,13 +61,14 @@ func (sw *Switch) addPort() *Port {
 // here) and holds the outbound half of the same link.
 type Port struct {
 	sw  *Switch
+	in  sim.Lane // forwarding steps of the frames arriving here
 	out sal.Wire // transmit half of the attached link, away from the switch
 }
 
 // DeliverAt schedules the frame's forwarding step on the switch's engine —
 // the endpoint contract links deliver into.
 func (p *Port) DeliverAt(t sim.Time, f sal.NetFrame) {
-	p.sw.engine.Post(t, forwardPosted, p.sw, f.Payload, f.Size)
+	p.in.Post(t, f.Payload, f.Size)
 }
 
 func forwardPosted(sw, payload any, size int) {
