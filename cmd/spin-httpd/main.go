@@ -223,7 +223,7 @@ func run(out io.Writer, requests int) error {
 		in.Driver().Run(func() {
 			err = netstack.HTTPGet(client.Stack, server.Stack.IP, 80, path,
 				netstack.InKernelDelivery, func(_ string, body []byte) {
-					page = body
+					page = bytes.Clone(body) // the body is lent until done returns
 					got = true
 				})
 		})

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 	done := false
 	must(netstack.HTTPGet(client.Stack, mid.Stack.IP, 80, "/", netstack.InKernelDelivery,
 		func(status string, b []byte) {
-			body = b
+			body = bytes.Clone(b) // the body is lent until done returns
 			done = true
 		}))
 

@@ -7,6 +7,7 @@ package spin_test
 // cost against the parent commit is the benchmark's job (BENCHMARK.json).
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"testing"
@@ -20,6 +21,10 @@ import (
 	"spin/internal/sim"
 	"spin/internal/vnet"
 )
+
+// raceEnabled reports a -race build (race_test.go), whose sync.Pool drops a
+// share of what is put back: the pooled packets a pin counts are made again.
+var raceEnabled bool
 
 // namedStar builds the 3-machine named-service star the naming gates run
 // on: client, nameserver and web server around one switch with 200µs edges.
@@ -719,4 +724,50 @@ func TestLossRecoveryGates(t *testing.T) {
 			t.Errorf("2%% reorder takes %.3fx the clean link's time, want at most 1.05x", ratio)
 		}
 	})
+}
+
+// A GET over the warm named star, by address, allocates 10 objects: the two
+// Conns and their retransmit timers' bound methods, the GET's state and its
+// three callbacks, the path the server looks its content up by and the
+// status line done is handed. The response body is lent from storage the
+// client's TCP module recycles, the server parses a request that arrives
+// whole where it was delivered, and both ends' in-flight lists are the ones
+// the last connection left. The parent commit spent 17 objects a GET.
+func TestHTTPGetSteadyStateAllocs(t *testing.T) {
+	in := namedStar(t)
+	page := make([]byte, 2048)
+	for i := range page {
+		page[i] = 'a' + byte(i%26)
+	}
+	if _, err := netstack.NewHTTPServer(in.Machine("web").Stack, 80, netstack.InKernelDelivery,
+		netstack.ContentMap{"/p": page}); err != nil {
+		t.Fatal(err)
+	}
+	client, web := in.Machine("client").Stack, in.IP("web")
+	var storage *byte
+	gets, reused := 0, 0
+	done := func(status string, body []byte) {
+		if status != "HTTP/1.0 200 OK" || !bytes.Equal(body, page) {
+			t.Fatalf("GET %d: status %q, %d of %d bytes", gets, status, len(body), len(page))
+		}
+		if gets++; &body[0] == storage {
+			reused++
+		}
+		storage = &body[0]
+	}
+	get := func() {
+		if err := netstack.HTTPGet(client, web, 80, "/p", netstack.InKernelDelivery, done); err != nil {
+			t.Fatal(err)
+		}
+		in.Run(0) // through TIME_WAIT: both ends torn down
+	}
+	get() // the first GET makes the storage the rest borrow
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, get)
+	if allocs != 10 && !raceEnabled {
+		t.Errorf("a GET allocates %v objects, want exactly 10", allocs)
+	}
+	if gets != runs+2 || reused != runs+1 {
+		t.Errorf("%d GETs, %d of them into the last one's body storage; want %d, %d", gets, reused, runs+2, runs+1)
+	}
 }

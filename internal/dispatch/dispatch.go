@@ -96,9 +96,10 @@ var ErrNoSuchEvent = errors.New("dispatch: no such event")
 // individually with KeyedEvent.RemoveKeyed instead.
 var ErrKeyedPrimary = errors.New("dispatch: primary is the keyed demultiplexer")
 
-// handlerEntry is immutable once published in a snapshot. AddGuard replaces
-// the entry (with a freshly copied guard slice) rather than mutating it, so
-// a Raise iterating a snapshot never observes a guard list changing.
+// handlerEntry is immutable once published in a snapshot, but for the name
+// its first traced invocation caches (key). AddGuard replaces the entry
+// (with a freshly copied guard slice) rather than mutating it, so a Raise
+// iterating a snapshot never observes a guard list changing.
 type handlerEntry struct {
 	handler Handler
 	guards  []Guard
@@ -107,6 +108,10 @@ type handlerEntry struct {
 	primary bool
 	id      int
 	event   string
+	// key names the handler's latency series, built on its first traced
+	// invocation (handlerKey): the one field written after publication,
+	// by whoever steps the machine, like every raise.
+	key string
 	// misbehaviour holds the handler's lifetime fault and overrun
 	// counts, shared by pointer across snapshot copies so an AddGuard
 	// replacement does not reset a handler's quarantine budget.
@@ -522,12 +527,17 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 }
 
 // handlerKey names a handler's latency series: the event plus the
-// installer's identity ("#primary" for the default implementation).
+// installer's identity ("#primary" for the default implementation). The
+// name is built once, so a traced raise allocates no string.
 func handlerKey(e *handlerEntry) string {
-	if e.primary {
-		return e.event + "#primary"
+	if e.key == "" {
+		if e.primary {
+			e.key = e.event + "#primary"
+		} else {
+			e.key = e.event + "#" + e.owner.Name
+		}
 	}
-	return e.event + "#" + e.owner.Name
+	return e.key
 }
 
 // outcomeOf classifies a dispatch for its trace record.

@@ -120,3 +120,32 @@ func TestRaiseByHandleAllocFree(t *testing.T) {
 		t.Errorf("raise by handle: %v allocs, want 0", allocs)
 	}
 }
+
+// Tracing a raise by handle allocates nothing once each handler has run
+// traced: its latency series' name is built on the first call, not on
+// every one. Both dispatch paths: a lone primary's direct call, which
+// allocates nothing untraced either, and a primary with an extension
+// installed, whose walk allocates its results slice either way.
+func TestTracedRaiseByHandleAllocFree(t *testing.T) {
+	d, _ := newTestDispatcher()
+	_ = d.Define("Call", DefineOptions{Primary: func(arg, _ any) any { return arg }})
+	_ = d.Define("Walk", DefineOptions{Primary: func(arg, _ any) any { return arg }})
+	_, _ = d.Install("Walk", func(arg, _ any) any { return arg }, InstallOptions{Installer: testIdent("ext")})
+	arg := any(&keyedArg{port: 7})
+	tr := trace.New(8)
+	for _, ev := range []*Event{d.Event("Call"), d.Event("Walk")} {
+		d.SetTracer(nil)
+		untraced := testing.AllocsPerRun(100, func() { d.RaiseEvent(ev, arg) })
+		d.SetTracer(tr)
+		if traced := testing.AllocsPerRun(1000, func() { d.RaiseEvent(ev, arg) }); traced != untraced {
+			t.Errorf("raise of %s by handle: %v allocs traced, %v untraced", ev.name, traced, untraced)
+		}
+	}
+	for _, series := range []string{"Call#primary", "Walk#primary", "Walk#ext"} {
+		if h, ok := tr.Histogram(series); !ok {
+			t.Errorf("no series %s", series)
+		} else if h.Count() != 1001 {
+			t.Errorf("series %s: %d samples, want 1001", series, h.Count())
+		}
+	}
+}

@@ -29,6 +29,9 @@ func (m ContentMap) Get(path string) ([]byte, bool) {
 type HTTPServer struct {
 	stack   *Stack
 	content HTTPContent
+	// partial holds, by connection, the requests that arrived split across
+	// deliveries, until their blank line arrives.
+	partial map[*Conn][]byte
 	// Requests counts GETs served.
 	Requests int64
 	// NotFound counts 404s.
@@ -46,21 +49,44 @@ func NewHTTPServer(stack *Stack, port uint16, cost DeliveryCost, content HTTPCon
 // failover experiments flip on a backend.
 func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCost, content HTTPContent) (*HTTPServer, error) {
 	h := &HTTPServer{stack: stack, content: content}
+	// Every connection shares the server's callbacks, made once.
+	onData, onClose := h.receive, h.forget
 	err := stack.TCP().ListenOwned(owner, port, cost, func(c *Conn) {
-		var reqBuf []byte
-		c.OnData = func(c *Conn, data []byte) {
-			reqBuf = append(reqBuf, data...)
-			if !bytes.Contains(reqBuf, []byte("\r\n\r\n")) {
-				return // request incomplete
-			}
-			h.serve(c, reqBuf)
-			reqBuf = nil
-		}
+		c.OnData, c.OnClose = onData, onClose
 	})
 	if err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// blankLine ends a request's or a response's header.
+var blankLine = []byte("\r\n\r\n")
+
+// receive takes a connection's delivered bytes. A request that arrives
+// whole in one delivery is served from them in place; only one split across
+// deliveries is copied, into partial, until it is whole.
+func (h *HTTPServer) receive(c *Conn, data []byte) {
+	if req, split := h.partial[c]; split || !bytes.Contains(data, blankLine) {
+		if req = append(req, data...); !bytes.Contains(req, blankLine) {
+			if h.partial == nil {
+				h.partial = make(map[*Conn][]byte)
+			}
+			h.partial[c] = req
+			return // request incomplete
+		}
+		delete(h.partial, c)
+		data = req
+	}
+	h.serve(c, data)
+}
+
+// forget is every connection's OnClose. A client that closes before its
+// request is whole can send no more of it: the part held is dropped and the
+// server closes its half too.
+func (h *HTTPServer) forget(c *Conn) {
+	delete(h.partial, c)
+	_ = c.Close()
 }
 
 // serve parses one request and sends the response on the connection. When
@@ -133,7 +159,7 @@ func sendRest(c *Conn, body []byte) {
 // from its Content-Length, once the header is complete, or returns 0. It
 // sizes a buffer, so a peer's header can make it at most a MiB.
 func responseSize(b []byte) int {
-	header, _, complete := bytes.Cut(b, []byte("\r\n\r\n"))
+	header, _, complete := bytes.Cut(b, blankLine)
 	_, v, _ := bytes.Cut(header, []byte("Content-Length: "))
 	v, _, _ = bytes.Cut(v, []byte("\r\n"))
 	if n, err := strconv.Atoi(string(v)); complete && err == nil && n >= 0 {
@@ -144,39 +170,60 @@ func responseSize(b []byte) int {
 
 // HTTPGet performs one HTTP transaction from this stack to server:port,
 // invoking done with the response body when the transfer completes (the
-// server closing the connection ends the body).
+// server closing the connection ends the body). done runs at most once, on
+// every ending: the server's close, a reset, a timeout.
+//
+// The body is lent, like a handler's packet payload: its storage belongs
+// to the stack's TCP module, which gives it to a later GET once done
+// returns, so a caller that keeps the body past done copies it.
 func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost DeliveryCost, done func(status string, body []byte)) error {
 	conn, err := stack.TCP().Connect(server, port, cost)
 	if err != nil {
 		return err
 	}
-	var resp []byte
-	finished := false
-	conn.OnConnect = func(c *Conn) {
-		_ = c.Send([]byte("GET " + path + " HTTP/1.0\r\n\r\n"))
+	g := &httpGet{path: path, done: done}
+	conn.OnConnect, conn.OnData, conn.OnClose = g.connected, g.received, g.closed
+	return nil
+}
+
+// httpGet is one GET's state, which its connection's callbacks share.
+type httpGet struct {
+	path     string
+	done     func(status string, body []byte)
+	resp     []byte // lent by the TCP module from the first delivery to the end of done
+	finished bool
+}
+
+func (g *httpGet) connected(c *Conn) {
+	_ = c.Send([]byte("GET "), []byte(g.path), []byte(" HTTP/1.0\r\n\r\n"))
+}
+
+// received appends delivered bytes to the response. The first delivery
+// borrows storage for all of it, sized from its Content-Length.
+func (g *httpGet) received(c *Conn, data []byte) {
+	if g.resp == nil {
+		n := max(len(data), responseSize(data))
+		if g.resp = c.tcp.spareBodies.take(n); g.resp == nil {
+			g.resp = make([]byte, 0, n)
+		}
 	}
-	conn.OnData = func(c *Conn, data []byte) {
-		if resp == nil {
-			resp = make([]byte, 0, max(len(data), responseSize(data)))
-		}
-		resp = append(resp, data...)
+	g.resp = append(g.resp, data...)
+}
+
+func (g *httpGet) closed(c *Conn) {
+	if g.finished {
+		return
 	}
-	conn.OnClose = func(c *Conn) {
-		if finished {
-			return
-		}
-		finished = true
-		c.Close() // complete our half of the teardown
-		if done == nil {
-			return
-		}
-		// body is the rest of resp, which nothing else holds any more.
-		headers, body, found := bytes.Cut(resp, []byte("\r\n\r\n"))
+	g.finished = true
+	c.Close() // complete our half of the teardown
+	if g.done != nil {
+		headers, body, found := bytes.Cut(g.resp, blankLine)
 		status, _, _ := bytes.Cut(headers, []byte("\r\n"))
 		if !found {
 			body = nil
 		}
-		done(string(status), body)
+		g.done(string(status), body)
 	}
-	return nil
+	c.tcp.spareBodies.give(g.resp[:0], maxSpareBytes)
+	g.resp = nil
 }

@@ -373,7 +373,7 @@ func TestHTTPServerAndClient(t *testing.T) {
 	var status string
 	var body []byte
 	err = HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/index.html", nil, func(s string, b []byte) {
-		status, body = s, b
+		status, body = s, bytes.Clone(b)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,15 +402,18 @@ func TestSendBufferReused(t *testing.T) {
 	var storage *byte
 	for i := 0; i < 3; i++ {
 		var body []byte
-		if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/", nil, func(_ string, got []byte) { body = got }); err != nil {
+		slack := -1
+		if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/", nil, func(_ string, got []byte) {
+			body, slack = bytes.Clone(got), cap(got)-len(got)
+		}); err != nil {
 			t.Fatal(err)
 		}
 		cl.Run(0) // through TIME_WAIT: both ends torn down
 		if !bytes.Equal(body, page) {
 			t.Fatalf("request %d: %d of %d bytes", i, len(body), len(page))
 		}
-		if cap(body) != len(body) {
-			t.Errorf("request %d: response buffer has %d bytes to spare: Content-Length did not size it", i, cap(body)-len(body))
+		if slack != 0 {
+			t.Errorf("request %d: response buffer has %d bytes to spare: Content-Length did not size it", i, slack)
 		}
 		spare := b.stack.TCP().spareSendBufs
 		if len(spare) != 1 || cap(spare[0]) < len(page) {
@@ -449,7 +452,7 @@ func TestHTTPBodyLargerThanSendBuffer(t *testing.T) {
 	}
 	var status string
 	var body []byte
-	if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/big", nil, func(s string, got []byte) { status, body = s, got }); err != nil {
+	if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/big", nil, func(s string, got []byte) { status, body = s, bytes.Clone(got) }); err != nil {
 		t.Fatal(err)
 	}
 	cl.Run(0)
@@ -558,7 +561,7 @@ func TestHTTPGetResponseParsing(t *testing.T) {
 		var body []byte
 		err = HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/", nil, func(s string, b []byte) {
 			called++
-			status, body = s, b
+			status, body = s, bytes.Clone(b)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -571,6 +574,179 @@ func TestHTTPGetResponseParsing(t *testing.T) {
 			t.Errorf("%s: got %q, %q; want %q, %q", tc.name, status, body, tc.status, tc.body)
 		}
 	}
+}
+
+// Every way a GET ends gives back what it borrowed: no pooled packet stays
+// live, both modules' spare lists stay within their bounds, the client's
+// holds the lent body again, done runs at most once, and the server keeps
+// no part of a request. The last rows are the server's side: a request
+// whose blank line comes in a second segment is gathered and served, and
+// one that the client's close cuts short is dropped and the server closes.
+func TestHTTPGetEndingsReturnStorage(t *testing.T) {
+	doc := bytes.Repeat([]byte("spin"), 500)
+	httpd := func(t *testing.T, _, b *host) *HTTPServer {
+		srv, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/doc": doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	// listen serves with a raw handler: the request draws resp, then the
+	// connection ends as end has it.
+	listen := func(resp string, end func(*Conn)) func(*testing.T, *host, *host) *HTTPServer {
+		return func(t *testing.T, _, b *host) *HTTPServer {
+			if err := b.stack.TCP().Listen(80, nil, func(c *Conn) {
+				c.OnData = func(c *Conn, _ []byte) {
+					_ = c.Send([]byte(resp))
+					end(c)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}
+	}
+	// forget drops the server's state behind the first part of the body,
+	// so the client's ACK of it draws a RST.
+	forget := func(c *Conn) { c.teardown() }
+	get := func(path string) func(*host, func(string, []byte)) error {
+		return func(a *host, done func(string, []byte)) error {
+			return HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, path, nil, done)
+		}
+	}
+	// rawGet writes each part of a request apart, so each arrives in its own
+	// segment, closes if close is set, and reports the response as HTTPGet
+	// does once the server closes.
+	rawGet := func(close bool, parts ...string) func(*host, func(string, []byte)) error {
+		return func(a *host, done func(string, []byte)) error {
+			c, err := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+			if err != nil {
+				return err
+			}
+			var resp []byte
+			c.OnConnect = func(c *Conn) {
+				for _, p := range parts {
+					_ = c.Send([]byte(p))
+				}
+				if close {
+					_ = c.Close()
+				}
+			}
+			c.OnData = func(_ *Conn, d []byte) { resp = append(resp, d...) }
+			c.OnClose = func(c *Conn) {
+				if c.State() == StateCloseWait {
+					_ = c.Close()
+					head, body, _ := bytes.Cut(resp, blankLine)
+					status, _, _ := bytes.Cut(head, []byte("\r\n"))
+					done(string(status), body)
+				}
+			}
+			return nil
+		}
+	}
+	rows := []struct {
+		name   string
+		server func(t *testing.T, a, b *host) *HTTPServer
+		get    func(a *host, done func(string, []byte)) error
+		calls  int // times done runs
+		status string
+		body   int  // bytes of body done sees
+		lent   bool // the client's module holds a spare body afterwards
+	}{
+		{"server closes", httpd, get("/doc"), 1, "HTTP/1.0 200 OK", len(doc), true},
+		{"404", httpd, get("/nope"), 1, "HTTP/1.0 404 Not Found", 0, true},
+		{"no Content-Length", listen("HTTP/1.0 200 OK\r\n\r\nhello", func(c *Conn) { _ = c.Close() }),
+			get("/"), 1, "HTTP/1.0 200 OK", 5, true},
+		{"server resets mid-body", listen("HTTP/1.0 200 OK\r\nContent-Length: 4000\r\n\r\nhello", forget),
+			get("/"), 1, "HTTP/1.0 200 OK", 5, true},
+		{"the SYN times out", func(t *testing.T, a, b *host) *HTTPServer {
+			b.nic.OnReceive = func(f sal.NetFrame) bool {
+				sal.ReleaseFrame(f)
+				return false
+			}
+			return httpd(t, a, b)
+		}, get("/doc"), 1, "", 0, false},
+		{"the client's FIN times out", func(t *testing.T, a, b *host) *HTTPServer {
+			receive := a.nic.OnReceive
+			a.nic.OnReceive = func(f sal.NetFrame) bool {
+				for _, c := range a.stack.TCP().conns {
+					if c.State() == StateLastAck { // deaf from the client's FIN on
+						sal.ReleaseFrame(f)
+						return false
+					}
+				}
+				return receive(f)
+			}
+			return httpd(t, a, b)
+		}, get("/doc"), 1, "HTTP/1.0 200 OK", len(doc), true},
+		{"nil done", httpd, func(a *host, _ func(string, []byte)) error {
+			return HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/doc", nil, nil)
+		}, 0, "", 0, true},
+		{"request split across two segments", httpd, rawGet(false, "GET /doc HTTP/1.0\r\n", "\r\n"),
+			1, "HTTP/1.0 200 OK", len(doc), false},
+		{"request cut short by the client's close", httpd, rawGet(true, "GET /doc HTTP/1.0\r\n"),
+			0, "", 0, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			live := LivePackets()
+			a, b, cl := pair(t, sal.LanceModel)
+			srv := row.server(t, a, b)
+			calls, status, body := 0, "", 0
+			err := row.get(a, func(s string, got []byte) {
+				calls++
+				status, body = s, len(got)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(row.name, "request ") &&
+				!cl.RunUntil(func() bool { return len(srv.partial) == 1 }, 0) {
+				t.Error("the server never held part of the request")
+			}
+			cl.Run(0)
+			if calls != row.calls || status != row.status || body != row.body {
+				t.Errorf("done ran %d times, last with %q and %d body bytes; want %d, %q, %d",
+					calls, status, body, row.calls, row.status, row.body)
+			}
+			if got := LivePackets(); got != live {
+				t.Errorf("%d pooled packets live, want %d", got, live)
+			}
+			for _, h := range []*host{a, b} {
+				tcp := h.stack.TCP()
+				if n := tcp.Conns(); n != 0 {
+					t.Errorf("%v keeps %d connections", h.stack.IP, n)
+				}
+				if !withinBounds(tcp.spareSendBufs, maxSpareBytes) || !withinBounds(tcp.spareBodies, maxSpareBytes) ||
+					!withinBounds(tcp.spareInflights, maxSpareSegs) {
+					t.Errorf("%v's spare lists are past their bounds", h.stack.IP)
+				}
+			}
+			if got, want := a.stack.TCP().timedOut, int64(strings.Count(row.name, "times out")); got != want {
+				t.Errorf("the client timed out %d times, want %d", got, want)
+			}
+			if n := len(a.stack.TCP().spareBodies); n != 0 != row.lent {
+				t.Errorf("the client keeps %d spare bodies; a body was lent: %v", n, row.lent)
+			}
+			if srv != nil && len(srv.partial) != 0 {
+				t.Errorf("the server keeps part of %d requests", len(srv.partial))
+			}
+			if srv != nil && row.status == "HTTP/1.0 200 OK" && srv.Requests != 1 {
+				t.Errorf("the server served %d requests, want 1", srv.Requests)
+			}
+		})
+	}
+}
+
+// withinBounds reports whether s holds at most maxSpares slices, each with
+// storage for at most max elements.
+func withinBounds[T any](s spares[T], max int) bool {
+	for _, b := range s {
+		if cap(b) == 0 || cap(b) > max {
+			return false
+		}
+	}
+	return len(s) <= maxSpares
 }
 
 func TestActiveMessages(t *testing.T) {

@@ -366,11 +366,14 @@ func (c *Conn) sendData(n int) {
 	c.armRetx()
 }
 
-// track records a segment just sent. The first record makes room for the
-// initial window and a FIN, so a short exchange grows the list no further.
+// track records a segment just sent. The first record takes the list a
+// torn-down connection left its module, or else makes room for the initial
+// window and a FIN, so a short exchange grows the list no further.
 func (c *Conn) track(s segment) {
 	if c.inflight == nil {
-		c.inflight = make([]segment, 0, initialWindow+1)
+		if c.inflight = c.tcp.spareInflights.take(0); c.inflight == nil {
+			c.inflight = make([]segment, 0, initialWindow+1)
+		}
 	}
 	c.inflight = append(c.inflight, s)
 }
@@ -446,16 +449,19 @@ type Listener struct {
 // conns (made on first insert) and syn, and listeners through another, all
 // plain maps owned, like the rest of the stack, by whoever steps the
 // machine's engine: a segment's lookup is a map read. nextPort is the
-// ephemeral-port cursor, and spareSendBufs is send-buffer storage that
-// torn-down connections left empty for the next ones to write into.
+// ephemeral-port cursor. The spare lists are storage the module recycles:
+// send rings and in-flight lists that torn-down connections left empty, and
+// response bodies that finished GETs (HTTPGet) gave back.
 type TCP struct {
 	stack *Stack
 
-	listeners     map[uint16]*Listener
-	conns         map[connKey]*Conn
-	syn           agedTable[connKey, synEntry]
-	nextPort      uint16
-	spareSendBufs [][]byte
+	listeners      map[uint16]*Listener
+	conns          map[connKey]*Conn
+	syn            agedTable[connKey, synEntry]
+	nextPort       uint16
+	spareSendBufs  spares[byte]
+	spareInflights spares[segment]
+	spareBodies    spares[byte]
 
 	accepted int64
 	resets   int64
@@ -464,13 +470,42 @@ type TCP struct {
 	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived int64
 }
 
-// A TCP module keeps at most maxSpareSendBufs spare send buffers, enough for
-// a server's concurrent responses, and none larger than maxSpareSendBuf,
-// so never a bulk flow's.
+// A TCP module keeps at most maxSpares of each kind of spare storage,
+// enough for a server's concurrent responses, and none larger than a short
+// exchange needs, so never a bulk flow's: a send ring or body of at most
+// maxSpareBytes bytes, an in-flight list of at most the segments such a
+// ring holds.
 const (
-	maxSpareSendBufs = 64
-	maxSpareSendBuf  = 64 << 10
+	maxSpares     = 64
+	maxSpareBytes = 64 << 10
+	maxSpareSegs  = maxSpareBytes / DefaultMSS
 )
+
+// spares is storage its users left empty for the next ones to write into.
+type spares[T any] [][]T
+
+// take returns a spare with room for n elements, or nil.
+func (s *spares[T]) take(n int) []T {
+	for i := len(*s) - 1; i >= 0; i-- {
+		if b := (*s)[i]; cap(b) >= n {
+			last := len(*s) - 1
+			(*s)[i], (*s)[last] = (*s)[last], nil
+			*s = (*s)[:last]
+			return b
+		}
+	}
+	return nil
+}
+
+// give keeps b for a later take and reports whether it did: not when b has
+// no storage or room for more than max elements, or the list is full.
+func (s *spares[T]) give(b []T, max int) bool {
+	if c := cap(b); c == 0 || c > max || len(*s) == maxSpares {
+		return false
+	}
+	*s = append(*s, b)
+	return true
+}
 
 func newTCP(s *Stack) *TCP {
 	return &TCP{
@@ -621,11 +656,8 @@ func (c *Conn) Send(payloads ...[]byte) error {
 // is some, or else makes a ring of the write's size; a write that does not
 // fit doubles the ring, up to SendBufSize, until it does.
 func (c *Conn) write(payloads [][]byte, n int) {
-	if t := c.tcp; len(c.sendBuf) == 0 {
-		if k := len(t.spareSendBufs); k > 0 {
-			c.sendBuf = t.spareSendBufs[k-1]
-			t.spareSendBufs = t.spareSendBufs[:k-1]
-		}
+	if len(c.sendBuf) == 0 {
+		c.sendBuf = c.tcp.spareSendBufs.take(0)
 	}
 	if need := int(c.queued) + n; need > len(c.sendBuf) {
 		size := len(c.sendBuf)
@@ -1559,11 +1591,13 @@ func (c *Conn) teardown() {
 	c.setState(StateClosed)
 	t := c.tcp
 	delete(t.conns, tcpKey(c.remote, c.remotePort, c.localPort))
-	// Drained send-buffer storage goes to the next connection. Packets copy
-	// what they carry, so nothing else holds it.
-	if n := len(c.sendBuf); c.Buffered() == 0 && n > 0 && n <= maxSpareSendBuf && len(t.spareSendBufs) < maxSpareSendBufs {
-		t.spareSendBufs = append(t.spareSendBufs, c.sendBuf)
+	// A drained send ring and the in-flight list go to the next connection.
+	// Packets copy what they carry, so nothing else holds either.
+	if c.Buffered() == 0 && t.spareSendBufs.give(c.sendBuf, maxSpareBytes) {
 		c.sendBuf = nil
+	}
+	if t.spareInflights.give(c.inflight[:0], maxSpareSegs) {
+		c.inflight = nil
 	}
 	if c.OnClose != nil && prev != StateCloseWait {
 		c.OnClose(c)

@@ -48,7 +48,7 @@ func TestFatTree4096(t *testing.T) {
 	client.Resolver.LookupA("h1."+DNSDomain, func(addrs []netstack.IPAddr, err error) {
 		if err == nil && len(addrs) > 0 {
 			err = netstack.HTTPGet(client.Stack, addrs[0], 80, "/", nil, func(s string, b []byte) {
-				status, body, done = s, b, true
+				status, body, done = s, bytes.Clone(b), true
 			})
 		}
 		if err != nil || len(addrs) == 0 {
