@@ -26,7 +26,6 @@ package faultinject
 
 import (
 	"fmt"
-	"slices"
 
 	"spin/internal/metrics"
 	"spin/internal/sim"
@@ -256,19 +255,6 @@ func (in *Injector) HitsAt(site string) int64 {
 		return st.hits
 	}
 	return 0
-}
-
-// Sites lists every site that has consulted the injector, sorted.
-func (in *Injector) Sites() []string {
-	if in == nil {
-		return nil
-	}
-	sites := make([]string, 0, len(in.stats))
-	for site := range in.stats {
-		sites = append(sites, site)
-	}
-	slices.Sort(sites)
-	return sites
 }
 
 // Seed returns the seed the injector replays from.

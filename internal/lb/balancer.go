@@ -107,15 +107,6 @@ func (b *Balancer) Host(name string) string {
 // Members returns the ring's current (healthy) membership, sorted.
 func (b *Balancer) Members() []string { return b.ring.Members() }
 
-// Pick routes key to a healthy backend ("" when every breaker is open).
-func (b *Balancer) Pick(key uint64) string {
-	name := b.ring.Pick(key)
-	if be := b.backends[name]; be != nil {
-		be.picks++
-	}
-	return name
-}
-
 // Sequence fills buf with key's failover order over healthy backends and
 // returns the count (see Ring.Sequence). The first entry counts as a pick.
 func (b *Balancer) Sequence(key uint64, buf []string) int {

@@ -66,12 +66,20 @@ func TestBalancerHealthLoopback(t *testing.T) {
 	if got := bal.Members(); len(got) != 2 {
 		t.Fatalf("Members = %v, want both", got)
 	}
-	if name := bal.Pick(42); name != "app-a" && name != "app-b" {
-		t.Fatalf("Pick = %q", name)
+	// Each Sequence call counts one pick, on its first entry.
+	picks := func() (total float64) {
+		for _, name := range bal.order {
+			total += metrics.Value(bal, fmt.Sprintf("lb_backend_picks{backend=%q}", name))
+		}
+		return total
 	}
 	buf := make([]string, 2)
-	if n := bal.Sequence(42, buf); n != 2 {
-		t.Fatalf("Sequence = %d, want 2", n)
+	if n := bal.Sequence(42, buf); n != 2 || buf[0] == buf[1] {
+		t.Fatalf("Sequence = %d %v, want both members", n, buf)
+	}
+	bal.Sequence(42, buf)
+	if got := metrics.Value(bal, fmt.Sprintf("lb_backend_picks{backend=%q}", buf[0])); got != 2 || picks() != 2 {
+		t.Fatalf("picks: %v on %s, %v in all after two Sequence calls, want 2 and 2", got, buf[0], picks())
 	}
 
 	bal.StartHealth()
@@ -103,11 +111,8 @@ func TestBalancerHealthLoopback(t *testing.T) {
 	if got := bal.Members(); len(got) != 0 {
 		t.Fatalf("Members = %v after both breakers opened", got)
 	}
-	if name := bal.Pick(42); name != "" {
-		t.Fatalf("Pick on empty ring = %q", name)
-	}
-	if n := bal.Sequence(42, buf); n != 0 {
-		t.Fatalf("Sequence on empty ring = %d", n)
+	if n := bal.Sequence(42, buf); n != 0 || picks() != 2 {
+		t.Fatalf("Sequence on empty ring = %d, picks %v, want 0 and still 2", n, picks())
 	}
 	if bal.LastEjectAt() == 0 {
 		t.Fatal("LastEjectAt unset after ejection")

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"spin/internal/dispatch"
-	"spin/internal/domain"
 	"spin/internal/faultinject"
 	"spin/internal/sim"
 	"spin/internal/trace"
@@ -514,6 +513,3 @@ func GuardStrandOwner(owned ...*Strand) dispatch.Guard {
 		return ok && set[s]
 	}
 }
-
-// Identity for the trusted in-kernel thread package.
-var trustedPkg = domain.Identity{Name: "kernel-threads", Trusted: true}

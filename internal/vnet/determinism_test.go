@@ -159,3 +159,39 @@ func TestDumbbell16Determinism(t *testing.T) {
 		t.Error("seed 778 reproduced seed 777's fingerprint")
 	}
 }
+
+// CheckReplay builds and drives the same scenario runs times and verifies
+// every run produces an identical fingerprint — the determinism gate. It
+// returns the common fingerprint.
+func CheckReplay(runs int, build func() (*Internet, error), drive func(*Internet) error) (uint64, error) {
+	var fp uint64
+	for i := 0; i < runs; i++ {
+		in, err := build()
+		if err != nil {
+			return 0, fmt.Errorf("vnet: replay run %d: build: %w", i, err)
+		}
+		if drive != nil {
+			if err := drive(in); err != nil {
+				return 0, fmt.Errorf("vnet: replay run %d: drive: %w", i, err)
+			}
+		}
+		f := in.Fingerprint()
+		if i == 0 {
+			fp = f
+		} else if f != fp {
+			return 0, fmt.Errorf("vnet: replay diverged: run %d fingerprint %#x != run 0 %#x", i, f, fp)
+		}
+	}
+	return fp, nil
+}
+
+// LinkDigests returns every link's per-direction frame-order digests, keyed
+// by link name.
+func (in *Internet) LinkDigests() map[string][2]uint64 {
+	out := make(map[string][2]uint64, len(in.links))
+	for name, l := range in.links {
+		ab, ba := l.Digests()
+		out[name] = [2]uint64{ab, ba}
+	}
+	return out
+}

@@ -24,6 +24,39 @@ func buildPair(t *testing.T, model LinkModel, seed uint64) *Internet {
 	return in
 }
 
+// TestHookSeesLinkAndDirection: a hook on link a~b is told the link by name
+// and the direction each frame travels, "a->b" for what a sends and "b->a"
+// for what b sends, in both directions of one conversation.
+func TestHookSeesLinkAndDirection(t *testing.T) {
+	in := buildPair(t, LinkModel{Latency: 20 * sim.Microsecond}, 1)
+	a, b := in.Machine("a"), in.Machine("b")
+	want := map[netstack.IPAddr]string{a.Stack.IP: "a->b", b.Stack.IP: "b->a"}
+	seen := map[string]int{}
+	in.Link("a~b").AddHook(func(ev *FrameEvent) Verdict {
+		if ev.Link != "a~b" {
+			t.Errorf("hook on a~b saw Link %q", ev.Link)
+		}
+		if pkt, ok := ev.Frame.Payload.(*netstack.Packet); ok && ev.Dir != want[pkt.Src] {
+			t.Errorf("frame from %v: Dir %q, want %q", pkt.Src, ev.Dir, want[pkt.Src])
+		}
+		seen[ev.Dir]++
+		return Pass
+	})
+	b.Stack.UDP().Bind(9, nil, func(*netstack.Packet) {
+		if err := b.Stack.UDP().Send(9, a.Stack.IP, 100, []byte("pong")); err != nil {
+			t.Error(err)
+		}
+	})
+	a.Stack.UDP().Bind(100, nil, func(*netstack.Packet) {})
+	if err := a.Stack.UDP().Send(100, b.Stack.IP, 9, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	in.Run(0)
+	if seen["a->b"] != 1 || seen["b->a"] != 1 || len(seen) != 2 {
+		t.Errorf("hook saw %v, want one frame each way", seen)
+	}
+}
+
 // TestHookDroppedFramesNeverReachPeer: property, across several seeds and
 // drop predicates — every frame a hook drops is invisible to the peer NIC,
 // and every frame it passes arrives. Checked against the NIC's own receive

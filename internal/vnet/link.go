@@ -6,7 +6,6 @@ import (
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
-	"spin/internal/trace"
 )
 
 // LinkModel is the performance and fault model of one link. The zero value
@@ -88,9 +87,9 @@ type endpoint interface {
 // duplication, hooks, capture, digest.
 type half struct {
 	link *Link
-	// origin is the trace origin, the link's name and the direction
-	// ("a~b a->b"), built once with the topology.
-	origin string
+	// dir is the direction the half carries frames in ("a->b"), built
+	// once with the topology.
+	dir    string
 	to     endpoint
 	rng    *sim.Rand
 	freeAt sim.Time // link-bandwidth serialization
@@ -111,9 +110,7 @@ type Link struct {
 	down  bool
 	hooks []Hook
 
-	// tr/cap are set by the Internet (EnableTracing, CaptureLink) before
-	// the simulation runs.
-	tr  *trace.Tracer
+	// cap is set by the Internet (CaptureLink) before the simulation runs.
 	cap *Capture
 }
 
@@ -197,20 +194,6 @@ func (m *LinkModel) txTime(n int) sim.Duration {
 	return sim.Duration(int64(n) * 8 * int64(sim.Second) / m.BandwidthBps)
 }
 
-// dir is the direction the half carries frames in ("a->b").
-func (h *half) dir() string { return h.origin[len(h.link.Name)+1:] }
-
-// drop discards a frame (releasing a pooled payload) and traces the event.
-func (h *half) drop(f sal.NetFrame, at sim.Time, event string) {
-	sal.ReleaseFrame(f)
-	if h.link.tr != nil {
-		h.link.tr.Trace(trace.Record{
-			Event: event, Origin: h.origin,
-			Start: at, Outcome: trace.OutcomeFaulted,
-		})
-	}
-}
-
 // Transmit carries one frame across this direction: administrative state,
 // hooks, link-bandwidth serialization, seeded loss /
 // reorder / duplication, then arrival at the far endpoint. Runs on the
@@ -219,7 +202,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	l := h.link
 	if l.down {
 		h.stats.Down++
-		h.drop(f, departed, "vnet.link.down")
+		sal.ReleaseFrame(f)
 		return
 	}
 	// Netem hooks: inspect / alter / delay / drop.
@@ -228,11 +211,11 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 		// Hooks mutate a copy, so that f escapes to the heap on a hooked
 		// link only.
 		hooked := f
-		ev := FrameEvent{Link: l.Name, Dir: h.dir(), Frame: &hooked, Depart: departed}
+		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &hooked, Depart: departed}
 		for _, hook := range l.hooks {
 			if hook(&ev) == Drop {
 				h.stats.HookDropped++
-				h.drop(hooked, departed, "vnet.link.hook-drop")
+				sal.ReleaseFrame(hooked)
 				return
 			}
 		}
@@ -253,7 +236,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	// Seeded fault models, fixed draw order per frame: loss, reorder, dup.
 	if l.Model.Loss > 0 && h.rng.Float64() < l.Model.Loss {
 		h.stats.Lost++
-		h.drop(f, departed, "vnet.link.lost")
+		sal.ReleaseFrame(f)
 		return
 	}
 	if l.Model.Reorder > 0 && h.rng.Float64() < l.Model.Reorder {
@@ -268,7 +251,7 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	}
 }
 
-// deliver commits one frame arrival: digest, capture, trace, then the far
+// deliver commits one frame arrival: digest, capture, then the far
 // endpoint's interrupt (or switch forwarding step) at the arrival time.
 func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 	if pkt, ok := f.Payload.(*netstack.Packet); ok {
@@ -279,9 +262,6 @@ func (h *half) deliver(f sal.NetFrame, arrival sim.Time) {
 	h.stats.Delivered++
 	if h.link.cap != nil {
 		h.link.cap.record(arrival, f)
-	}
-	if h.link.tr != nil {
-		h.link.tr.Trace(trace.Record{Event: "vnet.link.deliver", Origin: h.origin, Start: arrival})
 	}
 	h.to.DeliverAt(arrival, f)
 }

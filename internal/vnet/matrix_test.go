@@ -167,3 +167,103 @@ func init() {
 		}
 	}
 }
+
+// MatrixConfig is one cell of the conversation matrix: a star topology of
+// Machines hosts whose spokes all carry Loss/Reorder, Conversations
+// concurrent pairwise transfers of Bytes each, optionally partitioned
+// mid-flight (one spoke flapped down and up).
+type MatrixConfig struct {
+	Name          string
+	Machines      int
+	Loss, Reorder float64
+	Partition     bool
+	Conversations int
+	Bytes         int
+	Seed          uint64
+}
+
+// matrixDeadline is the virtual-time budget for one matrix cell: generous
+// enough for lossy, partitioned transfers (the retransmission timeout
+// starts at 200ms virtual and doubles), tight enough that a wedged
+// transfer fails fast.
+const matrixDeadline = sim.Time(120 * sim.Second)
+
+// RunMatrixCell builds the cell's topology and drives its conversations.
+// Every transfer must complete with zero corruption; the first violation is
+// the returned error. The topology comes back as the conversations left it,
+// for its fingerprint, its links' counters and its stacks.
+func RunMatrixCell(cfg MatrixConfig) (*Internet, []ConvResult, error) {
+	spoke := LinkModel{
+		Latency:      200 * sim.Microsecond,
+		Loss:         cfg.Loss,
+		Reorder:      cfg.Reorder,
+		ReorderDelay: 300 * sim.Microsecond,
+	}
+	in, err := Star(cfg.Machines, spoke, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Partition {
+		// Cut host 0's spoke 1ms in — early enough that no transfer over
+		// it has finished — and heal it at 600ms; TCP must ride it out.
+		if err := in.FlapLink("h0~s0", sim.Time(1*sim.Millisecond), sim.Time(600*sim.Millisecond)); err != nil {
+			return nil, nil, err
+		}
+	}
+	convs := make([]Conversation, cfg.Conversations)
+	for i := range convs {
+		convs[i] = Conversation{
+			From:  fmt.Sprintf("h%d", i%cfg.Machines),
+			To:    fmt.Sprintf("h%d", (i+cfg.Machines/2)%cfg.Machines),
+			Bytes: cfg.Bytes,
+		}
+	}
+	results, err := RunConversations(in, convs, matrixDeadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, r := range results {
+		if !r.Complete {
+			return in, results, fmt.Errorf("vnet: %s: %s->%s:%d incomplete (%d/%d bytes)",
+				cfg.Name, r.From, r.To, r.Port, r.Received, cfg.Bytes)
+		}
+		if r.Corrupt {
+			return in, results, fmt.Errorf("vnet: %s: %s->%s:%d corrupted", cfg.Name, r.From, r.To, r.Port)
+		}
+	}
+	return in, results, nil
+}
+
+// DefaultMatrix is the harness's standard sweep: loss × reorder ×
+// partition × machine count, every cell a complete seeded scenario.
+func DefaultMatrix() []MatrixConfig {
+	var out []MatrixConfig
+	for _, machines := range []int{2, 4, 8} {
+		for _, loss := range []float64{0, 0.05} {
+			for _, reorder := range []float64{0, 0.1} {
+				out = append(out, MatrixConfig{
+					Name:          fmt.Sprintf("m%d/loss%.2f/reorder%.1f", machines, loss, reorder),
+					Machines:      machines,
+					Loss:          loss,
+					Reorder:       reorder,
+					Conversations: machines / 2,
+					Bytes:         16 << 10,
+					Seed:          uint64(machines)*1000 + uint64(loss*100)*10 + uint64(reorder*10),
+				})
+			}
+		}
+	}
+	// Partition cells: clean and lossy.
+	for _, loss := range []float64{0, 0.02} {
+		out = append(out, MatrixConfig{
+			Name:          fmt.Sprintf("m4/partition/loss%.2f", loss),
+			Machines:      4,
+			Loss:          loss,
+			Partition:     true,
+			Conversations: 2,
+			Bytes:         32 << 10,
+			Seed:          7_000 + uint64(loss*100),
+		})
+	}
+	return out
+}

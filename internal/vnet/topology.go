@@ -188,8 +188,8 @@ func (b *Builder) Build() (*Internet, error) {
 	}
 	for _, ls := range b.links {
 		l := newLink(ls.name, ls.model, b.seed)
-		l.ab.origin = ls.name + " " + ls.a + "->" + ls.b
-		l.ba.origin = ls.name + " " + ls.b + "->" + ls.a
+		l.ab.dir = ls.a + "->" + ls.b
+		l.ba.dir = ls.b + "->" + ls.a
 		atA, epA := endAt(ls.a, ls.b, l.ab)
 		atB, epB := endAt(ls.b, ls.a, l.ba)
 		atA.back, atB.back = atB, atA

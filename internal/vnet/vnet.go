@@ -26,7 +26,6 @@ import (
 	"spin"
 	"spin/internal/netstack"
 	"spin/internal/sim"
-	"spin/internal/trace"
 )
 
 // Internet is a built topology: machines, switches and links coordinated by
@@ -45,8 +44,6 @@ type Internet struct {
 	switchOrder  []string
 	links        map[string]*Link
 	linkOrder    []string
-
-	tr *trace.Tracer
 
 	// Naming & sockets (named.go): the topology-wide DNS authority and the
 	// blocking-adapter driver over the cluster.
@@ -113,16 +110,6 @@ func (in *Internet) FlapLink(name string, downAt, upAt sim.Time) error {
 	return nil
 }
 
-// EnableTracing records per-link frame events (vnet.link.deliver, .lost,
-// .down, .hook-drop) in a fresh tracer ring shared by all links.
-func (in *Internet) EnableTracing(ringSize int) *trace.Tracer {
-	in.tr = trace.New(ringSize)
-	for _, name := range in.linkOrder {
-		in.links[name].tr = in.tr
-	}
-	return in.tr
-}
-
 // CaptureLink streams both directions of the named link to w as a classic
 // pcap capture. Call before running; returns the capture for Records/Err.
 func (in *Internet) CaptureLink(name string, w io.Writer) (*Capture, error) {
@@ -133,17 +120,6 @@ func (in *Internet) CaptureLink(name string, w io.Writer) (*Capture, error) {
 	c := NewCapture(w)
 	l.cap = c
 	return c, nil
-}
-
-// LinkDigests returns every link's per-direction frame-order digests, keyed
-// by link name.
-func (in *Internet) LinkDigests() map[string][2]uint64 {
-	out := make(map[string][2]uint64, len(in.links))
-	for name, l := range in.links {
-		ab, ba := l.Digests()
-		out[name] = [2]uint64{ab, ba}
-	}
-	return out
 }
 
 // Fingerprint folds the whole run into one value: every link's digests (in

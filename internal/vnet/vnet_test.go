@@ -283,34 +283,3 @@ func TestFatTreeCrossEdge(t *testing.T) {
 		t.Error("both cores carried the flow; BFS should pick one")
 	}
 }
-
-func TestTracingRecordsLinkEvents(t *testing.T) {
-	lossy := LinkModel{Latency: 10 * sim.Microsecond, Loss: 0.5}
-	in, err := NewBuilder(17).
-		Machine("a", 0).Machine("b", 0).
-		Link("a", "b", lossy).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := in.EnableTracing(1024)
-	a := in.Machine("a")
-	for i := 0; i < 40; i++ {
-		if err := a.Stack.UDP().Send(100, in.IP("b"), 9, make([]byte, 16)); err != nil {
-			t.Fatal(err)
-		}
-		in.Run(0)
-	}
-	deliver, lost := 0, 0
-	for _, rec := range tr.Snapshot() {
-		switch rec.Event {
-		case "vnet.link.deliver":
-			deliver++
-		case "vnet.link.lost":
-			lost++
-		}
-	}
-	if deliver == 0 || lost == 0 {
-		t.Errorf("trace saw deliver=%d lost=%d, want both > 0", deliver, lost)
-	}
-}
