@@ -32,6 +32,39 @@ import (
 
 const chaosSeed = 0xC4A05
 
+// connFuncs is a netstack.ConnHandler made of optional funcs, for tests that
+// watch one or two of a connection's events: on(c) makes one c's handler.
+type connFuncs struct {
+	connected, sent, closed func(*netstack.Conn)
+	received                func(*netstack.Conn, []byte)
+}
+
+// on returns c's connFuncs, making a fresh one its Handler the first time.
+func on(c *netstack.Conn) *connFuncs {
+	f, ok := c.Handler.(*connFuncs)
+	if !ok {
+		f = new(connFuncs)
+		c.Handler = f
+	}
+	return f
+}
+
+func (f *connFuncs) Connected(c *netstack.Conn) { callConn(f.connected, c) }
+func (f *connFuncs) Sent(c *netstack.Conn)      { callConn(f.sent, c) }
+func (f *connFuncs) Closed(c *netstack.Conn)    { callConn(f.closed, c) }
+
+func (f *connFuncs) Received(c *netstack.Conn, data []byte) {
+	if f.received != nil {
+		f.received(c, data)
+	}
+}
+
+func callConn(fn func(*netstack.Conn), c *netstack.Conn) {
+	if fn != nil {
+		fn(c)
+	}
+}
+
 // chaosSummary is everything one torture run observes. Two runs from the
 // same seed must produce identical summaries (compared as strings).
 type chaosSummary struct {
@@ -427,7 +460,7 @@ func chaosTCP(t *testing.T, seed uint64, sum *chaosSummary) {
 	const total = 32 * 1024
 	var received []byte
 	if err := srv.Stack.TCP().Listen(80, nil, func(c *netstack.Conn) {
-		c.OnData = func(_ *netstack.Conn, d []byte) { received = append(received, d...) }
+		on(c).received = func(_ *netstack.Conn, d []byte) { received = append(received, d...) }
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +472,7 @@ func chaosTCP(t *testing.T, seed uint64, sum *chaosSummary) {
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	conn.OnConnect = func(c *netstack.Conn) { _ = c.Send(payload) }
+	on(conn).connected = func(c *netstack.Conn) { _ = c.Send(payload) }
 	if !cluster.RunUntil(func() bool { return len(received) >= total }, sim.Time(10*60*sim.Second)) {
 		t.Fatalf("transfer stalled at %d/%d bytes under injected segment loss", len(received), total)
 	}
@@ -507,7 +540,7 @@ func chaosDial(t *testing.T, seed uint64, sum *chaosSummary) {
 			t.Fatalf("drop-phase dial %d: %v", i, err)
 		}
 		established := false
-		conn.OnConnect = func(*netstack.Conn) { established = true }
+		on(conn).connected = func(*netstack.Conn) { established = true }
 		if !cluster.RunUntil(func() bool { return established }, sim.Time(60*sim.Second)) {
 			t.Fatalf("drop-phase dial %d never established (SYN retx broken)", i)
 		}

@@ -10,6 +10,39 @@ import (
 	"spin/internal/sim"
 )
 
+// connFuncs is a netstack.ConnHandler made of optional funcs, for tests that
+// watch one or two of a connection's events: on(c) makes one c's handler.
+type connFuncs struct {
+	connected, sent, closed func(*netstack.Conn)
+	received                func(*netstack.Conn, []byte)
+}
+
+// on returns c's connFuncs, making a fresh one its Handler the first time.
+func on(c *netstack.Conn) *connFuncs {
+	f, ok := c.Handler.(*connFuncs)
+	if !ok {
+		f = new(connFuncs)
+		c.Handler = f
+	}
+	return f
+}
+
+func (f *connFuncs) Connected(c *netstack.Conn) { callConn(f.connected, c) }
+func (f *connFuncs) Sent(c *netstack.Conn)      { callConn(f.sent, c) }
+func (f *connFuncs) Closed(c *netstack.Conn)    { callConn(f.closed, c) }
+
+func (f *connFuncs) Received(c *netstack.Conn, data []byte) {
+	if f.received != nil {
+		f.received(c, data)
+	}
+}
+
+func callConn(fn func(*netstack.Conn), c *netstack.Conn) {
+	if fn != nil {
+		fn(c)
+	}
+}
+
 func TestNullSyscallCosts(t *testing.T) {
 	for _, tc := range []struct {
 		sys  *System
@@ -216,10 +249,10 @@ func TestTCPSpliceTerminatesLocally(t *testing.T) {
 	}
 	var got []byte
 	_ = server.Stack.TCP().Listen(80, sysS.SocketDelivery(), func(c *netstack.Conn) {
-		c.OnData = func(_ *netstack.Conn, d []byte) { got = append(got, d...) }
+		on(c).received = func(_ *netstack.Conn, d []byte) { got = append(got, d...) }
 	})
 	conn, _ := client.Stack.TCP().Connect(netstack.Addr(10, 0, 0, 2), 80, sysC.SocketDelivery())
-	conn.OnConnect = func(c *netstack.Conn) { _ = c.Send([]byte("via splice")) }
+	on(conn).connected = func(c *netstack.Conn) { _ = c.Send([]byte("via splice")) }
 	cl := sim.NewCluster(sysC.Engine, sysM.Engine, sysS.Engine)
 	cl.RunUntil(func() bool { return string(got) == "via splice" }, sim.Time(10*sim.Second))
 	if string(got) != "via splice" {
@@ -265,8 +298,8 @@ func TestTCPSpliceRelaysPastTheSendBuffer(t *testing.T) {
 	var got []byte
 	closedAt := -1
 	_ = server.Stack.TCP().Listen(80, sysS.SocketDelivery(), func(c *netstack.Conn) {
-		c.OnData = func(_ *netstack.Conn, d []byte) { got = append(got, d...) }
-		c.OnClose = func(*netstack.Conn) {
+		on(c).received = func(_ *netstack.Conn, d []byte) { got = append(got, d...) }
+		on(c).closed = func(*netstack.Conn) {
 			if closedAt < 0 {
 				closedAt = len(got)
 			}
@@ -286,7 +319,7 @@ func TestTCPSpliceRelaysPastTheSendBuffer(t *testing.T) {
 			c.Close()
 		}
 	}
-	conn.OnConnect, conn.OnSent = fill, fill
+	on(conn).connected, on(conn).sent = fill, fill
 	cl := sim.NewCluster(sysC.Engine, sysM.Engine, sysS.Engine)
 	cl.RunUntil(func() bool { return closedAt >= 0 }, sim.Time(600*sim.Second))
 	if !bytes.Equal(got, stream) {

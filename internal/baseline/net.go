@@ -136,19 +136,9 @@ func NewTCPSplice(h *Host, port uint16, target netstack.IPAddr) (*TCPSplice, err
 			inbound.Close()
 			return
 		}
-		in, out := &spliceLeg{h: h, c: inbound}, &spliceLeg{h: h, c: outbound}
-		outbound.OnConnect = out.drain
-		inbound.OnSent, outbound.OnSent = in.drain, out.drain
-		inbound.OnData = func(_ *netstack.Conn, data []byte) {
-			sp.Spliced += int64(len(data))
-			out.forward(data)
-		}
-		outbound.OnData = func(_ *netstack.Conn, data []byte) {
-			sp.Spliced += int64(len(data))
-			in.forward(data)
-		}
-		inbound.OnClose = func(*netstack.Conn) { out.close(); inbound.Close() }
-		outbound.OnClose = func(*netstack.Conn) { in.close(); outbound.Close() }
+		in, out := &spliceLeg{sp: sp, c: inbound}, &spliceLeg{sp: sp, c: outbound}
+		in.peer, out.peer = out, in
+		inbound.Handler, outbound.Handler = in, out
 	})
 	if err != nil {
 		return nil, err
@@ -156,14 +146,33 @@ func NewTCPSplice(h *Host, port uint16, target netstack.IPAddr) (*TCPSplice, err
 	return sp, nil
 }
 
-// spliceLeg is one connection of a splice and what the other delivered for
-// it that it has not yet taken: everything before the outbound leg
-// connects, and whatever its send buffer has no room for.
+// spliceLeg is one connection of a splice, its handler, and what the other
+// leg, peer, delivered for it that it has not yet taken: everything before
+// the outbound leg connects, and whatever its send buffer has no room for.
 type spliceLeg struct {
-	h       *Host
+	sp      *TCPSplice
 	c       *netstack.Conn
+	peer    *spliceLeg
 	pending [][]byte
 	closing bool // the other leg closed: close behind what is pending
+}
+
+// Connected sends what the inbound leg delivered while this one connected.
+func (l *spliceLeg) Connected(*netstack.Conn) { l.drain() }
+
+// Received passes what this leg delivered on to the other.
+func (l *spliceLeg) Received(_ *netstack.Conn, data []byte) {
+	l.sp.Spliced += int64(len(data))
+	l.peer.forward(data)
+}
+
+// Sent sends more of what is held, now that ACKs have freed room.
+func (l *spliceLeg) Sent(*netstack.Conn) { l.drain() }
+
+// Closed closes the other leg behind what is held for it, and this one.
+func (l *spliceLeg) Closed(*netstack.Conn) {
+	l.peer.close()
+	l.c.Close()
 }
 
 // forward passes data on, or holds a copy of it behind what is held.
@@ -181,14 +190,14 @@ func (l *spliceLeg) send(d []byte) bool {
 	if l.c.State() == netstack.StateSynSent || l.c.Buffered()+len(d) > netstack.SendBufSize {
 		return false
 	}
-	l.h.chargeUserSend(len(d))
+	l.sp.host.chargeUserSend(len(d))
 	_ = l.c.Send(d)
 	return true
 }
 
 // drain sends what is held, in order, while there is room, and closes the
 // connection once nothing is held if the other leg has closed.
-func (l *spliceLeg) drain(*netstack.Conn) {
+func (l *spliceLeg) drain() {
 	for len(l.pending) > 0 && l.send(l.pending[0]) {
 		l.pending = l.pending[1:]
 	}
@@ -200,7 +209,7 @@ func (l *spliceLeg) drain(*netstack.Conn) {
 // close closes the connection behind what is held for it.
 func (l *spliceLeg) close() {
 	l.closing = true
-	l.drain(l.c)
+	l.drain()
 }
 
 // VideoServer is the OSF/1 video server: a user-space process that sends

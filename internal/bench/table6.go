@@ -135,43 +135,67 @@ func tcpEchoRTT(cl *sim.Cluster, clock *sim.Clock,
 	connect func() (*netstack.Conn, error),
 	chargeSend func()) (float64, error) {
 
-	if err := listen(func(c *netstack.Conn) {
-		c.OnData = func(c *netstack.Conn, data []byte) {
-			if chargeSend != nil {
-				chargeSend()
-			}
-			_ = c.Send(data) // echo
-		}
-	}); err != nil {
+	server := &echoServer{chargeSend: chargeSend}
+	if err := listen(func(c *netstack.Conn) { c.Handler = server }); err != nil {
 		return 0, err
 	}
 	conn, err := connect()
 	if err != nil {
 		return 0, err
 	}
-	established := false
-	echoes := 0
-	conn.OnConnect = func(*netstack.Conn) { established = true }
-	conn.OnData = func(_ *netstack.Conn, data []byte) { echoes++ }
-	if !cl.RunUntil(func() bool { return established }, sim.Time(60*sim.Second)) {
+	client := new(echoClient)
+	conn.Handler = client
+	if !cl.RunUntil(func() bool { return client.established }, sim.Time(60*sim.Second)) {
 		return 0, fmt.Errorf("bench: TCP connection never established")
 	}
 	const rounds = 8
 	var total sim.Duration
 	for i := 0; i < rounds; i++ {
-		got := echoes
+		got := client.echoes
 		start := clock.Now()
 		if chargeSend != nil {
 			chargeSend()
 		}
 		_ = conn.Send(make([]byte, 16))
-		if !cl.RunUntil(func() bool { return echoes > got }, sim.Time(60*sim.Second)) {
+		if !cl.RunUntil(func() bool { return client.echoes > got }, sim.Time(60*sim.Second)) {
 			return 0, fmt.Errorf("bench: TCP echo %d lost", i)
 		}
 		total += clock.Now().Sub(start)
 	}
 	return micros(total / rounds), nil
 }
+
+// echoServer sends back what each connection delivers, running chargeSend,
+// when non-nil, before each send.
+type echoServer struct{ chargeSend func() }
+
+func (s *echoServer) Connected(*netstack.Conn) {}
+
+func (s *echoServer) Received(c *netstack.Conn, data []byte) {
+	if s.chargeSend != nil {
+		s.chargeSend()
+	}
+	_ = c.Send(data)
+}
+
+func (s *echoServer) Sent(*netstack.Conn) {}
+
+func (s *echoServer) Closed(*netstack.Conn) {}
+
+// echoClient notes when its connection is up and counts the echoes it
+// delivers.
+type echoClient struct {
+	established bool
+	echoes      int
+}
+
+func (e *echoClient) Connected(*netstack.Conn) { e.established = true }
+
+func (e *echoClient) Received(*netstack.Conn, []byte) { e.echoes++ }
+
+func (e *echoClient) Sent(*netstack.Conn) {}
+
+func (e *echoClient) Closed(*netstack.Conn) {}
 
 // osfForwardNumbers measures the OSF/1 user-level splice.
 func osfForwardNumbers(model sal.NICModel) (tcpRTT, udpRTT float64, err error) {

@@ -50,7 +50,9 @@ type Guard func(arg any) bool
 
 // Combiner folds the results of multiple handlers into the single result
 // communicated back to the raiser [Pardyak & Bershad 94]. It receives the
-// results of the handlers that actually ran, in execution order.
+// results of the handlers that actually ran, in execution order. The slice
+// is the event's own storage, used again once the combiner returns: a
+// combiner that keeps it copies it.
 type Combiner func(results []any) any
 
 // LastResult is the default combiner: procedure-call semantics, returning
@@ -160,12 +162,17 @@ func (s *eventSnapshot) clone() *eventSnapshot {
 // RaiseEvent skips the name lookup on every raise — the dispatcher's
 // counterpart of the paper's linker patching a resolved call (§3.2).
 type Event struct {
-	name   string
-	snap   *eventSnapshot
-	raises int64
-	aborts int64
-	faults int64
-	nextID int
+	name string
+	snap *eventSnapshot
+	// results holds the handlers' results of the raises in progress, the
+	// innermost last: a raise appends its own after those of the raise it
+	// runs inside, and cuts them off when its combiner returns, so a raise
+	// allocates nothing once it has grown to the deepest walk.
+	results []any
+	raises  int64
+	aborts  int64
+	faults  int64
+	nextID  int
 }
 
 // Dispatcher routes event raises to handlers. One dispatcher serves one
@@ -469,7 +476,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 	if tr != nil {
 		start = d.clock.Now()
 	}
-	var results []any
+	base := len(st.results)
 	ran := 0
 	anyAbort, anyFault := false, false
 	for _, e := range snap.handlers {
@@ -514,7 +521,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 			anyFault = anyFault || faulted
 			continue
 		}
-		results = append(results, res)
+		st.results = append(st.results, res)
 	}
 	if tr != nil {
 		tr.Trace(trace.Record{
@@ -523,7 +530,11 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 			Outcome: outcomeOf(anyAbort, anyFault),
 		})
 	}
-	return snap.combiner(results)
+	results := st.results[base:]
+	res := snap.combiner(results)
+	clear(results)
+	st.results = st.results[:base]
+	return res
 }
 
 // handlerKey names a handler's latency series: the event plus the

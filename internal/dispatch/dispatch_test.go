@@ -3,6 +3,8 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -236,6 +238,36 @@ func TestCombiner(t *testing.T) {
 	}
 	if got := d.Raise("E", nil); got != 6 {
 		t.Errorf("combined = %v, want 6", got)
+	}
+}
+
+// A handler that raises its own event again: each raise's combiner gets
+// its own handlers' results, in order, though both raises keep them in the
+// event's one store.
+func TestCombinerOfReentrantRaise(t *testing.T) {
+	d, _ := newTestDispatcher()
+	var combined [][]any
+	collect := func(results []any) any {
+		combined = append(combined, slices.Clone(results))
+		return len(results)
+	}
+	_ = d.Define("E", DefineOptions{Combiner: collect})
+	for _, name := range []string{"a", "b", "c"} {
+		_, _ = d.Install("E", func(arg, _ any) any {
+			if name == "b" && arg == "outer" {
+				if got := d.Raise("E", "inner"); got != 3 {
+					t.Errorf("inner raise combined %v results, want 3", got)
+				}
+			}
+			return name + "-" + arg.(string)
+		}, InstallOptions{})
+	}
+	if got := d.Raise("E", "outer"); got != 3 {
+		t.Errorf("outer raise combined %v results, want 3", got)
+	}
+	want := [][]any{{"a-inner", "b-inner", "c-inner"}, {"a-outer", "b-outer", "c-outer"}}
+	if !reflect.DeepEqual(combined, want) {
+		t.Errorf("combiners got %v, want %v", combined, want)
 	}
 }
 

@@ -105,17 +105,21 @@ func TestRaiseEventTracesNameAndNilHandle(t *testing.T) {
 	}
 }
 
-// The per-packet raises — a lone primary's direct call, and an announcement
-// nobody handles — allocate nothing by handle.
+// The per-packet raises — a lone primary's direct call, an announcement
+// nobody handles, and a primary with an extension, whose results the event
+// keeps — allocate nothing by handle.
 func TestRaiseByHandleAllocFree(t *testing.T) {
 	d, _ := newTestDispatcher()
 	_ = d.Define("Call", DefineOptions{Primary: func(arg, _ any) any { return arg }})
 	_ = d.Define("Announce", DefineOptions{})
-	call, announce := d.Event("Call"), d.Event("Announce")
+	_ = d.Define("Walk", DefineOptions{Primary: func(arg, _ any) any { return arg }})
+	_, _ = d.Install("Walk", func(arg, _ any) any { return arg }, InstallOptions{Installer: testIdent("ext")})
+	call, announce, walk := d.Event("Call"), d.Event("Announce"), d.Event("Walk")
 	arg := any(&keyedArg{port: 7})
 	if allocs := testing.AllocsPerRun(1000, func() {
 		d.RaiseEvent(call, arg)
 		d.RaiseEvent(announce, arg)
+		d.RaiseEvent(walk, arg)
 	}); allocs != 0 {
 		t.Errorf("raise by handle: %v allocs, want 0", allocs)
 	}
@@ -123,9 +127,9 @@ func TestRaiseByHandleAllocFree(t *testing.T) {
 
 // Tracing a raise by handle allocates nothing once each handler has run
 // traced: its latency series' name is built on the first call, not on
-// every one. Both dispatch paths: a lone primary's direct call, which
-// allocates nothing untraced either, and a primary with an extension
-// installed, whose walk allocates its results slice either way.
+// every one. Both dispatch paths: a lone primary's direct call and a
+// primary with an extension installed, neither of which allocates
+// untraced either.
 func TestTracedRaiseByHandleAllocFree(t *testing.T) {
 	d, _ := newTestDispatcher()
 	_ = d.Define("Call", DefineOptions{Primary: func(arg, _ any) any { return arg }})

@@ -271,16 +271,30 @@ func (b *Balancer) probe(be *backend) {
 				_ = conn.Close()
 			}
 		})
-		conn.OnConnect = func(c *netstack.Conn) {
-			timeout.Cancel()
-			finish(true)
-			_ = c.Close()
-		}
-		conn.OnClose = func(*netstack.Conn) {
-			timeout.Cancel()
-			finish(false)
-		}
+		conn.Handler = &probeConn{timeout: timeout, finish: finish}
 	})
+}
+
+// probeConn is a health check's connection handler: connecting passes the
+// check, and a close before that fails it.
+type probeConn struct {
+	timeout *sim.Event
+	finish  func(ok bool)
+}
+
+func (p *probeConn) Connected(c *netstack.Conn) {
+	p.timeout.Cancel()
+	p.finish(true)
+	_ = c.Close()
+}
+
+func (p *probeConn) Received(*netstack.Conn, []byte) {}
+
+func (p *probeConn) Sent(*netstack.Conn) {}
+
+func (p *probeConn) Closed(*netstack.Conn) {
+	p.timeout.Cancel()
+	p.finish(false)
 }
 
 // Metrics emits the ring's size, the ejection total and, per backend, its

@@ -740,7 +740,7 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 		return
 	}
 	lk := &dnsLookup{r: r, name: cn, cb: cb}
-	lk.timeout.Do = lk.onTimeout
+	lk.timeout.Do = lk
 	lk.attempt()
 }
 
@@ -866,7 +866,9 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	lk.finish(slices.Clone(addrs), nil)
 }
 
-func (lk *dnsLookup) onTimeout() {
+// Fire is the attempt in flight timing out: the lookup's timeout event
+// fires the lookup itself.
+func (lk *dnsLookup) Fire() {
 	if lk.done {
 		return
 	}

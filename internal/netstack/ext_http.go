@@ -49,10 +49,8 @@ func NewHTTPServer(stack *Stack, port uint16, cost DeliveryCost, content HTTPCon
 // failover experiments flip on a backend.
 func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCost, content HTTPContent) (*HTTPServer, error) {
 	h := &HTTPServer{stack: stack, content: content}
-	// Every connection shares the server's callbacks, made once.
-	onData, onClose := h.receive, h.forget
 	err := stack.TCP().ListenOwned(owner, port, cost, func(c *Conn) {
-		c.OnData, c.OnClose = onData, onClose
+		c.Handler = (*serverConns)(h)
 	})
 	if err != nil {
 		return nil, err
@@ -63,10 +61,16 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 // blankLine ends a request's or a response's header.
 var blankLine = []byte("\r\n\r\n")
 
-// receive takes a connection's delivered bytes. A request that arrives
+// serverConns is the server as the handler every connection shares.
+type serverConns HTTPServer
+
+func (s *serverConns) Connected(*Conn) {}
+
+// Received takes a connection's delivered bytes. A request that arrives
 // whole in one delivery is served from them in place; only one split across
 // deliveries is copied, into partial, until it is whole.
-func (h *HTTPServer) receive(c *Conn, data []byte) {
+func (s *serverConns) Received(c *Conn, data []byte) {
+	h := (*HTTPServer)(s)
 	if req, split := h.partial[c]; split || !bytes.Contains(data, blankLine) {
 		if req = append(req, data...); !bytes.Contains(req, blankLine) {
 			if h.partial == nil {
@@ -81,11 +85,13 @@ func (h *HTTPServer) receive(c *Conn, data []byte) {
 	h.serve(c, data)
 }
 
-// forget is every connection's OnClose. A client that closes before its
-// request is whole can send no more of it: the part held is dropped and the
-// server closes its half too.
-func (h *HTTPServer) forget(c *Conn) {
-	delete(h.partial, c)
+func (s *serverConns) Sent(*Conn) {}
+
+// Closed forgets the connection. A client that closes before its request is
+// whole can send no more of it: the part held is dropped and the server
+// closes its half too.
+func (s *serverConns) Closed(c *Conn) {
+	delete(s.partial, c)
 	_ = c.Close()
 }
 
@@ -136,21 +142,25 @@ func (h *HTTPServer) serve1(c *Conn, req []byte) {
 	n := min(len(body), max(SendBufSize-c.Buffered()-len(header), 0))
 	_ = c.Send(header, body[:n])
 	if n < len(body) {
-		sendRest(c, body[n:])
+		c.Handler = &bodyRest{(*serverConns)(h), body[n:]}
 		return
 	}
 	c.Close()
 }
 
-// sendRest queues the rest of a body larger than the send buffer as ACKs
-// free room, and closes the connection behind its last byte.
-func sendRest(c *Conn, body []byte) {
-	c.OnSent = func(c *Conn) {
-		n := min(len(body), SendBufSize-c.Buffered())
-		if c.Send(body[:n]) == nil {
-			if body = body[n:]; len(body) == 0 {
-				c.Close()
-			}
+// bodyRest is a connection's handler while the rest of a body larger than
+// the send buffer waits: the server's, but that Sent queues more of the
+// body as ACKs free room, and closes the connection behind its last byte.
+type bodyRest struct {
+	*serverConns
+	body []byte
+}
+
+func (r *bodyRest) Sent(c *Conn) {
+	n := min(len(r.body), SendBufSize-c.Buffered())
+	if c.Send(r.body[:n]) == nil {
+		if r.body = r.body[n:]; len(r.body) == 0 {
+			c.Close()
 		}
 	}
 }
@@ -181,12 +191,11 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 	if err != nil {
 		return err
 	}
-	g := &httpGet{path: path, done: done}
-	conn.OnConnect, conn.OnData, conn.OnClose = g.connected, g.received, g.closed
+	conn.Handler = &httpGet{path: path, done: done}
 	return nil
 }
 
-// httpGet is one GET's state, which its connection's callbacks share.
+// httpGet is one GET's state and its connection's handler.
 type httpGet struct {
 	path     string
 	done     func(status string, body []byte)
@@ -194,13 +203,13 @@ type httpGet struct {
 	finished bool
 }
 
-func (g *httpGet) connected(c *Conn) {
+func (g *httpGet) Connected(c *Conn) {
 	_ = c.Send([]byte("GET "), []byte(g.path), []byte(" HTTP/1.0\r\n\r\n"))
 }
 
-// received appends delivered bytes to the response. The first delivery
+// Received appends delivered bytes to the response. The first delivery
 // borrows storage for all of it, sized from its Content-Length.
-func (g *httpGet) received(c *Conn, data []byte) {
+func (g *httpGet) Received(c *Conn, data []byte) {
 	if g.resp == nil {
 		n := max(len(data), responseSize(data))
 		if g.resp = c.tcp.spareBodies.take(n); g.resp == nil {
@@ -210,7 +219,9 @@ func (g *httpGet) received(c *Conn, data []byte) {
 	g.resp = append(g.resp, data...)
 }
 
-func (g *httpGet) closed(c *Conn) {
+func (g *httpGet) Sent(*Conn) {}
+
+func (g *httpGet) Closed(c *Conn) {
 	if g.finished {
 		return
 	}

@@ -14,6 +14,39 @@ import (
 
 func domainIdent(name string) domain.Identity { return domain.Identity{Name: name} }
 
+// connFuncs is a ConnHandler made of optional funcs, for tests that
+// watch one or two of a connection's events: on(c) makes one c's handler.
+type connFuncs struct {
+	connected, sent, closed func(*Conn)
+	received                func(*Conn, []byte)
+}
+
+// on returns c's connFuncs, making a fresh one its Handler the first time.
+func on(c *Conn) *connFuncs {
+	f, ok := c.Handler.(*connFuncs)
+	if !ok {
+		f = new(connFuncs)
+		c.Handler = f
+	}
+	return f
+}
+
+func (f *connFuncs) Connected(c *Conn) { callConn(f.connected, c) }
+func (f *connFuncs) Sent(c *Conn)      { callConn(f.sent, c) }
+func (f *connFuncs) Closed(c *Conn)    { callConn(f.closed, c) }
+
+func (f *connFuncs) Received(c *Conn, data []byte) {
+	if f.received != nil {
+		f.received(c, data)
+	}
+}
+
+func callConn(fn func(*Conn), c *Conn) {
+	if fn != nil {
+		fn(c)
+	}
+}
+
 // host bundles one simulated machine's networking for tests.
 type host struct {
 	eng   *sim.Engine
@@ -209,10 +242,10 @@ func TestTCPConnectSendClose(t *testing.T) {
 	var serverGot []byte
 	serverClosed := false
 	err := b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(c *Conn, data []byte) {
+		on(c).received = func(c *Conn, data []byte) {
 			serverGot = append(serverGot, data...)
 		}
-		c.OnClose = func(c *Conn) {
+		on(c).closed = func(c *Conn) {
 			serverClosed = true
 			c.Close()
 		}
@@ -224,7 +257,7 @@ func TestTCPConnectSendClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnConnect = func(c *Conn) {
+	on(conn).connected = func(c *Conn) {
 		_ = c.Send([]byte("hello tcp"))
 		c.Close()
 	}
@@ -249,10 +282,10 @@ func TestTCPLargeTransfer(t *testing.T) {
 	const total = 64 * 1024
 	var received int
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(c *Conn, data []byte) { received += len(data) }
+		on(c).received = func(c *Conn, data []byte) { received += len(data) }
 	})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
-	conn.OnConnect = func(c *Conn) {
+	on(conn).connected = func(c *Conn) {
 		_ = c.Send(make([]byte, total))
 	}
 	cl.Run(0)
@@ -268,7 +301,7 @@ func TestTCPRefusedPortGetsReset(t *testing.T) {
 	a, _, cl := pair(t, sal.LanceModel)
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 81, nil)
 	connected := false
-	conn.OnConnect = func(*Conn) { connected = true }
+	on(conn).connected = func(*Conn) { connected = true }
 	cl.Run(sim.Time(2 * sim.Second))
 	if connected {
 		t.Error("connected to closed port")
@@ -345,13 +378,13 @@ func TestForwarderPreservesTCPEndToEnd(t *testing.T) {
 
 	var got []byte
 	_ = server.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(c *Conn, d []byte) {
+		on(c).received = func(c *Conn, d []byte) {
 			got = append(got, d...)
 			c.Close()
 		}
 	})
 	conn, _ := client.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
-	conn.OnConnect = func(c *Conn) { _ = c.Send([]byte("tcp thru fwd")) }
+	on(conn).connected = func(c *Conn) { _ = c.Send([]byte("tcp thru fwd")) }
 	cl := sim.NewCluster(client.eng, mid.eng, server.eng)
 	cl.Run(sim.Time(5 * sim.Second))
 	if string(got) != "tcp thru fwd" {
@@ -510,8 +543,8 @@ func TestHTTPServerRequestParsing(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp []byte
-		conn.OnConnect = func(c *Conn) { _ = c.Send([]byte(tc.req)) }
-		conn.OnData = func(_ *Conn, d []byte) { resp = append(resp, d...) }
+		on(conn).connected = func(c *Conn) { _ = c.Send([]byte(tc.req)) }
+		on(conn).received = func(_ *Conn, d []byte) { resp = append(resp, d...) }
 		cl.Run(sim.Time(5 * sim.Second))
 		status, _, _ := strings.Cut(string(resp), "\r\n")
 		if status != tc.want {
@@ -546,7 +579,7 @@ func TestHTTPGetResponseParsing(t *testing.T) {
 	for _, tc := range cases {
 		a, b, cl := pair(t, sal.LanceModel)
 		err := b.stack.TCP().Listen(80, nil, func(c *Conn) {
-			c.OnData = func(c *Conn, _ []byte) {
+			on(c).received = func(c *Conn, _ []byte) {
 				if tc.resp != "" {
 					_ = c.Send([]byte(tc.resp))
 				}
@@ -596,7 +629,7 @@ func TestHTTPGetEndingsReturnStorage(t *testing.T) {
 	listen := func(resp string, end func(*Conn)) func(*testing.T, *host, *host) *HTTPServer {
 		return func(t *testing.T, _, b *host) *HTTPServer {
 			if err := b.stack.TCP().Listen(80, nil, func(c *Conn) {
-				c.OnData = func(c *Conn, _ []byte) {
+				on(c).received = func(c *Conn, _ []byte) {
 					_ = c.Send([]byte(resp))
 					end(c)
 				}
@@ -624,7 +657,7 @@ func TestHTTPGetEndingsReturnStorage(t *testing.T) {
 				return err
 			}
 			var resp []byte
-			c.OnConnect = func(c *Conn) {
+			on(c).connected = func(c *Conn) {
 				for _, p := range parts {
 					_ = c.Send([]byte(p))
 				}
@@ -632,8 +665,8 @@ func TestHTTPGetEndingsReturnStorage(t *testing.T) {
 					_ = c.Close()
 				}
 			}
-			c.OnData = func(_ *Conn, d []byte) { resp = append(resp, d...) }
-			c.OnClose = func(c *Conn) {
+			on(c).received = func(_ *Conn, d []byte) { resp = append(resp, d...) }
+			on(c).closed = func(c *Conn) {
 				if c.State() == StateCloseWait {
 					_ = c.Close()
 					head, body, _ := bytes.Cut(resp, blankLine)
@@ -988,7 +1021,7 @@ func TestLoopbackSelfDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnConnect = func(*Conn) { established = true }
+	on(conn).connected = func(*Conn) { established = true }
 	eng.Run(0)
 	if !established {
 		t.Fatal("loopback TCP connect never established")

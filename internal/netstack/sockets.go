@@ -292,11 +292,12 @@ func (a SockAddr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 // sockDeadline is one direction's deadline: a virtual-time event that
 // marks the direction expired when it fires.
 type sockDeadline struct {
-	ev      sim.Event // owner-held, bound on first use
+	ev      sim.Event // owner-held, bound to the deadline on first use
 	expired bool
 }
 
-func (dl *sockDeadline) expire() { dl.expired = true }
+// Fire is the deadline's event firing.
+func (dl *sockDeadline) Fire() { dl.expired = true }
 
 // set arms the deadline d from now; zero clears it. Runs on the loop.
 func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
@@ -310,7 +311,7 @@ func (dl *sockDeadline) set(engine *sim.Engine, d sim.Duration, armed bool) {
 		return
 	}
 	if dl.ev.Do == nil {
-		dl.ev.Do = dl.expire
+		dl.ev.Do = dl
 	}
 	engine.Arm(&dl.ev, d)
 }
@@ -333,27 +334,39 @@ type SockConn struct {
 	stack  *Stack
 	rx     []byte // received, unread from rx[head:]
 	head   int
-	dead   bool // OnClose fired: peer FIN, teardown, or local close done
+	dead   bool // Closed ran: peer FIN, teardown, or local close done
 	closed bool // local Close called
 	rd, wr sockDeadline
 }
 
-// newSockConn wires the adapter's callbacks; call it on the loop (inside
-// Run or an engine callback) before any payload can arrive.
+// newSockConn makes the adapter its connection's handler; call it on the
+// loop (inside Run or an engine callback) before any payload can arrive.
 func newSockConn(l *loop, stack *Stack, c *Conn) *SockConn {
 	s := &SockConn{loop: l, c: c, stack: stack}
-	c.OnData = func(_ *Conn, payload []byte) {
-		// The packet owning payload is pooled; copy before it is reused.
-		// Slide the unread bytes down rather than grow past the array.
-		if s.head > 0 && len(s.rx)+len(payload) > cap(s.rx) {
-			s.rx = s.rx[:copy(s.rx, s.rx[s.head:])]
-			s.head = 0
-		}
-		s.rx = append(s.rx, payload...)
-	}
-	c.OnClose = func(*Conn) { s.dead = true }
+	c.Handler = (*sockHandler)(s)
 	return s
 }
+
+// sockHandler is the adapter as its connection's handler. Writers wait on
+// the send buffer's room in opWriteRoom, not on Sent.
+type sockHandler SockConn
+
+func (s *sockHandler) Connected(*Conn) {}
+
+// Received buffers payload for Read. The packet owning payload is pooled,
+// so it is copied; the unread bytes slide down rather than grow past the
+// array.
+func (s *sockHandler) Received(_ *Conn, payload []byte) {
+	if s.head > 0 && len(s.rx)+len(payload) > cap(s.rx) {
+		s.rx = s.rx[:copy(s.rx, s.rx[s.head:])]
+		s.head = 0
+	}
+	s.rx = append(s.rx, payload...)
+}
+
+func (s *sockHandler) Sent(*Conn) {}
+
+func (s *sockHandler) Closed(*Conn) { s.dead = true }
 
 // Conn exposes the underlying TCP endpoint (tests assert on its state).
 func (s *SockConn) Conn() *Conn { return s.c }
@@ -422,7 +435,7 @@ func opWrite(_ *loop, c *call) bool {
 }
 
 // opWriteRoom waits for room for the rest of a write, or for half the
-// buffer, as OnSent does, and then queues more.
+// buffer, as a handler's Sent does, and then queues more.
 func opWriteRoom(l *loop, c *call) bool {
 	s := c.s
 	return (s.closed || s.wr.expired || s.c.State() == StateClosed ||

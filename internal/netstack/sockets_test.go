@@ -147,6 +147,43 @@ func TestSockReadersThroughDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	const flows = 4
+	// The reader takes its first reading before the flows start, so a
+	// host that runs it late still has it read at least once.
+	stop, firstRead := make(chan struct{}), make(chan struct{})
+	readerDone := make(chan int)
+	go func() {
+		readings, lastAccepted := 0, 0.0
+		for {
+			select {
+			case <-stop:
+				readerDone <- readings
+				return
+			default:
+			}
+			drv.Run(func() {
+				for _, h := range []*host{a, b} {
+					conns := h.stack.TCP().Conns()
+					queued, armed := h.stack.TCP().Unsettled()
+					m := metrics.Value(h.stack, "net_tcp_conns")
+					rx := metrics.Value(h.stack, "net_rx_packets")
+					raised := metrics.Value(h.stack.Dispatcher(), `dispatch_raises{event="Ether.PktArrived"}`)
+					if m != float64(conns) || queued > conns || armed > conns || rx != raised {
+						t.Errorf("%s: %d conns (metric %v), %d queued, %d armed, %v received, %v raised",
+							h.stack.Host, conns, m, queued, armed, rx, raised)
+					}
+				}
+				accepted := metrics.Value(b.stack, "net_tcp_accepted")
+				if accepted < lastAccepted || accepted > flows {
+					t.Errorf("accepted went %v -> %v", lastAccepted, accepted)
+				}
+				lastAccepted = accepted
+			})
+			if readings++; readings == 1 {
+				close(firstRead)
+			}
+		}
+	}()
+	<-firstRead
 	sizes := [flows]int{20000, 33000, 47000, 61000}
 	var received [flows]int
 	var wg sync.WaitGroup
@@ -194,38 +231,6 @@ func TestSockReadersThroughDriver(t *testing.T) {
 		}()
 	}
 
-	stop := make(chan struct{})
-	readerDone := make(chan int)
-	go func() {
-		readings, lastAccepted := 0, 0.0
-		for {
-			select {
-			case <-stop:
-				readerDone <- readings
-				return
-			default:
-			}
-			drv.Run(func() {
-				for _, h := range []*host{a, b} {
-					conns := h.stack.TCP().Conns()
-					queued, armed := h.stack.TCP().Unsettled()
-					m := metrics.Value(h.stack, "net_tcp_conns")
-					rx := metrics.Value(h.stack, "net_rx_packets")
-					raised := metrics.Value(h.stack.Dispatcher(), `dispatch_raises{event="Ether.PktArrived"}`)
-					if m != float64(conns) || queued > conns || armed > conns || rx != raised {
-						t.Errorf("%s: %d conns (metric %v), %d queued, %d armed, %v received, %v raised",
-							h.stack.Host, conns, m, queued, armed, rx, raised)
-					}
-				}
-				accepted := metrics.Value(b.stack, "net_tcp_accepted")
-				if accepted < lastAccepted || accepted > flows {
-					t.Errorf("accepted went %v -> %v", lastAccepted, accepted)
-				}
-				lastAccepted = accepted
-			})
-			readings++
-		}
-	}()
 	wg.Wait()
 	close(stop)
 	if readings := <-readerDone; readings == 0 {

@@ -91,13 +91,14 @@ const DefaultMaxRetx = 6
 // SendBufSize bounds the bytes a connection holds for its writer, sent and
 // unacknowledged or waiting for window (a real stack's SO_SNDBUF). It is
 // more than twice the window a peer advertises, so a writer that refills
-// it once OnSent reports it half empty never leaves the window short.
+// it once its handler's Sent reports it half empty never leaves the window
+// short.
 const SendBufSize = 256 << 10
 
 // Errors surfaced by connections that fail rather than hang.
 var (
 	// ErrSendBufFull is Send's refusal of a write the send buffer has no
-	// room for. Nothing of it was queued; OnSent reports room.
+	// room for. Nothing of it was queued; the handler's Sent reports room.
 	ErrSendBufFull = errors.New("netstack: send buffer full")
 	// ErrTimedOut reports that the retransmission cap was exhausted: the
 	// peer (or the path to it) stayed silent through every backoff.
@@ -246,33 +247,51 @@ type Conn struct {
 	loss *lossState
 
 	// retx is the retransmit timer, an owner-held event (sim.Engine.Arm)
-	// bound to onRetxTimer the first time it is armed, and retxAt the time
-	// it is to expire. The event may be queued for earlier: an ACK that
-	// restarts the timer moves retxAt and leaves the heap alone, and the
-	// event, firing early, re-arms itself for the remainder. The one event
-	// serves as the retransmission timeout, RACK's reordering timer and the
-	// tail-loss probe timer; timer says which.
+	// bound to the connection, as a retxTimer, the first time it is
+	// armed, and retxAt the time it is to expire. The event may be queued
+	// for earlier: an ACK that restarts the timer moves retxAt and leaves
+	// the heap alone, and the event, firing early, re-arms itself for the
+	// remainder. The one event serves as the retransmission timeout, RACK's
+	// reordering timer and the tail-loss probe timer; timer says which.
 	retx   sim.Event
 	retxAt sim.Time
 
 	delivery DeliveryCost
 
-	// OnConnect fires when the connection reaches ESTABLISHED.
-	OnConnect func(*Conn)
-	// OnData receives in-order payload bytes.
+	// Handler receives the connection's events.
+	Handler ConnHandler
+	// OnData, when set, takes the in-order payload bytes in place of
+	// Handler.Received.
+	//
+	// Deprecated: it is kept only for benchmark/layers.go, which sets it;
+	// set Handler.
 	OnData func(*Conn, []byte)
-	// OnClose fires when the connection fully closes.
-	OnClose func(*Conn)
-	// OnSent fires, until Close, when an ACK of new data leaves the send
-	// buffer at most half full (Buffered() <= SendBufSize/2): the writer's
-	// cue to refill it.
-	OnSent func(*Conn)
 
 	// acceptCb is the listener's accept callback. On server-side
 	// connections it is set on the Conn before the Conn enters the
 	// connection table, so no delivery can observe the connection without
 	// it.
 	acceptCb func(*Conn)
+}
+
+// ConnHandler receives a connection's events, on the goroutine that steps
+// its stack's engine. The struct that owns a connection implements it, or
+// converts itself to a type that does, so that binding it allocates
+// nothing.
+type ConnHandler interface {
+	// Connected runs when the connection reaches ESTABLISHED.
+	Connected(c *Conn)
+	// Received takes the next in-order payload bytes. They are lent: the
+	// packet holding them is reused once Received returns.
+	Received(c *Conn, data []byte)
+	// Sent runs, until Close, when an ACK of new data leaves the send
+	// buffer at most half full (Buffered() <= SendBufSize/2): the writer's
+	// cue to refill it.
+	Sent(c *Conn)
+	// Closed runs when the peer's FIN arrives on an established
+	// connection, and when the connection is torn down other than from
+	// CLOSE_WAIT: a reset, a timeout, or the end of a close.
+	Closed(c *Conn)
 }
 
 // sendPhase is where the sender stands with respect to loss.
@@ -568,7 +587,7 @@ func (t *TCP) UnlistenOwner(owner string) int {
 }
 
 // Connect opens a connection to dst:port. The returned Conn is in SYN_SENT;
-// OnConnect fires at ESTABLISHED.
+// its Handler's Connected runs at ESTABLISHED.
 //
 // Fault site "net.dial" fires per connect attempt: KindError fails the
 // dial before any connection state exists (the caller sees the injected
@@ -846,6 +865,11 @@ func (c *Conn) restartRetx() {
 	c.armAt(kind, c.tcp.stack.clock.Now().Add(d))
 }
 
+// retxTimer is the connection as its retransmit timer's action.
+type retxTimer Conn
+
+func (t *retxTimer) Fire() { (*Conn)(t).onRetxTimer() }
+
 // armAt sets the timer to expire at at as kind. A queued event due no later
 // than that stays where it is and onRetxTimer re-arms it for the
 // difference, so restarting on every ACK of new data costs no heap
@@ -856,7 +880,7 @@ func (c *Conn) armAt(kind timerKind, at sim.Time) {
 		return
 	}
 	if c.retx.Do == nil {
-		c.retx.Do = c.onRetxTimer
+		c.retx.Do = (*retxTimer)(c)
 	}
 	s := c.tcp.stack
 	s.engine.Arm(&c.retx, at.Sub(s.clock.Now()))
@@ -866,7 +890,7 @@ func (c *Conn) cancelRetx() { c.retx.Disarm() }
 
 // retxExhausted enforces the retransmission cap: past DefaultMaxRetx
 // consecutive unacknowledged retransmissions the connection fails with
-// ErrTimedOut — teardown fires OnClose and removes it from the connection
+// ErrTimedOut — teardown runs the handler's Closed and removes it from the connection
 // table. Reports true when the caller must stop retransmitting. Otherwise
 // it counts the attempt and doubles the timeout.
 func (c *Conn) retxExhausted() bool {
@@ -990,8 +1014,8 @@ func (t *TCP) deliver1(pkt *Packet) {
 		if c.acceptCb != nil {
 			c.acceptCb(c)
 		}
-		if c.OnConnect != nil {
-			c.OnConnect(c)
+		if c.Handler != nil {
+			c.Handler.Connected(c)
 		}
 	}
 	switch {
@@ -1130,8 +1154,8 @@ func (c *Conn) handleSynSent(pkt *Packet) {
 	c.retxAttempts = 0
 	c.cancelRetx()
 	c.sendAck()
-	if c.OnConnect != nil {
-		c.OnConnect(c)
+	if c.Handler != nil {
+		c.Handler.Connected(c)
 	}
 	c.pump()
 }
@@ -1218,8 +1242,8 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	}
 	c.rackDetect()
 	c.pump()
-	if c.OnSent != nil && !c.closed && c.Buffered() <= SendBufSize/2 {
-		c.OnSent(c)
+	if c.Handler != nil && !c.closed && c.Buffered() <= SendBufSize/2 {
+		c.Handler.Sent(c)
 	}
 	return true
 }
@@ -1342,8 +1366,11 @@ func (c *Conn) reportDuplicate(start, end uint32) {
 // deliver hands the next in-order bytes to the application.
 func (c *Conn) deliver(p []byte) {
 	c.rcvNxt += uint32(len(p))
-	if c.OnData != nil {
+	switch {
+	case c.OnData != nil:
 		c.OnData(c, p)
+	case c.Handler != nil:
+		c.Handler.Received(c, p)
 	}
 }
 
@@ -1555,8 +1582,8 @@ func (c *Conn) takeFIN() {
 	switch c.State() {
 	case StateEstablished:
 		c.setState(StateCloseWait)
-		if c.OnClose != nil {
-			c.OnClose(c)
+		if c.Handler != nil {
+			c.Handler.Closed(c)
 		}
 	case StateFinWait1, StateFinWait2:
 		// FIN_WAIT_1 here is a simultaneous close, taken as FIN_WAIT_2's.
@@ -1599,8 +1626,8 @@ func (c *Conn) teardown() {
 	if t.spareInflights.give(c.inflight[:0], maxSpareSegs) {
 		c.inflight = nil
 	}
-	if c.OnClose != nil && prev != StateCloseWait {
-		c.OnClose(c)
+	if c.Handler != nil && prev != StateCloseWait {
+		c.Handler.Closed(c)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestTCPZeroWindowPersist(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	client, srv := establish(t, a, b, cl)
 	var serverGot []byte
-	(*srv).OnData = func(_ *Conn, d []byte) { serverGot = append(serverGot, d...) }
+	on(*srv).received = func(_ *Conn, d []byte) { serverGot = append(serverGot, d...) }
 
 	// The peer advertises window 0 (a duplicate ACK carrying the closed
 	// window, forged here since the in-tree receiver never closes its
@@ -125,7 +125,7 @@ func TestTCPSynFloodBounded(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	client, srv := establish(t, a, b, cl)
 	var serverGot []byte
-	(*srv).OnData = func(_ *Conn, d []byte) { serverGot = append(serverGot, d...) }
+	on(*srv).received = func(_ *Conn, d []byte) { serverGot = append(serverGot, d...) }
 
 	const flood = 10000
 	syn := &Packet{} // reused: Deliver borrows, never retains

@@ -38,14 +38,14 @@ func TestTCPSurvivesModerateLoss(t *testing.T) {
 	const total = 32 * 1024
 	var received []byte
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(_ *Conn, d []byte) { received = append(received, d...) }
+		on(c).received = func(_ *Conn, d []byte) { received = append(received, d...) }
 	})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
 	payload := make([]byte, total)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	conn.OnConnect = func(c *Conn) { _ = c.Send(payload) }
+	on(conn).connected = func(c *Conn) { _ = c.Send(payload) }
 	cl.RunUntil(func() bool { return len(received) >= total }, sim.Time(10*60*sim.Second))
 	if len(received) != total {
 		t.Fatalf("received %d of %d bytes (drops a=%d b=%d, retransmits=%d)",
@@ -68,7 +68,7 @@ func TestTCPSurvivesHandshakeLoss(t *testing.T) {
 	established := false
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
-	conn.OnConnect = func(*Conn) { established = true }
+	on(conn).connected = func(*Conn) { established = true }
 	ok := cl.RunUntil(func() bool { return established }, sim.Time(10*60*sim.Second))
 	if !ok {
 		t.Fatalf("handshake never completed under loss (drops a=%d b=%d)",
@@ -83,10 +83,10 @@ func TestTCPNoDuplicateDeliveryUnderLoss(t *testing.T) {
 	const chunks, chunkSize = 32, 512
 	var received []byte
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(_ *Conn, d []byte) { received = append(received, d...) }
+		on(c).received = func(_ *Conn, d []byte) { received = append(received, d...) }
 	})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
-	conn.OnConnect = func(c *Conn) {
+	on(conn).connected = func(c *Conn) {
 		for i := 0; i < chunks; i++ {
 			buf := make([]byte, chunkSize)
 			for j := range buf {
@@ -113,7 +113,7 @@ func TestTCPCongestionWindowCollapsesOnLoss(t *testing.T) {
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
 	established := false
-	conn.OnConnect = func(*Conn) { established = true }
+	on(conn).connected = func(*Conn) { established = true }
 	cl.RunUntil(func() bool { return established }, sim.Time(60*sim.Second))
 
 	// Grow the window with a clean transfer.
@@ -185,8 +185,8 @@ func TestFinOvertakesLostData(t *testing.T) {
 	a, _, cl, client, server := establishedPair(t)
 	var got []byte
 	peerClosed := false
-	server.OnData = func(_ *Conn, d []byte) { got = append(got, d...) }
-	server.OnClose = func(*Conn) { peerClosed = true }
+	on(server).received = func(_ *Conn, d []byte) { got = append(got, d...) }
+	on(server).closed = func(*Conn) { peerClosed = true }
 	dropped := 0
 	a.nic.AttachWire(&dropWire{Wire: a.nic.Wire(), drop: func(p *Packet) bool {
 		if len(p.Payload) > 0 && dropped == 0 {

@@ -42,7 +42,7 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 		}
 		var serverGot, clientGot []byte
 		_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-			c.OnData = func(c *Conn, d []byte) {
+			on(c).received = func(c *Conn, d []byte) {
 				serverGot = append(serverGot, d...)
 				_ = c.Send(d) // echo
 			}
@@ -51,7 +51,7 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		conn.OnConnect = func(c *Conn) {
+		on(conn).connected = func(c *Conn) {
 			off := 0
 			for _, cs := range chunkSeeds {
 				size := int(cs)%2000 + 1
@@ -59,7 +59,7 @@ func TestTCPBidirectionalIntegrityProperty(t *testing.T) {
 				off += size
 			}
 		}
-		conn.OnData = func(_ *Conn, d []byte) { clientGot = append(clientGot, d...) }
+		on(conn).received = func(_ *Conn, d []byte) { clientGot = append(clientGot, d...) }
 		done := func() bool {
 			return len(serverGot) == len(sent) && len(clientGot) == len(sent)
 		}

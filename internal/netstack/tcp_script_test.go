@@ -121,9 +121,9 @@ type scriptRig struct {
 
 	advertised int    // the window field of the segment emitted last
 	written    int    // application bytes written so far
-	received   []byte // what OnData delivered
-	misorder   bool   // OnData delivered a byte out of place
-	closes     int    // OnClose calls
+	received   []byte // what Received took
+	misorder   bool   // Received took a byte out of place
+	closes     int    // Closed calls
 }
 
 // streamByte is the byte at offset off of either direction's stream.
@@ -192,7 +192,7 @@ func newScriptRig(t *testing.T, client bool) *scriptRig {
 
 func (r *scriptRig) adopt(c *Conn) {
 	r.conn = c
-	c.OnData = func(_ *Conn, b []byte) {
+	on(c).received = func(_ *Conn, b []byte) {
 		for i, v := range b {
 			if v != streamByte(len(r.received)+i) {
 				r.misorder = true
@@ -200,7 +200,7 @@ func (r *scriptRig) adopt(c *Conn) {
 		}
 		r.received = append(r.received, b...)
 	}
-	c.OnClose = func(*Conn) { r.closes++ }
+	on(c).closed = func(*Conn) { r.closes++ }
 }
 
 // dial starts an active open at time 0 and leaves the endpoint in SYN_SENT,
@@ -380,7 +380,7 @@ func (r *scriptRig) run(steps []step) {
 			s.check(r.t, r)
 		}
 		if r.misorder {
-			r.t.Fatalf("%s: OnData delivered bytes out of place", what)
+			r.t.Fatalf("%s: Received took bytes out of place", what)
 		}
 	}
 }
@@ -407,7 +407,7 @@ func wantReceived(n int) func(*testing.T, *scriptRig) {
 	return func(t *testing.T, r *scriptRig) {
 		t.Helper()
 		if len(r.received) != n {
-			t.Errorf("OnData has delivered %d bytes, want %d", len(r.received), n)
+			t.Errorf("Received has taken %d bytes, want %d", len(r.received), n)
 		}
 	}
 }
@@ -511,7 +511,7 @@ func TestTCPScript(t *testing.T) {
 				out: []seg{ack(S + 1)}, check: wantState(StateCloseWait)},
 		})
 		if r.closes != 1 {
-			t.Errorf("OnClose ran %d times, want once", r.closes)
+			t.Errorf("Closed ran %d times, want once", r.closes)
 		}
 	})
 
@@ -864,14 +864,14 @@ func TestTCPScript(t *testing.T) {
 					t.Errorf("%d bytes buffered, want %d", got, n*S)
 				}
 				if sents != sent {
-					t.Errorf("OnSent fired %d times, want %d", sents, sent)
+					t.Errorf("Sent ran %d times, want %d", sents, sent)
 				}
 			}
 		}
 		r := dialRig(t)
 		r.run([]step{{in: in(seg{flags: FlagSYN | FlagACK, seq: -1, ack: 0, win: w}), out: []seg{ack(0)}}})
 		r.window(64, 64)
-		r.conn.OnSent = func(c *Conn) {
+		on(r.conn).sent = func(c *Conn) {
 			sents++
 			for c.Buffered()+S <= SendBufSize {
 				if err := c.Send(streamBytes(r.written, S)); err != nil {
@@ -885,7 +885,7 @@ func TestTCPScript(t *testing.T) {
 			{at: 2 * ms, full: true, note: "refused whole: nothing queued, nothing sent", check: wantBuffered(fits, 0)},
 			{at: 5 * ms, in: ackW(40), note: "139 segments left: above half", out: segs(40, 40), check: wantBuffered(fits-40, 0)},
 			{at: 9 * ms, in: ackW(80), note: "99 left: still above half", out: segs(80, 40), check: wantBuffered(fits-80, 0)},
-			{at: 13 * ms, in: ackW(120), note: "59 left: OnSent refills to the bound, behind the window's 40",
+			{at: 13 * ms, in: ackW(120), note: "59 left: Sent refills to the bound, behind the window's 40",
 				out: segs(120, 40), check: wantBuffered(fits, 1)},
 			{at: 17 * ms, in: ackW(160), note: "the refill goes out", out: segs(160, 40), check: wantBuffered(fits-40, 1)},
 		})

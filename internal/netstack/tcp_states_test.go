@@ -21,7 +21,7 @@ func establish(t *testing.T, a, b *host, cl *sim.Cluster) (client *Conn, server 
 		t.Fatal(err)
 	}
 	up := false
-	conn.OnConnect = func(*Conn) { up = true }
+	on(conn).connected = func(*Conn) { up = true }
 	if !cl.RunUntil(func() bool { return up && srvConn != nil }, sim.Time(60*sim.Second)) {
 		t.Fatal("handshake failed")
 	}
@@ -52,9 +52,9 @@ func TestTCPHalfClose(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	client, srv := establish(t, a, b, cl)
 	var clientGot []byte
-	client.OnData = func(_ *Conn, d []byte) { clientGot = append(clientGot, d...) }
+	on(client).received = func(_ *Conn, d []byte) { clientGot = append(clientGot, d...) }
 	serverSawClose := false
-	(*srv).OnClose = func(c *Conn) {
+	on(*srv).closed = func(c *Conn) {
 		serverSawClose = true
 		_ = c.Send([]byte("parting gift"))
 		c.Close()
@@ -76,7 +76,7 @@ func TestTCPRSTMidConnection(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	client, srv := establish(t, a, b, cl)
 	closed := false
-	client.OnClose = func(*Conn) { closed = true }
+	on(client).closed = func(*Conn) { closed = true }
 	// Forge a RST from the server side (e.g. its process died), at the
 	// sequence number its next segment would carry. One anywhere else is
 	// not believed: TestTCPScript's rfc5961 rows.
@@ -91,7 +91,7 @@ func TestTCPRSTMidConnection(t *testing.T) {
 		t.Errorf("client state after RST = %v", client.State())
 	}
 	if !closed {
-		t.Error("OnClose not fired on RST")
+		t.Error("Closed not run on RST")
 	}
 }
 
@@ -102,7 +102,7 @@ func TestTCPIgnoresAckBeyondSndNxt(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	client, srv := establish(t, a, b, cl)
 	delivered := 0
-	client.OnData = func(*Conn, []byte) { delivered++ }
+	on(client).received = func(*Conn, []byte) { delivered++ }
 	// Queue data without running the cluster: it sits unacknowledged.
 	if err := client.Send(make([]byte, 3*DefaultMSS)); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestTCPServerRetransmitsSYNACK(t *testing.T) {
 	_ = b.stack.TCP().Listen(80, nil, func(*Conn) { accepted = true })
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
 	up := false
-	conn.OnConnect = func(*Conn) { up = true }
+	on(conn).connected = func(*Conn) { up = true }
 	cl.RunUntil(func() bool { return up && accepted }, sim.Time(60*sim.Second))
 	if !up || !accepted {
 		t.Fatalf("handshake never recovered (up=%v accepted=%v)", up, accepted)
@@ -162,19 +162,46 @@ func TestTCPServerRetransmitsSYNACK(t *testing.T) {
 }
 
 func TestTCPDataBeforeAcceptCallbackQueues(t *testing.T) {
-	// Client sends immediately at OnConnect; the server's OnData is
+	// Client sends immediately at Connected; the server's Received is
 	// assigned in the accept callback, which runs at ESTABLISHED —
 	// data arriving with the handshake-completing ACK must be seen.
 	a, b, cl := pair(t, sal.LanceModel)
 	var got []byte
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(_ *Conn, d []byte) { got = append(got, d...) }
+		on(c).received = func(_ *Conn, d []byte) { got = append(got, d...) }
 	})
 	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
-	conn.OnConnect = func(c *Conn) { _ = c.Send([]byte("eager")) }
+	on(conn).connected = func(c *Conn) { _ = c.Send([]byte("eager")) }
 	cl.Run(sim.Time(60 * sim.Second))
 	if string(got) != "eager" {
 		t.Errorf("got %q", got)
+	}
+}
+
+// OnData, which the benchmark's TCP probes still set, takes the delivered
+// bytes in place of the handler's Received; the handler still sees the
+// connection's other events.
+func TestTCPOnDataTakesBytesFromHandler(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	var viaOnData, viaHandler []byte
+	connected, closed := false, false
+	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
+		on(c).received = func(_ *Conn, d []byte) { viaHandler = append(viaHandler, d...) }
+		on(c).connected = func(*Conn) { connected = true }
+		on(c).closed = func(*Conn) { closed = true }
+		c.OnData = func(_ *Conn, d []byte) { viaOnData = append(viaOnData, d...) }
+	})
+	conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+	on(conn).connected = func(c *Conn) {
+		_ = c.Send([]byte("to OnData"))
+		c.Close()
+	}
+	cl.Run(sim.Time(60 * sim.Second))
+	if string(viaOnData) != "to OnData" || viaHandler != nil {
+		t.Errorf("OnData got %q, the handler's Received %q; want all of it at OnData", viaOnData, viaHandler)
+	}
+	if !connected || !closed {
+		t.Errorf("the handler saw connected %v, closed %v; want both", connected, closed)
 	}
 }
 
@@ -231,7 +258,7 @@ func TestTCPConcurrentConnections(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	got := map[uint16][]byte{}
 	_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
-		c.OnData = func(c *Conn, d []byte) {
+		on(c).received = func(c *Conn, d []byte) {
 			_, port := c.Remote()
 			got[port] = append(got[port], d...)
 		}
@@ -244,7 +271,7 @@ func TestTCPConcurrentConnections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.OnConnect = func(c *Conn) {
+		on(c).connected = func(c *Conn) {
 			_ = c.Send([]byte{byte('A' + i)})
 		}
 		conns = append(conns, c)

@@ -30,7 +30,7 @@ func establishedPair(t *testing.T) (a, b *host, cl *sim.Cluster, client, server 
 
 // The foreground bugfix at the TCP layer: a SYN that is never answered is
 // retransmitted with exponential backoff at most DefaultMaxRetx times, then the
-// connection is torn down — OnClose fires, the connection table empties,
+// connection is torn down — Closed runs, the connection table empties,
 // Err() reports ErrTimedOut — instead of retransmitting forever.
 func TestRetxCapSynSent(t *testing.T) {
 	a, _, cl := pair(t, sal.LanceModel)
@@ -39,12 +39,12 @@ func TestRetxCapSynSent(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed := false
-	c.OnClose = func(*Conn) { closed = true }
+	on(c).closed = func(*Conn) { closed = true }
 	start := a.eng.Now()
 	cl.Run(0) // terminates: the retransmit timer must not rearm forever
 	elapsed := a.eng.Now().Sub(start)
 	if c.State() != StateClosed || !closed {
-		t.Fatalf("state %v, OnClose %v — want closed", c.State(), closed)
+		t.Fatalf("state %v, Closed %v — want closed", c.State(), closed)
 	}
 	if !errors.Is(c.Err(), ErrTimedOut) {
 		t.Errorf("Err = %v, want ErrTimedOut", c.Err())
@@ -69,7 +69,7 @@ func TestRetxCapEstablishedData(t *testing.T) {
 	a, b, cl, client, _ := establishedPair(t)
 	b.nic.OnReceive = func(sal.NetFrame) bool { return false } // partition b
 	closed := false
-	client.OnClose = func(*Conn) { closed = true }
+	on(client).closed = func(*Conn) { closed = true }
 	if err := client.Send([]byte("into the void")); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRetxCapEstablishedData(t *testing.T) {
 func TestRetxBudgetResetsOnProgress(t *testing.T) {
 	_, _, cl, client, server := establishedPair(t)
 	var rx int
-	server.OnData = func(_ *Conn, p []byte) { rx += len(p) }
+	on(server).received = func(_ *Conn, p []byte) { rx += len(p) }
 	for i := 0; i < 5; i++ {
 		if err := client.Send([]byte("chunk")); err != nil {
 			t.Fatal(err)

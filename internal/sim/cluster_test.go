@@ -380,7 +380,7 @@ func TestPostReleasesOperands(t *testing.T) {
 	if ran != posts || len(e.free) != posts {
 		t.Fatalf("%d handlers ran and %d events are free; want %d of each", ran, len(e.free), posts)
 	}
-	// What may remain is the recycled events (96 B and a 16 B bound method
+	// What may remain is the recycled events (88 B and a 16 B bound method
 	// each), the free list and the queue's backing array, not the 4 KiB each
 	// one carried.
 	if limit := before + posts*192; after > limit {
@@ -394,10 +394,11 @@ func TestPostReleasesOperands(t *testing.T) {
 // event: the slabs, the doublings of the queue and of the free list the
 // events join as they fire, and the engine itself. The mark that sends Step
 // through the posted event rides in Event's padding, which matters because
-// every TCP connection embeds an Event.
+// every TCP connection embeds an Event: 40 bytes, Do's interface value
+// being 16 of them.
 func TestPostGrowsBySlab(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 32 {
-		t.Errorf("Event is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Errorf("Event is %d bytes, want 40", got)
 	}
 	const posts = 1000
 	ran := 0
@@ -443,9 +444,10 @@ func TestPostAndArmAllocFree(t *testing.T) {
 	if hops != 101*8 {
 		t.Errorf("%d hops ran, want %d", hops, 101*8)
 	}
+	// The timer's owner binds itself by a pointer conversion.
 	var timer Event
-	fired := 0
-	timer.Do = func() { fired++ }
+	var fired firings
+	timer.Do = &fired
 	if n := testing.AllocsPerRun(100, func() {
 		e.Arm(&timer, 5)
 		timer.Disarm()
@@ -458,7 +460,19 @@ func TestPostAndArmAllocFree(t *testing.T) {
 	if fired != 101 {
 		t.Errorf("timer fired %d times, want %d", fired, 101)
 	}
+	// At wraps its func in a funcAction, which is pointer-shaped: the
+	// event is At's one allocation.
+	if n := testing.AllocsPerRun(100, func() { e.At(e.Now(), hopNothing); e.Step() }); n != 1 {
+		t.Errorf("At: %v allocations, want 1 (the event)", n)
+	}
 }
+
+// firings is an Action that counts its firings.
+type firings int
+
+func (f *firings) Fire() { *f++ }
+
+func hopNothing() {}
 
 // Cancel is for events At returned and drops the callback; Disarm is for
 // owner-held events and keeps it, so the next Arm fires it. Either way the
@@ -472,8 +486,8 @@ func TestDisarmKeepsCallbackCancelDropsIt(t *testing.T) {
 		t.Errorf("cancelled At event: Do kept = %v, Cancelled = %v", at.Do != nil, at.Cancelled())
 	}
 	var timer Event
-	fired := 0
-	timer.Do = func() { fired++ }
+	var fired firings
+	timer.Do = &fired
 	if timer.Armed() {
 		t.Error("an event never armed reads armed")
 	}

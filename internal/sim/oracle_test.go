@@ -87,10 +87,10 @@ func (u *universe) addEngine() {
 	u.engines = append(u.engines, e)
 	for i := 0; i < 2; i++ {
 		tm := &timer{on: e}
-		tm.ev.Do = func() {
+		tm.ev.Do = funcAction(func() {
 			tm.fired = true
 			u.ran(e, tm.seq)
-		}
+		})
 		u.timers = append(u.timers, tm)
 		l := new(Lane)
 		l.Init(e, ranPosted, u)

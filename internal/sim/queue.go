@@ -2,13 +2,25 @@ package sim
 
 import "unsafe"
 
+// Action is what an Event does when it fires.
+type Action interface{ Fire() }
+
+// funcAction is an Action made of a plain function: At wraps its fn in
+// one, which allocates nothing, since a func value is a pointer.
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
+
 // Event is a scheduled simulation callback. Engine.At returns one to hold
 // and maybe Cancel. The zero Event with Do set is an owner-held timer: it
 // lives in the struct that owns it, Engine.Arm schedules it any number of
-// times and Disarm stops it, and nothing is allocated on the way.
+// times and Disarm stops it, and nothing is allocated on the way. Its Do
+// is the owner itself, or the owner's pointer converted to a type with a
+// Fire method: a pointer in an interface allocates nothing, where a method
+// value would allocate its binding.
 type Event struct {
 	At     Time
-	Do     func()
+	Do     Action
 	seq    int64 // tie-break: FIFO among same-time events
 	cancel bool
 	posted bool  // the Event of a posted, which Step fires through it
@@ -180,7 +192,7 @@ func (e *Engine) enqueue(ev *Event) {
 // At schedules fn to run at absolute virtual time t. If t is in the past it
 // runs at the current time (next Step).
 func (e *Engine) At(t Time, fn func()) *Event {
-	ev := &Event{Do: fn}
+	ev := &Event{Do: funcAction(fn)}
 	e.schedule(ev, t)
 	return ev
 }
@@ -282,7 +294,7 @@ func (e *Engine) Step() bool {
 		if ev.posted {
 			e.fire((*posted)(unsafe.Pointer(ev)))
 		} else {
-			ev.Do()
+			ev.Do.Fire()
 		}
 		return true
 	}

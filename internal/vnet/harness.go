@@ -158,13 +158,10 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		if server == nil || client == nil {
 			return nil, fmt.Errorf("vnet: conversation %d: unknown machine %q or %q", i, c.From, c.To)
 		}
-		pat, total := newPayload(i), c.Bytes
+		pat := newPayload(i)
+		reader := &convReader{r: r, pat: pat, total: c.Bytes, done: &done}
 		err := server.Stack.TCP().Listen(c.Port, netstack.InKernelDelivery, func(conn *netstack.Conn) {
-			conn.OnData = func(_ *netstack.Conn, b []byte) {
-				if r.receive(pat, b, total) {
-					done++
-				}
-			}
+			conn.Handler = reader
 		})
 		if err != nil {
 			return nil, fmt.Errorf("vnet: conversation %d: listen: %w", i, err)
@@ -173,24 +170,60 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		if err != nil {
 			return nil, fmt.Errorf("vnet: conversation %d: connect: %w", i, err)
 		}
-		// The writer queues a chunk at a time while the send buffer has
-		// room, from OnConnect and again whenever ACKs have half emptied it.
-		buf, off := make([]byte, c.Chunk), 0
-		fill := func(cn *netstack.Conn) {
-			for off < total {
-				b := buf[:min(len(buf), total-off)]
-				pat.fill(b, off)
-				if cn.Send(b) != nil {
-					return
-				}
-				off += len(b)
-			}
-		}
-		conn.OnConnect, conn.OnSent = fill, fill
+		conn.Handler = &convWriter{pat: pat, buf: make([]byte, c.Chunk), total: c.Bytes}
 		rr := r
 		cc := conn
 		defer func() { rr.Retransmits = cc.Retransmits() }()
 	}
 	in.RunUntil(func() bool { return done == len(convs) }, deadline)
 	return results, nil
+}
+
+// convReader is a conversation's server end: it checks the stream as it
+// arrives and counts the conversation done once it is whole.
+type convReader struct {
+	r     *ConvResult
+	pat   *payload
+	total int
+	done  *int
+}
+
+func (cr *convReader) Connected(*netstack.Conn) {}
+
+func (cr *convReader) Received(_ *netstack.Conn, b []byte) {
+	if cr.r.receive(cr.pat, b, cr.total) {
+		*cr.done++
+	}
+}
+
+func (cr *convReader) Sent(*netstack.Conn) {}
+
+func (cr *convReader) Closed(*netstack.Conn) {}
+
+// convWriter is a conversation's client end. It queues a chunk at a time
+// while the send buffer has room, when it connects and again whenever ACKs
+// have half emptied it.
+type convWriter struct {
+	pat        *payload
+	buf        []byte
+	off, total int
+}
+
+func (w *convWriter) Connected(c *netstack.Conn) { w.fill(c) }
+
+func (w *convWriter) Received(*netstack.Conn, []byte) {}
+
+func (w *convWriter) Sent(c *netstack.Conn) { w.fill(c) }
+
+func (w *convWriter) Closed(*netstack.Conn) {}
+
+func (w *convWriter) fill(c *netstack.Conn) {
+	for w.off < w.total {
+		b := w.buf[:min(len(w.buf), w.total-w.off)]
+		w.pat.fill(b, w.off)
+		if c.Send(b) != nil {
+			return
+		}
+		w.off += len(b)
+	}
 }
