@@ -195,11 +195,13 @@ func TestTCPSteadyRXAllocFree(t *testing.T) {
 	}
 }
 
-// An uncached resolve over the named star allocates what it hands back:
-// the caller's address slice and the cache entry's. The codec decodes into
-// storage the resolver reuses, the server answers from its stack, and the
-// resolver's reply port stays bound between lookups. The parent commit
-// spent 38 objects a resolve.
+// An uncached resolve over the named star allocates at most one object, the
+// cache entry's addresses, and none once a flushed entry has left its
+// storage behind: the callback is lent the cached answer, the lookup is one
+// a finished lookup gave back, the server encodes straight from the zone's
+// record into a buffer on its stack, the codec decodes into storage the
+// resolver reuses, and the reply port stays bound between lookups. Before
+// these a resolve spent 4 objects, and 38 before any.
 func TestUncachedResolveAllocs(t *testing.T) {
 	in := namedStar(t)
 	r := in.Machine("client").Resolver
@@ -217,8 +219,9 @@ func TestUncachedResolveAllocs(t *testing.T) {
 		r.LookupA("web.spin.test", cb)
 		in.Run(0)
 	})
-	if allocs > 7 {
-		t.Errorf("an uncached resolve allocates %v objects, want at most 7", allocs)
+	t.Logf("an uncached resolve allocates %v objects", allocs)
+	if allocs > 1 {
+		t.Errorf("an uncached resolve allocates %v objects, want at most 1", allocs)
 	}
 	if resolved != runs+1 {
 		t.Errorf("%d lookups resolved, want %d", resolved, runs+1)
@@ -428,6 +431,55 @@ func TestRaiseByHandleNoDearerThanByName(t *testing.T) {
 	t.Logf("raise by handle %v, by name %v per %d raises: %.2fx", bestHandle, bestName, raises, ratio)
 	if ratio > 1 {
 		t.Errorf("a raise by handle costs %.2fx a raise by name, want <= 1x", ratio)
+	}
+}
+
+// bumped is what the raise gate's baseline call does: one store to a
+// global. bump is called through a package-level func value, which the
+// compiler can neither inline nor devirtualize.
+var (
+	bumped int
+	bump   = func(any) { bumped++ }
+)
+
+// A raise by handle on the event every UDP datagram raises costs at most 5
+// procedure calls: the baseline is a call through a func value that bumps a
+// global (bump), the least a dynamically bound call can do. That is Table
+// 2's claim, that a protected in-kernel call is a procedure call, held in
+// wall clock. Both are timed in this process, 2 000 calls a round, over 200
+// interleaved rounds, and the minimum each way is compared. Three runs on a
+// 2-core x86-64 host read 3.0x, 3.1x and 3.5x.
+func TestRaiseByHandleWithinFiveProcedureCalls(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments a raise's memory accesses far more than a store")
+	}
+	const calls, rounds = 2000, 200
+	d := benchStack(t).Dispatcher()
+	ev := d.Event(netstack.EvUDPArrived)
+	pkt := any(&netstack.Packet{Proto: netstack.ProtoUDP})
+	timeCalls := func(raise bool) time.Duration {
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			if raise {
+				d.RaiseEvent(ev, pkt)
+			} else {
+				bump(pkt)
+			}
+		}
+		return time.Since(start)
+	}
+	bestCall, bestRaise := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		bestCall = min(bestCall, timeCalls(false))
+		bestRaise = min(bestRaise, timeCalls(true))
+	}
+	if bumped != calls*rounds {
+		t.Fatalf("bumped %d times, want %d", bumped, calls*rounds)
+	}
+	ratio := float64(bestRaise) / float64(bestCall)
+	t.Logf("raise by handle %v, call through a func value %v per %d: %.2fx", bestRaise, bestCall, calls, ratio)
+	if ratio > 5 {
+		t.Errorf("a raise by handle costs %.2fx a call through a func value, want <= 5x", ratio)
 	}
 }
 
@@ -759,14 +811,16 @@ func TestLossRecoveryGates(t *testing.T) {
 	})
 }
 
-// A GET over the warm named star, by address, allocates 5 objects: the two
-// Conns, the GET's state, the path the server looks its content up by and
-// the status line done is handed. The GET's state is its connection's
-// handler and each Conn is its retransmit timer's action, so binding them
-// allocates nothing. The response body is lent from storage the client's
-// TCP module recycles, the server parses a request that arrives whole where
-// it was delivered, and both ends' in-flight lists are the ones the last
-// connection left.
+// A GET over the warm named star, by address, allocates 3 objects: the two
+// Conns, which a caller may hold, and the path the server looks its content
+// up by (HTTPContent.Get takes a string). The GET's state is its
+// connection's handler, one a finished GET gave back to the client's TCP
+// module, and each Conn is its retransmit timer's action, so binding them
+// allocates nothing; done is handed the status line the server wrote as a
+// constant. The response body is lent from storage the client's TCP module
+// recycles, the server parses a request that arrives whole where it was
+// delivered, and both ends' in-flight lists are the ones the last
+// connection left. Before these a GET spent 5 objects.
 func TestHTTPGetSteadyStateAllocs(t *testing.T) {
 	in := namedStar(t)
 	page := make([]byte, 2048)
@@ -798,8 +852,9 @@ func TestHTTPGetSteadyStateAllocs(t *testing.T) {
 	get() // the first GET makes the storage the rest borrow
 	const runs = 200
 	allocs := testing.AllocsPerRun(runs, get)
-	if allocs != 5 && !raceEnabled {
-		t.Errorf("a GET allocates %v objects, want exactly 5", allocs)
+	t.Logf("a GET allocates %v objects", allocs)
+	if allocs > 3 && !raceEnabled {
+		t.Errorf("a GET allocates %v objects, want at most 3", allocs)
 	}
 	if gets != runs+2 || reused != runs+1 {
 		t.Errorf("%d GETs, %d of them into the last one's body storage; want %d, %d", gets, reused, runs+2, runs+1)

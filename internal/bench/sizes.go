@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 )
 
 // Table 1 and Table 7 report sizes. The paper's absolute numbers describe
@@ -35,40 +36,59 @@ func repoRoot() (string, error) {
 	}
 }
 
+// pathCounts memoizes countPath: the sources do not change while a process
+// runs, so Tables 1 and 7 read each file once however often they are built.
+var pathCounts sync.Map // path -> [2]int64{lines, bytes}
+
 // countStats tallies non-comment source lines and bytes of .go files
 // (tests excluded) under the given paths (files or directories).
 func countStats(root string, paths ...string) (lines int, bytes int64, err error) {
 	for _, p := range paths {
 		full := filepath.Join(root, p)
-		info, err := os.Stat(full)
+		c, ok := pathCounts.Load(full)
+		if !ok {
+			l, b, err := countPath(full)
+			if err != nil {
+				return 0, 0, err
+			}
+			c, _ = pathCounts.LoadOrStore(full, [2]int64{int64(l), b})
+		}
+		lines += int(c.([2]int64)[0])
+		bytes += c.([2]int64)[1]
+	}
+	return lines, bytes, nil
+}
+
+// countPath counts one file, or every non-test .go file under a directory.
+func countPath(full string) (lines int, bytes int64, err error) {
+	info, err := os.Stat(full)
+	if err != nil {
+		return 0, 0, err
+	}
+	var files []string
+	if info.IsDir() {
+		err = filepath.Walk(full, func(path string, fi os.FileInfo, err error) error {
+			if err != nil {
+				return err
+			}
+			if !fi.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				files = append(files, path)
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		var files []string
-		if info.IsDir() {
-			err = filepath.Walk(full, func(path string, fi os.FileInfo, err error) error {
-				if err != nil {
-					return err
-				}
-				if !fi.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-					files = append(files, path)
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-		} else {
-			files = []string{full}
+	} else {
+		files = []string{full}
+	}
+	for _, f := range files {
+		l, b, err := countFile(f)
+		if err != nil {
+			return 0, 0, err
 		}
-		for _, f := range files {
-			l, b, err := countFile(f)
-			if err != nil {
-				return 0, 0, err
-			}
-			lines += l
-			bytes += b
-		}
+		lines += l
+		bytes += b
 	}
 	return lines, bytes, nil
 }

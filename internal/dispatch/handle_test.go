@@ -125,6 +125,37 @@ func TestRaiseByHandleAllocFree(t *testing.T) {
 	}
 }
 
+// A keyed event's demultiplexer keeps its handlers' results in storage the
+// event holds, as RaiseEvent does, so a raise that reaches one matching
+// keyed handler allocates nothing either.
+func TestRaiseKeyedByHandleAllocFree(t *testing.T) {
+	d, _ := newTestDispatcher()
+	ke, err := d.DefineKeyed("Keyed", keyOfPort, DefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	_, _ = ke.InstallKeyed(7, func(arg, _ any) any { hits++; return arg }, nil)
+	ev := d.Event("Keyed")
+	arg := any(&keyedArg{port: 7})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if got := d.RaiseEvent(ev, arg); got != arg {
+			t.Fatalf("keyed raise returned %v, want its handler's result", got)
+		}
+	}); allocs != 0 {
+		t.Errorf("keyed raise by handle: %v allocs, want 0", allocs)
+	}
+	if hits != 1001 {
+		t.Errorf("keyed handler ran %d times, want 1001", hits)
+	}
+	// A keyed handler's fault after another's result leaves nothing held.
+	_, _ = ke.InstallKeyed(7, func(any, any) any { panic("keyed fault") }, nil)
+	d.RaiseEvent(ev, arg)
+	if n := len(ke.results); n != 0 {
+		t.Errorf("a faulted keyed raise left %d results held", n)
+	}
+}
+
 // Tracing a raise by handle allocates nothing once each handler has run
 // traced: its latency series' name is built on the first call, not on
 // every one. Both dispatch paths: a lone primary's direct call and a

@@ -35,7 +35,12 @@ type KeyedEvent struct {
 	keyOf KeyFunc
 
 	// byKey is the index; its entry slices are immutable.
-	byKey   map[uint64][]*keyedEntry
+	byKey map[uint64][]*keyedEntry
+	// results holds the keyed handlers' results of the raises in progress,
+	// kept the way Event.results is: a re-entrant raise appends after the
+	// outer one's and cuts its own off, so a raise allocates nothing once
+	// the storage has grown to the deepest walk.
+	results []any
 	nextID  int
 	raises  int64
 	indexed int64
@@ -68,19 +73,26 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 	opts.Primary = func(arg, _ any) any {
 		// Index lookup: one hash probe regardless of handler count.
 		ke.d.clock.Advance(ke.d.profile.GuardEval) // the single key extraction
-		var results []any
+		// Deferred, so a handler's fault, which the dispatcher contains
+		// around this primary, leaves none of this raise's results behind.
+		base := len(ke.results)
+		defer func() {
+			clear(ke.results[base:])
+			ke.results = ke.results[:base]
+		}()
 		if key, ok := ke.keyOf(arg); ok {
 			entries := ke.byKey[key]
 			ke.indexed++
 			for _, e := range entries {
 				ke.d.clock.Advance(ke.d.profile.HandlerInvoke)
-				results = append(results, e.h(arg, e.closure))
+				ke.results = append(ke.results, e.h(arg, e.closure))
 			}
 		}
 		ke.raises++
 		if userPrimary != nil {
-			results = append(results, userPrimary(arg, userClosure))
+			ke.results = append(ke.results, userPrimary(arg, userClosure))
 		}
+		results := ke.results[base:]
 		if len(results) == 0 {
 			return nil
 		}

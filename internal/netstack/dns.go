@@ -401,17 +401,23 @@ func (z *Zone) Remove(name string) bool {
 }
 
 // LookupA reports the A records for a canonical name; ok is false when the
-// name does not exist at all (NXDOMAIN, as opposed to NODATA).
+// name does not exist at all (NXDOMAIN, as opposed to NODATA). addrs is the
+// caller's own copy.
 func (z *Zone) LookupA(name string) (addrs []IPAddr, ttl sim.Duration, ok bool) {
+	addrs, ttl, ok = z.LendA(name)
+	return slices.Clone(addrs), ttl, ok
+}
+
+// LendA is LookupA without the copy: addrs is the zone's own record, which
+// the caller reads and neither changes nor keeps. AddA replaces a record
+// rather than writing into it.
+func (z *Zone) LendA(name string) (addrs []IPAddr, ttl sim.Duration, ok bool) {
 	cn, err := canonicalDNSName(name)
 	if err != nil {
 		return nil, 0, false
 	}
 	e, ok := z.recs[cn]
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]IPAddr(nil), e.addrs...), e.ttl, true
+	return e.addrs, e.ttl, ok
 }
 
 // Names lists the zone's names, sorted.
@@ -425,7 +431,9 @@ func (z *Zone) Names() []string {
 }
 
 // ZoneLookup is the authority interface a DNS server answers from — the
-// symbol a zone exports through the domain nameserver.
+// symbol a zone exports through the domain nameserver. The server only reads
+// addrs while it encodes the reply, so a lookup may lend its own storage
+// (Zone.LendA).
 type ZoneLookup func(name string) (addrs []IPAddr, ttl sim.Duration, ok bool)
 
 // DNSServer answers A queries on UDP port 53 from a ZoneLookup authority.
@@ -445,7 +453,7 @@ type DNSServer struct {
 
 // NewDNSServer binds the server to UDP port 53 with in-kernel delivery,
 // owned by owner so the port is released when the owner's domain is
-// destroyed. lookup is the authority — typically a Zone's LookupA,
+// destroyed. lookup is the authority — typically a Zone's LendA,
 // imported through the machine's domain nameserver.
 func NewDNSServer(owner string, stack *Stack, lookup ZoneLookup) (*DNSServer, error) {
 	if lookup == nil {
@@ -644,7 +652,19 @@ type Resolver struct {
 	pos   map[string]dnsPosEntry
 	neg   map[string]dnsNegEntry
 	stats resolverStats
+
+	// free holds spent lookups for the next ones. spareAddrs holds the
+	// storage of answers gone from the positive cache, for later answers to
+	// be written into. lending counts the callbacks running with a lent
+	// answer; while one runs, nothing goes to spareAddrs, because the
+	// answer leaving the cache may be the one it reads.
+	free       freeList[dnsLookup]
+	spareAddrs spares[IPAddr]
+	lending    int
 }
+
+// maxSpareAddrs bounds the answers whose storage a resolver keeps.
+const maxSpareAddrs = 64
 
 type dnsPosEntry struct {
 	addrs   []IPAddr
@@ -684,8 +704,26 @@ func (r *Resolver) Metrics(emit metrics.Emit) {
 
 // FlushCache empties both caches (benchmarks measure uncached resolves).
 func (r *Resolver) FlushCache() {
+	for _, e := range r.pos {
+		r.retire(e.addrs)
+	}
 	clear(r.pos)
 	clear(r.neg)
+}
+
+// retire takes back the storage of an answer leaving the positive cache.
+func (r *Resolver) retire(addrs []IPAddr) {
+	if r.lending == 0 {
+		r.spareAddrs.give(addrs[:0], maxSpareAddrs)
+	}
+}
+
+// lend runs cb with a lookup's outcome: addrs, when there are any, is the
+// positive cache's storage, which no answer may reuse until cb returns.
+func (r *Resolver) lend(cb func([]IPAddr, error), addrs []IPAddr, err error) {
+	r.lending++
+	cb(addrs, err)
+	r.lending--
 }
 
 // Flush drops any cached answer (positive or negative) for one name, so
@@ -698,7 +736,8 @@ func (r *Resolver) Flush(name string) bool {
 	if err != nil || cn == "" {
 		return false
 	}
-	_, hadPos := r.pos[cn]
+	e, hadPos := r.pos[cn]
+	r.retire(e.addrs)
 	_, hadNeg := r.neg[cn]
 	delete(r.pos, cn)
 	delete(r.neg, cn)
@@ -708,6 +747,11 @@ func (r *Resolver) Flush(name string) bool {
 // LookupA resolves name to its A records. cb runs exactly once —
 // synchronously for cache hits and malformed names, otherwise when a reply
 // lands or the last attempt times out, always on the simulation goroutine.
+//
+// The addresses are lent, like HTTPGet's body: they are the cached answer's
+// own storage, valid until cb returns, after which a later answer may be
+// written into it. A caller that keeps them past cb copies them. cb may
+// call LookupA again; its own addresses stay intact while it runs.
 func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 	r.stats.Lookups++
 	cn, err := canonicalDNSName(name)
@@ -722,10 +766,11 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 	if e, ok := r.pos[cn]; ok {
 		if now < e.expires {
 			r.stats.CacheHits++
-			cb(slices.Clone(e.addrs), nil)
+			r.lend(cb, e.addrs, nil)
 			return
 		}
 		delete(r.pos, cn)
+		r.retire(e.addrs)
 	}
 	if e, ok := r.neg[cn]; ok {
 		if now < e.expires {
@@ -739,8 +784,12 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 		cb(nil, fmt.Errorf("%w: no DNS servers configured", ErrDNSTimeout))
 		return
 	}
-	lk := &dnsLookup{r: r, name: cn, cb: cb}
-	lk.timeout.Do = lk
+	lk := r.free.take()
+	if lk == nil {
+		lk = &dnsLookup{r: r}
+		lk.timeout.Do = lk
+	}
+	lk.name, lk.cb, lk.tries, lk.done = cn, cb, 0, false
 	lk.attempt()
 }
 
@@ -758,13 +807,17 @@ func (r *Resolver) queryID(server IPAddr) uint16 {
 
 // dnsLookup is one in-flight resolution: its attempt counter walks the
 // server list with doubling timeouts until a reply lands or the budget is
-// spent.
+// spent. A finished lookup goes back to its resolver's free list, so what
+// could still reach it is fenced off: the default transport drops its
+// query, a cfg.Transport's done checks the attempt it was made for (gen),
+// and Arm withdraws a disarmed timeout still queued.
 type dnsLookup struct {
 	r        *Resolver
 	name     string
 	cb       func([]IPAddr, error)
 	tries    int
 	done     bool
+	gen      uint64 // counts attempts and endings over the storage's lifetime
 	server   IPAddr // the attempt in flight's server and query ID
 	id       uint16
 	cancelTx func()    // cfg.Transport's cancel for the attempt in flight
@@ -782,23 +835,32 @@ func (lk *dnsLookup) attempt() {
 	}
 	lk.tries++
 	r.stats.Sent++
+	lk.gen++
+	gen := lk.gen
+	var cancel func()
 	var err error
 	if r.udp != nil {
 		err = r.udp.send(lk, r.query)
 	} else {
-		lk.cancelTx, err = r.cfg.Transport.Query(lk.server, r.query, lk.onReply)
+		cancel, err = r.cfg.Transport.Query(lk.server, r.query, func(reply []byte, err error) {
+			if lk.gen == gen {
+				lk.onReply(reply, err)
+			}
+		})
 	}
-	if lk.done {
-		// The transport delivered the reply synchronously; there is
-		// nothing to time out.
+	if lk.gen != gen {
+		// The transport delivered the reply synchronously, which ended
+		// the lookup or began its next attempt: there is nothing to time
+		// out here, and lk may already be another lookup's.
 		return
 	}
 	if err != nil {
 		// Transport refusal (ports exhausted, no route): burn the attempt
 		// after a timeout rather than spinning through the budget
 		// instantly.
-		lk.cancelTx = nil
+		cancel = nil
 	}
+	lk.cancelTx = cancel
 	// Exponential backoff per attempt plus seeded jitter, so a fleet of
 	// resolvers retrying through the same outage does not self-
 	// synchronize — and so the retry times are a pure function of the
@@ -862,8 +924,10 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	if minTTL < sim.Second {
 		minTTL = sim.Second
 	}
-	r.pos[lk.name] = dnsPosEntry{addrs: slices.Clone(addrs), expires: now.Add(minTTL)}
-	lk.finish(slices.Clone(addrs), nil)
+	r.retire(r.pos[lk.name].addrs)
+	cached := append(r.spareAddrs.take(len(addrs)), addrs...)
+	r.pos[lk.name] = dnsPosEntry{addrs: cached, expires: now.Add(minTTL)}
+	lk.finish(cached, nil)
 }
 
 // Fire is the attempt in flight timing out: the lookup's timeout event
@@ -895,12 +959,17 @@ func (lk *dnsLookup) retryOrFail() {
 	lk.finish(nil, fmt.Errorf("%w: %s after %d attempts", ErrDNSTimeout, lk.name, lk.tries))
 }
 
+// finish ends the lookup, runs its callback and gives its storage back.
 func (lk *dnsLookup) finish(addrs []IPAddr, err error) {
 	if lk.done {
 		return
 	}
 	lk.done = true
+	lk.gen++
 	lk.timeout.Disarm()
 	lk.cancel()
-	lk.cb(addrs, err)
+	r, cb := lk.r, lk.cb
+	lk.cb, lk.name = nil, ""
+	r.lend(cb, addrs, err)
+	r.free = append(r.free, lk)
 }

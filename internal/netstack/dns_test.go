@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -304,7 +305,7 @@ func TestResolverLookupAndCache(t *testing.T) {
 
 	var addrs []IPAddr
 	var rerr error
-	r.LookupA("WEB.spin.test", func(g []IPAddr, e error) { addrs, rerr = g, e })
+	r.LookupA("WEB.spin.test", func(g []IPAddr, e error) { addrs, rerr = slices.Clone(g), e })
 	cl.Run(0)
 	if rerr != nil || len(addrs) != 2 || addrs[0] != Addr(10, 0, 0, 2) || addrs[1] != Addr(10, 0, 0, 9) {
 		t.Fatalf("LookupA = %v, %v", addrs, rerr)
@@ -447,7 +448,7 @@ func TestResolverTimeoutPath(t *testing.T) {
 			var got []IPAddr
 			var gerr error
 			fired := false
-			r.LookupA("web.spin.test", func(a []IPAddr, e error) { got, gerr, fired = a, e, true })
+			r.LookupA("web.spin.test", func(a []IPAddr, e error) { got, gerr, fired = slices.Clone(a), e, true })
 			h.eng.Run(0)
 			if !fired {
 				t.Fatal("callback never fired")
@@ -540,7 +541,7 @@ func TestResolverIgnoresStrayDatagram(t *testing.T) {
 			r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{server}, Seed: 1})
 			var got []IPAddr
 			var gerr error
-			r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = g, e })
+			r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = slices.Clone(g), e })
 			cl.Run(0)
 			if gerr != nil || len(got) != 1 || got[0] != want {
 				t.Fatalf("LookupA = %v, %v; want [%v]", got, gerr, want)
@@ -675,7 +676,7 @@ func TestResolverTimeoutWithdrawsQuery(t *testing.T) {
 	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{server}, Seed: 1})
 	var got []IPAddr
 	var gerr error
-	r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = g, e })
+	r.LookupA("web.spin.test", func(g []IPAddr, e error) { got, gerr = slices.Clone(g), e })
 	cl.Run(0)
 	if gerr != nil || len(got) != 1 || got[0] != want {
 		t.Fatalf("LookupA = %v, %v; want [%v]", got, gerr, want)
@@ -868,5 +869,134 @@ func TestResolverFlushName(t *testing.T) {
 	lookup("web.spin.test")
 	if st = r.stats; st.Sent != 5 {
 		t.Errorf("Sent = %d after FlushCache, want 5", st.Sent)
+	}
+}
+
+// A callback is lent the cached answer, and may look names up again: from
+// the cache, and from the network after flushing the cache under its own
+// answer, with a transport that answers at once and an authority whose
+// answer has changed. Its own addresses stay as they were throughout,
+// whether it was itself answered from the network or from the cache.
+func TestResolverReentrantCallbackKeepsItsAnswer(t *testing.T) {
+	a, _, _ := pair(t, sal.LanceModel)
+	before, after := Addr(10, 0, 0, 2), Addr(10, 0, 0, 3)
+	ft := &fakeTransport{}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 9)}, Transport: ft})
+	const name = "web.spin.test"
+	expect := func(what string, want IPAddr) func([]IPAddr, error) {
+		return func(g []IPAddr, e error) {
+			if e != nil || len(g) != 1 || g[0] != want {
+				t.Errorf("%s: LookupA = %v, %v; want [%v]", what, g, e, want)
+			}
+		}
+	}
+	for _, cached := range []bool{false, true} {
+		r.FlushCache()
+		ft.answers = []IPAddr{before}
+		if cached {
+			r.LookupA(name, expect("warming", before))
+		}
+		ran := false
+		r.LookupA(name, func(g []IPAddr, e error) {
+			ran = true
+			r.LookupA(name, expect("a hit inside the callback", before))
+			r.FlushCache()
+			ft.answers = []IPAddr{after}
+			r.LookupA(name, expect("a miss inside the callback", after))
+			if e != nil || len(g) != 1 || g[0] != before {
+				t.Errorf("cached=%v: the callback's own answer reads %v, %v; want [%v]", cached, g, e, before)
+			}
+		})
+		if !ran {
+			t.Fatal("synchronous transport did not complete the lookup")
+		}
+	}
+	if len(r.free) != 2 {
+		t.Errorf("%d spent lookups kept, want 2: the most ever in flight together", len(r.free))
+	}
+}
+
+// heldTransport answers nothing itself: it keeps every query with its done,
+// for the test to answer when it likes, as often as it likes.
+type heldTransport struct{ queries []heldQuery }
+
+type heldQuery struct {
+	msg  *DNSMessage
+	done func([]byte, error)
+}
+
+func (h *heldTransport) Query(_ IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
+	q, err := ParseDNSMessage(msg)
+	if err != nil {
+		return nil, err
+	}
+	h.queries = append(h.queries, heldQuery{q, done})
+	return func() {}, nil
+}
+
+// A finished lookup's storage serves the next lookup, and nothing meant for
+// the finished one reaches it: not a late reply or a late transport error
+// for either of the finished lookup's attempts, and not its timeout, which
+// was disarmed but stays queued until the next lookup's Arm withdraws it,
+// so the next lookup's timeout is queued once.
+func TestResolverRecycledLookupIsFenced(t *testing.T) {
+	h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
+	ht := &heldTransport{}
+	r := NewResolver(h.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ht, Seed: 9})
+	first, want := Addr(10, 0, 0, 7), Addr(10, 0, 0, 8)
+	var got []IPAddr
+	calls := 0
+	r.LookupA("a.spin.test", func(g []IPAddr, e error) {
+		calls++
+		if e != nil || len(g) != 1 || g[0] != first {
+			t.Errorf("first lookup = %v, %v; want [%v]", g, e, first)
+		}
+	})
+	// The first attempt goes unanswered and times out; the second is
+	// answered, its timeout disarmed but still queued.
+	h.eng.Run(sim.Time(resolverTimeout + resolverTimeout/8 + sim.Millisecond))
+	if len(ht.queries) != 2 {
+		t.Fatalf("%d queries after the first timeout, want 2", len(ht.queries))
+	}
+	q1, q2 := ht.queries[0], ht.queries[1]
+	q2.done(answerA(t, q2.msg, first), nil)
+	if calls != 1 || len(r.free) != 1 {
+		t.Fatalf("first lookup: %d callbacks, %d spent lookups kept; want 1, 1", calls, len(r.free))
+	}
+	begun := h.eng.Now()
+	r.LookupA("b.spin.test", func(g []IPAddr, e error) {
+		calls++
+		if e != nil {
+			t.Errorf("second lookup: %v", e)
+		}
+		got = slices.Clone(g)
+	})
+	if len(r.free) != 0 {
+		t.Fatal("the second lookup did not reuse the first one's storage")
+	}
+	if n := h.eng.Pending(); n != 1 {
+		t.Fatalf("%d events queued, want 1: the second lookup's timeout, queued once", n)
+	}
+	// Everything still addressed to the first lookup arrives now.
+	q1.done(answerA(t, q1.msg, first), nil)
+	q2.done(answerA(t, q2.msg, first), nil)
+	q1.done(nil, errors.New("late transport failure"))
+	q2.done(nil, errors.New("late transport failure"))
+	if calls != 1 || len(ht.queries) != 3 || r.stats.Retries != 1 {
+		t.Fatalf("after the first lookup's late traffic: %d callbacks, %d queries, %d retries; want 1, 3, 1",
+			calls, len(ht.queries), r.stats.Retries)
+	}
+	// The second lookup's own first timeout fires once: one retry.
+	until := begun.Add(resolverTimeout + resolverTimeout/8 + sim.Millisecond)
+	h.eng.At(until, func() {})
+	h.eng.Run(until)
+	if len(ht.queries) != 4 || r.stats.Retries != 2 {
+		t.Fatalf("after the second lookup's first timeout: %d queries, %d retries; want 4, 2",
+			len(ht.queries), r.stats.Retries)
+	}
+	q4 := ht.queries[3]
+	q4.done(answerA(t, q4.msg, want), nil)
+	if calls != 2 || len(got) != 1 || got[0] != want {
+		t.Errorf("second lookup: %d callbacks, answer %v; want 2, [%v]", calls, got, want)
 	}
 }

@@ -61,6 +61,14 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 // blankLine ends a request's or a response's header.
 var blankLine = []byte("\r\n\r\n")
 
+// The status lines the server writes. A client hands them to its caller as
+// these strings, not as copies of the bytes (statusLine).
+const (
+	statusOK         = "HTTP/1.0 200 OK"
+	statusBadRequest = "HTTP/1.0 400 Bad Request"
+	statusNotFound   = "HTTP/1.0 404 Not Found"
+)
+
 // serverConns is the server as the handler every connection shares.
 type serverConns HTTPServer
 
@@ -123,20 +131,20 @@ func (h *HTTPServer) serve1(c *Conn, req []byte) {
 	method, line := firstField(line)
 	path, _ := firstField(line)
 	if len(path) == 0 || string(method) != "GET" {
-		_ = c.Send([]byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
+		_ = c.Send([]byte(statusBadRequest + "\r\n\r\n"))
 		c.Close()
 		return
 	}
 	body, ok := h.content.Get(string(path))
 	if !ok {
 		h.NotFound++
-		_ = c.Send([]byte("HTTP/1.0 404 Not Found\r\n\r\n"))
+		_ = c.Send([]byte(statusNotFound + "\r\n\r\n"))
 		c.Close()
 		return
 	}
 	h.Requests++
 	var buf [64]byte
-	header := append(buf[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	header := append(buf[:0], statusOK+"\r\nContent-Length: "...)
 	header = strconv.AppendInt(header, int64(len(body)), 10)
 	header = append(header, "\r\n\r\n"...)
 	n := min(len(body), max(SendBufSize-c.Buffered()-len(header), 0))
@@ -185,22 +193,30 @@ func responseSize(b []byte) int {
 //
 // The body is lent, like a handler's packet payload: its storage belongs
 // to the stack's TCP module, which gives it to a later GET once done
-// returns, so a caller that keeps the body past done copies it.
+// returns, so a caller that keeps the body past done copies it. So is the
+// GET's own state: the module keeps it for the next GET, and the
+// connection, which the caller may still hold, has no Handler once done
+// has run.
 func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost DeliveryCost, done func(status string, body []byte)) error {
-	conn, err := stack.TCP().Connect(server, port, cost)
+	t := stack.TCP()
+	conn, err := t.Connect(server, port, cost)
 	if err != nil {
 		return err
 	}
-	conn.Handler = &httpGet{path: path, done: done}
+	g := t.spareGets.take()
+	if g == nil {
+		g = new(httpGet)
+	}
+	g.path, g.done = path, done
+	conn.Handler = g
 	return nil
 }
 
 // httpGet is one GET's state and its connection's handler.
 type httpGet struct {
-	path     string
-	done     func(status string, body []byte)
-	resp     []byte // lent by the TCP module from the first delivery to the end of done
-	finished bool
+	path string
+	done func(status string, body []byte)
+	resp []byte // lent by the TCP module from the first delivery to the end of done
 }
 
 func (g *httpGet) Connected(c *Conn) {
@@ -221,11 +237,11 @@ func (g *httpGet) Received(c *Conn, data []byte) {
 
 func (g *httpGet) Sent(*Conn) {}
 
+// Closed ends the GET: the first close of either kind (the server's FIN, a
+// reset, a timeout) runs done, and then g goes back to the TCP module for
+// the next GET. c lets go of g first, so nothing of c's reaches that GET.
 func (g *httpGet) Closed(c *Conn) {
-	if g.finished {
-		return
-	}
-	g.finished = true
+	c.Handler = nil
 	c.Close() // complete our half of the teardown
 	if g.done != nil {
 		headers, body, found := bytes.Cut(g.resp, blankLine)
@@ -233,8 +249,21 @@ func (g *httpGet) Closed(c *Conn) {
 		if !found {
 			body = nil
 		}
-		g.done(string(status), body)
+		g.done(statusLine(status), body)
 	}
-	c.tcp.spareBodies.give(g.resp[:0], maxSpareBytes)
-	g.resp = nil
+	t := c.tcp
+	t.spareBodies.give(g.resp[:0], maxSpareBytes)
+	*g = httpGet{}
+	t.spareGets = append(t.spareGets, g)
+}
+
+// statusLine returns a response's status line: one the server writes as
+// its constant, anything else as a copy.
+func statusLine(b []byte) string {
+	for _, s := range [...]string{statusOK, statusNotFound, statusBadRequest} {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
 }

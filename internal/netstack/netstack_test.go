@@ -771,6 +771,98 @@ func TestHTTPGetEndingsReturnStorage(t *testing.T) {
 	}
 }
 
+// A finished GET's state serves the next GET, and nothing of the finished
+// GET's connection reaches it. The next GET begins while that connection
+// still waits in LAST_ACK for the ACK of the client's FIN, whose teardown
+// would otherwise hand the new GET a close before its response.
+func TestHTTPGetRecycledStateIsFenced(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	doc := bytes.Repeat([]byte("spin"), 500)
+	if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/doc": doc}); err != nil {
+		t.Fatal(err)
+	}
+	tcp := a.stack.TCP()
+	get := func(done func(string, []byte)) {
+		if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, "/doc", nil, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first *Conn
+	calls := 0
+	get(func(string, []byte) {
+		for _, c := range tcp.conns {
+			first = c
+		}
+		a.eng.After(0, func() { // once the GET's state is back with the module
+			if first.Handler != nil || first.State() != StateLastAck || len(tcp.spareGets) != 1 {
+				t.Fatalf("first connection's handler %v in %v, %d spare GETs; want none in LAST_ACK, 1",
+					first.Handler, first.State(), len(tcp.spareGets))
+			}
+			get(func(status string, body []byte) {
+				if calls++; status != statusOK || !bytes.Equal(body, doc) {
+					t.Errorf("second GET: %q and %d body bytes", status, len(body))
+				}
+			})
+			if len(tcp.spareGets) != 0 {
+				t.Error("the second GET did not reuse the first one's state")
+			}
+		})
+	})
+	cl.Run(0)
+	if calls != 1 || first.State() != StateClosed || tcp.Conns() != 0 {
+		t.Errorf("second GET's done ran %d times; first connection %v, %d live; want 1, CLOSED, 0",
+			calls, first.State(), tcp.Conns())
+	}
+}
+
+// After a burst of concurrent resolve-then-GETs has drained, the spent
+// lookups and GET states a resolver and a TCP module keep number no more
+// than were ever in flight together, and a second burst reuses them all.
+func TestBurstLeavesFreeListsWithinBounds(t *testing.T) {
+	const burst = 200
+	a, b, cl, _ := dnsServerPair(t)
+	doc := bytes.Repeat([]byte("spin"), 500)
+	if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/doc": doc}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}, Seed: 3})
+	tcp := a.stack.TCP()
+	live := LivePackets()
+	for round := 1; round <= 2; round++ {
+		r.FlushCache()
+		good := 0
+		for i := 0; i < burst; i++ {
+			r.LookupA("web.spin.test", func(addrs []IPAddr, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := HTTPGet(a.stack, addrs[0], 80, "/doc", nil, func(status string, body []byte) {
+					if status == statusOK && bytes.Equal(body, doc) {
+						good++
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		cl.Run(0)
+		if good != burst {
+			t.Fatalf("round %d: %d of %d GETs fetched the document", round, good, burst)
+		}
+		// Every lookup and every GET of a burst is in flight at once.
+		if len(r.free) != burst || len(tcp.spareGets) != burst {
+			t.Errorf("round %d: %d spent lookups, %d spare GET states kept; want %d of each",
+				round, len(r.free), len(tcp.spareGets), burst)
+		}
+		if !withinBounds(r.spareAddrs, maxSpareAddrs) || !withinBounds(tcp.spareBodies, maxSpareBytes) {
+			t.Errorf("round %d: spare addresses or bodies past their bounds", round)
+		}
+	}
+	if got := LivePackets(); got != live || tcp.Conns() != 0 {
+		t.Errorf("%d pooled packets live, want %d; %d connections left", got, live, tcp.Conns())
+	}
+}
+
 // withinBounds reports whether s holds at most maxSpares slices, each with
 // storage for at most max elements.
 func withinBounds[T any](s spares[T], max int) bool {

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -698,11 +699,13 @@ func opResolve(l *loop, c *call) bool {
 	return opResolved(l, c)
 }
 
-// resolved is the lookup's callback. Once the dial has given up, the
-// caller may be reading c's results, so it leaves them alone.
+// resolved is the lookup's callback. The addresses are lent until it
+// returns, and the dialing goroutine reads them after, so it keeps a copy.
+// Once the dial has given up, the caller may be reading c's results, so it
+// leaves them alone.
 func (c *call) resolved(addrs []IPAddr, err error) {
 	if !c.keep {
-		c.addrs, c.err, c.looked = addrs, err, true
+		c.addrs, c.err, c.looked = slices.Clone(addrs), err, true
 	}
 }
 

@@ -470,7 +470,7 @@ type Listener struct {
 // machine's engine: a segment's lookup is a map read. nextPort is the
 // ephemeral-port cursor. The spare lists are storage the module recycles:
 // send rings and in-flight lists that torn-down connections left empty, and
-// response bodies that finished GETs (HTTPGet) gave back.
+// the response bodies and states that finished GETs (HTTPGet) gave back.
 type TCP struct {
 	stack *Stack
 
@@ -481,6 +481,7 @@ type TCP struct {
 	spareSendBufs  spares[byte]
 	spareInflights spares[segment]
 	spareBodies    spares[byte]
+	spareGets      freeList[httpGet]
 
 	accepted int64
 	resets   int64
@@ -524,6 +525,22 @@ func (s *spares[T]) give(b []T, max int) bool {
 	}
 	*s = append(*s, b)
 	return true
+}
+
+// freeList holds objects their users have finished with, for the next ones:
+// never more than were once in use together.
+type freeList[T any] []*T
+
+// take returns the object given back last, or nil.
+func (f *freeList[T]) take() *T {
+	n := len(*f)
+	if n == 0 {
+		return nil
+	}
+	x := (*f)[n-1]
+	(*f)[n-1] = nil
+	*f = (*f)[:n-1]
+	return x
 }
 
 func newTCP(s *Stack) *TCP {

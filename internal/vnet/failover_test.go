@@ -168,7 +168,7 @@ func resolveSync(in *Internet, r *netstack.Resolver, host string) ([]netstack.IP
 	)
 	drv := in.Driver()
 	drv.Run(func() {
-		r.LookupA(host, func(a []netstack.IPAddr, err error) { addrs, rerr, done = a, err, true })
+		r.LookupA(host, func(a []netstack.IPAddr, err error) { addrs, rerr, done = slices.Clone(a), err, true })
 	})
 	drv.WaitUntil(func() bool { return done })
 	return addrs, rerr

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -267,7 +268,7 @@ func TestDemoStar(t *testing.T) {
 		if err != nil {
 			t.Errorf("lookup: %v", err)
 		}
-		addrs = a
+		addrs = slices.Clone(a)
 	})
 	if !in.RunUntil(func() bool { return addrs != nil }, 0) || addrs[0] != primary.Stack.IP {
 		t.Fatalf("svc.spin.test resolved to %v, want %v", addrs, primary.Stack.IP)

@@ -301,7 +301,7 @@ func (m *Machine) ServeDNS(zone *netstack.Zone) error {
 		zone = netstack.NewZone()
 	}
 	dom, err := domain.CreateFromModule(DNSAuthorityName, func(o *safe.ObjectFile) {
-		o.Export("DNS.LookupA", zone.LookupA)
+		o.Export("DNS.LookupA", zone.LendA)
 	})
 	if err != nil {
 		return err
