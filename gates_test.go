@@ -643,7 +643,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if recovery > rtt+sim.Millisecond {
 			t.Errorf("the dropped bytes arrived %v late with a round trip of %v, want at most a round trip and 1 ms", recovery, rtt)
 		}
-		if rtt != 4553376 || recovery != 4786828 {
+		if rtt != 4553376 || recovery != 4863252 {
 			t.Errorf("round trip %d ns, recovery %d ns: the pinned figures moved", rtt, recovery)
 		}
 	})
@@ -748,7 +748,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if probes != 1 || rtos != 0 || lossy.retransmits != 1 {
 			t.Errorf("%v probes, %v timeouts, %d retransmissions; want 1, 0 and 1", probes, rtos, lossy.retransmits)
 		}
-		if late := lossy.done().Sub(clean.done()); late != 9448744 {
+		if late := lossy.done().Sub(clean.done()); late != 9326744 {
 			t.Errorf("tail recovered %d ns late: the pinned figure moved", late)
 		}
 	})
@@ -785,7 +785,7 @@ func TestLossRecoveryGates(t *testing.T) {
 		if ratio := float64(max(a, b)) / float64(min(a, b)); ratio > 1.5 {
 			t.Errorf("competing flows finished at %v and %v, %.2fx apart, want at most 1.5x", sim.Duration(a), sim.Duration(b), ratio)
 		}
-		if last(clean) != 202344692 || a != 578879220 || b != 429494140 {
+		if last(clean) != 128766276 || a != 383803328 || b != 344004848 {
 			t.Errorf("clean %d ns, lossy flows %d and %d ns: the pinned figures moved", last(clean), a, b)
 		}
 		for seed := uint64(8); seed <= 15; seed++ {

@@ -14,8 +14,9 @@ package netstack
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
+	"weak"
 )
 
 // IPAddr is an IPv4-style address.
@@ -139,7 +140,7 @@ type Packet struct {
 // Pooled, refcounted packets. At C10M rates the receive path cannot afford
 // one garbage-collected Packet (plus payload) per segment: steady-state
 // delivery must run at zero allocations per packet. Packets that flow
-// through the wire or the RX queues therefore come from a sync.Pool and
+// through the wire or the RX queues therefore come from a free list and
 // carry a reference count.
 //
 // Ownership protocol:
@@ -155,7 +156,56 @@ type Packet struct {
 //   - Release on a non-pooled packet is a no-op, so tests and benchmarks
 //     may still inject plain &Packet{} literals (even the same one
 //     repeatedly).
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
+//
+// The free list is kept under a mutex, not in a sync.Pool. A sync.Pool
+// keeps a cache per processor and rebuilds its storage after every
+// collection, so how many objects a replayed run allocates would depend on
+// the processor its goroutine is scheduled on. Here a replay allocates the
+// same count every time: no packet once the list holds its peak, and three
+// objects (the young generation's storage) for each collection. Like a
+// sync.Pool it keeps two generations, so that what the program stopped
+// using is freed: young holds the packets released since the collector
+// last ran, and old, reachable only through a weak pointer, those released
+// in the cycle before, so that the next collection frees what is left of
+// them.
+var packets struct {
+	sync.Mutex
+	young     *freePackets // nil until the first Release after a collection
+	youngWeak weak.Pointer[freePackets]
+	youngCap  int // the capacity the last young generation grew to
+	old       weak.Pointer[freePackets]
+	live      int64 // handed out by AllocPacket and not yet released for the last time
+}
+
+// freePackets is one generation of the free list.
+type freePackets struct{ list []*Packet }
+
+func (f *freePackets) pop() *Packet {
+	n := len(f.list) - 1
+	p := f.list[n]
+	f.list[n], f.list = nil, f.list[:n]
+	return p
+}
+
+// collectorWatch is an object nothing refers to. Its finalizer runs once
+// after every collection and sets itself again.
+type collectorWatch struct{ _ *byte }
+
+func init() { runtime.SetFinalizer(new(collectorWatch), ageFreePackets) }
+
+// ageFreePackets makes the young generation old; the old one, which only
+// the weak pointer reached, is the collector's already. It allocates
+// nothing, so however late after the collection it runs, the new young
+// generation is made by the next Release, on the goroutine that releases.
+func ageFreePackets(w *collectorWatch) {
+	packets.Lock()
+	if packets.young != nil {
+		packets.youngCap = cap(packets.young.list)
+		packets.old, packets.young = packets.youngWeak, nil
+	}
+	packets.Unlock()
+	runtime.SetFinalizer(w, ageFreePackets)
+}
 
 // maxPooledPayload bounds the payload capacity a packet keeps when it
 // returns to the pool; larger buffers (reassembled jumbo datagrams) are
@@ -166,24 +216,36 @@ const maxPooledPayload = 16 << 10
 // owned by the caller. Pass it to a send/enqueue entry point (donating the
 // reference) or Release it.
 func AllocPacket() *Packet {
-	p := pktPool.Get().(*Packet)
+	packets.Lock()
+	packets.live++
+	var p *Packet
+	// Young first, so that what the run has stopped needing stays in old
+	// and goes.
+	if y := packets.young; y != nil && len(y.list) > 0 {
+		p = y.pop()
+	} else if old := packets.old.Value(); old != nil && len(old.list) > 0 {
+		p = old.pop()
+	}
+	packets.Unlock()
+	if p == nil {
+		p = new(Packet)
+	}
 	p.pooled = true
 	p.refs = 1
-	livePackets.Add(1)
 	return p
 }
-
-// livePackets counts the packets AllocPacket handed out that have not had
-// their last Release. It is the one packet counter kept atomically: it
-// counts for the whole process, and separate topologies may run on separate
-// goroutines at once. One simulation runs on one goroutine, so the count is
-// uncontended.
-var livePackets atomic.Int64
 
 // LivePackets reports how many pooled packets are held, process-wide: by
 // queues, by the wire, by a TCP connection's out-of-order queue. A run left
 // to finish returns it to where it started; anything more is a leak.
-func LivePackets() int64 { return livePackets.Load() }
+// Separate topologies may run on separate goroutines at once, so the count
+// and the free list are kept under one mutex; one simulation runs on one
+// goroutine, so it is uncontended.
+func LivePackets() int64 {
+	packets.Lock()
+	defer packets.Unlock()
+	return packets.live
+}
 
 // Retain adds a reference and returns p, for handing the same packet to a
 // second owner. No-op on non-pooled packets.
@@ -208,13 +270,19 @@ func (p *Packet) Release() {
 	if p.refs < 0 {
 		panic("netstack: Packet released more times than retained")
 	}
-	livePackets.Add(-1)
 	payload := p.Payload
 	if cap(payload) > maxPooledPayload {
 		payload = nil
 	}
 	*p = Packet{Payload: payload[:0]}
-	pktPool.Put(p)
+	packets.Lock()
+	packets.live--
+	if packets.young == nil {
+		packets.young = &freePackets{list: make([]*Packet, 0, packets.youngCap)}
+		packets.youngWeak = weak.Make(packets.young)
+	}
+	packets.young.list = append(packets.young.list, p)
+	packets.Unlock()
 }
 
 // SetPayload copies b into the packet's own buffer (reusing pooled

@@ -488,6 +488,7 @@ type TCP struct {
 	timedOut int64
 
 	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived int64
+	hystartCSS, hystartResumed                                      int64
 }
 
 // A TCP module keeps at most maxSpares of each kind of spare storage,
@@ -627,7 +628,7 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	c := &Conn{
 		tcp:    t,
 		remote: dst, remotePort: port,
-		cwnd: initialWindow, ssthresh: 16, sndWnd: rcvWindow,
+		cwnd: initialWindow, ssthresh: initialSsthresh, sndWnd: rcvWindow,
 		delivery: cost,
 		sndUna:   100, sndNxt: 100, recover: 100,
 	}
@@ -852,8 +853,13 @@ func (c *Conn) sampleRTT(r sim.Duration) {
 		c.rttvar = (3*c.rttvar + dev) / 4
 		c.srtt = (7*c.srtt + us) / 8
 	}
-	if x := c.loss; x != nil && (x.rack.minRTT == 0 || r < x.rack.minRTT) {
-		x.rack.minRTT = r
+	if x := c.loss; x != nil {
+		if x.racking() && (x.rack.minRTT == 0 || r < x.rack.minRTT) {
+			x.rack.minRTT = r
+		}
+		if x.hy.on {
+			x.hy.sample(r)
+		}
 	}
 	c.backoff = 0
 }
@@ -1079,7 +1085,7 @@ func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 	c := &Conn{
 		tcp:    t,
 		remote: pkt.Src, localPort: pkt.DstPort, remotePort: pkt.SrcPort,
-		cwnd: initialWindow, ssthresh: 16,
+		cwnd: initialWindow, ssthresh: initialSsthresh,
 		sndWnd: uint32(e.wnd), sndWL1: e.rcvNxt - 1, sndWL2: e.iss + 1,
 		delivery: l.cost,
 		sndUna:   e.iss + 1, sndNxt: e.iss + 1, recover: e.iss,
@@ -1204,7 +1210,7 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	if ack == c.sndUna {
 		c.takeSACK(pkt)
 		switch {
-		case c.sackOK() && c.loss != nil:
+		case c.sackOK() && c.loss.racking():
 			c.rackDetect()
 			c.pump()
 		case dup && !c.sackOK():
@@ -1217,14 +1223,20 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	// restarts from scratch for whatever is still outstanding.
 	c.sndUna = ack
 	c.retxAttempts, c.dupAcks = 0, 0
+	c.hyRound(ack)
 	n, finAcked := c.takeCumAck(ack)
 	c.takeSACK(pkt)
 	// The probe timer runs from the newest transmission, which an ACK of
-	// older data does not move; every other timer restarts.
+	// older data does not move, but two SRTTs as SRTT now stands: while the
+	// round trip rises, as a queue builds in slow start, the SRTT of the
+	// moment the tail went out would probe for segments still queued.
+	// Every other timer restarts.
 	if len(c.inflight) == 0 {
 		c.cancelRetx()
 	} else if c.timer != timerPTO || !c.retx.Armed() || !c.probeAllowed() {
 		c.restartRetx()
+	} else if at := c.inflight[len(c.inflight)-1].at.Add(min(2*sim.Duration(c.srtt)*sim.Microsecond, c.rto())); at > c.retxAt {
+		c.armAt(timerPTO, at)
 	}
 	c.endProbe(ack)
 	// An ACK short of recover is partial (never so in phaseOpen, where
@@ -1270,7 +1282,7 @@ func (c *Conn) onAck(pkt *Packet) bool {
 // unless any was sent twice (Karn) or is timed already by the SACK that
 // reported it.
 func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
-	now := c.tcp.stack.clock.Now()
+	now, racking := c.tcp.stack.clock.Now(), c.loss.racking()
 	acked, clean, timed := 0, true, -1
 	for ; n < len(c.inflight) && int32(c.inflight[n].end()-ack) <= 0; n++ {
 		s := c.inflight[n]
@@ -1280,7 +1292,7 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 		if s.bits&segSacked == 0 {
 			timed = n
 		}
-		if c.loss != nil {
+		if racking {
 			c.delivered(s, now)
 		}
 	}
@@ -1297,15 +1309,26 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 }
 
 // grow opens the congestion window for n newly acknowledged segments: a
-// segment for each below ssthresh (slow start), a segment for each
+// segment for each below ssthresh (slow start), or for each
+// cssGrowthDivisor of them in CSS (tcp_hystart.go), and a segment for each
 // window's worth of them above it (congestion avoidance, RFC 5681 §3.1).
 func (c *Conn) grow(n int) {
+	css := c.hyCheck()
 	for ; n > 0; n-- {
-		if c.cwnd < c.ssthresh {
+		switch {
+		case c.cwnd >= c.ssthresh:
+			if c.caAcked++; uint16(c.caAcked) >= c.cwnd {
+				c.caAcked = 0
+				c.cwnd = min(c.cwnd+1, maxCwnd)
+			}
+		case !css:
 			c.cwnd++
-		} else if c.caAcked++; uint16(c.caAcked) >= c.cwnd {
-			c.caAcked = 0
-			c.cwnd = min(c.cwnd+1, maxCwnd)
+		default:
+			h := &c.loss.hy
+			if h.cssAcked++; h.cssAcked == cssGrowthDivisor {
+				h.cssAcked = 0
+				c.cwnd++
+			}
 		}
 	}
 }
@@ -1394,7 +1417,8 @@ func (c *Conn) deliver(p []byte) {
 // lossState is what only a connection that met loss or reordering needs,
 // made the first time it does: on the receive side the out-of-order queue
 // and the D-SACK to report, on the send side the SACK scoreboard's totals
-// and the RACK-TLP state (tcp_rack.go).
+// and the RACK-TLP state (tcp_rack.go). A bulk sender's initial slow start
+// makes it earlier, for HyStart++'s round state (tcp_hystart.go).
 //
 // The out-of-order queue holds the segments that arrived ahead of RCV.NXT,
 // kept so that the segment that fills the hole releases them all and the
@@ -1427,6 +1451,7 @@ type lossState struct {
 	sackedSegs   uint16
 
 	rack rackState
+	hy   hyStart
 }
 
 type seqRange struct{ start, end uint32 }
@@ -1437,15 +1462,24 @@ const (
 	maxOOOPackets = 2 * rcvWindow / DefaultMSS
 )
 
-// lossState returns the connection's loss state, made on first use. RACK
-// starts out counting what is acknowledged as delivered.
+// lossState returns the connection's loss state, made on first use, with
+// RACK started. RACK starts out counting what is acknowledged as
+// delivered, with SRTT as its least round trip.
 func (c *Conn) lossState() *lossState {
 	if c.loss == nil {
-		c.loss = &lossState{rack: rackState{fack: c.sndUna, end: c.sndUna, reoMult: 1,
-			minRTT: sim.Duration(c.srtt) * sim.Microsecond}}
+		c.loss = new(lossState)
+	}
+	if x := c.loss; !x.racking() {
+		x.rack = rackState{fack: c.sndUna, end: c.sndUna, reoMult: 1,
+			minRTT: sim.Duration(c.srtt) * sim.Microsecond}
 	}
 	return c.loss
 }
+
+// racking reports whether RACK has started: a loss state HyStart++ made
+// (tcp_hystart.go) has not, until something calls lossState. A started
+// RACK's reoMult is never below 1.
+func (x *lossState) racking() bool { return x != nil && x.rack.reoMult != 0 }
 
 // queueOOO keeps pkt, whose payload starts ahead of RCV.NXT. A segment all
 // of whose bytes one run holds already is reported as a duplicate instead.
@@ -1681,4 +1715,6 @@ func (t *TCP) Metrics(emit metrics.Emit) {
 	emit("net_tcp_tlp_probes", float64(t.tlpProbes))            // tail-loss probes sent
 	emit("net_tcp_rtos", float64(t.rtos))                       // retransmission timeouts, SYN included
 	emit("net_tcp_dsacks_received", float64(t.dsacksReceived))  // the peer got a segment twice
+	emit("net_tcp_hystart_css", float64(t.hystartCSS))          // slow starts left for CSS on an RTT rise
+	emit("net_tcp_hystart_resumed", float64(t.hystartResumed))  // CSS rounds that went back to slow start
 }
