@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"spin/internal/netstack"
 )
 
 // These tests assert the *shape* of each reproduced artifact: orderings,
@@ -34,6 +36,22 @@ func measured(t *testing.T, table *Table, label string, col int) float64 {
 	}
 	t.Fatalf("%s: row %q missing", table.ID, label)
 	return 0
+}
+
+// Every experiment gives back each pooled packet it took once it has
+// measured, so paper_eval runs them back to back with a steady live count.
+// LivePackets is process-wide: no test in this package may use packets in
+// parallel with this one.
+func TestExperimentsReturnPackets(t *testing.T) {
+	for _, e := range All() {
+		live := netstack.LivePackets()
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if got := netstack.LivePackets(); got != live {
+			t.Errorf("%s: %d pooled packets live after it ran, %d before", e.ID, got, live)
+		}
+	}
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {

@@ -21,11 +21,10 @@ import (
 // compression-pointer decoding, A/AAAA questions and answers, NXDOMAIN —
 // and like wire.go it is an untrusted-input boundary: ParseDNSMessage
 // validates every field, never panics, and is fuzzed (FuzzParseDNSMessage).
-// The transport is pluggable (DNSTransport); the default speaks UDP over
-// the simulated stack. Lookups are seeded-deterministic: query IDs and
-// retry jitter come from a sim.Rand, timeouts are virtual-time events, and
-// both caches expire against the virtual clock, so a topology run with DNS
-// replays byte-identically.
+// The resolver speaks UDP over the simulated stack. Lookups are
+// seeded-deterministic: query IDs and retry jitter come from a sim.Rand,
+// timeouts are virtual-time events, and both caches expire against the
+// virtual clock, so a topology run with DNS replays byte-identically.
 
 // DNSPort is the well-known DNS server port.
 const DNSPort = 53
@@ -522,16 +521,7 @@ func (s *DNSServer) serve(pkt *Packet) {
 	_ = s.stack.UDP().Send(DNSPort, pkt.Src, pkt.SrcPort, wire)
 }
 
-// DNSTransport carries one encoded query to a server and delivers the raw
-// reply — the pluggable layer under the Resolver. msg is valid only for the
-// call. done must be called at most once, from the simulation goroutine; the
-// transport never runs its own timer (timeout policy lives in the Resolver,
-// which calls cancel).
-type DNSTransport interface {
-	Query(server IPAddr, msg []byte, done func(reply []byte, err error)) (cancel func(), err error)
-}
-
-// dnsOverUDP is a Resolver's default transport. Its first query binds an
+// dnsOverUDP is a Resolver's transport. Its first query binds an
 // ephemeral UDP port for replies, and every later query shares it. The
 // port is predictable, so a datagram counts as a query's reply only if it
 // passes RFC 5452 §9.1's checks: it comes from the queried server's port 53
@@ -597,7 +587,7 @@ func (t *dnsOverUDP) receive(pkt *Packet) {
 	}
 	lk := t.out[i]
 	t.out = slices.Delete(t.out, i, i+1)
-	lk.onReply(pkt.Payload, nil)
+	lk.onReply(pkt.Payload)
 }
 
 const (
@@ -619,8 +609,6 @@ const (
 type ResolverConfig struct {
 	// Servers are tried in order, one per attempt, wrapping around.
 	Servers []IPAddr
-	// Transport overrides the default UDP transport.
-	Transport DNSTransport
 	// Seed drives query IDs and retry jitter; fixed seed, fixed byte
 	// stream.
 	Seed uint64
@@ -637,13 +625,13 @@ type resolverStats struct {
 	Failures     int64 // negative answers (NXDOMAIN/NODATA)
 }
 
-// Resolver is a caching stub resolver over a DNSTransport. All methods
+// Resolver is a caching stub resolver over UDP. All methods
 // must be called from the simulation goroutine (they arm engine timers);
 // the socket adapters' Dialer wraps LookupA for blocking callers.
 type Resolver struct {
 	stack *Stack
 	cfg   ResolverConfig
-	udp   *dnsOverUDP // the default transport; nil when cfg.Transport is set
+	udp   dnsOverUDP
 	rand  *sim.Rand
 
 	query []byte     // the query being sent, encoded in place
@@ -684,9 +672,7 @@ func NewResolver(stack *Stack, cfg ResolverConfig) *Resolver {
 		pos:  make(map[string]dnsPosEntry),
 		neg:  make(map[string]dnsNegEntry),
 	}
-	if cfg.Transport == nil {
-		r.udp = &dnsOverUDP{stack: stack}
-	}
+	r.udp.stack = stack
 	return r
 }
 
@@ -794,12 +780,12 @@ func (r *Resolver) LookupA(name string, cb func(addrs []IPAddr, err error)) {
 }
 
 // queryID draws the next query ID from the seeded stream, drawing again
-// while the default transport has a query with that ID outstanding to
-// server, so each reply matches one query. With 65,536 queries outstanding
-// every ID may be taken, and it stops looking.
+// while a query with that ID is outstanding to server, so each reply
+// matches one query. With 65,536 queries outstanding every ID may be
+// taken, and it stops looking.
 func (r *Resolver) queryID(server IPAddr) uint16 {
 	id := uint16(r.rand.Uint64())
-	for r.udp != nil && len(r.udp.out) < 1<<16 && r.udp.find(server, id) >= 0 {
+	for len(r.udp.out) < 1<<16 && r.udp.find(server, id) >= 0 {
 		id = uint16(r.rand.Uint64())
 	}
 	return id
@@ -808,20 +794,18 @@ func (r *Resolver) queryID(server IPAddr) uint16 {
 // dnsLookup is one in-flight resolution: its attempt counter walks the
 // server list with doubling timeouts until a reply lands or the budget is
 // spent. A finished lookup goes back to its resolver's free list, so what
-// could still reach it is fenced off: the default transport drops its
-// query, a cfg.Transport's done checks the attempt it was made for (gen),
-// and Arm withdraws a disarmed timeout still queued.
+// could still reach it is fenced off: no query of its is outstanding, so a
+// late reply matches nothing, and Arm withdraws a disarmed timeout still
+// queued.
 type dnsLookup struct {
-	r        *Resolver
-	name     string
-	cb       func([]IPAddr, error)
-	tries    int
-	done     bool
-	gen      uint64 // counts attempts and endings over the storage's lifetime
-	server   IPAddr // the attempt in flight's server and query ID
-	id       uint16
-	cancelTx func()    // cfg.Transport's cancel for the attempt in flight
-	timeout  sim.Event // owner-held, one per lookup, re-armed per attempt
+	r       *Resolver
+	name    string
+	cb      func([]IPAddr, error)
+	tries   int
+	done    bool
+	server  IPAddr // the attempt in flight's server and query ID
+	id      uint16
+	timeout sim.Event // owner-held, one per lookup, re-armed per attempt
 }
 
 func (lk *dnsLookup) attempt() {
@@ -835,32 +819,11 @@ func (lk *dnsLookup) attempt() {
 	}
 	lk.tries++
 	r.stats.Sent++
-	lk.gen++
-	gen := lk.gen
-	var cancel func()
-	var err error
-	if r.udp != nil {
-		err = r.udp.send(lk, r.query)
-	} else {
-		cancel, err = r.cfg.Transport.Query(lk.server, r.query, func(reply []byte, err error) {
-			if lk.gen == gen {
-				lk.onReply(reply, err)
-			}
-		})
-	}
-	if lk.gen != gen {
-		// The transport delivered the reply synchronously, which ended
-		// the lookup or began its next attempt: there is nothing to time
-		// out here, and lk may already be another lookup's.
-		return
-	}
-	if err != nil {
-		// Transport refusal (ports exhausted, no route): burn the attempt
-		// after a timeout rather than spinning through the budget
-		// instantly.
-		cancel = nil
-	}
-	lk.cancelTx = cancel
+	// A send refused (ports exhausted, no route) burns the attempt after a
+	// timeout rather than spinning through the budget instantly. A reply
+	// never comes back within the send: it crosses at least one engine
+	// step.
+	_ = r.udp.send(lk, r.query)
 	// Exponential backoff per attempt plus seeded jitter, so a fleet of
 	// resolvers retrying through the same outage does not self-
 	// synchronize — and so the retry times are a pure function of the
@@ -870,12 +833,8 @@ func (lk *dnsLookup) attempt() {
 	r.stack.engine.Arm(&lk.timeout, base+jitter)
 }
 
-func (lk *dnsLookup) onReply(reply []byte, err error) {
+func (lk *dnsLookup) onReply(reply []byte) {
 	if lk.done {
-		return
-	}
-	if err != nil {
-		lk.retryOrFail()
 		return
 	}
 	r := lk.r
@@ -883,9 +842,9 @@ func (lk *dnsLookup) onReply(reply []byte, err error) {
 	if m.decode(reply) != nil || !m.Response || m.ID != lk.id ||
 		len(m.Questions) != 1 || m.Questions[0].Name != lk.name || m.Questions[0].Type != DNSTypeA {
 		// A reply that is not ours (stale, spoofed-looking, or mangled)
-		// is ignored; the timeout still stands guard. The default
-		// transport has already matched its source and ID and withdrawn
-		// the query, so this attempt can now only end by timeout.
+		// is ignored; the timeout still stands guard. The transport has
+		// already matched its source and ID and withdrawn the query, so
+		// this attempt can now only end by timeout.
 		return
 	}
 	now := r.stack.clock.Now()
@@ -936,18 +895,8 @@ func (lk *dnsLookup) Fire() {
 	if lk.done {
 		return
 	}
-	lk.cancel()
+	lk.r.udp.cancel(lk)
 	lk.retryOrFail()
-}
-
-// cancel withdraws the attempt in flight's query from its transport.
-func (lk *dnsLookup) cancel() {
-	if lk.r.udp != nil {
-		lk.r.udp.cancel(lk)
-	} else if lk.cancelTx != nil {
-		lk.cancelTx()
-		lk.cancelTx = nil
-	}
 }
 
 func (lk *dnsLookup) retryOrFail() {
@@ -965,9 +914,7 @@ func (lk *dnsLookup) finish(addrs []IPAddr, err error) {
 		return
 	}
 	lk.done = true
-	lk.gen++
 	lk.timeout.Disarm()
-	lk.cancel()
 	r, cb := lk.r, lk.cb
 	lk.cb, lk.name = nil, ""
 	r.lend(cb, addrs, err)

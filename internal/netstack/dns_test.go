@@ -385,34 +385,60 @@ func TestResolverNegativeCache(t *testing.T) {
 	}
 }
 
-// fakeTransport drops the first failures queries and answers the rest
-// (synchronously) from answers; it records every query it sees.
-type fakeTransport struct {
-	failures int
-	answers  []IPAddr
-	queries  [][]byte
+// scriptedAuthority is a DNS server bound to UDP port 53 of a stack that
+// follows a script rather than a zone: it records every query, drops the
+// first drop of them, holds the rest while hold is set, for the test to
+// answer when it likes, and otherwise answers at once with an A record for
+// each of answers.
+type scriptedAuthority struct {
+	t       *testing.T
+	stack   *Stack
+	drop    int
+	hold    bool
+	answers []IPAddr
+	queries [][]byte    // every query's bytes, in arrival order
+	held    []heldQuery // the queries held, in arrival order
 }
 
-func (f *fakeTransport) Query(server IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
-	f.queries = append(f.queries, append([]byte(nil), msg...))
-	if len(f.queries) <= f.failures {
-		return func() {}, nil // dropped: no reply will come
+// heldQuery is a query the authority held: where it came from and what it
+// asked.
+type heldQuery struct {
+	src  IPAddr
+	port uint16
+	msg  *DNSMessage
+}
+
+func newScriptedAuthority(t *testing.T, stack *Stack) *scriptedAuthority {
+	t.Helper()
+	a := &scriptedAuthority{t: t, stack: stack}
+	if err := stack.UDP().Bind(DNSPort, nil, a.receive); err != nil {
+		t.Fatal(err)
 	}
-	q, err := ParseDNSMessage(msg)
+	return a
+}
+
+func (a *scriptedAuthority) receive(pkt *Packet) {
+	a.queries = append(a.queries, slices.Clone(pkt.Payload))
+	m, err := ParseDNSMessage(pkt.Payload)
 	if err != nil {
-		return nil, err
+		a.t.Error(err) // not Fatal: behind the sockets this runs on the Driver's loop
+		return
 	}
-	reply := &DNSMessage{ID: q.ID, Response: true, RD: q.RD, RA: true, Questions: q.Questions}
-	for _, a := range f.answers {
-		reply.Answers = append(reply.Answers, DNSRR{Name: q.Questions[0].Name, Type: DNSTypeA,
-			TTL: 60, Data: []byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}})
+	q := heldQuery{pkt.Src, pkt.SrcPort, m}
+	switch {
+	case len(a.queries) <= a.drop:
+	case a.hold:
+		a.held = append(a.held, q)
+	default:
+		a.reply(q, answerA(a.t, m, a.answers...))
 	}
-	wire, err := EncodeDNSMessage(reply)
-	if err != nil {
-		return nil, err
+}
+
+// reply sends wire to the port q came from.
+func (a *scriptedAuthority) reply(q heldQuery, wire []byte) {
+	if err := a.stack.UDP().Send(DNSPort, q.src, q.port, wire); err != nil {
+		a.t.Error(err)
 	}
-	done(wire, nil)
-	return func() {}, nil
 }
 
 // The timeout path: attempts, backoff bounds, and the fact that timeouts
@@ -421,39 +447,39 @@ func TestResolverTimeoutPath(t *testing.T) {
 	const timeout = resolverTimeout
 	cases := []struct {
 		name        string
-		failures    int // queries the transport eats before answering
+		failures    int // queries the authority drops before answering
 		wantErr     error
 		wantSent    int64
 		wantRetries int64
 		// virtual-time bounds for the whole lookup: backoff doubles per
 		// attempt (1, 2 and 4 timeouts) with up to base/8 seeded jitter
-		// each.
+		// each, and the answer, if one comes, a round trip under 1 ms.
 		minElapsed, maxElapsed sim.Duration
 	}{
-		{"answers first try", 0, nil, 1, 0, 0, 0},
-		{"one retry", 1, nil, 2, 1, timeout, timeout + timeout/8},
-		{"second retry", 2, nil, 3, 2, 3 * timeout, 3*timeout + 3*timeout/8},
+		{"answers first try", 0, nil, 1, 0, 0, sim.Millisecond},
+		{"one retry", 1, nil, 2, 1, timeout, timeout + timeout/8 + sim.Millisecond},
+		{"second retry", 2, nil, 3, 2, 3 * timeout, 3*timeout + 3*timeout/8 + sim.Millisecond},
 		{"all attempts dropped", 3, ErrDNSTimeout, 3, 2, 7 * timeout, 7*timeout + 7*timeout/8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
-			ft := &fakeTransport{failures: tc.failures, answers: []IPAddr{Addr(10, 0, 0, 7)}}
-			r := NewResolver(h.stack, ResolverConfig{
-				Servers:   []IPAddr{Addr(10, 0, 0, 2)},
-				Transport: ft,
-				Seed:      42,
-			})
-			start := h.eng.Now()
+			a, b, cl := pair(t, sal.LanceModel)
+			auth := newScriptedAuthority(t, b.stack)
+			auth.drop, auth.answers = tc.failures, []IPAddr{Addr(10, 0, 0, 7)}
+			r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}, Seed: 42})
+			start := a.eng.Now()
 			var got []IPAddr
 			var gerr error
+			var end sim.Time
 			fired := false
-			r.LookupA("web.spin.test", func(a []IPAddr, e error) { got, gerr, fired = slices.Clone(a), e, true })
-			h.eng.Run(0)
+			r.LookupA("web.spin.test", func(g []IPAddr, e error) {
+				got, gerr, end, fired = slices.Clone(g), e, a.eng.Now(), true
+			})
+			cl.Run(0)
 			if !fired {
 				t.Fatal("callback never fired")
 			}
-			elapsed := h.eng.Now().Sub(start)
+			elapsed := end.Sub(start)
 			if tc.wantErr != nil {
 				if !errors.Is(gerr, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", gerr, tc.wantErr)
@@ -469,16 +495,15 @@ func TestResolverTimeoutPath(t *testing.T) {
 				t.Errorf("stats = %+v, want Sent=%d Retries=%d", st, tc.wantSent, tc.wantRetries)
 			}
 			// Timeouts are not cached: the next lookup hits the network
-			// again (and succeeds, now that the transport stopped eating
-			// queries).
+			// again (and succeeds, now that the authority stopped
+			// dropping queries).
 			if tc.wantErr != nil {
-				ft.failures = 0
-				ft.queries = nil
+				auth.drop, auth.queries = 0, nil
 				var again error
 				r.LookupA("web.spin.test", func(_ []IPAddr, e error) { again = e })
-				h.eng.Run(0)
-				if again != nil || len(ft.queries) == 0 {
-					t.Errorf("post-timeout lookup: err=%v queries=%d (timeout must not be cached)", again, len(ft.queries))
+				cl.Run(0)
+				if again != nil || len(auth.queries) == 0 {
+					t.Errorf("post-timeout lookup: err=%v queries=%d (timeout must not be cached)", again, len(auth.queries))
 				}
 			}
 		})
@@ -636,19 +661,22 @@ func TestResolverSharesOneReplyPort(t *testing.T) {
 	}
 }
 
-// answerA encodes the answer to query q: one A record for addr.
-func answerA(t *testing.T, q *DNSMessage, addr IPAddr) []byte {
+// answerA encodes the answer to query q: an A record for each of addrs.
+func answerA(t *testing.T, q *DNSMessage, addrs ...IPAddr) []byte {
 	t.Helper()
-	wire, err := EncodeDNSMessage(&DNSMessage{ID: q.ID, Response: true, RD: true, RA: true,
-		Questions: q.Questions, Answers: []DNSRR{{Name: q.Questions[0].Name, Type: DNSTypeA,
-			TTL: 60, Data: []byte{byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr)}}}})
+	reply := &DNSMessage{ID: q.ID, Response: true, RD: true, RA: true, Questions: q.Questions}
+	for _, a := range addrs {
+		reply.Answers = append(reply.Answers, DNSRR{Name: q.Questions[0].Name, Type: DNSTypeA,
+			TTL: 60, Data: []byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}})
+	}
+	wire, err := EncodeDNSMessage(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wire
 }
 
-// An attempt that times out on the default transport is withdrawn from the
+// An attempt that times out is withdrawn from the
 // shared reply port: the server leaves the first query unanswered and
 // answers it late, just ahead of the retry's answer. The late answer is
 // dropped, the retry's is taken, and nothing is left outstanding.
@@ -689,65 +717,51 @@ func TestResolverTimeoutWithdrawsQuery(t *testing.T) {
 	}
 }
 
-// servfailOnce answers the first query with SERVFAIL a little later and
-// never answers another.
-type servfailOnce struct {
-	eng     *sim.Engine
-	queries int
-}
-
-func (f *servfailOnce) Query(server IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
-	if f.queries++; f.queries > 1 {
-		return func() {}, nil
-	}
-	q, err := ParseDNSMessage(msg)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := EncodeDNSMessage(&DNSMessage{ID: q.ID, Response: true, RCode: 2, Questions: q.Questions})
-	if err != nil {
-		return nil, err
-	}
-	f.eng.After(10*sim.Millisecond, func() { done(wire, nil) })
-	return func() {}, nil
-}
-
 // A lookup has one timeout, re-armed by each attempt. A retry begun by a
 // reply (SERVFAIL) must withdraw the timeout of the attempt it replaces:
 // left armed, it fires in the middle of the next attempt, cancels that
 // attempt's query and burns a second one, and the lookup gives up after a
-// third of the time its backoff allows.
+// third of the time its backoff allows. The authority answers the first
+// query with SERVFAIL and never answers another.
 func TestResolverRetryOnReplyRearmsItsTimeout(t *testing.T) {
 	const timeout = resolverTimeout
-	h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
-	ft := &servfailOnce{eng: h.eng}
-	r := NewResolver(h.stack, ResolverConfig{
-		Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft, Seed: 42,
-	})
+	a, b, cl := pair(t, sal.LanceModel)
+	auth := newScriptedAuthority(t, b.stack)
+	auth.hold = true
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}, Seed: 42})
 	var gerr error
-	r.LookupA("web.spin.test", func(_ []IPAddr, e error) { gerr = e })
-	h.eng.Run(0)
-	if !errors.Is(gerr, ErrDNSTimeout) || ft.queries != 3 {
-		t.Fatalf("err = %v after %d queries, want ErrDNSTimeout after 3", gerr, ft.queries)
+	var end sim.Time
+	r.LookupA("web.spin.test", func(_ []IPAddr, e error) { gerr, end = e, a.eng.Now() })
+	if !cl.RunUntil(func() bool { return len(auth.held) == 1 }, 0) {
+		t.Fatal("the first query never arrived")
 	}
-	// 10ms to the SERVFAIL, then the second and third attempts' full
-	// timeouts (2 and 4 timeouts, plus jitter).
-	if elapsed := h.eng.Now(); elapsed < sim.Time(10*sim.Millisecond+6*timeout) {
-		t.Errorf("gave up after %v, want at least %v", elapsed, 10*sim.Millisecond+6*timeout)
+	q := auth.held[0]
+	wire, err := EncodeDNSMessage(&DNSMessage{ID: q.msg.ID, Response: true, RCode: 2, Questions: q.msg.Questions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth.reply(q, wire)
+	cl.Run(0)
+	if !errors.Is(gerr, ErrDNSTimeout) || len(auth.queries) != 3 {
+		t.Fatalf("err = %v after %d queries, want ErrDNSTimeout after 3", gerr, len(auth.queries))
+	}
+	// A round trip to the SERVFAIL, then the second and third attempts'
+	// full timeouts (2 and 4 timeouts, plus jitter).
+	if end < sim.Time(6*timeout) {
+		t.Errorf("gave up after %v, want at least %v", end, 6*timeout)
 	}
 }
 
 // Fixed seed, fixed query byte stream: IDs and retry jitter replay.
 func TestResolverDeterministic(t *testing.T) {
 	run := func(seed uint64) [][]byte {
-		h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
-		ft := &fakeTransport{failures: 2, answers: []IPAddr{Addr(10, 0, 0, 7)}}
-		r := NewResolver(h.stack, ResolverConfig{
-			Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ft, Seed: seed,
-		})
+		a, b, cl := pair(t, sal.LanceModel)
+		auth := newScriptedAuthority(t, b.stack)
+		auth.drop, auth.answers = 2, []IPAddr{Addr(10, 0, 0, 7)}
+		r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}, Seed: seed})
 		r.LookupA("web.spin.test", func([]IPAddr, error) {})
-		h.eng.Run(0)
-		return ft.queries
+		cl.Run(0)
+		return auth.queries
 	}
 	a1, a2, b := run(7), run(7), run(8)
 	if len(a1) != 3 {
@@ -797,9 +811,9 @@ func TestDNSServerCloseAndRebind(t *testing.T) {
 // FlushCache drops the positive cache: the next lookup goes back to the
 // network (benchmarks measure uncached resolves through exactly this).
 func TestResolverFlushCache(t *testing.T) {
-	a, _, _ := pair(t, sal.LanceModel)
-	ft := &fakeTransport{answers: []IPAddr{Addr(10, 0, 0, 2)}}
-	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 9)}, Transport: ft})
+	a, b, cl := pair(t, sal.LanceModel)
+	newScriptedAuthority(t, b.stack).answers = []IPAddr{Addr(10, 0, 0, 2)}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}})
 	lookup := func() {
 		t.Helper()
 		done := false
@@ -809,8 +823,9 @@ func TestResolverFlushCache(t *testing.T) {
 			}
 			done = true
 		})
+		cl.Run(0)
 		if !done {
-			t.Fatal("synchronous transport did not complete the lookup")
+			t.Fatal("the lookup never completed")
 		}
 	}
 	lookup()
@@ -830,9 +845,9 @@ func TestResolverFlushCache(t *testing.T) {
 // stale window is the negative TTL, not the withdrawn record's remaining
 // positive TTL.
 func TestResolverFlushName(t *testing.T) {
-	a, _, _ := pair(t, sal.LanceModel)
-	ft := &fakeTransport{answers: []IPAddr{Addr(10, 0, 0, 2)}}
-	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 9)}, Transport: ft})
+	a, b, cl := pair(t, sal.LanceModel)
+	newScriptedAuthority(t, b.stack).answers = []IPAddr{Addr(10, 0, 0, 2)}
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}})
 	lookup := func(name string) {
 		t.Helper()
 		done := false
@@ -842,8 +857,9 @@ func TestResolverFlushName(t *testing.T) {
 			}
 			done = true
 		})
+		cl.Run(0)
 		if !done {
-			t.Fatal("synchronous transport did not complete the lookup")
+			t.Fatal("the lookup never completed")
 		}
 	}
 	lookup("web.spin.test")
@@ -874,14 +890,16 @@ func TestResolverFlushName(t *testing.T) {
 
 // A callback is lent the cached answer, and may look names up again: from
 // the cache, and from the network after flushing the cache under its own
-// answer, with a transport that answers at once and an authority whose
-// answer has changed. Its own addresses stay as they were throughout,
-// whether it was itself answered from the network or from the cache.
+// answer, with an authority whose answer has changed. Its own addresses
+// stay as they were throughout, whether it was itself answered from the
+// network or from the cache. A cache hit's callback runs outside any engine
+// step, so there it steps the topology itself, and the changed answer
+// lands while its own is still lent.
 func TestResolverReentrantCallbackKeepsItsAnswer(t *testing.T) {
-	a, _, _ := pair(t, sal.LanceModel)
+	a, b, cl := pair(t, sal.LanceModel)
 	before, after := Addr(10, 0, 0, 2), Addr(10, 0, 0, 3)
-	ft := &fakeTransport{}
-	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 9)}, Transport: ft})
+	auth := newScriptedAuthority(t, b.stack)
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}})
 	const name = "web.spin.test"
 	expect := func(what string, want IPAddr) func([]IPAddr, error) {
 		return func(g []IPAddr, e error) {
@@ -892,23 +910,28 @@ func TestResolverReentrantCallbackKeepsItsAnswer(t *testing.T) {
 	}
 	for _, cached := range []bool{false, true} {
 		r.FlushCache()
-		ft.answers = []IPAddr{before}
+		auth.answers = []IPAddr{before}
 		if cached {
 			r.LookupA(name, expect("warming", before))
+			cl.Run(0)
 		}
 		ran := false
 		r.LookupA(name, func(g []IPAddr, e error) {
 			ran = true
 			r.LookupA(name, expect("a hit inside the callback", before))
 			r.FlushCache()
-			ft.answers = []IPAddr{after}
+			auth.answers = []IPAddr{after}
 			r.LookupA(name, expect("a miss inside the callback", after))
+			if cached {
+				cl.Run(0)
+			}
 			if e != nil || len(g) != 1 || g[0] != before {
 				t.Errorf("cached=%v: the callback's own answer reads %v, %v; want [%v]", cached, g, e, before)
 			}
 		})
+		cl.Run(0)
 		if !ran {
-			t.Fatal("synchronous transport did not complete the lookup")
+			t.Fatal("the lookup never completed")
 		}
 	}
 	if len(r.free) != 2 {
@@ -916,33 +939,17 @@ func TestResolverReentrantCallbackKeepsItsAnswer(t *testing.T) {
 	}
 }
 
-// heldTransport answers nothing itself: it keeps every query with its done,
-// for the test to answer when it likes, as often as it likes.
-type heldTransport struct{ queries []heldQuery }
-
-type heldQuery struct {
-	msg  *DNSMessage
-	done func([]byte, error)
-}
-
-func (h *heldTransport) Query(_ IPAddr, msg []byte, done func([]byte, error)) (func(), error) {
-	q, err := ParseDNSMessage(msg)
-	if err != nil {
-		return nil, err
-	}
-	h.queries = append(h.queries, heldQuery{q, done})
-	return func() {}, nil
-}
-
 // A finished lookup's storage serves the next lookup, and nothing meant for
-// the finished one reaches it: not a late reply or a late transport error
-// for either of the finished lookup's attempts, and not its timeout, which
-// was disarmed but stays queued until the next lookup's Arm withdraws it,
-// so the next lookup's timeout is queued once.
+// the finished one reaches it: not a late reply to either of the finished
+// lookup's attempts, and not its timeout, which was disarmed but stays
+// queued until the next lookup's Arm withdraws it, so the next lookup's
+// timeout is queued once. The authority holds every query for the test to
+// answer.
 func TestResolverRecycledLookupIsFenced(t *testing.T) {
-	h := newNetHost(t, "r", Addr(10, 0, 0, 1), sal.LanceModel)
-	ht := &heldTransport{}
-	r := NewResolver(h.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 2)}, Transport: ht, Seed: 9})
+	a, b, cl := pair(t, sal.LanceModel)
+	auth := newScriptedAuthority(t, b.stack)
+	auth.hold = true
+	r := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{b.stack.IP}, Seed: 9})
 	first, want := Addr(10, 0, 0, 7), Addr(10, 0, 0, 8)
 	var got []IPAddr
 	calls := 0
@@ -954,16 +961,17 @@ func TestResolverRecycledLookupIsFenced(t *testing.T) {
 	})
 	// The first attempt goes unanswered and times out; the second is
 	// answered, its timeout disarmed but still queued.
-	h.eng.Run(sim.Time(resolverTimeout + resolverTimeout/8 + sim.Millisecond))
-	if len(ht.queries) != 2 {
-		t.Fatalf("%d queries after the first timeout, want 2", len(ht.queries))
+	cl.Run(sim.Time(resolverTimeout + resolverTimeout/8 + sim.Millisecond))
+	if len(auth.held) != 2 {
+		t.Fatalf("%d queries after the first timeout, want 2", len(auth.held))
 	}
-	q1, q2 := ht.queries[0], ht.queries[1]
-	q2.done(answerA(t, q2.msg, first), nil)
+	q1, q2 := auth.held[0], auth.held[1]
+	auth.reply(q2, answerA(t, q2.msg, first))
+	cl.Run(0)
 	if calls != 1 || len(r.free) != 1 {
 		t.Fatalf("first lookup: %d callbacks, %d spent lookups kept; want 1, 1", calls, len(r.free))
 	}
-	begun := h.eng.Now()
+	begun := a.eng.Now()
 	r.LookupA("b.spin.test", func(g []IPAddr, e error) {
 		calls++
 		if e != nil {
@@ -974,28 +982,26 @@ func TestResolverRecycledLookupIsFenced(t *testing.T) {
 	if len(r.free) != 0 {
 		t.Fatal("the second lookup did not reuse the first one's storage")
 	}
-	if n := h.eng.Pending(); n != 1 {
+	if n := a.eng.Pending(); n != 1 {
 		t.Fatalf("%d events queued, want 1: the second lookup's timeout, queued once", n)
 	}
 	// Everything still addressed to the first lookup arrives now.
-	q1.done(answerA(t, q1.msg, first), nil)
-	q2.done(answerA(t, q2.msg, first), nil)
-	q1.done(nil, errors.New("late transport failure"))
-	q2.done(nil, errors.New("late transport failure"))
-	if calls != 1 || len(ht.queries) != 3 || r.stats.Retries != 1 {
-		t.Fatalf("after the first lookup's late traffic: %d callbacks, %d queries, %d retries; want 1, 3, 1",
-			calls, len(ht.queries), r.stats.Retries)
+	auth.reply(q1, answerA(t, q1.msg, first))
+	auth.reply(q2, answerA(t, q2.msg, first))
+	cl.Run(begun.Add(sim.Millisecond))
+	if calls != 1 || len(auth.held) != 3 || r.stats.Retries != 1 {
+		t.Fatalf("after the first lookup's late replies: %d callbacks, %d queries, %d retries; want 1, 3, 1",
+			calls, len(auth.held), r.stats.Retries)
 	}
 	// The second lookup's own first timeout fires once: one retry.
-	until := begun.Add(resolverTimeout + resolverTimeout/8 + sim.Millisecond)
-	h.eng.At(until, func() {})
-	h.eng.Run(until)
-	if len(ht.queries) != 4 || r.stats.Retries != 2 {
+	cl.Run(begun.Add(resolverTimeout + resolverTimeout/8 + sim.Millisecond))
+	if len(auth.held) != 4 || r.stats.Retries != 2 {
 		t.Fatalf("after the second lookup's first timeout: %d queries, %d retries; want 4, 2",
-			len(ht.queries), r.stats.Retries)
+			len(auth.held), r.stats.Retries)
 	}
-	q4 := ht.queries[3]
-	q4.done(answerA(t, q4.msg, want), nil)
+	q4 := auth.held[3]
+	auth.reply(q4, answerA(t, q4.msg, want))
+	cl.Run(0)
 	if calls != 2 || len(got) != 1 || got[0] != want {
 		t.Errorf("second lookup: %d callbacks, answer %v; want 2, [%v]", calls, got, want)
 	}

@@ -506,10 +506,8 @@ func TestSockWriteDeadlineWhileBlocked(t *testing.T) {
 func TestSockDialByName(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	d := NewDriver(cl)
-	res := NewResolver(a.stack, ResolverConfig{
-		Servers:   []IPAddr{Addr(10, 0, 0, 2)},
-		Transport: &fakeTransport{answers: []IPAddr{Addr(10, 0, 0, 2)}},
-	})
+	newScriptedAuthority(t, b.stack).answers = []IPAddr{Addr(10, 0, 0, 2)}
+	res := NewResolver(a.stack, ResolverConfig{Servers: []IPAddr{Addr(10, 0, 0, 2)}})
 	sa := NewSockets(d, a.stack, res)
 	sb := NewSockets(d, b.stack, nil)
 	ln, err := sb.Listen(7)

@@ -421,11 +421,6 @@ func (s *Stack) receive1(linkEvent *dispatch.Event, pkt *Packet) {
 	}
 }
 
-func loopbackPosted(stack, pkt any, _ int) {
-	s := stack.(*Stack)
-	s.receivePosted(s.evEther, pkt.(*Packet))
-}
-
 // ErrNoRoute reports a destination with no attached NIC.
 var ErrNoRoute = errors.New("netstack: no route to host")
 
@@ -450,7 +445,7 @@ func (s *Stack) SendIP(pkt *Packet) error {
 		// deadlocks on a query no wire will ever carry.
 		s.clock.Advance(2*s.profile.ProtoLayer + sim.Duration(len(pkt.Payload))*ChecksumPerByte)
 		s.sent++
-		s.engine.Post(s.clock.Now(), loopbackPosted, s, pkt, 0)
+		s.engine.At(s.clock.Now(), func() { s.receivePosted(s.evEther, pkt) })
 		return nil
 	}
 	nic := s.routeFor(pkt.Dst)

@@ -482,13 +482,16 @@ type TCP struct {
 	spareInflights spares[segment]
 	spareBodies    spares[byte]
 	spareGets      freeList[httpGet]
+	// timeWait holds the teardowns of connections in TIME_WAIT, each due
+	// timeWaitDelay after it was posted on the one clock, so in order.
+	timeWait sim.Lane
 
 	accepted int64
 	resets   int64
 	timedOut int64
 
 	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived int64
-	hystartCSS, hystartResumed                                      int64
+	synRTOs, hystartCSS, hystartResumed                             int64
 }
 
 // A TCP module keeps at most maxSpares of each kind of spare storage,
@@ -545,11 +548,13 @@ func (f *freeList[T]) take() *T {
 }
 
 func newTCP(s *Stack) *TCP {
-	return &TCP{
+	t := &TCP{
 		stack:    s,
 		syn:      agedTable[connKey, synEntry]{ttl: synTTL, max: MaxHalfOpen},
 		nextPort: 30000,
 	}
+	t.timeWait.Init(s.engine, teardownPosted, nil)
+	return t
 }
 
 // put enters key -> c. Callers have seen key absent.
@@ -942,6 +947,7 @@ func (c *Conn) onRetxTimer() {
 			return
 		}
 		c.tcp.rtos++
+		c.tcp.synRTOs++
 		c.retransmits++
 		c.sendSYN()
 		c.restartRetx()
@@ -1645,13 +1651,12 @@ func (c *Conn) takeFIN() {
 
 func (c *Conn) startTimeWait() {
 	// Nobody cancels TIME_WAIT (teardown of a closed connection does
-	// nothing), so it rides in a recycled event, not one more timer in
+	// nothing), so it rides in the module's lane, not one more timer in
 	// every Conn.
-	s := c.tcp.stack
-	s.engine.Post(s.clock.Now().Add(timeWaitDelay), teardownPosted, c, nil, 0)
+	c.tcp.timeWait.Post(c.tcp.stack.clock.Now().Add(timeWaitDelay), c, 0)
 }
 
-func teardownPosted(c, _ any, _ int) { c.(*Conn).teardown() }
+func teardownPosted(_, c any, _ int) { c.(*Conn).teardown() }
 
 // teardown removes the connection from the demultiplexing table.
 func (c *Conn) teardown() {
@@ -1714,6 +1719,7 @@ func (t *TCP) Metrics(emit metrics.Emit) {
 	emit("net_tcp_rack_marked_lost", float64(t.rackMarkedLost)) // something sent after them arrived
 	emit("net_tcp_tlp_probes", float64(t.tlpProbes))            // tail-loss probes sent
 	emit("net_tcp_rtos", float64(t.rtos))                       // retransmission timeouts, SYN included
+	emit("net_tcp_syn_rtos", float64(t.synRTOs))                // of them, a SYN's
 	emit("net_tcp_dsacks_received", float64(t.dsacksReceived))  // the peer got a segment twice
 	emit("net_tcp_hystart_css", float64(t.hystartCSS))          // slow starts left for CSS on an RTT rise
 	emit("net_tcp_hystart_resumed", float64(t.hystartResumed))  // CSS rounds that went back to slow start

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spin/internal/faultinject"
+	"spin/internal/metrics"
 	"spin/internal/sal"
 	"spin/internal/sim"
 )
@@ -158,6 +159,11 @@ func TestTCPServerRetransmitsSYNACK(t *testing.T) {
 	}
 	if n := rxDrops(a); n != 1 {
 		t.Errorf("client dropped %d frames, want the one SYN-ACK", n)
+	}
+	// The client's SYN timer resent the SYN: a timeout, and a SYN's.
+	tcp := a.stack.TCP()
+	if rtos, syn := metrics.Value(tcp, "net_tcp_rtos"), metrics.Value(tcp, "net_tcp_syn_rtos"); rtos != 1 || syn != 1 {
+		t.Errorf("client counted %v timeouts, %v of them a SYN's; want 1, 1", rtos, syn)
 	}
 }
 

@@ -173,15 +173,12 @@ func (ic *InterruptController) Register(vec InterruptVector, h func(payload any)
 
 // RaiseAt schedules an interrupt for absolute time t.
 func (ic *InterruptController) RaiseAt(t sim.Time, vec InterruptVector, payload any) {
-	ic.engine.Post(t, raisePosted, ic, payload, int(vec))
-}
-
-func raisePosted(ic, payload any, vec int) {
-	c := ic.(*InterruptController)
-	c.enter(InterruptVector(vec), 0)
-	if vec < len(c.handlers) && c.handlers[vec] != nil {
-		c.handlers[vec](payload)
-	}
+	ic.engine.At(t, func() {
+		ic.enter(vec, 0)
+		if int(vec) < len(ic.handlers) && ic.handlers[vec] != nil {
+			ic.handlers[vec](payload)
+		}
+	})
 }
 
 // enter counts one interrupt on vec and charges the interrupt-entry cost

@@ -166,7 +166,7 @@ type NIC struct {
 
 	wire     Wire
 	txFreeAt sim.Time
-	rx       sim.Lane // receive interrupts in arrival order
+	rx       sim.Lane // receive interrupts in delivery-time order
 
 	// OnReceive is the driver receive upcall, called in interrupt context
 	// after the driver receive cost has been charged. It reports whether
@@ -214,7 +214,7 @@ func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
 }
 
 // receivePosted is the NIC's receive interrupt. The frame's two words ride
-// in the posted event as they are (boxing a NetFrame for the controller's
+// in the lane entry as they are (boxing a NetFrame for the controller's
 // handler table would allocate once a frame), so the NIC enters the
 // interrupt on its vector itself.
 func receivePosted(nic, payload any, size int) {

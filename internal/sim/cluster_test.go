@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"runtime"
 	"testing"
 	"time"
@@ -355,10 +354,11 @@ func TestCancelReleasesClosure(t *testing.T) {
 	runtime.KeepAlive(events)
 }
 
-// A Post event must let go of its operands as it fires: the engine keeps
-// the event itself for reuse, and a payload left in it would stay reachable
-// until that event's next Post.
-func TestPostReleasesOperands(t *testing.T) {
+// A lane entry must let go of its operands as it fires: the lane keeps its
+// ring for reuse, and a payload left there would stay reachable until the
+// slot's next post. Half the posts land behind the tail, so the entries
+// they move along must not leave a copy behind either.
+func TestLaneReleasesOperands(t *testing.T) {
 	const posts, each = 10_000, 4 << 10
 	heapAlloc := func() uint64 {
 		runtime.GC()
@@ -369,77 +369,52 @@ func TestPostReleasesOperands(t *testing.T) {
 	e := NewEngine()
 	before := heapAlloc()
 	ran := 0
+	var l Lane
+	l.Init(e, func(count, payload any, n int) { *count.(*int) += n }, &ran)
 	for i := 0; i < posts; i++ {
-		e.Post(Time(i), func(count, payload any, n int) { *count.(*int) += n }, &ran, new([each]byte), 1)
+		l.Post(Time(i%2*posts+i), new([each]byte), 1)
 	}
 	if queued := heapAlloc(); queued < before+posts*each {
 		t.Fatalf("queued posts hold %d bytes, want at least %d", queued-before, posts*each)
 	}
 	e.Run(0)
 	after := heapAlloc()
-	if ran != posts || len(e.free) != posts {
-		t.Fatalf("%d handlers ran and %d events are free; want %d of each", ran, len(e.free), posts)
+	if ran != posts || l.count != 0 {
+		t.Fatalf("%d handlers ran, %d still queued; want %d, 0", ran, l.count, posts)
 	}
-	// What may remain is the recycled events (88 B and a 16 B bound method
-	// each), the free list and the queue's backing array, not the 4 KiB each
-	// one carried.
-	if limit := before + posts*192; after > limit {
+	// What may remain is the ring (16 384 entries of 40 B), not the 4 KiB
+	// each post carried.
+	if limit := before + posts*128; after > limit {
 		t.Errorf("fired posts still hold %d bytes, want under %d", after-before, limit-before)
 	}
-	runtime.KeepAlive(e)
+	runtime.KeepAlive(&l)
 }
 
-// A fresh engine carves posted events from slabs of 4, 8, ... 64 events, so
-// posting n at once costs O(log n + n/64) allocations, not one or two an
-// event: the slabs, the doublings of the queue and of the free list the
-// events join as they fire, and the engine itself. The mark that sends Step
-// through the posted event rides in Event's padding, which matters because
-// every TCP connection embeds an Event: 40 bytes, Do's interface value
-// being 16 of them.
-func TestPostGrowsBySlab(t *testing.T) {
+// A lane post allocates nothing once the ring covers the lane's depth, a
+// chain that posts again from its own handler included, and neither does
+// arming, disarming and re-arming an owner-held event. Both live in their
+// owner's struct, every TCP connection embedding an Event: 40 bytes, Do's
+// interface value being 16 of them.
+func TestLaneAndArmAllocFree(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 40 {
 		t.Errorf("Event is %d bytes, want 40", got)
 	}
-	const posts = 1000
-	ran := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		e := NewEngine()
-		for i := 0; i < posts; i++ {
-			e.Post(Time(i), func(count, _ any, n int) { *count.(*int) += n }, &ran, nil, 1)
-		}
-		e.Run(0)
-	})
-	if ran != 11*posts {
-		t.Fatalf("%d handlers ran, want %d", ran, 11*posts)
-	}
-	// 4+8+16+32 events in the first four slabs, 64 in each after; up to
-	// bits.Len(posts)+1 doublings each for the queue and the free list; the
-	// engine and its clock.
-	slabs := 4 + (posts-60+63)/64
-	if limit := slabs + 2*(bits.Len(posts)+1) + 2; allocs > float64(limit) {
-		t.Errorf("posting %d events on a fresh engine allocated %v times, want at most %d", posts, allocs, limit)
-	}
-	t.Logf("%d posts: %v allocations", posts, allocs)
-}
-
-// Post allocates nothing once the free list covers the queue's depth, and
-// neither does arming, disarming and re-arming an owner-held event.
-func TestPostAndArmAllocFree(t *testing.T) {
 	e := NewEngine()
 	var hops int
-	var hop func(engine, count any, left int)
-	hop = func(engine, count any, left int) {
+	var l Lane
+	l.Init(e, func(lane, count any, left int) {
 		*count.(*int)++
 		if left > 0 {
-			engine.(*Engine).Post(engine.(*Engine).Now()+1, hop, engine, count, left-1)
+			l := lane.(*Lane)
+			l.Post(l.e.Now()+1, count, left-1)
 		}
-	}
+	}, &l)
 	if n := testing.AllocsPerRun(100, func() {
-		e.Post(e.Now(), hop, e, &hops, 3)
-		e.Post(e.Now(), hop, e, &hops, 3)
+		l.Post(e.Now(), &hops, 3)
+		l.Post(e.Now(), &hops, 3)
 		e.Run(0)
 	}); n != 0 {
-		t.Errorf("Post: %v allocations a run, want 0", n)
+		t.Errorf("lane: %v allocations a run, want 0", n)
 	}
 	if hops != 101*8 {
 		t.Errorf("%d hops ran, want %d", hops, 101*8)

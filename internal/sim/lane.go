@@ -1,12 +1,14 @@
 package sim
 
-// Lane is a FIFO of posts from one source whose times never go back: the
-// frames a link delivers to one NIC or switch port, the packets one NIC
-// hands its receive queue. Only the lane's head waits in the engine's
-// queue, under the (At, seq) key it would have had as its own Post; when it
-// fires, the next entry takes its place under that entry's stored key. So
-// the engine holds one queue entry per source where it held one per frame,
-// and the order events run in is the order Post gives.
+// Lane is an ordered queue of posts from one source: the frames a link
+// delivers to one NIC or switch port, the packets one NIC hands its receive
+// queue, a TCP module's TIME_WAIT teardowns. While posts arrive in time
+// order, as nearly all do, it behaves as a FIFO. Only the lane's earliest
+// entry waits in the engine's queue, under the (At, seq) key it would have
+// had as an event of its own; when it fires, the next entry takes its place
+// under that entry's stored key. So the engine holds one queue entry per
+// source where it would hold one per post, and the order events run in is
+// the order At gives.
 //
 // A lane lives in the struct of the source it serves, made ready by Init,
 // and is not copied after.
@@ -15,7 +17,7 @@ type Lane struct {
 	e    *Engine
 	fn   func(recv, payload any, n int)
 	recv any
-	// ring holds the entries in FIFO order from head, count of them; its
+	// ring holds the entries in (at, seq) order from head, count of them; its
 	// length is a power of two, and it doubles when full and never shrinks,
 	// so a lane that never empties stops allocating at its peak. It starts
 	// as first, so a lane that never holds two entries at once, a request
@@ -41,33 +43,34 @@ func (l *Lane) Init(e *Engine, fn func(recv, payload any, n int), recv any) {
 }
 
 // Post schedules fn(recv, payload, n) to run at t, or now if t is in the
-// past, with the seq the engine's next Post would draw. A time earlier than
-// the lane's last entry would break its FIFO, so that post (a reordered
-// frame, a hook's extra delay) goes to Engine.Post under the same key.
+// past, with the seq the engine's next event would draw. That seq is the
+// largest yet, so the entry goes after every entry at t or earlier: at the
+// tail for a post in time order, or further in for one behind the tail (a
+// reordered frame, a hook's extra delay), the later entries moving one slot
+// toward the tail. An entry that lands at the head moves the lane up in the
+// engine's queue.
 func (l *Lane) Post(t Time, payload any, n int) {
 	e := l.e
 	t = max(t, e.Clock.Now())
-	if l.count > 0 && t < l.tail() {
-		e.Post(t, l.fn, l.recv, payload, n)
-		return
-	}
 	if l.count == len(l.ring) {
 		l.grow()
 	}
+	mask := len(l.ring) - 1
+	i := l.count
+	for ; i > 0 && t < l.ring[(l.head+i-1)&mask].at; i-- {
+		l.ring[(l.head+i)&mask] = l.ring[(l.head+i-1)&mask]
+	}
 	// Field by field: a composite literal is built on the stack and copied
 	// in 16-byte moves that stall on its 8-byte stores.
-	ent := &l.ring[(l.head+l.count)&(len(l.ring)-1)]
+	ent := &l.ring[(l.head+i)&mask]
 	ent.at, ent.seq, ent.payload, ent.n = t, e.seq, payload, n
 	l.count++
-	if l.count == 1 {
+	if i == 0 {
 		l.ev.At, l.ev.seq = t, e.seq
 		e.enqueue(&l.ev)
 	}
 	e.seq++
 }
-
-// tail is the time of the lane's last entry; the lane must not be empty.
-func (l *Lane) tail() Time { return l.ring[(l.head+l.count-1)&(len(l.ring)-1)].at }
 
 // grow doubles the full ring (first, of one entry, becomes four), unwrapping
 // it so the head is at index 0. The old ring is cleared: it may be first,

@@ -40,12 +40,12 @@ type universe struct {
 	events  []*Event // every event At returned, run or not
 	timers  []*timer // every owner-held event, two an engine
 	lanes   []*Lane  // two an engine
-	// postOnly sends every lane post to Engine.Post instead, the program
-	// the lanes must not change.
-	postOnly bool
-	budget   int  // events still to be scheduled
-	posting  bool // a Post or lane handler is running
-	seen     map[string]int
+	// atOnly makes every lane post an event of its own by Engine.At
+	// instead, the program the lanes must not change.
+	atOnly  bool
+	budget  int  // events still to be scheduled
+	posting bool // a lane handler is running
+	seen    map[string]int
 }
 
 // timer is an owner-held event, always armed on the same engine.
@@ -69,8 +69,8 @@ func liveHead(e *Engine) *Event {
 	return head
 }
 
-func newUniverse(seed uint64, indexed, postOnly bool) *universe {
-	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, postOnly: postOnly, budget: 400, seen: map[string]int{}}
+func newUniverse(seed uint64, indexed, atOnly bool) *universe {
+	u := &universe{rng: NewRand(seed), index: map[*Engine]int{}, atOnly: atOnly, budget: 400, seen: map[string]int{}}
 	if indexed {
 		u.cluster = NewCluster()
 	}
@@ -107,10 +107,10 @@ func (u *universe) addEngine() {
 func (u *universe) pick() *Engine { return u.engines[u.rng.Intn(len(u.engines))] }
 
 // schedule queues one event on e, from whichever engine's handler is
-// running, in one of the four forms: a closure by At, a recycled event by
-// Post, one of e's two owner-held events by Arm, whatever state that one is
-// in, or an entry on one of e's two lanes, in order or behind the lane's
-// tail. seen counts the cases the oracle is there for.
+// running, in one of the three forms: a closure by At, one of e's two
+// owner-held events by Arm, whatever state that one is in, or an entry on
+// one of e's two lanes, wherever it lands in the lane. seen counts the
+// cases the oracle is there for.
 func (u *universe) schedule(e *Engine, at Time) {
 	if u.budget == 0 {
 		return
@@ -120,15 +120,10 @@ func (u *universe) schedule(e *Engine, at Time) {
 	if u.cluster != nil && e.head.pos != 0 && at < e.head.At {
 		u.seen["earlier than the cluster's marker"]++
 	}
-	switch u.rng.Intn(4) {
+	switch u.rng.Intn(3) {
 	case 0:
 		u.events = append(u.events, e.At(at, func() { u.ran(e, seq) }))
 	case 1:
-		if u.posting {
-			u.seen["post from inside a post handler"]++
-		}
-		e.Post(at, ranPosted, u, e, int(seq))
-	case 2:
 		tm := u.timers[2*u.index[e]+u.rng.Intn(2)]
 		switch {
 		case tm.ev.Armed():
@@ -140,26 +135,40 @@ func (u *universe) schedule(e *Engine, at Time) {
 		}
 		tm.seq = seq
 		e.Arm(&tm.ev, Duration(at-e.Now()))
-	case 3:
+	case 2:
 		l := u.lanes[2*u.index[e]+u.rng.Intn(2)]
-		switch {
-		case l.count == 0:
-			u.seen["lane post into an empty lane"]++
-		case max(at, e.Now()) < l.tail():
-			u.seen["lane post behind its tail"]++
-		case max(at, e.Now()) == l.tail():
-			u.seen["lane post at its tail's time"]++
-		default:
-			u.seen["lane post after its tail"]++
-		}
-		if u.posting {
-			u.seen["lane post from inside a handler"]++
-		}
-		if u.postOnly {
-			e.Post(at, ranPosted, u, e, int(seq))
+		u.laneCase(l, max(at, e.Now()))
+		if u.atOnly {
+			e.At(at, func() { ranPosted(u, e, int(seq)) })
 		} else {
 			l.Post(at, e, int(seq))
 		}
+	}
+}
+
+// laneCase counts where a post at t lands in l.
+func (u *universe) laneCase(l *Lane, t Time) {
+	mask := len(l.ring) - 1
+	switch {
+	case l.count == 0:
+		u.seen["lane post into an empty lane"]++
+	case t < l.ring[l.head].at:
+		u.seen["lane post before its head"]++
+		if e := l.e; u.cluster != nil && e.head.pos != 0 && t < e.head.At {
+			u.seen["lane post before its head, moving the cluster's marker"]++
+		}
+	case t < l.ring[(l.head+l.count-1)&mask].at:
+		u.seen["lane post behind its tail"]++
+	case t == l.ring[(l.head+l.count-1)&mask].at:
+		u.seen["lane post at its tail's time"]++
+	default:
+		u.seen["lane post after its tail"]++
+	}
+	if l.count > 0 && l.count < len(l.ring) && l.head+l.count >= len(l.ring) {
+		u.seen["lane post into a wrapped ring"]++
+	}
+	if u.posting {
+		u.seen["lane post from inside a handler"]++
 	}
 }
 
@@ -195,7 +204,7 @@ func (u *universe) ran(e *Engine, seq int64) {
 
 // cancelOne stops an engine's head, or any At event or owner-held event at
 // all (most of those still queued are not heads; stopping one that already
-// ran is a no-op). A Post event is nobody's to cancel.
+// ran is a no-op). A lane entry is nobody's to cancel.
 func (u *universe) cancelOne() {
 	switch u.rng.Intn(3) {
 	case 0:
@@ -264,7 +273,7 @@ func (u *universe) step() int {
 }
 
 // TestClusterMatchesReferenceScan is the scheduler's oracle: over many
-// seeded random schedules, drawn from all four scheduling forms, the
+// seeded random schedules, drawn from all three scheduling forms, the
 // indexed cluster must choose, step for step, the engine the linear scan
 // chooses, and both must execute the same (engine, seq) sequence.
 func TestClusterMatchesReferenceScan(t *testing.T) {
@@ -304,53 +313,67 @@ func TestClusterMatchesReferenceScan(t *testing.T) {
 	if steps < 100_000 {
 		t.Fatalf("only %d cluster steps compared; the schedules ran dry", steps)
 	}
-	for _, k := range []string{"earlier than the cluster's marker", "post from inside a post handler",
-		"arm while armed", "arm while disarmed and still queued", "arm after firing",
-		"lane post into an empty lane", "lane post behind its tail", "lane post at its tail's time",
-		"lane post after its tail", "lane post from inside a handler"} {
+	checkSeen(t, seen, "earlier than the cluster's marker", "arm while armed",
+		"arm while disarmed and still queued", "arm after firing",
+		"lane post into an empty lane", "lane post before its head",
+		"lane post before its head, moving the cluster's marker", "lane post behind its tail",
+		"lane post at its tail's time", "lane post after its tail", "lane post into a wrapped ring",
+		"lane post from inside a handler")
+}
+
+// checkSeen fails t unless each case was drawn at least 1 000 times.
+func checkSeen(t *testing.T, seen map[string]int, cases ...string) {
+	t.Helper()
+	for _, k := range cases {
 		if seen[k] < 1000 {
 			t.Errorf("%s: drawn %d times, want at least 1000", k, seen[k])
 		}
 	}
 }
 
-// TestLaneMatchesPost is the lane's oracle: each seeded random program runs
-// twice on a cluster, the second time with every lane post made by
-// Engine.Post, and both runs must fire the same (time, seq, payload)
-// sequence and leave every clock where the other does. A lane changes how
-// many events wait in an engine's queue, never which runs next.
-func TestLaneMatchesPost(t *testing.T) {
-	steps := 0
+// TestLaneMatchesAt is the lane's oracle: each seeded random program runs
+// twice on a cluster, the second time with every lane post made an event of
+// its own by Engine.At, and both runs must fire the same (time, seq,
+// payload) sequence and leave every clock where the other does. A lane
+// changes how many events wait in an engine's queue, never which runs next,
+// wherever in the lane a post lands.
+func TestLaneMatchesAt(t *testing.T) {
+	steps, seen := 0, map[string]int{}
 	for seed := uint64(1); seed <= 1500; seed++ {
-		post, lane := newUniverse(seed, true, true), newUniverse(seed, true, false)
+		at, lane := newUniverse(seed, true, true), newUniverse(seed, true, false)
 		for {
-			post.between()
+			at.between()
 			lane.between()
-			want, have := post.step(), lane.step()
+			want, have := at.step(), lane.step()
 			if want != have {
-				t.Fatalf("seed %d after %d events: with Post engine %d steps, with lanes engine %d",
-					seed, len(post.trace), want, have)
+				t.Fatalf("seed %d after %d events: with At engine %d steps, with lanes engine %d",
+					seed, len(at.trace), want, have)
 			}
 			if want < 0 {
 				break
 			}
 			steps++
 		}
-		if len(post.trace) != len(lane.trace) {
-			t.Fatalf("seed %d: %d events with Post, %d with lanes", seed, len(post.trace), len(lane.trace))
+		if len(at.trace) != len(lane.trace) {
+			t.Fatalf("seed %d: %d events with At, %d with lanes", seed, len(at.trace), len(lane.trace))
 		}
-		for i := range post.trace {
-			if post.trace[i] != lane.trace[i] {
-				t.Fatalf("seed %d: event %d is %v with Post, %v with lanes", seed, i, post.trace[i], lane.trace[i])
+		for i := range at.trace {
+			if at.trace[i] != lane.trace[i] {
+				t.Fatalf("seed %d: event %d is %v with At, %v with lanes", seed, i, at.trace[i], lane.trace[i])
 			}
 		}
-		for i, e := range post.engines {
+		for i, e := range at.engines {
 			if e.Now() != lane.engines[i].Now() {
-				t.Fatalf("seed %d: engine %d clock %v with Post, %v with lanes", seed, i, e.Now(), lane.engines[i].Now())
+				t.Fatalf("seed %d: engine %d clock %v with At, %v with lanes", seed, i, e.Now(), lane.engines[i].Now())
 			}
+		}
+		for k, n := range lane.seen {
+			seen[k] += n
 		}
 	}
 	if steps < 100_000 {
 		t.Fatalf("only %d steps compared; the schedules ran dry", steps)
 	}
+	checkSeen(t, seen, "lane post behind its tail", "lane post before its head",
+		"lane post at its tail's time", "lane post into a wrapped ring")
 }

@@ -23,7 +23,6 @@ type Event struct {
 	Do     Action
 	seq    int64 // tie-break: FIFO among same-time events
 	cancel bool
-	posted bool  // the Event of a posted, which Step fires through it
 	lane   bool  // the Event of a Lane, which Step fires through it
 	pos    int32 // 1 + index in the eventQueue holding it, 0 when in none
 }
@@ -124,26 +123,18 @@ func (q eventQueue) down(i int) {
 // the discrete-event simulation: device interrupts, wire deliveries, timer
 // expirations and preemption ticks are all Events.
 //
-// There are three ways to schedule. At takes any closure and returns the
-// event, for what is rare or may be cancelled by someone else. Post carries
-// a static function and its operands in an event the engine recycles, for
-// the per-packet hand-off nobody cancels; a Lane posts the same way for one
-// source whose times never go back, a link's frames or a receive queue, and
-// keeps all but its head out of the queue. Arm schedules an Event embedded
-// in the struct that owns it, for a timer its owner sets again and again.
-// All of them draw one seq from the same counter, so which one a site uses
-// does not change the order events run in.
+// There are three ways to schedule. At (and After) takes any closure and
+// returns the event, for what is rare or may be cancelled by someone else.
+// Arm schedules an Event embedded in the struct that owns it, for a timer
+// its owner sets again and again. A Lane carries a static function and its
+// operands in entries it recycles, for the per-packet hand-off nobody
+// cancels, and keeps all but its earliest entry out of the queue. All of
+// them draw one seq from the same counter, so which one a site uses does
+// not change the order events run in.
 type Engine struct {
 	Clock *Clock
 	queue eventQueue
 	seq   int64
-	free  []*posted // fired Post events, for reuse; at most the peak queue depth
-	// slab is where Post carves events the free list cannot supply, the
-	// first carved of them in use. Each new slab is twice the last, from 4
-	// up to 64 events, so an engine that only ever posts a few pays for a
-	// few.
-	slab   []posted
-	carved int
 
 	// cluster is the Cluster the engine was last added to, if any, and head
 	// is what stands for the engine in that cluster's ready queue: head.At
@@ -172,9 +163,14 @@ func (e *Engine) schedule(ev *Event, t Time) {
 	e.enqueue(ev)
 }
 
-// enqueue pushes ev, keyed already, onto the queue.
+// enqueue puts ev, keyed already, in the queue, or moves it up to its place
+// if it is queued and its key has just decreased (a lane's new head).
 func (e *Engine) enqueue(ev *Event) {
-	e.queue.push(ev)
+	if ev.pos == 0 {
+		e.queue.push(ev)
+	} else {
+		e.queue.up(int(ev.pos) - 1)
+	}
 	// Only an earlier head can break head.At's lower bound, so this is the
 	// one place an engine has to tell its cluster anything; pops only raise
 	// the head, and Cluster.next catches up with those at the root.
@@ -195,54 +191,6 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	ev := &Event{Do: funcAction(fn)}
 	e.schedule(ev, t)
 	return ev
-}
-
-// posted is the event behind Post. The caller never sees it, so it can be
-// neither cancelled nor held past its firing, which is what makes it safe
-// to use again. Its Event comes first, so Step can go from the one to the
-// other.
-type posted struct {
-	Event
-	fn            func(recv, payload any, n int)
-	recv, payload any
-	n             int
-}
-
-// Slab sizes, in events.
-const (
-	minSlab = 4
-	maxSlab = 64
-)
-
-// Post schedules fn(recv, payload, n) to run at t, like At, in an event
-// taken from the engine's free list, or else carved from its slab. With fn
-// a function value that captures nothing and pointers in recv and payload,
-// a Post allocates nothing once the list has grown to the queue's depth,
-// and one slab per up to 64 events before that.
-func (e *Engine) Post(t Time, fn func(recv, payload any, n int), recv, payload any, n int) {
-	var p *posted
-	if last := len(e.free) - 1; last >= 0 {
-		p, e.free = e.free[last], e.free[:last]
-	} else {
-		if e.carved == len(e.slab) {
-			e.slab, e.carved = make([]posted, min(max(2*len(e.slab), minSlab), maxSlab)), 0
-		}
-		p = &e.slab[e.carved]
-		p.posted = true
-		e.carved++
-	}
-	p.fn, p.recv, p.payload, p.n = fn, recv, payload, n
-	e.schedule(&p.Event, t)
-}
-
-// fire hands the event back before it calls fn, operands cleared, so that
-// fn may Post again and be given the same one, and the event holds on to
-// nothing while it waits.
-func (e *Engine) fire(p *posted) {
-	fn, recv, payload, n := p.fn, p.recv, p.payload, p.n
-	p.fn, p.recv, p.payload = nil, nil, nil
-	e.free = append(e.free, p)
-	fn(recv, payload, n)
 }
 
 // Arm schedules the owner-held event ev to fire d after the current time,
@@ -291,11 +239,7 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.Clock.AdvanceTo(ev.At)
-		if ev.posted {
-			e.fire((*posted)(unsafe.Pointer(ev)))
-		} else {
-			ev.Do.Fire()
-		}
+		ev.Do.Fire()
 		return true
 	}
 	return false

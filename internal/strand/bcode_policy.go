@@ -39,23 +39,23 @@ func (sched *Scheduler) SetStealPolicy(name string, prog *bcode.Program) (*Steal
 	if err != nil {
 		return nil, err
 	}
-	sched.stealPolicy.Store(p)
+	sched.stealPolicy = p
 	return p, nil
 }
 
 // ClearStealPolicy removes the installed policy, if any.
-func (sched *Scheduler) ClearStealPolicy() { sched.stealPolicy.Store(nil) }
+func (sched *Scheduler) ClearStealPolicy() { sched.stealPolicy = nil }
 
 // StealPolicyInstalled returns the installed policy, or nil.
 func (sched *Scheduler) StealPolicyInstalled() *StealPolicy {
-	return sched.stealPolicy.Load()
+	return sched.stealPolicy
 }
 
 // stealVetoed consults the policy (if any) about thief stealing from
 // victim, charging one guard evaluation on the thief. The context lives on
 // this frame.
 func (c *CPU) stealVetoed(victim *CPU) bool {
-	p := c.sched.stealPolicy.Load()
+	p := c.sched.stealPolicy
 	if p == nil {
 		return false
 	}
@@ -63,7 +63,7 @@ func (c *CPU) stealVetoed(victim *CPU) bool {
 	var ctx bcode.Context
 	ctx.W[StealCtxThief] = uint64(c.id)
 	ctx.W[StealCtxVictim] = uint64(victim.id)
-	ctx.W[StealCtxDepth] = uint64(victim.ready.size.Load())
+	ctx.W[StealCtxDepth] = uint64(victim.ready.size)
 	ctx.W[StealCtxNow] = uint64(c.clock.Now())
 	if !p.Run(&ctx) {
 		return false

@@ -3,7 +3,6 @@ package strand
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"spin/internal/metrics"
 	"spin/internal/sim"
@@ -26,14 +25,12 @@ import (
 // machines), so execution stays deterministic under a fixed seed.
 
 // runQueue is one CPU's runnable strands: priority levels sorted
-// descending, FIFO order within a level, edited in place. Only the driver
-// goroutine and the strand holding the CPU token touch it, and the token
-// passes on unbuffered channels, so it needs no lock; size is atomic
-// because Metrics reads it from any goroutine. A level emptied by a pop
-// stays in place, so its slice's capacity serves the next push.
+// descending, FIFO order within a level, edited in place, size of them. A
+// level emptied by a pop stays in place, so its slice's capacity serves
+// the next push.
 type runQueue struct {
 	levels []runLevel
-	size   atomic.Int64
+	size   int
 }
 
 type runLevel struct {
@@ -51,7 +48,7 @@ func (q *runQueue) push(s *Strand) {
 		q.levels = slices.Insert(q.levels, i, runLevel{prio: s.prio})
 	}
 	q.levels[i].strands = append(q.levels[i].strands, s)
-	q.size.Add(1)
+	q.size++
 }
 
 // pop takes the front of the highest non-empty level — the strand the CPU
@@ -94,7 +91,7 @@ func (q *runQueue) remove(s *Strand) bool {
 func (q *runQueue) take(l *runLevel, j int) *Strand {
 	s := l.strands[j]
 	l.strands = slices.Delete(l.strands, j, j+1)
-	q.size.Add(-1)
+	q.size--
 	return s
 }
 
@@ -112,9 +109,7 @@ type CPU struct {
 	current *Strand
 	last    *Strand
 
-	switches   atomic.Int64
-	steals     atomic.Int64
-	migrations atomic.Int64
+	switches, steals, migrations int64
 
 	// rng picks steal victims; seeded deterministically per CPU so runs
 	// replay exactly from the scheduler's steal seed.
@@ -155,9 +150,9 @@ func (c *CPU) trySteal() *Strand {
 		// The steal is scheduler bookkeeping on the thief: one run-queue
 		// transition charge, same as any block/unblock.
 		c.clock.Advance(sched.profile.SchedOp)
-		c.steals.Add(1)
+		c.steals++
 		s.cpu = c
-		c.migrations.Add(1)
+		c.migrations++
 		sched.observe(SchedEvent{Kind: "steal", Strand: s.name, CPU: c.id, From: victim.id, At: c.clock.Now()})
 		sched.observe(SchedEvent{Kind: "migrate", Strand: s.name, CPU: c.id, From: victim.id, At: c.clock.Now()})
 		if tr := sched.disp.Tracer(); tr != nil {
@@ -224,7 +219,7 @@ func (sched *Scheduler) NumCPUs() int { return len(sched.cpus) }
 func (sched *Scheduler) Steals() int64 {
 	var n int64
 	for _, c := range sched.cpus {
-		n += c.steals.Load()
+		n += c.steals
 	}
 	return n
 }
@@ -233,25 +228,26 @@ func (sched *Scheduler) Steals() int64 {
 func (sched *Scheduler) Migrations() int64 {
 	var n int64
 	for _, c := range sched.cpus {
-		n += c.migrations.Load()
+		n += c.migrations
 	}
 	return n
 }
 
 // Metrics emits each CPU's switches, steals, migrations, run-queue depth
 // and virtual time under a cpu label, the contained strand faults, and the
-// installed steal policy. Counters are atomics: safe from any goroutine.
+// installed steal policy. Like every read of the scheduler's state, it runs
+// on the scheduler loop, in a strand body, or when Run has returned.
 func (sched *Scheduler) Metrics(emit metrics.Emit) {
 	for _, c := range sched.cpus {
 		l := fmt.Sprintf("{cpu=\"%d\"}", c.id)
-		emit("strand_switches"+l, float64(c.switches.Load()))
-		emit("strand_steals"+l, float64(c.steals.Load()))
-		emit("strand_migrations"+l, float64(c.migrations.Load()))
-		emit("strand_ready"+l, float64(c.ready.size.Load()))
+		emit("strand_switches"+l, float64(c.switches))
+		emit("strand_steals"+l, float64(c.steals))
+		emit("strand_migrations"+l, float64(c.migrations))
+		emit("strand_ready"+l, float64(c.ready.size))
 		emit("strand_clock_ns"+l, float64(c.clock.Now()))
 	}
-	emit("strand_faults", float64(sched.strandFaults.Load()))
-	if p := sched.stealPolicy.Load(); p != nil {
+	emit("strand_faults", float64(sched.strandFaults))
+	if p := sched.stealPolicy; p != nil {
 		p.Metrics(emit)
 	}
 }

@@ -20,8 +20,8 @@ import (
 //   - no strand runs while blocked (a strand the controller Blocked must
 //     not re-enter its body until the controller Unblocks it).
 //
-// CI runs this under -race, so the atomic counters and COW queue swaps are
-// also checked for host-level races.
+// CI runs this under -race, so the plain counters and run queues are also
+// checked for host-level races across the CPU token's hand-off.
 
 func TestSchedulerModelTorture(t *testing.T) {
 	for _, cpus := range []int{1, 2, 4} {
@@ -145,10 +145,11 @@ func runSchedulerModel(t *testing.T, cpus int, seed uint64) {
 	}
 }
 
-// TestSwitchesRaceFree reads the scheduler's counters from a second host
-// goroutine while the scheduler loop is mutating them — the exact pattern
-// that used to race on the plain int64 switch counter. Run under -race
-// this fails loudly if any counter regresses to unsynchronized access.
+// TestSwitchesRaceFree reads the scheduler's counters while Run is
+// mutating them, the way any reader must: through the owner, here a strand
+// body, which holds the CPU token, so the token's hand-off orders the read
+// after the loop's writes. Run under -race, this fails loudly if a counter
+// is written off the scheduler loop and the strand holding the token.
 func TestSwitchesRaceFree(t *testing.T) {
 	sched, _ := newMultiSched(t, 2)
 	for i := 0; i < 16; i++ {
@@ -160,29 +161,24 @@ func TestSwitchesRaceFree(t *testing.T) {
 		})
 		sched.Start(s)
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	reads := 0
+	reader := sched.NewStrand("reader", 1, func(s *Strand) {
+		for k := 0; k < 20; k++ {
 			total := sched.Switches() + sched.Steals() + sched.Migrations()
 			for _, st := range cpuStats(sched) {
 				total += st.Switches + int64(st.Ready)
 			}
 			if total < 0 {
-				panic("counters went negative")
+				t.Error("counters went negative")
 			}
+			reads++
+			s.Exec(sim.Microsecond)
+			s.Yield()
 		}
-	}()
+	})
+	sched.Start(reader)
 	sched.Run()
-	close(stop)
-	<-done
-	if sched.Switches() == 0 {
-		t.Fatal("no switches recorded")
+	if reads != 20 || sched.Switches() == 0 {
+		t.Fatalf("%d reads, %d switches; want 20 and some", reads, sched.Switches())
 	}
 }

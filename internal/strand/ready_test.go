@@ -124,7 +124,7 @@ func TestRunQueueMatchesReferenceModel(t *testing.T) {
 			}
 			live = removeStrand(live, s)
 		}
-		if n := rq.size.Load(); n != int64(len(ref.items)) {
+		if n := rq.size; n != len(ref.items) {
 			t.Fatalf("op %d: size %d, reference has %d", i, n, len(ref.items))
 		}
 	}

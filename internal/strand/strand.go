@@ -18,7 +18,6 @@ package strand
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spin/internal/dispatch"
 	"spin/internal/faultinject"
@@ -98,6 +97,15 @@ func (s *Strand) CPU() int { return s.cpu.id }
 // Scheduler is the global scheduler: round-robin within priority,
 // preemptive, priority-ordered, across one or more virtual CPUs. It
 // charges context-switch costs from the profile on the CPU doing the work.
+//
+// Its state and each CPU's (run queues and their sizes, the switch, steal
+// and migration counters, strandFaults, stealPolicy) are plain fields, with
+// no lock or atomic. Every access runs on the scheduler loop, Run and what
+// it steps, or in a strand body, which runs only while it holds the CPU
+// token. The token passes on unbuffered channels, out on Strand.token and
+// back on yieldCh, and each hand-off orders what one side did before it
+// with what the other does after. A reader on another goroutine goes
+// through a strand body, or waits until Run has returned.
 type Scheduler struct {
 	profile *sim.Profile
 	disp    *dispatch.Dispatcher
@@ -122,10 +130,10 @@ type Scheduler struct {
 	observer func(SchedEvent)
 	// stealPolicy, if set, is the verified bytecode program consulted per
 	// steal candidate (see bcode_policy.go).
-	stealPolicy atomic.Pointer[StealPolicy]
+	stealPolicy *StealPolicy
 	// strandFaults counts strand-body panics contained by the entry guard:
 	// a faulting strand dies alone, the scheduler loop keeps running.
-	strandFaults atomic.Int64
+	strandFaults int64
 }
 
 // defaultStealSeed seeds the per-CPU victim-selection PRNGs; override with
@@ -293,7 +301,7 @@ func (sched *Scheduler) doUnblock(s *Strand) {
 // due events, another CPU has queued work it could steal, or it can safely
 // idle forward to its own next event.
 func (sched *Scheduler) eligible(c *CPU) bool {
-	if c.ready.size.Load() > 0 {
+	if c.ready.size > 0 {
 		return true
 	}
 	at, hasEvent := c.engine.NextEventTime()
@@ -301,7 +309,7 @@ func (sched *Scheduler) eligible(c *CPU) bool {
 		return true
 	}
 	for _, d := range sched.cpus {
-		if d != c && d.ready.size.Load() > 0 {
+		if d != c && d.ready.size > 0 {
 			return true
 		}
 	}
@@ -318,7 +326,7 @@ func (sched *Scheduler) safeIdleAdvance(c *CPU, at sim.Time) bool {
 		if d == c {
 			continue
 		}
-		if d.ready.size.Load() > 0 && d.clock.Now() < at {
+		if d.ready.size > 0 && d.clock.Now() < at {
 			return false
 		}
 		if dat, ok := d.engine.NextEventTime(); ok && dat < at {
@@ -371,7 +379,7 @@ func (c *CPU) dispatch(next *Strand) {
 	}
 	if c.last != next {
 		c.clock.Advance(sched.profile.ContextSwitch)
-		c.switches.Add(1)
+		c.switches++
 		sched.observe(SchedEvent{Kind: "switch", Strand: next.name, CPU: c.id, From: c.id, At: c.clock.Now()})
 		if c.last != nil && !c.last.exited {
 			sched.disp.RaiseEvent(sched.evCheckpoint, c.last)
@@ -391,7 +399,7 @@ func (c *CPU) dispatch(next *Strand) {
 			// scheduler loop and other strands keep running.
 			defer func() {
 				if r := recover(); r != nil {
-					s.sched.strandFaults.Add(1)
+					s.sched.strandFaults++
 					if tr := s.sched.disp.Tracer(); tr != nil {
 						tr.Trace(trace.Record{
 							Event: "sched.strand.panic", Origin: "sched",
@@ -477,13 +485,13 @@ func (sched *Scheduler) Start(s *Strand) { sched.Unblock(s) }
 func (sched *Scheduler) Switches() int64 {
 	var n int64
 	for _, c := range sched.cpus {
-		n += c.switches.Load()
+		n += c.switches
 	}
 	return n
 }
 
 // StrandFaults reports strand-body panics contained by the entry guard.
-func (sched *Scheduler) StrandFaults() int64 { return sched.strandFaults.Load() }
+func (sched *Scheduler) StrandFaults() int64 { return sched.strandFaults }
 
 // Current returns the strand holding a CPU, if any. (At most one strand
 // runs at a time; per-CPU virtual time overlaps, host execution does not.)
