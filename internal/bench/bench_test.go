@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -277,6 +278,25 @@ func TestTable1And7Counts(t *testing.T) {
 	http := measured(t, t7, "HTTP", 0)
 	if tcp <= http {
 		t.Errorf("TCP (%v lines) should dwarf HTTP (%v)", tcp, http)
+	}
+	// The TCP row counts the whole engine: every non-test tcp*.go file.
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(root, "internal/netstack/tcp*.go"))
+	var engine []string
+	for _, f := range files {
+		if !strings.HasSuffix(f, "_test.go") {
+			engine = append(engine, strings.TrimPrefix(f, root+string(filepath.Separator)))
+		}
+	}
+	lines, _, err := countStats(root, engine...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tcp != float64(lines) {
+		t.Errorf("TCP row counts %v lines, %v count %d", tcp, engine, lines)
 	}
 }
 

@@ -217,7 +217,7 @@ func RunTable7() (*Table, error) {
 		{"VM workload (spaces, tasks, COW)", 263, []string{"internal/vm/ext.go"}},
 		{"IP", 744, []string{"internal/netstack/stack.go"}},
 		{"UDP", 1046, []string{"internal/netstack/udp.go"}},
-		{"TCP", 5077, []string{"internal/netstack/tcp.go"}},
+		{"TCP", 5077, []string{"internal/netstack/tcp.go", "internal/netstack/tcp_rack.go"}},
 		{"HTTP", 392, []string{"internal/netstack/ext_http.go"}},
 		{"TCP/UDP Forward", 325, []string{"internal/netstack/ext_forward.go"}},
 		{"Video client+server", 399, []string{"internal/netstack/ext_video.go"}},

@@ -25,26 +25,21 @@ import (
 )
 
 // ringPoint is one vnode on the ring: a hash position owned by a backend
-// (an index into ringState.members).
+// (an index into Ring.members).
 type ringPoint struct {
 	hash    uint64
 	backend int32
 }
 
-// ringState is one immutable ring snapshot: vnode points sorted by hash,
-// plus the member names they index.
-type ringState struct {
-	points  []ringPoint
-	members []string
-}
-
-// Ring is a seeded consistent-hash ring. Membership changes rebuild its
-// state whole, so Pick on the hot path is a binary search with no
-// allocation.
+// Ring is a seeded consistent-hash ring. Membership changes rebuild it
+// whole, so Pick on the hot path is a binary search with no allocation.
 type Ring struct {
 	seed   uint64
 	vnodes int
-	state  *ringState
+	// points are the vnodes sorted by hash, and members the names they
+	// index, sorted.
+	points  []ringPoint
+	members []string
 }
 
 // DefaultVnodes is the per-member vnode count: enough that removing one of
@@ -58,40 +53,34 @@ func NewRing(seed uint64, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	r := &Ring{seed: seed, vnodes: vnodes}
-	r.state = &ringState{}
-	return r
+	return &Ring{seed: seed, vnodes: vnodes}
 }
 
 // SetMembers rebuilds the ring around the given member set (order
-// irrelevant; names are sorted internally so the snapshot is canonical).
+// irrelevant; names are sorted internally so the ring is canonical).
 func (r *Ring) SetMembers(names []string) {
-	members := append([]string(nil), names...)
-	sort.Strings(members)
-	st := &ringState{
-		members: members,
-		points:  make([]ringPoint, 0, len(members)*r.vnodes),
-	}
-	for i, name := range members {
+	r.members = append([]string(nil), names...)
+	sort.Strings(r.members)
+	r.points = r.points[:0]
+	for i, name := range r.members {
 		base := sim.Mix64(r.seed ^ sim.HashString(name))
 		for v := 0; v < r.vnodes; v++ {
-			st.points = append(st.points, ringPoint{
+			r.points = append(r.points, ringPoint{
 				hash:    sim.Mix64(base ^ uint64(v)*0x9E3779B97F4A7C15),
 				backend: int32(i),
 			})
 		}
 	}
-	sort.Slice(st.points, func(a, b int) bool { return st.points[a].hash < st.points[b].hash })
-	r.state = st
+	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
-// Members returns the current member names, sorted (the snapshot's own
-// slice; callers must not mutate it).
-func (r *Ring) Members() []string { return r.state.members }
+// Members returns the current member names, sorted (a slice SetMembers
+// made and never changes; callers must not mutate it).
+func (r *Ring) Members() []string { return r.members }
 
 // pickIdx finds the index of the first vnode at or clockwise of key.
-func (st *ringState) pickIdx(key uint64) int {
-	pts := st.points
+func (r *Ring) pickIdx(key uint64) int {
+	pts := r.points
 	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -110,11 +99,10 @@ func (st *ringState) pickIdx(key uint64) int {
 // Pick routes key to a member: the owner of the first vnode clockwise of
 // the key. Allocation-free; returns "" on an empty ring.
 func (r *Ring) Pick(key uint64) string {
-	st := r.state
-	if len(st.points) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return st.members[st.points[st.pickIdx(key)].backend]
+	return r.members[r.points[r.pickIdx(key)].backend]
 }
 
 // Sequence fills buf with the distinct members encountered walking the
@@ -122,14 +110,13 @@ func (r *Ring) Pick(key uint64) string {
 // entry is Pick's answer). It returns how many it wrote (min of ring size
 // and len(buf)); allocation-free.
 func (r *Ring) Sequence(key uint64, buf []string) int {
-	st := r.state
-	if len(st.points) == 0 || len(buf) == 0 {
+	if len(r.points) == 0 || len(buf) == 0 {
 		return 0
 	}
 	n := 0
-	start := st.pickIdx(key)
-	for i := 0; i < len(st.points) && n < len(buf) && n < len(st.members); i++ {
-		name := st.members[st.points[(start+i)%len(st.points)].backend]
+	start := r.pickIdx(key)
+	for i := 0; i < len(r.points) && n < len(buf) && n < len(r.members); i++ {
+		name := r.members[r.points[(start+i)%len(r.points)].backend]
 		dup := false
 		for j := 0; j < n; j++ {
 			if buf[j] == name {

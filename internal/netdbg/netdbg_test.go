@@ -161,8 +161,7 @@ func TestNetCommand(t *testing.T) {
 	reply := r.query(t, "metrics net_")
 	for _, sample := range []string{"net_rx_packets 2\n", "net_tx_packets 1\n", "net_tcp_conns 0\n",
 		"net_tcp_timed_out 0\n", "net_tcp_fast_recoveries 0\n", "net_tcp_rack_marked_lost 0\n",
-		"net_tcp_tlp_probes 0\n", "net_tcp_rtos 0\n", "net_tcp_syn_rtos 0\n", "net_tcp_dsacks_received 0\n",
-		"net_tcp_hystart_css 0\n", "net_tcp_hystart_resumed 0\n"} {
+		"net_tcp_tlp_probes 0\n", "net_tcp_rtos 0\n", "net_tcp_syn_rtos 0\n", "net_tcp_dsacks_received 0\n"} {
 		if !strings.Contains(reply, sample) {
 			t.Errorf("metrics net_ missing %q:\n%s", sample, reply)
 		}

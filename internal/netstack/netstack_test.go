@@ -300,12 +300,11 @@ func TestTCPLargeTransfer(t *testing.T) {
 // TestTCPLargeTransfer's transfer again, watched: the Lance pair's 10 Mb/s
 // NICs queue whatever slow start sends faster than they can, so the round
 // trip rises by a segment's 1.2 ms for each segment more in flight.
-// HyStart++ sees a round's least RTT rise past the last round's and leaves
-// slow start for CSS at 22 segments, well short of ssthresh's 67; a slow
-// start run to the end of the 45-segment stream has 24 in flight. The
-// probe timer, reading SRTT as it rises, sends no probe for the queued
-// tail.
-func TestTCPLargeTransferLeavesSlowStartOnRTTRise(t *testing.T) {
+// The rise does not end slow start, which runs to the end of the
+// 45-segment stream short of ssthresh's 67 with 24 segments in flight at
+// its peak. The probe timer, reading SRTT as it rises, sends no probe for
+// the queued tail.
+func TestTCPLargeTransferProbesNoQueuedTail(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	const total = 64 * 1024
 	var received int
@@ -321,13 +320,13 @@ func TestTCPLargeTransferLeavesSlowStartOnRTTRise(t *testing.T) {
 		peak = max(peak, len(conn.inflight))
 	}
 	st := tcpStatsOf(a.stack.TCP())
-	t.Logf("peak flight %d segments, SRTT %d us, %d CSS entries, %d resumed", peak, conn.srtt, st.HyStartCSS, st.HyStartResumed)
+	t.Logf("peak flight %d segments, SRTT %d us", peak, conn.srtt)
 	if received != total || conn.Retransmits() != 0 || st.TLPProbes != 0 {
 		t.Errorf("received %d of %d with %d retransmissions and %d probes, want all, 0 and 0",
 			received, total, conn.Retransmits(), st.TLPProbes)
 	}
-	if st.HyStartCSS < 1 || peak > 22 {
-		t.Errorf("%d CSS entries and a peak flight of %d segments, want at least 1 and at most 22", st.HyStartCSS, peak)
+	if peak != 24 {
+		t.Errorf("a peak flight of %d segments, want 24", peak)
 	}
 }
 
@@ -1172,7 +1171,6 @@ type tcpStats struct {
 	Conns, HalfOpen                                                 int
 	HalfOpenEvicted, Accepted, Resets, TimedOut                     int64
 	FastRecoveries, RACKMarkedLost, TLPProbes, RTOs, DSACKsReceived int64
-	HyStartCSS, HyStartResumed                                      int64
 }
 
 func tcpStatsOf(t *TCP) tcpStats {
@@ -1183,6 +1181,5 @@ func tcpStatsOf(t *TCP) tcpStats {
 		Accepted: m["accepted"], Resets: m["resets"], TimedOut: m["timed_out"],
 		FastRecoveries: m["fast_recoveries"], RACKMarkedLost: m["rack_marked_lost"],
 		TLPProbes: m["tlp_probes"], RTOs: m["rtos"], DSACKsReceived: m["dsacks_received"],
-		HyStartCSS: m["hystart_css"], HyStartResumed: m["hystart_resumed"],
 	}
 }

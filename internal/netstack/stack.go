@@ -3,7 +3,6 @@ package netstack
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"spin/internal/dispatch"
 	"spin/internal/domain"
@@ -315,15 +314,10 @@ func (s *Stack) InjectRX(nicIndex int, pkt *Packet) bool {
 
 // AddRoute directs packets for dst out through nic.
 func (s *Stack) AddRoute(dst IPAddr, nic *sal.NIC) {
-	s.AddRoutes(map[IPAddr]*sal.NIC{dst: nic})
-}
-
-// AddRoutes installs a whole table of routes.
-func (s *Stack) AddRoutes(routes map[IPAddr]*sal.NIC) {
 	if s.routes == nil {
-		s.routes = make(map[IPAddr]*sal.NIC, len(routes))
+		s.routes = make(map[IPAddr]*sal.NIC)
 	}
-	maps.Copy(s.routes, routes)
+	s.routes[dst] = nic
 }
 
 // Routes reports how many destination-specific routes are installed; every

@@ -57,6 +57,18 @@ const _ = uint16(rcvWindow >> rcvShift)
 // segments: three for a segment size above 1095 bytes (RFC 5681 §3.1).
 const initialWindow = 3
 
+// initialSsthresh is where a connection's first slow start ends, in
+// segments. RFC 5681 §3.1 says arbitrarily high, "e.g., to the size of the
+// largest possible advertised window". It is the window the peer does
+// advertise once windows are scaled, rcvWindow (67 segments), which every
+// stack here advertises: the flight never exceeds it, so slow start past it
+// would grow cwnd without sending a segment more, and a loss would then
+// halve, and an undo restore, a window the path never carried. A peer that
+// does not scale advertises 44 segments, and its window binds the flight
+// first. Later slow starts, after a timeout, end at the ssthresh the loss
+// set.
+const initialSsthresh = min(rcvWindow/DefaultMSS, maxCwnd)
+
 // retxTimeout is the retransmission timeout before the first round-trip
 // sample and its floor after (RFC 6298 with a 200 ms minimum). Each
 // unacknowledged retransmission doubles the timeout, up to retxBackoffCap
@@ -490,8 +502,7 @@ type TCP struct {
 	resets   int64
 	timedOut int64
 
-	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived int64
-	synRTOs, hystartCSS, hystartResumed                             int64
+	fastRecoveries, rackMarkedLost, tlpProbes, rtos, dsacksReceived, synRTOs int64
 }
 
 // A TCP module keeps at most maxSpares of each kind of spare storage,
@@ -858,13 +869,8 @@ func (c *Conn) sampleRTT(r sim.Duration) {
 		c.rttvar = (3*c.rttvar + dev) / 4
 		c.srtt = (7*c.srtt + us) / 8
 	}
-	if x := c.loss; x != nil {
-		if x.racking() && (x.rack.minRTT == 0 || r < x.rack.minRTT) {
-			x.rack.minRTT = r
-		}
-		if x.hy.on {
-			x.hy.sample(r)
-		}
+	if x := c.loss; x != nil && (x.rack.minRTT == 0 || r < x.rack.minRTT) {
+		x.rack.minRTT = r
 	}
 	c.backoff = 0
 }
@@ -1216,7 +1222,7 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	if ack == c.sndUna {
 		c.takeSACK(pkt)
 		switch {
-		case c.sackOK() && c.loss.racking():
+		case c.sackOK() && c.loss != nil:
 			c.rackDetect()
 			c.pump()
 		case dup && !c.sackOK():
@@ -1229,7 +1235,6 @@ func (c *Conn) onAck(pkt *Packet) bool {
 	// restarts from scratch for whatever is still outstanding.
 	c.sndUna = ack
 	c.retxAttempts, c.dupAcks = 0, 0
-	c.hyRound(ack)
 	n, finAcked := c.takeCumAck(ack)
 	c.takeSACK(pkt)
 	// The probe timer runs from the newest transmission, which an ACK of
@@ -1288,7 +1293,7 @@ func (c *Conn) onAck(pkt *Packet) bool {
 // unless any was sent twice (Karn) or is timed already by the SACK that
 // reported it.
 func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
-	now, racking := c.tcp.stack.clock.Now(), c.loss.racking()
+	now := c.tcp.stack.clock.Now()
 	acked, clean, timed := 0, true, -1
 	for ; n < len(c.inflight) && int32(c.inflight[n].end()-ack) <= 0; n++ {
 		s := c.inflight[n]
@@ -1298,7 +1303,7 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 		if s.bits&segSacked == 0 {
 			timed = n
 		}
-		if racking {
+		if c.loss != nil {
 			c.delivered(s, now)
 		}
 	}
@@ -1315,26 +1320,15 @@ func (c *Conn) takeCumAck(ack uint32) (n int, finAcked bool) {
 }
 
 // grow opens the congestion window for n newly acknowledged segments: a
-// segment for each below ssthresh (slow start), or for each
-// cssGrowthDivisor of them in CSS (tcp_hystart.go), and a segment for each
+// segment for each below ssthresh (slow start), a segment for each
 // window's worth of them above it (congestion avoidance, RFC 5681 §3.1).
 func (c *Conn) grow(n int) {
-	css := c.hyCheck()
 	for ; n > 0; n-- {
-		switch {
-		case c.cwnd >= c.ssthresh:
-			if c.caAcked++; uint16(c.caAcked) >= c.cwnd {
-				c.caAcked = 0
-				c.cwnd = min(c.cwnd+1, maxCwnd)
-			}
-		case !css:
+		if c.cwnd < c.ssthresh {
 			c.cwnd++
-		default:
-			h := &c.loss.hy
-			if h.cssAcked++; h.cssAcked == cssGrowthDivisor {
-				h.cssAcked = 0
-				c.cwnd++
-			}
+		} else if c.caAcked++; uint16(c.caAcked) >= c.cwnd {
+			c.caAcked = 0
+			c.cwnd = min(c.cwnd+1, maxCwnd)
 		}
 	}
 }
@@ -1423,8 +1417,7 @@ func (c *Conn) deliver(p []byte) {
 // lossState is what only a connection that met loss or reordering needs,
 // made the first time it does: on the receive side the out-of-order queue
 // and the D-SACK to report, on the send side the SACK scoreboard's totals
-// and the RACK-TLP state (tcp_rack.go). A bulk sender's initial slow start
-// makes it earlier, for HyStart++'s round state (tcp_hystart.go).
+// and the RACK-TLP state (tcp_rack.go).
 //
 // The out-of-order queue holds the segments that arrived ahead of RCV.NXT,
 // kept so that the segment that fills the hole releases them all and the
@@ -1457,7 +1450,6 @@ type lossState struct {
 	sackedSegs   uint16
 
 	rack rackState
-	hy   hyStart
 }
 
 type seqRange struct{ start, end uint32 }
@@ -1468,24 +1460,17 @@ const (
 	maxOOOPackets = 2 * rcvWindow / DefaultMSS
 )
 
-// lossState returns the connection's loss state, made on first use, with
-// RACK started. RACK starts out counting what is acknowledged as
-// delivered, with SRTT as its least round trip.
+// lossState returns the connection's loss state, made on first use with
+// RACK started: the only place one is made, so c.loss != nil says RACK has
+// started. RACK starts out counting what is acknowledged as delivered, with
+// SRTT as its least round trip.
 func (c *Conn) lossState() *lossState {
 	if c.loss == nil {
-		c.loss = new(lossState)
-	}
-	if x := c.loss; !x.racking() {
-		x.rack = rackState{fack: c.sndUna, end: c.sndUna, reoMult: 1,
-			minRTT: sim.Duration(c.srtt) * sim.Microsecond}
+		c.loss = &lossState{rack: rackState{fack: c.sndUna, end: c.sndUna, reoMult: 1,
+			minRTT: sim.Duration(c.srtt) * sim.Microsecond}}
 	}
 	return c.loss
 }
-
-// racking reports whether RACK has started: a loss state HyStart++ made
-// (tcp_hystart.go) has not, until something calls lossState. A started
-// RACK's reoMult is never below 1.
-func (x *lossState) racking() bool { return x != nil && x.rack.reoMult != 0 }
 
 // queueOOO keeps pkt, whose payload starts ahead of RCV.NXT. A segment all
 // of whose bytes one run holds already is reported as a duplicate instead.
@@ -1721,6 +1706,4 @@ func (t *TCP) Metrics(emit metrics.Emit) {
 	emit("net_tcp_rtos", float64(t.rtos))                       // retransmission timeouts, SYN included
 	emit("net_tcp_syn_rtos", float64(t.synRTOs))                // of them, a SYN's
 	emit("net_tcp_dsacks_received", float64(t.dsacksReceived))  // the peer got a segment twice
-	emit("net_tcp_hystart_css", float64(t.hystartCSS))          // slow starts left for CSS on an RTT rise
-	emit("net_tcp_hystart_resumed", float64(t.hystartResumed))  // CSS rounds that went back to slow start
 }

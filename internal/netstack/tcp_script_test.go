@@ -914,8 +914,8 @@ func TestTCPScript(t *testing.T) {
 	// segments (IW for 1095 < SMSS <= 2190), whichever end opened it, and
 	// with ssthresh "arbitrarily high": the 67 segments of the window every
 	// peer here advertises (initialSsthresh), where it was 16, so that a
-	// clean flow's slow start ends where HyStart++ finds the path full or at
-	// the peer's window, not 46 round trips of linear growth short of it.
+	// clean flow's slow start ends at the peer's window, not 46 round trips
+	// of linear growth short of it.
 	t.Run("rfc5681-3.1/initial-window-is-three-segments", func(t *testing.T) {
 		clientRig(t).run([]step{
 			{at: 1 * ms, write: 5, out: []seg{data(0, S), data(S, S), data(2*S, S)}, check: wantCwnd(3)},
@@ -1025,152 +1025,49 @@ func TestTCPScript(t *testing.T) {
 		})
 	})
 
-	// RFC 9406 §4.2: HyStart++ ends the initial slow start where the round
-	// trip rises. The peer scales windows by 4, so its window never binds,
-	// and does not SACK, so no probe timer runs. Rounds are counted from
-	// the first that begins with 8 segments in flight, at the 6th ACK;
-	// the 2nd begins at the 13th ACK and takes its 8th sample at the 20th.
-	hyClient := func(t *testing.T) *bulkModel { return &bulkModel{r: scaledClient(t, 2, 0)} }
-	rise := func(round int) sim.Duration {
-		if round < 2 {
-			return 10 * ms
-		}
-		return 15 * ms
-	}
-	t.Run("rfc9406/css-on-an-rtt-rise-after-8-samples", func(t *testing.T) {
-		// Round 1's least RTT is 10 ms and round 2's 15 ms, past 10 ms +
-		// RttThresh (4 ms, the floor): CSS at round 2's 8th sample, and from
-		// that ACK on a segment of window per 4 ACKed.
-		m := hyClient(t)
-		m.run(rise, func(k, _ int) growth {
-			if k >= 20 {
-				return cssGrowth
+	// RFC 5681 §3.1: slow start ends at ssthresh, whatever the round trip
+	// does. The peer scales windows by 4, so its window never binds, and
+	// does not SACK, so no probe timer runs. From the 13th ACK on the round
+	// trip is 15 ms where it was 10: a queue is forming, and the window
+	// still grows by a segment an ACK.
+	t.Run("rfc5681-3.1/an-rtt-rise-does-not-end-slow-start", func(t *testing.T) {
+		m := &bulkModel{r: scaledClient(t, 2, 0)}
+		m.run(func(k int) sim.Duration {
+			if k < 13 {
+				return 10 * ms
 			}
-			return ssGrowth
-		}, 30, map[int]func(*testing.T, *scriptRig){
-			19: wantHyStart(0, 0),
-			20: both(wantHyStart(1, 0), wantSsthresh(67)),
-		})
-	})
-	t.Run("rfc9406/back-to-slow-start-when-the-rtt-falls-below-the-css-baseline", func(t *testing.T) {
-		// Round 3's least RTT, 14.5 ms, is below the 15 ms CSS began at:
-		// slow start again at round 3's 8th sample, the 34th ACK, and it
-		// stays there, 14.5 ms being no rise over round 2's 15.
-		m := hyClient(t)
-		m.run(func(round int) sim.Duration {
-			if round >= 3 {
-				return 14*ms + 500*us
-			}
-			return rise(round)
-		}, func(k, _ int) growth {
-			if k >= 20 && k < 34 {
-				return cssGrowth
-			}
-			return ssGrowth
+			return 15 * ms
 		}, 60, map[int]func(*testing.T, *scriptRig){
-			33: wantHyStart(1, 0),
-			34: wantHyStart(1, 1),
-			60: both(wantHyStart(1, 1), wantSsthresh(67)),
+			20: wantSsthresh(67),
+			60: wantSsthresh(67),
 		})
-	})
-	t.Run("rfc9406/congestion-avoidance-after-5-css-rounds", func(t *testing.T) {
-		// CSS's partial first round and four more, then the ACK that begins
-		// round 7 sets ssthresh to cwnd: congestion avoidance.
-		m := hyClient(t)
-		grow := func(k, round int) growth {
-			switch {
-			case round >= 7:
-				return caGrowth
-			case k >= 20:
-				return cssGrowth
-			}
-			return ssGrowth
-		}
-		m.run(rise, grow, 40, nil)
-		for m.round < 7 {
-			m.ack(rise, grow, nil)
-		}
-		cwnd := m.cwnd // the CA ACK has not grown it: it is the first of a window
-		m.steps[len(m.steps)-1].check = both(wantCwnd(cwnd), wantSsthresh(cwnd))
-		for range cwnd {
-			m.ack(rise, grow, nil)
-		}
-		m.r.run(m.steps)
-		if cwnd < 40 || m.cwnd != cwnd+1 {
-			t.Fatalf("script entered congestion avoidance at cwnd %d and grew it to %d, want at least 40 and then by one", cwnd, m.cwnd)
-		}
-	})
-	t.Run("rfc9406/a-loss-in-css-is-a-loss-in-slow-start", func(t *testing.T) {
-		// The third duplicate ACK halves the flight, resends the head and
-		// inflates cwnd by three, in slow start (the 15th ACK) and in CSS
-		// (the 24th) alike (RFC 5681 §3.2); the full ACK leaves cwnd at
-		// ssthresh, in congestion avoidance, and HyStart++ done.
-		for _, at := range []int{15, 24} {
-			m := hyClient(t)
-			m.run(rise, func(k, _ int) growth {
-				if k >= 20 {
-					return cssGrowth
-				}
-				return ssGrowth
-			}, at, nil)
-			flight := m.next - m.acked
-			half := flight / 2
-			when := m.clock
-			m.r.run([]step{
-				{at: when + 100*us, in: in(ack(at * S))},
-				{at: when + 200*us, in: in(ack(at * S))},
-				{at: when + 300*us, in: in(ack(at * S)), note: "third duplicate", out: []seg{data(at*S, S)},
-					check: both(wantSsthresh(half), wantCwnd(half+dupAckThreshold))},
-			})
-			m.clock, m.cwnd = when+300*us+sum(S), half
-			m.r.run([]step{m.ackTo(m.clock+5*ms, m.next, func(t *testing.T, r *scriptRig) {
-				if r.conn.initialSlowStart() {
-					t.Errorf("cwnd %d, ssthresh %d: still in the initial slow start", r.conn.cwnd, r.conn.ssthresh)
-				}
-			})})
-		}
 	})
 }
 
-// growth is how a sender's window grows on an ACK of one segment.
-type growth int
-
-const (
-	ssGrowth  growth = iota // slow start: a segment an ACK
-	cssGrowth               // CSS: a segment per cssGrowthDivisor ACKs
-	caGrowth                // congestion avoidance: a segment a window
-)
-
-// bulkModel scripts a bulk sender's start, written as the sender must
-// behave. The client wrote 150 segments at 1 ms and tops them up as they
-// go; the peer acknowledges them one at a time, the kth ACK (of segment
-// k-1) rtt(round) after that segment went out, or as soon after as the
-// sender's clock, which a segment's checksum advances, allows. round
-// counts HyStart++'s rounds (RFC 9406 §4.2) as the sender must: from the
-// first ACK to find 8 segments (N_RTT_SAMPLE) in flight, each ending at
-// the ACK that reaches what had been sent when it began; 0 before.
+// bulkModel scripts a bulk sender's slow start, written as the sender
+// must behave. The client wrote 150 segments at 1 ms and tops them up as
+// they go; the peer acknowledges them one at a time, the kth ACK (of
+// segment k-1) rtt(k) after that segment went out, or as soon after as
+// the sender's clock, which a segment's checksum advances, allows. Each
+// ACK grows the window by a segment, so a script stays below ssthresh.
 type bulkModel struct {
 	r     *scriptRig
 	steps []step
 	sent  []sim.Duration // when each segment went out
 
-	written, next, acked int
-	cwnd, css, ca        int // the window and its growth counters
-	last                 growth
-	round, end           int
-	clock                sim.Duration
+	written, next, acked, cwnd int
+	clock                      sim.Duration
 }
 
-// run scripts the first acks ACKs, grown as grow says, with checks added
-// after the ACKs they are keyed by, and runs them.
-func (m *bulkModel) run(rtt func(int) sim.Duration, grow func(k, round int) growth, acks int, checks map[int]func(*testing.T, *scriptRig)) {
+// run scripts the first acks ACKs, with checks added after the ACKs they
+// are keyed by, and runs them.
+func (m *bulkModel) run(rtt func(k int) sim.Duration, acks int, checks map[int]func(*testing.T, *scriptRig)) {
 	m.cwnd = initialWindow
 	m.steps = append(m.steps, m.write(1*ms, 150))
 	for m.acked < acks {
-		m.ack(rtt, grow, checks[m.acked+1])
+		m.ack(rtt, checks[m.acked+1])
 	}
 	m.r.run(m.steps)
-	m.steps = m.steps[:0]
 }
 
 // pump sends what the window lets out at at.
@@ -1189,48 +1086,20 @@ func (m *bulkModel) write(at sim.Duration, n int) step {
 	return step{at: at, write: n, out: m.pump(at), note: "the writer tops up"}
 }
 
-// ack scripts the next ACK, and a top-up when the unsent segments run low.
-func (m *bulkModel) ack(rtt func(int) sim.Duration, grow func(k, round int) growth, check func(*testing.T, *scriptRig)) {
+// ack scripts the next ACK, after which the window, grown by a segment,
+// lets more out, and a top-up when the unsent segments run low.
+func (m *bulkModel) ack(rtt func(k int) sim.Duration, check func(*testing.T, *scriptRig)) {
 	k := m.acked + 1
-	switch {
-	case m.round == 0 && m.next-m.acked >= 8, m.round > 0 && k >= m.end:
-		m.round, m.end = m.round+1, m.next
-	}
-	g := grow(k, m.round)
-	switch {
-	case g == ssGrowth:
-		m.cwnd++
-	case g == cssGrowth && m.last != cssGrowth:
-		m.css = 1
-	case g == cssGrowth:
-		if m.css++; m.css == 4 {
-			m.css = 0
-			m.cwnd++
-		}
-	default:
-		if m.ca++; m.ca >= m.cwnd {
-			m.ca = 0
-			m.cwnd++
-		}
-	}
-	m.last = g
-	s := m.ackTo(max(m.sent[k-1]+rtt(m.round), m.clock), k, check)
-	s.note = fmt.Sprintf("ACK %d, round %d", k, m.round)
-	m.steps = append(m.steps, s)
-	if fits := SendBufSize / S; m.written-m.next < 40 {
-		m.steps = append(m.steps, m.write(m.clock, min(40, fits-(m.written-m.acked))))
-	}
-}
-
-// ackTo is the step in which the peer acknowledges the first k segments at
-// at, and the window, already grown, lets more out.
-func (m *bulkModel) ackTo(at sim.Duration, k int, check func(*testing.T, *scriptRig)) step {
-	m.acked = k
+	at := max(m.sent[k-1]+rtt(k), m.clock)
+	m.acked, m.cwnd = k, m.cwnd+1
 	c := wantCwnd(m.cwnd)
 	if check != nil {
 		c = both(c, check)
 	}
-	return step{at: at, in: in(ack(k * S)), out: m.pump(at), check: c}
+	m.steps = append(m.steps, step{at: at, in: in(ack(k * S)), out: m.pump(at), check: c, note: fmt.Sprintf("ACK %d", k)})
+	if fits := SendBufSize / S; m.written-m.next < 40 {
+		m.steps = append(m.steps, m.write(m.clock, min(40, fits-(m.written-m.acked))))
+	}
 }
 
 func wantSsthresh(n int) func(*testing.T, *scriptRig) {
@@ -1238,17 +1107,6 @@ func wantSsthresh(n int) func(*testing.T, *scriptRig) {
 		t.Helper()
 		if got := int(r.conn.ssthresh); got != n {
 			t.Errorf("ssthresh %d, want %d", got, n)
-		}
-	}
-}
-
-// wantHyStart checks how often slow start has entered CSS and CSS gone
-// back to slow start.
-func wantHyStart(css, resumed int64) func(*testing.T, *scriptRig) {
-	return func(t *testing.T, r *scriptRig) {
-		t.Helper()
-		if st := tcpStatsOf(r.st.TCP()); st.HyStartCSS != css || st.HyStartResumed != resumed {
-			t.Errorf("%d CSS entries, %d resumed slow starts; want %d and %d", st.HyStartCSS, st.HyStartResumed, css, resumed)
 		}
 	}
 }

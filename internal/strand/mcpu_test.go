@@ -239,7 +239,7 @@ func TestClusterScheduler(t *testing.T) {
 	e0, e1 := sim.NewEngine(), sim.NewEngine()
 	cl := sim.NewCluster(e0, e1)
 	disp := dispatch.New(e0, &sim.SPINProfile)
-	sched, err := NewClusterScheduler(cl, &sim.SPINProfile, disp)
+	sched, err := NewMultiScheduler(&sim.SPINProfile, disp, cl.Engines()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,16 +196,9 @@ func NewMultiScheduler(profile *sim.Profile, disp *dispatch.Dispatcher, engines 
 }
 
 // NewScheduler creates a single-CPU scheduler on engine — the historical
-// constructor; multi-CPU machines use NewMultiScheduler or
-// NewClusterScheduler.
+// constructor; multi-CPU machines use NewMultiScheduler.
 func NewScheduler(engine *sim.Engine, profile *sim.Profile, disp *dispatch.Dispatcher) (*Scheduler, error) {
 	return NewMultiScheduler(profile, disp, engine)
-}
-
-// NewClusterScheduler creates a scheduler with one CPU per engine in the
-// cluster.
-func NewClusterScheduler(cl *sim.Cluster, profile *sim.Profile, disp *dispatch.Dispatcher) (*Scheduler, error) {
-	return NewMultiScheduler(profile, disp, cl.Engines()...)
 }
 
 // SetStealSeed reseeds the per-CPU victim-selection PRNGs. Same seed, same

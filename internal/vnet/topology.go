@@ -216,10 +216,8 @@ func (b *Builder) Build() (*Internet, error) {
 // leaves through: switches get route-table entries, and a host gets a route
 // only where that attachment is not its first NIC, which is its stack's
 // default route, so a single-NIC host holds no route table. Declaration
-// order makes tie-breaks deterministic. A host's routes are collected and
-// installed together, one table publish per machine.
+// order makes tie-breaks deterministic.
 func computeRoutes(in *Internet, adj [][]*attachment) {
-	hostRoutes := make([]map[netstack.IPAddr]*sal.NIC, len(in.machineOrder))
 	// seen[v] is one more than the last destination whose BFS reached v.
 	seen := make([]int, len(adj))
 	queue := make([]int, 0, len(adj))
@@ -242,17 +240,9 @@ func computeRoutes(in *Internet, adj [][]*attachment) {
 				case back.port != nil:
 					back.port.sw.routes[dstIP] = back.port
 				case back != adj[v][0]:
-					if hostRoutes[v] == nil {
-						hostRoutes[v] = make(map[netstack.IPAddr]*sal.NIC)
-					}
-					hostRoutes[v][dstIP] = back.nic
+					in.machines[in.machineOrder[v]].Stack.AddRoute(dstIP, back.nic)
 				}
 			}
-		}
-	}
-	for i, routes := range hostRoutes {
-		if routes != nil {
-			in.machines[in.machineOrder[i]].Stack.AddRoutes(routes)
 		}
 	}
 }

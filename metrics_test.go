@@ -45,7 +45,7 @@ var exposedNames = []string{
 	"net_packets_live", "net_reassembly_evicted", "net_reassembly_pending", "net_rx_packets", "net_rx_panics",
 	"net_rx_queue_accepted", "net_rx_queue_dropped",
 	"net_tcp_accepted", "net_tcp_conns", "net_tcp_dsacks_received", "net_tcp_fast_recoveries", "net_tcp_half_open",
-	"net_tcp_half_open_evicted", "net_tcp_hystart_css", "net_tcp_hystart_resumed", "net_tcp_rack_marked_lost", "net_tcp_resets", "net_tcp_rtos", "net_tcp_syn_rtos",
+	"net_tcp_half_open_evicted", "net_tcp_rack_marked_lost", "net_tcp_resets", "net_tcp_rtos", "net_tcp_syn_rtos",
 	"net_tcp_timed_out", "net_tcp_tlp_probes", "net_tx_packets",
 	"sal_mmu_faults", "sal_phys_frames", "sal_phys_frames_in_use", "sal_tlb_hits", "sal_tlb_misses",
 	"strand_clock_ns", "strand_faults", "strand_migrations", "strand_ready", "strand_steals", "strand_switches",
