@@ -69,7 +69,7 @@ func RunTable3() (*Table, error) {
 func newBenchScheduler(profile *sim.Profile) (*strand.Scheduler, *sim.Engine, error) {
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, profile)
-	sched, err := strand.NewScheduler(eng, profile, disp)
+	sched, err := strand.NewMultiScheduler(profile, disp, eng)
 	return sched, eng, err
 }
 

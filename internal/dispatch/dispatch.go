@@ -18,13 +18,16 @@
 // Ownership: a dispatcher belongs to its machine, and whoever steps the
 // machine's engine (see sim.Clock) alone defines, installs, raises and reads
 // counters; any other goroutine goes through the sockets Driver's Run, or
-// waits until stepping has stopped. So nothing here locks and counters are
-// plain fields. Per-event state is still an immutable snapshot that writers
-// (Define, Install, AddGuard, Remove, RemovePrimary, quarantine) replace
-// rather than edit: a handler may remove itself, or be quarantined, while a
+// waits until stepping has stopped. So nothing here locks, and an event's
+// handler list, authorizer, constraint and counters are the Event's own
+// fields. One rule remains: a handler list is replaced, never edited in
+// place (Install, Remove, RemovePrimary, RemoveOwner and quarantine build a
+// new one), because a handler may remove itself, or be quarantined, while a
 // raise is walking the list it was called from, and that walk keeps the
-// snapshot it loaded. Authorizers run inside Install and RemovePrimary and
-// must not call back into the dispatcher's write operations.
+// list it loaded. AddGuard likewise replaces its handler's guard slice: a
+// raise that has not reached that handler yet applies the new guard.
+// Authorizers run inside Install and RemovePrimary and must not call back
+// into the dispatcher's write operations.
 package dispatch
 
 import (
@@ -98,72 +101,40 @@ var ErrNoSuchEvent = errors.New("dispatch: no such event")
 // individually with KeyedEvent.RemoveKeyed instead.
 var ErrKeyedPrimary = errors.New("dispatch: primary is the keyed demultiplexer")
 
-// handlerEntry is immutable once published in a snapshot, but for the name
-// its first traced invocation caches (key). AddGuard replaces the entry
-// (with a freshly copied guard slice) rather than mutating it, so a Raise
-// iterating a snapshot never observes a guard list changing.
+// handlerEntry is one installed handler. AddGuard replaces its guard slice
+// rather than appending in place, so a raise ranging over the old one is
+// undisturbed.
 type handlerEntry struct {
 	handler Handler
 	guards  []Guard
 	closure any
 	owner   domain.Identity
 	primary bool
-	id      int
-	event   string
 	// key names the handler's latency series, built on its first traced
-	// invocation (handlerKey): the one field written after publication,
-	// by whoever steps the machine, like every raise.
+	// invocation (handlerKey).
 	key string
-	// misbehaviour holds the handler's lifetime fault and overrun
-	// counts, shared by pointer across snapshot copies so an AddGuard
-	// replacement does not reset a handler's quarantine budget.
-	misbehaviour *misbehaviour
+	// faults and overruns are the handler's lifetime contained-fault and
+	// time-bound-overrun counts, against the quarantine policy.
+	faults, overruns int64
 }
 
-// misbehaviour is one handler's lifetime fault and time-bound-overrun count.
-type misbehaviour struct{ faults, overruns int64 }
-
-// newHandlerEntry allocates an entry with fresh misbehaviour counters.
-func newHandlerEntry(e handlerEntry) *handlerEntry {
-	e.misbehaviour = new(misbehaviour)
-	return &e
-}
-
-// withGuard returns a copy of e with g appended to its guard chain.
-func (e *handlerEntry) withGuard(g Guard) *handlerEntry {
-	ne := *e
-	ne.guards = append(append([]Guard(nil), e.guards...), g)
-	return &ne
-}
-
-// eventSnapshot is the immutable per-event state the read path dispatches
-// against. Writers build a new snapshot and replace the event's pointer.
-type eventSnapshot struct {
+// Event is a defined event: its handlers, its default implementation
+// module's policy, and its counters. A raiser that resolves its event once
+// with Dispatcher.Event and raises through RaiseEvent skips the name lookup
+// on every raise — the dispatcher's counterpart of the paper's linker
+// patching a resolved call (§3.2).
+type Event struct {
+	name string
+	// handlers is replaced, never edited in place (install, uninstall):
+	// a raise walks the list it loaded even if a handler it calls
+	// removes itself or another.
+	handlers   []*handlerEntry
 	authorizer InstallAuthorizer
 	constraint Constraint
 	combiner   Combiner
-	handlers   []*handlerEntry
 	// keyed marks events defined via DefineKeyed, whose primary is the
 	// key-demultiplexing trampoline (see ErrKeyedPrimary).
 	keyed bool
-}
-
-// clone returns a shallow copy of s with its own handler slice, ready for a
-// writer to edit before publishing.
-func (s *eventSnapshot) clone() *eventSnapshot {
-	ns := *s
-	ns.handlers = append([]*handlerEntry(nil), s.handlers...)
-	return &ns
-}
-
-// Event is the stable identity of a defined event: its current snapshot
-// plus counters. A raiser that
-// resolves its event once with Dispatcher.Event and raises through
-// RaiseEvent skips the name lookup on every raise — the dispatcher's
-// counterpart of the paper's linker patching a resolved call (§3.2).
-type Event struct {
-	name string
-	snap *eventSnapshot
 	// results holds the handlers' results of the raises in progress, the
 	// innermost last: a raise appends its own after those of the raise it
 	// runs inside, and cuts them off when its combiner returns, so a raise
@@ -172,7 +143,24 @@ type Event struct {
 	raises  int64
 	aborts  int64
 	faults  int64
-	nextID  int
+}
+
+// install appends e into a new array, so that a raise walking the old list
+// keeps it.
+func (st *Event) install(e *handlerEntry) {
+	n := len(st.handlers)
+	st.handlers = append(st.handlers[:n:n], e)
+}
+
+// uninstall unlinks e into a new list, so that a raise walking the old one
+// keeps it; it reports false if e was not installed.
+func (st *Event) uninstall(e *handlerEntry) bool {
+	i := slices.Index(st.handlers, e)
+	if i < 0 {
+		return false
+	}
+	st.handlers = append(st.handlers[:i:i], st.handlers[i+1:]...)
+	return true
 }
 
 // Dispatcher routes event raises to handlers. One dispatcher serves one
@@ -222,19 +210,10 @@ func New(engine *sim.Engine, profile *sim.Profile) *Dispatcher {
 	}
 }
 
-// lookup finds a defined event.
-func (d *Dispatcher) lookup(name string) (*Event, bool) {
-	st, ok := d.events[name]
-	return st, ok
-}
-
 // Event resolves a defined event to its handle for RaiseEvent, or returns
 // nil if name is undefined. The handle stays valid for the dispatcher's
 // life: events are never removed or redefined.
-func (d *Dispatcher) Event(name string) *Event {
-	st, _ := d.lookup(name)
-	return st
-}
+func (d *Dispatcher) Event(name string) *Event { return d.events[name] }
 
 // DefineOptions configures an event at definition time.
 type DefineOptions struct {
@@ -258,30 +237,22 @@ type DefineOptions struct {
 // Define declares an event. The caller is, by definition, the default
 // implementation module for the event. Redefinition fails.
 func (d *Dispatcher) Define(name string, opts DefineOptions) error {
-	snap := &eventSnapshot{
+	if _, dup := d.events[name]; dup {
+		return fmt.Errorf("dispatch: event %q already defined", name)
+	}
+	st := &Event{
+		name:       name,
 		authorizer: opts.Authorizer,
 		constraint: opts.Constraint,
 		combiner:   opts.Combiner,
 		keyed:      opts.keyedDemux,
 	}
-	if snap.combiner == nil {
-		snap.combiner = LastResult
+	if st.combiner == nil {
+		st.combiner = LastResult
 	}
-	st := &Event{name: name}
 	if opts.Primary != nil {
-		snap.handlers = append(snap.handlers, newHandlerEntry(handlerEntry{
-			handler: opts.Primary,
-			closure: opts.PrimaryClosure,
-			primary: true,
-			id:      st.nextID,
-			event:   name,
-		}))
-		st.nextID++
+		st.install(&handlerEntry{handler: opts.Primary, closure: opts.PrimaryClosure, primary: true})
 	}
-	if _, dup := d.events[name]; dup {
-		return fmt.Errorf("dispatch: event %q already defined", name)
-	}
-	st.snap = snap
 	if d.events == nil {
 		d.events = make(map[string]*Event)
 	}
@@ -302,9 +273,12 @@ type InstallOptions struct {
 
 // HandlerRef names an installed handler for later removal.
 type HandlerRef struct {
-	event string
-	id    int
+	ev *Event
+	e  *handlerEntry
 }
+
+// errNotInstalled reports a Remove or AddGuard whose handler is gone.
+var errNotInstalled = errors.New("dispatch: handler not installed")
 
 // Install registers a handler on the named event after consulting the
 // event's authorizer. The authorizer's guard (if any) is evaluated before
@@ -313,14 +287,13 @@ func (d *Dispatcher) Install(event string, h Handler, opts InstallOptions) (Hand
 	if h == nil {
 		return HandlerRef{}, errors.New("dispatch: nil handler")
 	}
-	st, ok := d.lookup(event)
-	if !ok {
+	st := d.events[event]
+	if st == nil {
 		return HandlerRef{}, fmt.Errorf("%w: %q", ErrNoSuchEvent, event)
 	}
-	snap := st.snap
 	var guards []Guard
-	if snap.authorizer != nil {
-		g, err := snap.authorizer(opts.Installer)
+	if st.authorizer != nil {
+		g, err := st.authorizer(opts.Installer)
 		if err != nil {
 			return HandlerRef{}, fmt.Errorf("%w: %q: %v", ErrInstallDenied, event, err)
 		}
@@ -331,61 +304,34 @@ func (d *Dispatcher) Install(event string, h Handler, opts InstallOptions) (Hand
 	if opts.Guard != nil {
 		guards = append(guards, opts.Guard)
 	}
-	e := newHandlerEntry(handlerEntry{
-		handler: h,
-		guards:  guards,
-		closure: opts.Closure,
-		owner:   opts.Installer,
-		id:      st.nextID,
-		event:   event,
-	})
-	st.nextID++
-	ns := snap.clone()
-	ns.handlers = append(ns.handlers, e)
-	st.snap = ns
-	return HandlerRef{event: event, id: e.id}, nil
+	e := &handlerEntry{handler: h, guards: guards, closure: opts.Closure, owner: opts.Installer}
+	st.install(e)
+	return HandlerRef{ev: st, e: e}, nil
 }
 
 // AddGuard stacks an additional guard on an installed handler, further
 // constraining its invocation (paper: "A handler can stack additional guards
-// on an event"). The handler entry is replaced, not mutated, so a raise
-// walking the old snapshot never observes a half-updated guard chain.
+// on an event"). The guard slice is replaced, so a raise already past the
+// handler is undisturbed; a raise that has not reached it yet applies the
+// new guard.
 func (d *Dispatcher) AddGuard(ref HandlerRef, g Guard) error {
 	if g == nil {
 		return errors.New("dispatch: nil guard")
 	}
-	st, ok := d.lookup(ref.event)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchEvent, ref.event)
+	if ref.ev == nil || !slices.Contains(ref.ev.handlers, ref.e) {
+		return errNotInstalled
 	}
-	snap := st.snap
-	for i, e := range snap.handlers {
-		if e.id == ref.id {
-			ns := snap.clone()
-			ns.handlers[i] = e.withGuard(g)
-			st.snap = ns
-			return nil
-		}
-	}
-	return fmt.Errorf("dispatch: handler %d not installed on %q", ref.id, ref.event)
+	n := len(ref.e.guards)
+	ref.e.guards = append(ref.e.guards[:n:n], g)
+	return nil
 }
 
 // Remove uninstalls a handler.
 func (d *Dispatcher) Remove(ref HandlerRef) error {
-	st, ok := d.lookup(ref.event)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchEvent, ref.event)
+	if ref.ev == nil || !ref.ev.uninstall(ref.e) {
+		return errNotInstalled
 	}
-	snap := st.snap
-	for i, e := range snap.handlers {
-		if e.id == ref.id {
-			ns := snap.clone()
-			ns.handlers = append(ns.handlers[:i:i], ns.handlers[i+1:]...)
-			st.snap = ns
-			return nil
-		}
-	}
-	return fmt.Errorf("dispatch: handler %d not installed on %q", ref.id, ref.event)
+	return nil
 }
 
 // RemovePrimary removes the event's primary handler — permitted by the
@@ -394,24 +340,21 @@ func (d *Dispatcher) Remove(ref HandlerRef) error {
 // DefineKeyed it fails with ErrKeyedPrimary: the primary there is the key
 // demultiplexer, and removing it would silently orphan every keyed handler.
 func (d *Dispatcher) RemovePrimary(event string, requester domain.Identity) error {
-	st, ok := d.lookup(event)
-	if !ok {
+	st := d.events[event]
+	if st == nil {
 		return fmt.Errorf("%w: %q", ErrNoSuchEvent, event)
 	}
-	snap := st.snap
-	if snap.keyed {
+	if st.keyed {
 		return fmt.Errorf("%w: %q", ErrKeyedPrimary, event)
 	}
-	if snap.authorizer != nil {
-		if _, err := snap.authorizer(requester); err != nil {
+	if st.authorizer != nil {
+		if _, err := st.authorizer(requester); err != nil {
 			return fmt.Errorf("%w: %q: %v", ErrInstallDenied, event, err)
 		}
 	}
-	for i, e := range snap.handlers {
+	for _, e := range st.handlers {
 		if e.primary {
-			ns := snap.clone()
-			ns.handlers = append(ns.handlers[:i:i], ns.handlers[i+1:]...)
-			st.snap = ns
+			st.uninstall(e)
 			return nil
 		}
 	}
@@ -431,40 +374,34 @@ func (d *Dispatcher) Raise(event string, arg any) any {
 //
 // A raise charges its costs to the machine's clock, so it runs on the
 // machine's owner (see sim.Clock): whoever steps the machine's engine, as do
-// Install, AddGuard, Remove and SetTracer. It dispatches against the
-// snapshot it loaded at the start, so a handler that removes itself (or is
-// quarantined) mid-raise does not disturb the walk.
+// Install, AddGuard, Remove and SetTracer. It walks the handler list it
+// loaded at the start, so a handler that removes itself (or is quarantined)
+// mid-raise does not disturb the walk.
 func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 	if st == nil {
 		return nil
 	}
 	st.raises++
-	snap := st.snap
+	hs := st.handlers
 	// Tracing disabled is the common case: tr is nil and the only cost on
 	// this path is one predictable nil check in each branch below.
 	tr := d.tracer
 	// Fast path: exactly one unguarded synchronous handler — direct
 	// procedure call from raiser to handler (still within the runtime's
 	// exception containment and the event's time bound).
-	if len(snap.handlers) == 1 && len(snap.handlers[0].guards) == 0 && !snap.constraint.Async {
-		e := snap.handlers[0]
+	if len(hs) == 1 && len(hs[0].guards) == 0 && !st.constraint.Async {
+		e := hs[0]
 		d.clock.Advance(d.profile.CrossDomainCall)
-		if tr == nil {
-			res, aborted, _ := d.invokeBounded(st, snap.constraint.TimeBound, e, arg)
-			if aborted {
-				st.aborts++
-				return nil
-			}
-			return res
-		}
 		start := d.clock.Now()
-		res, aborted, faulted := d.invokeBounded(st, snap.constraint.TimeBound, e, arg)
-		dur := d.clock.Now().Sub(start)
-		tr.Observe(handlerKey(e), dur)
-		tr.Trace(trace.Record{
-			Event: st.name, Origin: "dispatch", Handlers: 1,
-			Start: start, Duration: dur, Outcome: outcomeOf(aborted, faulted),
-		})
+		res, aborted, faulted := d.invokeBounded(st, e, arg)
+		if tr != nil {
+			dur := d.clock.Now().Sub(start)
+			tr.Observe(handlerKey(st, e), dur)
+			tr.Trace(trace.Record{
+				Event: st.name, Origin: "dispatch", Handlers: 1,
+				Start: start, Duration: dur, Outcome: outcomeOf(aborted, faulted),
+			})
+		}
 		if aborted {
 			st.aborts++
 			return nil
@@ -479,7 +416,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 	base := len(st.results)
 	ran := 0
 	anyAbort, anyFault := false, false
-	for _, e := range snap.handlers {
+	for _, e := range hs {
 		pass := true
 		for _, g := range e.guards {
 			d.clock.Advance(d.profile.GuardEval)
@@ -491,15 +428,13 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 		if !pass {
 			continue
 		}
-		if snap.constraint.Async && !e.primary {
+		if st.constraint.Async && !e.primary {
 			// Separate thread from the raiser: schedule on the
 			// engine; result is not communicated back.
-			e := e
-			bound := snap.constraint.TimeBound
 			d.clock.Advance(d.profile.HandlerInvoke)
 			ran++
 			d.engine.After(0, func() {
-				if _, aborted, _ := d.invokeBounded(st, bound, e, arg); aborted {
+				if _, aborted, _ := d.invokeBounded(st, e, arg); aborted {
 					st.aborts++
 				}
 			})
@@ -511,9 +446,9 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 		if tr != nil {
 			hstart = d.clock.Now()
 		}
-		res, aborted, faulted := d.invokeBounded(st, snap.constraint.TimeBound, e, arg)
+		res, aborted, faulted := d.invokeBounded(st, e, arg)
 		if tr != nil {
-			tr.Observe(handlerKey(e), d.clock.Now().Sub(hstart))
+			tr.Observe(handlerKey(st, e), d.clock.Now().Sub(hstart))
 		}
 		if aborted {
 			st.aborts++
@@ -531,7 +466,7 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 		})
 	}
 	results := st.results[base:]
-	res := snap.combiner(results)
+	res := st.combiner(results)
 	clear(results)
 	st.results = st.results[:base]
 	return res
@@ -540,12 +475,12 @@ func (d *Dispatcher) RaiseEvent(st *Event, arg any) any {
 // handlerKey names a handler's latency series: the event plus the
 // installer's identity ("#primary" for the default implementation). The
 // name is built once, so a traced raise allocates no string.
-func handlerKey(e *handlerEntry) string {
+func handlerKey(st *Event, e *handlerEntry) string {
 	if e.key == "" {
 		if e.primary {
-			e.key = e.event + "#primary"
+			e.key = st.name + "#primary"
 		} else {
-			e.key = e.event + "#" + e.owner.Name
+			e.key = st.name + "#" + e.owner.Name
 		}
 	}
 	return e.key
@@ -572,10 +507,10 @@ func (d *Dispatcher) SetTracer(t *trace.Tracer) { d.tracer = t }
 // feed their own latency series through the same enable/disable switch.
 func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer }
 
-// invokeBounded runs the handler, enforcing the virtual-time bound: if the
-// handler advanced the clock beyond the bound its result is discarded and it
-// is reported aborted. (We cannot preempt mid-handler, but in virtual time
-// the observable effect — bounded charge to the raiser, discarded result —
+// invokeBounded runs the handler, enforcing the event's virtual-time bound:
+// if the handler advanced the clock beyond the bound its result is
+// discarded and it is reported aborted. (We cannot preempt mid-handler, but
+// in virtual time the observable effect — bounded charge to the raiser, discarded result —
 // matches the model; the kernel is preemptive, so a handler cannot take over
 // the processor.)
 //
@@ -591,31 +526,30 @@ func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer }
 // "dispatch.invoke" is a fault-injection site: an armed KindPanic rule
 // faults the handler here (inside the containment boundary), a KindDelay
 // rule slows it against its time bound.
-func (d *Dispatcher) invokeBounded(st *Event, bound sim.Duration, e *handlerEntry, arg any) (res any, aborted, faulted bool) {
+func (d *Dispatcher) invokeBounded(st *Event, e *handlerEntry, arg any) (res any, aborted, faulted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.faults++
 			st.faults++
-			e.misbehaviour.faults++
-			faults := e.misbehaviour.faults
-			d.lastFault = fmt.Sprintf("handler of %q (installer %q): %v", e.event, e.owner.Name, r)
-			if thr := d.qFaultThreshold; thr > 0 && faults >= thr {
-				d.quarantine(st, e, fmt.Sprintf("%d faults (threshold %d), last: %v", faults, thr, r))
+			e.faults++
+			d.lastFault = fmt.Sprintf("handler of %q (installer %q): %v", st.name, e.owner.Name, r)
+			if thr := d.qFaultThreshold; thr > 0 && e.faults >= thr {
+				d.quarantine(st, e, fmt.Sprintf("%d faults (threshold %d), last: %v", e.faults, thr, r))
 			}
 			res, aborted, faulted = nil, true, true
 		}
 	}()
 	d.injector.Fire("dispatch.invoke")
+	bound := st.constraint.TimeBound
 	if bound <= 0 {
 		return e.handler(arg, e.closure), false, false
 	}
 	start := d.clock.Now()
 	res = e.handler(arg, e.closure)
 	if d.clock.Now().Sub(start) > bound {
-		e.misbehaviour.overruns++
-		overruns := e.misbehaviour.overruns
-		if budget := d.qOverrunBudget; budget > 0 && overruns >= budget {
-			d.quarantine(st, e, fmt.Sprintf("%d time-bound overruns (budget %d)", overruns, budget))
+		e.overruns++
+		if budget := d.qOverrunBudget; budget > 0 && e.overruns >= budget {
+			d.quarantine(st, e, fmt.Sprintf("%d time-bound overruns (budget %d)", e.overruns, budget))
 		}
 		return nil, true, false
 	}
@@ -631,8 +565,8 @@ func (d *Dispatcher) ExtensionFaults() (int64, string) {
 // HandlerCount reports the number of handlers installed on event (including
 // the primary).
 func (d *Dispatcher) HandlerCount(event string) int {
-	if st, ok := d.lookup(event); ok {
-		return len(st.snap.handlers)
+	if st := d.events[event]; st != nil {
+		return len(st.handlers)
 	}
 	return 0
 }
@@ -680,13 +614,12 @@ func (d *Dispatcher) Events() []string {
 // installation order ("(primary)" for the primary). Used by the Figure 5
 // graph dump.
 func (d *Dispatcher) HandlerOwners(event string) []string {
-	st, ok := d.lookup(event)
-	if !ok {
+	st := d.events[event]
+	if st == nil {
 		return nil
 	}
-	snap := st.snap
-	out := make([]string, 0, len(snap.handlers))
-	for _, e := range snap.handlers {
+	out := make([]string, 0, len(st.handlers))
+	for _, e := range st.handlers {
 		if e.primary {
 			out = append(out, "(primary)")
 		} else {

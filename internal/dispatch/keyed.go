@@ -41,7 +41,6 @@ type KeyedEvent struct {
 	// outer one's and cuts its own off, so a raise allocates nothing once
 	// the storage has grown to the deepest walk.
 	results []any
-	nextID  int
 	raises  int64
 	indexed int64
 }
@@ -49,7 +48,6 @@ type KeyedEvent struct {
 type keyedEntry struct {
 	h       Handler
 	closure any
-	id      int
 }
 
 // DefineKeyed declares an event whose handlers demultiplex on a key. The
@@ -113,7 +111,7 @@ func (d *Dispatcher) DefineKeyed(name string, keyOf KeyFunc, opts DefineOptions)
 // KeyedRef names a keyed handler for removal.
 type KeyedRef struct {
 	key uint64
-	id  int
+	e   *keyedEntry
 }
 
 // InstallKeyed registers h for events whose key equals key.
@@ -121,20 +119,19 @@ func (ke *KeyedEvent) InstallKeyed(key uint64, h Handler, closure any) (KeyedRef
 	if h == nil {
 		return KeyedRef{}, fmt.Errorf("dispatch: nil keyed handler on %q", ke.name)
 	}
-	e := &keyedEntry{h: h, closure: closure, id: ke.nextID}
-	ke.nextID++
+	e := &keyedEntry{h: h, closure: closure}
 	list := ke.byKey[key]
 	ke.byKey[key] = append(list[:len(list):len(list)], e)
-	return KeyedRef{key: key, id: e.id}, nil
+	return KeyedRef{key: key, e: e}, nil
 }
 
 // RemoveKeyed uninstalls a keyed handler.
 func (ke *KeyedEvent) RemoveKeyed(ref KeyedRef) error {
 	list := ke.byKey[ref.key]
-	i := slices.IndexFunc(list, func(e *keyedEntry) bool { return e.id == ref.id })
+	i := slices.Index(list, ref.e)
 	switch {
 	case i < 0:
-		return fmt.Errorf("dispatch: keyed handler %d not installed on %q", ref.id, ke.name)
+		return fmt.Errorf("dispatch: keyed handler not installed on %q under key %d", ke.name, ref.key)
 	case len(list) == 1:
 		delete(ke.byKey, ref.key)
 	default:

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"fmt"
-	"slices"
 
 	"spin/internal/domain"
 	"spin/internal/faultinject"
@@ -78,19 +77,14 @@ func (d *Dispatcher) quarantine(st *Event, e *handlerEntry, reason string) {
 	if e.primary {
 		return // the primary is the fallback, never the casualty
 	}
-	snap := st.snap
-	i := slices.IndexFunc(snap.handlers, func(h *handlerEntry) bool { return h.id == e.id })
-	if i < 0 {
+	if !st.uninstall(e) {
 		return // already unlinked by a nested raise (or a Remove)
 	}
-	ns := snap.clone()
-	ns.handlers = slices.Delete(ns.handlers, i, i+1)
-	st.snap = ns
 	rec := QuarantineRecord{
 		Event:    st.name,
 		Owner:    e.owner,
-		Faults:   e.misbehaviour.faults,
-		Overruns: e.misbehaviour.overruns,
+		Faults:   e.faults,
+		Overruns: e.overruns,
 		Reason:   reason,
 		At:       d.clock.Now(),
 	}
@@ -119,19 +113,12 @@ func (d *Dispatcher) Quarantined() []QuarantineRecord {
 func (d *Dispatcher) RemoveOwner(owner domain.Identity) int {
 	removed := 0
 	for _, st := range d.events {
-		snap := st.snap
-		var kept []*handlerEntry
-		for _, e := range snap.handlers {
+		// The range keeps the list it loaded; uninstall replaces it.
+		for _, e := range st.handlers {
 			if !e.primary && e.owner.Name == owner.Name {
+				st.uninstall(e)
 				removed++
-				continue
 			}
-			kept = append(kept, e)
-		}
-		if len(kept) != len(snap.handlers) {
-			ns := snap.clone()
-			ns.handlers = kept
-			st.snap = ns
 		}
 	}
 	return removed

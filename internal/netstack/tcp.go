@@ -278,12 +278,6 @@ type Conn struct {
 	// Deprecated: it is kept only for benchmark/layers.go, which sets it;
 	// set Handler.
 	OnData func(*Conn, []byte)
-
-	// acceptCb is the listener's accept callback. On server-side
-	// connections it is set on the Conn before the Conn enters the
-	// connection table, so no delivery can observe the connection without
-	// it.
-	acceptCb func(*Conn)
 }
 
 // ConnHandler receives a connection's events, on the goroutine that steps
@@ -1018,7 +1012,9 @@ func (t *TCP) deliver(pkt *Packet) {
 func (t *TCP) deliver1(pkt *Packet) {
 	key := tcpKey(pkt.Src, pkt.SrcPort, pkt.DstPort)
 	var e synEntry
-	var synack, accepted bool
+	var synack bool
+	// accepted is the listener whose final ACK made c, if this segment did.
+	var accepted *Listener
 	c := t.conns[key]
 	if c == nil {
 		l := t.listeners[pkt.DstPort]
@@ -1037,17 +1033,17 @@ func (t *TCP) deliver1(pkt *Packet) {
 			if half, ok := t.syn.get(key); ok {
 				t.syn.delete(key)
 				if l != nil && pkt.Ack == half.iss+1 {
-					c, accepted = t.newServerConn(l, half, pkt), true
+					c, accepted = t.newServerConn(l, half, pkt), l
 					t.put(key, c)
 				}
 			}
 		}
 	}
 
-	if accepted {
+	if accepted != nil {
 		t.accepted++
-		if c.acceptCb != nil {
-			c.acceptCb(c)
+		if accepted.accept != nil {
+			accepted.accept(c)
 		}
 		if c.Handler != nil {
 			c.Handler.Connected(c)
@@ -1090,9 +1086,7 @@ func (t *TCP) sendSynAck(pkt *Packet, e synEntry) {
 }
 
 // newServerConn builds the connection for a half-open entry whose final ACK
-// arrived — the first point a server-side *Conn exists. The accept callback
-// is on the Conn before it enters the table, so no delivery can reach a
-// connection without it.
+// arrived — the first point a server-side *Conn exists.
 func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 	c := &Conn{
 		tcp:    t,
@@ -1101,9 +1095,8 @@ func (t *TCP) newServerConn(l *Listener, e synEntry, pkt *Packet) *Conn {
 		sndWnd: uint32(e.wnd), sndWL1: e.rcvNxt - 1, sndWL2: e.iss + 1,
 		delivery: l.cost,
 		sndUna:   e.iss + 1, sndNxt: e.iss + 1, recover: e.iss,
-		rcvNxt:   e.rcvNxt,
-		opts:     e.opts,
-		acceptCb: l.accept,
+		rcvNxt: e.rcvNxt,
+		opts:   e.opts,
 	}
 	c.setState(StateEstablished)
 	return c

@@ -14,7 +14,7 @@ import (
 func Example() {
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, &sim.SPINProfile)
-	sched, _ := strand.NewScheduler(eng, &sim.SPINProfile, disp)
+	sched, _ := strand.NewMultiScheduler(&sim.SPINProfile, disp, eng)
 	pkg := strand.NewThreadPkg(sched)
 
 	items := pkg.NewSemaphore(0)
@@ -47,7 +47,7 @@ func Example() {
 func ExampleSubScheduler() {
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, &sim.SPINProfile)
-	sched, _ := strand.NewScheduler(eng, &sim.SPINProfile, disp)
+	sched, _ := strand.NewMultiScheduler(&sim.SPINProfile, disp, eng)
 	sub, _ := strand.NewSubScheduler(sched, domain.Identity{Name: "app"})
 	sub.Policy = func(q []*strand.SubStrand) int { return len(q) - 1 } // LIFO
 	for _, name := range []string{"first", "second", "third"} {

@@ -30,7 +30,7 @@ func TestStrandPanicContained(t *testing.T) {
 func TestStrandEntryInjectionSite(t *testing.T) {
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, &sim.SPINProfile)
-	sched, err := NewScheduler(eng, &sim.SPINProfile, disp)
+	sched, err := NewMultiScheduler(&sim.SPINProfile, disp, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,12 +195,6 @@ func NewMultiScheduler(profile *sim.Profile, disp *dispatch.Dispatcher, engines 
 	return sched, nil
 }
 
-// NewScheduler creates a single-CPU scheduler on engine — the historical
-// constructor; multi-CPU machines use NewMultiScheduler.
-func NewScheduler(engine *sim.Engine, profile *sim.Profile, disp *dispatch.Dispatcher) (*Scheduler, error) {
-	return NewMultiScheduler(profile, disp, engine)
-}
-
 // SetStealSeed reseeds the per-CPU victim-selection PRNGs. Same seed, same
 // workload → identical steal sequence; call before Run.
 func (sched *Scheduler) SetStealSeed(seed uint64) {

@@ -13,7 +13,7 @@ func newSched(t *testing.T) (*Scheduler, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	disp := dispatch.New(eng, &sim.SPINProfile)
-	sched, err := NewScheduler(eng, &sim.SPINProfile, disp)
+	sched, err := NewMultiScheduler(&sim.SPINProfile, disp, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

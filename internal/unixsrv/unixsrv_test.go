@@ -24,7 +24,7 @@ func newServer(t *testing.T) (*Server, *sal.Console) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := strand.NewScheduler(eng, prof, disp)
+	sched, err := strand.NewMultiScheduler(prof, disp, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
