@@ -12,7 +12,7 @@ package domain
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spin/internal/safe"
 )
@@ -28,11 +28,12 @@ var ErrNotSafe = errors.New("domain: object file is not safe")
 type T struct {
 	name string
 
+	// objects are the sealed object files whose exports the domain
+	// exports, oldest first; an aggregate lists its parts' objects in turn
+	// rather than copying their symbols.
 	objects []*safe.ObjectFile
-	// exports maps symbol name -> exporting symbol. Aggregate domains
-	// merge the export maps of their children at Combine time.
-	exports map[string]safe.Symbol
-	// unresolved maps symbol name -> import slots awaiting resolution.
+	// unresolved maps symbol name -> import slots awaiting resolution. Nil
+	// while the domain has none.
 	unresolved map[string][]safe.Symbol
 }
 
@@ -47,17 +48,9 @@ func Create(obj *safe.ObjectFile) (*T, error) {
 	if err := obj.Verify(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotSafe, err)
 	}
-	d := &T{
-		name:       obj.Name,
-		objects:    []*safe.ObjectFile{obj},
-		exports:    make(map[string]safe.Symbol),
-		unresolved: make(map[string][]safe.Symbol),
-	}
-	for _, s := range obj.Exports() {
-		d.exports[s.Name] = s
-	}
+	d := &T{name: obj.Name, objects: []*safe.ObjectFile{obj}}
 	for _, s := range obj.Imports() {
-		d.unresolved[s.Name] = append(d.unresolved[s.Name], s)
+		d.addUnresolved(s)
 	}
 	return d, nil
 }
@@ -85,7 +78,7 @@ func Resolve(source, target *T) error {
 	}
 	var firstErr error
 	for name, slots := range target.unresolved {
-		exp, ok := source.exports[name]
+		exp, ok := source.LookupExport(name)
 		if !ok {
 			continue
 		}
@@ -122,24 +115,26 @@ func CrossLink(a, b *T) error {
 // export names, and unresolved imports of all children remain visible in the
 // aggregate so that a single Resolve against it can finish linking.
 func Combine(name string, ds ...*T) *T {
-	agg := &T{
-		name:       name,
-		exports:    make(map[string]safe.Symbol),
-		unresolved: make(map[string][]safe.Symbol),
-	}
+	agg := &T{name: name}
 	for _, d := range ds {
 		if d == nil {
 			continue
 		}
 		agg.objects = append(agg.objects, d.objects...)
-		for n, s := range d.exports {
-			agg.exports[n] = s
-		}
-		for n, slots := range d.unresolved {
-			agg.unresolved[n] = append(agg.unresolved[n], slots...)
+		for _, slots := range d.unresolved {
+			for _, s := range slots {
+				agg.addUnresolved(s)
+			}
 		}
 	}
 	return agg
+}
+
+func (d *T) addUnresolved(s safe.Symbol) {
+	if d.unresolved == nil {
+		d.unresolved = make(map[string][]safe.Symbol)
+	}
+	d.unresolved[s.Name] = append(d.unresolved[s.Name], s)
 }
 
 // Unresolved returns the names of symbols still awaiting resolution, sorted.
@@ -150,27 +145,34 @@ func (d *T) Unresolved() []string {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
 // FullyResolved reports whether every import in the domain has been patched.
 func (d *T) FullyResolved() bool { return len(d.Unresolved()) == 0 }
 
-// ExportedNames returns the names this domain exports, sorted.
+// ExportedNames returns the names this domain exports, sorted, each once.
 func (d *T) ExportedNames() []string {
-	names := make([]string, 0, len(d.exports))
-	for n := range d.exports {
-		names = append(names, n)
+	var names []string
+	for _, o := range d.objects {
+		for _, s := range o.Exports() {
+			names = append(names, s.Name)
+		}
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
-// LookupExport returns the named exported symbol, if present.
+// LookupExport returns the named exported symbol, if present. Where several
+// of the domain's objects export the name, the newest one's wins.
 func (d *T) LookupExport(name string) (safe.Symbol, bool) {
-	s, ok := d.exports[name]
-	return s, ok
+	for _, o := range slices.Backward(d.objects) {
+		if s, ok := o.LookupExport(name); ok {
+			return s, true
+		}
+	}
+	return safe.Symbol{}, false
 }
 
 // Objects returns the object files backing this domain.

@@ -17,7 +17,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Signer identifies who vouches for an object file's safety.
@@ -69,19 +70,16 @@ type ObjectFile struct {
 	// Signer records the provenance of this object.
 	Signer Signer
 
-	exports map[string]Symbol
-	imports map[string]Symbol
+	// exports and imports are each sorted by name, one symbol a name.
+	exports []Symbol
+	imports []Symbol
 	sig     [32]byte
 	sealed  bool
 }
 
 // NewObjectFile returns an empty, unsigned object file named name.
 func NewObjectFile(name string) *ObjectFile {
-	return &ObjectFile{
-		Name:    name,
-		exports: make(map[string]Symbol),
-		imports: make(map[string]Symbol),
-	}
+	return &ObjectFile{Name: name}
 }
 
 // Export adds an exported symbol binding name to value. It panics if called
@@ -92,7 +90,7 @@ func (o *ObjectFile) Export(name string, value any) *ObjectFile {
 	if !v.IsValid() {
 		panic(fmt.Sprintf("safe: export %s: nil value", name))
 	}
-	o.exports[name] = Symbol{Name: name, Value: v, Type: v.Type()}
+	o.exports = insert(o.exports, Symbol{Name: name, Value: v, Type: v.Type()})
 	return o
 }
 
@@ -105,7 +103,7 @@ func (o *ObjectFile) Import(name string, slot any) *ObjectFile {
 	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() {
 		panic(fmt.Sprintf("safe: import %s: slot must be a non-nil pointer", name))
 	}
-	o.imports[name] = Symbol{Name: name, Value: v, Type: v.Type().Elem()}
+	o.imports = insert(o.imports, Symbol{Name: name, Value: v, Type: v.Type().Elem()})
 	return o
 }
 
@@ -129,35 +127,27 @@ func (o *ObjectFile) Sign(by Signer) *ObjectFile {
 // Sealed reports whether the object has been signed and sealed.
 func (o *ObjectFile) Sealed() bool { return o.sealed }
 
-// digest hashes the object's identity: its name and the names and type
-// strings of all symbols, in sorted order.
+// digest hashes the object's identity: its name, then for each symbol,
+// exports before imports and each in name order, "E " or "I ", its name,
+// its type string and its kind as 8 little-endian bytes. The bytes are
+// gathered on the stack, so an object of up to about twenty symbols signs
+// without allocating.
 func (o *ObjectFile) digest() [32]byte {
-	h := sha256.New()
-	h.Write([]byte(o.Name))
-	var names []string
-	for n := range o.exports {
-		names = append(names, "E "+n)
+	var buf [2048]byte
+	b := append(buf[:0], o.Name...)
+	b = appendSymbols(b, "E ", o.exports)
+	b = appendSymbols(b, "I ", o.imports)
+	return sha256.Sum256(b)
+}
+
+func appendSymbols(b []byte, tag string, table []Symbol) []byte {
+	for _, sym := range table {
+		b = append(b, tag...)
+		b = append(b, sym.Name...)
+		b = append(b, sym.Type.String()...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(sym.Type.Kind()))
 	}
-	for n := range o.imports {
-		names = append(names, "I "+n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h.Write([]byte(n))
-		var sym Symbol
-		if n[0] == 'E' {
-			sym = o.exports[n[2:]]
-		} else {
-			sym = o.imports[n[2:]]
-		}
-		h.Write([]byte(sym.Type.String()))
-		var kind [8]byte
-		binary.LittleEndian.PutUint64(kind[:], uint64(sym.Type.Kind()))
-		h.Write(kind[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return b
 }
 
 // Verify re-derives the signature and checks provenance. The in-kernel
@@ -176,35 +166,36 @@ func (o *ObjectFile) Verify() error {
 }
 
 // Exports returns the exported symbols in sorted name order.
-func (o *ObjectFile) Exports() []Symbol {
-	return sortedSymbols(o.exports)
-}
+func (o *ObjectFile) Exports() []Symbol { return slices.Clone(o.exports) }
 
 // Imports returns the imported (possibly unresolved) symbols in sorted name
 // order.
-func (o *ObjectFile) Imports() []Symbol {
-	return sortedSymbols(o.imports)
-}
+func (o *ObjectFile) Imports() []Symbol { return slices.Clone(o.imports) }
 
 // LookupExport returns the named export.
-func (o *ObjectFile) LookupExport(name string) (Symbol, bool) {
-	s, ok := o.exports[name]
-	return s, ok
-}
+func (o *ObjectFile) LookupExport(name string) (Symbol, bool) { return lookup(o.exports, name) }
 
 // LookupImport returns the named import slot.
-func (o *ObjectFile) LookupImport(name string) (Symbol, bool) {
-	s, ok := o.imports[name]
-	return s, ok
+func (o *ObjectFile) LookupImport(name string) (Symbol, bool) { return lookup(o.imports, name) }
+
+func byName(s Symbol, name string) int { return strings.Compare(s.Name, name) }
+
+// insert puts s into the name-sorted table, in place of any symbol of the
+// same name.
+func insert(table []Symbol, s Symbol) []Symbol {
+	i, found := slices.BinarySearchFunc(table, s.Name, byName)
+	if found {
+		table[i] = s
+		return table
+	}
+	return slices.Insert(table, i, s)
 }
 
-func sortedSymbols(m map[string]Symbol) []Symbol {
-	out := make([]Symbol, 0, len(m))
-	for _, s := range m {
-		out = append(out, s)
+func lookup(table []Symbol, name string) (Symbol, bool) {
+	if i, found := slices.BinarySearchFunc(table, name, byName); found {
+		return table[i], true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Symbol{}, false
 }
 
 // Patch stores export into the import slot sym, enforcing type safety: the

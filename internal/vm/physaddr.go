@@ -51,8 +51,9 @@ type PhysAddrService struct {
 	// next is each color's cursor: no frame of the color at or beyond it
 	// has been handed out, except those in ahead.
 	next [sal.NumColors]uint64
-	// returned is each color's queue of frames given back.
-	returned [sal.NumColors][]uint64
+	// returned is each color's queue of frames given back. Nil until the
+	// first Deallocate.
+	returned *[sal.NumColors][]uint64
 	// ahead holds the frames contiguous runs took from beyond their color's
 	// cursor; the cursor skips them when it gets there. Nil until then.
 	ahead map[uint64]struct{}
@@ -135,18 +136,26 @@ func (svc *PhysAddrService) takeColor(c int) (uint64, bool) {
 		}
 		delete(svc.ahead, f)
 	}
-	if q := svc.returned[c]; len(q) > 0 {
+	if q := svc.queue(c); len(q) > 0 {
 		svc.returned[c] = q[1:]
 		return q[0], true
 	}
 	return 0, false
 }
 
+// queue is color c's queue of returned frames.
+func (svc *PhysAddrService) queue(c int) []uint64 {
+	if svc.returned == nil {
+		return nil
+	}
+	return svc.returned[c]
+}
+
 // freeOf counts color c's free frames. Every frame in ahead lies beyond its
 // color's cursor and is either in use or queued as returned, so it is
 // counted once too often.
 func (svc *PhysAddrService) freeOf(c int) int {
-	n := len(svc.returned[c])
+	n := len(svc.queue(c))
 	if f := svc.next[c]; f < uint64(svc.total) {
 		n += int((uint64(svc.total)-1-f)/sal.NumColors) + 1
 	}
@@ -204,6 +213,9 @@ func (svc *PhysAddrService) Deallocate(p *PhysAddr) error {
 		return badCap("PhysAddr.T")
 	}
 	svc.sys.TransSvc.invalidateFrames(p.frames)
+	if svc.returned == nil {
+		svc.returned = new([sal.NumColors][]uint64)
+	}
 	for _, f := range p.frames {
 		_ = svc.sys.Phys.Release(f)
 		svc.returned[f%sal.NumColors] = append(svc.returned[f%sal.NumColors], f)
